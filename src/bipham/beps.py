@@ -23,6 +23,7 @@ from .errors import (
 )
 from .fictive import FictiveMatching, build_fictive, is_consistent, substitute
 from .graphs import LabelledPartition, OrientedGraph, PathSystem, norm_edge
+from .matchings import kuhn_matching
 from .validate import check_edge_disjoint
 
 
@@ -244,7 +245,9 @@ def _build_beps_once(
                 f"{len(avail)} free vertices"
             )
         heads = [seqs[t][-1] for t in active]
-        mm = _kuhn_heads(gdir, heads, avail)
+        mm = kuhn_matching(
+            range(len(heads)), avail, lambda pos, v: (heads[pos], v) in gdir.arcs
+        )
         if mm is None:
             raise MatchingFailure(
                 f"no perfect matching into row {kind}_{c}"
@@ -281,7 +284,7 @@ def _pure_matching_paths(gdir, part, interval, h):
             rows.append(list(part.subcluster_B(i, h)))
     succ: dict[int, int] = {}
     for left, right in zip(rows, rows[1:]):
-        mm = _kuhn_directed(gdir, left, right)
+        mm = kuhn_matching(left, right, lambda u, v: (u, v) in gdir.arcs)
         if mm is None:
             raise MatchingFailure(
                 "no perfect matching between consecutive rows"
@@ -294,47 +297,6 @@ def _pure_matching_paths(gdir, part, interval, h):
             seq.append(succ[seq[-1]])
         paths.append(tuple(seq))
     return paths[0], paths[1:]
-
-
-def _kuhn_heads(gdir, heads: list[int], avail: list[int]):
-    """Match path heads (by position) to available row vertices along arcs;
-    returns position -> vertex, or None."""
-    match_r: dict[int, int] = {}
-
-    def augment(pos, seen):
-        for v in avail:
-            if v in seen or (heads[pos], v) not in gdir.arcs:
-                continue
-            seen.add(v)
-            if v not in match_r or augment(match_r[v], seen):
-                match_r[v] = pos
-                return True
-        return False
-
-    for pos in range(len(heads)):
-        if not augment(pos, set()):
-            return None
-    return {pos: v for v, pos in match_r.items()}
-
-
-def _kuhn_directed(gdir: OrientedGraph, left: list[int], right: list[int]):
-    """Perfect matching using arcs from left to right, as a successor map."""
-    match_r: dict[int, int] = {}
-
-    def augment(u, seen):
-        for v in right:
-            if v in seen or (u, v) not in gdir.arcs:
-                continue
-            seen.add(v)
-            if v not in match_r or augment(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
-    for u in left:
-        if not augment(u, set()):
-            return None
-    return {u: v for v, u in match_r.items()}
 
 
 def check_beps(beps: BEPS, gdir: OrientedGraph, part: LabelledPartition) -> list[str]:

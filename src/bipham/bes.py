@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .graphs import Graph, LabelledPartition, PathSystem
-from .matchings import path_system_split, sparsify_split
+from .matchings import kuhn_matching, path_system_split, sparsify_split
 from .schemes import rational_ceil
 from .solvers import SolverBudget
 from .validate import check_bes, check_decomposition, check_edge_disjoint, cycle_edges
@@ -542,30 +542,6 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
 
 # -- covering the global leftover by Hamilton cycles -------------------------
 
-def _kuhn_matching(left: list, right: list, edges: set) -> dict | None:
-    """Maximum bipartite matching (augmenting paths); returns a left->right
-    map when perfect on both sides, else None."""
-    match_r: dict = {}
-    match_l: dict = {}
-
-    def try_augment(u, seen):
-        for v in right:
-            if (u, v) in edges and v not in seen:
-                seen.add(v)
-                if v not in match_r or try_augment(match_r[v], seen):
-                    match_r[v] = u
-                    match_l[u] = v
-                    return True
-        return False
-
-    for u in left:
-        if not try_augment(u, set()):
-            return None
-    if len(match_l) != len(left) or len(match_r) != len(right):
-        return None
-    return match_l
-
-
 @dataclass
 class GlobalCoverResult:
     cycles: list[list[int]]
@@ -671,17 +647,14 @@ def _absorb_exceptional(gstar, part, own_sets, avoid_sets, side, checks):
             )
         if not slots:
             continue
-        edges = set()
         endpointed = []
         for i in range(k):
             used = own_sets[i] | additions[i] | avoid_sets[i]
             pts = {v for e in used for v in e}
             endpointed.append(pts)
-        for w in nbrs:
-            for slot in slots:
-                if w not in endpointed[slot[0]]:
-                    edges.add((w, slot))
-        match = _kuhn_matching(nbrs, slots, edges)
+        match = kuhn_matching(
+            nbrs, slots, lambda w, slot: w not in endpointed[slot[0]]
+        )
         if match is None:
             raise AuxMatchingFailure(
                 f"no perfect assignment of the edges at exceptional vertex {x}",

@@ -233,25 +233,27 @@ def bipartite_degree_factor(g: Graph, targets: dict, split: tuple) -> Graph:
     need_right = sum(targets.get(v, 0) for v in right)
     if need_left != need_right:
         raise MatchingFailure("degree targets differ across the two sides")
+    # integer node labels (source -1, sink -2, vertices as themselves): the
+    # flow networkx finds, and so the subgraph, then does not depend on the
+    # string hash seed of the process
+    source, sink = -1, -2
     gx = nx.DiGraph()
     for v in left:
-        gx.add_edge("s", ("v", v), capacity=targets.get(v, 0))
+        gx.add_edge(source, v, capacity=targets.get(v, 0))
     for v in right:
-        gx.add_edge(("v", v), "t", capacity=targets.get(v, 0))
+        gx.add_edge(v, sink, capacity=targets.get(v, 0))
     lset = set(left)
     for u, v in g.edges:
         a, b = (u, v) if u in lset else (v, u)
-        gx.add_edge(("v", a), ("v", b), capacity=1)
-    value, flow = nx.maximum_flow(gx, "s", "t")
+        gx.add_edge(a, b, capacity=1)
+    value, flow = nx.maximum_flow(gx, source, sink)
     if value != need_left:
         raise MatchingFailure("no spanning subgraph with the prescribed degrees")
-    chosen = []
-    for a, outs in flow.items():
-        if not isinstance(a, tuple):
-            continue
-        for b, used in outs.items():
-            if isinstance(b, tuple) and used:
-                chosen.append((a[1], b[1]))
+    chosen = [
+        (a, b)
+        for a, outs in flow.items() if a >= 0
+        for b, used in outs.items() if b >= 0 and used
+    ]
     return Graph(g.n, chosen)
 
 

@@ -1,6 +1,6 @@
 """Edge decompositions into balanced matchings and path systems.
 
-Three tools used throughout the pipeline:
+Four tools used throughout the pipeline:
 
 * ``vizing_balanced``: decompose any graph into max-degree+1 matchings whose
   sizes differ by at most one (proper edge coloring followed by repeated
@@ -14,6 +14,8 @@ Three tools used throughout the pipeline:
 * ``sparsify_split``: randomly split off a (1-gamma) fraction of the edges
   so that the leftover has small maximum degree, retrying until both
   postconditions verify.
+* ``kuhn_matching``: a perfect matching of one vertex list into another by
+  augmenting paths, deterministic in the order of both lists.
 """
 
 from __future__ import annotations
@@ -355,6 +357,37 @@ def _backtrack_path_split(g: Graph, A0: set, t: int, sizes: list[int]):
     systems = [PathSystem(g.n, es) for es in out]
     systems.sort(key=lambda s: (-s.num_edges(), sorted(s.edges)))
     return systems
+
+
+# -- bipartite matching by augmenting paths ---------------------------------
+
+def kuhn_matching(left, right, adjacent) -> dict | None:
+    """Match every vertex of ``left`` to a distinct vertex of ``right``
+    (Kuhn's augmenting paths); returns the left->right map, or None when
+    some left vertex stays unmatched.
+
+    ``adjacent(u, v)`` says whether u may be matched to v.  Left vertices
+    are matched in their order, candidates are tried in the order of
+    ``right``, and the map iterates in the order of ``left``, so the result
+    is a fixed function of the two orders.
+    """
+    match_r: dict = {}
+
+    def augment(u, seen):
+        for v in right:
+            if v in seen or not adjacent(u, v):
+                continue
+            seen.add(v)
+            if v not in match_r or augment(match_r[v], seen):
+                match_r[v] = u
+                return True
+        return False
+
+    for u in left:
+        if not augment(u, set()):
+            return None
+    match_l = {u: v for v, u in match_r.items()}
+    return {u: match_l[u] for u in left}
 
 
 # -- random sparsifying split ------------------------------------------------

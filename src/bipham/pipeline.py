@@ -4,8 +4,9 @@ Two drivers: ``run_theorem_NWbip`` packs half-the-degree many edge-disjoint
 Hamilton cycles into a dense nearly-bipartite host around a regular spanning
 subgraph; ``run_theorem_1factbip`` fully decomposes an even-regular
 nearly-bipartite graph into Hamilton cycles via a robustly decomposable
-subgraph.  Stages never abort the report: a failed stage records its error
-and downstream stages are marked skipped.
+subgraph.  Each driver opens its stages in turn and has one failure path:
+a typed error or failed requirement marks the most recently opened stage
+failed with the error, and one skipped ``remaining`` stage ends the report.
 
 All numeric thresholds live in PipelineConstants as exact rationals; the
 asymptotic separation conditions between them are evaluated and logged as
@@ -36,8 +37,14 @@ from .graphs import Graph, LabelledPartition, PathSystem
 from .partitioning import framework_partition, localized_slices, orient_scheme
 from .report import DecompositionReport, Stage
 from .schemes import scheme_violations
+from .search import CycleSearch
 from .solvers import SolverBudget, approx_decomposition
-from .validate import check_cycle_in_graph, check_decomposition, cycle_edges
+from .validate import (
+    check_cycle_in_graph,
+    check_decomposition,
+    check_edge_disjoint,
+    cycle_edges,
+)
 from .walks import RobustDecomposition, RobustParams
 
 
@@ -276,18 +283,14 @@ def _nwbip_attempt(
     report.warnings.extend(constants.hierarchy_warnings())
     total_f = f.num_edges()
     removed: set = set()
-
-    st = report.stage("input", "entry-gates", D=D)
     try:
+        st = report.stage("input", "entry-gates", D=D)
         st.require("subgraph-regular", D >= 0, witness=sorted(degs)[:3])
         st.require("degree-even", D % 2 == 0, witness=D)
         st.require("spanning-subgraph", g.edges <= f.edges)
         st.check("degree-at-least-n-over-100", D * 100 >= f.n, witness=D)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("eliminate-exceptional-cut", "elimination", K=constants.K)
-    try:
+        st = report.stage("eliminate-exceptional-cut", "elimination", K=constants.K)
         dec = bip_decompose(
             f, g, constants.K, constants.eps0, constants.eps_prime,
             hint_split=hint_split, demotion_seed=demotion_seed,
@@ -307,17 +310,12 @@ def _nwbip_attempt(
         )
         st.require("parity-preserved", elim.reduced.D % 2 == 0)
         c1 = elim.hamilton_cycles
-        for cyc in c1:
-            removed |= cycle_edges(cyc)
-        report.account("elimination", len(removed), total_f - len(removed), total_f)
+        _remove_cycles(report, removed, total_f, c1, "elimination")
         fw1 = elim.reduced
         f1 = f.minus_edges(removed)
         fw1 = fw1.replace_graphs(fw1.graph, f1)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("cluster-partition", "partition", K=constants.K)
-    try:
+        st = report.stage("cluster-partition", "partition", K=constants.K)
         part, cert = framework_partition(
             fw1, f1, constants.K, constants.eps1, constants.eps2, seed=seed
         )
@@ -326,11 +324,8 @@ def _nwbip_attempt(
             fw1.graph, part, fw1.D, fw1.eps, fw1.eps_prime, constants.K,
             fw1.kind, f1,
         )
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("balanced-exceptional-systems", "bes-cover")
-    try:
+        st = report.stage("balanced-exceptional-systems", "bes-cover")
         if fw1.D == 0:
             # the elimination already consumed the whole balance degree:
             # no systems or further cycles are needed
@@ -339,16 +334,9 @@ def _nwbip_attempt(
         else:
             bes = bes_stage(fw1, part, constants, seed, st)
         c2 = bes.cycles
-        for cyc in c2:
-            removed |= cycle_edges(cyc)
-        report.account(
-            "bes-cycles", len(removed), total_f - len(removed), total_f
-        )
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
+        _remove_cycles(report, removed, total_f, c2, "bes-cycles")
 
-    st = report.stage("approximate-decomposition", "approx")
-    try:
+        st = report.stage("approximate-decomposition", "approx")
         j_family = [j for cell in sorted(bes.j_cells) for j in bes.j_cells[cell]]
         d2 = fw1.D - 2 * bes.k
         st.require("family-size-identity", d2 == 2 * len(j_family),
@@ -367,35 +355,45 @@ def _nwbip_attempt(
             )
         c3 = res.cycles
         for i, cyc in enumerate(c3):
-            missing = bes_missing = set(j_family[i].edges) - cycle_edges(cyc)
-            st.require(f"cycle-{i}-contains-system", not missing, witness=sorted(bes_missing)[:3])
-        for cyc in c3:
-            removed |= cycle_edges(cyc)
-        report.account("approx", len(removed), total_f - len(removed), total_f)
+            missing = set(j_family[i].edges) - cycle_edges(cyc)
+            st.require(f"cycle-{i}-contains-system", not missing, witness=sorted(missing)[:3])
+        _remove_cycles(report, removed, total_f, c3, "approx")
+
+        st = report.stage("final-validation", "totals")
+        cycles = c1 + c2 + c3
+        st.require("cycle-count", len(cycles) == D // 2, witness=(len(cycles), D // 2))
+        st.check(
+            "count-identity",
+            len(c1) + len(c2) + len(c3) == D // 2,
+            witness=[len(c1), len(c2), len(c3)],
+        )
+        allowed = Graph(f.n, f.edges)
+        for cyc in cycles:
+            for p in check_cycle_in_graph(allowed, cyc):
+                st.require("cycle-valid", False, witness=p)
+        dup = check_edge_disjoint([cycle_edges(c) for c in cycles])
+        st.require("edge-disjoint", not dup, witness=dup[:1])
     except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
-
-    st = report.stage("final-validation", "totals")
-    cycles = c1 + c2 + c3
-    st.require("cycle-count", len(cycles) == D // 2, witness=(len(cycles), D // 2))
-    st.check(
-        "count-identity",
-        len(c1) + len(c2) + len(c3) == D // 2,
-        witness=[len(c1), len(c2), len(c3)],
-    )
-    allowed = Graph(f.n, f.edges)
-    for cyc in cycles:
-        for p in check_cycle_in_graph(allowed, cyc):
-            st.require("cycle-valid", False, witness=p)
-    from .validate import check_edge_disjoint
-
-    dup = check_edge_disjoint([cycle_edges(c) for c in cycles])
-    st.require("edge-disjoint", not dup, witness=dup[:1])
+        return _fail(report, exc)
     report.cycles = cycles
     return report
 
 
-def _fail(report: DecompositionReport, st: Stage, exc) -> DecompositionReport:
+def _remove_cycles(
+    report: DecompositionReport, removed: set, total: int, cycles,
+    label: str | None = None,
+) -> None:
+    """Add the edges of ``cycles`` to ``removed``; with a label, record the
+    edge conservation entry of that stage."""
+    for cyc in cycles:
+        removed |= cycle_edges(cyc)
+    if label is not None:
+        report.account(label, len(removed), total - len(removed), total)
+
+
+def _fail(report: DecompositionReport, exc) -> DecompositionReport:
+    """Mark the most recently opened stage failed and skip the rest."""
+    st = report.stages[-1]
     st.status = "failed"
     st.error = f"{type(exc).__name__}: {exc}"
     report.stages.append(Stage("remaining", "skipped", status="skipped"))
@@ -421,45 +419,33 @@ def run_theorem_1factbip(
     report.warnings.extend(c.factorization_divisibility_warnings())
     total = g.num_edges()
     removed: set = set()
-
-    st = report.stage("input", "entry-gates", D=D)
     try:
+        st = report.stage("input", "entry-gates", D=D)
         st.require("regular", D >= 0)
         st.require("degree-even", D % 2 == 0, witness=D)
+        pre_cycles = []
+        g_work = g
         if 2 * D > g.n:
             # peel Hamilton cycles until the degree is at most half the
             # order (substitution: a direct search does the removal)
-            from .search import CycleSearch
-
-            pre_cycles = []
-            cur = g
             while 2 * (D - 2 * len(pre_cycles)) > g.n:
-                cyc = CycleSearch(cur, max_nodes=c.max_nodes).first()
+                cyc = CycleSearch(g_work, max_nodes=c.max_nodes).first()
                 if cyc is None:
                     raise PreconditionViolated(
                         "cannot reduce the degree below half the order"
                     )
                 pre_cycles.append(cyc)
-                cur = cur.minus_edges(cycle_edges(cyc))
+                g_work = g_work.minus_edges(cycle_edges(cyc))
             report.warnings.append(
                 f"degree reduced from {D} by removing {len(pre_cycles)} "
                 "Hamilton cycles before the pipeline"
             )
             st.check("degree-reduced", True, witness=len(pre_cycles))
-            for cyc in pre_cycles:
-                removed |= cycle_edges(cyc)
-            g_work = cur
-            D_work = D - 2 * len(pre_cycles)
-        else:
-            pre_cycles = []
-            g_work = g
-            D_work = D
+            _remove_cycles(report, removed, total, pre_cycles)
+        D_work = D - 2 * len(pre_cycles)
         st.check("degree-at-most-half", 2 * D_work <= g.n, witness=D_work)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("framework", "elimination", K=c.K1 * c.L)
-    try:
+        st = report.stage("framework", "elimination", K=c.K1 * c.L)
         dec = bip_decompose(
             g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
             hint_split=hint_split,
@@ -470,41 +456,31 @@ def run_theorem_1factbip(
             )
         elim = eliminate_A0B0(dec.framework, budget=c.budget(seed))
         c1 = elim.hamilton_cycles
-        for cyc in c1:
-            removed |= cycle_edges(cyc)
         fw1 = elim.reduced
         d1 = fw1.D
         st.check("cut-cycles", True, witness=len(c1))
-        report.account("framework", len(removed), total - len(removed), total)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
+        _remove_cycles(report, removed, total, c1, "framework")
 
-    m1 = len(fw1.partition.A) // c.K1
-    r = int(round(c.gamma * m1))
-    r1 = c.r1_override if c.r1_override is not None else max(int(round(c.gamma1 * m1)), 1)
-    params = RobustParams(
-        r=r, r1=r1, g=c.g, f=c.f, L=c.L, ell_prime=c.ell_prime, K=c.K1, m=m1
-    )
-    st = report.stage(
-        "robust-parameters", "robust-contract",
-        r=r, r1=r1, r2=params.r2, r3=params.r3,
-        r_diamond=params.r_diamond, s_prime=params.s_prime,
-    )
-    try:
-        st.check("identities", True, witness={
+        st = report.stage("robust-parameters", "robust-contract")
+        m1 = len(fw1.partition.A) // c.K1
+        r = int(round(c.gamma * m1))
+        r1 = c.r1_override if c.r1_override is not None else max(int(round(c.gamma1 * m1)), 1)
+        params = RobustParams(
+            r=r, r1=r1, g=c.g, f=c.f, L=c.L, ell_prime=c.ell_prime, K=c.K1, m=m1
+        )
+        derived = {
             "r2": params.r2, "r3": params.r3,
             "r_diamond": params.r_diamond, "s_prime": params.s_prime,
-        })
+        }
+        st.params.update(r=r, r1=r1, **derived)
+        st.check("identities", True, witness=derived)
         div = params.divisibility_report()
         # the full divisibility list cannot hold at this scale; failures are
         # recorded as warnings, and the check notes what was waived
         st.check("divisibility-recorded", True, witness=div)
         report.warnings.extend(div)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("robust-partition", "partition", K1=c.K1, L=c.L)
-    try:
+        st = report.stage("robust-partition", "partition", K1=c.K1, L=c.L)
         part_fine, cert = framework_partition(
             fw1, fw1.graph, c.K1 * c.L, c.eps1, c.eps2, seed=seed
         )
@@ -535,11 +511,8 @@ def run_theorem_1factbip(
             fw1.graph, part1, d1, fw1.eps, fw1.eps_prime, c.K1, fw1.kind,
             fw1.host,
         )
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("robust-bes", "bes-cover")
-    try:
+        st = report.stage("robust-bes", "bes-cover")
         need_ca = c.L * c.f * params.r3
         need_pca = 7 * params.r_diamond
         if not part1.V0():
@@ -557,8 +530,7 @@ def run_theorem_1factbip(
                 c.K1 * c.L, fw1.kind, fw1.host,
             )
             bes_all = bes_stage(fw_fine, part_fine, c, seed, st, K=c.K1 * c.L)
-            for cyc in bes_all.cycles:
-                removed |= cycle_edges(cyc)
+            _remove_cycles(report, removed, total, bes_all.cycles)
             j_ca, j_pca = _select_robust_systems(
                 bes_all.j_cells, c, params
             )
@@ -566,54 +538,17 @@ def run_theorem_1factbip(
                  witness=need_ca)
         st.check("pca-slots", all(len(v) == params.r_diamond for v in j_pca.values()),
                  witness=need_pca)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("robust-graph", "robust-contract")
-    try:
+        st = report.stage("robust-graph", "robust-contract")
         g2 = Graph(
             fw1.graph.n,
             fw1.graph.edges_between(part1.A, part1.B),
         )
         sch = scheme_violations(g2, part1, c.eps0, c.eps_prime)
         st.check("scheme", not sch, witness=sch[:2])
-        # both factor families are built at full scheme density first, then
-        # the absorbers are peeled from the regular remainder (the stated
-        # construction order interleaves these; the postconditions checked
-        # below are order-independent).  Coin-flip orientations get a few
-        # tries before the deterministic alternating orientation takes over.
-        last_exc = None
-        part1_coarse = part1.with_clusters(part1.clusters_A, part1.clusters_B)
-        for attempt, strategy in enumerate(
-            ["random"] * 8 + ["alternating"] * 2
-        ):
-            try:
-                g2dir, ocert = orient_scheme(
-                    g2, part1, c.eps0, c.eps_prime, seed=seed + attempt,
-                    strategy=strategy,
-                )
-                rd = RobustDecomposition(g2dir, part1, params, strict=False)
-                bf_ca = build_bf_family(
-                    g2dir, part1, j_ca, c.L, c.f, params.r3,
-                    min_interval=c.min_interval,
-                ) if params.r3 else []
-                used_bf: set = set()
-                for bf in bf_ca:
-                    used_bf |= set(bf.edge_multiset())
-                g3dir = g2dir.minus_arcs(
-                    {a for a in g2dir.arcs if (min(a), max(a)) in used_bf}
-                )
-                bf_pca = build_bf_family(
-                    g3dir, part1_coarse, j_pca, 1, 7, params.r_diamond,
-                    min_interval=c.min_interval,
-                )
-                ca = rd.build_chord_absorber(bf_ca, extra_avoid=bf_pca)
-                pca = rd.build_parity_switcher(bf_pca)
-                break
-            except BiphamError as exc:
-                last_exc = exc
-        else:
-            raise last_exc
+        ocert, rd, bf_ca, bf_pca, ca, pca = _build_absorbers(
+            g2, part1, params, j_ca, j_pca, c, seed
+        )
         st.check("orientation-verified", True, witness=ocert.attempts)
         report.warnings.extend(rd.warnings)
         st.check("chord-absorber-regular",
@@ -637,11 +572,8 @@ def run_theorem_1factbip(
         st.require("robust-degrees", deg_ok, witness=(r0_rob, r_rob))
         st.check("robust-degree-bounds", 7 * params.r1 <= r0_rob <= 30 * params.r1,
                  witness=r0_rob)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("repartition", "approx", K2=c.K2)
-    try:
+        st = report.stage("repartition", "approx", K2=c.K2)
         g4 = fw1.graph.minus_edges(rob_edges)
         d4 = d1 - r0_rob
         deg_law = all(
@@ -658,23 +590,16 @@ def run_theorem_1factbip(
         )
         if isinstance(fw4, list):
             raise PreconditionViolated(f"repartitioned graph: {fw4[0].detail}")
-        elim2 = eliminate_A0B0(fw4, budget=c.budget(seed)) if d4 > 0 else None
-        if elim2 is not None:
-            c2 = elim2.hamilton_cycles
-            fw5 = elim2.reduced
+        if d4 > 0:
+            elim2 = eliminate_A0B0(fw4, budget=c.budget(seed))
+            c2, fw5 = elim2.hamilton_cycles, elim2.reduced
         else:
-            c2 = []
-            fw5 = fw4 if isinstance(fw4, Framework) else fw4
+            c2, fw5 = [], fw4
         d5 = d4 - 2 * len(c2)
-        for cyc in c2:
-            removed |= cycle_edges(cyc)
         st.check("second-elimination", True, witness=len(c2))
-        report.account("repartition", len(removed), total - len(removed), total)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
+        _remove_cycles(report, removed, total, c2, "repartition")
 
-    st = report.stage("approx-bes", "bes-cover", K2=c.K2)
-    try:
+        st = report.stage("approx-bes", "bes-cover", K2=c.K2)
         if d5 == 0:
             j_prime: list[PathSystem] = []
             c3 = []
@@ -694,14 +619,9 @@ def run_theorem_1factbip(
         d6 = d5 - 2 * len(c3)
         st.require("family-size-identity", d6 == 2 * len(j_prime),
                    witness=(d6, len(j_prime)))
-        for cyc in c3:
-            removed |= cycle_edges(cyc)
-        report.account("approx-bes", len(removed), total - len(removed), total)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
+        _remove_cycles(report, removed, total, c3, "approx-bes")
 
-    st = report.stage("approximate-decomposition", "approx")
-    try:
+        st = report.stage("approximate-decomposition", "approx")
         g6 = g.minus_edges(removed | rob_edges)
         if j_prime:
             res = approx_decomposition(
@@ -715,8 +635,7 @@ def run_theorem_1factbip(
             c4 = res.cycles
         else:
             c4 = []
-        for cyc in c4:
-            removed |= cycle_edges(cyc)
+        _remove_cycles(report, removed, total, c4)
         h_prime = g.minus_edges(removed | rob_edges)
         st.require(
             "leftover-regular",
@@ -731,30 +650,67 @@ def run_theorem_1factbip(
             not h_prime.e_within(part1.A_prime())
             and not h_prime.e_within(part1.B_prime()),
         )
-        report.account("approx", len(removed), total - len(removed), total)
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
+        # the conservation entry is written once the leftover checks hold
+        _remove_cycles(report, removed, total, (), "approx")
 
-    st = report.stage("robust-closure", "robust-contract")
-    try:
+        st = report.stage("robust-closure", "robust-contract")
         h = Graph(g.n, h_prime.edges_between(part1.A, part1.B))
         c5 = rd.closure(h, max_nodes=c.max_nodes, max_seconds=c.max_seconds,
                         seed=seed)
         st.check("closure-cycles", len(c5) == params.s_prime,
                  witness=(len(c5), params.s_prime))
-    except (BiphamError, AssertionError) as exc:
-        return _fail(report, st, exc)
 
-    st = report.stage("final-validation", "totals")
-    cycles = pre_cycles + c1 + c2 + c3 + c4 + c5
-    st.require("cycle-count", len(cycles) == D // 2, witness=(len(cycles), D // 2))
-    problems = check_decomposition(g, [cycle_edges(cy) for cy in cycles])
-    st.require("exact-decomposition", not problems, witness=problems[:1])
-    for cyc in cycles:
-        for p in check_cycle_in_graph(g, cyc):
-            st.require("cycle-valid", False, witness=p)
+        st = report.stage("final-validation", "totals")
+        cycles = pre_cycles + c1 + c2 + c3 + c4 + c5
+        st.require("cycle-count", len(cycles) == D // 2, witness=(len(cycles), D // 2))
+        problems = check_decomposition(g, [cycle_edges(cy) for cy in cycles])
+        st.require("exact-decomposition", not problems, witness=problems[:1])
+        for cyc in cycles:
+            for p in check_cycle_in_graph(g, cyc):
+                st.require("cycle-valid", False, witness=p)
+    except (BiphamError, AssertionError) as exc:
+        return _fail(report, exc)
     report.cycles = cycles
     return report
+
+
+def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
+    """Orient the scheme, build both balanced-factor families on it and the
+    two absorbers from them.  Both families are built at full scheme density
+    first, then the absorbers are peeled from the regular remainder (the
+    stated construction order interleaves these; the postconditions checked
+    by the caller are order-independent).  Coin-flip orientations get a few
+    tries before the deterministic alternating orientation takes over; the
+    last failure is raised when every try fails."""
+    part1_coarse = part1.with_clusters(part1.clusters_A, part1.clusters_B)
+    last_exc = None
+    for attempt, strategy in enumerate(["random"] * 8 + ["alternating"] * 2):
+        try:
+            g2dir, ocert = orient_scheme(
+                g2, part1, c.eps0, c.eps_prime, seed=seed + attempt,
+                strategy=strategy,
+            )
+            rd = RobustDecomposition(g2dir, part1, params, strict=False)
+            bf_ca = build_bf_family(
+                g2dir, part1, j_ca, c.L, c.f, params.r3,
+                min_interval=c.min_interval,
+            ) if params.r3 else []
+            used_bf: set = set()
+            for bf in bf_ca:
+                used_bf |= set(bf.edge_multiset())
+            g3dir = g2dir.minus_arcs(
+                {a for a in g2dir.arcs if (min(a), max(a)) in used_bf}
+            )
+            bf_pca = build_bf_family(
+                g3dir, part1_coarse, j_pca, 1, 7, params.r_diamond,
+                min_interval=c.min_interval,
+            )
+            ca = rd.build_chord_absorber(bf_ca, extra_avoid=bf_pca)
+            pca = rd.build_parity_switcher(bf_pca)
+            return ocert, rd, bf_ca, bf_pca, ca, pca
+        except BiphamError as exc:
+            last_exc = exc
+    raise last_exc
 
 
 def _slot_keys(K: int, f: int, L: int):

@@ -26,6 +26,7 @@ from .errors import (
     Timeout,
 )
 from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, norm_edge
+from .matchings import kuhn_matching
 from .search import CycleSearch, Prescribed
 from .validate import check_decomposition, cycle_edges
 
@@ -513,7 +514,7 @@ class RobustDecomposition:
         chosen: set = set()
         cur = avail
         for t in range(count):
-            match = _kuhn_bipartite(cur, A, B)
+            match = kuhn_matching(A, B, lambda a, b: b in cur.adj[a])
             if match is None:
                 raise BackendFailure(
                     f"{what}: no perfect matching at layer {t + 1}/{count}"
@@ -696,23 +697,3 @@ def robust_decomposition(
                           seed=seed)
 
     return RobustResult(rd.ca, rd.pca, closure, rd.warnings)
-
-
-def _kuhn_bipartite(g: Graph, left: list[int], right: list[int]):
-    match_r: dict[int, int] = {}
-
-    def augment(u, seen):
-        for v in sorted(g.adj[u]):
-            if v in seen or v not in rset:
-                continue
-            seen.add(v)
-            if v not in match_r or augment(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
-    rset = set(right)
-    for u in left:
-        if not augment(u, set()):
-            return None
-    return {u: v for v, u in match_r.items()}

@@ -1,6 +1,13 @@
 """Instance generators and their certified properties."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import bipham
 
 from bipham.errors import BadParams
 from bipham.generators import (
@@ -96,3 +103,22 @@ def test_generate_dispatch():
     assert g == complete_bipartite((3, 3))
     with pytest.raises(BadParams):
         generate("nonsense", {})
+
+
+def test_eps_bipartite_subgraph_independent_of_hash_seed():
+    # the degree-factor flow network must not key its nodes on strings,
+    # whose hashes change with PYTHONHASHSEED
+    code = (
+        "from bipham.generators import eps_bipartite_instance\n"
+        "out = eps_bipartite_instance(n=32, D=6, eps='1/8', hubs=1, seed=4)\n"
+        "print(sorted(out[-1].edges))\n"
+    )
+    src = str(Path(bipham.__file__).resolve().parent.parent)
+    edges = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        edges.append(run.stdout)
+    assert edges[0] and edges[0] == edges[1]

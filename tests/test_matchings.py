@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from bipham.errors import PreconditionViolated, RetryBudgetExceeded
 from bipham.graphs import Graph, PathSystem, complete_bipartite
 from bipham.matchings import (
     edge_coloring,
+    kuhn_matching,
     path_system_split,
     sparsify_split,
     split_trick,
@@ -146,3 +148,37 @@ def test_sparsify_impossible_bound():
     g = regular_spanning_subgraph(complete_graph(20), 3, seed=0)
     with pytest.raises(RetryBudgetExceeded):
         sparsify_split(g, "1/5", "1/5", seed=0, max_attempts=8)
+
+
+def test_kuhn_matching_against_hopcroft_karp():
+    # random bipartite graphs, as undirected edges and as arcs: a matching is
+    # returned exactly when a maximum matching saturates the left side
+    rng = random.Random(7)
+    found = 0
+    for _ in range(400):
+        left = list(range(rng.randint(0, 8)))
+        right = list(range(10, 10 + rng.randint(0, 8)))
+        rng.shuffle(right)
+        p = rng.random()
+        edges = {(u, v) for u in left for v in right if rng.random() < p}
+        g = Graph(18, edges)
+        arcs = {(u, v) for u, v in edges if rng.random() < 0.7}
+        arcs |= {(v, u) for u, v in edges if rng.random() < 0.5}
+        for adjacent, pairs in (
+            (lambda u, v: v in g.adj[u], edges),
+            (lambda u, v: (u, v) in arcs, {a for a in arcs if a[0] in left}),
+        ):
+            h = nx.Graph()
+            h.add_nodes_from(left)
+            h.add_nodes_from(right)
+            h.add_edges_from(pairs)
+            best = nx.bipartite.hopcroft_karp_matching(h, top_nodes=left)
+            saturated = all(u in best for u in left)
+            match = kuhn_matching(left, right, adjacent)
+            assert (match is not None) == saturated
+            if match is not None:
+                found += 1
+                assert list(match) == left
+                assert len(set(match.values())) == len(left)
+                assert all(adjacent(u, v) for u, v in match.items())
+    assert found > 100

@@ -207,11 +207,14 @@ def test_alternating_orientation_keeps_pair_matchings():
     g, part = _square_scheme()
     gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=0,
                             strategy="alternating")
-    from bipham.beps import _kuhn_directed
+    from bipham.matchings import kuhn_matching
+
+    def arc(u, v):
+        return (u, v) in gdir.arcs
 
     for i in range(1, 3):
         for j in range(1, 3):
             left = list(part.clusters_A[i - 1])
             right = list(part.clusters_B[j - 1])
-            assert _kuhn_directed(gdir, left, right) is not None
-            assert _kuhn_directed(gdir, right, left) is not None
+            assert kuhn_matching(left, right, arc) is not None
+            assert kuhn_matching(right, left, arc) is not None

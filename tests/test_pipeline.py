@@ -1,6 +1,8 @@
 """End-to-end pipelines, reports, determinism, CLI."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 from bipham.cli import main as cli_main
 from bipham.generators import generate, regular_spanning_subgraph
@@ -19,6 +21,10 @@ TOY_1FACT = PipelineConstants(
 )
 
 
+def _digest(rep) -> str:
+    return hashlib.sha256(render_report(rep).encode()).hexdigest()
+
+
 def test_nwbip_on_complete_bipartite():
     g, part, props = generate("complete_bipartite", {"m": 4})
     hint = (list(part.A), list(part.B))
@@ -27,6 +33,10 @@ def test_nwbip_on_complete_bipartite():
     assert len(rep.cycles) == 2
     assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
     assert all(e["conserved"] for e in rep.accounting)
+    # pinned report: refactors of the drivers must leave it byte-identical
+    assert _digest(rep) == (
+        "534c67752c9e8f3a53b2ace41433eb056478e80db9883fcf8ac1b66badd64ac7"
+    )
 
 
 def test_nwbip_stage_failure_marks_downstream_skipped():
@@ -64,6 +74,9 @@ def test_onefact_full_run():
     assert rep.ok()
     assert len(rep.cycles) == 14
     assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
+    assert _digest(rep) == (
+        "b88749bfcf8e7f91318ae2fa2791284f09af4c50d1ba20ce36852ea139b9f161"
+    )
 
 
 def test_onefact_rejects_odd_degree():
@@ -72,6 +85,36 @@ def test_onefact_rejects_odd_degree():
                                hint_split=(list(part.A), list(part.B)))
     assert not rep.ok()
     assert rep.stages[0].status == "failed"
+
+
+def test_onefact_parameter_failure_lands_in_report(tmp_path):
+    # r3 = 2rK/L = 2/3 is not integral: deriving the robust parameters
+    # raises, and that must fail its stage rather than escape the driver
+    g, part, props = generate("complete_bipartite", {"m": 12})
+    consts = PipelineConstants(
+        K1=1, L=3, f=1, g=2, ell_prime=4, gamma=Fraction(1, 12), gamma1=0,
+        r1_override=2, min_interval=3,
+    )
+    rep = run_theorem_1factbip(g, consts, seed=1,
+                               hint_split=(list(part.A), list(part.B)))
+    assert not rep.ok()
+    failed = [st for st in rep.stages if st.status == "failed"]
+    assert [st.name for st in failed] == ["robust-parameters"]
+    assert failed[0].error == "PreconditionViolated: r3 = 2rK/L not integral"
+    assert (rep.stages[-1].name, rep.stages[-1].status) == ("remaining", "skipped")
+
+    inst = tmp_path / "k12.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 12}', "-o", str(inst)])
+    consts_path = tmp_path / "c.json"
+    consts_path.write_text(json.dumps(consts.as_json()))
+    rep_path = tmp_path / "rep.json"
+    rc = cli_main([
+        "decompose", "--theorem", "onefact", "--constants", str(consts_path),
+        "--seed", "1", str(inst), "-o", str(rep_path),
+    ])
+    assert rc == 1
+    assert parse_report(str(rep_path)) == rep.as_json()
 
 
 def test_repartition_exceptional_maximizes_cut():
