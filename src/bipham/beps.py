@@ -93,7 +93,9 @@ def build_beps(
                 (seed, attempt).__hash__(),
             )
         except (InsufficientNeighbors, MatchingFailure) as exc:
-            last = exc
+            # a kept traceback would refer back to this frame, and the cycle
+            # would hold every failed attempt until a full garbage collection
+            last = exc.with_traceback(None)
     raise last
 
 

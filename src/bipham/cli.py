@@ -14,7 +14,7 @@ import json
 import sys
 
 from .balance import frac, validate_framework, Framework
-from .errors import BiphamError
+from .errors import BiphamError, InputFileError
 from .generators import generate, regular_spanning_subgraph
 from .graphs import (
     Graph,
@@ -133,8 +133,7 @@ def _dispatch(args) -> int:
         graph, part = _load(args.graph)
         constants = PipelineConstants()
         if args.constants:
-            with open(args.constants, encoding="utf-8") as fh:
-                constants = PipelineConstants.from_json(json.load(fh))
+            constants = _read_input(args.constants, _load_constants)
         hint = None
         if part is not None:
             hint = (
@@ -143,7 +142,7 @@ def _dispatch(args) -> int:
             )
         if args.theorem == "nwbip":
             if args.subgraph:
-                sub, _ = load_graph(args.subgraph)
+                sub, _ = _load(args.subgraph)
             elif args.D is not None:
                 sub = regular_spanning_subgraph(graph, args.D, seed=args.seed)
             else:
@@ -194,10 +193,34 @@ def _common_degree(g: Graph) -> int:
 
 def _load(path: str):
     """Graph file loader: JSON layout, or 'u v' lines for .txt files."""
-    if path.endswith(".txt"):
-        with open(path, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read()), None
-    return load_graph(path)
+    return _read_input(path, _load_edge_list if path.endswith(".txt") else load_graph)
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load_edge_list(path: str):
+    return parse_edge_list(_read_text(path)), None
+
+
+def _load_constants(path: str) -> PipelineConstants:
+    doc = json.loads(_read_text(path))
+    if not isinstance(doc, dict):
+        raise TypeError("expected a JSON object")
+    return PipelineConstants.from_json(doc)
+
+
+def _read_input(path: str, parse):
+    """``parse(path)``, with a missing, unreadable or malformed file raised
+    as InputFileError; typed errors of the parser pass through."""
+    try:
+        return parse(path)
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputFileError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ class BadParams(BiphamError):
     """Parameters of a generator or constant set are inconsistent."""
 
 
+class InputFileError(BiphamError):
+    """An input file is missing, unreadable or malformed."""
+
+
 class PartitionMismatch(BiphamError):
     """A vertex partition does not cover the graph's vertex set."""
 

@@ -11,6 +11,29 @@ fixed cyclic order.
 
 Masks are Python ints, so any vertex count is supported; the compiled twin
 in ``_fast`` handles up to 64 vertices with machine words.
+
+Both twins prune a search node whose current vertex is ``cur`` when some
+unvisited vertex has fewer than two neighbours, in its union mask, among the
+available vertices: the unvisited ones, ``cur`` and ``start``.  ``_fast``
+scans every unvisited vertex at every node.  This twin decides the same
+predicate from the neighbours of the vertex just left:
+
+* A node's parent passed the prune, and the step ``prev -> cur`` takes
+  exactly one vertex, ``prev``, out of the available set (none when
+  ``prev`` is ``start``).  So only an unvisited vertex whose union mask
+  contains ``prev`` can have dropped below two.  Union masks need not be
+  symmetric, so these vertices are read from a reverse mask, not from
+  ``prev``'s own union mask.
+* For every child of one node the available set is the same, so the
+  vertices that would drop below two (``starving``) are found once, when
+  the node is pushed, and a child ``v`` fails the prune unless
+  ``starving`` is empty or ``{v}``.  When two vertices starve, every child
+  fails; the children are then counted without being visited.
+* The root was never checked, so its children test one precomputed mask of
+  the vertices with fewer than two union-mask bits.
+
+The search, the order of its cycles, its node count and its budget trips
+are those of the full scan.
 """
 
 from __future__ import annotations
@@ -21,7 +44,8 @@ class CycleEnum:
 
     Yields each cycle as a list of vertex ids starting at ``start``.  The
     enumeration order is deterministic: candidates are tried in ascending
-    vertex order.
+    vertex order.  ``nodes`` and ``budget_exceeded`` are current after every
+    ``next()``.
     """
 
     def __init__(
@@ -34,138 +58,152 @@ class CycleEnum:
         max_nodes: int | None = None,
         break_mirror: bool = False,
     ):
-        self.n = len(port_a)
-        self.pa = list(port_a)
-        self.pb = list(port_b)
-        self.dirv = list(directed)
-        self.start = start
-        self.ranks = list(waypoint_ranks) if waypoint_ranks is not None else None
-        self.max_nodes = max_nodes
-        self.break_mirror = break_mirror
+        if waypoint_ranks is not None and waypoint_ranks[start] not in (0, -1):
+            raise ValueError("start vertex must be the rank-0 waypoint")
         self.nodes = 0
         self.budget_exceeded = False
-
-        n = self.n
-        self.union_mask = [self.pa[v] | self.pb[v] for v in range(n)]
-        if self.ranks is not None and self.ranks[start] not in (0, -1):
-            raise ValueError("start vertex must be the rank-0 waypoint")
-        self.num_waypoints = (
-            0 if self.ranks is None else sum(1 for r in self.ranks if r >= 0)
+        # the search holds no reference back to self, so an enumerator that
+        # is dropped before the end is freed at once, not by the cycle GC
+        self._search = _search(
+            list(port_a),
+            list(port_b),
+            list(directed),
+            start,
+            None if waypoint_ranks is None else list(waypoint_ranks),
+            max_nodes,
+            break_mirror,
         )
-
-        # search state (explicit stacks so iteration can be resumed)
-        self.path = [start]
-        self.visited = 1 << start
-        if self.dirv[start]:
-            first_cands = self.pb[start]
-            self.close_mask = self.pa[start]
-        else:
-            first_cands = self.union_mask[start]
-            self.close_mask = 0  # determined once the first step is chosen
-        self.cands = [first_cands & ~self.visited]
-        self.need = 1 if (self.ranks is not None and self.ranks[start] == 0) else 0
-        self.need_stack = [self.need]
-        self._done = n < 3
-
-    def _exits(self, v: int, came_from: int) -> int:
-        fb = 1 << came_from
-        if self.dirv[v]:
-            return self.pb[v] if (self.pa[v] & fb) else 0
-        out = 0
-        if self.pa[v] & fb:
-            out |= self.pb[v]
-        if self.pb[v] & fb:
-            out |= self.pa[v]
-        return out
-
-    def _prune(self, cur: int) -> bool:
-        """True if some unvisited vertex can no longer get two cycle edges."""
-        avail_base = ~self.visited | (1 << cur) | (1 << self.start)
-        rem = ~self.visited & ((1 << self.n) - 1)
-        while rem:
-            b = rem & -rem
-            w = b.bit_length() - 1
-            rem ^= b
-            m = self.union_mask[w] & avail_base
-            # need two distinct neighbors available
-            if m == 0 or (m & (m - 1)) == 0:
-                return True
-        return False
 
     def __iter__(self):
         return self
 
     def __next__(self) -> list[int]:
-        n = self.n
-        full = (1 << n) - 1
-        while not self._done:
-            depth = len(self.path) - 1
-            cand = self.cands[depth]
-            if cand == 0:
-                # backtrack
-                if depth == 0:
-                    self._done = True
-                    break
-                v = self.path.pop()
-                self.visited ^= 1 << v
-                self.cands.pop()
-                self.need_stack.pop()
-                self.need = self.need_stack[-1]
-                continue
-            b = cand & -cand
-            self.cands[depth] = cand ^ b
-            v = b.bit_length() - 1
+        try:
+            cycle, self.nodes = next(self._search)
+        except StopIteration as end:
+            if end.value is not None:  # the search has just finished
+                self.nodes, self.budget_exceeded = end.value
+            raise
+        return cycle
 
-            if self.max_nodes is not None and self.nodes >= self.max_nodes:
-                self.budget_exceeded = True
-                self._done = True
+
+def _search(pa, pb, dirv, start, ranks, max_nodes, break_mirror):
+    """The depth-first search, on local variables.  Yields ``(cycle,
+    nodes)`` and returns ``(nodes, budget_exceeded)``."""
+    n = len(pa)
+    if n < 3:
+        return 0, False
+    umask = [a | b for a, b in zip(pa, pb)]
+    has_budget = max_nodes is not None
+    full = (1 << n) - 1
+    start_bit = 1 << start
+
+    rev = [0] * n  # rev[x]: the vertices whose union mask contains x
+    starved = 0  # vertices that never have two neighbours
+    for w in range(n):
+        m, wb = umask[w] & full, 1 << w
+        if umask[w].bit_count() < 2:
+            starved |= wb
+        while m:
+            b = m & -m
+            m ^= b
+            rev[b.bit_length() - 1] |= wb
+
+    # per depth: current vertex, untried candidates, next waypoint
+    # rank, and the vertices that a step out of the node would starve
+    path = [start] * n
+    cands = [0] * n
+    need_stack = [0] * n
+    starving_stack = [0] * n
+    visited = start_bit
+    if dirv[start]:
+        cands[0] = pb[start] & ~visited
+        close_mask = pa[start]
+    else:
+        cands[0] = umask[start] & ~visited
+        close_mask = 0  # determined once the first step is chosen
+    need = 1 if (ranks is not None and ranks[start] == 0) else 0
+    need_stack[0] = need
+    starving = starving_stack[0] = starved & ~start_bit
+    depth = 0
+    nodes = 0
+    while True:
+        cand = cands[depth]
+        if cand == 0:
+            # backtrack
+            if depth == 0:
                 break
-            self.nodes += 1
+            visited ^= 1 << path[depth]
+            depth -= 1
+            need = need_stack[depth]
+            starving = starving_stack[depth]
+            continue
+        b = cand & -cand
+        cands[depth] = cand ^ b
+        v = b.bit_length() - 1
 
-            new_need = self.need
-            if self.ranks is not None:
-                r = self.ranks[v]
-                if r >= 0:
-                    if r != self.need:
-                        continue
-                    new_need = self.need + 1
+        if has_budget and nodes >= max_nodes:
+            return nodes, True
+        nodes += 1
 
-            prev = self.path[-1]
-            if depth == 0 and not self.dirv[self.start]:
-                self.close_mask = self._exits(self.start, v)
+        new_need = need
+        if ranks is not None:
+            r = ranks[v]
+            if r >= 0:
+                if r != need:
+                    continue
+                new_need = need + 1
 
-            self.path.append(v)
-            self.visited |= b
-            self.need = new_need
-            self.need_stack.append(new_need)
+        # the ports v can leave by, entered from prev
+        prev = path[depth]
+        fb = 1 << prev
+        a_v, b_v = pa[v], pb[v]
+        if dirv[v]:
+            exits = b_v if a_v & fb else 0
+        else:
+            exits = (b_v if a_v & fb else 0) | (a_v if b_v & fb else 0)
+        if depth == 0 and not dirv[start]:
+            a_s, b_s = pa[start], pb[start]
+            close_mask = (b_s if a_s & b else 0) | (a_s if b_s & b else 0)
 
-            if self.visited == full:
-                exits = self._exits(v, prev)
-                ok = bool(exits & (1 << self.start)) and bool(
-                    self.close_mask & (1 << v)
-                )
-                if ok and self.break_mirror and self.path[1] > self.path[-1]:
-                    ok = False
-                if ok:
-                    result = list(self.path)
-                    # pop so the next __next__ call resumes correctly
-                    self.path.pop()
-                    self.visited ^= b
-                    self.need_stack.pop()
-                    self.need = self.need_stack[-1]
-                    return result
-                self.path.pop()
-                self.visited ^= b
-                self.need_stack.pop()
-                self.need = self.need_stack[-1]
-                continue
+        visited |= b
+        if visited == full:
+            if (
+                exits & start_bit
+                and close_mask & b
+                and not (break_mirror and path[1] > v)
+            ):
+                yield path[: depth + 1] + [v], nodes
+            visited ^= b
+            continue
 
-            exits = self._exits(v, prev) & ~self.visited
-            if exits == 0 or self._prune(v):
-                self.path.pop()
-                self.visited ^= b
-                self.need_stack.pop()
-                self.need = self.need_stack[-1]
-                continue
-            self.cands.append(exits)
-        raise StopIteration
+        exits &= ~visited
+        if exits == 0 or starving & ~b:
+            visited ^= b
+            continue
+
+        # v passed the prune; find what a step out of v would starve
+        child_starving = 0
+        avail = ~visited | start_bit
+        rem = rev[v] & ~visited
+        while rem:
+            lb = rem & -rem
+            rem ^= lb
+            if (umask[lb.bit_length() - 1] & avail).bit_count() < 2:
+                if child_starving:
+                    break
+                child_starving = lb
+        else:
+            depth += 1
+            path[depth] = v
+            cands[depth] = exits
+            need = need_stack[depth] = new_need
+            starving = starving_stack[depth] = child_starving
+            continue
+        # two vertices starve: every child of v fails the prune
+        k = exits.bit_count()
+        if has_budget and nodes + k > max_nodes:
+            return max_nodes, True
+        nodes += k
+        visited ^= b
+    return nodes, False

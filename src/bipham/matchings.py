@@ -372,22 +372,25 @@ def kuhn_matching(left, right, adjacent) -> dict | None:
     is a fixed function of the two orders.
     """
     match_r: dict = {}
-
-    def augment(u, seen):
-        for v in right:
-            if v in seen or not adjacent(u, v):
-                continue
-            seen.add(v)
-            if v not in match_r or augment(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
     for u in left:
-        if not augment(u, set()):
+        if not _augment(u, set(), right, adjacent, match_r):
             return None
     match_l = {u: v for v, u in match_r.items()}
     return {u: match_l[u] for u in left}
+
+
+def _augment(u, seen, right, adjacent, match_r) -> bool:
+    """Kuhn's augmenting-path step from left vertex ``u``.  A module-level
+    function, not a closure: a self-referencing closure would keep each
+    call's ``adjacent`` and its graph alive until a full garbage collection."""
+    for v in right:
+        if v in seen or not adjacent(u, v):
+            continue
+        seen.add(v)
+        if v not in match_r or _augment(match_r[v], seen, right, adjacent, match_r):
+            match_r[v] = u
+            return True
+    return False
 
 
 # -- random sparsifying split ------------------------------------------------

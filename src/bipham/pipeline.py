@@ -83,6 +83,14 @@ class PipelineConstants:
     max_nodes: int = 4_000_000
     max_seconds: float = 120.0
 
+    def __post_init__(self):
+        # the drivers divide by these (cluster sizes, slot counts, 1/K)
+        for name in ("K", "K1", "K2", "L", "f", "g", "ell_prime"):
+            if getattr(self, name) < 1:
+                raise PreconditionViolated(
+                    f"constant {name} = {getattr(self, name)} must be at least 1"
+                )
+
     @staticmethod
     def from_json(doc: dict) -> "PipelineConstants":
         kwargs = {}
@@ -709,7 +717,8 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
             pca = rd.build_parity_switcher(bf_pca)
             return ocert, rd, bf_ca, bf_pca, ca, pca
         except BiphamError as exc:
-            last_exc = exc
+            # no traceback: it would tie this frame to itself (see build_beps)
+            last_exc = exc.with_traceback(None)
     raise last_exc
 
 

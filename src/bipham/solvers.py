@@ -408,7 +408,10 @@ def approx_decomposition(
                 return [cycle] + rest
         return None
 
-    out = level(0, frozenset(ab_pool))
+    try:
+        out = level(0, frozenset(ab_pool))
+    finally:
+        del level  # it refers to itself: free its state without the cycle GC
     if out is None:
         return ApproxResult(None, deepest[0], {"nodes": nodes[0]})
     return ApproxResult(out, None, {"nodes": nodes[0]})

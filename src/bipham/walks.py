@@ -586,7 +586,8 @@ class RobustDecomposition:
                     seed + 131 * t,
                 )
             except (Timeout, BackendFailure) as exc:
-                last = exc
+                # no traceback: it would tie this frame to itself
+                last = exc.with_traceback(None)
         raise last
 
     def _closure_once(
@@ -647,7 +648,10 @@ class RobustDecomposition:
                     return None  # exhausted without budget: truly infeasible
             return None
 
-        out = level(0, frozenset(pool))
+        try:
+            out = level(0, frozenset(pool))
+        finally:
+            del level  # it refers to itself: free its state without the cycle GC
         if out is None:
             raise BackendFailure(
                 "no full decomposition found", )

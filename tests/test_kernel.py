@@ -2,13 +2,18 @@
 against a permutation brute force, prescribed paths and visit-order
 constraints."""
 
+import gc
+import hashlib
 import itertools
+import json
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 
 from bipham.graphs import Graph, complete_bipartite
-from bipham.hamkernel import HAVE_FAST
+from bipham.hamkernel import HAVE_FAST, FastCycleEnum, PureCycleEnum
 from bipham.search import CycleSearch, Prescribed, find_hamilton_cycle
 from bipham.validate import check_cycle_in_graph, cycle_edges
 
@@ -51,9 +56,224 @@ def test_enumeration_matches_brute_force(seed):
 def test_pure_and_fast_agree(seed):
     rng = random.Random(100 + seed)
     g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.9))
-    fast = [tuple(c) for c in CycleSearch(g).cycles()]
-    pure = [tuple(c) for c in CycleSearch(g, force_pure=True).cycles()]
+    fast_search = CycleSearch(g)
+    pure_search = CycleSearch(g, force_pure=True)
+    fast = [tuple(c) for c in fast_search.cycles()]
+    pure = [tuple(c) for c in pure_search.cycles()]
     assert fast == pure
+    assert fast_search.stats.nodes == pure_search.stats.nodes
+
+
+def _ports(seed, n, p, ported=0, one_way=0, bipartite=False):
+    """Port masks of a seeded random instance.  The first ``ported`` vertices
+    get two different port masks, like contracted paths; ``one_way`` extra
+    arcs make some union masks asymmetric."""
+    rng = random.Random(seed)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if bipartite and i % 2 == j % 2:
+                continue
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    for _ in range(one_way):
+        i, j = rng.sample(range(n), 2)
+        adj[i] |= 1 << j
+    pa, pb = list(adj), list(adj)
+    for i in range(ported):
+        pa[i] = adj[i] & rng.getrandbits(n)
+        pb[i] = (adj[i] & ~pa[i]) | (adj[i] & rng.getrandbits(n))
+    return pa, pb
+
+
+def _pinned_instances():
+    out = {}
+    pa, pb = _ports(1, 10, 0.6)
+    out["plain-mirror"] = dict(
+        port_a=pa, port_b=pb, directed=[False] * 10, break_mirror=True
+    )
+    pa, pb = _ports(2, 11, 0.7, ported=3, one_way=6)
+    out["ported-one-way"] = dict(port_a=pa, port_b=pb, directed=[False] * 11)
+    pa, pb = _ports(3, 10, 0.75, ported=4)
+    out["directed-start"] = dict(
+        port_a=pa, port_b=pb, directed=[True] * 3 + [False] * 7
+    )
+    pa, pb = _ports(4, 10, 0.85, ported=3, one_way=3)
+    out["directed-free-start"] = dict(
+        port_a=pa, port_b=pb, directed=[False, True, True] + [False] * 7, start=5
+    )
+    pa, pb = _ports(5, 11, 0.8, ported=3)
+    out["waypoints"] = dict(
+        port_a=pa,
+        port_b=pb,
+        directed=[True] * 3 + [False] * 8,
+        waypoint_ranks=[0, 1, 2] + [-1] * 8,
+    )
+    pa, pb = _ports(6, 16, 0.8, ported=2, one_way=4)
+    out["budget-trip"] = dict(
+        port_a=pa, port_b=pb, directed=[False] * 16, max_nodes=3000,
+        break_mirror=True,
+    )
+    pa, pb = _ports(7, 9, 0.8)
+    pa[6] = pb[6] = pa[6] & -pa[6]  # one neighbour: every root child prunes
+    out["single-bit"] = dict(port_a=pa, port_b=pb, directed=[False] * 9)
+    pa, pb = _ports(8, 72, 0.5, ported=6, one_way=10, bipartite=True)
+    out["large-72"] = dict(
+        port_a=pa, port_b=pb, directed=[False] * 72, max_nodes=20000,
+        break_mirror=True,
+    )
+    return out
+
+
+# (nodes, budget_exceeded, sha256 of the JSON list of yielded cycles)
+PINNED = {
+    "plain-mirror": (23576, False, "c830459eb57cfb73d2c266ebeddbf7208be6ccdc4abc7d36723b754e48ff5eff"),
+    "ported-one-way": (49421, False, "bbb9810808010889181731e7afc7d0174734448a8c317f8c66271e981ad1c898"),
+    "directed-start": (6190, False, "adf97c53eaf7c21b0b6d03134dec501d1bc29482aba724621c949999573afacf"),
+    "directed-free-start": (15762, False, "edd03ffed4cc4f1a16c8e1c3178b56022a14926ae85916fec59dcfbe0a5f8955"),
+    "waypoints": (91967, False, "be434c736a8d75bade41e06ac2b88eb032fb770bf847f806bd60eb3c7c5eca45"),
+    "budget-trip": (3000, True, "aa2669338e26727687ec661a4ebb3ca1153e48482cad1666ecd08a3eb8cc5683"),
+    "single-bit": (8, False, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "large-72": (20000, True, "1b400e1786ffc92dec64fe049fb4454718f53e767e84dcdcdfea73bfe3a85572"),
+}
+
+
+def _run_pinned(kernel, name):
+    enum = kernel(**_pinned_instances()[name])
+    cycles = list(enum)
+    digest = hashlib.sha256(json.dumps(cycles).encode()).hexdigest()
+    return enum.nodes, bool(enum.budget_exceeded), digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pure_kernel_pinned(name):
+    """The pure kernel's cycles, node count and budget flag on fixed
+    port-constrained instances, as recorded before its incremental prune."""
+    assert _run_pinned(PureCycleEnum, name) == PINNED[name]
+
+
+@pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel unavailable")
+@pytest.mark.parametrize("name", sorted(set(PINNED) - {"large-72"}))
+def test_fast_kernel_pinned(name):
+    assert _run_pinned(FastCycleEnum, name) == PINNED[name]
+
+
+def test_pure_kernel_dropped_early_is_freed_at_once():
+    # callers often take the first cycle and drop the enumerator; its
+    # search state must not wait for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        enum = PureCycleEnum(**_pinned_instances()["plain-mirror"])
+        next(enum)
+        alive = weakref.ref(enum)
+        del enum
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,
+                      max_nodes=None, break_mirror=False):
+    """Reference for the kernels' search, written recursively with the full
+    prune scan over every unvisited vertex at every node.  Returns (cycles,
+    nodes, budget_exceeded)."""
+    n = len(port_a)
+    umask = [a | b for a, b in zip(port_a, port_b)]
+    full = (1 << n) - 1
+    cycles = []
+    nodes = 0
+
+    def exits(v, came_from):
+        fb = 1 << came_from
+        out_a = port_b[v] if port_a[v] & fb else 0
+        if directed[v]:
+            return out_a
+        return out_a | (port_a[v] if port_b[v] & fb else 0)
+
+    def starved(cur, visited):
+        avail = ~visited | (1 << cur) | (1 << start)
+        return any(
+            not visited >> w & 1 and (umask[w] & avail).bit_count() < 2
+            for w in range(n)
+        )
+
+    def extend(path, visited, cands, need, close_mask):
+        """False once the node budget is exhausted."""
+        nonlocal nodes
+        for v in range(n):
+            if not cands >> v & 1:
+                continue
+            if max_nodes is not None and nodes >= max_nodes:
+                return False
+            nodes += 1
+            new_need = need
+            if waypoint_ranks is not None and waypoint_ranks[v] >= 0:
+                if waypoint_ranks[v] != need:
+                    continue
+                new_need = need + 1
+            if len(path) == 1 and not directed[start]:
+                close_mask = exits(start, v)
+            out = exits(v, path[-1])
+            seen = visited | 1 << v
+            if seen == full:
+                if (out >> start & 1 and close_mask >> v & 1
+                        and not (break_mirror and path[1] > v)):
+                    cycles.append(path + [v])
+                continue
+            out &= ~seen
+            if out and not starved(v, seen):
+                if not extend(path + [v], seen, out, new_need, close_mask):
+                    return False
+        return True
+
+    if n < 3:
+        return cycles, 0, False
+    first = port_b[start] if directed[start] else umask[start]
+    close = port_a[start] if directed[start] else 0
+    need = 1 if waypoint_ranks is not None and waypoint_ranks[start] == 0 else 0
+    finished = extend([start], 1 << start, first & ~(1 << start), need, close)
+    return cycles, nodes, not finished
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pure_kernel_matches_full_scan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 11)
+    pa, pb = _ports(seed, n, rng.uniform(0.3, 1.0), ported=rng.randint(0, n),
+                    one_way=rng.randint(0, n))
+    ranks = None
+    start = rng.randrange(n)
+    if rng.random() < 0.3:
+        others = rng.sample([v for v in range(n) if v != start], rng.randint(1, 3))
+        ranks = [-1] * n
+        ranks[start] = 0
+        for rank, v in enumerate(others, 1):
+            ranks[v] = rank
+    kw = dict(
+        port_a=pa,
+        port_b=pb,
+        directed=[rng.random() < 0.3 for _ in range(n)],
+        start=start,
+        waypoint_ranks=ranks,
+        max_nodes=rng.choice([None, 1, 40, 400, 4000]),
+        break_mirror=rng.random() < 0.5,
+    )
+    enum = PureCycleEnum(**kw)
+    got = list(enum)
+    assert (got, enum.nodes, enum.budget_exceeded) == _full_scan_search(**kw)
+
+
+def test_shipped_c_generated_from_current_pyx():
+    """``setup.py`` compiles the shipped ``_fast.c`` when Cython is missing,
+    so the C must come from the current ``_fast.pyx``.  After an edit to the
+    .pyx, regenerate the C with Cython and record the new digest:
+    ``sha256sum _fast.pyx > _fast.pyx.sha256``."""
+    kernel_dir = Path(__file__).resolve().parents[1] / "src/bipham/hamkernel"
+    recorded = (kernel_dir / "_fast.pyx.sha256").read_text().split()[0]
+    actual = hashlib.sha256((kernel_dir / "_fast.pyx").read_bytes()).hexdigest()
+    assert actual == recorded, "_fast.pyx changed without a regenerated _fast.c"
 
 
 def test_prescribed_paths_respected():

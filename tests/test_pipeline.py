@@ -1,10 +1,14 @@
 """End-to-end pipelines, reports, determinism, CLI."""
 
+import gc
 import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+
 from bipham.cli import main as cli_main
+from bipham.errors import PreconditionViolated
 from bipham.generators import generate, regular_spanning_subgraph
 from bipham.graphs import Graph, dump_graph, load_graph
 from bipham.pipeline import (
@@ -77,6 +81,28 @@ def test_onefact_full_run():
     assert _digest(rep) == (
         "b88749bfcf8e7f91318ae2fa2791284f09af4c50d1ba20ce36852ea139b9f161"
     )
+
+
+@pytest.mark.parametrize("theorem,m", [("nwbip", 8), ("onefact", 28)])
+def test_driver_run_leaves_no_reference_cycles(theorem, m):
+    # a run's graphs and search state are freed by reference counting, so
+    # repeated runs in one process keep a flat memory high-water mark
+    # without waiting for the cycle collector
+    g, part, props = generate("complete_bipartite", {"m": m})
+    hint = (list(part.A), list(part.B))
+    gc.collect()
+    gc.disable()
+    try:
+        if theorem == "nwbip":
+            rep = run_theorem_NWbip(g, g, PipelineConstants(), seed=1,
+                                    hint_split=hint)
+        else:
+            rep = run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
+        assert rep.ok()
+        del rep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_onefact_rejects_odd_degree():
@@ -209,3 +235,57 @@ def test_cli_onefact(tmp_path):
     # honestly with a recorded stage error, or succeed if parameters allow
     assert rc in (0, 1)
     assert doc["stages"]
+
+
+def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
+    # a missing, unreadable or malformed graph or constants file is one
+    # error line and exit 2, never a traceback or exit 1 ("report written")
+    inst = tmp_path / "k44.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 4}', "-o", str(inst)])
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"n": 3')
+    no_edges = tmp_path / "no_edges.json"
+    no_edges.write_text('{"n": 3}')
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    missing = str(tmp_path / "missing.json")
+    rep_path = tmp_path / "rep.json"
+    for theorem, extra in [
+        ("nwbip", [missing]),
+        ("nwbip", [str(tmp_path)]),  # a directory cannot be read
+        ("nwbip", [str(truncated)]),
+        ("nwbip", [str(no_edges)]),
+        ("nwbip", ["--subgraph", missing, str(inst)]),
+        ("onefact", ["--constants", missing, str(inst)]),
+        ("onefact", ["--constants", str(truncated), str(inst)]),
+        ("onefact", ["--constants", str(not_object), str(inst)]),
+    ]:
+        capsys.readouterr()
+        rc = cli_main(["decompose", "--theorem", theorem, *extra,
+                       "-o", str(rep_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, extra
+        assert err.startswith("error: InputFileError: "), err
+        assert err.count("\n") == 1, err
+        assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("name", ["K1", "L"])
+def test_zero_divisor_constants_rejected(tmp_path, capsys, name):
+    with pytest.raises(PreconditionViolated, match=f"constant {name} = 0"):
+        PipelineConstants(**{name: 0})
+    inst = tmp_path / "k44.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 4}', "-o", str(inst)])
+    consts = tmp_path / "c.json"
+    consts.write_text(json.dumps({name: 0}))
+    rep_path = tmp_path / "rep.json"
+    capsys.readouterr()
+    rc = cli_main(["decompose", "--theorem", "onefact", "--constants",
+                   str(consts), str(inst), "-o", str(rep_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: PreconditionViolated: constant {name} = 0 must be at least 1\n"
+    )
+    assert not rep_path.exists()
