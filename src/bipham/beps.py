@@ -59,17 +59,6 @@ class BEPS:
                 out.add(norm_edge(p[i], p[i + 1]))
         return frozenset(out)
 
-    def cross_edges(self) -> frozenset:
-        """Undirected cross edges used (fictive pairs excluded)."""
-        fict_pairs = {norm_edge(e.x, e.y) for e in self.fict.edges}
-        out = set()
-        for seq in [self.star_path] + list(self.paths[1:]):
-            for i in range(len(seq) - 1):
-                e = norm_edge(seq[i], seq[i + 1])
-                if e not in fict_pairs:
-                    out.add(e)
-        return frozenset(out)
-
 
 def build_beps(
     gdir: OrientedGraph,

@@ -81,7 +81,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.cmd == "generate":
-        params = json.loads(args.params)
+        try:
+            params = json.loads(args.params)
+        except ValueError as exc:
+            raise InputFileError(f"malformed --params: {exc}") from exc
         out = generate(args.kind, params, seed=args.seed)
         if len(out) == 4:
             graph, part, props, subgraph = out

@@ -85,6 +85,12 @@ class Timeout(SolverFailure):
     """A search exhausted its node or time budget."""
 
 
+class WallClockExceeded(Timeout):
+    """The wall-clock safety net stopped a search before its node budget
+    did.  Where it trips depends on machine speed, so unlike every other
+    failure the result is not reproducible."""
+
+
 class BackendUnavailable(BiphamError):
     """No backend is configured for a contract operation."""
 

@@ -14,7 +14,7 @@ vertex set including the exceptional vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BadParams, InconsistentInput
 from .graphs import Graph, LabelledPartition, PathSystem, norm_edge
@@ -240,12 +240,13 @@ def consistent_cycle_search(
     fict: FictiveMatching,
     max_nodes: int | None = None,
     seed: int = 0,
-) -> Iterator[list[int]]:
+) -> "ConsistentCycles":
     """Enumerate Hamilton cycles of pool[A u B] + J* consistent with J*.
 
     The fictive edges are prescribed as directed, rank-ordered length-one
     paths, so every cycle the kernel reports is consistent by construction.
-    Yields cycles as vertex sequences over the original vertex ids.
+    Iterates cycles as vertex sequences over the original vertex ids; its
+    ``stats`` are the search's (nodes, budget), for node budgets.
     """
     universe = sorted(set(part.A) | set(part.B))
     comp = {v: i for i, v in enumerate(universe)}
@@ -260,5 +261,11 @@ def consistent_cycle_search(
         for i, e in enumerate(fict.edges)
     ]
     search = CycleSearch(sub, prescribed, max_nodes=max_nodes, seed=seed)
-    for cyc in search.cycles():
-        yield [universe[v] for v in cyc]
+    found = ConsistentCycles(lambda cyc: [universe[v] for v in cyc],
+                             search.cycles())
+    found.stats = search.stats
+    return found
+
+
+class ConsistentCycles(map):
+    """The relabelled cycles of one search, carrying its ``stats``."""

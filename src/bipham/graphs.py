@@ -12,7 +12,7 @@ import json
 from collections import Counter, deque
 from typing import Iterable, Sequence
 
-from .errors import BadParams, NotBipartite, PartitionMismatch
+from .errors import BadParams, PartitionMismatch
 
 Edge = tuple[int, int]
 
@@ -251,12 +251,6 @@ class Digraph:
                 i[y].add(x)
             self._in = tuple(frozenset(s) for s in i)
         return self._in
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return self.out[v]
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return self.inn[v]
 
     def underlying(self) -> Graph:
         return Graph(self.n, self.arcs)
@@ -655,17 +649,6 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"# n={g.n} m={len(g.edges)}"]
     lines += [f"{u} {v}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + "\n"
-
-
-def require_bipartition(g: Graph, left: Iterable[int], right: Iterable[int]):
-    """Check left/right are disjoint and contain every edge endpoint pair
-    across the cut; raises NotBipartite otherwise."""
-    L, R = set(left), set(right)
-    if L & R:
-        raise NotBipartite("classes overlap")
-    for u, v in g.edges:
-        if not ((u in L and v in R) or (u in R and v in L)):
-            raise NotBipartite(f"edge ({u},{v}) not across the bipartition")
 
 
 def complete_bipartite(sizes: tuple[int, int]) -> Graph:

@@ -17,7 +17,7 @@ order) and carry ranks forcing a cyclic visit order, which is how
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graphs import Graph
@@ -39,7 +39,6 @@ class SearchStats:
     candidates: int = 0
     rejected: int = 0
     budget_exceeded: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class CycleSearch:

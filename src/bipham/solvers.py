@@ -8,9 +8,15 @@ builders, while the plain recursive enumerator in this module acts as the
 referee for decompositions.  They share no search code, so agreement between
 them is meaningful evidence.
 
+Every backtracking peel (referee, approximate decomposition, robust closure
+in ``walks``, prescribed-path search, one-factorization) runs on one engine,
+``peel_cycles``, which counts every kernel node against one node budget:
+fixed input, seed and budget give the same outcome on any machine.
+
 Failure is a first-class result here: searches return result objects whose
 ``cycle``/``cycles`` field is None when the space was exhausted, and raise
-``Timeout`` only when a budget ran out.
+``Timeout`` only when a budget ran out (``WallClockExceeded`` when it was
+the safety net).
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import networkx as nx
 
 from .balance import frac
-from .errors import BadParams, PreconditionViolated, Timeout
+from .errors import BadParams, PreconditionViolated, Timeout, WallClockExceeded
 from .fictive import build_fictive, consistent_cycle_search, substitute
 from .graphs import Graph, LabelledPartition, PathSystem
 from .search import CycleSearch, Prescribed
@@ -56,6 +62,84 @@ class DecompositionResult:
     stats: dict = field(default_factory=dict)
 
 
+# -- the peeling engine -------------------------------------------------------
+
+@dataclass
+class Peel:
+    cycles: list[list[int]] | None  # None: proven that no peeling exists
+    rest: frozenset  # the pool left after the last level
+    nodes: int
+    deepest: int  # deepest level searched
+
+
+def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
+                max_nodes: int, orders: int = 1,
+                deadline: float | None = None) -> Peel:
+    """Peel ``depth`` edge-disjoint cycles off ``pool``, one per level, with
+    full backtracking.
+
+    ``level_search(i, pool, order, cap)`` starts one kernel call for level
+    ``i`` under item order ``order``, capped at ``cap`` nodes, and returns
+    ``(found, stats)``: ``found`` yields ``(cycle, pool edges it takes)``,
+    ``stats.nodes`` is current at every yield and ``stats.budget_exceeded``
+    once ``found`` ends.  Each call is capped at ``max_nodes // orders`` and
+    at what is left.  A call exhausted within its cap proves its level
+    infeasible for that pool; one that hits its cap hands over to the next
+    order.  Spending ``max_nodes``, or the caps of all orders, raises
+    ``Timeout``; a call resumed after a deeper level failed is judged as if
+    capped at what was left then.  Past ``deadline`` (``time.monotonic()``)
+    the next call raises ``WallClockExceeded`` instead of starting.
+    """
+    share = max_nodes // orders
+    spent = deepest = 0
+    chosen: list[list[int]] = []
+    # one frame per open level: [pool, order, found, stats, nodes counted]
+    frames: list[list] = []
+
+    def timeout(i):
+        return Timeout(f"node budget {max_nodes} spent at level {i}",
+                       stats={"nodes": min(spent, max_nodes), "level": i})
+
+    def open_level(i, sub, order):
+        if deadline is not None and time.monotonic() > deadline:
+            raise WallClockExceeded(
+                f"wall-clock safety net passed at level {i} after {spent} "
+                "nodes; the result is not reproducible",
+                stats={"nodes": spent, "level": i})
+        found, stats = level_search(i, sub, order, min(share, max_nodes - spent))
+        frames.append([sub, order, found, stats, 0])
+
+    if depth == 0:
+        return Peel([], pool, 0, 0)
+    open_level(0, pool, 0)
+    while frames:
+        i = len(frames) - 1
+        sub, order, found, stats, counted = frame = frames[i]
+        deepest = max(deepest, i)
+        step = next(found, None)
+        spent += stats.nodes - counted
+        frame[4] = stats.nodes
+        if spent > max_nodes:
+            raise timeout(i)
+        if step is not None:
+            cycle, used = step
+            chosen.append(cycle)
+            if i + 1 == depth:
+                return Peel(chosen, sub - used, spent, deepest)
+            open_level(i + 1, sub - used, 0)
+            continue
+        frames.pop()
+        if not stats.budget_exceeded:
+            # exhausted within its cap: no cycle here leads to a full peel
+            if chosen:
+                chosen.pop()
+            continue
+        if spent >= max_nodes or order + 1 == orders:
+            raise timeout(i)
+        open_level(i, sub, order + 1)
+    return Peel(None, pool, spent, deepest)
+
+
 # -- Hamilton cycle containing a prescribed path system ----------------------
 
 def bip_hamilton_with_prescribed(
@@ -63,48 +147,31 @@ def bip_hamilton_with_prescribed(
     extra: Graph | None,
     q: PathSystem | None,
     budget: SolverBudget = SolverBudget(),
-    portfolio: int = 4,
 ) -> SolveResult:
     """First Hamilton cycle containing all edges of ``q`` whose remaining
     edges come from ``h`` (plus ``extra`` when given).  The cycle must cover
     every vertex 0..n-1.
 
-    A handful of item orders share the node budget: a single unlucky
-    depth-first descent can churn for millions of nodes on instances another
-    order solves instantly.  One fully exhausted search (no budget hit)
-    already proves infeasibility.
+    A one-level peel under four item orders, each capped at a quarter of
+    the node budget: a single unlucky depth-first descent can churn for
+    millions of nodes on instances another order solves instantly.  One
+    order exhausted within its cap already proves infeasibility.
     """
     allowed = h if extra is None else h.union(extra)
     prescribed = []
     if q is not None:
         allowed = Graph(max(allowed.n, q.n), allowed.edges)
         prescribed = [Prescribed(p) for p in q.paths]
-    deadline = time.monotonic() + budget.max_seconds
-    total_stats = {"nodes": 0, "candidates": 0, "rejected": 0}
-    for i in range(max(portfolio, 1)):
-        search = CycleSearch(
-            allowed, prescribed,
-            max_nodes=budget.max_nodes // max(portfolio, 1),
-            seed=budget.seed + i,
-        )
-        for cycle in search.cycles():
-            return SolveResult(cycle, False, _stats(search))
-        for key, val in _stats(search).items():
-            total_stats[key] += val
-        if not search.stats.budget_exceeded:
-            return SolveResult(None, True, total_stats)
-        if time.monotonic() > deadline:
-            break
-    raise Timeout("prescribed-path Hamilton search budget exhausted",
-                  stats=total_stats)
 
+    def search(i, pool, order, cap):
+        found = CycleSearch(allowed, prescribed, max_nodes=cap,
+                            seed=budget.seed + order)
+        return ((c, frozenset()) for c in found.cycles()), found.stats
 
-def _stats(search: CycleSearch) -> dict:
-    return {
-        "nodes": search.stats.nodes,
-        "candidates": search.stats.candidates,
-        "rejected": search.stats.rejected,
-    }
+    peel = peel_cycles(search, frozenset(), 1, budget.max_nodes, orders=4,
+                       deadline=time.monotonic() + budget.max_seconds)
+    cycle = None if peel.cycles is None else peel.cycles[0]
+    return SolveResult(cycle, cycle is None, {"nodes": peel.nodes})
 
 
 # -- independent plain enumerator (referee) ----------------------------------
@@ -164,36 +231,18 @@ def exhaustive_hamilton_decomposition(
     """
     if not g.is_regular():
         raise PreconditionViolated("graph is not regular")
-    deadline = time.monotonic() + budget.max_seconds
-    nodes_used = [0]
 
-    def peel(cur: Graph, acc: list[list[int]]):
-        if time.monotonic() > deadline or nodes_used[0] > budget.max_nodes:
-            raise Timeout("decomposition budget exhausted",
-                          stats={"nodes": nodes_used[0]})
-        degs = set(cur.degrees())
-        if degs == {0}:
-            return acc, None
-        if degs == {1}:
-            return acc, sorted(cur.edges)
-        enum = _OracleEnum(cur, budget.max_nodes - nodes_used[0])
-        for cycle in enum.cycles():
-            nodes_used[0] += enum.nodes
-            enum.nodes = 0
-            res = peel(cur.minus_edges(cycle_edges(cycle)), acc + [cycle])
-            if res is not None:
-                return res
-        nodes_used[0] += enum.nodes
-        if enum.budget_exceeded:
-            raise Timeout("decomposition budget exhausted",
-                          stats={"nodes": nodes_used[0]})
-        return None
+    def search(i, pool, order, cap):
+        enum = _OracleEnum(Graph(g.n, pool), cap)
+        return ((c, cycle_edges(c)) for c in enum.cycles()), enum
 
-    out = peel(g, [])
-    if out is None:
-        return DecompositionResult(None, None, True, {"nodes": nodes_used[0]})
-    cycles, matching = out
-    return DecompositionResult(cycles, matching, False, {"nodes": nodes_used[0]})
+    # peeling a Hamilton cycle keeps the graph regular: D // 2 cycles, and
+    # a perfect matching is left when D is odd
+    peel = peel_cycles(search, g.edges, g.max_degree() // 2, budget.max_nodes,
+                       deadline=time.monotonic() + budget.max_seconds)
+    matching = None if peel.cycles is None else sorted(peel.rest) or None
+    return DecompositionResult(peel.cycles, matching, peel.cycles is None,
+                               {"nodes": peel.nodes})
 
 
 # -- even-regular spanning subgraphs -----------------------------------------
@@ -240,7 +289,8 @@ def reg_even(g: Graph, budget: SolverBudget = SolverBudget()) -> tuple[int, Grap
     top = g.min_degree() - (g.min_degree() % 2)
     for D in range(top, 0, -2):
         if time.monotonic() > deadline:
-            raise Timeout("reg_even budget exhausted")
+            raise WallClockExceeded("reg_even: wall clock passed "
+                                    f"{budget.max_seconds}s; not reproducible")
         sub = _regular_subgraph(g, D)
         if sub is not None:
             return D, sub
@@ -249,57 +299,58 @@ def reg_even(g: Graph, budget: SolverBudget = SolverBudget()) -> tuple[int, Grap
 
 # -- chromatic index of regular graphs ---------------------------------------
 
-def _perfect_matchings(g: Graph, deadline: float) -> Iterator[frozenset]:
+class _MatchingEnum:
     """All perfect matchings, lexicographic by the edge at the lowest
-    uncovered vertex; prunes with an exact matching feasibility test."""
-    if g.n % 2 != 0:
-        return
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n))
-    gx.add_edges_from(g.edges)
-    if 2 * len(nx.max_weight_matching(gx, maxcardinality=True)) != g.n:
-        return
+    uncovered vertex, one node per edge tried; none are enumerated when a
+    blossom matching shows that none exists."""
 
-    def rec(uncovered: frozenset, chosen: list):
-        if time.monotonic() > deadline:
-            raise Timeout("perfect matching enumeration budget exhausted")
+    def __init__(self, g: Graph, max_nodes: int):
+        self.g = g
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self.budget_exceeded = False
+
+    def matchings(self) -> Iterator[frozenset]:
+        gx = nx.Graph()
+        gx.add_nodes_from(range(self.g.n))
+        gx.add_edges_from(self.g.edges)
+        if 2 * len(nx.max_weight_matching(gx, maxcardinality=True)) == self.g.n:
+            yield from self._extend(frozenset(range(self.g.n)), [])
+
+    def _extend(self, uncovered: frozenset, chosen: list):
         if not uncovered:
             yield frozenset(chosen)
             return
         v = min(uncovered)
-        for w in sorted(g.adj[v]):
+        for w in sorted(self.g.adj[v]):
             if w in uncovered:
-                yield from rec(uncovered - {v, w}, chosen + [(v, w)])
-
-    yield from rec(frozenset(range(g.n)), [])
+                if self.nodes >= self.max_nodes:
+                    self.budget_exceeded = True
+                    return
+                self.nodes += 1
+                yield from self._extend(uncovered - {v, w}, chosen + [(v, w)])
 
 
 def chromatic_index_regular(
     g: Graph, budget: SolverBudget = SolverBudget()
 ) -> tuple[int, list]:
     """(D, one-factorization) when the D-regular graph has one, else
-    (D+1, proper edge coloring as color classes)."""
+    (D+1, proper edge coloring as color classes).  The factorization is a
+    peel of D perfect matchings under the node budget."""
     from .matchings import balanced_matchings
 
     if not g.is_regular():
         raise PreconditionViolated("graph is not regular")
     D = g.max_degree()
-    if D == 0:
-        return 0, []
-    deadline = time.monotonic() + budget.max_seconds
 
-    def factorize(cur: Graph, acc: list):
-        if not cur.edges:
-            return acc
-        for pm in _perfect_matchings(cur, deadline):
-            res = factorize(cur.minus_edges(pm), acc + [sorted(pm)])
-            if res is not None:
-                return res
-        return None
+    def search(i, pool, order, cap):
+        enum = _MatchingEnum(Graph(g.n, pool), cap)
+        return ((sorted(pm), pm) for pm in enum.matchings()), enum
 
-    factorization = factorize(g, [])
-    if factorization is not None:
-        return D, factorization
+    peel = peel_cycles(search, g.edges, D, budget.max_nodes,
+                       deadline=time.monotonic() + budget.max_seconds)
+    if peel.cycles is not None:
+        return D, peel.cycles
     classes = balanced_matchings(g, D + 1)
     return D + 1, [sorted(m) for m in classes]
 
@@ -376,42 +427,27 @@ def approx_decomposition(
     its matching J*, a cycle of g[A u B] + J* consistent with J* is found
     (greedily, with backtracking across systems), and the fictive edges are
     substituted back.  Cycle edges other than J's come from g[A, B].
+
+    Every search gets what is left of ``budget.max_nodes``; spending it
+    raises ``Timeout``.  ``stuck_index`` is the deepest system reached when
+    the whole search space was exhausted without a decomposition.
     """
     problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
     if problems and enforce_gates:
         raise PreconditionViolated("; ".join(problems))
 
-    ab_pool = set(g.edges_between(part.A_prime(), part.B_prime()))
-    # edges of the systems themselves are reserved per system
-    deadline = time.monotonic() + budget.max_seconds
-    nodes = [0]
-    deepest = [0]
-
-    def level(i: int, pool: frozenset) -> list[list[int]] | None:
-        if i == len(family):
-            return []
-        deepest[0] = max(deepest[0], i)
-        if time.monotonic() > deadline or nodes[0] > budget.max_nodes:
-            raise Timeout("approximate decomposition budget exhausted",
-                          stats={"nodes": nodes[0], "level": i})
+    def search(i, pool, order, cap):
         j = family[i]
         fict = build_fictive(j, part)
-        search = consistent_cycle_search(
-            Graph(g.n, pool), part, j, fict,
-            max_nodes=budget.max_nodes - nodes[0], seed=budget.seed,
-        )
-        for consistent in search:
-            cycle = substitute(consistent, j, fict, part)
-            used = cycle_edges(cycle) - j.edges
-            rest = level(i + 1, pool - used)
-            if rest is not None:
-                return [cycle] + rest
-        return None
+        found = consistent_cycle_search(Graph(g.n, pool), part, j, fict,
+                                        max_nodes=cap, seed=budget.seed)
+        cycles = (substitute(c, j, fict, part) for c in found)
+        return ((c, cycle_edges(c) - j.edges) for c in cycles), found.stats
 
-    try:
-        out = level(0, frozenset(ab_pool))
-    finally:
-        del level  # it refers to itself: free its state without the cycle GC
-    if out is None:
-        return ApproxResult(None, deepest[0], {"nodes": nodes[0]})
-    return ApproxResult(out, None, {"nodes": nodes[0]})
+    # the edges of the systems themselves are reserved per system
+    peel = peel_cycles(
+        search, g.edges_between(part.A_prime(), part.B_prime()), len(family),
+        budget.max_nodes, deadline=time.monotonic() + budget.max_seconds,
+    )
+    stuck = None if peel.cycles is not None else peel.deepest
+    return ApproxResult(peel.cycles, stuck, {"nodes": peel.nodes})

@@ -15,20 +15,26 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .balance import frac
-from .beps import BEPS, BalancedFactor
+from .beps import BalancedFactor
 from .errors import (
     BackendFailure,
     BackendUnavailable,
     BiphamError,
     PreconditionViolated,
     Timeout,
+    WallClockExceeded,
 )
 from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, norm_edge
 from .matchings import kuhn_matching
 from .search import CycleSearch, Prescribed
+from .solvers import peel_cycles
 from .validate import check_decomposition, cycle_edges
+
+# closure restarts, each with its quarter of the node budget
+RESTARTS = 4
 
 
 class NoSequence(BiphamError):
@@ -565,43 +571,23 @@ class RobustDecomposition:
     def closure(
         self,
         h: Graph,
-        max_nodes: int = 5_000_000,
+        max_nodes: int = 20_000_000,
         max_seconds: float = 300.0,
         seed: int = 0,
-        restarts: int = 4,
     ) -> list[list[int]]:
         """Decompose h + absorbers + factors into s' Hamilton cycles, each
         containing one of the s' path systems of the factors.
 
         Runs as globally-restarted backtracking: early cycle choices can
-        poison the deep levels beyond repair, so a trapped descent is
-        abandoned after its time slice and the search restarts with
-        reshuffled orders.
+        poison the deep levels beyond repair, so a descent that spends its
+        quarter of ``max_nodes`` is abandoned and the search restarts with
+        reshuffled orders.  Within a descent each level tries four item
+        orders, each capped at a quarter of the descent's nodes.
+        ``max_seconds`` is only the wall-clock safety net over all restarts.
         """
-        last = None
-        for t in range(max(restarts, 1)):
-            try:
-                return self._closure_once(
-                    h, max_nodes, max_seconds / max(restarts, 1),
-                    seed + 131 * t,
-                )
-            except (Timeout, BackendFailure) as exc:
-                # no traceback: it would tie this frame to itself
-                last = exc.with_traceback(None)
-        raise last
-
-    def _closure_once(
-        self,
-        h: Graph,
-        max_nodes: int,
-        max_seconds: float,
-        seed: int,
-    ) -> list[list[int]]:
         if self.ca is None or self.pca is None:
             raise BackendUnavailable("absorbers not built yet")
-        all_beps: list[BEPS] = []
-        for bf in self._bf + self._bf_prime:
-            all_beps.extend(bf.systems)
+        all_beps = [b for bf in self._bf + self._bf_prime for b in bf.systems]
         s_prime = self.params.s_prime
         if len(all_beps) != s_prime:
             raise BackendFailure(
@@ -612,54 +598,43 @@ class RobustDecomposition:
             raise PreconditionViolated(
                 f"remainder must be {deg_check}-regular"
             )
-        pool = set(h.edges) | set(self.ca.edges) | set(self.pca.edges)
+        pool = frozenset(h.edges | self.ca.edges | self.pca.edges)
         beps_edges = [b.edge_set() for b in all_beps]
-        n = self.gdir.n if not self.part.V0() else self.part.n
+        target = pool.union(*beps_edges)
         total = len(pool) + sum(len(es) for es in beps_edges)
-        if total != s_prime * self.part.n:
+        # s' Hamilton cycles then take every pool edge exactly once
+        if total != s_prime * self.part.n or len(target) != total:
             raise BackendFailure(
-                f"edge budget {total} != s' * n = {s_prime * self.part.n}"
+                f"edge budget {total} != s' * n = {s_prime * self.part.n} "
+                "or path systems overlapping"
             )
+        prescribed = [[Prescribed(p) for p in b.paths] for b in all_beps]
         deadline = time.monotonic() + max_seconds
-        nodes = [0]
+        for t in range(RESTARTS):
+            def search(i, pool_left, order, cap, base=seed + 131 * t):
+                found = CycleSearch(Graph(self.part.n, pool_left), prescribed[i],
+                                    max_nodes=cap, seed=base + order)
+                return ((c, cycle_edges(c) - beps_edges[i])
+                        for c in found.cycles()), found.stats
 
-        def level(i: int, pool_left: frozenset):
-            if i == s_prime:
-                return [] if not pool_left else None
-            if time.monotonic() > deadline:
-                raise Timeout("closure budget exhausted", stats={"level": i})
-            beps = all_beps[i]
-            prescribed = [Prescribed(p) for p in beps.paths]
-            allowed = Graph(self.part.n, pool_left)
-            # one unlucky item order can trap the whole descent; give each
-            # level a few orders before reporting failure
-            for attempt in range(4):
-                search = CycleSearch(
-                    allowed, prescribed, max_nodes=max_nodes // 4,
-                    seed=seed + attempt,
-                )
-                for cyc in search.cycles():
-                    used = cycle_edges(cyc) - beps.edge_set()
-                    rest = level(i + 1, pool_left - used)
-                    if rest is not None:
-                        return [cyc] + rest
-                nodes[0] += search.stats.nodes
-                if not search.stats.budget_exceeded and attempt == 0:
-                    return None  # exhausted without budget: truly infeasible
-            return None
-
-        try:
-            out = level(0, frozenset(pool))
-        finally:
-            del level  # it refers to itself: free its state without the cycle GC
-        if out is None:
-            raise BackendFailure(
-                "no full decomposition found", )
-        target = Graph(self.part.n, pool | {e for es in beps_edges for e in es})
-        problems = check_decomposition(target, [cycle_edges(c) for c in out])
+            try:
+                peel = peel_cycles(search, pool, s_prime, max_nodes // RESTARTS,
+                                   orders=4, deadline=deadline)
+                break
+            except WallClockExceeded:
+                raise
+            except Timeout as exc:
+                last = str(exc)  # the text only: the exception holds this frame
+        else:
+            raise Timeout(f"closure: {RESTARTS} restarts spent their nodes, "
+                          f"the last: {last}", stats={"nodes": max_nodes})
+        if peel.cycles is None:
+            raise BackendFailure("no full decomposition exists")
+        cycles = [cycle_edges(c) for c in peel.cycles]
+        problems = check_decomposition(Graph(self.part.n, target), cycles)
         if problems:
             raise AssertionError(problems[0])
-        return out
+        return peel.cycles
 
 
 @dataclass
@@ -678,7 +653,7 @@ def robust_decomposition(
     params: RobustParams,
     backend: str = "exhaustive",
     strict: bool = False,
-    max_nodes: int = 5_000_000,
+    max_nodes: int = 20_000_000,
     max_seconds: float = 300.0,
     seed: int = 0,
 ) -> RobustResult:
@@ -696,8 +671,6 @@ def robust_decomposition(
     rd.build_chord_absorber(bf_family, extra_avoid=bf_prime_family)
     rd.build_parity_switcher(bf_prime_family)
 
-    def closure(h: Graph):
-        return rd.closure(h, max_nodes=max_nodes, max_seconds=max_seconds,
-                          seed=seed)
-
+    closure = partial(rd.closure, max_nodes=max_nodes, max_seconds=max_seconds,
+                      seed=seed)
     return RobustResult(rd.ca, rd.pca, closure, rd.warnings)

@@ -2,13 +2,15 @@
 
 import gc
 import hashlib
+import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from bipham.cli import main as cli_main
-from bipham.errors import PreconditionViolated
+from bipham.errors import PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
 from bipham.graphs import Graph, dump_graph, load_graph
 from bipham.pipeline import (
@@ -18,6 +20,7 @@ from bipham.pipeline import (
 )
 from bipham.report import emit_report, parse_report, render_report
 from bipham.validate import check_decomposition, check_edge_disjoint, cycle_edges
+from bipham.walks import RobustDecomposition
 
 TOY_1FACT = PipelineConstants(
     K1=7, L=1, f=1, g=2, ell_prime=4, gamma=0, gamma1=0,
@@ -81,6 +84,50 @@ def test_onefact_full_run():
     assert _digest(rep) == (
         "b88749bfcf8e7f91318ae2fa2791284f09af4c50d1ba20ce36852ea139b9f161"
     )
+
+
+def _slow_clock(monkeypatch, step):
+    # every reading is ``step`` seconds after the previous one, as on a
+    # machine far slower than this one
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: step * next(ticks))
+
+
+def test_closure_outcome_independent_of_clock(monkeypatch):
+    # the closure restarts on node budgets: a slow machine gets the same
+    # cycles as long as it stays inside the wall-clock safety net
+    calls = []
+    closure = RobustDecomposition.closure
+
+    def record(self, h, **kwargs):
+        calls.append((self, h, kwargs))
+        return closure(self, h, **kwargs)
+
+    monkeypatch.setattr(RobustDecomposition, "closure", record)
+    g, part, props = generate("complete_bipartite", {"m": 28})
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=1,
+                               hint_split=(list(part.A), list(part.B)))
+    assert rep.ok()
+    [(rd, h, kwargs)] = calls
+    expected = closure(rd, h, **kwargs)
+    assert kwargs["max_seconds"] == 300.0
+    _slow_clock(monkeypatch, 10.0)  # 14 kernel calls: 150 s of 300
+    assert closure(rd, h, **kwargs) == expected
+    with pytest.raises(Timeout, match="not reproducible") as exc:
+        closure(rd, h, **{**kwargs, "max_seconds": 100.0})
+    assert exc.typename == "WallClockExceeded"
+
+
+def test_wall_clock_overrun_lands_in_report(monkeypatch):
+    g, part, props = generate("complete_bipartite", {"m": 4})
+    _slow_clock(monkeypatch, 1000.0)
+    rep = run_theorem_NWbip(g, g, PipelineConstants(), seed=1,
+                            hint_split=(list(part.A), list(part.B)))
+    assert not rep.ok()
+    failed = [st for st in rep.stages if st.status == "failed"]
+    assert len(failed) == 1
+    assert failed[0].error.startswith("WallClockExceeded: ")
+    assert "not reproducible" in failed[0].error
 
 
 @pytest.mark.parametrize("theorem,m", [("nwbip", 8), ("onefact", 28)])
@@ -238,8 +285,9 @@ def test_cli_onefact(tmp_path):
 
 
 def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
-    # a missing, unreadable or malformed graph or constants file is one
-    # error line and exit 2, never a traceback or exit 1 ("report written")
+    # a missing, unreadable or malformed graph or constants file, or
+    # malformed generator parameters, is one error line and exit 2, never a
+    # traceback or exit 1 ("report written")
     inst = tmp_path / "k44.json"
     cli_main(["generate", "--kind", "complete_bipartite",
               "--params", '{"m": 4}', "-o", str(inst)])
@@ -251,21 +299,24 @@ def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     missing = str(tmp_path / "missing.json")
     rep_path = tmp_path / "rep.json"
-    for theorem, extra in [
-        ("nwbip", [missing]),
-        ("nwbip", [str(tmp_path)]),  # a directory cannot be read
-        ("nwbip", [str(truncated)]),
-        ("nwbip", [str(no_edges)]),
-        ("nwbip", ["--subgraph", missing, str(inst)]),
-        ("onefact", ["--constants", missing, str(inst)]),
-        ("onefact", ["--constants", str(truncated), str(inst)]),
-        ("onefact", ["--constants", str(not_object), str(inst)]),
+    for args in [
+        ["decompose", "--theorem", "nwbip", missing],
+        # a directory cannot be read
+        ["decompose", "--theorem", "nwbip", str(tmp_path)],
+        ["decompose", "--theorem", "nwbip", str(truncated)],
+        ["decompose", "--theorem", "nwbip", str(no_edges)],
+        ["decompose", "--theorem", "nwbip", "--subgraph", missing, str(inst)],
+        ["decompose", "--theorem", "onefact", "--constants", missing, str(inst)],
+        ["decompose", "--theorem", "onefact", "--constants", str(truncated),
+         str(inst)],
+        ["decompose", "--theorem", "onefact", "--constants", str(not_object),
+         str(inst)],
+        ["generate", "--kind", "complete_bipartite", "--params", "{bad"],
     ]:
         capsys.readouterr()
-        rc = cli_main(["decompose", "--theorem", theorem, *extra,
-                       "-o", str(rep_path)])
+        rc = cli_main([*args, "-o", str(rep_path)])
         err = capsys.readouterr().err
-        assert rc == 2, extra
+        assert rc == 2, args
         assert err.startswith("error: InputFileError: "), err
         assert err.count("\n") == 1, err
         assert not rep_path.exists()

@@ -1,11 +1,14 @@
 """Reference solvers: prescribed-path Hamilton search, exhaustive
 decompositions, densest even-regular subgraphs, chromatic index."""
 
+import time
+
 import pytest
 
-from bipham.errors import PreconditionViolated
+from bipham.errors import PreconditionViolated, Timeout, WallClockExceeded
 from bipham.generators import babai_instance, generate, two_cliques_instance
 from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
+from bipham.search import SearchStats
 from bipham.solvers import (
     SolverBudget,
     approx_decomposition,
@@ -13,6 +16,7 @@ from bipham.solvers import (
     check_approx_preconditions,
     chromatic_index_regular,
     exhaustive_hamilton_decomposition,
+    peel_cycles,
     reg_even,
 )
 from bipham.validate import (
@@ -118,7 +122,7 @@ def test_approx_decomposition_empty_family():
     assert res.cycles == []
 
 
-def test_approx_decomposition_with_system():
+def _one_system_instance():
     # dense instance with one exceptional vertex per side
     f, part0, props, g = generate(
         "eps_bipartite",
@@ -138,11 +142,92 @@ def test_approx_decomposition_with_system():
         nbrs = [w for w in sorted(f.adj[v]) if w in set(opp) and w not in used][:2]
         j_edges += [(v, w) for w in nbrs]
         used.update(nbrs)
-    j = PathSystem(14, j_edges)
+    return f, part, PathSystem(14, j_edges)
+
+
+def test_approx_decomposition_with_system():
+    f, part, j = _one_system_instance()
     res = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
     assert res.cycles is not None and len(res.cycles) == 1
     assert set(j.edges) <= cycle_edges(res.cycles[0])
     assert not check_cycle(14, res.cycles[0])
+
+
+def test_approx_decomposition_counts_and_honours_nodes():
+    f, part, j = _one_system_instance()
+    res = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    need = res.stats["nodes"]
+    assert need > 0
+    exact = approx_decomposition(f, part, [j], 0, 0, "1/2",
+                                 SolverBudget(max_nodes=need),
+                                 enforce_gates=False)
+    assert exact.cycles == res.cycles
+    # one node short is a spent budget, not a system the search got stuck on
+    with pytest.raises(Timeout, match=f"node budget {need - 1} spent at level 0"
+                       ) as exc:
+        approx_decomposition(f, part, [j], 0, 0, "1/2",
+                             SolverBudget(max_nodes=need - 1),
+                             enforce_gates=False)
+    assert exc.value.stats["nodes"] == need - 1
+
+
+def _scripted(plan, calls):
+    """A level search replaying ``plan[level, order] = (nodes to exhaust,
+    [(node count, cycle), ...])`` under the engine's caps."""
+
+    def level_search(i, pool, order, cap):
+        calls.append((i, order, cap))
+        total, yields = plan[i, order]
+        stats = SearchStats()
+
+        def run():
+            for at, cyc in yields:
+                if at > cap:
+                    break
+                stats.nodes = at
+                yield cyc, frozenset()
+            stats.nodes = min(total, cap)
+            stats.budget_exceeded = total > cap
+
+        return run(), stats
+
+    return level_search
+
+
+def test_peel_cycles_budget_rules():
+    # quarter rule: level 0's first order spends its quarter, the second
+    # finds a cycle whose level 1 is exhausted within its cap, and then
+    # exhausts itself, which proves level 0 infeasible: no third order
+    calls = []
+    plan = {(0, 0): (500, []), (0, 1): (50, [(30, [0])]), (1, 0): (20, [])}
+    peel = peel_cycles(_scripted(plan, calls), frozenset(), 2, 400, orders=4)
+    assert peel.cycles is None and peel.nodes == 170 and peel.deepest == 1
+    assert calls == [(0, 0, 100), (0, 1, 100), (1, 0, 100)]
+
+    # a single order gets what is left; spending it is a Timeout
+    calls = []
+    plan = {(0, 0): (80, [(10, [0])]), (1, 0): (90, [])}
+    with pytest.raises(Timeout, match="node budget 50 spent at level 1"):
+        peel_cycles(_scripted(plan, calls), frozenset(), 2, 50)
+    assert calls == [(0, 0, 50), (1, 0, 40)]
+
+    # a call resumed after a deeper level failed is judged as if it had
+    # been capped at what was left: 10 + 85 + 30 nodes pass the 100
+    plan = {(0, 0): (40, [(10, [0])]), (1, 0): (85, [])}
+    with pytest.raises(Timeout, match="spent at level 0") as exc:
+        peel_cycles(_scripted(plan, []), frozenset(), 2, 100)
+    assert exc.value.stats["nodes"] == 100
+
+    plan = {(0, 0): (40, [(10, [0])]), (1, 0): (20, [(5, [1])])}
+    peel = peel_cycles(_scripted(plan, []), frozenset(), 2, 100)
+    assert peel.cycles == [[0], [1]] and peel.nodes == 15
+
+
+def test_peel_cycles_wall_clock_is_only_a_safety_net():
+    plan = {(0, 0): (10, [(5, [0])]), (1, 0): (10, [(5, [1])])}
+    with pytest.raises(WallClockExceeded, match="not reproducible"):
+        peel_cycles(_scripted(plan, []), frozenset(), 2, 100,
+                    deadline=time.monotonic() - 1)
 
 
 def test_approx_gate_reports_degree_window():
