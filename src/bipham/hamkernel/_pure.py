@@ -21,9 +21,11 @@ predicate from the neighbours of the vertex just left:
 * A node's parent passed the prune, and the step ``prev -> cur`` takes
   exactly one vertex, ``prev``, out of the available set (none when
   ``prev`` is ``start``).  So only an unvisited vertex whose union mask
-  contains ``prev`` can have dropped below two.  Union masks need not be
-  symmetric, so these vertices are read from a reverse mask, not from
-  ``prev``'s own union mask.
+  contains ``prev`` can have dropped below two.  These vertices are read
+  from a reverse mask, not from ``prev``'s own union mask: the masks
+  ``search.CycleSearch`` builds are symmetric, but the kernel's contract
+  allows asymmetric ones (the pinned ``ported-one-way`` instance in
+  ``tests/test_kernel.py`` has them).
 * For every child of one node the available set is the same, so the
   vertices that would drop below two (``starving``) are found once, when
   the node is pushed, and a child ``v`` fails the prune unless

@@ -9,6 +9,15 @@ express which end of the *other* contracted path an edge attaches to, the
 kernel over-approximates: every true cycle is enumerated, and each candidate
 is re-checked here by a two-state chain DP before it is reported.
 
+A port mask holds only the items whose *ends* (a free vertex, or either end
+of a path) are allowed neighbours.  An interior vertex of a path already
+has both of its cycle edges, so it appears in no mask, and every union mask
+is symmetric.  Each step of a true cycle joins an end to an end, so the
+masks still accept every item sequence the DP accepts; the kernel tries
+candidates in ascending order, so an unbudgeted search yields the same
+cycles, in the same order, as masks that also offered interiors would, in
+no more nodes.
+
 Prescribed paths may be directed (must be traversed in the given vertex
 order) and carry ranks forcing a cyclic visit order, which is how
 "traverse these edges in this sequence" constraints are expressed.
@@ -71,6 +80,12 @@ class CycleSearch:
                 if v in seen:
                     raise ValueError(f"vertex {v} on two prescribed paths")
                 seen.add(v)
+        ranks = sorted(p.rank for p in self.prescribed if p.rank >= 0)
+        if ranks != list(range(len(ranks))):
+            raise ValueError(
+                f"prescribed path ranks {ranks} must be 0..{len(ranks) - 1},"
+                " each used once"
+            )
 
     # -- item construction -------------------------------------------------
     def _items(self):
@@ -95,29 +110,28 @@ class CycleSearch:
             yield from self._tiny(items)
             return
 
+        # ports join ends to ends: a path interior has owner -1, whose bit,
+        # ``bit[-1]``, is 0
         adj = self.allowed.adj
-        where = {}
-        for idx, it in enumerate(items):
-            for v in it[1]:
-                where[v] = idx
-
-        def mask_of(cp: int, self_idx: int) -> int:
-            m = 0
-            for w in adj[cp]:
-                j = where[w]
-                if j != self_idx:
-                    m |= 1 << j
-            return m
-
-        port_a, port_b, directed, ranks = [], [], [], []
-        has_ranks = any(it[3] >= 0 for it in items)
-        for idx, (kind, verts, dirflag, rank) in enumerate(items):
-            pa = mask_of(verts[0], idx)
-            pb = mask_of(verts[-1], idx) if len(verts) > 1 else pa
-            port_a.append(pa)
-            port_b.append(pb)
-            directed.append(dirflag)
-            ranks.append(rank)
+        owner = [-1] * self.n
+        for idx, (_, verts, _, _) in enumerate(items):
+            owner[verts[0]] = owner[verts[-1]] = idx
+        bit = [1 << j for j in range(k)] + [0]
+        port_a, port_b = [], []
+        for idx, (_, verts, _, _) in enumerate(items):
+            pa = 0
+            for w in adj[verts[0]]:
+                pa |= bit[owner[w]]
+            pb = pa
+            if len(verts) > 1:
+                pb = 0
+                for w in adj[verts[-1]]:
+                    pb |= bit[owner[w]]
+            port_a.append(pa & ~bit[idx])
+            port_b.append(pb & ~bit[idx])
+        directed = [it[2] for it in items]
+        ranks = [it[3] for it in items]
+        has_ranks = any(r >= 0 for r in ranks)
 
         if has_ranks:
             start = ranks.index(0)

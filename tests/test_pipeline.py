@@ -86,6 +86,22 @@ def test_onefact_full_run():
     )
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (2, "ea4b7ad49a4ac46d9e36aa0c9576a2a7e177126f35cccdc5144fb935bc0abc82"),
+    (3, "e45b77addbf0f32ff293258bf1952c8dd851cac6804a2977b8499fbf7f119b02"),
+])
+def test_onefact_closure_finishes(seed, digest):
+    # the closure needs the kernel's prune to fire on these seeds: with
+    # path interiors in the port masks, seed 2 spent all of its nodes and
+    # seed 3 three of its four restarts
+    g, part, props = generate("complete_bipartite", {"m": 28})
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed,
+                               hint_split=(list(part.A), list(part.B)))
+    assert rep.ok()
+    assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
+    assert _digest(rep) == digest
+
+
 def _slow_clock(monkeypatch, step):
     # every reading is ``step`` seconds after the previous one, as on a
     # machine far slower than this one

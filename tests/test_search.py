@@ -1,0 +1,141 @@
+"""Prescribed-path search layer: the port masks ``CycleSearch`` hands the
+kernel, its rank check, and the cycle order it yields."""
+
+import random
+
+import pytest
+
+from bipham import search
+from bipham.graphs import Graph, complete_bipartite
+from bipham.hamkernel import PureCycleEnum
+from bipham.search import CycleSearch, Prescribed
+
+from conftest import random_graph
+
+
+def _capture_kernel_inputs(monkeypatch):
+    """Record ``(port_a, port_b)`` of every kernel call ``CycleSearch``
+    makes."""
+    calls = []
+    enumerator = search.cycle_enumerator
+
+    def record(port_a, port_b, *args, **kwargs):
+        calls.append((list(port_a), list(port_b)))
+        return enumerator(port_a, port_b, *args, **kwargs)
+
+    monkeypatch.setattr(search, "cycle_enumerator", record)
+    return calls
+
+
+def _random_instance(rng):
+    """A random host on 8..12 vertices with prescribed paths of 3 or 4
+    vertices (two on 10 or more vertices), some directed, some ranked; at
+    least three search items."""
+    n = rng.randint(8, 12)
+    g = random_graph(rng, n, rng.uniform(0.45, 0.9))
+    order = rng.sample(range(n), n)
+    paths, at = [], 0
+    for _ in range(1 if n < 10 else 2):
+        size = rng.randint(3, 4)
+        paths.append(tuple(order[at:at + size]))
+        at += size
+    ranked = rng.random() < 0.3
+    prescribed = [
+        Prescribed(
+            verts,
+            directed=ranked or rng.random() < 0.3,
+            rank=rank if ranked else -1,
+        )
+        for rank, verts in enumerate(paths)
+    ]
+    return g, prescribed
+
+
+def _loose_reference(g, prescribed):
+    """The search with port masks built from every vertex of a prescribed
+    path, interiors included: the over-approximation ``CycleSearch`` used
+    before interiors were left out.  Returns (cycles, kernel nodes)."""
+    s = CycleSearch(g, prescribed, force_pure=True)
+    items = s._items()
+    where = {v: idx for idx, it in enumerate(items) for v in it[1]}
+
+    def mask(end, idx):
+        return sum({1 << where[w] for w in g.adj[end] if where[w] != idx})
+
+    port_a = [mask(it[1][0], idx) for idx, it in enumerate(items)]
+    port_b = [mask(it[1][-1], idx) for idx, it in enumerate(items)]
+    directed = [it[2] for it in items]
+    ranks = [it[3] for it in items]
+    has_ranks = any(r >= 0 for r in ranks)
+    enum = PureCycleEnum(
+        port_a,
+        port_b,
+        directed,
+        ranks.index(0) if has_ranks else 0,
+        ranks if has_ranks else None,
+        None,
+        not has_ranks and not any(directed),
+    )
+    cycles = [c for c in (s._decode(items, ic) for ic in enum) if c is not None]
+    return cycles, enum.nodes
+
+
+def test_interior_neighbour_sets_no_port_bit(monkeypatch):
+    # vertex 3's only neighbour on the path 0-1-2 is the interior vertex 1,
+    # which already has both of its cycle edges
+    g = Graph(6, [(1, 3), (3, 4), (3, 5), (0, 4), (4, 5), (2, 5)])
+    calls = _capture_kernel_inputs(monkeypatch)
+    s = CycleSearch(g, [Prescribed((0, 1, 2))])
+    assert list(s.cycles()) == [[2, 1, 0, 4, 3, 5]]
+    [(port_a, port_b)] = calls
+    idx = {it[1]: i for i, it in enumerate(s._items())}
+    path_bit = 1 << idx[(0, 1, 2)]
+    assert not (port_a[idx[(3,)]] | port_b[idx[(3,)]]) & path_bit
+    assert port_a[idx[(4,)]] & path_bit and port_a[idx[(5,)]] & path_bit
+
+
+def test_union_masks_symmetric(monkeypatch):
+    # an edge joins two ends, so if item i may step to item j, j may step
+    # back to i; at least one instance has an end next to a path interior
+    calls = _capture_kernel_inputs(monkeypatch)
+    interior_neighbours = 0
+    for seed in range(40):
+        g, prescribed = _random_instance(random.Random(seed))
+        interiors = {v for p in prescribed for v in p.vertices[1:-1]}
+        interior_neighbours += sum(
+            1 for v in range(g.n) if v not in interiors and g.adj[v] & interiors
+        )
+        CycleSearch(g, prescribed, max_nodes=2000, seed=seed).first()
+        port_a, port_b = calls.pop()
+        union = [a | b for a, b in zip(port_a, port_b)]
+        for i, mask in enumerate(union):
+            for j in range(len(union)):
+                assert (mask >> j & 1) == (union[j] >> i & 1), (seed, i, j)
+    assert interior_neighbours
+
+
+def test_cycle_order_matches_loose_reference():
+    # unbudgeted, leaving interiors out of the masks changes only the work
+    fewer = 0
+    for seed in range(60):
+        g, prescribed = _random_instance(random.Random(1000 + seed))
+        expected, loose_nodes = _loose_reference(g, prescribed)
+        s = CycleSearch(g, prescribed, force_pure=True)
+        assert list(s.cycles()) == expected, seed
+        assert s.stats.nodes <= loose_nodes, seed
+        fewer += s.stats.nodes < loose_nodes
+    assert fewer
+
+
+@pytest.mark.parametrize(
+    "ranks", [(1, 2), (0, 2), (0, 0)], ids=["no-zero", "gap", "repeat"]
+)
+def test_malformed_ranks_rejected(ranks):
+    g = complete_bipartite((4, 4))
+    prescribed = [
+        Prescribed((0, 4), directed=True, rank=ranks[0]),
+        Prescribed((1, 5), directed=True, rank=ranks[1]),
+    ]
+    with pytest.raises(ValueError, match=r"ranks \[\d, \d\]"):
+        CycleSearch(g, prescribed)
+
