@@ -6,13 +6,16 @@ has degree exactly D.  Frameworks layer degree and sparsity conditions on
 top of a balanced split; they come in three strengths (pre < weak < full)
 and are the precondition currency of the whole pipeline.
 
-All verdicts use exact integer/rational arithmetic.
+All verdicts are exact: counts are integers, and a rational bound is
+compared through its integer floor or ceiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
+
 from .errors import PartitionMismatch
 from .graphs import Graph, LabelledPartition
 
@@ -27,34 +30,27 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def internal_degree(g: Graph, part: LabelledPartition, v: int) -> int:
-    """Degree of v into its own side A' or B'."""
-    side = part.A_prime() if part.on_a_side(v) else part.B_prime()
-    return g.d(v, side)
+def side_counts(g: Graph, part: LabelledPartition):
+    """One pass over the edges of ``g``: the rows of
+    ``g.class_degrees(part.side_labels(), 4)`` (degrees into A0, A, B0, B),
+    each vertex's degree and its internal degree (into its own side A' or
+    B'), and e(A'), e(B')."""
+    labels = part.side_labels()
+    rows = g.class_degrees(labels, 4)
+    deg = [sum(r) for r in rows]
+    dint = [r[0] + r[1] if s < 2 else r[2] + r[3] for r, s in zip(rows, labels)]
+    eA = sum(d for d, s in zip(dint, labels) if s < 2) // 2
+    eB = sum(d for d, s in zip(dint, labels) if s >= 2) // 2
+    return rows, deg, dint, eA, eB
 
 
 def is_D_balanced(g: Graph, part: LabelledPartition, D: int) -> bool:
     """Exact test of the two balance conditions."""
-    eA = g.e_within(part.A_prime())
-    eB = g.e_within(part.B_prime())
+    _, deg, _, eA, eB = side_counts(g, part)
     size_diff = (part.a + len(part.A)) - (part.b + len(part.B))
     if 2 * (eA - eB) != size_diff * D:
         return False
-    return all(g.degree(v) == D for v in part.A0 + part.B0)
-
-
-def balance_defect(g: Graph, part: LabelledPartition, D: int) -> dict:
-    """Diagnostic version of is_D_balanced."""
-    eA = g.e_within(part.A_prime())
-    eB = g.e_within(part.B_prime())
-    size_diff = (part.a + len(part.A)) - (part.b + len(part.B))
-    bad_deg = {v: g.degree(v) for v in part.A0 + part.B0 if g.degree(v) != D}
-    return {
-        "edge_identity": 2 * (eA - eB) == size_diff * D,
-        "lhs_times_2": 2 * (eA - eB),
-        "rhs_times_2": size_diff * D,
-        "bad_degrees": bad_deg,
-    }
+    return all(deg[v] == D for v in part.A0 + part.B0)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,11 @@ class Framework:
 
 
 def _check_wf(g, f, part, D, eps, eps_prime, K) -> dict[str, list[Violation]]:
-    """All conditions of all levels at once, keyed by condition id."""
+    """All conditions of all levels at once, keyed by condition id.
+
+    Counts come from one pass over each graph's edges; every rational bound
+    is compared through its floor (an integer exceeds a rational r exactly
+    when it exceeds floor(r)), and a Fraction is built only for a message."""
     n = g.n
     out: dict[str, list[Violation]] = {}
 
@@ -116,51 +116,51 @@ def _check_wf(g, f, part, D, eps, eps_prime, K) -> dict[str, list[Violation]]:
     if part.n != n:
         raise PartitionMismatch(f"partition over {part.n} vertices, graph has {n}")
 
-    dd = balance_defect(g, part, D)
-    if not dd["edge_identity"]:
-        add(
-            "WF2",
-            f"2(e(A')-e(B')) = {dd['lhs_times_2']} != {dd['rhs_times_2']}",
-        )
-    for v in sorted(dd["bad_degrees"]):
-        add("WF2", f"exceptional vertex {v} has degree {dd['bad_degrees'][v]} != {D}", (v,))
+    rows, deg, dint, eA, eB = side_counts(g, part)
+    fint = dint if f is g else side_counts(f, part)[2]
+    eps_n = floor(eps * n)
+    eps_prime_n = floor(eps_prime * n)
 
-    eA = g.e_within(part.A_prime())
-    eB = g.e_within(part.B_prime())
-    if eA > eps * n * n:
+    size_diff = (part.a + len(part.A)) - (part.b + len(part.B))
+    if 2 * (eA - eB) != size_diff * D:
+        add("WF2", f"2(e(A')-e(B')) = {2 * (eA - eB)} != {size_diff * D}")
+    for v in sorted(part.A0 + part.B0):
+        if deg[v] != D:
+            add("WF2", f"exceptional vertex {v} has degree {deg[v]} != {D}", (v,))
+
+    eps_nn = floor(eps * n * n)
+    if eA > eps_nn:
         add("WF3", f"e(A') = {eA} > eps*n^2 = {eps * n * n}")
-    if eB > eps * n * n:
+    if eB > eps_nn:
         add("WF3", f"e(B') = {eB} > eps*n^2 = {eps * n * n}")
 
     if len(part.A) != len(part.B):
         add("WF4", f"|A| = {len(part.A)} != |B| = {len(part.B)}")
     if K <= 0 or len(part.A) % K != 0:
         add("WF4", f"|A| = {len(part.A)} not divisible by K = {K}")
-    if part.a + part.b > eps * n:
+    if part.a + part.b > eps_n:
         add("WF4", f"a+b = {part.a + part.b} > eps*n = {eps * n}")
 
     for v in part.A + part.B:
-        dint = internal_degree(f, part, v)
-        if dint > eps_prime * n:
-            add("WF5", f"internal degree {dint} of {v} in host > eps'*n", (v,))
-        dint_self = internal_degree(g, part, v)
-        if dint_self > eps_prime * n:
-            add("FR5", f"internal degree {dint_self} of {v} > eps'*n", (v,))
+        if fint[v] > eps_prime_n:
+            add("WF5", f"internal degree {fint[v]} of {v} in host > eps'*n", (v,))
+        if dint[v] > eps_prime_n:
+            add("FR5", f"internal degree {dint[v]} of {v} > eps'*n", (v,))
 
     for v in range(n):
-        dint = internal_degree(g, part, v)
-        if 2 * dint > g.degree(v):
-            add("WF6", f"internal degree {dint} of {v} > d(v)/2 = {g.degree(v)}/2", (v,))
+        if 2 * dint[v] > deg[v]:
+            add("WF6", f"internal degree {dint[v]} of {v} > d(v)/2 = {deg[v]}/2", (v,))
 
     if part.b > part.a:
         add("FR4", f"|B0| = {part.b} > |A0| = {part.a}")
-    e_cross = g.e_between(part.A0, part.B0) if part.A0 and part.B0 else 0
+    e_cross = sum(rows[v][2] for v in part.A0)
     if e_cross != 0:
         add("FR6", f"e(A0,B0) = {e_cross} != 0")
+    # dint > d(v)/2 + eps*n, doubled
+    two_eps_n = floor(2 * eps * n)
     for v in range(n):
-        dint = internal_degree(g, part, v)
-        if dint > Fraction(g.degree(v), 2) + eps * n:
-            add("FR7", f"internal degree {dint} of {v} > d(v)/2 + eps*n", (v,))
+        if 2 * dint[v] - deg[v] > two_eps_n:
+            add("FR7", f"internal degree {dint[v]} of {v} > d(v)/2 + eps*n", (v,))
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil
 
 from .balance import (
     Framework,
@@ -230,7 +231,7 @@ def extend_to_hamilton(
         raise PreconditionViolated(
             f"{q.num_nontrivial()} nontrivial paths exceed the cap {cap}"
         )
-    allowed = Graph(f.n, f.edges_between(part.A, part.B) - q.edges)
+    allowed = Graph._trusted(f.n, f.edges_between(part.A, part.B) - q.edges)
     res = bip_hamilton_with_prescribed(allowed, None, q, budget)
     if res.cycle is None:
         raise SolverFailure(
@@ -241,7 +242,7 @@ def extend_to_hamilton(
     problems = check_cycle_in_graph(Graph(f.n, allowed.edges | q.edges), cyc)
     if problems:
         raise AssertionError(problems[0])
-    inter = Graph(g.n, cycle_edges(cyc) & g.edges)
+    inter = Graph._trusted(g.n, cycle_edges(cyc) & g.edges)
     if not is_D_balanced(inter, part, 2):
         raise AssertionError("cycle's intersection with the graph is not 2-balanced")
     return cyc
@@ -285,11 +286,12 @@ def eliminate_A0B0(
         raise AssertionError(
             f"reduced graph is not a framework: {reduced[0].detail}"
         )
-    full_problems = framework_violations(
-        g_cur, part, d_reduced, fw.eps, fw.eps_prime, fw.K, level="full",
-        host=f_cur,
-    )
-    if full_problems:
+    if reduced.kind != "full":
+        # a weaker kind means some full-level condition fails
+        full_problems = framework_violations(
+            g_cur, part, d_reduced, fw.eps, fw.eps_prime, fw.K, level="full",
+            host=f_cur,
+        )
         raise AssertionError(
             f"reduced framework not full: {full_problems[0].detail}"
         )
@@ -340,13 +342,10 @@ def bip_decompose(
     else:
         s1, s2 = _near_bipartition(f)
     trace = []
-    root_eps = rational_ceil(float(eps) ** 0.5)
-    S = {
-        v
-        for v in range(n)
-        for own in (s1 if v in s1 else s2,)
-        if f.d(v, own) >= root_eps * n
-    }
+    # integer degrees against rational bounds: d >= r iff d >= ceil(r),
+    # d < r iff d < ceil(r)
+    high = ceil(rational_ceil(float(eps) ** 0.5) * n)
+    S = {v for v in range(n) if f.d(v, s1 if v in s1 else s2) >= high}
     trace.append(f"high-internal-degree set size {len(S)}")
 
     flips = 0
@@ -369,8 +368,9 @@ def bip_decompose(
 
     if len(s1) < len(s2):
         s1, s2 = s2, s1
-    a_core = {v for v in s1 if f.d(v, s1) < eps_prime * n}
-    b_core = {v for v in s2 if f.d(v, s2) < eps_prime * n}
+    low = ceil(eps_prime * n)
+    a_core = {v for v in s1 if f.d(v, s1) < low}
+    b_core = {v for v in s2 if f.d(v, s2) < low}
     a0 = set(s1) - a_core
     b0 = set(s2) - b_core
     target = (min(len(a_core), len(b_core)) // K) * K

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .balance import frac, validate_framework, Framework
-from .errors import BiphamError, InputFileError
+from .errors import BadParams, BiphamError, InputFileError
 from .generators import generate, regular_spanning_subgraph
 from .graphs import (
     Graph,
@@ -100,15 +100,15 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "verify":
+        eps = _rational("--eps", args.eps)
+        eps_prime = _rational("--eps-prime", args.eps_prime)
         graph, part = _load(args.graph)
         if args.level == "framework":
             if part is None:
                 print("no partition in file")
                 return 2
             D = args.D if args.D is not None else _common_degree(graph)
-            res = validate_framework(
-                graph, part, D, frac(args.eps), frac(args.eps_prime), args.K
-            )
+            res = validate_framework(graph, part, D, eps, eps_prime, args.K)
             if isinstance(res, Framework):
                 print(f"framework kind: {res.kind}")
                 return 0
@@ -116,13 +116,12 @@ def _dispatch(args) -> int:
                 print(f"{viol.condition}: {viol.detail}")
             return 1
         if args.level == "scheme":
-            problems = scheme_violations(graph, part, frac(args.eps), frac(args.eps_prime))
+            problems = scheme_violations(graph, part, eps, eps_prime)
             for prob in problems[:10]:
                 print(prob)
             print("scheme ok" if not problems else f"{len(problems)} violations")
             return 0 if not problems else 1
         q = PathSystem(graph.n, graph.edges)
-        eps = frac(args.eps)
         problems = check_a0b0_path_system(q, part) + check_bes(
             q, part, None, eps.numerator, eps.denominator
         )
@@ -185,6 +184,14 @@ def _dispatch(args) -> int:
         }, sort_keys=True))
         return 0 if res.cycles is not None else 1
     return 2
+
+
+def _rational(flag: str, text: str):
+    """A rational command-line value such as ``1/4`` or ``0.25``."""
+    try:
+        return frac(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParams(f"malformed {flag}: {text!r}") from exc
 
 
 def _common_degree(g: Graph) -> int:

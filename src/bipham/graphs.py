@@ -42,6 +42,18 @@ class Graph:
         self.edges = es
         self._adj = None
 
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        """A graph on edges known to be normalised and in range, such as a
+        subset of a validated graph's edges; skips the checks of __init__.
+        The set is still rebuilt by iteration, so that its iteration order,
+        which searches and generators follow, is the one __init__ gives."""
+        g = object.__new__(cls)
+        g.n = n
+        g.edges = frozenset(iter(edges))
+        g._adj = None
+        return g
+
     # -- basic accessors -------------------------------------------------
     @property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -76,8 +88,7 @@ class Graph:
 
     # -- set-style counting (E(S), E(S,T), d(v,S)) -----------------------
     def d(self, v: int, S: Iterable[int]) -> int:
-        S = S if isinstance(S, (set, frozenset)) else set(S)
-        return sum(1 for w in self.adj[v] if w in S)
+        return len(self.adj[v].intersection(S))
 
     def edges_within(self, S: Iterable[int]) -> frozenset[Edge]:
         S = S if isinstance(S, (set, frozenset)) else set(S)
@@ -100,12 +111,39 @@ class Graph:
     def e_between(self, S: Iterable[int], T: Iterable[int]) -> int:
         return len(self.edges_between(S, T))
 
+    # -- one-pass counts over labelled vertex classes ----------------------
+    def class_degrees(self, label: Sequence[int], k: int) -> list[list[int]]:
+        """``rows[v][c]`` = d(v, class c) for every vertex v, where
+        ``label[w]`` is the class 0..k-1 of w or -1 for none (see
+        ``class_labels``); one pass over the edges."""
+        rows = [[0] * k for _ in range(self.n)]
+        for u, v in self.edges:
+            c = label[v]
+            if c >= 0:
+                rows[u][c] += 1
+            c = label[u]
+            if c >= 0:
+                rows[v][c] += 1
+        return rows
+
+    def class_edge_counts(self, label: Sequence[int], k: int) -> list[list[int]]:
+        """The k x k matrix with e(class c) at ``[c][c]`` and e(class c,
+        class c2) at ``[c][c2]`` and ``[c2][c]``; one pass over the edges."""
+        m = [[0] * k for _ in range(k)]
+        for u, v in self.edges:
+            a, b = label[u], label[v]
+            if a >= 0 and b >= 0:
+                m[a][b] += 1
+                if a != b:
+                    m[b][a] += 1
+        return m
+
     # -- algebra ----------------------------------------------------------
     def minus_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":
-        return Graph(self.n, self.edges - norm_edges(edges))
+        return Graph._trusted(self.n, self.edges - norm_edges(edges))
 
     def minus(self, other: "Graph") -> "Graph":
-        return Graph(self.n, self.edges - other.edges)
+        return Graph._trusted(self.n, self.edges - other.edges)
 
     def union(self, other: "Graph") -> "Graph":
         return Graph(max(self.n, other.n), self.edges | other.edges)
@@ -156,6 +194,19 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def class_labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
+    """The index of the class holding each vertex 0..n-1, or -1 for a vertex
+    in none: the ``label`` of ``Graph.class_degrees``/``class_edge_counts``.
+    Raises BadParams when two classes share a vertex."""
+    label = [-1] * n
+    for c, members in enumerate(classes):
+        for v in members:
+            if label[v] != -1 and label[v] != c:
+                raise BadParams(f"vertex {v} lies in classes {label[v]} and {c}")
+            label[v] = c
+    return label
 
 
 class MultiGraph:
@@ -291,7 +342,9 @@ class LabelledPartition:
         "clusters_B",
         "refined_A",
         "refined_B",
-        "_sides",
+        "_labels",
+        "_A_prime",
+        "_B_prime",
     )
 
     def __init__(
@@ -331,7 +384,9 @@ class LabelledPartition:
                 raise PartitionMismatch(f"cluster sizes differ: {sorted(sizes)}")
         self.refined_A = _check_refinement(refined_A, self.clusters_A, "A")
         self.refined_B = _check_refinement(refined_B, self.clusters_B, "B")
-        self._sides = None
+        self._labels = None
+        self._A_prime = None
+        self._B_prime = None
 
     # -- derived quantities ----------------------------------------------
     @property
@@ -359,23 +414,31 @@ class LabelledPartition:
         return len(self.refined_A[0])
 
     def A_prime(self) -> frozenset[int]:
-        return frozenset(self.A0) | frozenset(self.A)
+        if self._A_prime is None:
+            self._A_prime = frozenset(self.A0) | frozenset(self.A)
+        return self._A_prime
 
     def B_prime(self) -> frozenset[int]:
-        return frozenset(self.B0) | frozenset(self.B)
+        if self._B_prime is None:
+            self._B_prime = frozenset(self.B0) | frozenset(self.B)
+        return self._B_prime
 
     def V0(self) -> frozenset[int]:
         return frozenset(self.A0) | frozenset(self.B0)
 
+    def side_labels(self) -> tuple[int, ...]:
+        """The class of every vertex: 0 for A0, 1 for A, 2 for B0, 3 for B."""
+        if self._labels is None:
+            self._labels = tuple(
+                class_labels(self.n, (self.A0, self.A, self.B0, self.B))
+            )
+        return self._labels
+
     def side(self, v: int) -> str:
         """One of 'A0', 'A', 'B0', 'B'."""
-        if self._sides is None:
-            s = {}
-            for name in ("A0", "A", "B0", "B"):
-                for v2 in getattr(self, name):
-                    s[v2] = name
-            self._sides = s
-        return self._sides[v]
+        if not 0 <= v < self.n:
+            raise KeyError(v)
+        return ("A0", "A", "B0", "B")[self.side_labels()[v]]
 
     def on_a_side(self, v: int) -> bool:
         return self.side(v) in ("A0", "A")

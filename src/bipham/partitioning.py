@@ -2,9 +2,15 @@
 
 Every operation here follows the same retry-until-verified pattern: sample
 a uniformly random structure, verify every claimed property exhaustively
-with exact rational thresholds, and retry with fresh randomness (up to a
-budget) when verification fails.  Certificates record the achieved
-deviations so reports can show how much slack was left.
+with exact thresholds, and retry with fresh randomness (up to a budget)
+when verification fails.  Certificates record the achieved deviations so
+reports can show how much slack was left.
+
+The verifiers count each degree and edge number once, in one pass over the
+graph's edges, and stay exact in integers: a condition |x - y/q| > r with
+integer counts x, y is decided by cross-multiplying, as |q*x - y| >
+floor(q*r).  A Fraction appears only in the text of a failed condition and
+in a certificate's worst deviation.
 """
 
 from __future__ import annotations
@@ -12,11 +18,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 from .balance import Framework, frac, require_kind
-from .errors import DivisibilityError, PreconditionViolated, RetryBudgetExceeded
-from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph
+from .errors import (
+    BadParams,
+    DivisibilityError,
+    PreconditionViolated,
+    RetryBudgetExceeded,
+)
+from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, class_labels
 from .schemes import oriented_scheme_violations, rational_ceil, scheme_violations
 
 DEFAULT_ATTEMPTS = 64
@@ -73,15 +85,18 @@ def random_equipartition(
         raise DivisibilityError(f"|U| = {len(U)} not divisible by K = {K}")
     n = g.n
     warnings = []
-    gu = Graph(g.n, g.edges_within(U))
-    du = [gu.degree(v) for v in U]
-    if du and not (min(du) >= eps * n or max(du) <= eps * n):
+    # d >= eps*n iff d >= ceil(eps*n); d <= eps*n iff d <= floor(eps*n)
+    lo, hi = ceil(eps * n), floor(eps * n)
+    d_U = [r[0] for r in g.class_degrees(class_labels(n, [U]), 1)]
+    du = [d_U[v] for v in U]
+    if du and not (min(du) >= lo or max(du) <= hi):
         warnings.append(
             f"degree dichotomy fails on U: min {min(du)}, max {max(du)}, eps*n={eps * n}"
         )
     for j, Rj in enumerate(R):
-        up = all(g.d(u, Rj) <= eps * n for u in U)
-        down = all(g.d(x, U) >= eps * n for x in Rj)
+        d_Rj = g.class_degrees(class_labels(n, [Rj]), 1)
+        up = all(d_Rj[u][0] <= hi for u in U)
+        down = all(d_U[x] >= lo for x in Rj)
         if not (up or down):
             warnings.append(f"degree dichotomy fails for reference set {j}")
 
@@ -113,8 +128,11 @@ def verify_equipartition(
     eps2,
     cert: Certificate | None = None,
 ) -> list[str]:
-    """Exhaustive recount of all six equipartition conditions; independent
-    of the sampling code."""
+    """Exhaustive recount of all six equipartition conditions from the
+    graphs' own edges; independent of the sampling code.
+
+    Each condition |x - y/q| > r (x, y integers) is decided as
+    |q*x - y| > floor(q*r)."""
     eps1, eps2 = frac(eps1), frac(eps2)
     K = len(parts)
     n = g.n
@@ -122,43 +140,61 @@ def verify_equipartition(
     sizes = {len(p) for p in parts}
     if len(sizes) != 1:
         problems.append(f"(i) part sizes differ: {sorted(sizes)}")
-    eU = g.e_within(U)
-    slack_edges = eps2 * max(n, eU)
+    in_U = class_labels(n, [U])
+    part_of = class_labels(n, parts)
+    if any(in_U[x] == 0 or part_of[x] >= 0 for Rj in R for x in Rj):
+        raise BadParams("reference sets must be disjoint from U and the parts")
+    g_U = g.class_degrees(in_U, 1)
+    g_P = g.class_degrees(part_of, K)
+    f_U = g_U if f is g else f.class_degrees(in_U, 1)
+    f_P = g_P if f is g else f.class_degrees(part_of, K)
+    e_P = g.class_edge_counts(part_of, K)
+    eU = g.class_edge_counts(in_U, 1)[0][0]
+    deg_bound = floor(eps1 * n)
+    within_bound = floor(eps2 * max(n, eU))
+    between_bound = floor(2 * eps2 * max(n, eU))
 
-    worst = {"ii": Fraction(0), "iii": Fraction(0), "iv": Fraction(0),
-             "v": Fraction(0), "vi": Fraction(0)}
+    # worst |q*x - y| per condition, with its q
+    worst = {"ii": 0, "iii": 0, "iv": 0, "v": 0, "vi": 0}
     for v in range(n):
-        dU = g.d(v, U)
-        dUf = f.d(v, U)
-        for i, p in enumerate(parts):
-            dev = abs(Fraction(g.d(v, p)) - Fraction(dU, K))
+        dU, dUf = g_U[v][0], f_U[v][0]
+        for i in range(K):
+            dev = abs(K * g_P[v][i] - dU)
             worst["ii"] = max(worst["ii"], dev)
-            if dev > eps1 * n / K:
-                problems.append(f"(ii) d({v},part {i}) deviates by {dev}")
-            devf = abs(Fraction(f.d(v, p)) - Fraction(dUf, K))
+            if dev > deg_bound:
+                problems.append(f"(ii) d({v},part {i}) deviates by {Fraction(dev, K)}")
+            devf = abs(K * f_P[v][i] - dUf)
             worst["vi"] = max(worst["vi"], devf)
-            if devf > eps1 * n / K:
-                problems.append(f"(vi) host degree d({v},part {i}) deviates by {devf}")
+            if devf > deg_bound:
+                problems.append(
+                    f"(vi) host degree d({v},part {i}) deviates by {Fraction(devf, K)}"
+                )
     for i in range(K):
         for i2 in range(i + 1, K):
-            dev = abs(Fraction(g.e_between(parts[i], parts[i2])) - Fraction(2 * eU, K * K))
+            dev = abs(K * K * e_P[i][i2] - 2 * eU)
             worst["iii"] = max(worst["iii"], dev)
-            if dev > 2 * slack_edges / (K * K):
-                problems.append(f"(iii) e(part {i},part {i2}) deviates by {dev}")
-        dev = abs(Fraction(g.e_within(parts[i])) - Fraction(eU, K * K))
+            if dev > between_bound:
+                problems.append(
+                    f"(iii) e(part {i},part {i2}) deviates by {Fraction(dev, K * K)}"
+                )
+        dev = abs(K * K * e_P[i][i] - eU)
         worst["iv"] = max(worst["iv"], dev)
-        if dev > slack_edges / (K * K):
-            problems.append(f"(iv) e(part {i}) deviates by {dev}")
+        if dev > within_bound:
+            problems.append(f"(iv) e(part {i}) deviates by {Fraction(dev, K * K)}")
     for j, Rj in enumerate(R):
-        eUR = g.e_between(U, Rj) if Rj else 0
+        Rj = set(Rj)
+        eUR = sum(g_U[x][0] for x in Rj)
+        bound = floor(eps2 * max(n, eUR))
         for i in range(K):
-            dev = abs(Fraction(g.e_between(parts[i], Rj) if Rj else 0) - Fraction(eUR, K))
+            dev = abs(K * sum(g_P[x][i] for x in Rj) - eUR)
             worst["v"] = max(worst["v"], dev)
-            if dev > eps2 * max(n, eUR) / K:
-                problems.append(f"(v) e(part {i}, R_{j}) deviates by {dev}")
+            if dev > bound:
+                problems.append(f"(v) e(part {i}, R_{j}) deviates by {Fraction(dev, K)}")
     if cert is not None:
+        q = {"ii": K, "iii": K * K, "iv": K * K, "v": K, "vi": K}
         for key, val in worst.items():
-            cert.conditions[key] = f"max deviation {val}"
+            # val is 0 when there are no parts (q = 0)
+            cert.conditions[key] = f"max deviation {Fraction(val, q[key]) if val else 0}"
     return problems
 
 
@@ -213,72 +249,77 @@ def verify_cluster_partition(
     cert: Certificate | None = None,
     host: Graph | None = None,
 ) -> list[str]:
-    """The six cluster-partition properties, recounted from scratch."""
+    """The six cluster-partition properties, recounted from scratch from
+    the graphs' own edges, compared as in ``verify_equipartition``."""
     eps1, eps2 = frac(eps1), frac(eps2)
     n = g.n
     K = part.K
     problems = []
     if K is None:
         return ["no clusters"]
+    # classes: A-clusters 0..K-1, B-clusters K..2K-1, A0 = 2K, B0 = 2K+1
+    label = class_labels(
+        n, [*part.clusters_A, *part.clusters_B, part.A0, part.B0]
+    )
+    rows = g.class_degrees(label, 2 * K + 2)
+    e = g.class_edge_counts(label, 2 * K + 2)
+    deg_bound = floor(eps1 * n)
 
-    def side_checks(side_name, side, clusters, A0):
-        e_side = g.e_within(side)
-        slack = eps2 * max(n, e_side)
-        e_exc = g.e_between(A0, side) if A0 else 0
+    def degree_checks(tag, degrees, v, off):
+        row = degrees[v]
+        dS = sum(row[off : off + K])
+        for i in range(K):
+            dev = abs(K * row[off + i] - dS)
+            if dev > deg_bound:
+                problems.append(
+                    f"({tag}) d({v},cluster {i + 1}) deviates by {Fraction(dev, K)}"
+                )
+
+    def side_checks(side_name, off, exc):
+        cl = range(off, off + K)
+        e_side = sum(e[i][j] for i in cl for j in cl if i <= j)
+        e_exc = sum(e[exc][i] for i in cl)
         for v in range(n):
-            dS = g.d(v, side)
-            for i, c in enumerate(clusters):
-                dev = abs(Fraction(g.d(v, c)) - Fraction(dS, K))
-                if dev > eps1 * n / K:
-                    problems.append(
-                        f"(P2/{side_name}) d({v},cluster {i + 1}) deviates by {dev}"
-                    )
+            degree_checks(f"P2/{side_name}", rows, v, off)
+        between_bound = floor(2 * eps2 * max(n, e_side))
+        within_bound = floor(eps2 * max(n, e_side))
+        exc_bound = floor(eps2 * max(n, e_exc))
         for i in range(K):
             for j in range(i + 1, K):
-                dev = abs(
-                    Fraction(g.e_between(clusters[i], clusters[j]))
-                    - Fraction(2 * e_side, K * K)
-                )
-                if dev > 2 * slack / (K * K):
+                dev = abs(K * K * e[off + i][off + j] - 2 * e_side)
+                if dev > between_bound:
                     problems.append(
-                        f"(P3/{side_name}) e(cluster {i + 1},cluster {j + 1}) deviates by {dev}"
+                        f"(P3/{side_name}) e(cluster {i + 1},cluster {j + 1}) "
+                        f"deviates by {Fraction(dev, K * K)}"
                     )
-            dev = abs(Fraction(g.e_within(clusters[i])) - Fraction(e_side, K * K))
-            if dev > slack / (K * K):
-                problems.append(f"(P4/{side_name}) e(cluster {i + 1}) deviates by {dev}")
-            devx = abs(
-                Fraction(g.e_between(A0, clusters[i]) if A0 else 0)
-                - Fraction(e_exc, K)
-            )
-            if devx > eps2 * max(n, e_exc) / K:
+            dev = abs(K * K * e[off + i][off + i] - e_side)
+            if dev > within_bound:
                 problems.append(
-                    f"(P5/{side_name}) e(exceptional, cluster {i + 1}) deviates by {devx}"
+                    f"(P4/{side_name}) e(cluster {i + 1}) deviates by {Fraction(dev, K * K)}"
+                )
+            devx = abs(K * e[exc][off + i] - e_exc)
+            if devx > exc_bound:
+                problems.append(
+                    f"(P5/{side_name}) e(exceptional, cluster {i + 1}) "
+                    f"deviates by {Fraction(devx, K)}"
                 )
 
-    side_checks("A", part.A, part.clusters_A, part.A0)
-    side_checks("B", part.B, part.clusters_B, part.B0)
-    eAB = g.e_between(part.A, part.B)
+    side_checks("A", 0, 2 * K)
+    side_checks("B", K, 2 * K + 1)
+    eAB = sum(e[i][K + j] for i in range(K) for j in range(K))
+    cross_bound = floor(3 * eps2 * eAB)
     for i in range(K):
         for j in range(K):
-            dev = abs(
-                Fraction(g.e_between(part.clusters_A[i], part.clusters_B[j]))
-                - Fraction(eAB, K * K)
-            )
-            if dev > 3 * eps2 * eAB / (K * K):
-                problems.append(f"(P6) e(A_{i + 1},B_{j + 1}) deviates by {dev}")
+            dev = abs(K * K * e[i][K + j] - eAB)
+            if dev > cross_bound:
+                problems.append(
+                    f"(P6) e(A_{i + 1},B_{j + 1}) deviates by {Fraction(dev, K * K)}"
+                )
     if host is not None:
+        host_rows = rows if host is g else host.class_degrees(label, 2 * K + 2)
         for v in range(n):
-            for clusters, side in (
-                (part.clusters_A, part.A),
-                (part.clusters_B, part.B),
-            ):
-                dS = host.d(v, side)
-                for i, c in enumerate(clusters):
-                    dev = abs(Fraction(host.d(v, c)) - Fraction(dS, K))
-                    if dev > eps1 * n / K:
-                        problems.append(
-                            f"(host) d({v},cluster {i + 1}) deviates by {dev}"
-                        )
+            degree_checks("host", host_rows, v, 0)
+            degree_checks("host", host_rows, v, K)
     if cert is not None:
         cert.conditions["P1-P6"] = "pass" if not problems else problems[0]
     return problems
@@ -367,49 +408,77 @@ def _build_side_slices(g, A0, clusters, K, rng):
 
 
 def verify_slices(g, part, slices, side, eps1, eps2) -> list[str]:
+    """The localized-slice properties of one side, recounted from the graph's
+    own edges, compared as in ``verify_equipartition``."""
     eps1, eps2 = frac(eps1), frac(eps2)
     K = part.K
     n = g.n
     A0 = part.A0 if side == "A" else part.B0
     clusters = part.clusters_A if side == "A" else part.clusters_B
     side_set = part.A_prime() if side == "A" else part.B_prime()
-    inner = part.A if side == "A" else part.B
     problems = []
-    e_prime = g.e_within(side_set)
-    e_exc = g.e_between(A0, inner) if A0 else 0
-    e_inner = g.e_within(inner)
+    # cluster index 0..K-1, EXC for the exceptional set, -1 off the side
+    EXC = K
+    label = class_labels(n, [*clusters, A0])
+    within = g.edges_within(side_set)
+    e_prime = len(within)
+    e_exc = e_inner = 0
+    d_inner = dict.fromkeys(A0, 0)
+    for u, v in within:
+        exc_u, exc_v = label[u] == EXC, label[v] == EXC
+        if exc_u != exc_v:
+            e_exc += 1
+            d_inner[u if exc_u else v] += 1
+        elif not exc_u:
+            e_inner += 1
+    KK = K * K
+    size_bound = floor(9 * eps2 * max(n, e_prime))
+    exc_bound = floor(2 * eps2 * max(n, e_exc))
+    inner_bound = floor(2 * eps2 * max(n, e_inner))
+    deg_bound = floor(4 * eps1 * n)
     union = set()
     total = 0
     for (i, j), edges in sorted(slices.items()):
-        allowed = set(A0) | set(clusters[i - 1]) | set(clusters[j - 1])
+        allowed = (EXC, i - 1, j - 1)
+        exc_part = in_part = 0
+        d_slice = dict.fromkeys(A0, 0)
         for u, v in edges:
-            if u not in allowed or v not in allowed:
+            lu, lv = label[u], label[v]
+            if lu not in allowed or lv not in allowed:
                 problems.append(f"(i) edge ({u},{v}) outside slice ({i},{j}) support")
+            if lu == EXC:
+                d_slice[u] += 1
+            if lv == EXC:
+                d_slice[v] += 1
+            if (lu == EXC) != (lv == EXC):
+                exc_part += 1
+            elif lu != EXC:
+                in_part += 1
         total += len(edges)
         if union & edges:
             problems.append(f"(ii) slice ({i},{j}) overlaps earlier slices")
         union |= edges
-        dev = abs(Fraction(len(edges)) - Fraction(e_prime, K * K))
-        if dev > 9 * eps2 * max(n, e_prime) / (K * K):
-            problems.append(f"(iii) e(slice {i},{j}) deviates by {dev}")
-        exc_part = sum(1 for u, v in edges if (u in set(A0)) != (v in set(A0)))
-        dev = abs(Fraction(exc_part) - Fraction(e_exc, K * K))
-        if dev > 2 * eps2 * max(n, e_exc) / (K * K):
-            problems.append(f"(iv) exceptional edges of slice ({i},{j}) deviate by {dev}")
-        in_part = sum(
-            1 for u, v in edges if u not in set(A0) and v not in set(A0)
-        )
-        dev = abs(Fraction(in_part) - Fraction(e_inner, K * K))
-        if dev > 2 * eps2 * max(n, e_inner) / (K * K):
-            problems.append(f"(v) inner edges of slice ({i},{j}) deviate by {dev}")
+        dev = abs(KK * len(edges) - e_prime)
+        if dev > size_bound:
+            problems.append(f"(iii) e(slice {i},{j}) deviates by {Fraction(dev, KK)}")
+        dev = abs(KK * exc_part - e_exc)
+        if dev > exc_bound:
+            problems.append(
+                f"(iv) exceptional edges of slice ({i},{j}) deviate by {Fraction(dev, KK)}"
+            )
+        dev = abs(KK * in_part - e_inner)
+        if dev > inner_bound:
+            problems.append(
+                f"(v) inner edges of slice ({i},{j}) deviate by {Fraction(dev, KK)}"
+            )
         for v in A0:
-            dv = sum(1 for e in edges if v in e)
-            dev = abs(Fraction(dv) - Fraction(g.d(v, inner), K * K))
-            if dev > 4 * eps1 * n / (K * K):
+            dev = abs(KK * d_slice[v] - d_inner[v])
+            if dev > deg_bound:
                 problems.append(
-                    f"(vi) degree of exceptional {v} in slice ({i},{j}) deviates by {dev}"
+                    f"(vi) degree of exceptional {v} in slice ({i},{j}) "
+                    f"deviates by {Fraction(dev, KK)}"
                 )
-    if union != g.edges_within(side_set) or total != e_prime:
+    if union != within or total != e_prime:
         problems.append("(ii) slices do not partition the side's edge set")
     return problems
 
@@ -505,16 +574,14 @@ def orient_scheme(
     seed: int = 0,
     max_attempts: int = DEFAULT_ATTEMPTS,
     exhaustive_limit: int = 12,
-    strategy: str = "random",
 ) -> tuple[OrientedGraph, Certificate]:
     """Orient every edge so the result is an oriented scheme with parameter
     2*sqrt(eps) (rational ceiling); verified, retried.
 
-    The default strategy flips a fair coin per edge.  The 'alternating'
-    strategy edge-colors every subcluster pair and orients whole color
-    classes in alternating directions, which guarantees both directions of
-    each pair keep near-perfect matchings; useful at sizes where coin flips
-    are too noisy.
+    Every subcluster pair is edge-colored and whole color classes are
+    oriented in alternating directions, which keeps near-perfect matchings
+    in both directions of each pair; the parity of ``seed + attempt`` picks
+    which classes point which way.
     """
     eps0, eps = frac(eps0), frac(eps)
     pre = scheme_violations(g, part, eps0, eps)
@@ -523,13 +590,7 @@ def orient_scheme(
     eps_dir = rational_ceil(2.0 * float(eps) ** 0.5)
     last = []
     for attempt in range(max_attempts):
-        if strategy == "alternating":
-            arcs = _alternating_orientation(g, part, seed + attempt)
-        else:
-            rng = random.Random((seed, attempt).__hash__())
-            arcs = []
-            for u, v in sorted(g.edges):
-                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        arcs = _alternating_orientation(g, part, seed + attempt)
         gdir = OrientedGraph(g.n, arcs)
         problems = oriented_scheme_violations(
             gdir, part, eps0, eps_dir, exhaustive_limit=exhaustive_limit

@@ -687,16 +687,15 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
     two absorbers from them.  Both families are built at full scheme density
     first, then the absorbers are peeled from the regular remainder (the
     stated construction order interleaves these; the postconditions checked
-    by the caller are order-independent).  Coin-flip orientations get a few
-    tries before the deterministic alternating orientation takes over; the
-    last failure is raised when every try fails."""
+    by the caller are order-independent).  The alternating orientation is
+    tried with both parities (seeds ``seed`` and ``seed + 1``); the last
+    failure is raised when both fail."""
     part1_coarse = part1.with_clusters(part1.clusters_A, part1.clusters_B)
     last_exc = None
-    for attempt, strategy in enumerate(["random"] * 8 + ["alternating"] * 2):
+    for attempt in range(2):
         try:
             g2dir, ocert = orient_scheme(
                 g2, part1, c.eps0, c.eps_prime, seed=seed + attempt,
-                strategy=strategy,
             )
             rd = RobustDecomposition(g2dir, part1, params, strict=False)
             bf_ca = build_bf_family(

@@ -32,8 +32,7 @@ def _scheme(K=10, m=6, exc_a=2, exc_b=2, seed=4):
     )
     # the alternating orientation keeps a perfect matching in both
     # directions of every row pair, which the builders rely on
-    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=seed,
-                            strategy="alternating")
+    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=seed)
     return g, part, gdir
 
 

@@ -205,8 +205,7 @@ def test_equipartition_success_rate_monitor(capsys):
 
 def test_alternating_orientation_keeps_pair_matchings():
     g, part = _square_scheme()
-    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=0,
-                            strategy="alternating")
+    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=0)
     from bipham.matchings import kuhn_matching
 
     def arc(u, v):

@@ -6,6 +6,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,35 @@ def test_nwbip_on_complete_bipartite():
     assert _digest(rep) == (
         "534c67752c9e8f3a53b2ace41433eb056478e80db9883fcf8ac1b66badd64ac7"
     )
+
+
+EXCEPTIONAL_INPUTS = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "nwbip-exceptional"
+)
+
+
+@pytest.mark.parametrize("name, seed, constants, digest", [
+    # planted hubs make the exceptional sets, WF2, FR6 and the slices'
+    # exceptional counts nontrivial
+    ("n32-D8-h1-x1-s1001", 1001, {},
+     "72c1af35b139f7ff7186a0c08a30ff47488719a2223176559223353bb4405e55"),
+    # fails in the balanced-exceptional-systems stage
+    ("n24-D8-h2-x0-s1008", 1008, {},
+     "51764ae8ff91ecbbdb23a0858ac181edab3a27f13e2824f60bc69174397032a6"),
+    # fails the weak-framework check with the text of a WF4 violation,
+    # "a+b = 2 > eps*n = 6/25"
+    ("n24-D6-h1-x1-s1002", 1002, {"eps0": Fraction(1, 100)},
+     "58cd53507b01ba1e2fc0686804c242ae3953c33c585402b3d608480ef0f7e66c"),
+])
+def test_nwbip_reports_pinned_on_exceptional_hosts(name, seed, constants, digest):
+    # frozen eps-bipartite hosts of the benchmark (the generator's subgraph
+    # depends on the hash seed); reports must stay byte-identical
+    doc = json.loads((EXCEPTIONAL_INPUTS / f"{name}.json").read_text())
+    host = Graph(doc["n"], doc["edges"])
+    sub = Graph(doc["n"], doc["sub_edges"])
+    rep = run_theorem_NWbip(host, sub, PipelineConstants(**constants), seed=seed,
+                            hint_split=tuple(doc["split"]))
+    assert _digest(rep) == digest
 
 
 def test_nwbip_stage_failure_marks_downstream_skipped():
@@ -336,6 +366,25 @@ def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
         assert err.startswith("error: InputFileError: "), err
         assert err.count("\n") == 1, err
         assert not rep_path.exists()
+
+
+def test_cli_malformed_rationals_exit_2(tmp_path, capsys):
+    # a bad --eps or --eps-prime is one error line and exit 2, not a
+    # traceback and exit 1 ("violations found")
+    inst = tmp_path / "k44.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 4}', "-o", str(inst)])
+    for level in ("framework", "scheme"):
+        for flag, value in [("--eps", "abc"), ("--eps", "1/0"),
+                            ("--eps-prime", "1/x"), ("--eps-prime", "0/0")]:
+            capsys.readouterr()
+            rc = cli_main(["verify", "--level", level, flag, value, str(inst)])
+            err = capsys.readouterr().err
+            assert rc == 2, (level, flag, value)
+            assert err == f"error: BadParams: malformed {flag}: {value!r}\n", err
+    capsys.readouterr()
+    assert cli_main(["verify", "--level", "framework", "--eps", "0.5",
+                     "--eps-prime", "1/4", str(inst)]) == 0
 
 
 @pytest.mark.parametrize("name", ["K1", "L"])

@@ -92,8 +92,7 @@ def _scheme(K=2, m=4):
         clusters_A=[A[i * m : (i + 1) * m] for i in range(K)],
         clusters_B=[B[i * m : (i + 1) * m] for i in range(K)],
     )
-    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=1,
-                            strategy="alternating")
+    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=1)
     return gdir, part
 
 
@@ -145,8 +144,7 @@ def test_robust_decomposition_contract_standalone():
         clusters_A=[A[i * m : (i + 1) * m] for i in range(K)],
         clusters_B=[B[i * m : (i + 1) * m] for i in range(K)],
     )
-    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=3,
-                            strategy="alternating")
+    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=3)
     params = RobustParams(r=0, r1=2, g=2, f=1, L=1, ell_prime=4, K=K, m=m)
     assert params.s_prime == 14
     empty = PathSystem(part.n, [])
