@@ -4,12 +4,14 @@ The elimination pipeline turns a weak framework into a full one: decompose
 the exceptional-cut edges into matchings, pad each matching with A'-internal
 edges so it balances the side sizes, extend each into a 2-balanced path
 system covering every exceptional vertex, extend each of those into a
-Hamilton cycle using cross edges only, and validate the leftover as a full
-framework with the balance degree reduced by twice the cycle count.
+Hamilton cycle using cross edges only (one peel, ``peel_hamilton_cycles``),
+and validate the leftover as a full framework with the balance degree
+reduced by twice the cycle count.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
@@ -29,9 +31,10 @@ from .errors import (
     SolverFailure,
 )
 from .graphs import Graph, LabelledPartition, PathSystem
-from .matchings import vizing_balanced
+from .matchings import _augment, vizing_balanced
 from .schemes import rational_ceil
-from .solvers import SolverBudget, bip_hamilton_with_prescribed
+from .search import CycleSearch, Prescribed
+from .solvers import SolverBudget, peel_cycles
 from .validate import (
     check_a0b0_path_system,
     check_cycle_in_graph,
@@ -89,9 +92,6 @@ def extend_to_two_balanced(
         raise PreconditionViolated(
             f"seed has {q0.num_nontrivial()} nontrivial paths > alpha*n = {alpha * n}"
         )
-    for v in part.A0:
-        if g.d(v, part.B) < 4 * alpha * n:
-            break  # reported by the caller's framework checks; greedy decides
     edges = set(q0.edges)
     touched = set(PathSystem(n, edges).covered())
 
@@ -114,19 +114,11 @@ def extend_to_two_balanced(
             _random.Random((choice_seed, len(avail)).__hash__()).shuffle(avail)
         match_r: dict[int, tuple] = {}
 
-        def augment(slot, seen):
-            v = slot[0]
-            for w in avail:
-                if w in seen or not g.has_edge(v, w):
-                    continue
-                seen.add(w)
-                if w not in match_r or augment(match_r[w], seen):
-                    match_r[w] = slot
-                    return True
-            return False
+        def adjacent(slot, w):
+            return g.has_edge(slot[0], w)
 
         for slot in slots:
-            if not augment(slot, set()):
+            if not _augment(slot, set(), avail, adjacent, match_r):
                 raise InsufficientNeighbors(
                     f"no unused neighbor for exceptional vertex {slot[0]}",
                     witness=slot[0],
@@ -213,39 +205,62 @@ def cover_A0B0_by_path_systems(
     return systems
 
 
-def extend_to_hamilton(
-    fw: Framework,
-    q: PathSystem,
+def peel_hamilton_cycles(
+    f: Graph,
+    g: Graph,
+    part: LabelledPartition,
+    systems: list[PathSystem],
     budget: SolverBudget = SolverBudget(),
     max_paths=None,
-) -> list[int]:
-    """Extend a 2-balanced exceptional-cover path system into a Hamilton
-    cycle of the host graph whose remaining edges all join the two inner
-    classes."""
-    require_kind(fw, "pre")
-    g, f, part = fw.graph, fw.host_graph(), fw.partition
-    if not is_two_balanced(q, part):
-        raise PreconditionViolated("path system is not 2-balanced")
-    cap = frac(max_paths) if max_paths is not None else fw.eps_prime * g.n
-    if q.num_nontrivial() > cap:
-        raise PreconditionViolated(
-            f"{q.num_nontrivial()} nontrivial paths exceed the cap {cap}"
-        )
-    allowed = Graph._trusted(f.n, f.edges_between(part.A, part.B) - q.edges)
-    res = bip_hamilton_with_prescribed(allowed, None, q, budget)
-    if res.cycle is None:
+) -> list[list[int]]:
+    """Extend each 2-balanced exceptional-cover path system in turn into a
+    Hamilton cycle of the host ``f`` whose remaining edges all join the two
+    inner classes, the cycles edge-disjoint: one peel of ``len(systems)``
+    levels under one node budget.
+
+    Level i looks for a cycle through system i on the cross edges of ``f``
+    that no earlier level took, under four item orders (seeds
+    ``budget.seed + order``), each capped at a quarter of the budget.  A
+    level exhausted within its cap backtracks; a spent budget raises
+    ``Timeout``.  Every cycle is checked to lie in its level's graph and to
+    meet ``g`` in a 2-balanced graph.
+    """
+    for q in systems:
+        if not is_two_balanced(q, part):
+            raise PreconditionViolated("path system is not 2-balanced")
+        if max_paths is not None and q.num_nontrivial() > max_paths:
+            raise PreconditionViolated(
+                f"{q.num_nontrivial()} nontrivial paths exceed the cap {max_paths}"
+            )
+    prescribed = [[Prescribed(p) for p in q.paths] for q in systems]
+
+    def search(i, pool, order, cap):
+        q = systems[i]
+        found = CycleSearch(Graph._trusted(f.n, pool), prescribed[i],
+                            max_nodes=cap, seed=budget.seed + order)
+        return ((c, cycle_edges(c) - q.edges) for c in found.cycles()), found.stats
+
+    # the systems' own edges are reserved for their levels
+    pool = f.edges_between(part.A, part.B).difference(*(q.edges for q in systems))
+    peel = peel_cycles(search, pool, len(systems), budget.max_nodes, orders=4,
+                       deadline=time.monotonic() + budget.max_seconds)
+    if peel.cycles is None:
         raise SolverFailure(
-            "no Hamilton cycle through the path system using cross edges",
-            stats=res.stats,
+            "no edge-disjoint Hamilton cycles through the path systems using "
+            f"cross edges (deepest level {peel.deepest})",
+            stats={"nodes": peel.nodes},
         )
-    cyc = res.cycle
-    problems = check_cycle_in_graph(Graph(f.n, allowed.edges | q.edges), cyc)
-    if problems:
-        raise AssertionError(problems[0])
-    inter = Graph._trusted(g.n, cycle_edges(cyc) & g.edges)
-    if not is_D_balanced(inter, part, 2):
-        raise AssertionError("cycle's intersection with the graph is not 2-balanced")
-    return cyc
+    for q, cyc in zip(systems, peel.cycles):
+        problems = check_cycle_in_graph(Graph._trusted(f.n, pool | q.edges), cyc)
+        if problems:
+            raise AssertionError(problems[0])
+        used = cycle_edges(cyc)
+        pool = pool - used
+        if not is_D_balanced(Graph._trusted(g.n, used & g.edges), part, 2):
+            raise AssertionError(
+                "cycle's intersection with the graph is not 2-balanced"
+            )
+    return peel.cycles
 
 
 @dataclass
@@ -265,18 +280,10 @@ def eliminate_A0B0(
     require_kind(fw, "weak")
     g, f, part = fw.graph, fw.host_graph(), fw.partition
     systems = cover_A0B0_by_path_systems(fw, choice_seed=budget.seed)
-    cycles: list[list[int]] = []
-    g_cur, f_cur = g, f
-    for q in systems:
-        step = Framework(
-            g_cur, part, fw.D - 2 * len(cycles), fw.eps, fw.eps_prime, fw.K,
-            "pre", f_cur,
-        )
-        cyc = extend_to_hamilton(step, q, budget)
-        cycles.append(cyc)
-        used = cycle_edges(cyc)
-        g_cur = g_cur.minus_edges(used & g_cur.edges)
-        f_cur = f_cur.minus_edges(used & f_cur.edges)
+    cycles = peel_hamilton_cycles(f, g, part, systems, budget,
+                                  max_paths=fw.eps_prime * g.n)
+    used = set().union(*map(cycle_edges, cycles))
+    g_cur, f_cur = g.minus_edges(used), f.minus_edges(used)
     r_star = len(cycles)
     d_reduced = fw.D - 2 * r_star
     reduced = validate_framework(

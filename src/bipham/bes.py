@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balance import Framework, frac
-from .balancer import extend_to_hamilton, is_two_balanced
+from .balancer import is_two_balanced, peel_hamilton_cycles
 from .errors import (
     AuxMatchingFailure,
     DivisibilityError,
     InsufficientNeighbors,
     PreconditionViolated,
+    Timeout,
 )
 from .graphs import Graph, LabelledPartition, PathSystem
 from .matchings import kuhn_matching, path_system_split, sparsify_split
@@ -477,7 +478,9 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
     cluster vertex at most once, and every demand is met exactly.  Three
     interleaved partition constraints do not reduce to a single matching or
     flow, but the instances are tiny, so an exact fail-first backtracking
-    (always extending the most constrained open slot) settles them."""
+    (always extending the most constrained open slot) settles them, within
+    ``max_nodes`` search nodes; a failure once they are spent is a
+    ``Timeout``."""
     slots = []
     for x in sorted(exceptional):
         for i in range(len(sys_edges)):
@@ -499,33 +502,14 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
                 out.append(w)
         return out
 
-    def solve(open_slots):
-        if not open_slots:
-            return True
-        nodes[0] += 1
+    if not _flow_solve(slots, candidates, used_edge, covered, chosen, nodes,
+                       max_nodes):
         if nodes[0] > max_nodes:
-            return False
-        ranked = sorted(
-            range(len(open_slots)),
-            key=lambda t: len(candidates(open_slots[t])),
-        )
-        pick = ranked[0]
-        slot = open_slots[pick]
-        rest = open_slots[:pick] + open_slots[pick + 1 :]
-        x, i = slot
-        for w in candidates(slot):
-            e = (min(x, w), max(x, w))
-            used_edge.add(e)
-            covered[i].add(w)
-            chosen.append((x, i, w))
-            if solve(rest):
-                return True
-            chosen.pop()
-            covered[i].discard(w)
-            used_edge.discard(e)
-        return False
-
-    if not solve(slots):
+            raise Timeout(
+                f"attaching the exceptional vertices of cell {cell} spent "
+                f"the node cap {max_nodes}",
+                stats={"nodes": max_nodes},
+            )
         worst = min(
             (slot for slot in slots), key=lambda s: len(candidates(s))
         )
@@ -538,6 +522,38 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
         e = (min(x, w), max(x, w))
         sys_edges[i].add(e)
         pool.discard(e)
+
+
+def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes,
+                max_nodes) -> bool:
+    """One node of ``_flow_attach``'s search: place the most constrained
+    open slot, then the rest; module level for the reason
+    ``matchings._augment`` gives."""
+    if not open_slots:
+        return True
+    nodes[0] += 1
+    if nodes[0] > max_nodes:
+        return False
+    ranked = sorted(
+        range(len(open_slots)),
+        key=lambda t: len(candidates(open_slots[t])),
+    )
+    pick = ranked[0]
+    slot = open_slots[pick]
+    rest = open_slots[:pick] + open_slots[pick + 1 :]
+    x, i = slot
+    for w in candidates(slot):
+        e = (min(x, w), max(x, w))
+        used_edge.add(e)
+        covered[i].add(w)
+        chosen.append((x, i, w))
+        if _flow_solve(rest, candidates, used_edge, covered, chosen, nodes,
+                       max_nodes):
+            return True
+        chosen.pop()
+        covered[i].discard(w)
+        used_edge.discard(e)
+    return False
 
 
 # -- covering the global leftover by Hamilton cycles -------------------------
@@ -601,20 +617,9 @@ def cover_global_by_cycles(
         raise AssertionError(problems[0])
     checks.append(f"non-cross reduced edges decomposed into {k} systems")
 
-    cycles = []
-    g_cur = g.minus_edges(bes_edges)
-    f_cur = f.minus_edges(bes_edges)
-    for i, q in enumerate(systems):
-        step = Framework(
-            g_cur, part, fw.D - 2 * len(bes_family) - 2 * i, fw.eps,
-            fw.eps_prime, fw.K, "pre", f_cur,
-        )
-        cyc = extend_to_hamilton(step, q, budget, max_paths=n)
-        cycles.append(cyc)
-        used = cycle_edges(cyc)
-        g_cur = g_cur.minus_edges(used & g_cur.edges)
-        f_cur = f_cur.minus_edges(used & f_cur.edges)
-    diamond = g_cur
+    cycles = peel_hamilton_cycles(f.minus_edges(bes_edges), gstar, part,
+                                  systems, budget)
+    diamond = gstar.minus_edges(set().union(*map(cycle_edges, cycles)))
     for v in part.V0():
         if diamond.degree(v):
             raise AssertionError(f"exceptional vertex {v} not isolated afterwards")

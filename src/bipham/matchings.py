@@ -323,40 +323,44 @@ def _backtrack_path_split(g: Graph, A0: set, t: int, sizes: list[int]):
             return False
         return find(c, u) != find(c, v)
 
-    def place(idx):
-        if idx == len(edges):
-            return all(count[c] == sizes[c] for c in range(t))
-        u, v = edges[idx]
-        tried_fresh_sizes = set()
-        for c in range(t):
-            if count[c] == 0:
-                if sizes[c] in tried_fresh_sizes:
-                    continue  # empty classes of equal target size are interchangeable
-                tried_fresh_sizes.add(sizes[c])
-            if not ok(c, u, v):
-                continue
-            count[c] += 1
-            deg[c][u] = deg[c].get(u, 0) + 1
-            deg[c][v] = deg[c].get(v, 0) + 1
-            saved = parent[c].copy()
-            parent[c][find(c, u)] = find(c, v)
-            out[c].append((u, v))
-            if place(idx + 1):
-                return True
-            out[c].pop()
-            parent[c] = saved
-            count[c] -= 1
-            deg[c][u] -= 1
-            deg[c][v] -= 1
-        return False
-
-    if not place(0):
+    if not _place_edge(0, edges, sizes, ok, find, count, deg, parent, out):
         raise PreconditionViolated(
             f"no decomposition into {t} path systems of sizes {sizes}"
         )
     systems = [PathSystem(g.n, es) for es in out]
     systems.sort(key=lambda s: (-s.num_edges(), sorted(s.edges)))
     return systems
+
+
+def _place_edge(idx, edges, sizes, ok, find, count, deg, parent, out) -> bool:
+    """Place ``edges[idx:]`` for ``_backtrack_path_split``, trying the
+    classes in order; module level for the reason ``_augment`` gives."""
+    t = len(sizes)
+    if idx == len(edges):
+        return all(count[c] == sizes[c] for c in range(t))
+    u, v = edges[idx]
+    tried_fresh_sizes = set()
+    for c in range(t):
+        if count[c] == 0:
+            if sizes[c] in tried_fresh_sizes:
+                continue  # empty classes of equal target size are interchangeable
+            tried_fresh_sizes.add(sizes[c])
+        if not ok(c, u, v):
+            continue
+        count[c] += 1
+        deg[c][u] = deg[c].get(u, 0) + 1
+        deg[c][v] = deg[c].get(v, 0) + 1
+        saved = parent[c].copy()
+        parent[c][find(c, u)] = find(c, v)
+        out[c].append((u, v))
+        if _place_edge(idx + 1, edges, sizes, ok, find, count, deg, parent, out):
+            return True
+        out[c].pop()
+        parent[c] = saved
+        count[c] -= 1
+        deg[c][u] -= 1
+        deg[c][v] -= 1
+    return False
 
 
 # -- bipartite matching by augmenting paths ---------------------------------

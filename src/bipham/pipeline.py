@@ -16,6 +16,7 @@ checked hard.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .partitioning import framework_partition, localized_slices, orient_scheme
 from .report import DecompositionReport, Stage
 from .schemes import scheme_violations
 from .search import CycleSearch
-from .solvers import SolverBudget, approx_decomposition
+from .solvers import SolverBudget, approx_decomposition, peel_cycles
 from .validate import (
     check_cycle_in_graph,
     check_decomposition,
@@ -77,7 +78,6 @@ class PipelineConstants:
     ell_prime: int = 4
     mu: Fraction = Fraction(0)
     rho: Fraction = Fraction(0)
-    alpha: Fraction = Fraction(1, 100)
     r1_override: int | None = None
     min_interval: int = 10
     max_nodes: int = 4_000_000
@@ -434,16 +434,23 @@ def run_theorem_1factbip(
         pre_cycles = []
         g_work = g
         if 2 * D > g.n:
-            # peel Hamilton cycles until the degree is at most half the
-            # order (substitution: a direct search does the removal)
-            while 2 * (D - 2 * len(pre_cycles)) > g.n:
-                cyc = CycleSearch(g_work, max_nodes=c.max_nodes).first()
-                if cyc is None:
-                    raise PreconditionViolated(
-                        "cannot reduce the degree below half the order"
-                    )
-                pre_cycles.append(cyc)
-                g_work = g_work.minus_edges(cycle_edges(cyc))
+            # peel the fewest Hamilton cycles that bring the degree to at
+            # most half the order (substitution: a direct search does the
+            # removal), in one peel under the run's node budget
+            def search(i, pool, order, cap):
+                found = CycleSearch(Graph._trusted(g.n, pool), max_nodes=cap)
+                return ((c, cycle_edges(c)) for c in found.cycles()), found.stats
+
+            # k cycles leave degree D - 2k: the least k with 2(D-2k) <= n
+            peel = peel_cycles(search, g.edges, (2 * D - g.n + 3) // 4,
+                               c.max_nodes,
+                               deadline=time.monotonic() + c.max_seconds)
+            if peel.cycles is None:
+                raise PreconditionViolated(
+                    "cannot reduce the degree below half the order"
+                )
+            pre_cycles = peel.cycles
+            g_work = Graph._trusted(g.n, peel.rest)
             report.warnings.append(
                 f"degree reduced from {D} by removing {len(pre_cycles)} "
                 "Hamilton cycles before the pipeline"
@@ -697,7 +704,7 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
             g2dir, ocert = orient_scheme(
                 g2, part1, c.eps0, c.eps_prime, seed=seed + attempt,
             )
-            rd = RobustDecomposition(g2dir, part1, params, strict=False)
+            rd = RobustDecomposition(g2dir, part1, params)
             bf_ca = build_bf_family(
                 g2dir, part1, j_ca, c.L, c.f, params.r3,
                 min_interval=c.min_interval,

@@ -1,5 +1,5 @@
-"""Search backends: Hamilton cycles with prescribed subgraphs, exhaustive
-Hamilton decompositions, densest even-regular spanning subgraphs, and exact
+"""Search backends: the cycle-peeling engine, exhaustive Hamilton
+decompositions, densest even-regular spanning subgraphs, and exact
 chromatic index for regular graphs.
 
 Two independent Hamilton-cycle code paths exist on purpose: the fast
@@ -8,13 +8,16 @@ builders, while the plain recursive enumerator in this module acts as the
 referee for decompositions.  They share no search code, so agreement between
 them is meaningful evidence.
 
-Every backtracking peel (referee, approximate decomposition, robust closure
-in ``walks``, prescribed-path search, one-factorization) runs on one engine,
-``peel_cycles``, which counts every kernel node against one node budget:
-fixed input, seed and budget give the same outcome on any machine.
+Every backtracking peel runs on one engine, ``peel_cycles``, which counts
+every kernel node against one node budget: fixed input, seed and budget give
+the same outcome on any machine.  Its users are the referee and the
+one-factorization here, the approximate decomposition, the robust closure in
+``walks``, the Hamilton cycles through exceptional-cover path systems in
+``balancer`` (for the cut elimination and the global cover in ``bes``) and
+the degree reduction of the 1-factorization driver in ``pipeline``.
 
 Failure is a first-class result here: searches return result objects whose
-``cycle``/``cycles`` field is None when the space was exhausted, and raise
+``cycles`` field is None when the space was exhausted, and raise
 ``Timeout`` only when a budget ran out (``WallClockExceeded`` when it was
 the safety net).
 """
@@ -32,7 +35,6 @@ from .balance import frac
 from .errors import BadParams, PreconditionViolated, Timeout, WallClockExceeded
 from .fictive import build_fictive, consistent_cycle_search, substitute
 from .graphs import Graph, LabelledPartition, PathSystem
-from .search import CycleSearch, Prescribed
 from .validate import cycle_edges
 
 
@@ -45,13 +47,6 @@ class SolverBudget:
     def __post_init__(self):
         if self.max_nodes <= 0 or self.max_seconds <= 0:
             raise BadParams("budget limits must be positive")
-
-
-@dataclass
-class SolveResult:
-    cycle: list[int] | None
-    proven_infeasible: bool
-    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -138,40 +133,6 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
             raise timeout(i)
         open_level(i, sub, order + 1)
     return Peel(None, pool, spent, deepest)
-
-
-# -- Hamilton cycle containing a prescribed path system ----------------------
-
-def bip_hamilton_with_prescribed(
-    h: Graph,
-    extra: Graph | None,
-    q: PathSystem | None,
-    budget: SolverBudget = SolverBudget(),
-) -> SolveResult:
-    """First Hamilton cycle containing all edges of ``q`` whose remaining
-    edges come from ``h`` (plus ``extra`` when given).  The cycle must cover
-    every vertex 0..n-1.
-
-    A one-level peel under four item orders, each capped at a quarter of
-    the node budget: a single unlucky depth-first descent can churn for
-    millions of nodes on instances another order solves instantly.  One
-    order exhausted within its cap already proves infeasibility.
-    """
-    allowed = h if extra is None else h.union(extra)
-    prescribed = []
-    if q is not None:
-        allowed = Graph(max(allowed.n, q.n), allowed.edges)
-        prescribed = [Prescribed(p) for p in q.paths]
-
-    def search(i, pool, order, cap):
-        found = CycleSearch(allowed, prescribed, max_nodes=cap,
-                            seed=budget.seed + order)
-        return ((c, frozenset()) for c in found.cycles()), found.stats
-
-    peel = peel_cycles(search, frozenset(), 1, budget.max_nodes, orders=4,
-                       deadline=time.monotonic() + budget.max_seconds)
-    cycle = None if peel.cycles is None else peel.cycles[0]
-    return SolveResult(cycle, cycle is None, {"nodes": peel.nodes})
 
 
 # -- independent plain enumerator (referee) ----------------------------------

@@ -198,26 +198,30 @@ def _one_factorization(pool: list[int], edges, k: int) -> list[list[int]]:
         for e in remaining:
             by_tail.setdefault(edges[e].arc[0], []).append(e)
         match: dict[int, int] = {}  # head -> edge ident
-
-        def augment(tail, seen):
-            for e in sorted(by_tail.get(tail, [])):
-                head = edges[e].arc[1]
-                if head in seen:
-                    continue
-                seen.add(head)
-                if head not in match or augment(edges[match[head]].arc[0], seen):
-                    match[head] = e
-                    return True
-            return False
-
         tails = sorted({edges[e].arc[0] for e in remaining})
         for tail in tails:
-            if not augment(tail, set()):
+            if not _augment_arc(tail, set(), by_tail, edges, match):
                 raise AssertionError("regular multidigraph had no 1-factor")
         chosen = sorted(match.values())
         factors.append(chosen)
         remaining = [e for e in remaining if e not in set(chosen)]
     return factors
+
+
+def _augment_arc(tail, seen, by_tail, edges, match) -> bool:
+    """Kuhn's augmenting-path step of ``_one_factorization`` from ``tail``,
+    over its out-arcs in ident order; module level for the reason
+    ``matchings._augment`` gives."""
+    for e in sorted(by_tail.get(tail, [])):
+        head = edges[e].arc[1]
+        if head in seen:
+            continue
+        seen.add(head)
+        if head not in match or _augment_arc(edges[match[head]].arc[0], seen,
+                                             by_tail, edges, match):
+            match[head] = e
+            return True
+    return False
 
 
 def _factor_cycle_through(factor: list[int], edges, v) -> list[int] | None:
@@ -501,14 +505,11 @@ class RobustDecomposition:
         gdir: OrientedGraph,
         part: LabelledPartition,
         params: RobustParams,
-        strict: bool = False,
     ):
         self.gdir = gdir
         self.part = part
         self.params = params
         self.warnings = params.divisibility_report()
-        if strict and self.warnings:
-            raise BackendUnavailable("; ".join(self.warnings))
         self.ca: Graph | None = None
         self.pca: Graph | None = None
         self._bf: list[BalancedFactor] = []
@@ -651,8 +652,6 @@ def robust_decomposition(
     bf_family: list[BalancedFactor],
     bf_prime_family: list[BalancedFactor],
     params: RobustParams,
-    backend: str = "exhaustive",
-    strict: bool = False,
     max_nodes: int = 20_000_000,
     max_seconds: float = 300.0,
     seed: int = 0,
@@ -665,9 +664,7 @@ def robust_decomposition(
     edge-disjoint Hamilton cycles, each containing one of the factors' path
     systems and together covering every edge involved.
     """
-    if backend != "exhaustive":
-        raise BackendUnavailable(f"no backend named {backend!r}")
-    rd = RobustDecomposition(gdir, part, params, strict=strict)
+    rd = RobustDecomposition(gdir, part, params)
     rd.build_chord_absorber(bf_family, extra_avoid=bf_prime_family)
     rd.build_parity_switcher(bf_prime_family)
 

@@ -7,14 +7,15 @@ from bipham.balancer import (
     bip_decompose,
     cover_A0B0_by_path_systems,
     eliminate_A0B0,
-    extend_to_hamilton,
     extend_to_two_balanced,
     is_two_balanced,
+    peel_hamilton_cycles,
 )
-from bipham.errors import PreconditionViolated
+from bipham.errors import PreconditionViolated, Timeout
 from bipham.generators import generate
 from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
-from bipham.validate import cycle_edges
+from bipham.solvers import SolverBudget
+from bipham.validate import check_cycle_in_graph, check_edge_disjoint, cycle_edges
 
 
 def test_two_balanced_examples():
@@ -91,15 +92,14 @@ def test_cover_single_cut_edge():
         assert not (q.edges & ab)
 
 
-def test_extend_to_hamilton_empty_system():
+def test_hamilton_peel_empty_system():
     g = complete_bipartite((4, 4))
     part = LabelledPartition(8, [], range(4), [], range(4, 8))
-    fw = validate_framework(g, part, 4, "1/10", "1/10", 2)
-    cyc = extend_to_hamilton(fw, PathSystem(8, []))
+    [cyc] = peel_hamilton_cycles(g, g, part, [PathSystem(8, [])])
     assert sorted(cyc) == list(range(8))
 
 
-def test_extend_to_hamilton_through_exceptional_path():
+def test_hamilton_peel_through_exceptional_path():
     # 14-vertex dense instance, one exceptional vertex
     f, g, dec = _weak_framework_instance(seed=3, n=16, D=6)
     fw = dec.framework
@@ -115,20 +115,35 @@ def test_extend_to_hamilton_through_exceptional_path():
     q = PathSystem(f.n, q_edges)
     if not is_two_balanced(q, part):
         pytest.skip("random instance produced an unbalanced seed")
-    cyc = extend_to_hamilton(fw, q)
+    [cyc] = peel_hamilton_cycles(f, fw.graph, part, [q])
     assert set(q.edges) <= cycle_edges(cyc)
     extra = cycle_edges(cyc) - q.edges
     a, b = set(part.A), set(part.B)
     assert all((u in a) != (u2 in a) and {u, u2} <= a | b for u, u2 in extra)
 
 
-def test_extend_to_hamilton_path_count_gate():
+def test_hamilton_peel_path_count_gate():
     g = complete_bipartite((4, 4))
     part = LabelledPartition(8, [], range(4), [], range(4, 8))
-    fw = validate_framework(g, part, 4, "1/10", "1/10", 2)
     q = PathSystem(8, [(0, 4), (1, 5), (2, 6)])
     with pytest.raises(PreconditionViolated):
-        extend_to_hamilton(fw, q, max_paths=2)
+        peel_hamilton_cycles(g, g, part, [q], max_paths=2)
+
+
+def test_hamilton_peel_reserves_each_system_for_its_level():
+    # the systems' edges are cross edges here: an earlier level that took
+    # a later system's edge would leave the cycles overlapping.  A spent
+    # node budget is a Timeout, not a proof that no peel exists
+    g = complete_bipartite((6, 6))
+    part = LabelledPartition(12, [], range(6), [], range(6, 12))
+    systems = [PathSystem(12, [(i, 6 + i)]) for i in range(3)]
+    cycles = peel_hamilton_cycles(g, g, part, systems)
+    assert not check_edge_disjoint([cycle_edges(c) for c in cycles])
+    for q, cyc in zip(systems, cycles):
+        assert not check_cycle_in_graph(g, cyc)
+        assert q.edges <= cycle_edges(cyc)
+    with pytest.raises(Timeout, match="node budget 20 spent"):
+        peel_hamilton_cycles(g, g, part, systems, SolverBudget(max_nodes=20))
 
 
 def test_eliminate_identity_when_no_cut():

@@ -5,22 +5,29 @@ import hashlib
 import itertools
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bipham import pipeline
 from bipham.cli import main as cli_main
 from bipham.errors import PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
-from bipham.graphs import Graph, dump_graph, load_graph
+from bipham.graphs import Graph, complete_bipartite, dump_graph, load_graph
 from bipham.pipeline import (
     PipelineConstants,
     run_theorem_1factbip,
     run_theorem_NWbip,
 )
 from bipham.report import emit_report, parse_report, render_report
-from bipham.validate import check_decomposition, check_edge_disjoint, cycle_edges
+from bipham.validate import (
+    check_cycle_in_graph,
+    check_decomposition,
+    check_edge_disjoint,
+    cycle_edges,
+)
 from bipham.walks import RobustDecomposition
 
 TOY_1FACT = PipelineConstants(
@@ -176,26 +183,78 @@ def test_wall_clock_overrun_lands_in_report(monkeypatch):
     assert "not reproducible" in failed[0].error
 
 
-@pytest.mark.parametrize("theorem,m", [("nwbip", 8), ("onefact", 28)])
+@pytest.mark.parametrize("theorem,m", [
+    ("nwbip", 8), ("onefact", 28),
+    # frozen hosts with exceptional vertices: one run that succeeds, one
+    # whose six attempts fail in the balanced-exceptional-systems stage
+    ("nwbip", "n32-D8-h1-x1-s1001"), ("nwbip", "n24-D8-h2-x0-s1008"),
+])
 def test_driver_run_leaves_no_reference_cycles(theorem, m):
     # a run's graphs and search state are freed by reference counting, so
     # repeated runs in one process keep a flat memory high-water mark
     # without waiting for the cycle collector
-    g, part, props = generate("complete_bipartite", {"m": m})
-    hint = (list(part.A), list(part.B))
+    if isinstance(m, str):
+        doc = json.loads((EXCEPTIONAL_INPUTS / f"{m}.json").read_text())
+        g, sub = Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"])
+        hint, seed = tuple(doc["split"]), int(m.rsplit("-s", 1)[1])
+    else:
+        g, part, props = generate("complete_bipartite", {"m": m})
+        sub, hint, seed = g, (list(part.A), list(part.B)), 1
     gc.collect()
     gc.disable()
     try:
         if theorem == "nwbip":
-            rep = run_theorem_NWbip(g, g, PipelineConstants(), seed=1,
+            rep = run_theorem_NWbip(g, sub, PipelineConstants(), seed=seed,
                                     hint_split=hint)
         else:
-            rep = run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
-        assert rep.ok()
+            rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed, hint_split=hint)
+        assert rep.ok() == (m != "n24-D8-h2-x0-s1008")
         del rep
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _k14_with_rings():
+    # K(14,14) plus a 14-cycle inside each side: 16-regular on 28 vertices,
+    # so one Hamilton cycle must go before the degree is at most n/2
+    ring = [(i, (i + 1) % 14) for i in range(14)]
+    edges = set(complete_bipartite((14, 14)).edges)
+    edges |= {(min(u, v), max(u, v)) for u, v in ring}
+    edges |= {(14 + min(u, v), 14 + max(u, v)) for u, v in ring}
+    return Graph(28, edges), (list(range(14)), list(range(14, 28)))
+
+
+def test_onefact_degree_reduction_peels_a_hamilton_cycle(monkeypatch):
+    g, hint = _k14_with_rings()
+    assert set(g.degrees()) == {16}
+    peels = []
+    peel_cycles = pipeline.peel_cycles
+
+    def record(*args, **kwargs):
+        peels.append(peel_cycles(*args, **kwargs))
+        return peels[-1]
+
+    monkeypatch.setattr(pipeline, "peel_cycles", record)
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
+    st = rep.stages[0]
+    assert st.name == "input" and st.status == "ok"
+    checks = {c.ident: c.witness for c in st.checks}
+    assert checks["degree-reduced"] == 1
+    assert checks["degree-at-most-half"] == 14
+    [peel] = peels
+    [cyc] = peel.cycles
+    assert not check_cycle_in_graph(g, cyc)
+
+
+def test_onefact_degree_reduction_budget_is_a_timeout():
+    # a spent node budget is not evidence that no Hamilton cycle exists
+    g, hint = _k14_with_rings()
+    rep = run_theorem_1factbip(g, replace(TOY_1FACT, max_nodes=5), seed=1,
+                               hint_split=hint)
+    st = rep.stages[0]
+    assert st.name == "input" and st.status == "failed"
+    assert st.error.startswith("Timeout: node budget 5 spent")
 
 
 def test_onefact_rejects_odd_degree():

@@ -1,18 +1,23 @@
-"""Reference solvers: prescribed-path Hamilton search, exhaustive
+"""Reference solvers: prescribed-path Hamilton peels, exhaustive
 decompositions, densest even-regular subgraphs, chromatic index."""
 
 import time
 
 import pytest
 
-from bipham.errors import PreconditionViolated, Timeout, WallClockExceeded
+from bipham.balancer import peel_hamilton_cycles
+from bipham.errors import (
+    PreconditionViolated,
+    SolverFailure,
+    Timeout,
+    WallClockExceeded,
+)
 from bipham.generators import babai_instance, generate, two_cliques_instance
 from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
 from bipham.search import SearchStats
 from bipham.solvers import (
     SolverBudget,
     approx_decomposition,
-    bip_hamilton_with_prescribed,
     check_approx_preconditions,
     chromatic_index_regular,
     exhaustive_hamilton_decomposition,
@@ -30,21 +35,28 @@ from conftest import complete_graph
 
 
 def test_prescribed_hamilton_basaic():
-    res = bip_hamilton_with_prescribed(complete_bipartite((4, 4)), None, None)
-    assert res.cycle is not None and not check_cycle(8, res.cycle)
+    # a one-level Hamilton peel with an empty system: found, or proven
+    # infeasible (a SolverFailure, not a Timeout)
+    part = LabelledPartition(8, [], range(4), [], range(4, 8))
+    g = complete_bipartite((4, 4))
+    [cyc] = peel_hamilton_cycles(g, g, part, [PathSystem(8, [])])
+    assert not check_cycle(8, cyc)
 
     two_squares = Graph(8, [(0, 4), (0, 5), (1, 4), (1, 5),
                             (2, 6), (2, 7), (3, 6), (3, 7)])
-    res = bip_hamilton_with_prescribed(two_squares, None, None)
-    assert res.cycle is None and res.proven_infeasible
+    with pytest.raises(SolverFailure) as exc:
+        peel_hamilton_cycles(two_squares, two_squares, part, [PathSystem(8, [])])
+    assert exc.type is SolverFailure
 
 
 def test_prescribed_hamilton_with_contracted_path():
+    # the path 0-6-1-7 runs through the exceptional vertices 6 and 1
     g = complete_bipartite((6, 6))
+    part = LabelledPartition(12, [1], [0, 2, 3, 4, 5], [6], range(7, 12))
     q = PathSystem(12, [(0, 6), (6, 1), (1, 7)])
-    res = bip_hamilton_with_prescribed(g.minus_edges(q.edges), None, q)
-    assert res.cycle is not None
-    assert set(q.edges) <= cycle_edges(res.cycle)
+    [cyc] = peel_hamilton_cycles(g, g, part, [q])
+    assert not check_cycle(12, cyc)
+    assert set(q.edges) <= cycle_edges(cyc)
 
 
 def test_exhaustive_decomposition_families():

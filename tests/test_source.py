@@ -1,0 +1,74 @@
+"""Guards on the shape of the source itself, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bipham"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def _calls(tree, callee):
+    """(call, enclosing functions, innermost last) for every call of the
+    plain name ``callee``; a class body starts a fresh scope chain."""
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == callee):
+                yield child, scopes
+            if isinstance(child, FUNCTIONS):
+                yield from visit(child, scopes + [child])
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, [])
+            else:
+                yield from visit(child, scopes)
+
+    yield from visit(tree, [])
+
+
+def _nested_functions(tree):
+    """Every function defined inside another function, once."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = {}
+    for node in ast.walk(tree):
+        if isinstance(node, defs):
+            for child in ast.walk(node):
+                if child is not node and isinstance(child, defs):
+                    nested[id(child)] = child
+    return list(nested.values())
+
+
+def test_no_nested_function_calls_itself():
+    # a closure that calls itself holds a reference to its own cell: every
+    # call leaves a reference cycle, which keeps the search state it closes
+    # over (graphs, pools, matchings) alive until a full garbage collection
+    found = []
+    for name, tree in _modules():
+        for fn in _nested_functions(tree):
+            if any(True for _ in _calls(fn, fn.name)):
+                found.append(f"{name}: {fn.name} (line {fn.lineno})")
+    assert not found
+
+
+def test_cycle_searches_are_peel_levels():
+    # every Hamilton-cycle peel runs on solvers.peel_cycles: outside the
+    # search layer itself, a CycleSearch is built only inside a level
+    # search that is handed to peel_cycles
+    stray = []
+    for name, tree in _modules():
+        if name in ("search.py", "fictive.py"):
+            continue
+        levels = {
+            call.args[0].id
+            for call, _ in _calls(tree, "peel_cycles")
+            if call.args and isinstance(call.args[0], ast.Name)
+        }
+        for call, scopes in _calls(tree, "CycleSearch"):
+            inner = getattr(scopes[-1], "name", None) if scopes else None
+            if inner not in levels:
+                stray.append(f"{name}: line {call.lineno} in {inner}")
+    assert not stray
