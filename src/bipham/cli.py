@@ -24,7 +24,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .pipeline import PipelineConstants, run_theorem_NWbip, run_theorem_1factbip
-from .report import emit_report
+from .report import emit_report, format_json
 from .schemes import scheme_violations
 from .solvers import (
     SolverBudget,
@@ -96,7 +96,7 @@ def _dispatch(args) -> int:
             sub_path = args.out.removesuffix(".json") + ".sub.json"
             dump_graph(sub_path, subgraph, part)
             props["subgraph_file"] = sub_path
-        print(json.dumps(props, indent=1, sort_keys=True))
+        print(format_json(props))
         return 0
 
     if args.cmd == "verify":

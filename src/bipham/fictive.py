@@ -255,7 +255,7 @@ def consistent_cycle_search(
         for u, v in pool.edges
         if u in comp and v in comp
     ]
-    sub = Graph(len(universe), sub_edges)
+    sub = Graph._trusted(len(universe), sub_edges)
     prescribed = [
         Prescribed((comp[e.x], comp[e.y]), directed=True, rank=i)
         for i, e in enumerate(fict.edges)

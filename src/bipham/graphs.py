@@ -13,6 +13,7 @@ from collections import Counter, deque
 from typing import Iterable, Sequence
 
 from .errors import BadParams, PartitionMismatch
+from .report import format_json
 
 Edge = tuple[int, int]
 
@@ -682,8 +683,7 @@ def graph_from_json(doc: dict) -> tuple[Graph, LabelledPartition | None]:
 
 def dump_graph(path: str, g: Graph, partition: LabelledPartition | None = None):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(graph_to_json(g, partition), f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(format_json(graph_to_json(g, partition)) + "\n")
 
 
 def load_graph(path: str) -> tuple[Graph, LabelledPartition | None]:

@@ -39,7 +39,7 @@ from .partitioning import framework_partition, localized_slices, orient_scheme
 from .report import DecompositionReport, Stage
 from .schemes import scheme_violations
 from .search import CycleSearch
-from .solvers import SolverBudget, approx_decomposition, peel_cycles
+from .solvers import SolverBudget, approx_decomposition, level_seed, peel_cycles
 from .validate import (
     check_cycle_in_graph,
     check_decomposition,
@@ -436,9 +436,11 @@ def run_theorem_1factbip(
         if 2 * D > g.n:
             # peel the fewest Hamilton cycles that bring the degree to at
             # most half the order (substitution: a direct search does the
-            # removal), in one peel under the run's node budget
+            # removal), in one peel under the run's node budget; level i
+            # searches under its own item order, level 0 unshuffled
             def search(i, pool, order, cap):
-                found = CycleSearch(Graph._trusted(g.n, pool), max_nodes=cap)
+                found = CycleSearch(Graph._trusted(g.n, pool), max_nodes=cap,
+                                    seed=level_seed(0, i, order))
                 return ((c, cycle_edges(c)) for c in found.cycles()), found.stats
 
             # k cycles leave degree D - 2k: the least k with 2(D-2k) <= n

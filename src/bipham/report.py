@@ -120,7 +120,53 @@ def emit_report(report: DecompositionReport, path: str) -> None:
 
 
 def render_report(report: DecompositionReport) -> str:
-    return json.dumps(report.as_json(), indent=1, sort_keys=True) + "\n"
+    return format_json(report.as_json()) + "\n"
+
+
+def format_json(x) -> str:
+    """``json.dumps(x, indent=1, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, whose
+    self-recursive closures leave a reference cycle behind on every call.
+    This writer recurses through a module-level function and leaves none;
+    scalars and keys are quoted by ``json.dumps`` itself.
+    """
+    out: list[str] = []
+    _format_json(x, "\n", out)
+    return "".join(out)
+
+
+def _format_json(x, newline: str, out: list[str]) -> None:
+    if isinstance(x, dict):
+        items = [(_json_key(k), v) for k, v in sorted(x.items())]
+        opener, closer = "{", "}"
+    elif isinstance(x, (list, tuple)):
+        items = [(None, v) for v in x]
+        opener, closer = "[", "]"
+    else:
+        out.append(json.dumps(x))
+        return
+    if not items:
+        out.append(opener + closer)
+        return
+    inner = newline + " "
+    sep = opener + inner
+    for key, v in items:
+        out.append(sep if key is None else f"{sep}{json.dumps(key)}: ")
+        _format_json(v, inner, out)
+        sep = "," + inner
+    out.append(newline + closer)
+
+
+def _json_key(k) -> str:
+    """A dict key as ``json`` writes it: strings as they are; None, bools,
+    ints and floats as their JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
 
 
 def parse_report(path: str) -> dict:

@@ -135,6 +135,21 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
     return Peel(None, pool, spent, deepest)
 
 
+def level_seed(seed: int, level: int, order: int) -> int:
+    """The item-order seed of the kernel call for ``level`` under ``order``
+    in a peel whose first order is ``seed``: ``seed`` itself at level 0,
+    order 0, and a different seed for every other (level, order) pair with
+    ``order < 1009``.  Integer arithmetic only, so the orders do not depend
+    on the platform or on hash randomisation.
+
+    Peels whose levels all search one kind of graph (the approximate
+    decomposition, the degree reduction) use it: under one order at every
+    level, each level peels a cycle much like the one before, and what is
+    left can be barren (NW-bip on K(12,12), D = 12, at level 5).
+    """
+    return seed + 1009 * level + order
+
+
 # -- independent plain enumerator (referee) ----------------------------------
 
 class _OracleEnum:
@@ -389,19 +404,23 @@ def approx_decomposition(
     (greedily, with backtracking across systems), and the fictive edges are
     substituted back.  Cycle edges other than J's come from g[A, B].
 
-    Every search gets what is left of ``budget.max_nodes``; spending it
-    raises ``Timeout``.  ``stuck_index`` is the deepest system reached when
-    the whole search space was exhausted without a decomposition.
+    One peel of ``len(family)`` levels under one node budget: every search
+    gets what is left of ``budget.max_nodes``, and spending it raises
+    ``Timeout``.  Level i searches under its own item order, seed
+    ``level_seed(budget.seed, i, 0)``.  ``stuck_index`` is the deepest
+    system reached when the whole search space was exhausted without a
+    decomposition.
     """
     problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
     if problems and enforce_gates:
         raise PreconditionViolated("; ".join(problems))
+    ficts = [build_fictive(j, part) for j in family]
 
     def search(i, pool, order, cap):
-        j = family[i]
-        fict = build_fictive(j, part)
-        found = consistent_cycle_search(Graph(g.n, pool), part, j, fict,
-                                        max_nodes=cap, seed=budget.seed)
+        j, fict = family[i], ficts[i]
+        found = consistent_cycle_search(
+            Graph._trusted(g.n, pool), part, j, fict, max_nodes=cap,
+            seed=level_seed(budget.seed, i, order))
         cycles = (substitute(c, j, fict, part) for c in found)
         return ((c, cycle_edges(c) - j.edges) for c in cycles), found.stats
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bipham import pipeline
+from bipham import pipeline, solvers
 from bipham.cli import main as cli_main
 from bipham.errors import PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
@@ -63,7 +63,7 @@ EXCEPTIONAL_INPUTS = (
     # planted hubs make the exceptional sets, WF2, FR6 and the slices'
     # exceptional counts nontrivial
     ("n32-D8-h1-x1-s1001", 1001, {},
-     "72c1af35b139f7ff7186a0c08a30ff47488719a2223176559223353bb4405e55"),
+     "9e325ee76d70d92f9fe19178069056a03cbd8995bbf3262f4e02c1e5ed2f84e1"),
     # fails in the balanced-exceptional-systems stage
     ("n24-D8-h2-x0-s1008", 1008, {},
      "51764ae8ff91ecbbdb23a0858ac181edab3a27f13e2824f60bc69174397032a6"),
@@ -215,18 +215,38 @@ def test_driver_run_leaves_no_reference_cycles(theorem, m):
         gc.enable()
 
 
-def _k14_with_rings():
-    # K(14,14) plus a 14-cycle inside each side: 16-regular on 28 vertices,
-    # so one Hamilton cycle must go before the degree is at most n/2
-    ring = [(i, (i + 1) % 14) for i in range(14)]
-    edges = set(complete_bipartite((14, 14)).edges)
-    edges |= {(min(u, v), max(u, v)) for u, v in ring}
-    edges |= {(14 + min(u, v), 14 + max(u, v)) for u, v in ring}
-    return Graph(28, edges), (list(range(14)), list(range(14, 28)))
+def test_render_report_leaves_no_reference_cycles():
+    # the text is json.dumps(..., indent=1, sort_keys=True)'s, written
+    # without the pure-Python encoder's self-recursive closures
+    g, part, props = generate("complete_bipartite", {"m": 4})
+    rep = run_theorem_NWbip(g, g, PipelineConstants(), seed=1,
+                            hint_split=(list(part.A), list(part.B)))
+    gc.collect()
+    gc.disable()
+    try:
+        text = render_report(rep)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == json.dumps(rep.as_json(), indent=1, sort_keys=True) + "\n"
+
+
+def _kmm_with_circulants(m, steps):
+    # K(m,m) plus the circulant C_m(steps) inside each side, with the sides
+    # as the split: (m + 2 len(steps))-regular on 2m vertices
+    edges = set(complete_bipartite((m, m)).edges)
+    for side in (0, m):
+        for i in range(m):
+            for d in steps:
+                u, v = side + i, side + (i + d) % m
+                edges.add((min(u, v), max(u, v)))
+    return Graph(2 * m, edges), (list(range(m)), list(range(m, 2 * m)))
 
 
 def test_onefact_degree_reduction_peels_a_hamilton_cycle(monkeypatch):
-    g, hint = _k14_with_rings()
+    # a 14-cycle inside each side: 16-regular on 28 vertices, so one
+    # Hamilton cycle must go before the degree is at most n/2
+    g, hint = _kmm_with_circulants(14, (1,))
     assert set(g.degrees()) == {16}
     peels = []
     peel_cycles = pipeline.peel_cycles
@@ -249,12 +269,102 @@ def test_onefact_degree_reduction_peels_a_hamilton_cycle(monkeypatch):
 
 def test_onefact_degree_reduction_budget_is_a_timeout():
     # a spent node budget is not evidence that no Hamilton cycle exists
-    g, hint = _k14_with_rings()
+    g, hint = _kmm_with_circulants(14, (1,))
     rep = run_theorem_1factbip(g, replace(TOY_1FACT, max_nodes=5), seed=1,
                                hint_split=hint)
     st = rep.stages[0]
     assert st.name == "input" and st.status == "failed"
     assert st.error.startswith("Timeout: node budget 5 spent")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_onefact_degree_reduction_peels_four_levels(monkeypatch, seed):
+    # C20(1,2,3,4) inside each side: 28-regular on 40 vertices, so four
+    # Hamilton cycles must go; under one item order at every level, the
+    # first three leave a graph whose fourth level spends the whole budget
+    g, hint = _kmm_with_circulants(20, (1, 2, 3, 4))
+    assert set(g.degrees()) == {28}
+    peels = []
+    peel_cycles = pipeline.peel_cycles
+
+    def record(*args, **kwargs):
+        peels.append(peel_cycles(*args, **kwargs))
+        return peels[-1]
+
+    monkeypatch.setattr(pipeline, "peel_cycles", record)
+    rep = run_theorem_1factbip(g, replace(TOY_1FACT, max_nodes=200_000),
+                               seed=seed, hint_split=hint)
+    st = rep.stages[0]
+    assert st.name == "input" and st.status == "ok"
+    checks = {c.ident: c.witness for c in st.checks}
+    assert checks["degree-reduced"] == 4
+    assert checks["degree-at-most-half"] == 20
+    [peel] = peels
+    assert len(peel.cycles) == 4
+    assert all(not check_cycle_in_graph(g, c) for c in peel.cycles)
+    assert not check_edge_disjoint([cycle_edges(c) for c in peel.cycles])
+
+
+@pytest.mark.parametrize("seed", [1, 12])
+def test_nwbip_at_degree_m_peels_every_level(seed):
+    # D = m on K(12,12): all six systems are empty and the approximate
+    # decomposition peels all of K(12,12), the last level taking whatever
+    # is left; under one item order at every level the early levels peel
+    # alike cycles and the budget runs out at level 5
+    g, part, props = generate("complete_bipartite", {"m": 12})
+    rep = run_theorem_NWbip(g, g, replace(PipelineConstants(), max_nodes=100_000),
+                            seed=seed, hint_split=(list(part.A), list(part.B)))
+    assert rep.ok()
+    assert len(rep.cycles) == 6
+    assert all(not check_cycle_in_graph(g, c) for c in rep.cycles)
+    assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
+
+
+def test_level_searches_get_their_own_item_orders(monkeypatch):
+    # the approximate decomposition and the degree reduction give every
+    # (level, order) its own seed; level 0, order 0 keeps the peel's seed
+    calls = []
+
+    def record_levels(module):
+        peel = module.peel_cycles
+
+        def wrapped(level_search, *args, **kwargs):
+            def level(i, pool, order, cap):
+                calls.append([module.__name__, i, order, None])
+                return level_search(i, pool, order, cap)
+            return peel(level, *args, **kwargs)
+        monkeypatch.setattr(module, "peel_cycles", wrapped)
+
+    def record_seed(module, name):
+        search = getattr(module, name)
+
+        def wrapped(*args, seed=0, **kwargs):
+            calls[-1][3] = seed
+            return search(*args, seed=seed, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    record_levels(pipeline)
+    record_levels(solvers)
+    record_seed(pipeline, "CycleSearch")
+    record_seed(solvers, "consistent_cycle_search")
+
+    g, hint = _kmm_with_circulants(20, (1, 2, 3, 4))
+    run_theorem_1factbip(g, replace(TOY_1FACT, max_nodes=200_000), seed=1,
+                         hint_split=hint)
+    k12, part, props = generate("complete_bipartite", {"m": 12})
+    run_theorem_NWbip(k12, k12, replace(PipelineConstants(), max_nodes=100_000),
+                      seed=5, hint_split=(list(part.A), list(part.B)))
+    for module, first, depth in [("bipham.pipeline", 0, 4),
+                                 ("bipham.solvers", 5, 6)]:
+        seeds = {}
+        for name, i, order, seed in calls:
+            if name == module:
+                seeds.setdefault((i, order), set()).add(seed)
+        assert sorted(seeds) == [(i, 0) for i in range(depth)]
+        assert all(len(s) == 1 for s in seeds.values())
+        flat = [s for (s,) in seeds.values()]
+        assert len(set(flat)) == len(flat)
+        assert seeds[(0, 0)] == {first}
 
 
 def test_onefact_rejects_odd_degree():

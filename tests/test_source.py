@@ -72,3 +72,21 @@ def test_cycle_searches_are_peel_levels():
             if inner not in levels:
                 stray.append(f"{name}: line {call.lineno} in {inner}")
     assert not stray
+
+
+def test_no_indented_json_encoding():
+    # json.dump(s) with indent= runs the pure-Python encoder, whose
+    # self-recursive closures leave a reference cycle on every call;
+    # report.format_json writes the same text without one
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = (func.attr if isinstance(func, ast.Attribute)
+                      else getattr(func, "id", None))
+            if callee in ("dump", "dumps") and any(
+                    kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{name}: line {node.lineno}")
+    assert not found
