@@ -219,9 +219,9 @@ def peel_hamilton_cycles(
     levels under one node budget.
 
     Level i looks for a cycle through system i on the cross edges of ``f``
-    that no earlier level took, under four item orders (seeds
-    ``budget.seed + order``), each capped at a quarter of the budget.  A
-    level exhausted within its cap backtracks; a spent budget raises
+    that no earlier level took, under item orders 0, 1, 2, ... (seeds
+    ``budget.seed + order``) capped on the engine's schedule.  A level
+    exhausted within its cap backtracks; a spent budget raises
     ``Timeout``.  Every cycle is checked to lie in its level's graph and to
     meet ``g`` in a 2-balanced graph.
     """
@@ -242,7 +242,7 @@ def peel_hamilton_cycles(
 
     # the systems' own edges are reserved for their levels
     pool = f.edges_between(part.A, part.B).difference(*(q.edges for q in systems))
-    peel = peel_cycles(search, pool, len(systems), budget.max_nodes, orders=4,
+    peel = peel_cycles(search, pool, len(systems), budget.max_nodes,
                        deadline=time.monotonic() + budget.max_seconds)
     if peel.cycles is None:
         raise SolverFailure(

@@ -436,8 +436,9 @@ def run_theorem_1factbip(
         if 2 * D > g.n:
             # peel the fewest Hamilton cycles that bring the degree to at
             # most half the order (substitution: a direct search does the
-            # removal), in one peel under the run's node budget; level i
-            # searches under its own item order, level 0 unshuffled
+            # removal), in one peel under the run's node budget; each
+            # (level, order) searches under its own item order, level 0,
+            # order 0 unshuffled
             def search(i, pool, order, cap):
                 found = CycleSearch(Graph._trusted(g.n, pool), max_nodes=cap,
                                     seed=level_seed(0, i, order))

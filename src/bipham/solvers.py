@@ -67,9 +67,27 @@ class Peel:
     deepest: int  # deepest level searched
 
 
+# the node cap of a level's first item order.  It sits above what a
+# well-conditioned level search spends (every NW-bip benchmark call takes at
+# most 22 224 nodes, the 1-factorization's hardest level on K(28,28), seed 1,
+# 72 689), so the schedule cuts only heavy-tailed calls
+LEVEL_UNIT = 81_920
+
+
+def luby(i: int) -> int:
+    """The ``i``-th term (``i >= 1``) of the universal restart schedule of
+    Luby, Sinclair and Zuckerman (IPL 1993): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
+    For any distribution of a search's cost, restarting on it is within a
+    logarithmic factor of the best fixed cap, without knowing that cap."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
 def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
-                max_nodes: int, orders: int = 1,
-                deadline: float | None = None) -> Peel:
+                max_nodes: int, deadline: float | None = None) -> Peel:
     """Peel ``depth`` edge-disjoint cycles off ``pool``, one per level, with
     full backtracking.
 
@@ -77,15 +95,16 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
     ``i`` under item order ``order``, capped at ``cap`` nodes, and returns
     ``(found, stats)``: ``found`` yields ``(cycle, pool edges it takes)``,
     ``stats.nodes`` is current at every yield and ``stats.budget_exceeded``
-    once ``found`` ends.  Each call is capped at ``max_nodes // orders`` and
-    at what is left.  A call exhausted within its cap proves its level
+    once ``found`` ends.  Orders 0, 1, 2, ... of a level are restarts on
+    Luby's schedule: order k is capped at ``LEVEL_UNIT * luby(k + 1)`` and
+    at what is left of ``max_nodes``, so one heavy-tailed order costs a
+    bounded share.  A call exhausted within its cap proves its level
     infeasible for that pool; one that hits its cap hands over to the next
-    order.  Spending ``max_nodes``, or the caps of all orders, raises
-    ``Timeout``; a call resumed after a deeper level failed is judged as if
-    capped at what was left then.  Past ``deadline`` (``time.monotonic()``)
-    the next call raises ``WallClockExceeded`` instead of starting.
+    order.  Only spending ``max_nodes`` raises ``Timeout``; a call resumed
+    after a deeper level failed is judged as if capped at what was left
+    then.  Past ``deadline`` (``time.monotonic()``) the next call raises
+    ``WallClockExceeded`` instead of starting.
     """
-    share = max_nodes // orders
     spent = deepest = 0
     chosen: list[list[int]] = []
     # one frame per open level: [pool, order, found, stats, nodes counted]
@@ -101,7 +120,8 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
                 f"wall-clock safety net passed at level {i} after {spent} "
                 "nodes; the result is not reproducible",
                 stats={"nodes": spent, "level": i})
-        found, stats = level_search(i, sub, order, min(share, max_nodes - spent))
+        cap = min(LEVEL_UNIT * luby(order + 1), max_nodes - spent)
+        found, stats = level_search(i, sub, order, cap)
         frames.append([sub, order, found, stats, 0])
 
     if depth == 0:
@@ -129,7 +149,7 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
             if chosen:
                 chosen.pop()
             continue
-        if spent >= max_nodes or order + 1 == orders:
+        if spent >= max_nodes:
             raise timeout(i)
         open_level(i, sub, order + 1)
     return Peel(None, pool, spent, deepest)
@@ -139,8 +159,9 @@ def level_seed(seed: int, level: int, order: int) -> int:
     """The item-order seed of the kernel call for ``level`` under ``order``
     in a peel whose first order is ``seed``: ``seed`` itself at level 0,
     order 0, and a different seed for every other (level, order) pair with
-    ``order < 1009``.  Integer arithmetic only, so the orders do not depend
-    on the platform or on hash randomisation.
+    ``order < 1009``; on the engine's schedule a level opens at most 92
+    orders within the default 20 M nodes.  Integer arithmetic only, so the
+    orders do not depend on the platform or on hash randomisation.
 
     Peels whose levels all search one kind of graph (the approximate
     decomposition, the degree reduction) use it: under one order at every
@@ -404,10 +425,10 @@ def approx_decomposition(
     (greedily, with backtracking across systems), and the fictive edges are
     substituted back.  Cycle edges other than J's come from g[A, B].
 
-    One peel of ``len(family)`` levels under one node budget: every search
-    gets what is left of ``budget.max_nodes``, and spending it raises
-    ``Timeout``.  Level i searches under its own item order, seed
-    ``level_seed(budget.seed, i, 0)``.  ``stuck_index`` is the deepest
+    One peel of ``len(family)`` levels under one node budget, on the
+    engine's cap schedule; spending ``budget.max_nodes`` raises
+    ``Timeout``.  Order k of level i searches under its own item order, seed
+    ``level_seed(budget.seed, i, k)``.  ``stuck_index`` is the deepest
     system reached when the whole search space was exhausted without a
     decomposition.
     """

@@ -30,11 +30,14 @@ from .errors import (
 from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, norm_edge
 from .matchings import kuhn_matching
 from .search import CycleSearch, Prescribed
-from .solvers import peel_cycles
+from .solvers import luby, peel_cycles
 from .validate import check_decomposition, cycle_edges
 
-# closure restarts, each with its quarter of the node budget
-RESTARTS = 4
+# the node budget of the closure's first restart; restart t gets
+# RESTART_UNIT * luby(t + 1).  It holds a whole good descent (seed 1's
+# closure on K(28,28) takes 76 546 nodes); of 2, 3.2 and 6.4 level units,
+# the middle one spent the fewest nodes over K(28,28) to K(56,56)
+RESTART_UNIT = 262_144
 
 
 class NoSequence(BiphamError):
@@ -581,10 +584,15 @@ class RobustDecomposition:
 
         Runs as globally-restarted backtracking: early cycle choices can
         poison the deep levels beyond repair, so a descent that spends its
-        quarter of ``max_nodes`` is abandoned and the search restarts with
-        reshuffled orders.  Within a descent each level tries four item
-        orders, each capped at a quarter of the descent's nodes.
-        ``max_seconds`` is only the wall-clock safety net over all restarts.
+        nodes is abandoned and the search restarts with reshuffled orders.
+        Restart t is one ``peel_cycles`` descent capped at ``RESTART_UNIT *
+        luby(t + 1)`` nodes and at what is left of ``max_nodes``; within it
+        each level restarts its item orders on the engine's own schedule.
+        Order k of restart t searches under seed ``seed + 131 * t + k``,
+        distinct because a level opens at most 92 orders in 20 M nodes.
+        Only spending ``max_nodes`` raises ``Timeout``, whose text names the
+        restarts run.  ``max_seconds`` is only the wall-clock safety net
+        over all restarts.
         """
         if self.ca is None or self.pca is None:
             raise BackendUnavailable("absorbers not built yet")
@@ -611,24 +619,30 @@ class RobustDecomposition:
             )
         prescribed = [[Prescribed(p) for p in b.paths] for b in all_beps]
         deadline = time.monotonic() + max_seconds
-        for t in range(RESTARTS):
+        spent = t = 0
+        while spent < max_nodes:
             def search(i, pool_left, order, cap, base=seed + 131 * t):
-                found = CycleSearch(Graph(self.part.n, pool_left), prescribed[i],
-                                    max_nodes=cap, seed=base + order)
+                found = CycleSearch(Graph._trusted(self.part.n, pool_left),
+                                    prescribed[i], max_nodes=cap,
+                                    seed=base + order)
                 return ((c, cycle_edges(c) - beps_edges[i])
                         for c in found.cycles()), found.stats
 
+            share = min(RESTART_UNIT * luby(t + 1), max_nodes - spent)
             try:
-                peel = peel_cycles(search, pool, s_prime, max_nodes // RESTARTS,
-                                   orders=4, deadline=deadline)
+                peel = peel_cycles(search, pool, s_prime, share,
+                                   deadline=deadline)
                 break
             except WallClockExceeded:
                 raise
             except Timeout as exc:
+                spent += exc.stats["nodes"]
+                t += 1
                 last = str(exc)  # the text only: the exception holds this frame
         else:
-            raise Timeout(f"closure: {RESTARTS} restarts spent their nodes, "
-                          f"the last: {last}", stats={"nodes": max_nodes})
+            raise Timeout(f"closure: {t} restarts spent {spent} nodes, "
+                          f"the last: {last}",
+                          stats={"nodes": spent, "restarts": t})
         if peel.cycles is None:
             raise BackendFailure("no full decomposition exists")
         cycles = [cycle_edges(c) for c in peel.cycles]

@@ -124,19 +124,31 @@ def test_onefact_full_run():
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (2, "ea4b7ad49a4ac46d9e36aa0c9576a2a7e177126f35cccdc5144fb935bc0abc82"),
-    (3, "e45b77addbf0f32ff293258bf1952c8dd851cac6804a2977b8499fbf7f119b02"),
+    (2, "5faa6c69db86887e8cd1131180f26a3de191a7378a4a93e2a81a3cd5e1fe6da8"),
+    (3, "0cdf6e964cbfddfdfa1b80db730db0ad298c4eb11fc019ab01ded0799e131841"),
 ])
 def test_onefact_closure_finishes(seed, digest):
     # the closure needs the kernel's prune to fire on these seeds: with
     # path interiors in the port masks, seed 2 spent all of its nodes and
-    # seed 3 three of its four restarts
+    # seed 3 three of its four restarts; with item orders that all had a
+    # quarter of a restart, one closure level took up to 1.03 M nodes
     g, part, props = generate("complete_bipartite", {"m": 28})
     rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed,
                                hint_split=(list(part.A), list(part.B)))
     assert rep.ok()
     assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
     assert _digest(rep) == digest
+
+
+def test_onefact_k42_heavy_tailed_level_finishes():
+    # under a single item order, level 0 of the approximate decomposition
+    # spent all 20 M nodes on this seed; restarts on the cap schedule cut
+    # that order's heavy tail
+    g, part, props = generate("complete_bipartite", {"m": 42})
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=3,
+                               hint_split=(list(part.A), list(part.B)))
+    assert rep.ok()
+    assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
 
 
 def _slow_clock(monkeypatch, step):

@@ -16,11 +16,13 @@ from bipham.generators import babai_instance, generate, two_cliques_instance
 from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
 from bipham.search import SearchStats
 from bipham.solvers import (
+    LEVEL_UNIT,
     SolverBudget,
     approx_decomposition,
     check_approx_preconditions,
     chromatic_index_regular,
     exhaustive_hamilton_decomposition,
+    luby,
     peel_cycles,
     reg_even,
 )
@@ -206,17 +208,49 @@ def _scripted(plan, calls):
     return level_search
 
 
-def test_peel_cycles_budget_rules():
-    # quarter rule: level 0's first order spends its quarter, the second
-    # finds a cycle whose level 1 is exhausted within its cap, and then
-    # exhausts itself, which proves level 0 infeasible: no third order
-    calls = []
-    plan = {(0, 0): (500, []), (0, 1): (50, [(30, [0])]), (1, 0): (20, [])}
-    peel = peel_cycles(_scripted(plan, calls), frozenset(), 2, 400, orders=4)
-    assert peel.cycles is None and peel.nodes == 170 and peel.deepest == 1
-    assert calls == [(0, 0, 100), (0, 1, 100), (1, 0, 100)]
+def test_luby_sequence():
+    assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
+                                                1, 1, 2, 4, 8]
 
-    # a single order gets what is left; spending it is a Timeout
+
+def test_peel_cycles_budget_rules():
+    U = LEVEL_UNIT
+    # cap schedule: level 0's orders are capped at U, U, 2U, U; the fourth
+    # exhausts itself within its cap, which proves level 0 infeasible: no
+    # fifth order although most of the budget is left
+    calls = []
+    plan = {(0, 0): (10 * U, []), (0, 1): (10 * U, []), (0, 2): (10 * U, []),
+            (0, 3): (5, [])}
+    peel = peel_cycles(_scripted(plan, calls), frozenset(), 2, 100 * U)
+    assert peel.cycles is None and peel.nodes == 4 * U + 5
+    assert calls == [(0, 0, U), (0, 1, U), (0, 2, 2 * U), (0, 3, U)]
+
+    # the second order finds a cycle whose level 1 is exhausted within its
+    # cap, and then exhausts itself: level 0 is infeasible too
+    calls = []
+    plan = {(0, 0): (10 * U, []), (0, 1): (50, [(30, [0])]), (1, 0): (20, [])}
+    peel = peel_cycles(_scripted(plan, calls), frozenset(), 2, 100 * U)
+    assert peel.cycles is None and peel.nodes == U + 70 and peel.deepest == 1
+    assert calls == [(0, 0, U), (0, 1, U), (1, 0, U)]
+
+    # orders that hit their caps go on until max_nodes is spent, and only
+    # then is it a Timeout; the last order gets what is left
+    calls = []
+    plan = {(0, k): (10 * U, []) for k in range(3)}
+    with pytest.raises(Timeout, match=f"node budget {3 * U + 7} spent at level 0"
+                       ) as exc:
+        peel_cycles(_scripted(plan, calls), frozenset(), 2, 3 * U + 7)
+    assert exc.value.stats["nodes"] == 3 * U + 7
+    assert calls == [(0, 0, U), (0, 1, U), (0, 2, U + 7)]
+
+    # a heavy tail is cut at its cap: order 0 would need 10 U nodes, and
+    # order 1 finds a cycle in 10
+    plan = {(0, 0): (10 * U, []), (0, 1): (20, [(10, [0])])}
+    peel = peel_cycles(_scripted(plan, []), frozenset(), 1, 20_000_000)
+    assert peel.cycles == [[0]] and peel.nodes == U + 10
+
+    # under a budget below the unit, order 0 gets what is left; spending
+    # it is a Timeout
     calls = []
     plan = {(0, 0): (80, [(10, [0])]), (1, 0): (90, [])}
     with pytest.raises(Timeout, match="node budget 50 spent at level 1"):
@@ -233,6 +267,17 @@ def test_peel_cycles_budget_rules():
     plan = {(0, 0): (40, [(10, [0])]), (1, 0): (20, [(5, [1])])}
     peel = peel_cycles(_scripted(plan, []), frozenset(), 2, 100)
     assert peel.cycles == [[0], [1]] and peel.nodes == 15
+
+
+def test_orders_of_a_level_keep_distinct_seeds():
+    # level_seed is distinct for order < 1009, the closure's restarts are
+    # 131 seeds apart: under the default 20 M nodes no level opens that
+    # many orders (the last one opened gets what is left)
+    budget, orders = 20_000_000, 0
+    while budget > 0:
+        budget -= LEVEL_UNIT * luby(orders + 1)
+        orders += 1
+    assert orders == 92 < 131 < 1009
 
 
 def test_peel_cycles_wall_clock_is_only_a_safety_net():

@@ -74,6 +74,18 @@ def test_cycle_searches_are_peel_levels():
     assert not stray
 
 
+def test_peels_run_on_the_cap_schedule():
+    # peel_cycles restarts a level's item orders on its own cap schedule;
+    # no caller picks a number of orders
+    found = [
+        f"{name}: line {call.lineno}"
+        for name, tree in _modules()
+        for call, _ in _calls(tree, "peel_cycles")
+        if any(kw.arg == "orders" for kw in call.keywords)
+    ]
+    assert not found
+
+
 def test_no_indented_json_encoding():
     # json.dump(s) with indent= runs the pure-Python encoder, whose
     # self-recursive closures leave a reference cycle on every call;

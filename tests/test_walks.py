@@ -2,7 +2,7 @@
 
 import pytest
 
-from bipham.errors import PreconditionViolated
+from bipham.errors import PreconditionViolated, Timeout
 from bipham.graphs import Digraph, Graph, LabelledPartition
 from bipham.partitioning import orient_scheme
 from bipham.walks import (
@@ -128,10 +128,11 @@ def test_robust_params_identities():
         == 192 * 2 ** 3 * 14
 
 
-def test_robust_decomposition_contract_standalone():
+def _standalone_contract():
+    """The robust-decomposition contract on K(28,28) with no remainder:
+    (host, partition, factor family, params, result)."""
     from bipham.beps import build_bf_family
     from bipham.graphs import PathSystem
-    from bipham.validate import check_decomposition, cycle_edges
     from bipham.walks import robust_decomposition
 
     K, m = 7, 4
@@ -154,6 +155,13 @@ def test_robust_decomposition_contract_standalone():
         1, 7, params.r_diamond, min_interval=3,
     )
     res = robust_decomposition(gdir, part, [], bf_prime, params)
+    return g, part, bf_prime, params, res
+
+
+def test_robust_decomposition_contract_standalone():
+    from bipham.validate import check_decomposition, cycle_edges
+
+    g, part, bf_prime, params, res = _standalone_contract()
     assert set(res.chord_absorber.degrees()) == {2 * params.r1}
     assert set(res.parity_switcher.degrees()) == {10 * params.r_diamond}
     cycles = res.closure(Graph(part.n, []))
@@ -163,6 +171,19 @@ def test_robust_decomposition_contract_standalone():
     all_beps = [b for bf in bf_prime for b in bf.systems]
     for cyc, beps in zip(cycles, all_beps):
         assert beps.edge_set() <= cycle_edges(cyc)
+
+
+def test_closure_failure_names_restarts_and_nodes(monkeypatch):
+    # restarts get 50, 50, 100 and 50 nodes, too few for any descent: the
+    # failure names the four restarts and the 250 nodes they spent
+    from bipham import walks
+
+    g, part, bf_prime, params, res = _standalone_contract()
+    monkeypatch.setattr(walks, "RESTART_UNIT", 50)
+    with pytest.raises(Timeout, match="closure: 4 restarts spent 250 nodes, "
+                       "the last: node budget 50 spent at level ") as exc:
+        res.closure(Graph(part.n, []), max_nodes=250)
+    assert exc.value.stats == {"nodes": 250, "restarts": 4}
 
 
 def test_divisibility_report():
