@@ -208,8 +208,7 @@ def substitute(
         out = [start]
         prev, cur = None, start
         while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            step = nxt[0] if prev is None else nxt[0]
+            step = [w for w in adj[cur] if w != prev][0]
             if step == start:
                 break
             out.append(step)

@@ -1,22 +1,13 @@
-"""Hamilton-search kernel: compiled extension when available, pure Python
-otherwise.
+"""Hamilton-search kernel: a resumable enumerator of Hamilton cycles over
+port-constrained vertices, in pure Python (``_pure``).
 
-``cycle_enumerator`` picks the backend: the compiled kernel handles up to 64
-vertices; larger instances (and ``force_pure=True``) use the Python twin,
-which accepts arbitrary sizes via big-int masks.
+``cycle_enumerator`` is the one entry point; ``KERNEL`` names the kernel
+that runs.
 """
 
 from ._pure import CycleEnum as PureCycleEnum
 
-try:
-    from ._fast import CycleEnum as FastCycleEnum
-
-    HAVE_FAST = True
-except ImportError:  # extension not built; fall back silently
-    FastCycleEnum = None
-    HAVE_FAST = False
-
-KERNEL = "compiled" if HAVE_FAST else "pure"
+KERNEL = "pure"
 
 
 def cycle_enumerator(
@@ -27,19 +18,7 @@ def cycle_enumerator(
     waypoint_ranks=None,
     max_nodes=None,
     break_mirror=False,
-    force_pure=False,
 ):
-    n = len(port_a)
-    if HAVE_FAST and not force_pure and n <= 64:
-        return FastCycleEnum(
-            port_a,
-            port_b,
-            directed,
-            start,
-            waypoint_ranks,
-            max_nodes,
-            break_mirror,
-        )
     return PureCycleEnum(
         port_a,
         port_b,

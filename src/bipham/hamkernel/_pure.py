@@ -9,14 +9,13 @@ through port B (used to force a traversal direction through contracted
 edges).  Optional waypoint ranks force a set of vertices to appear in a
 fixed cyclic order.
 
-Masks are Python ints, so any vertex count is supported; the compiled twin
-in ``_fast`` handles up to 64 vertices with machine words.
+Masks are Python ints, so any vertex count is supported.
 
-Both twins prune a search node whose current vertex is ``cur`` when some
+The search prunes a node whose current vertex is ``cur`` when some
 unvisited vertex has fewer than two neighbours, in its union mask, among the
-available vertices: the unvisited ones, ``cur`` and ``start``.  ``_fast``
-scans every unvisited vertex at every node.  This twin decides the same
-predicate from the neighbours of the vertex just left:
+available vertices: the unvisited ones, ``cur`` and ``start``.  Rather than
+scan every unvisited vertex at every node, it decides this predicate from
+the neighbours of the vertex just left:
 
 * A node's parent passed the prune, and the step ``prev -> cur`` takes
   exactly one vertex, ``prev``, out of the available set (none when
@@ -47,7 +46,8 @@ class CycleEnum:
     Yields each cycle as a list of vertex ids starting at ``start``.  The
     enumeration order is deterministic: candidates are tried in ascending
     vertex order.  ``nodes`` and ``budget_exceeded`` are current after every
-    ``next()``.
+    ``next()``.  ``set_cap`` changes the node cap between two ``next()``
+    calls.
     """
 
     def __init__(
@@ -64,6 +64,7 @@ class CycleEnum:
             raise ValueError("start vertex must be the rank-0 waypoint")
         self.nodes = 0
         self.budget_exceeded = False
+        self._cap = [max_nodes]
         # the search holds no reference back to self, so an enumerator that
         # is dropped before the end is freed at once, not by the cycle GC
         self._search = _search(
@@ -72,9 +73,14 @@ class CycleEnum:
             list(directed),
             start,
             None if waypoint_ranks is None else list(waypoint_ranks),
-            max_nodes,
+            self._cap,
             break_mirror,
         )
+
+    def set_cap(self, max_nodes: int | None) -> None:
+        """Cap the search at ``max_nodes`` nodes in all from the next
+        ``next()`` on (None: no cap)."""
+        self._cap[0] = max_nodes
 
     def __iter__(self):
         return self
@@ -89,13 +95,15 @@ class CycleEnum:
         return cycle
 
 
-def _search(pa, pb, dirv, start, ranks, max_nodes, break_mirror):
+def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
     """The depth-first search, on local variables.  Yields ``(cycle,
-    nodes)`` and returns ``(nodes, budget_exceeded)``."""
+    nodes)`` and returns ``(nodes, budget_exceeded)``.  ``cap[0]`` is the
+    node cap, read at the start and after every yield."""
     n = len(pa)
     if n < 3:
         return 0, False
     umask = [a | b for a, b in zip(pa, pb)]
+    max_nodes = cap[0]
     has_budget = max_nodes is not None
     full = (1 << n) - 1
     start_bit = 1 << start
@@ -176,6 +184,8 @@ def _search(pa, pb, dirv, start, ranks, max_nodes, break_mirror):
                 and not (break_mirror and path[1] > v)
             ):
                 yield path[: depth + 1] + [v], nodes
+                max_nodes = cap[0]
+                has_budget = max_nodes is not None
             visited ^= b
             continue
 

@@ -48,6 +48,9 @@ class SearchStats:
     candidates: int = 0
     rejected: int = 0
     budget_exceeded: bool = False
+    # the node cap; a change made while ``cycles()`` is suspended holds
+    # from when it resumes
+    max_nodes: int | None = None
 
 
 class CycleSearch:
@@ -60,15 +63,12 @@ class CycleSearch:
         prescribed: Sequence[Prescribed] = (),
         max_nodes: int | None = None,
         seed: int = 0,
-        force_pure: bool = False,
     ):
         self.allowed = allowed
         self.n = allowed.n
         self.prescribed = list(prescribed)
-        self.max_nodes = max_nodes
         self.seed = seed
-        self.force_pure = force_pure
-        self.stats = SearchStats()
+        self.stats = SearchStats(max_nodes=max_nodes)
         self._validate()
 
     def _validate(self):
@@ -144,9 +144,8 @@ class CycleSearch:
             directed,
             start=start,
             waypoint_ranks=ranks if has_ranks else None,
-            max_nodes=self.max_nodes,
+            max_nodes=self.stats.max_nodes,
             break_mirror=mirror,
-            force_pure=self.force_pure,
         )
         for item_cycle in enum:
             self.stats.candidates += 1
@@ -156,6 +155,7 @@ class CycleSearch:
                 continue
             self.stats.nodes = enum.nodes
             yield decoded
+            enum.set_cap(self.stats.max_nodes)
         self.stats.nodes = enum.nodes
         self.stats.budget_exceeded = bool(enum.budget_exceeded)
 
@@ -179,9 +179,6 @@ class CycleSearch:
 
         # chain DP over orientations; fix the first item's state
         for first_state in states(item_cycle[0]):
-            choice = [None] * k
-            choice[0] = first_state
-            reachable = [first_state]
             parents = [None] * k
             layers = [[first_state]]
             ok = True
@@ -215,7 +212,7 @@ class CycleSearch:
             orient[-1] = final
             for pos in range(k - 1, 0, -1):
                 orient[pos - 1] = (
-                    parents[pos][orient[pos]] if pos > 1 else choice[0]
+                    parents[pos][orient[pos]] if pos > 1 else first_state
                 )
             out = []
             for pos in range(k):
@@ -261,10 +258,7 @@ def find_hamilton_cycle(
     prescribed: Sequence[Prescribed] = (),
     max_nodes: int | None = None,
     seed: int = 0,
-    force_pure: bool = False,
 ) -> list[int] | None:
     """First Hamilton cycle of ``g`` containing the prescribed paths, or
     None (inspect ``CycleSearch`` directly for budget information)."""
-    return CycleSearch(
-        g, prescribed, max_nodes=max_nodes, seed=seed, force_pure=force_pure
-    ).first()
+    return CycleSearch(g, prescribed, max_nodes=max_nodes, seed=seed).first()

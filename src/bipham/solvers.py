@@ -95,14 +95,16 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
     ``i`` under item order ``order``, capped at ``cap`` nodes, and returns
     ``(found, stats)``: ``found`` yields ``(cycle, pool edges it takes)``,
     ``stats.nodes`` is current at every yield and ``stats.budget_exceeded``
-    once ``found`` ends.  Orders 0, 1, 2, ... of a level are restarts on
-    Luby's schedule: order k is capped at ``LEVEL_UNIT * luby(k + 1)`` and
-    at what is left of ``max_nodes``, so one heavy-tailed order costs a
-    bounded share.  A call exhausted within its cap proves its level
-    infeasible for that pool; one that hits its cap hands over to the next
-    order.  Only spending ``max_nodes`` raises ``Timeout``; a call resumed
-    after a deeper level failed is judged as if capped at what was left
-    then.  Past ``deadline`` (``time.monotonic()``) the next call raises
+    once ``found`` ends, and ``stats.max_nodes`` is the call's cap, which
+    holds from the next ``next(found)`` on.  Orders 0, 1, 2, ... of a level
+    are restarts on Luby's schedule: order k is capped at
+    ``LEVEL_UNIT * luby(k + 1)`` and at what is left of ``max_nodes``, so
+    one heavy-tailed order costs a bounded share.  A call resumed after a
+    deeper level failed has its cap lowered to what is left then, so no
+    call runs past ``max_nodes``.  A call exhausted within its cap proves
+    its level infeasible for that pool; one that hits its cap hands over to
+    the next order.  Only spending ``max_nodes`` raises ``Timeout``.  Past
+    ``deadline`` (``time.monotonic()``) the next call raises
     ``WallClockExceeded`` instead of starting.
     """
     spent = deepest = 0
@@ -112,7 +114,7 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
 
     def timeout(i):
         return Timeout(f"node budget {max_nodes} spent at level {i}",
-                       stats={"nodes": min(spent, max_nodes), "level": i})
+                       stats={"nodes": spent, "level": i})
 
     def open_level(i, sub, order):
         if deadline is not None and time.monotonic() > deadline:
@@ -131,11 +133,10 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
         i = len(frames) - 1
         sub, order, found, stats, counted = frame = frames[i]
         deepest = max(deepest, i)
+        stats.max_nodes = min(stats.max_nodes, counted + max_nodes - spent)
         step = next(found, None)
         spent += stats.nodes - counted
         frame[4] = stats.nodes
-        if spent > max_nodes:
-            raise timeout(i)
         if step is not None:
             cycle, used = step
             chosen.append(cycle)

@@ -55,7 +55,7 @@ def _loose_reference(g, prescribed):
     """The search with port masks built from every vertex of a prescribed
     path, interiors included: the over-approximation ``CycleSearch`` used
     before interiors were left out.  Returns (cycles, kernel nodes)."""
-    s = CycleSearch(g, prescribed, force_pure=True)
+    s = CycleSearch(g, prescribed)
     items = s._items()
     where = {v: idx for idx, it in enumerate(items) for v in it[1]}
 
@@ -120,7 +120,7 @@ def test_cycle_order_matches_loose_reference():
     for seed in range(60):
         g, prescribed = _random_instance(random.Random(1000 + seed))
         expected, loose_nodes = _loose_reference(g, prescribed)
-        s = CycleSearch(g, prescribed, force_pure=True)
+        s = CycleSearch(g, prescribed)
         assert list(s.cycles()) == expected, seed
         assert s.stats.nodes <= loose_nodes, seed
         fewer += s.stats.nodes < loose_nodes

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from bipham import search
 from bipham.balancer import peel_hamilton_cycles
 from bipham.errors import (
     PreconditionViolated,
@@ -185,23 +186,43 @@ def test_approx_decomposition_counts_and_honours_nodes():
     assert exc.value.stats["nodes"] == need - 1
 
 
+def test_approx_decomposition_resumed_call_stays_in_budget(monkeypatch):
+    # three copies of one system: level 1 fails, and the level 0 call it
+    # resumes may spend only what is left of the 86 nodes
+    enums = []
+    enumerator = search.cycle_enumerator
+
+    def record(*args, **kwargs):
+        enums.append(enumerator(*args, **kwargs))
+        return enums[-1]
+
+    monkeypatch.setattr(search, "cycle_enumerator", record)
+    f, part, j = _one_system_instance()
+    with pytest.raises(Timeout, match="node budget 86 spent") as exc:
+        approx_decomposition(f, part, [j, j, j], 0, 0, "1/2",
+                             SolverBudget(max_nodes=86), enforce_gates=False)
+    assert exc.value.stats["nodes"] == 86
+    assert sum(e.nodes for e in enums) <= 86
+
+
 def _scripted(plan, calls):
     """A level search replaying ``plan[level, order] = (nodes to exhaust,
-    [(node count, cycle), ...])`` under the engine's caps."""
+    [(node count, cycle), ...])`` under the engine's caps, including a cap
+    lowered while it is suspended."""
 
     def level_search(i, pool, order, cap):
         calls.append((i, order, cap))
         total, yields = plan[i, order]
-        stats = SearchStats()
+        stats = SearchStats(max_nodes=cap)
 
         def run():
             for at, cyc in yields:
-                if at > cap:
+                if at > stats.max_nodes:
                     break
                 stats.nodes = at
                 yield cyc, frozenset()
-            stats.nodes = min(total, cap)
-            stats.budget_exceeded = total > cap
+            stats.nodes = min(total, stats.max_nodes)
+            stats.budget_exceeded = total > stats.max_nodes
 
         return run(), stats
 
@@ -257,8 +278,8 @@ def test_peel_cycles_budget_rules():
         peel_cycles(_scripted(plan, calls), frozenset(), 2, 50)
     assert calls == [(0, 0, 50), (1, 0, 40)]
 
-    # a call resumed after a deeper level failed is judged as if it had
-    # been capped at what was left: 10 + 85 + 30 nodes pass the 100
+    # a call resumed after a deeper level failed is capped at what is
+    # left: 10 + 85 + 5 nodes spend the 100
     plan = {(0, 0): (40, [(10, [0])]), (1, 0): (85, [])}
     with pytest.raises(Timeout, match="spent at level 0") as exc:
         peel_cycles(_scripted(plan, []), frozenset(), 2, 100)

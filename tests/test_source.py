@@ -42,6 +42,17 @@ def _nested_functions(tree):
     return list(nested.values())
 
 
+def test_package_holds_only_python_source():
+    # no generated C, Cython sources or recorded digests beside the modules
+    found = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+        and path.suffix != ".py"
+    ]
+    assert not found
+
+
 def test_no_nested_function_calls_itself():
     # a closure that calls itself holds a reference to its own cell: every
     # call leaves a reference cycle, which keeps the search state it closes
