@@ -1,4 +1,6 @@
-"""Pure-Python Hamilton cycle enumerator over port-constrained vertices.
+"""Pure-Python Hamilton cycle enumerator over port-constrained vertices:
+the reference that the C kernel (``csrc/hamkernel.c``) is tested against,
+and the kernel that runs when that one cannot be built.
 
 The search instance is a graph whose vertices each expose two "ports": a
 cycle must use one edge through each port.  Ordinary vertices have both port
@@ -40,6 +42,24 @@ are those of the full scan.
 from __future__ import annotations
 
 
+def check_instance(port_a, port_b, directed, start, waypoint_ranks) -> int:
+    """The vertex count of a search instance; ``ValueError`` if its lists
+    differ in length, a port mask has a bit at or past the vertex count,
+    ``start`` is out of range or is not the rank-0 waypoint."""
+    n = len(port_a)
+    if len(port_b) != n or len(directed) != n or (
+        waypoint_ranks is not None and len(waypoint_ranks) != n
+    ):
+        raise ValueError("port masks, directed flags and ranks differ in length")
+    if any(m >> n for m in port_a) or any(m >> n for m in port_b):
+        raise ValueError(f"a port mask has a bit at or past vertex count {n}")
+    if n >= 3 and not 0 <= start < n:
+        raise ValueError(f"start vertex {start} out of range")
+    if waypoint_ranks is not None and waypoint_ranks[start] not in (0, -1):
+        raise ValueError("start vertex must be the rank-0 waypoint")
+    return n
+
+
 class CycleEnum:
     """Resumable enumerator of Hamilton cycles.
 
@@ -60,8 +80,7 @@ class CycleEnum:
         max_nodes: int | None = None,
         break_mirror: bool = False,
     ):
-        if waypoint_ranks is not None and waypoint_ranks[start] not in (0, -1):
-            raise ValueError("start vertex must be the rank-0 waypoint")
+        check_instance(port_a, port_b, directed, start, waypoint_ranks)
         self.nodes = 0
         self.budget_exceeded = False
         self._cap = [max_nodes]

@@ -1,5 +1,6 @@
 """Kernel behavior: exactness against a permutation brute force and a
-full-scan reference search, pinned runs, prescribed paths and visit-order
+full-scan reference search, pinned runs, the C kernel against the pure one,
+the C kernel's build and its fallback, prescribed paths and visit-order
 constraints."""
 
 import gc
@@ -7,12 +8,15 @@ import hashlib
 import itertools
 import json
 import random
+import shutil
+import subprocess
 import weakref
 
 import pytest
 
+from bipham import hamkernel
 from bipham.graphs import Graph, complete_bipartite
-from bipham.hamkernel import PureCycleEnum
+from bipham.hamkernel import PureCycleEnum, cycle_enumerator
 from bipham.search import CycleSearch, Prescribed, find_hamilton_cycle
 from bipham.validate import check_cycle_in_graph, cycle_edges
 
@@ -152,6 +156,215 @@ def test_pure_kernel_dropped_early_is_freed_at_once():
         assert alive() is None
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def c_kernel():
+    """The C kernel's enumerator class; it must have been built wherever
+    there is a C compiler."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert hamkernel.KERNEL == "c"
+    return hamkernel.CycleEnum
+
+
+def _agree(c_kernel, kw, lower_cap=None):
+    """Run the C and the pure kernel on one instance in lock step: the same
+    cycle and node count after every ``next()``, the same end and budget
+    flag.  ``lower_cap(nodes)``, if given, returns a cap (or ``False`` for
+    none) that both get by ``set_cap`` after each cycle.
+    Returns (cycles, budget_exceeded)."""
+    c, pure = c_kernel(**kw), PureCycleEnum(**kw)
+    cycles = 0
+    while True:
+        got, want = next(c, None), next(pure, None)
+        assert got == want, f"cycle {cycles}"
+        assert c.nodes == pure.nodes, f"nodes after cycle {cycles}"
+        if want is None:
+            break
+        cycles += 1
+        cap = lower_cap(pure.nodes) if lower_cap else False
+        if cap is not False:
+            c.set_cap(cap)
+            pure.set_cap(cap)
+    assert c.budget_exceeded == pure.budget_exceeded
+    assert next(c, None) is None and c.nodes == pure.nodes
+    return cycles, pure.budget_exceeded
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_c_kernel_agrees_on_pinned(c_kernel, name):
+    _agree(c_kernel, _pinned_instances()[name])
+
+
+def _random_instance(seed):
+    """A seeded random instance of 3 to 200 vertices (one to four words),
+    with ported and one-way masks, directed items, waypoint ranks, mirror
+    breaking and a cap from 0 up, plus a cap schedule for ``_agree``."""
+    rng = random.Random(seed)
+    n = rng.choice((
+        rng.randint(3, 12), rng.randint(13, 62),
+        rng.choice((63, 64, 65, 127, 128, 129)), rng.randint(66, 200),
+    ))
+    pa, pb = _ports(seed, n, rng.uniform(0.05, 1.0), ported=rng.randint(0, n),
+                    one_way=rng.randint(0, n))
+    start = rng.randrange(n)
+    ranks = None
+    if rng.random() < 0.3:
+        others = rng.sample([v for v in range(n) if v != start],
+                            rng.randint(1, min(n - 1, 4)))
+        ranks = [-1] * n
+        ranks[start] = 0
+        for rank, v in enumerate(others, 1):
+            ranks[v] = rank
+    caps = [0, 1, 2, 5, 40, 400, 3000] + ([None] if n <= 9 else [])
+    kw = dict(
+        port_a=pa,
+        port_b=pb,
+        directed=[rng.random() < 0.3 for _ in range(n)],
+        start=start,
+        waypoint_ranks=ranks,
+        max_nodes=rng.choice(caps),
+        break_mirror=rng.random() < 0.5,
+    )
+
+    def lower_cap(nodes):
+        # after some cycles, cap the search a few nodes past (or before)
+        # where it stands
+        return nodes + rng.randint(-2, 30) if rng.random() < 0.3 else False
+
+    return kw, lower_cap if rng.random() < 0.3 else None
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_c_kernel_agrees_on_random_instances(c_kernel, chunk):
+    seen = {"over 64": 0, "over 128": 0, "cycles over 64": 0, "trips": 0,
+            "trips over 64": 0}
+    for seed in range(125 * chunk, 125 * (chunk + 1)):
+        kw, lower_cap = _random_instance(seed)
+        n = len(kw["port_a"])
+        try:
+            cycles, tripped = _agree(c_kernel, kw, lower_cap)
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}, n {n}: {exc}") from exc
+        seen["over 64"] += n > 64
+        seen["over 128"] += n > 128
+        seen["cycles over 64"] += n > 64 and cycles > 0
+        seen["trips"] += tripped
+        seen["trips over 64"] += n > 64 and tripped
+    assert all(seen.values()), seen
+
+
+def _kernel(request, name):
+    if name == "c":
+        return request.getfixturevalue("c_kernel")
+    return {"pure": PureCycleEnum, "entry point": cycle_enumerator}[name]
+
+
+@pytest.mark.parametrize("kernel", ["pure", "c"])
+def test_kernels_reject_a_start_off_rank_zero(request, kernel):
+    enum = _kernel(request, kernel)
+    g = complete_graph(5)
+    masks = [sum(1 << w for w in g.adj[v]) for v in range(5)]
+    with pytest.raises(ValueError, match="rank-0 waypoint"):
+        enum(masks, masks, [False] * 5, start=1,
+             waypoint_ranks=[0, 1, -1, -1, -1])
+
+
+@pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
+@pytest.mark.parametrize("bad", [1 << 5, -1])
+def test_kernels_reject_masks_past_the_vertex_count(request, kernel, bad):
+    # a 4-cycle whose vertex 0 has a bit past n = 4: the pure search used
+    # to fail on it with an IndexError partway through
+    enum = _kernel(request, kernel)
+    masks = [0b1010, 0b0101, 0b1010, 0b0101]
+    masks[0] |= bad
+    with pytest.raises(ValueError, match="past vertex count 4"):
+        enum(masks, masks, [False] * 4)
+
+
+def test_c_kernel_state_freed_at_end_and_when_dropped(c_kernel, monkeypatch):
+    freed = []
+    free = c_kernel._free
+    monkeypatch.setattr(c_kernel, "_free", staticmethod(
+        lambda state: (freed.append(state), free(state))
+    ))
+    for name in ("plain-mirror", "budget-trip"):
+        enum = c_kernel(**_pinned_instances()[name])
+        state = enum._state
+        list(enum)
+        assert freed == [state] and enum._state is None
+        del enum
+        assert freed == [state]
+        freed.clear()
+    # the C twin of test_pure_kernel_dropped_early_is_freed_at_once
+    gc.collect()
+    gc.disable()
+    try:
+        enum = c_kernel(**_pinned_instances()["plain-mirror"])
+        next(enum)
+        state, alive = enum._state, weakref.ref(enum)
+        del enum
+        assert alive() is None
+        assert freed == [state]
+    finally:
+        gc.enable()
+
+
+def test_c_kernel_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    done = subprocess.run(
+        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared",
+         "-fPIC", "-o", str(tmp_path / "hamkernel.so"), str(hamkernel._SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("fault", [
+    "no compiler", "unwritable directory", "source does not compile",
+    "no source",
+])
+def test_kernel_loader_falls_back_to_pure(tmp_path, fault):
+    build, compiler, source = tmp_path / "build", "cc", hamkernel._SOURCE
+    if fault == "no compiler":
+        compiler = "bipham-no-such-cc"
+    elif fault == "unwritable directory":
+        # a file where a directory must be: neither permission bits, which
+        # do not stop root, nor a read-only mount
+        (tmp_path / "file").write_text("")
+        build = tmp_path / "file" / "build"
+    elif fault == "source does not compile":
+        source = tmp_path / "broken.c"
+        source.write_text("this is not C\n")
+    else:
+        source = tmp_path / "missing.c"
+    enum, kernel = hamkernel._load(build, compiler, source)
+    assert enum is PureCycleEnum
+    assert kernel.startswith("pure: ")
+    # no library, not even a partial one, is left behind
+    assert not build.is_dir() or not any(build.iterdir())
+
+
+def test_kernel_loader_reuses_a_filled_cache(tmp_path, monkeypatch):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    enum, kernel = hamkernel._load(tmp_path, "cc")
+    assert kernel == "c"
+    digest = hashlib.sha256(hamkernel._SOURCE.read_bytes()).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.so"]
+
+    def run(*args, **kwargs):
+        raise AssertionError("a compiler was started")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    enum, kernel = hamkernel._load(tmp_path, "bipham-no-such-cc")
+    assert kernel == "c"
+    assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.so"]
+    instance = _pinned_instances()["waypoints"]
+    assert list(enum(**instance)) == list(PureCycleEnum(**instance))
 
 
 def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import shutil
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bipham import pipeline, solvers
+from bipham import hamkernel, pipeline, search, solvers
 from bipham.cli import main as cli_main
 from bipham.errors import PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
@@ -81,6 +82,36 @@ def test_nwbip_reports_pinned_on_exceptional_hosts(name, seed, constants, digest
     rep = run_theorem_NWbip(host, sub, PipelineConstants(**constants), seed=seed,
                             hint_split=tuple(doc["split"]))
     assert _digest(rep) == digest
+
+
+@pytest.mark.parametrize("case", [
+    "n32-D8-h1-x1-s1001", "n24-D8-h2-x0-s1008", "n24-D6-h1-x1-s1002", "K28-s1",
+])
+def test_reports_identical_on_both_kernels(monkeypatch, case):
+    # the hosts of test_nwbip_reports_pinned_on_exceptional_hosts and the
+    # 1-factorization of K(28,28): a report does not depend on the kernel
+    if case == "K28-s1":
+        g, part, props = generate("complete_bipartite", {"m": 28})
+        hint = (list(part.A), list(part.B))
+
+        def run():
+            return run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
+    else:
+        doc = json.loads((EXCEPTIONAL_INPUTS / f"{case}.json").read_text())
+        host, sub = Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"])
+        eps0 = {"eps0": Fraction(1, 100)} if case.endswith("s1002") else {}
+
+        def run():
+            return run_theorem_NWbip(
+                host, sub, PipelineConstants(**eps0), seed=int(case[-4:]),
+                hint_split=tuple(doc["split"]),
+            )
+    if shutil.which("cc") is not None:
+        assert hamkernel.KERNEL == "c"
+    assert search.cycle_enumerator is hamkernel.cycle_enumerator
+    on_default = render_report(run())
+    monkeypatch.setattr(search, "cycle_enumerator", hamkernel.PureCycleEnum)
+    assert render_report(run()) == on_default
 
 
 def test_nwbip_stage_failure_marks_downstream_skipped():
