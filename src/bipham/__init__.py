@@ -11,7 +11,6 @@ from .graphs import (
     Digraph,
     Graph,
     LabelledPartition,
-    MultiGraph,
     OrientedGraph,
     PathSystem,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "Framework",
     "Graph",
     "LabelledPartition",
-    "MultiGraph",
     "OrientedGraph",
     "PathSystem",
     "PipelineConstants",

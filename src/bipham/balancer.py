@@ -30,6 +30,7 @@ from .errors import (
     PreconditionViolated,
     SolverFailure,
 )
+from .generators import near_bipartition
 from .graphs import Graph, LabelledPartition, PathSystem
 from .matchings import _augment, vizing_balanced
 from .schemes import rational_ceil
@@ -347,7 +348,7 @@ def bip_decompose(
     if hint_split is not None:
         s1, s2 = set(hint_split[0]), set(hint_split[1])
     else:
-        s1, s2 = _near_bipartition(f)
+        s1, s2 = near_bipartition(f)
     trace = []
     # integer degrees against rational bounds: d >= r iff d >= ceil(r),
     # d < r iff d < ceil(r)
@@ -421,37 +422,6 @@ def _common_degree(g: Graph) -> int:
     if len(degs) != 1:
         raise PreconditionViolated(f"spanning subgraph not regular: degrees {sorted(degs)}")
     return degs.pop()
-
-
-def _near_bipartition(f: Graph) -> tuple[set, set]:
-    """Deterministic local search for a near-balanced split minimizing
-    internal edges: start from an alternating assignment by degree order,
-    then first-improvement single swaps."""
-    order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
-    s1 = set(order[0::2])
-    s2 = set(order[1::2])
-
-    def internal():
-        return f.e_within(s1) + f.e_within(s2)
-
-    best = internal()
-    improved = True
-    while improved:
-        improved = False
-        for u in sorted(s1):
-            for v in sorted(s2):
-                s1.discard(u); s2.discard(v)
-                s1.add(v); s2.add(u)
-                cand = internal()
-                if cand < best:
-                    best = cand
-                    improved = True
-                    break
-                s1.discard(v); s2.discard(u)
-                s1.add(u); s2.add(v)
-            if improved:
-                break
-    return s1, s2
 
 
 def elimination_bound_holds(fw_before_D: int, reduced_D: int, eps, n: int) -> bool:

@@ -26,10 +26,6 @@ class NotBipartite(BiphamError):
     """A bipartite operation received overlapping or non-covering classes."""
 
 
-class OutOfRange(BiphamError):
-    """A numeric argument is outside its admissible interval."""
-
-
 class PreconditionViolated(BiphamError):
     """A stated precondition fails; carries a witness when available."""
 

@@ -243,7 +243,7 @@ def bipartite_degree_factor(g: Graph, targets: dict, split: tuple) -> Graph:
     for v in right:
         gx.add_edge(v, sink, capacity=targets.get(v, 0))
     lset = set(left)
-    for u, v in g.edges:
+    for u, v in sorted(g.edges):
         a, b = (u, v) if u in lset else (v, u)
         gx.add_edge(a, b, capacity=1)
     value, flow = nx.maximum_flow(gx, source, sink)
@@ -296,23 +296,38 @@ def verify_eps_bipartite(f: Graph, eps) -> tuple[bool, tuple]:
     edge counts at most eps*n^2 (greedy balanced local search)."""
     eps = frac(eps)
     n = f.n
-    order = sorted(range(n), key=lambda v: (-f.degree(v), v))
-    s1, s2 = set(order[0::2]), set(order[1::2])
+    s1, s2 = near_bipartition(f)
+    ok = f.e_within(s1) <= eps * n * n and f.e_within(s2) <= eps * n * n
+    ok = ok and abs(len(s1) - len(s2)) <= 1
+    return ok, (sorted(s1), sorted(s2))
+
+
+def near_bipartition(f: Graph) -> tuple[set, set]:
+    """Deterministic local search for a near-balanced split minimizing
+    internal edges: start from an alternating assignment by degree order,
+    then first-improvement single swaps."""
+    order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
+    s1 = set(order[0::2])
+    s2 = set(order[1::2])
+
+    def internal():
+        return f.e_within(s1) + f.e_within(s2)
+
+    best = internal()
     improved = True
     while improved:
         improved = False
         for u in sorted(s1):
             for v in sorted(s2):
-                before = f.e_within(s1) + f.e_within(s2)
                 s1.discard(u); s2.discard(v)
                 s1.add(v); s2.add(u)
-                if f.e_within(s1) + f.e_within(s2) < before:
+                cand = internal()
+                if cand < best:
+                    best = cand
                     improved = True
                     break
                 s1.discard(v); s2.discard(u)
                 s1.add(u); s2.add(v)
             if improved:
                 break
-    ok = f.e_within(s1) <= eps * n * n and f.e_within(s2) <= eps * n * n
-    ok = ok and abs(len(s1) - len(s2)) <= 1
-    return ok, (sorted(s1), sorted(s2))
+    return s1, s2

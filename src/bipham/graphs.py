@@ -1,5 +1,5 @@
-"""Core graph types: simple graphs, multigraphs, oriented graphs, labelled
-partitions and path systems.
+"""Core graph types: simple graphs, oriented graphs, labelled partitions and
+path systems.
 
 Vertices are dense integer ids 0..n-1 everywhere; partitions refer to ids.
 All types are immutable values after construction, so they can be shared
@@ -152,14 +152,6 @@ class Graph:
     def with_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":
         return Graph(self.n, self.edges | norm_edges(edges))
 
-    def spanning(self, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Spanning subgraph on the same vertex set with the given edges."""
-        es = norm_edges(edges)
-        missing = es - self.edges
-        if missing:
-            raise BadParams(f"edges {sorted(missing)[:3]} not present in graph")
-        return Graph(self.n, es)
-
     def is_regular(self) -> bool:
         degs = self.degrees()
         return len(set(degs)) <= 1
@@ -208,61 +200,6 @@ def class_labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
                 raise BadParams(f"vertex {v} lies in classes {label[v]} and {c}")
             label[v] = c
     return label
-
-
-class MultiGraph:
-    """An undirected multigraph: unordered pairs with multiplicities."""
-
-    __slots__ = ("n", "mult")
-
-    def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        self.n = int(n)
-        c: Counter = Counter()
-        for u, v in edges:
-            c[norm_edge(u, v)] += 1
-        self.mult = dict(c)
-
-    def num_edges(self) -> int:
-        return sum(self.mult.values())
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.mult.get(norm_edge(u, v), 0)
-
-    def plus(self, other) -> "MultiGraph":
-        m = MultiGraph(max(self.n, other_n(other)))
-        c = Counter(self.mult)
-        c.update(multi_edges(other))
-        m.mult = dict(c)
-        return m
-
-    def is_simple(self) -> bool:
-        return all(k == 1 for k in self.mult.values())
-
-    def __repr__(self):
-        return f"MultiGraph(n={self.n}, m={self.num_edges()})"
-
-
-def other_n(g) -> int:
-    return g.n
-
-
-def multi_edges(g) -> Counter:
-    """Edge multiset of a Graph or MultiGraph as a Counter."""
-    if isinstance(g, Graph):
-        return Counter(g.edges)
-    if isinstance(g, MultiGraph):
-        return Counter(g.mult)
-    raise BadParams(f"not a graph: {g!r}")
-
-
-def graph_sum(n: int, graphs: Iterable) -> MultiGraph:
-    """Multigraph sum G_1 + ... + G_k (multiplicities add)."""
-    c: Counter = Counter()
-    for g in graphs:
-        c.update(multi_edges(g))
-    m = MultiGraph(n)
-    m.mult = dict(c)
-    return m
 
 
 class Digraph:
@@ -622,9 +559,6 @@ class PathSystem:
     def union(self, other: "PathSystem") -> "PathSystem":
         return PathSystem(max(self.n, other.n), self.edges | other.edges)
 
-    def with_edges(self, edges: Iterable[Sequence[int]]) -> "PathSystem":
-        return PathSystem(self.n, self.edges | norm_edges(edges))
-
     def as_graph(self) -> Graph:
         return Graph(self.n, self.edges)
 
@@ -706,12 +640,6 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         max_v = max(max_v, u, v)
     return Graph(max_v + 1, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"# n={g.n} m={len(g.edges)}"]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
 
 
 def complete_bipartite(sizes: tuple[int, int]) -> Graph:

@@ -1,5 +1,4 @@
-"""Density-regularity checking for bipartite pairs, plus the tail bound used
-by the randomized constructions.
+"""Density-regularity checking for bipartite pairs.
 
 The regularity test asks whether every sufficiently large sub-rectangle has
 density within eps of the pair density.  The exhaustive mode enumerates all
@@ -20,24 +19,10 @@ from itertools import combinations
 from typing import Sequence
 
 from .balance import frac
-from .errors import NotBipartite, OutOfRange
+from .errors import NotBipartite
 from .graphs import Graph
 
 EXHAUSTIVE_LIMIT = 12
-
-
-def concentration_bound(distribution: str, mean, a) -> float:
-    """Upper bound 2*exp(-a^2 * mean / 3) on P(|X - EX| >= a*EX) for a
-    binomial or hypergeometric X with EX = mean."""
-    if distribution not in ("binomial", "hypergeometric"):
-        raise OutOfRange(f"unknown distribution {distribution!r}")
-    a = float(a)
-    if not 0 < a < 1.5:
-        raise OutOfRange(f"a = {a} outside (0, 3/2)")
-    mean = float(mean)
-    if mean < 0:
-        raise OutOfRange(f"mean = {mean} negative")
-    return 2.0 * math.exp(-(a * a) * mean / 3.0)
 
 
 @dataclass(frozen=True)

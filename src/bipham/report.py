@@ -167,8 +167,3 @@ def _json_key(k) -> str:
         return json.dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {type(k).__name__}")
-
-
-def parse_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)

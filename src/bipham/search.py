@@ -251,14 +251,3 @@ class CycleSearch:
                 if len(cyc) == len(set(cyc)) and len(cyc) >= 3:
                     yield cyc
                     return
-
-
-def find_hamilton_cycle(
-    g: Graph,
-    prescribed: Sequence[Prescribed] = (),
-    max_nodes: int | None = None,
-    seed: int = 0,
-) -> list[int] | None:
-    """First Hamilton cycle of ``g`` containing the prescribed paths, or
-    None (inspect ``CycleSearch`` directly for budget information)."""
-    return CycleSearch(g, prescribed, max_nodes=max_nodes, seed=seed).first()

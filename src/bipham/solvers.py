@@ -2,6 +2,9 @@
 decompositions, densest even-regular spanning subgraphs, and exact
 chromatic index for regular graphs.
 
+``reg_even`` tries each even degree on the degree-factor reduction of
+``generators.degree_factor``, the package's one such reduction.
+
 Two independent Hamilton-cycle code paths exist on purpose: the fast
 port-constrained kernel (via ``bipham.search``) drives the pipeline
 builders, while the plain recursive enumerator in this module acts as the
@@ -32,8 +35,15 @@ from typing import Callable, Iterator, Sequence
 import networkx as nx
 
 from .balance import frac
-from .errors import BadParams, PreconditionViolated, Timeout, WallClockExceeded
+from .errors import (
+    BadParams,
+    MatchingFailure,
+    PreconditionViolated,
+    Timeout,
+    WallClockExceeded,
+)
 from .fictive import build_fictive, consistent_cycle_search, substitute
+from .generators import degree_factor
 from .graphs import Graph, LabelledPartition, PathSystem
 from .validate import cycle_edges
 
@@ -245,41 +255,6 @@ def exhaustive_hamilton_decomposition(
 
 # -- even-regular spanning subgraphs -----------------------------------------
 
-def _regular_subgraph(g: Graph, D: int) -> Graph | None:
-    """A D-regular spanning subgraph of g, via the degree-gadget reduction
-    to perfect matching (general matching by blossom)."""
-    if D == 0:
-        return Graph(g.n, [])
-    if any(g.degree(v) < D for v in range(g.n)):
-        return None
-    if (g.n * D) % 2 != 0:
-        return None
-    gx = nx.Graph()
-    edge_nodes = {}
-    for u, v in sorted(g.edges):
-        eu = ("e", u, v, u)
-        ev = ("e", u, v, v)
-        edge_nodes[(u, v)] = (eu, ev)
-        gx.add_edge(eu, ev)
-    for v in range(g.n):
-        inc = sorted(e for e in g.edges if v in e)
-        spare = g.degree(v) - D
-        for j in range(spare):
-            iv = ("i", v, j)
-            for u, w in inc:
-                gx.add_edge(iv, ("e", u, w, v))
-    matching = nx.max_weight_matching(gx, maxcardinality=True)
-    if 2 * len(matching) != gx.number_of_nodes():
-        return None
-    matched = {frozenset(p) for p in matching}
-    chosen = [
-        e for e, (eu, ev) in edge_nodes.items() if frozenset((eu, ev)) in matched
-    ]
-    sub = Graph(g.n, chosen)
-    assert set(sub.degrees()) <= {D}
-    return sub
-
-
 def reg_even(g: Graph, budget: SolverBudget = SolverBudget()) -> tuple[int, Graph]:
     """Largest even D admitting a D-regular spanning subgraph, with a
     witness subgraph (D = 0 with the empty graph when none larger exists)."""
@@ -289,9 +264,12 @@ def reg_even(g: Graph, budget: SolverBudget = SolverBudget()) -> tuple[int, Grap
         if time.monotonic() > deadline:
             raise WallClockExceeded("reg_even: wall clock passed "
                                     f"{budget.max_seconds}s; not reproducible")
-        sub = _regular_subgraph(g, D)
-        if sub is not None:
-            return D, sub
+        try:
+            sub = degree_factor(g, {v: D for v in range(g.n)})
+        except MatchingFailure:
+            continue
+        assert set(sub.degrees()) <= {D}
+        return D, sub
     return 0, Graph(g.n, [])
 
 

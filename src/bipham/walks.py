@@ -29,6 +29,7 @@ from .errors import (
 )
 from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, norm_edge
 from .matchings import kuhn_matching
+from .partitioning import uniform_refinement
 from .search import CycleSearch, Prescribed
 from .solvers import luby, peel_cycles
 from .validate import check_decomposition, cycle_edges
@@ -192,39 +193,24 @@ def build_biuniversal_walk(
 
 def _one_factorization(pool: list[int], edges, k: int) -> list[list[int]]:
     """Split a regular multidigraph (given as edge instances) into
-    1-factors by repeated perfect matchings tail -> head."""
+    1-factors by repeated perfect matchings tail -> head, each pair matched
+    through its lowest remaining edge ident."""
     remaining = list(pool)
     factors = []
     degree = len(pool) // k
     for _ in range(degree):
-        by_tail: dict[int, list[int]] = {}
-        for e in remaining:
-            by_tail.setdefault(edges[e].arc[0], []).append(e)
-        match: dict[int, int] = {}  # head -> edge ident
-        tails = sorted({edges[e].arc[0] for e in remaining})
-        for tail in tails:
-            if not _augment_arc(tail, set(), by_tail, edges, match):
-                raise AssertionError("regular multidigraph had no 1-factor")
-        chosen = sorted(match.values())
+        lowest: dict[tuple, int] = {}
+        for e in sorted(remaining):
+            lowest.setdefault(edges[e].arc, e)
+        tails = sorted({tail for tail, _ in lowest})
+        heads = sorted({head for _, head in lowest})
+        match = kuhn_matching(tails, heads, lambda t, h: (t, h) in lowest)
+        if match is None:
+            raise AssertionError("regular multidigraph had no 1-factor")
+        chosen = sorted(lowest[arc] for arc in match.items())
         factors.append(chosen)
         remaining = [e for e in remaining if e not in set(chosen)]
     return factors
-
-
-def _augment_arc(tail, seen, by_tail, edges, match) -> bool:
-    """Kuhn's augmenting-path step of ``_one_factorization`` from ``tail``,
-    over its out-arcs in ident order; module level for the reason
-    ``matchings._augment`` gives."""
-    for e in sorted(by_tail.get(tail, [])):
-        head = edges[e].arc[1]
-        if head in seen:
-            continue
-        seen.add(head)
-        if head not in match or _augment_arc(edges[match[head]].arc[0], seen,
-                                             by_tail, edges, match):
-            match[head] = e
-            return True
-    return False
 
 
 def _factor_cycle_through(factor: list[int], edges, v) -> list[int] | None:
@@ -315,10 +301,10 @@ def assemble_bisetup(
     check_pairs: bool = True,
 ) -> BiSetup:
     """The alternating cluster cycle A1 B1 ... AK BK with the complete
-    bipartite cluster digraph, a parity walk, and a uniform refinement;
-    each condition is verified at desk scale and recorded."""
-    import random
-
+    bipartite cluster digraph, a parity walk, and a uniform refinement
+    (``partitioning.uniform_refinement``, which raises RetryBudgetExceeded
+    when no attempt verifies); each condition is verified at desk scale and
+    recorded."""
     from .regularity import check_regular_pair
 
     eps = frac(eps)
@@ -344,37 +330,12 @@ def assemble_bisetup(
     r_bi = Digraph(k2, r_arcs)
     walk = build_biuniversal_walk(r_bi, cyc, ell_prime)
 
-    rng = random.Random(seed)
+    cert = uniform_refinement(gdir, part, ell_prime, eps, seed)
     refined = []
-    for c in clusters:
-        vs = list(c)
-        rng.shuffle(vs)
-        size = m // ell_prime
-        refined.append([sorted(vs[i * size : (i + 1) * size]) for i in range(ell_prime)])
-
-    checks = {}
-    # degree-split quality of the refinement
-    worst = Fraction(0)
-    ref_problems = []
-    for ci, c in enumerate(clusters):
-        cset = set(c)
-        for v in range(gdir.n):
-            for nbrs in (gdir.out[v], gdir.inn[v]):
-                base = len(nbrs & cset)
-                if base < eps * len(c):
-                    continue
-                for ppart in refined[ci]:
-                    got = len(nbrs & set(ppart))
-                    dev = abs(Fraction(got) - Fraction(base, ell_prime))
-                    rel = dev / Fraction(base, ell_prime)
-                    worst = max(worst, rel)
-                    if rel > eps:
-                        ref_problems.append(
-                            f"neighborhood of {v} in cluster {ci} splits unevenly"
-                        )
-    checks["refinement"] = (
-        f"max relative deviation {worst}" if not ref_problems else ref_problems[0]
-    )
+    for parts_a, parts_b in zip(cert.child.refined_A, cert.child.refined_B):
+        refined.append([list(p) for p in parts_a])
+        refined.append([list(p) for p in parts_b])
+    checks = {"refinement": f"max relative deviation {cert.max_relative_deviation}"}
 
     # visit bookkeeping: a-th visit to cluster position p uses subcluster a
     visit_count = {p: 0 for p in range(k2)}

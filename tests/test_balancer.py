@@ -12,7 +12,7 @@ from bipham.balancer import (
     peel_hamilton_cycles,
 )
 from bipham.errors import PreconditionViolated, Timeout
-from bipham.generators import generate
+from bipham.generators import eps_bipartite_instance, generate
 from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
 from bipham.solvers import SolverBudget
 from bipham.validate import check_cycle_in_graph, check_edge_disjoint, cycle_edges
@@ -174,6 +174,26 @@ def test_bip_decompose_on_clean_bipartite():
     fw = dec.framework
     assert isinstance(fw, Framework)
     assert fw.partition.a == 0 and fw.partition.b == 0
+
+
+@pytest.mark.parametrize("host, kind", [
+    (dict(n=24, D=8, eps="1/100", hubs=0, hub_degree=0, extra_internal=5,
+          seed=3), "full"),
+    (dict(n=20, D=8, eps="1/10", hubs=1, hub_degree=6, extra_internal=0,
+          seed=1), "weak"),
+])
+def test_bip_decompose_without_hint_finds_planted_split(host, kind):
+    # with no hint the near-bipartition search starts the split; it must
+    # land on the planted (A', B') the hinted run starts from
+    f, part, _, g = eps_bipartite_instance(**host)
+    runs = []
+    for hint in (None, (part.A_prime(), part.B_prime())):
+        fw = bip_decompose(f, g, 1, "1/2", "1/4", hint_split=hint).framework
+        assert isinstance(fw, Framework)
+        p = fw.partition
+        runs.append((fw.kind, {(p.A0, p.A), (p.B0, p.B)}))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == kind
 
 
 def test_bip_decompose_flipping_strictly_improves():

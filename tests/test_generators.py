@@ -1,6 +1,7 @@
 """Instance generators and their certified properties."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 
 import bipham
 
-from bipham.errors import BadParams
+from bipham.errors import BadParams, MatchingFailure
 from bipham.generators import (
     babai_instance,
+    bipartite_degree_factor,
     degree_factor,
     eps_bipartite_instance,
     generate,
@@ -89,13 +91,29 @@ def test_regular_spanning_subgraph_general_and_forced():
 
 
 def test_degree_factor():
-    from bipham.errors import MatchingFailure
-
     out = degree_factor(Graph(4, [(0, 1), (2, 3)]), {0: 1, 1: 1, 2: 0, 3: 0})
     assert out.edges == frozenset({(0, 1)})
     # an odd-sum degree prescription cannot be realized
     with pytest.raises(MatchingFailure):
         degree_factor(complete_graph(3), {0: 1, 1: 1, 2: 1})
+
+
+def test_bipartite_degree_factor_ignores_edge_order():
+    # equal edge sets built in different orders iterate differently; the
+    # flow network, and so the factor, must not follow that order
+    m = 5
+    split = (list(range(m)), list(range(m, 2 * m)))
+    targets = {v: 2 for v in range(2 * m)}
+    for seed in range(40):
+        rng = random.Random(seed)
+        edges = [(a, m + b) for a in range(m) for b in range(m)
+                 if rng.random() < 0.8]
+        try:
+            first = bipartite_degree_factor(Graph(2 * m, edges), targets, split)
+        except MatchingFailure:
+            continue
+        again = Graph(2 * m, list(reversed(edges)))
+        assert bipartite_degree_factor(again, targets, split) == first, seed
 
 
 def test_generate_dispatch():

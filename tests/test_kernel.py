@@ -17,7 +17,7 @@ import pytest
 from bipham import hamkernel
 from bipham.graphs import Graph, complete_bipartite
 from bipham.hamkernel import PureCycleEnum, cycle_enumerator
-from bipham.search import CycleSearch, Prescribed, find_hamilton_cycle
+from bipham.search import CycleSearch, Prescribed
 from bipham.validate import check_cycle_in_graph, cycle_edges
 
 from conftest import complete_graph, random_graph
@@ -469,11 +469,11 @@ def test_prescribed_paths_respected():
 
 def test_prescribed_path_blocks_when_infeasible():
     g = complete_bipartite((3, 3))
-    assert find_hamilton_cycle(g, [Prescribed((0, 3, 1, 4, 2))]) is not None
+    assert CycleSearch(g, [Prescribed((0, 3, 1, 4, 2))]).first() is not None
     # prescribed edges may come from outside the allowed graph; here the
     # allowed graph leaves vertex 1 with no second connection
     sparse = Graph(4, [(0, 2), (0, 3), (2, 3)])
-    res = find_hamilton_cycle(sparse, [Prescribed((1, 2))], max_nodes=10000)
+    res = CycleSearch(sparse, [Prescribed((1, 2))], max_nodes=10000).first()
     assert res is None
 
 
@@ -502,9 +502,9 @@ def test_budget_reported():
 def test_two_item_instances():
     # one prescribed path plus one free vertex
     g = Graph(4, [(0, 3), (2, 3)])
-    res = find_hamilton_cycle(g, [Prescribed((0, 1, 2))])
+    res = CycleSearch(g, [Prescribed((0, 1, 2))]).first()
     assert res is not None and len(res) == 4
     # single prescribed path closing on itself
     g2 = Graph(3, [(0, 2)])
-    res2 = find_hamilton_cycle(g2, [Prescribed((0, 1, 2))])
+    res2 = CycleSearch(g2, [Prescribed((0, 1, 2))]).first()
     assert res2 == [0, 1, 2]

@@ -1,5 +1,4 @@
-"""Density-regularity checking against an independent brute force, plus the
-tail-bound utility."""
+"""Density-regularity checking against an independent brute force."""
 
 import math
 import random
@@ -7,13 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from bipham.errors import NotBipartite, OutOfRange
+from bipham.errors import NotBipartite
 from bipham.graphs import Graph, complete_bipartite
-from bipham.regularity import (
-    check_regular_pair,
-    concentration_bound,
-    naive_regular_pair,
-)
+from bipham.regularity import check_regular_pair, naive_regular_pair
 
 
 def test_complete_pair_superregular():
@@ -81,18 +76,3 @@ def test_class_hygiene():
         check_regular_pair(g, [0, 1], [1, 2], "1/2")
     with pytest.raises(NotBipartite):
         check_regular_pair(g, [0, 1], [2, 3], "1/2")  # edge inside {0,1}
-
-
-def test_concentration_bound_values():
-    assert concentration_bound("binomial", 300, 0.1) == pytest.approx(
-        2 * math.exp(-1)
-    )
-    assert concentration_bound("hypergeometric", 0, 0.5) == 2.0
-    assert concentration_bound("binomial", 3000, 0.3) == pytest.approx(
-        2 * math.exp(-90)
-    )
-    for bad in (0, 1.5, -1, 2):
-        with pytest.raises(OutOfRange):
-            concentration_bound("binomial", 10, bad)
-    with pytest.raises(OutOfRange):
-        concentration_bound("poisson", 10, 0.5)

@@ -1,9 +1,11 @@
 """Guards on the shape of the source itself, read with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bipham"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bipham"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -113,3 +115,53 @@ def test_no_indented_json_encoding():
                     kw.arg == "indent" for kw in node.keywords):
                 found.append(f"{name}: line {node.lineno}")
     assert not found
+
+
+# public names kept although nothing in the package or the benchmark uses
+# them, each with its reason
+UNCALLED = {
+    "check_matching": "referee for the matchings the pipeline builds",
+    "naive_regular_pair": "brute-force referee of check_regular_pair",
+    "verify_eps_bipartite": "referee of the near-bipartite generators",
+    "chord_sequence": "robust-decomposition walks, ROADMAP item 3",
+    "assemble_bisetup": "robust-decomposition walks, ROADMAP item 3",
+    "verify_robust_params": "robust-decomposition walks, ROADMAP item 3",
+    "robust_decomposition": "robust-decomposition walks, ROADMAP item 3",
+}
+
+
+def _mentions(tree, skip=None):
+    """Every plain name and attribute name used in ``tree``, outside the
+    subtree ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_public_names_have_a_caller():
+    # a public module-level function or class is named somewhere in the
+    # package outside its own definition, or in the benchmark; tests alone
+    # do not keep a name alive.  Imports and __all__ do not count
+    modules = dict(_modules())
+    used = {name: _mentions(tree) for name, tree in modules.items()}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py")))
+    orphans = []
+    for name, tree in modules.items():
+        others = set().union(*(u for m, u in used.items() if m != name))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in UNCALLED
+                    and node.name not in others | _mentions(tree, skip=node)
+                    and not re.search(rf"\b{node.name}\b", bench)):
+                orphans.append(f"{name}: {node.name}")
+    assert not orphans
