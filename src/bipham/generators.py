@@ -2,13 +2,15 @@
 
 Each generator returns (graph, partition hint, properties dict); the
 properties are recomputed from the output, not assumed from the recipe.
+
+networkx is imported inside the two degree-factor functions, its only
+callers here: the drivers use only ``near_bipartition`` from this module,
+so they start without it.
 """
 
 from __future__ import annotations
 
 import random
-
-import networkx as nx
 
 from .balance import frac
 from .errors import BadParams, MatchingFailure
@@ -228,6 +230,8 @@ def regular_spanning_subgraph(
 
 def bipartite_degree_factor(g: Graph, targets: dict, split: tuple) -> Graph:
     """Exact-degree subgraph of a bipartite host via integral max-flow."""
+    import networkx as nx
+
     left, right = list(split[0]), list(split[1])
     need_left = sum(targets.get(v, 0) for v in left)
     need_right = sum(targets.get(v, 0) for v in right)
@@ -264,6 +268,8 @@ def degree_factor(g: Graph, targets: dict[int, int]) -> Graph:
     per incident edge and deg - target internal nodes joined to all of them;
     a perfect matching of the gadget graph selects the subgraph.
     """
+    import networkx as nx
+
     gx = nx.Graph()
     edge_nodes = {}
     for u, v in sorted(g.edges):

@@ -9,7 +9,7 @@ freely between threads and hashed into reports.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import BadParams, PartitionMismatch
@@ -35,11 +35,14 @@ class Graph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        self.n = int(n)
-        es = norm_edges(edges)
-        for u, v in es:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise BadParams(f"edge ({u},{v}) out of range for n={self.n}")
+        self.n = n = int(n)
+        es = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        bad = next((e for e in es if e[0] == e[1] or e[0] < 0 or e[1] >= n), None)
+        if bad is not None:
+            u, v = bad
+            if u == v:
+                raise BadParams(f"loop edge ({u},{v}) not allowed")
+            raise BadParams(f"edge ({u},{v}) out of range for n={n}")
         self.edges = es
         self._adj = None
 
@@ -77,9 +80,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return min(self.degrees(), default=0) if self.n else 0
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -149,33 +149,9 @@ class Graph:
     def union(self, other: "Graph") -> "Graph":
         return Graph(max(self.n, other.n), self.edges | other.edges)
 
-    def with_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":
-        return Graph(self.n, self.edges | norm_edges(edges))
-
     def is_regular(self) -> bool:
         degs = self.degrees()
         return len(set(degs)) <= 1
-
-    def components(self) -> list[list[int]]:
-        """Connected components restricted to non-isolated structure being
-        irrelevant: every vertex 0..n-1 appears in exactly one component."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            dq = deque([s])
-            while dq:
-                v = dq.popleft()
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        dq.append(w)
-            comps.append(sorted(comp))
-        return comps
 
     def __eq__(self, other):
         return (
@@ -377,9 +353,6 @@ class LabelledPartition:
         if not 0 <= v < self.n:
             raise KeyError(v)
         return ("A0", "A", "B0", "B")[self.side_labels()[v]]
-
-    def on_a_side(self, v: int) -> bool:
-        return self.side(v) in ("A0", "A")
 
     def swapped(self) -> "LabelledPartition":
         """The partition with the roles of the two sides exchanged."""

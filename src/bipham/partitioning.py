@@ -614,29 +614,33 @@ def _alternating_orientation(g: Graph, part: LabelledPartition, seed: int):
 
     K = part.K
     L = part.L or 1
+    subs = [(i, h) for i in range(1, K + 1) for h in range(1, L + 1)]
+    where_a = {v: c for c, (i, h) in enumerate(subs) for v in part.subcluster_A(i, h)}
+    where_b = {v: c for c, (i, h) in enumerate(subs) for v in part.subcluster_B(i, h)}
+    # each pair's edges in the order of g.edges, as edges_between gives them
+    pairs = {}
+    for e in g.edges:
+        u, v = e
+        if u in where_b:
+            u, v = v, u
+        if u in where_a and v in where_b:
+            pairs.setdefault((where_a[u], where_b[v]), []).append(e)
     arcs = []
     shift = seed % 2
-    for i in range(1, K + 1):
-        for h in range(1, L + 1):
-            sa = part.subcluster_A(i, h)
-            for j in range(1, K + 1):
-                for h2 in range(1, L + 1):
-                    sb = part.subcluster_B(j, h2)
-                    pair_edges = g.edges_between(sa, sb)
-                    if not pair_edges:
-                        continue
-                    # relabel the pair compactly for the coloring
-                    verts = sorted(set(v for e in pair_edges for v in e))
-                    idx = {v: t for t, v in enumerate(verts)}
-                    local = Graph(len(verts), [(idx[u], idx[v]) for u, v in pair_edges])
-                    coloring = edge_coloring(local)
-                    back = {t: v for v, t in idx.items()}
-                    a_set = set(sa)
-                    for (lu, lv), color in coloring.items():
-                        u, v = back[lu], back[lv]
-                        a_end, b_end = (u, v) if u in a_set else (v, u)
-                        if (color + shift) % 2 == 0:
-                            arcs.append((a_end, b_end))
-                        else:
-                            arcs.append((b_end, a_end))
+    for ca in range(len(subs)):
+        for cb in range(len(subs)):
+            pair_edges = frozenset(pairs.get((ca, cb), ()))
+            if not pair_edges:
+                continue
+            # relabel the pair compactly for the coloring
+            verts = sorted(set(v for e in pair_edges for v in e))
+            idx = {v: t for t, v in enumerate(verts)}
+            local = Graph(len(verts), [(idx[u], idx[v]) for u, v in pair_edges])
+            for (lu, lv), color in edge_coloring(local).items():
+                u, v = verts[lu], verts[lv]
+                a_end, b_end = (u, v) if u in where_a else (v, u)
+                if (color + shift) % 2 == 0:
+                    arcs.append((a_end, b_end))
+                else:
+                    arcs.append((b_end, a_end))
     return arcs

@@ -98,11 +98,11 @@ def oriented_scheme_violations(
     L = part.L or 1
     m = part.m
 
+    out, inn = gdir.out, gdir.inn
+
     def directed_pair(xs, ys):
         """Arcs from xs to ys as an undirected bipartite graph."""
-        return Graph(
-            gdir.n, [(x, y) for x, y in gdir.arcs if x in xs and y in ys]
-        )
+        return Graph(gdir.n, [(x, y) for x in xs for y in out[x] & ys])
 
     if check_pairs:
         half = Fraction(1, 2)
@@ -128,22 +128,27 @@ def oriented_scheme_violations(
                                 problems.append(
                                     f"pair {name} not [{eps},1/2]-superregular"
                                 )
-    floor_cn = (1 - eps) * Fraction(m, 5 * L)
+    # a count c is below (1-eps)m/(5L) exactly when it is below its ceiling
+    need = -(-(eps.denominator - eps.numerator) * m // (5 * L * eps.denominator))
+    subs = [(i, h) for i in range(1, K + 1) for h in range(1, L + 1)]
     for side, other_sub in (
         (sorted(part.A), part.subcluster_B),
         (sorted(part.B), part.subcluster_A),
     ):
+        sets = [frozenset(other_sub(i, h)) for i, h in subs]
+        outs = [[out[x] & sub for sub in sets] for x in side]
+        ins = [[inn[x] & sub for sub in sets] for x in side]
         for xi, x in enumerate(side):
-            for y in side[xi + 1 :]:
-                for i in range(1, K + 1):
-                    for h in range(1, L + 1):
-                        sub = set(other_sub(i, h))
-                        both = len(gdir.out[x] & gdir.inn[y] & sub)
-                        rev = len(gdir.out[y] & gdir.inn[x] & sub)
-                        if both < floor_cn or rev < floor_cn:
-                            problems.append(
-                                f"common neighborhood of ({x},{y}) in "
-                                f"subcluster ({i},{h}) too small: "
-                                f"{min(both, rev)} < {floor_cn}"
-                            )
+            out_x, in_x = outs[xi], ins[xi]
+            for yi in range(xi + 1, len(side)):
+                out_y, in_y = outs[yi], ins[yi]
+                for c, (i, h) in enumerate(subs):
+                    both = len(out_x[c] & in_y[c])
+                    rev = len(out_y[c] & in_x[c])
+                    if both < need or rev < need:
+                        problems.append(
+                            f"common neighborhood of ({x},{side[yi]}) in "
+                            f"subcluster ({i},{h}) too small: "
+                            f"{min(both, rev)} < {(1 - eps) * Fraction(m, 5 * L)}"
+                        )
     return problems

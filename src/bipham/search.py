@@ -7,7 +7,9 @@ Each prescribed path is contracted to a single search vertex with two ports
 enumerates candidate cycles.  Because a single port mask per end cannot
 express which end of the *other* contracted path an edge attaches to, the
 kernel over-approximates: every true cycle is enumerated, and each candidate
-is re-checked here by a two-state chain DP before it is reported.
+is re-checked here by a two-state chain DP before it is reported.  With no
+prescribed path every item is a vertex and the masks are exact, so a
+candidate is only re-checked edge by edge.
 
 A port mask holds only the items whose *ends* (a free vertex, or either end
 of a path) are allowed neighbours.  An interior vertex of a path already
@@ -166,6 +168,17 @@ class CycleSearch:
 
     # -- candidate verification / decoding ---------------------------------
     def _decode(self, items, item_cycle) -> list[int] | None:
+        if not self.prescribed:
+            # every item is a free vertex and the port masks are exact: no
+            # orientation to choose, only the steps to re-check
+            out = [items[idx][1][0] for idx in item_cycle]
+            adj = self.allowed.adj
+            prev = out[-1]
+            for v in out:
+                if v not in adj[prev]:
+                    return None
+                prev = v
+            return out
         k = len(item_cycle)
         has = self.allowed.has_edge
 

@@ -23,6 +23,9 @@ Failure is a first-class result here: searches return result objects whose
 ``cycles`` field is None when the space was exhausted, and raise
 ``Timeout`` only when a budget ran out (``WallClockExceeded`` when it was
 the safety net).
+
+networkx, for the blossom test of ``_MatchingEnum``, is imported where it is
+called: the drivers import this module but never run the oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
-
-import networkx as nx
 
 from .balance import frac
 from .errors import (
@@ -287,6 +288,8 @@ class _MatchingEnum:
         self.budget_exceeded = False
 
     def matchings(self) -> Iterator[frozenset]:
+        import networkx as nx
+
         gx = nx.Graph()
         gx.add_nodes_from(range(self.g.n))
         gx.add_edges_from(self.g.edges)

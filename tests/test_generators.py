@@ -45,7 +45,9 @@ def test_babai_structure():
 def test_two_cliques_both_residues():
     g10, _, props10 = two_cliques_instance(10)
     assert props10["regular_degree"] == 4
-    assert len(g10.components()) == 2
+    # two disjoint K5s
+    assert g10.e_within(range(5)) == g10.e_within(range(5, 10)) == 10
+    assert g10.e_between(range(5), range(5, 10)) == 0
     g12, _, props12 = two_cliques_instance(12)
     assert props12["regular_degree"] == 4
     assert set(g12.degrees()) == {4}

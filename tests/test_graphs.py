@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from bipham.errors import BadParams, PartitionMismatch
@@ -10,6 +13,7 @@ from bipham.graphs import (
     complete_bipartite,
     graph_from_json,
     graph_to_json,
+    norm_edge,
     parse_edge_list,
 )
 
@@ -24,6 +28,31 @@ def test_graph_basics():
         Graph(3, [(0, 0)])
     with pytest.raises(BadParams):
         Graph(2, [(0, 5)])
+
+
+def test_graph_edges_keep_construction_order():
+    # the edge set's iteration order, which searches and generators follow,
+    # is the one a norm_edge per pair, in input order, gives
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 3 * n))]
+        pairs += rng.sample(pairs, len(pairs) // 3)  # duplicates
+        rng.shuffle(pairs)
+        es = [(u, v) if rng.random() < 0.5 else [u, v] for u, v in pairs]
+        assert list(Graph(n, es).edges) == list(
+            frozenset(norm_edge(u, v) for u, v in es)
+        )
+
+
+@pytest.mark.parametrize("edges, text", [
+    ([(0, 1), (2, 2)], "loop edge (2,2) not allowed"),
+    ([(2, 1), (5, 1)], "edge (1,5) out of range for n=3"),
+    ([(0, 1), (2, -1)], "edge (-1,2) out of range for n=3"),
+])
+def test_graph_rejects_a_bad_edge(edges, text):
+    with pytest.raises(BadParams, match=re.escape(text)):
+        Graph(3, edges)
 
 
 def test_graph_algebra():

@@ -1,13 +1,18 @@
 """Randomized partitions: equipartitions, cluster partitions, localized
 slices, uniform refinements, scheme orientation."""
 
-import pytest
+import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from bipham.balance import Framework, validate_framework
 from bipham.errors import PreconditionViolated
-from bipham.graphs import Graph, LabelledPartition, complete_bipartite
+from bipham.graphs import Graph, LabelledPartition, OrientedGraph, complete_bipartite
+from bipham.matchings import edge_coloring
 from bipham.partitioning import (
+    _alternating_orientation,
     framework_partition,
     localized_slices,
     orient_scheme,
@@ -15,7 +20,8 @@ from bipham.partitioning import (
     uniform_refinement,
     verify_equipartition,
 )
-from bipham.schemes import oriented_scheme_violations
+from bipham.regularity import check_regular_pair
+from bipham.schemes import oriented_scheme_violations, partition_structure_violations
 
 from conftest import complete_graph
 
@@ -217,3 +223,121 @@ def test_alternating_orientation_keeps_pair_matchings():
             right = list(part.clusters_B[j - 1])
             assert kuhn_matching(left, right, arc) is not None
             assert kuhn_matching(right, left, arc) is not None
+
+
+def _ref_alternating_orientation(g, part, seed):
+    """Referee: the orientation as one edges_between scan per subcluster
+    pair."""
+    K, L = part.K, part.L or 1
+    arcs = []
+    for i in range(1, K + 1):
+        for h in range(1, L + 1):
+            sa = part.subcluster_A(i, h)
+            for j in range(1, K + 1):
+                for h2 in range(1, L + 1):
+                    pair_edges = g.edges_between(sa, part.subcluster_B(j, h2))
+                    if not pair_edges:
+                        continue
+                    verts = sorted(set(v for e in pair_edges for v in e))
+                    idx = {v: t for t, v in enumerate(verts)}
+                    local = Graph(len(verts), [(idx[u], idx[v]) for u, v in pair_edges])
+                    for (lu, lv), color in edge_coloring(local).items():
+                        u, v = verts[lu], verts[lv]
+                        a_end, b_end = (u, v) if u in sa else (v, u)
+                        if (color + seed % 2) % 2 == 0:
+                            arcs.append((a_end, b_end))
+                        else:
+                            arcs.append((b_end, a_end))
+    return arcs
+
+
+def _ref_oriented_scheme_violations(gdir, part, eps0, eps, check_pairs):
+    """Referee: the oriented scheme check with one scan of all arcs per
+    directed pair and common neighbourhoods compared as Fractions."""
+    eps = Fraction(eps)
+    K, L, m = part.K, part.L or 1, part.m
+    problems = partition_structure_violations(part, eps0, require_refinement=False)
+    A, B = frozenset(part.A), frozenset(part.B)
+    for x, y in sorted(gdir.arcs):
+        if not ((x in A and y in B) or (x in B and y in A)):
+            problems.append(f"arc ({x},{y}) is not an AB-arc")
+            break
+    if check_pairs:
+        for i in range(1, K + 1):
+            for j in range(1, K + 1):
+                for h in range(1, L + 1):
+                    for h2 in range(1, L + 1):
+                        sa = set(part.subcluster_A(i, h))
+                        sb = set(part.subcluster_B(j, h2))
+                        for left, right, name in (
+                            (sa, sb, f"A_({i},{h})->B_({j},{h2})"),
+                            (sb, sa, f"B_({j},{h2})->A_({i},{h})"),
+                        ):
+                            pair = Graph(gdir.n, [(x, y) for x, y in gdir.arcs
+                                                  if x in left and y in right])
+                            rep = check_regular_pair(pair, sorted(left), sorted(right),
+                                                     eps, d=Fraction(1, 2))
+                            if not rep.is_superregular:
+                                problems.append(
+                                    f"pair {name} not [{eps},1/2]-superregular")
+    floor_cn = (1 - eps) * Fraction(m, 5 * L)
+    for side, other_sub in ((sorted(part.A), part.subcluster_B),
+                            (sorted(part.B), part.subcluster_A)):
+        for xi, x in enumerate(side):
+            for y in side[xi + 1:]:
+                for i in range(1, K + 1):
+                    for h in range(1, L + 1):
+                        sub = set(other_sub(i, h))
+                        both = len(gdir.out[x] & gdir.inn[y] & sub)
+                        rev = len(gdir.out[y] & gdir.inn[x] & sub)
+                        if both < floor_cn or rev < floor_cn:
+                            problems.append(
+                                f"common neighborhood of ({x},{y}) in "
+                                f"subcluster ({i},{h}) too small: "
+                                f"{min(both, rev)} < {floor_cn}")
+    return problems
+
+
+def _random_scheme(rng):
+    """A random bipartite host on K clusters of m per side, refined into L
+    parts, with an exceptional vertex on each side half the time."""
+    K, m, L = rng.randint(1, 3), rng.choice((4, 6)), rng.choice((1, 2))
+    a = rng.randint(0, 1)
+    n = 2 * (K * m + a)
+    order = rng.sample(range(n), n)
+    A0, A = order[:a], order[a:a + K * m]
+    B0, B = order[a + K * m:2 * a + K * m], order[2 * a + K * m:]
+    clusters_A = [A[i * m:(i + 1) * m] for i in range(K)]
+    clusters_B = [B[i * m:(i + 1) * m] for i in range(K)]
+    part = LabelledPartition(n, A0, A, B0, B, clusters_A, clusters_B).with_refinement(
+        [[c[t * m // L:(t + 1) * m // L] for t in range(L)] for c in clusters_A],
+        [[c[t * m // L:(t + 1) * m // L] for t in range(L)] for c in clusters_B],
+    )
+    p = rng.uniform(0.7, 1.0)
+    edges = [(u, v) for u in A0 + A for v in B0 + B if rng.random() < p]
+    return Graph(n, edges), part
+
+
+def test_orientation_layer_matches_referee():
+    # the bucketed orientation gives the referee's arcs in the same order,
+    # and the verifier its problems, on alternating, random and perturbed
+    # orientations
+    rng = random.Random(2024)
+    kinds = Counter()
+    for case in range(24):
+        g, part = _random_scheme(rng)
+        arcs = _alternating_orientation(g, part, case)
+        assert arcs == _ref_alternating_orientation(g, part, case), case
+        flipped = [(y, x) if rng.random() < 0.1 else (x, y) for x, y in arcs]
+        coin = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+        for orientation in (arcs, flipped, coin):
+            gdir = OrientedGraph(g.n, orientation)
+            for eps in ("1/4", "1/2", "1"):
+                check_pairs = rng.random() < 0.5
+                got = oriented_scheme_violations(gdir, part, "1/8", eps,
+                                                 check_pairs=check_pairs)
+                assert got == _ref_oriented_scheme_violations(
+                    gdir, part, "1/8", eps, check_pairs), (case, eps)
+                kinds.update(t.split()[0] for t in got)
+                kinds["none"] += not got
+    assert set(kinds) == {"|A0", "arc", "pair", "common", "none"}

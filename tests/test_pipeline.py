@@ -4,7 +4,10 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -112,6 +115,32 @@ def test_reports_identical_on_both_kernels(monkeypatch, case):
     on_default = render_report(run())
     monkeypatch.setattr(search, "cycle_enumerator", hamkernel.PureCycleEnum)
     assert render_report(run()) == on_default
+
+
+def test_drivers_do_not_load_networkx():
+    # networkx serves only the generators' degree factors and the oracle;
+    # a fresh process that runs both drivers never imports it
+    code = f"""
+import json, sys
+import bipham, bipham.cli
+from bipham.generators import generate
+from bipham.graphs import Graph
+from bipham.pipeline import PipelineConstants, run_theorem_1factbip, run_theorem_NWbip
+doc = json.loads(open({str(EXCEPTIONAL_INPUTS / "n32-D8-h1-x1-s1001.json")!r}).read())
+host, sub = Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"])
+nw = run_theorem_NWbip(host, sub, PipelineConstants(), seed=1001,
+                       hint_split=tuple(doc["split"]))
+g, part, _ = generate("complete_bipartite", {{"m": 28}})
+toy = PipelineConstants.from_json(json.loads({json.dumps(TOY_1FACT.as_json())!r}))
+one = run_theorem_1factbip(g, toy, seed=1, hint_split=(list(part.A), list(part.B)))
+print(nw.ok(), one.ok(), "networkx" in sys.modules)
+"""
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "True", "False"]
 
 
 def test_nwbip_stage_failure_marks_downstream_skipped():

@@ -1,6 +1,8 @@
 """Prescribed-path search layer: the port masks ``CycleSearch`` hands the
 kernel, its rank check, and the cycle order it yields."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,6 +11,8 @@ from bipham import search
 from bipham.graphs import Graph, complete_bipartite
 from bipham.hamkernel import PureCycleEnum
 from bipham.search import CycleSearch, Prescribed
+from bipham.solvers import _OracleEnum
+from bipham.validate import cycle_edges
 
 from conftest import random_graph
 
@@ -125,6 +129,28 @@ def test_cycle_order_matches_loose_reference():
         assert s.stats.nodes <= loose_nodes, seed
         fewer += s.stats.nodes < loose_nodes
     assert fewer
+
+
+def test_free_vertex_enumeration_pinned():
+    # with no prescribed path each item is a vertex, decoded without the
+    # orientation DP: the same cycles, in the same order, in the same nodes
+    s = CycleSearch(complete_bipartite((6, 6)))
+    cycles = list(s.cycles())
+    assert len(cycles) == 43200
+    assert (s.stats.nodes, s.stats.candidates, s.stats.rejected) == (334386, 43200, 0)
+    assert hashlib.sha256(json.dumps(cycles).encode()).hexdigest() == (
+        "bdf0b0d87970a6f22a66779690361a52e7a0192ebe8de5f0b1a3ea60e58a05b0"
+    )
+
+
+def test_free_vertex_enumeration_matches_oracle():
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(3, 10), rng.uniform(0.3, 0.9))
+        oracle = _OracleEnum(g, 10**7)
+        expected = {cycle_edges(c) for c in oracle.cycles()}
+        got = [cycle_edges(c) for c in CycleSearch(g, seed=rng.randint(0, 3)).cycles()]
+        assert len(got) == len(set(got)) and set(got) == expected, seed
 
 
 @pytest.mark.parametrize(

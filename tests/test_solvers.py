@@ -107,7 +107,7 @@ def test_reg_even_monotone_under_edge_addition(rng):
         extra = [(i, j) for i in range(8) for j in range(i + 1, 8)
                  if not g.has_edge(i, j)]
         rng.shuffle(extra)
-        g2 = g.with_edges(extra[: len(extra) // 2])
+        g2 = g.union(Graph(8, extra[: len(extra) // 2]))
         assert reg_even(g2)[0] >= reg_even(g)[0]
 
 

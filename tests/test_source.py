@@ -147,21 +147,34 @@ def _mentions(tree, skip=None):
     return found
 
 
+def _public_defs(tree):
+    """(name, node) of every public module-level function and class, and of
+    every public method of a public class, as ``Class.method``."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item
+
+
 def test_public_names_have_a_caller():
-    # a public module-level function or class is named somewhere in the
-    # package outside its own definition, or in the benchmark; tests alone
-    # do not keep a name alive.  Imports and __all__ do not count
+    # a public module-level function or class, or a public method of a
+    # public class, is named somewhere in the package outside its own
+    # definition, or in the benchmark; tests alone do not keep a name
+    # alive.  Imports and __all__ do not count
     modules = dict(_modules())
     used = {name: _mentions(tree) for name, tree in modules.items()}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py")))
     orphans = []
     for name, tree in modules.items():
         others = set().union(*(u for m, u in used.items() if m != name))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in UNCALLED
+        for qualified, node in _public_defs(tree):
+            if (qualified not in UNCALLED
                     and node.name not in others | _mentions(tree, skip=node)
                     and not re.search(rf"\b{node.name}\b", bench)):
-                orphans.append(f"{name}: {node.name}")
+                orphans.append(f"{name}: {qualified}")
     assert not orphans
