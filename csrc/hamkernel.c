@@ -7,6 +7,13 @@
  * that.  bipham.hamkernel builds this file on first import and calls it
  * through ctypes.
  *
+ * A search runs over port masks (hk_new) or over a graph whose vertices
+ * are covered by items, free vertices and prescribed paths (hk_new_graph).
+ * A graph search builds the items' port masks from the allowed edges, as
+ * _ports in _pure.py does, and decodes each item cycle it finds into a
+ * vertex cycle by _decode's orientation DP, dropping the candidates that
+ * no orientation closes.
+ *
  * A vertex set is an array of w = ceil(n / 64) 64-bit words, bit x of word
  * x / 64 standing for vertex x, so any n >= 3 is supported.  The search is a
  * resumable state machine: hk_next returns after each cycle, at a spent
@@ -20,6 +27,7 @@ typedef uint64_t word;
 
 #define HAS(set, x) ((int)((set)[(x) >> 6] >> ((x) & 63) & 1))
 #define FLIP(set, x) ((set)[(x) >> 6] ^= (word)1 << ((x) & 63))
+#define SET(set, x) ((set)[(x) >> 6] |= (word)1 << ((x) & 63))
 
 /* "starving" below: the vertices that a step out of a node would starve,
  * as NOBODY, one vertex id, or MANY for two or more */
@@ -53,55 +61,68 @@ static int lowest(word x) /* x != 0 */
 struct hk {
     int n, w, start, break_mirror;
     const int *ranks; /* NULL: no waypoints */
-    const unsigned char *dirv;
-    const word *pa, *pb, *umask, *rev;
+    unsigned char *dirv;
+    word *pa, *pb, *umask, *rev;
     word *cands, *visited; /* cands: w words per depth */
     int *path, *need_stack, *starving_stack;
     /* the search's registers between two calls */
     int depth, need, starving, close_a, close_b, yielded;
     int64_t nodes;
+    /* a graph search only: item i is the vertex sequence seq[off[i]] ..
+     * seq[off[i + 1] - 1]; adj holds the allowed graph's nv rows of wv
+     * words; icycle and dp are the decoder's scratch */
+    int nv, wv;
+    word *adj;
+    int *seq, *off, *icycle;
+    unsigned char *dp;
+    int64_t candidates, rejected;
 };
 
-/* A search over n >= 3 vertices, copying its inputs: n * w words of port A
- * and port B masks, n directed flags, n waypoint ranks or NULL.  Masks hold
- * no bit at or past n and 0 <= start < n; the caller checks both.  NULL if
- * out of memory. */
-struct hk *hk_new(int n, const word *pa, const word *pb,
-                  const unsigned char *dirv, const int *ranks, int start,
-                  int break_mirror)
+/* A zeroed search state over n >= 3 items, its arrays laid out after it,
+ * with room for xw more words, xi more ints and xb more bytes, which start
+ * at visited + w, starving_stack + 2 * n and dirv + n; NULL if out of
+ * memory. */
+static struct hk *hk_alloc(int n, size_t xw, size_t xi, size_t xb)
 {
     const int w = (n + 63) / 64;
     const size_t nw = (size_t)n * w;
     struct hk *h;
-    word *pa_, *pb_, *umask, *rev;
-    int *ranks_;
-    unsigned char *dirv_;
-    int v, i, starved = NOBODY;
 
-    h = calloc(1, sizeof *h + (5 * nw + w) * sizeof(word) +
-                      4 * (size_t)n * sizeof(int) + (size_t)n);
+    h = calloc(1, sizeof *h + (5 * nw + w + xw) * sizeof(word) +
+                      (4 * (size_t)n + xi) * sizeof(int) + (size_t)n + xb);
     if (h == NULL)
         return NULL;
-    h->pa = pa_ = (word *)(h + 1);
-    h->pb = pb_ = pa_ + nw;
-    h->umask = umask = pb_ + nw;
-    h->rev = rev = umask + nw;
-    h->cands = rev + nw;
+    h->n = n;
+    h->w = w;
+    h->pa = (word *)(h + 1);
+    h->pb = h->pa + nw;
+    h->umask = h->pb + nw;
+    h->rev = h->umask + nw;
+    h->cands = h->rev + nw;
     h->visited = h->cands + nw;
-    h->path = (int *)(h->visited + w);
+    h->path = (int *)(h->visited + w + xw);
     h->need_stack = h->path + n;
     h->starving_stack = h->need_stack + n;
-    ranks_ = h->starving_stack + n;
-    h->dirv = dirv_ = (unsigned char *)(ranks_ + n);
-    memcpy(pa_, pa, nw * sizeof(word));
-    memcpy(pb_, pb, nw * sizeof(word));
-    memcpy(dirv_, dirv, (size_t)n);
+    h->dirv = (unsigned char *)(h->starving_stack + 2 * n + xi);
+    return h;
+}
+
+/* Set up the search once the port masks are in place, copying n directed
+ * flags and n waypoint ranks or NULL. */
+static void hk_start(struct hk *h, const unsigned char *dirv, const int *ranks,
+                     int start, int break_mirror)
+{
+    const int n = h->n, w = h->w;
+    const word *pa = h->pa, *pb = h->pb;
+    word *umask = h->umask, *rev = h->rev;
+    int v, i, starved = NOBODY;
+
+    memcpy(h->dirv, dirv, (size_t)n);
     if (ranks != NULL) {
+        int *ranks_ = h->starving_stack + n;
         memcpy(ranks_, ranks, (size_t)n * sizeof(int));
         h->ranks = ranks_;
     }
-    h->n = n;
-    h->w = w;
     h->start = start;
     h->break_mirror = break_mirror;
 
@@ -128,6 +149,87 @@ struct hk *hk_new(int n, const word *pa, const word *pb,
     h->need = h->need_stack[0] = ranks != NULL && ranks[start] == 0;
     h->starving = h->starving_stack[0] = starved;
     h->yielded = -1;
+}
+
+/* A search over n >= 3 vertices, copying its inputs: n * w words of port A
+ * and port B masks, n directed flags, n waypoint ranks or NULL.  Masks hold
+ * no bit at or past n and 0 <= start < n; the caller checks both.  NULL if
+ * out of memory. */
+struct hk *hk_new(int n, const word *pa, const word *pb,
+                  const unsigned char *dirv, const int *ranks, int start,
+                  int break_mirror)
+{
+    struct hk *h = hk_alloc(n, 0, 0, 0);
+
+    if (h == NULL)
+        return NULL;
+    memcpy(h->pa, pa, (size_t)n * h->w * sizeof(word));
+    memcpy(h->pb, pb, (size_t)n * h->w * sizeof(word));
+    hk_start(h, dirv, ranks, start, break_mirror);
+    return h;
+}
+
+#define FIRST(h, i) ((h)->seq[(h)->off[i]])
+#define LAST(h, i) ((h)->seq[(h)->off[(i) + 1] - 1])
+
+/* Item i's end x is joined to an end of item j: port A of i offers j when
+ * x is i's first vertex, port B when it is i's last (both for a free
+ * vertex). */
+static void join(struct hk *h, int i, int x, int j)
+{
+    if (x == FIRST(h, i))
+        SET(h->pa + (size_t)i * h->w, j);
+    if (x == LAST(h, i))
+        SET(h->pb + (size_t)i * h->w, j);
+}
+
+/* A search for the Hamilton cycles of a graph on nv vertices through k >= 3
+ * items, copying its inputs: m edges as 2 * m vertex ids, the items' vertex
+ * sequences one after another in seq, with item i at seq[off[i]] ..
+ * seq[off[i + 1] - 1], k directed flags and k waypoint ranks or NULL.  The
+ * caller checks that every id lies in 0..nv-1, that no vertex is on two
+ * items or twice on one, and that 0 <= start < k.  A port of an item offers
+ * the items that an allowed edge joins end to end with the port's end, the
+ * item itself left out; a path interior is no item's end.  NULL if out of
+ * memory. */
+struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
+                        const int *off, const unsigned char *dirv,
+                        const int *ranks, int start, int break_mirror)
+{
+    const int wv = (nv + 63) / 64, len = off[k];
+    struct hk *h;
+    int *owner, e, i;
+
+    h = hk_alloc(k, (size_t)nv * wv, (size_t)len + 2 * (size_t)k + 1 + nv,
+                 5 * (size_t)k);
+    if (h == NULL)
+        return NULL;
+    h->nv = nv;
+    h->wv = wv;
+    h->adj = h->visited + h->w;
+    h->seq = h->starving_stack + 2 * k;
+    h->off = h->seq + len;
+    h->icycle = h->off + k + 1;
+    owner = h->icycle + k;
+    h->dp = h->dirv + k;
+    memcpy(h->seq, seq, (size_t)len * sizeof(int));
+    memcpy(h->off, off, ((size_t)k + 1) * sizeof(int));
+
+    /* owner[x]: the item that x is an end of, or -1 */
+    for (i = 0; i < nv; i++)
+        owner[i] = -1;
+    for (i = 0; i < k; i++)
+        owner[FIRST(h, i)] = owner[LAST(h, i)] = i;
+    for (e = 0; e < m; e++) {
+        const int u = edges[2 * e], v = edges[2 * e + 1];
+        SET(h->adj + (size_t)u * wv, v);
+        SET(h->adj + (size_t)v * wv, u);
+        if (owner[u] >= 0 && owner[v] >= 0 && owner[u] != owner[v]) {
+            join(h, owner[u], u, owner[v]);
+            join(h, owner[v], v, owner[u]);
+        }
+    }
+    hk_start(h, dirv, ranks, start, break_mirror);
     return h;
 }
 
@@ -272,6 +374,106 @@ int hk_next(struct hk *h, int64_t cap, int *cycle)
     h->need = need;
     h->starving = starving;
     h->nodes = nodes;
+    return status;
+}
+
+/* Item i's two vertices in state s, entered by `entry` and left by the
+ * other: state 0 enters at its first vertex, state 1 at its last.  A free
+ * vertex and a directed path have state 0 only. */
+static int states(const struct hk *h, int i)
+{
+    return h->off[i + 1] - h->off[i] > 1 && !h->dirv[i] ? 2 : 1;
+}
+
+static int entry(const struct hk *h, int i, int s)
+{
+    return s ? LAST(h, i) : FIRST(h, i);
+}
+
+static int leave(const struct hk *h, int i, int s)
+{
+    return s ? FIRST(h, i) : LAST(h, i);
+}
+
+static int joined(const struct hk *h, int x, int y)
+{
+    return HAS(h->adj + (size_t)x * h->wv, y);
+}
+
+/* The vertex cycle of the item cycle in icycle, written to `cycle`; 0 when
+ * no orientation of its items closes it in the allowed graph.  A two-state
+ * chain DP: each state of a position takes as parent the lowest reachable
+ * state before it that an allowed edge joins to it, the first item's
+ * states are tried in turn, and the cycle closes on the lowest reachable
+ * state of the last item that joins the first.  These are the choices of
+ * _decode in _pure.py, so both kernels yield the same cycles. */
+static int decode(const struct hk *h, int *cycle)
+{
+    const int k = h->n, *ic = h->icycle;
+    unsigned char *reach = h->dp, *par = reach + 2 * k, *orient = par + 2 * k;
+    int f, pos, s, t, o;
+
+    for (f = 0; f < states(h, ic[0]); f++) {
+        reach[0] = f == 0;
+        reach[1] = f == 1;
+        for (pos = 1; pos < k; pos++) {
+            const int it = ic[pos], prev = ic[pos - 1];
+            int any = 0;
+            for (s = 0; s < 2; s++) {
+                reach[2 * pos + s] = 0;
+                for (t = 0; s < states(h, it) && t < 2; t++) {
+                    if (reach[2 * (pos - 1) + t] &&
+                        joined(h, leave(h, prev, t), entry(h, it, s))) {
+                        reach[2 * pos + s] = 1;
+                        par[2 * pos + s] = (unsigned char)t;
+                        any = 1;
+                        break;
+                    }
+                }
+            }
+            if (!any)
+                break;
+        }
+        if (pos < k)
+            continue;
+        for (o = 0; o < 2; o++)
+            if (reach[2 * (k - 1) + o] &&
+                joined(h, leave(h, ic[k - 1], o), entry(h, ic[0], f)))
+                break;
+        if (o == 2)
+            continue;
+        for (pos = k - 1; pos > 0; pos--) {
+            orient[pos] = (unsigned char)o;
+            o = par[2 * pos + o];
+        }
+        orient[0] = (unsigned char)o;
+        for (pos = 0; pos < k; pos++) {
+            const int a = h->off[ic[pos]], b = h->off[ic[pos] + 1];
+            for (t = 0; t < b - a; t++)
+                *cycle++ = h->seq[orient[pos] ? b - 1 - t : a + t];
+        }
+        return 1;
+    }
+    return 0;
+}
+
+/* hk_next on a graph search: returns 1 with the next decoded cycle's
+ * vertices, one per item vertex, in `cycle`, and 0 or -1 as hk_next does.
+ * Writes the nodes, candidates and rejected candidates so far to
+ * counts[0..2]. */
+int hk_next_cycle(struct hk *h, int64_t cap, int *cycle, int64_t *counts)
+{
+    int status;
+
+    while ((status = hk_next(h, cap, h->icycle)) > 0) {
+        h->candidates++;
+        if (decode(h, cycle))
+            break;
+        h->rejected++;
+    }
+    counts[0] = h->nodes;
+    counts[1] = h->candidates;
+    counts[2] = h->rejected;
     return status;
 }
 

@@ -1,5 +1,12 @@
-"""Hamilton-search kernel: a resumable enumerator of Hamilton cycles over
-port-constrained vertices.
+"""Hamilton-search kernel: a resumable enumerator of the Hamilton cycles of
+a graph through prescribed paths, over port-constrained items.
+
+A search instance is a graph, its allowed edges, and the items that cover
+its vertices: free vertices and prescribed paths, some directed, some
+ranked.  The kernel builds each item's two port masks from the allowed
+edges, enumerates the item cycles the masks admit, and re-checks each one
+by an orientation DP over the graph's adjacency, yielding only the vertex
+cycles it decodes (``_pure`` documents the masks and the DP).
 
 One search has two kernels.  The C kernel, ``csrc/hamkernel.c`` in the
 source tree, is compiled on the first import with the system C compiler
@@ -8,11 +15,12 @@ imports only load that file, through ``ctypes``.  The pure-Python kernel
 (``_pure``) is the reference the C kernel is tested against, and runs in
 its place when the source is missing (an installed package), the build
 directory is not writable, there is no compiler or the build fails.  Both
-yield the same cycles in the same order and count the same nodes, so a
-report does not depend on the kernel.
+yield the same cycles in the same order and count the same nodes,
+candidates and rejections, so a report does not depend on the kernel.
 
 ``cycle_enumerator`` is the one entry point; ``KERNEL`` names the kernel
-that runs: ``"c"``, or ``"pure: <why not c>"``.
+that runs: ``"c"``, or ``"pure: <why not c>"``.  ``CycleEnum`` is the
+search over port masks alone, which each kernel's graph search runs.
 """
 
 import contextlib
@@ -20,10 +28,12 @@ import ctypes
 import hashlib
 import os
 from array import array
+from itertools import accumulate
 from pathlib import Path
 
 from ._pure import CycleEnum as PureCycleEnum
-from ._pure import check_instance
+from ._pure import GraphEnum as PureGraphEnum
+from ._pure import check_graph, check_instance
 
 _ROOT = Path(__file__).resolve().parents[3]
 _SOURCE = _ROOT / "csrc" / "hamkernel.c"
@@ -33,23 +43,23 @@ _NO_CAP = 1 << 62  # more nodes than any search expands
 
 
 def _load(build_dir=_BUILD_DIR, compiler="cc", source=_SOURCE):
-    """``(enumerator class, KERNEL)``: the C kernel, compiled into
-    ``build_dir`` unless a build of this source is there already, or the
-    pure kernel and why."""
+    """``(port enumerator class, graph enumerator class, KERNEL)``: the C
+    kernel, compiled into ``build_dir`` unless a build of this source is
+    there already, or the pure kernel and why."""
     try:
         code = source.read_bytes()
     except OSError:
-        return PureCycleEnum, f"pure: no C source {source}"
+        return PureCycleEnum, PureGraphEnum, f"pure: no C source {source}"
     lib = build_dir / f"{hashlib.sha256(code).hexdigest()}.so"
     if not lib.exists():
         why = _build(source, lib, compiler)
         if why is not None:
-            return PureCycleEnum, f"pure: {why}"
+            return PureCycleEnum, PureGraphEnum, f"pure: {why}"
     try:
         dll = ctypes.CDLL(str(lib))
     except OSError as exc:
-        return PureCycleEnum, f"pure: cannot load {lib}: {exc}"
-    return _c_kernel(dll), "c"
+        return PureCycleEnum, PureGraphEnum, f"pure: cannot load {lib}: {exc}"
+    return (*_c_kernel(dll), "c")
 
 
 def _build(source, lib, compiler):
@@ -84,48 +94,38 @@ def _build(source, lib, compiler):
 
 
 def _c_kernel(dll):
-    """The enumerator class over the C kernel loaded as ``dll``."""
+    """The port and the graph enumerator classes over the C kernel loaded
+    as ``dll``."""
     ptr, c_int, c_bytes = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
     dll.hk_new.argtypes = [c_int, c_bytes, c_bytes, c_bytes, ptr, c_int, c_int]
     dll.hk_new.restype = ptr
+    dll.hk_new_graph.argtypes = [c_int, c_int, ptr, c_int, ptr, ptr, c_bytes,
+                                 ptr, c_int, c_int]
+    dll.hk_new_graph.restype = ptr
     dll.hk_next.argtypes = [ptr, ctypes.c_int64, ptr]
     dll.hk_next.restype = c_int
+    dll.hk_next_cycle.argtypes = [ptr, ctypes.c_int64, ptr, ptr]
+    dll.hk_next_cycle.restype = c_int
     dll.hk_nodes.argtypes = [ptr]
     dll.hk_nodes.restype = ctypes.c_int64
     dll.hk_free.argtypes = [ptr]
     dll.hk_free.restype = None
 
-    class CCycleEnum:
-        """``PureCycleEnum`` on the C kernel: the same arguments, cycles,
-        node counts and budget trips.  The C state is freed when the search
-        ends or the enumerator is dropped."""
+    class CSearch:
+        """A search state in C, freed when the search ends or the
+        enumerator is dropped."""
 
         _free = dll.hk_free
         _state = None
 
-        def __init__(self, port_a, port_b, directed, start=0,
-                     waypoint_ranks=None, max_nodes=None, break_mirror=False):
-            n = check_instance(port_a, port_b, directed, start, waypoint_ranks)
-            self.nodes = 0
-            self.budget_exceeded = False
-            self._cap = max_nodes
-            if n < 3:
-                return
-            size = 8 * ((n + 63) // 64)
-            ranks = None if waypoint_ranks is None else array("i", waypoint_ranks)
-            self._cycle = array("i", [0]) * n
-            self._cycle_at = self._cycle.buffer_info()[0]
-            self._state = dll.hk_new(
-                n,
-                b"".join(m.to_bytes(size, "little") for m in port_a),
-                b"".join(m.to_bytes(size, "little") for m in port_b),
-                bytes(map(bool, directed)),
-                None if ranks is None else ranks.buffer_info()[0],
-                start,
-                bool(break_mirror),
-            )
-            if self._state is None:
+        def _begin(self, state, length, max_nodes):
+            """Hold ``state``, a search yielding cycles of ``length`` ids."""
+            if state is None:
                 raise MemoryError("no memory for the kernel's search state")
+            self._state = state
+            self._cap = max_nodes
+            self._cycle = array("i", [0]) * length
+            self._cycle_at = self._cycle.buffer_info()[0]
 
         def set_cap(self, max_nodes):
             """Cap the search at ``max_nodes`` nodes in all from the next
@@ -135,17 +135,16 @@ def _c_kernel(dll):
         def __iter__(self):
             return self
 
-        def __next__(self):
-            if self._state is None:
-                raise StopIteration
-            cap = _NO_CAP if self._cap is None else min(max(self._cap, 0), _NO_CAP)
-            found = dll.hk_next(self._state, cap, self._cycle_at)
-            self.nodes = dll.hk_nodes(self._state)
+        def _step(self, found):
+            """The cycle ``hk_next`` or ``hk_next_cycle`` found, or the end."""
             if found > 0:
                 return self._cycle.tolist()
             self.budget_exceeded = found < 0
             self._release()
             raise StopIteration
+
+        def _capped(self):
+            return _NO_CAP if self._cap is None else min(max(self._cap, 0), _NO_CAP)
 
         def _release(self):
             self._free(self._state)
@@ -155,24 +154,99 @@ def _c_kernel(dll):
             if self._state is not None:
                 self._release()
 
-    return CCycleEnum
+    class CCycleEnum(CSearch):
+        """``PureCycleEnum`` on the C kernel: the same arguments, cycles,
+        node counts and budget trips."""
+
+        def __init__(self, port_a, port_b, directed, start=0,
+                     waypoint_ranks=None, max_nodes=None, break_mirror=False):
+            n = check_instance(port_a, port_b, directed, start, waypoint_ranks)
+            self.nodes = 0
+            self.budget_exceeded = False
+            if n < 3:
+                return
+            size = 8 * ((n + 63) // 64)
+            ranks = None if waypoint_ranks is None else array("i", waypoint_ranks)
+            self._begin(dll.hk_new(
+                n,
+                b"".join(m.to_bytes(size, "little") for m in port_a),
+                b"".join(m.to_bytes(size, "little") for m in port_b),
+                bytes(map(bool, directed)),
+                None if ranks is None else ranks.buffer_info()[0],
+                start,
+                bool(break_mirror),
+            ), n, max_nodes)
+
+        def __next__(self):
+            if self._state is None:
+                raise StopIteration
+            found = dll.hk_next(self._state, self._capped(), self._cycle_at)
+            self.nodes = dll.hk_nodes(self._state)
+            return self._step(found)
+
+    class CGraphEnum(CSearch):
+        """``PureGraphEnum`` on the C kernel: the same arguments, cycles,
+        counts and budget trips; the ports are built and the candidates
+        decoded in C."""
+
+        def __init__(self, n, edges, items, directed, start=0,
+                     waypoint_ranks=None, max_nodes=None, break_mirror=False):
+            seq = check_graph(n, edges, items, directed, start, waypoint_ranks)
+            self.nodes = self.candidates = self.rejected = 0
+            self.budget_exceeded = False
+            k = len(items)
+            if k < 3:
+                return
+            edges = array("i", edges)
+            offsets = array("i", accumulate(map(len, items), initial=0))
+            ranks = None if waypoint_ranks is None else array("i", waypoint_ranks)
+            self._counts = array("q", bytes(24))
+            self._counts_at = self._counts.buffer_info()[0]
+            self._begin(dll.hk_new_graph(
+                n,
+                len(edges) // 2,
+                edges.buffer_info()[0],
+                k,
+                seq.buffer_info()[0],
+                offsets.buffer_info()[0],
+                bytes(map(bool, directed)),
+                None if ranks is None else ranks.buffer_info()[0],
+                start,
+                bool(break_mirror),
+            ), len(seq), max_nodes)
+
+        def __next__(self):
+            if self._state is None:
+                raise StopIteration
+            found = dll.hk_next_cycle(self._state, self._capped(),
+                                      self._cycle_at, self._counts_at)
+            self.nodes, self.candidates, self.rejected = self._counts
+            return self._step(found)
+
+    return CCycleEnum, CGraphEnum
 
 
-CycleEnum, KERNEL = _load()
+CycleEnum, GraphEnum, KERNEL = _load()
 
 
 def cycle_enumerator(
-    port_a,
-    port_b,
+    n,
+    edges,
+    items,
     directed,
     start=0,
     waypoint_ranks=None,
     max_nodes=None,
     break_mirror=False,
 ):
-    return CycleEnum(
-        port_a,
-        port_b,
+    """The Hamilton cycles of a graph on vertices 0..n-1 with allowed
+    ``edges`` (2m vertex ids, a flat ``array("i")`` or list) through
+    ``items`` (vertex sequences), on the kernel that runs; see
+    ``PureGraphEnum``."""
+    return GraphEnum(
+        n,
+        edges,
+        items,
         directed,
         start,
         waypoint_ranks,

@@ -2,6 +2,12 @@
 the reference that the C kernel (``csrc/hamkernel.c``) is tested against,
 and the kernel that runs when that one cannot be built.
 
+``GraphEnum`` is the search that ``search.CycleSearch`` runs: the Hamilton
+cycles of a graph through items (free vertices and prescribed paths).  It
+builds the items' port masks from the allowed edges (``_ports``), runs
+``CycleEnum`` over them and decodes each item cycle into a vertex cycle
+(``_decode``), dropping the candidates no orientation of the paths closes.
+
 The search instance is a graph whose vertices each expose two "ports": a
 cycle must use one edge through each port.  Ordinary vertices have both port
 masks equal to their adjacency mask.  A vertex produced by contracting a
@@ -24,8 +30,8 @@ the neighbours of the vertex just left:
   ``prev`` is ``start``).  So only an unvisited vertex whose union mask
   contains ``prev`` can have dropped below two.  These vertices are read
   from a reverse mask, not from ``prev``'s own union mask: the masks
-  ``search.CycleSearch`` builds are symmetric, but the kernel's contract
-  allows asymmetric ones (the pinned ``ported-one-way`` instance in
+  ``_ports`` builds are symmetric, but ``CycleEnum``'s contract allows
+  asymmetric ones (the pinned ``ported-one-way`` instance in
   ``tests/test_kernel.py`` has them).
 * For every child of one node the available set is the same, so the
   vertices that would drop below two (``starving``) are found once, when
@@ -41,23 +47,150 @@ are those of the full scan.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
+
 
 def check_instance(port_a, port_b, directed, start, waypoint_ranks) -> int:
     """The vertex count of a search instance; ``ValueError`` if its lists
     differ in length, a port mask has a bit at or past the vertex count,
     ``start`` is out of range or is not the rank-0 waypoint."""
     n = len(port_a)
-    if len(port_b) != n or len(directed) != n or (
-        waypoint_ranks is not None and len(waypoint_ranks) != n
-    ):
-        raise ValueError("port masks, directed flags and ranks differ in length")
+    if len(port_b) != n:
+        raise ValueError("the port masks differ in length")
     if any(m >> n for m in port_a) or any(m >> n for m in port_b):
         raise ValueError(f"a port mask has a bit at or past vertex count {n}")
+    _check_order(n, directed, start, waypoint_ranks)
+    return n
+
+
+def _check_order(n, directed, start, waypoint_ranks):
+    """The checks on the flags, ranks and ``start`` of ``n`` search items
+    that port and graph instances share."""
+    if len(directed) != n or (
+        waypoint_ranks is not None and len(waypoint_ranks) != n
+    ):
+        raise ValueError(f"directed flags or ranks not one per item of {n}")
     if n >= 3 and not 0 <= start < n:
         raise ValueError(f"start vertex {start} out of range")
     if waypoint_ranks is not None and waypoint_ranks[start] not in (0, -1):
         raise ValueError("start vertex must be the rank-0 waypoint")
-    return n
+
+
+def check_graph(n, edges, items, directed, start, waypoint_ranks) -> array:
+    """The items' vertices, one item after another, of a graph search
+    instance; ``ValueError`` if an edge or an item has a vertex outside
+    0..n-1, an item is empty, a vertex lies on two items (or twice on one),
+    or the flags, ranks and ``start`` do not fit the items as
+    ``check_instance`` requires of a port instance.  ``edges`` holds the
+    allowed edges as 2m vertex ids, edge i being ``edges[2i], edges[2i+1]``."""
+    if len(edges) % 2:
+        raise ValueError("the edge list holds an odd number of vertex ids")
+    if len(edges) and (min(edges) < 0 or max(edges) >= n):
+        raise ValueError(f"an edge has an end outside 0..{n - 1}")
+    if not all(items):
+        raise ValueError("an item has no vertex")
+    seq = array("i", chain.from_iterable(items))
+    if len(seq) and (min(seq) < 0 or max(seq) >= n):
+        raise ValueError(f"an item has a vertex outside 0..{n - 1}")
+    if len(set(seq)) != len(seq):
+        raise ValueError("a vertex lies on two items or twice on one")
+    _check_order(len(items), directed, start, waypoint_ranks)
+    return seq
+
+
+def _ports(n, edges, items):
+    """``(port_a, port_b, adj)`` of a checked graph instance: port A (B) of
+    item i offers each item j != i that an allowed edge joins to i's first
+    (last) vertex by one of j's ends; ``adj[x]`` is x's neighbourhood as a
+    bit mask.  A path interior is no item's end, so it is in no port: it
+    already has both of its cycle edges, and every union mask is
+    symmetric."""
+    owner = [-1] * n  # the item x is an end of
+    for idx, verts in enumerate(items):
+        owner[verts[0]] = owner[verts[-1]] = idx
+    adj = [0] * n
+    offers = [0] * n  # the items an edge joins x to, end to end
+    ends = iter(edges)
+    for u, v in zip(ends, ends):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        i, j = owner[u], owner[v]
+        if i >= 0 and j >= 0:
+            offers[u] |= 1 << j
+            offers[v] |= 1 << i
+    port_a = [offers[v[0]] & ~(1 << i) for i, v in enumerate(items)]
+    port_b = [offers[v[-1]] & ~(1 << i) for i, v in enumerate(items)]
+    return port_a, port_b, adj
+
+
+def _states(items, directed):
+    """Each item's (entry, exit) vertex pairs, in the order the decoder
+    tries them: a path enters at its first vertex, or, when undirected, at
+    its last; a free vertex is both."""
+    return [
+        ((v[0], v[-1]),) if d or len(v) == 1 else ((v[0], v[-1]), (v[-1], v[0]))
+        for v, d in zip(items, directed)
+    ]
+
+
+def _decode(item_cycle, items, states, adj) -> list[int] | None:
+    """The vertex cycle of an item cycle, or None when no orientation of
+    its items closes it in the allowed graph (``adj`` as bit masks).  A
+    chain DP over each item's ``states``: a state's parent is the first
+    reachable state before it that an edge joins to it, the first item's
+    states are tried in turn, and the cycle closes on the first reachable
+    state of the last item that joins the first."""
+    if all(len(states[idx]) == 1 for idx in item_cycle):
+        # one orientation each: only the steps to re-check
+        prev = states[item_cycle[-1]][0][1]
+        for idx in item_cycle:
+            entry, prev_exit = states[idx][0]
+            if not adj[prev] >> entry & 1:
+                return None
+            prev = prev_exit
+        orient = [states[idx][0] for idx in item_cycle]
+    else:
+        orient = _orient(item_cycle, states, adj)
+        if orient is None:
+            return None
+    out = []
+    for idx, (entry, _) in zip(item_cycle, orient):
+        verts = items[idx]
+        out.extend(verts if verts[0] == entry else reversed(verts))
+    return out
+
+
+def _orient(item_cycle, states, adj):
+    """The DP of ``_decode``: each position's (entry, exit) state, or None."""
+    k = len(item_cycle)
+    for first_state in states[item_cycle[0]]:
+        parents = [None] * k
+        layer = [first_state]
+        for pos in range(1, k):
+            cur, par = [], {}
+            for st in states[item_cycle[pos]]:
+                for pst in layer:
+                    if adj[pst[1]] >> st[0] & 1:
+                        cur.append(st)
+                        par[st] = pst
+                        break
+            if not cur:
+                break
+            layer = cur
+            parents[pos] = par
+        else:
+            # close the cycle back to the fixed first state
+            final = next((st for st in layer
+                          if adj[st[1]] >> first_state[0] & 1), None)
+            if final is None:
+                continue
+            orient = [None] * k
+            orient[-1] = final
+            for pos in range(k - 1, 0, -1):
+                orient[pos - 1] = parents[pos][orient[pos]]
+            return orient
+    return None
 
 
 class CycleEnum:
@@ -112,6 +245,55 @@ class CycleEnum:
                 self.nodes, self.budget_exceeded = end.value
             raise
         return cycle
+
+
+class GraphEnum:
+    """Resumable enumerator of the Hamilton cycles of a graph on vertices
+    0..n-1 that run through ``items``, each a vertex sequence: a free
+    vertex, or a prescribed path the cycle must traverse, in its given
+    order when its ``directed`` flag is set.  ``edges`` holds the allowed
+    edges as 2m vertex ids; ``start``, ``waypoint_ranks``, ``max_nodes``
+    and ``break_mirror`` are ``CycleEnum``'s, over item indices.
+
+    Yields each cycle as a list of vertex ids.  ``nodes``,
+    ``budget_exceeded``, ``candidates`` (item cycles the search found) and
+    ``rejected`` (those no orientation closes) are current after every
+    ``next()``.  Fewer than three items give no cycle."""
+
+    def __init__(self, n, edges, items, directed, start=0,
+                 waypoint_ranks=None, max_nodes=None, break_mirror=False):
+        check_graph(n, edges, items, directed, start, waypoint_ranks)
+        self.candidates = self.rejected = 0
+        self._items = [tuple(v) for v in items]
+        port_a, port_b, self._adj = _ports(n, edges, self._items)
+        self._states = _states(self._items, directed)
+        self._enum = CycleEnum(port_a, port_b, directed, start,
+                               waypoint_ranks, max_nodes, break_mirror)
+
+    @property
+    def nodes(self) -> int:
+        return self._enum.nodes
+
+    @property
+    def budget_exceeded(self) -> bool:
+        return self._enum.budget_exceeded
+
+    def set_cap(self, max_nodes: int | None) -> None:
+        """Cap the search at ``max_nodes`` nodes in all from the next
+        ``next()`` on (None: no cap)."""
+        self._enum.set_cap(max_nodes)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list[int]:
+        for item_cycle in self._enum:
+            self.candidates += 1
+            cycle = _decode(item_cycle, self._items, self._states, self._adj)
+            if cycle is not None:
+                return cycle
+            self.rejected += 1
+        raise StopIteration
 
 
 def _search(pa, pb, dirv, start, ranks, cap, break_mirror):

@@ -101,33 +101,42 @@ def check_regular_pair(
         ok, witness = _sampled_check(g, A, B, eps, density, samples, seed)
         mode, used = "sampled", samples
 
-    super_ok, deg_witness = True, None
+    deg_witness = None
     if d is not None:
-        for a in A:
-            da = g.d(a, B)
-            lo, hi = (d - eps) * q, (d + eps) * q
-            if not lo <= da <= hi:
-                super_ok, deg_witness = False, (a, da, lo, hi)
-                break
-        if super_ok:
-            for b in B:
-                db = g.d(b, A)
-                lo, hi = (d - eps) * p, (d + eps) * p
-                if not lo <= db <= hi:
-                    super_ok, deg_witness = False, (b, db, lo, hi)
-                    break
+        deg_witness = _degree_witness(g, A, B, eps, d)
+        if deg_witness is None:
+            deg_witness = _degree_witness(g, B, A, eps, d)
     return RegularityReport(
         density=density,
         eps=eps,
         d=d,
         is_eps_regular=ok,
         witness=witness,
-        is_superregular=ok and super_ok if d is not None else False,
+        is_superregular=ok and deg_witness is None if d is not None else False,
         degree_witness=deg_witness,
         mode=mode,
         samples=used,
         seed=seed if mode == "sampled" else None,
     )
+
+
+def _degree_witness(g, side, other, eps, d):
+    """The first vertex of ``side`` whose degree into ``other`` leaves the
+    window [(d - eps)|other|, (d + eps)|other|], as (vertex, degree, low,
+    high), or None.  An integer degree is in the window exactly when it lies
+    between the window's integer ceiling and floor, so the window is built
+    in Fractions only for the witness."""
+    den = d.denominator * eps.denominator
+    size = len(other)
+    lo_num = (d.numerator * eps.denominator - eps.numerator * d.denominator) * size
+    hi_num = (d.numerator * eps.denominator + eps.numerator * d.denominator) * size
+    lo, hi = -(-lo_num // den), hi_num // den
+    adj, others = g.adj, frozenset(other)
+    for v in side:
+        dv = len(adj[v] & others)
+        if not lo <= dv <= hi:
+            return v, dv, Fraction(lo_num, den), Fraction(hi_num, den)
+    return None
 
 
 def _deviates(s: int, k: int, ell: int, density: Fraction, eps: Fraction) -> bool:

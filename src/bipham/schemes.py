@@ -101,8 +101,10 @@ def oriented_scheme_violations(
     out, inn = gdir.out, gdir.inn
 
     def directed_pair(xs, ys):
-        """Arcs from xs to ys as an undirected bipartite graph."""
-        return Graph(gdir.n, [(x, y) for x in xs for y in out[x] & ys])
+        """Arcs from xs to ys as an undirected bipartite graph; the arcs of
+        a validated ``gdir`` need no checks."""
+        return Graph._trusted(gdir.n, [(x, y) if x < y else (y, x)
+                                       for x in xs for y in out[x] & ys])
 
     if check_pairs:
         half = Fraction(1, 2)

@@ -2,14 +2,17 @@
 
 A target cycle must contain every edge of a set of vertex-disjoint
 prescribed paths and may otherwise only use edges of an ``allowed`` graph.
-Each prescribed path is contracted to a single search vertex with two ports
-(the allowed neighborhoods of its two ends); a port-constrained kernel then
-enumerates candidate cycles.  Because a single port mask per end cannot
-express which end of the *other* contracted path an edge attaches to, the
-kernel over-approximates: every true cycle is enumerated, and each candidate
-is re-checked here by a two-state chain DP before it is reported.  With no
-prescribed path every item is a vertex and the masks are exact, so a
-candidate is only re-checked edge by edge.
+Each prescribed path is contracted to a single search item with two ports
+(the allowed neighborhoods of its two ends), and every other vertex is an
+item of its own.  ``CycleSearch`` validates the paths, shuffles the items
+and hands the graph and the items to the kernel (``hamkernel``), which
+builds the ports from the allowed graph, enumerates candidate item cycles
+and re-checks each one's orientation.  Because a single port mask per end
+cannot express which end of the *other* contracted path an edge attaches
+to, the masks over-approximate: every true cycle is enumerated, and the
+kernel's two-state chain DP rejects the candidates that no orientation
+closes.  With no prescribed path the masks are exact, and a candidate is
+only re-checked edge by edge.
 
 A port mask holds only the items whose *ends* (a free vertex, or either end
 of a path) are allowed neighbours.  An interior vertex of a path already
@@ -28,7 +31,9 @@ order) and carry ranks forcing a cyclic visit order, which is how
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .graphs import Graph
@@ -112,128 +117,32 @@ class CycleSearch:
             yield from self._tiny(items)
             return
 
-        # ports join ends to ends: a path interior has owner -1, whose bit,
-        # ``bit[-1]``, is 0
-        adj = self.allowed.adj
-        owner = [-1] * self.n
-        for idx, (_, verts, _, _) in enumerate(items):
-            owner[verts[0]] = owner[verts[-1]] = idx
-        bit = [1 << j for j in range(k)] + [0]
-        port_a, port_b = [], []
-        for idx, (_, verts, _, _) in enumerate(items):
-            pa = 0
-            for w in adj[verts[0]]:
-                pa |= bit[owner[w]]
-            pb = pa
-            if len(verts) > 1:
-                pb = 0
-                for w in adj[verts[-1]]:
-                    pb |= bit[owner[w]]
-            port_a.append(pa & ~bit[idx])
-            port_b.append(pb & ~bit[idx])
         directed = [it[2] for it in items]
         ranks = [it[3] for it in items]
         has_ranks = any(r >= 0 for r in ranks)
-
-        if has_ranks:
-            start = ranks.index(0)
-        else:
-            start = 0
-        mirror = not has_ranks and not any(directed)
+        stats = self.stats
         enum = cycle_enumerator(
-            port_a,
-            port_b,
+            self.n,
+            array("i", chain.from_iterable(self.allowed.edges)),
+            [it[1] for it in items],
             directed,
-            start=start,
+            start=ranks.index(0) if has_ranks else 0,
             waypoint_ranks=ranks if has_ranks else None,
-            max_nodes=self.stats.max_nodes,
-            break_mirror=mirror,
+            max_nodes=stats.max_nodes,
+            break_mirror=not has_ranks and not any(directed),
         )
-        for item_cycle in enum:
-            self.stats.candidates += 1
-            decoded = self._decode(items, item_cycle)
-            if decoded is None:
-                self.stats.rejected += 1
-                continue
-            self.stats.nodes = enum.nodes
-            yield decoded
-            enum.set_cap(self.stats.max_nodes)
-        self.stats.nodes = enum.nodes
-        self.stats.budget_exceeded = bool(enum.budget_exceeded)
+        for cycle in enum:
+            stats.nodes, stats.candidates, stats.rejected = (
+                enum.nodes, enum.candidates, enum.rejected)
+            yield cycle
+            enum.set_cap(stats.max_nodes)
+        stats.nodes, stats.candidates, stats.rejected = (
+            enum.nodes, enum.candidates, enum.rejected)
+        stats.budget_exceeded = bool(enum.budget_exceeded)
 
     def first(self) -> list[int] | None:
         for c in self.cycles():
             return c
-        return None
-
-    # -- candidate verification / decoding ---------------------------------
-    def _decode(self, items, item_cycle) -> list[int] | None:
-        if not self.prescribed:
-            # every item is a free vertex and the port masks are exact: no
-            # orientation to choose, only the steps to re-check
-            out = [items[idx][1][0] for idx in item_cycle]
-            adj = self.allowed.adj
-            prev = out[-1]
-            for v in out:
-                if v not in adj[prev]:
-                    return None
-                prev = v
-            return out
-        k = len(item_cycle)
-        has = self.allowed.has_edge
-
-        def states(idx):
-            kind, verts, dirflag, _ = items[idx]
-            if kind == "free" or len(verts) == 1:
-                return ((verts[0], verts[0]),)
-            if dirflag:
-                return ((verts[0], verts[-1]),)
-            return ((verts[0], verts[-1]), (verts[-1], verts[0]))
-
-        # chain DP over orientations; fix the first item's state
-        for first_state in states(item_cycle[0]):
-            parents = [None] * k
-            layers = [[first_state]]
-            ok = True
-            for pos in range(1, k):
-                prev_layer = layers[-1]
-                cur = []
-                par = {}
-                for st in states(item_cycle[pos]):
-                    for pst in prev_layer:
-                        if has(pst[1], st[0]):
-                            cur.append(st)
-                            par[st] = pst
-                            break
-                if not cur:
-                    ok = False
-                    break
-                layers.append(cur)
-                parents[pos] = par
-            if not ok:
-                continue
-            # close the cycle back to the fixed first state
-            final = None
-            for st in layers[-1]:
-                if has(st[1], first_state[0]):
-                    final = st
-                    break
-            if final is None:
-                continue
-            # reconstruct orientations
-            orient = [None] * k
-            orient[-1] = final
-            for pos in range(k - 1, 0, -1):
-                orient[pos - 1] = (
-                    parents[pos][orient[pos]] if pos > 1 else first_state
-                )
-            out = []
-            for pos in range(k):
-                kind, verts, dirflag, _ = items[item_cycle[pos]]
-                entry, _ = orient[pos]
-                seq = verts if verts[0] == entry else tuple(reversed(verts))
-                out.extend(seq)
-            return out
         return None
 
     def _tiny(self, items):

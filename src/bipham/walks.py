@@ -485,7 +485,8 @@ class RobustDecomposition:
         chosen: set = set()
         cur = avail
         for t in range(count):
-            match = kuhn_matching(A, B, lambda a, b: b in cur.adj[a])
+            adj = cur.adj
+            match = kuhn_matching(A, B, lambda a, b: b in adj[a])
             if match is None:
                 raise BackendFailure(
                     f"{what}: no perfect matching at layer {t + 1}/{count}"

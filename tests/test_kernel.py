@@ -14,9 +14,9 @@ import weakref
 
 import pytest
 
-from bipham import hamkernel
+from bipham import hamkernel, search
 from bipham.graphs import Graph, complete_bipartite
-from bipham.hamkernel import PureCycleEnum, cycle_enumerator
+from bipham.hamkernel import PureCycleEnum, PureGraphEnum, cycle_enumerator
 from bipham.search import CycleSearch, Prescribed
 from bipham.validate import check_cycle_in_graph, cycle_edges
 
@@ -168,18 +168,21 @@ def c_kernel():
     return hamkernel.CycleEnum
 
 
-def _agree(c_kernel, kw, lower_cap=None):
-    """Run the C and the pure kernel on one instance in lock step: the same
-    cycle and node count after every ``next()``, the same end and budget
-    flag.  ``lower_cap(nodes)``, if given, returns a cap (or ``False`` for
-    none) that both get by ``set_cap`` after each cycle.
+def _agree(c, pure, lower_cap=None, counts=("nodes",)):
+    """Run a C and a pure enumerator of one instance in lock step: the same
+    cycle and the same ``counts`` after every ``next()``, the same end and
+    budget flag.  ``lower_cap(nodes)``, if given, returns a cap (or
+    ``False`` for none) that both get by ``set_cap`` after each cycle.
     Returns (cycles, budget_exceeded)."""
-    c, pure = c_kernel(**kw), PureCycleEnum(**kw)
+
+    def tally(enum):
+        return [getattr(enum, name) for name in counts]
+
     cycles = 0
     while True:
         got, want = next(c, None), next(pure, None)
         assert got == want, f"cycle {cycles}"
-        assert c.nodes == pure.nodes, f"nodes after cycle {cycles}"
+        assert tally(c) == tally(pure), f"{counts} after cycle {cycles}"
         if want is None:
             break
         cycles += 1
@@ -188,13 +191,14 @@ def _agree(c_kernel, kw, lower_cap=None):
             c.set_cap(cap)
             pure.set_cap(cap)
     assert c.budget_exceeded == pure.budget_exceeded
-    assert next(c, None) is None and c.nodes == pure.nodes
+    assert next(c, None) is None and tally(c) == tally(pure)
     return cycles, pure.budget_exceeded
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_c_kernel_agrees_on_pinned(c_kernel, name):
-    _agree(c_kernel, _pinned_instances()[name])
+    kw = _pinned_instances()[name]
+    _agree(c_kernel(**kw), PureCycleEnum(**kw))
 
 
 def _random_instance(seed):
@@ -244,7 +248,8 @@ def test_c_kernel_agrees_on_random_instances(c_kernel, chunk):
         kw, lower_cap = _random_instance(seed)
         n = len(kw["port_a"])
         try:
-            cycles, tripped = _agree(c_kernel, kw, lower_cap)
+            cycles, tripped = _agree(c_kernel(**kw), PureCycleEnum(**kw),
+                                     lower_cap)
         except AssertionError as exc:
             raise AssertionError(f"seed {seed}, n {n}: {exc}") from exc
         seen["over 64"] += n > 64
@@ -255,20 +260,123 @@ def test_c_kernel_agrees_on_random_instances(c_kernel, chunk):
     assert all(seen.values()), seen
 
 
+def _graph_instance(seed):
+    """A seeded random graph search as ``GraphEnum`` keyword arguments: 5 to
+    90 vertices, about a third of them on prescribed paths of 2 to 5
+    vertices that are undirected, directed or directed and ranked, items in
+    a shuffled order, and a cap from 0 up."""
+    rng = random.Random(seed)
+    n = rng.choice((rng.randint(5, 14), rng.randint(15, 40), rng.randint(60, 90)))
+    p = rng.uniform(0.2, 0.9)
+    edges = [x for u in range(n) for v in range(u + 1, n) if rng.random() < p
+             for x in (u, v)]
+    order = rng.sample(range(n), n)
+    paths, at = [], 0
+    while at < n // 3:
+        size = rng.randint(2, 5)
+        paths.append(tuple(order[at:at + size]))
+        at += size
+    kind = rng.choice(("undirected", "mixed", "ranked"))
+    items = [
+        (verts, kind == "ranked" or (kind == "mixed" and rng.random() < 0.5),
+         rank if kind == "ranked" else -1)
+        for rank, verts in enumerate(paths)
+    ] + [((v,), False, -1) for v in order[at:]]
+    rng.shuffle(items)
+    ranks = [it[2] for it in items]
+    directed = [it[1] for it in items]
+    return dict(
+        n=n,
+        edges=edges,
+        items=[it[0] for it in items],
+        directed=directed,
+        start=ranks.index(0) if kind == "ranked" else 0,
+        waypoint_ranks=ranks if kind == "ranked" else None,
+        max_nodes=rng.choice([0, 1, 5, 40, 400, 3000] + ([None] if n <= 9 else [])),
+        break_mirror=kind != "ranked" and not any(directed),
+    )
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_c_kernel_agrees_on_graph_instances(c_kernel, chunk):
+    # the C builder and decoder against _ports and _decode: the same
+    # cycles, nodes, candidates and rejections after every next(), and the
+    # same budget trips, also under a cap lowered between two cycles
+    seen = {"cycles": 0, "rejections": 0, "trips": 0, "over 64": 0}
+    for seed in range(50 * chunk, 50 * (chunk + 1)):
+        kw = _graph_instance(seed)
+        rng = random.Random(seed)
+
+        def lower_cap(nodes):
+            return nodes + rng.randint(-2, 30) if rng.random() < 0.3 else False
+
+        c, pure = hamkernel.GraphEnum(**kw), PureGraphEnum(**kw)
+        try:
+            cycles, tripped = _agree(c, pure, lower_cap,
+                                     ("nodes", "candidates", "rejected"))
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}, n {kw['n']}: {exc}") from exc
+        seen["cycles"] += cycles
+        seen["rejections"] += pure.rejected
+        seen["trips"] += tripped
+        seen["over 64"] += kw["n"] > 64 and cycles > 0
+    assert all(seen.values()), seen
+
+
+# found by a random sweep: the search's fourth candidate is a cycle of the
+# contracted items that no orientation of the two paths closes
+REJECTING = dict(
+    n=9,
+    edges=[(0, 2), (0, 3), (0, 6), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5),
+           (3, 6), (3, 8), (4, 5), (4, 7), (5, 6), (5, 7), (6, 8), (7, 8)],
+    prescribed=[(5, 2), (7, 1)],
+    seed=10,
+)
+
+
+@pytest.mark.parametrize("kernel", ["pure", "c"])
+def test_rejected_candidate_pinned(request, monkeypatch, kernel):
+    _, graph = _kernel(request, kernel)
+    monkeypatch.setattr(search, "cycle_enumerator", graph)
+    s = CycleSearch(Graph(REJECTING["n"], REJECTING["edges"]),
+                    [Prescribed(p) for p in REJECTING["prescribed"]],
+                    seed=REJECTING["seed"])
+    assert list(s.cycles()) == [
+        [1, 7, 8, 6, 0, 3, 4, 5, 2],
+        [1, 7, 8, 6, 0, 2, 5, 4, 3],
+        [7, 1, 3, 8, 6, 0, 2, 5, 4],
+    ]
+    assert (s.stats.nodes, s.stats.candidates, s.stats.rejected) == (140, 4, 1)
+
+
 def _kernel(request, name):
+    """(port enumerator class, graph enumerator) of one kernel; the entry
+    point is the loaded kernel's, with graph searches through
+    ``cycle_enumerator``."""
     if name == "c":
-        return request.getfixturevalue("c_kernel")
-    return {"pure": PureCycleEnum, "entry point": cycle_enumerator}[name]
+        return request.getfixturevalue("c_kernel"), hamkernel.GraphEnum
+    return {
+        "pure": (PureCycleEnum, PureGraphEnum),
+        "entry point": (hamkernel.CycleEnum, cycle_enumerator),
+    }[name]
+
+
+# the 4-cycle 0-1-2-3 as a flat edge list, and its vertices as items
+CYCLE4 = [0, 1, 1, 2, 2, 3, 3, 0]
+FREE4 = [(0,), (1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("kernel", ["pure", "c"])
 def test_kernels_reject_a_start_off_rank_zero(request, kernel):
-    enum = _kernel(request, kernel)
+    enum, graph = _kernel(request, kernel)
     g = complete_graph(5)
     masks = [sum(1 << w for w in g.adj[v]) for v in range(5)]
     with pytest.raises(ValueError, match="rank-0 waypoint"):
         enum(masks, masks, [False] * 5, start=1,
              waypoint_ranks=[0, 1, -1, -1, -1])
+    with pytest.raises(ValueError, match="rank-0 waypoint"):
+        graph(4, CYCLE4, FREE4, [False] * 4, start=1,
+              waypoint_ranks=[0, 1, -1, -1])
 
 
 @pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
@@ -276,11 +384,34 @@ def test_kernels_reject_a_start_off_rank_zero(request, kernel):
 def test_kernels_reject_masks_past_the_vertex_count(request, kernel, bad):
     # a 4-cycle whose vertex 0 has a bit past n = 4: the pure search used
     # to fail on it with an IndexError partway through
-    enum = _kernel(request, kernel)
+    enum, graph = _kernel(request, kernel)
     masks = [0b1010, 0b0101, 0b1010, 0b0101]
     masks[0] |= bad
     with pytest.raises(ValueError, match="past vertex count 4"):
         enum(masks, masks, [False] * 4)
+    # the same fault in a graph: an edge from vertex 0 to 5, or to -1
+    far = 5 if bad > 0 else -1
+    with pytest.raises(ValueError, match=r"edge has an end outside 0\.\.3"):
+        graph(4, CYCLE4 + [0, far], FREE4, [False] * 4)
+
+
+@pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
+@pytest.mark.parametrize("edges, items, match", [
+    (CYCLE4 + [3], FREE4, "odd number of vertex ids"),
+    (CYCLE4, [(0,), (1,), (2,), (4,)], r"item has a vertex outside 0\.\.3"),
+    (CYCLE4, [(0,), (1,), (-1, 2), (3,)], r"item has a vertex outside 0\.\.3"),
+    (CYCLE4, [(0, 1), (1, 2), (3,)], "on two items"),
+    (CYCLE4, [(0, 1, 0), (2,), (3,)], "twice on one"),
+    (CYCLE4, [(0,), (1,), (), (2, 3)], "item has no vertex"),
+], ids=["odd edge list", "item past n", "negative item vertex",
+        "vertex on two items", "vertex twice on an item", "empty item"])
+def test_kernels_reject_bad_graph_instances(request, kernel, edges, items,
+                                            match):
+    # checked before either kernel builds its ports: the C builder indexes
+    # its arrays by these ids, and Python lists take -1 silently
+    _, graph = _kernel(request, kernel)
+    with pytest.raises(ValueError, match=match):
+        graph(4, edges, items, [False] * len(items))
 
 
 def test_c_kernel_state_freed_at_end_and_when_dropped(c_kernel, monkeypatch):
@@ -341,8 +472,8 @@ def test_kernel_loader_falls_back_to_pure(tmp_path, fault):
         source.write_text("this is not C\n")
     else:
         source = tmp_path / "missing.c"
-    enum, kernel = hamkernel._load(build, compiler, source)
-    assert enum is PureCycleEnum
+    enum, graph_enum, kernel = hamkernel._load(build, compiler, source)
+    assert enum is PureCycleEnum and graph_enum is PureGraphEnum
     assert kernel.startswith("pure: ")
     # no library, not even a partial one, is left behind
     assert not build.is_dir() or not any(build.iterdir())
@@ -351,7 +482,7 @@ def test_kernel_loader_falls_back_to_pure(tmp_path, fault):
 def test_kernel_loader_reuses_a_filled_cache(tmp_path, monkeypatch):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    enum, kernel = hamkernel._load(tmp_path, "cc")
+    enum, graph_enum, kernel = hamkernel._load(tmp_path, "cc")
     assert kernel == "c"
     digest = hashlib.sha256(hamkernel._SOURCE.read_bytes()).hexdigest()
     assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.so"]
@@ -360,11 +491,13 @@ def test_kernel_loader_reuses_a_filled_cache(tmp_path, monkeypatch):
         raise AssertionError("a compiler was started")
 
     monkeypatch.setattr(subprocess, "run", run)
-    enum, kernel = hamkernel._load(tmp_path, "bipham-no-such-cc")
+    enum, graph_enum, kernel = hamkernel._load(tmp_path, "bipham-no-such-cc")
     assert kernel == "c"
     assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.so"]
     instance = _pinned_instances()["waypoints"]
     assert list(enum(**instance)) == list(PureCycleEnum(**instance))
+    instance = _graph_instance(1)
+    assert list(graph_enum(**instance)) == list(PureGraphEnum(**instance))
 
 
 def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,

@@ -113,7 +113,7 @@ def test_reports_identical_on_both_kernels(monkeypatch, case):
         assert hamkernel.KERNEL == "c"
     assert search.cycle_enumerator is hamkernel.cycle_enumerator
     on_default = render_report(run())
-    monkeypatch.setattr(search, "cycle_enumerator", hamkernel.PureCycleEnum)
+    monkeypatch.setattr(search, "cycle_enumerator", hamkernel.PureGraphEnum)
     assert render_report(run()) == on_default
 
 

@@ -8,7 +8,14 @@ import pytest
 
 from bipham.errors import NotBipartite
 from bipham.graphs import Graph, complete_bipartite
-from bipham.regularity import check_regular_pair, naive_regular_pair
+from bipham.balance import frac
+from bipham.regularity import (
+    RegularityReport,
+    _exhaustive_check,
+    _sampled_check,
+    check_regular_pair,
+    naive_regular_pair,
+)
 
 
 def test_complete_pair_superregular():
@@ -76,3 +83,86 @@ def test_class_hygiene():
         check_regular_pair(g, [0, 1], [1, 2], "1/2")
     with pytest.raises(NotBipartite):
         check_regular_pair(g, [0, 1], [2, 3], "1/2")  # edge inside {0,1}
+
+
+def _fraction_regular_pair(g, left, right, eps, d=None, exhaustive_limit=12,
+                           samples=2000, seed=0):
+    """``check_regular_pair`` as it was before its degree windows were
+    compared in integers: every bound a Fraction, each degree taken by
+    ``Graph.d``.  The referee of ``test_integer_windows_match_fractions``."""
+    eps = frac(eps)
+    d = None if d is None else frac(d)
+    A = sorted(left)
+    B = sorted(right)
+    if set(A) & set(B):
+        raise NotBipartite("classes overlap")
+    if g.e_within(A) or g.e_within(B):
+        raise NotBipartite("class contains internal edges")
+    p, q = len(A), len(B)
+    if p == 0 or q == 0:
+        raise NotBipartite("empty class")
+    density = Fraction(g.e_between(A, B), p * q)
+    if p <= exhaustive_limit and q <= exhaustive_limit:
+        ok, witness = _exhaustive_check(g, A, B, eps, density)
+        mode, used = "exhaustive", 0
+    else:
+        ok, witness = _sampled_check(g, A, B, eps, density, samples, seed)
+        mode, used = "sampled", samples
+    super_ok, deg_witness = True, None
+    if d is not None:
+        for a in A:
+            da = g.d(a, B)
+            lo, hi = (d - eps) * q, (d + eps) * q
+            if not lo <= da <= hi:
+                super_ok, deg_witness = False, (a, da, lo, hi)
+                break
+        if super_ok:
+            for b in B:
+                db = g.d(b, A)
+                lo, hi = (d - eps) * p, (d + eps) * p
+                if not lo <= db <= hi:
+                    super_ok, deg_witness = False, (b, db, lo, hi)
+                    break
+    return RegularityReport(
+        density=density, eps=eps, d=d, is_eps_regular=ok, witness=witness,
+        is_superregular=ok and super_ok if d is not None else False,
+        degree_witness=deg_witness, mode=mode, samples=used,
+        seed=seed if mode == "sampled" else None,
+    )
+
+
+def test_integer_windows_match_fractions():
+    # random pairs, exhaustive and sampled, with d drawn around the density
+    # so that degree windows both hold and fail, on either side, and land
+    # exactly on a window's end
+    seen = {"superregular": 0, "left witness": 0, "right witness": 0,
+            "no d": 0, "sampled": 0, "on a bound": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        p, q = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.1:
+            p, q = rng.randint(13, 16), rng.randint(13, 16)
+        shuffled = rng.sample(range(p + q), p + q)
+        left, right = shuffled[:p], shuffled[p:]
+        prob = rng.uniform(0.3, 1.0)
+        g = Graph(p + q, [(a, b) for a in left for b in right
+                          if rng.random() < prob])
+        eps = Fraction(rng.randint(1, 6), rng.choice((10, 12, 20)))
+        d = None
+        if rng.random() < 0.85:
+            density = Fraction(len(g.edges), p * q)
+            d = max(Fraction(0), density + Fraction(rng.randint(-3, 3), 10))
+        kw = dict(eps=eps, d=d, samples=50, seed=seed)
+        rep = check_regular_pair(g, left, right, **kw)
+        assert rep == _fraction_regular_pair(g, left, right, **kw), seed
+        assert rep.as_json() == _fraction_regular_pair(g, left, right, **kw).as_json()
+        witness = rep.degree_witness
+        seen["superregular"] += rep.is_superregular
+        seen["left witness"] += witness is not None and witness[0] in left
+        seen["right witness"] += witness is not None and witness[0] in right
+        seen["no d"] += d is None
+        seen["sampled"] += rep.mode == "sampled"
+        seen["on a bound"] += d is not None and any(
+            g.d(v, other) in ((d - eps) * len(other), (d + eps) * len(other))
+            for side, other in ((left, right), (right, left)) for v in side)
+    assert all(seen.values()), seen

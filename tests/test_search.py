@@ -1,5 +1,5 @@
-"""Prescribed-path search layer: the port masks ``CycleSearch`` hands the
-kernel, its rank check, and the cycle order it yields."""
+"""Prescribed-path search layer: the port masks the kernel builds for a
+``CycleSearch``, its rank check, and the cycle order it yields."""
 
 import hashlib
 import json
@@ -10,6 +10,7 @@ import pytest
 from bipham import search
 from bipham.graphs import Graph, complete_bipartite
 from bipham.hamkernel import PureCycleEnum
+from bipham.hamkernel._pure import _decode, _ports, _states
 from bipham.search import CycleSearch, Prescribed
 from bipham.solvers import _OracleEnum
 from bipham.validate import cycle_edges
@@ -18,14 +19,14 @@ from conftest import random_graph
 
 
 def _capture_kernel_inputs(monkeypatch):
-    """Record ``(port_a, port_b)`` of every kernel call ``CycleSearch``
-    makes."""
+    """Record ``(port_a, port_b)`` that the kernel builds, by ``_ports``,
+    for every search ``CycleSearch`` hands it."""
     calls = []
     enumerator = search.cycle_enumerator
 
-    def record(port_a, port_b, *args, **kwargs):
-        calls.append((list(port_a), list(port_b)))
-        return enumerator(port_a, port_b, *args, **kwargs)
+    def record(n, edges, items, *args, **kwargs):
+        calls.append(_ports(n, edges, items)[:2])
+        return enumerator(n, edges, items, *args, **kwargs)
 
     monkeypatch.setattr(search, "cycle_enumerator", record)
     return calls
@@ -80,7 +81,11 @@ def _loose_reference(g, prescribed):
         None,
         not has_ranks and not any(directed),
     )
-    cycles = [c for c in (s._decode(items, ic) for ic in enum) if c is not None]
+    verts = [it[1] for it in items]
+    adj = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    states = _states(verts, directed)
+    cycles = [c for c in (_decode(ic, verts, states, adj) for ic in enum)
+              if c is not None]
     return cycles, enum.nodes
 
 
