@@ -1,23 +1,24 @@
-/* Hamilton-cycle search over port-constrained vertices, in C99.
+/* Hamilton-cycle search of a graph through prescribed paths, in C99.
  *
- * A port of _search in src/bipham/hamkernel/_pure.py, which documents the
+ * A port of GraphEnum in src/bipham/hamkernel/_pure.py, which documents the
  * search instance and the incremental starvation prune.  Both kernels try
- * candidates in the same order, yield the same cycles, count the same nodes
- * and trip a node cap at the same node; tests/test_kernel.py holds them to
- * that.  bipham.hamkernel builds this file on first import and calls it
- * through ctypes.
+ * candidates in the same order, yield the same cycles, count the same
+ * nodes, candidates and rejections and trip a node cap at the same node;
+ * tests/test_kernel.py holds them to that.  bipham.hamkernel builds this
+ * file on first import and calls it through ctypes: hk_new_graph,
+ * hk_next_cycle and hk_free are the whole interface.
  *
- * A search runs over port masks (hk_new) or over a graph whose vertices
- * are covered by items, free vertices and prescribed paths (hk_new_graph).
- * A graph search builds the items' port masks from the allowed edges, as
- * _ports in _pure.py does, and decodes each item cycle it finds into a
- * vertex cycle by _decode's orientation DP, dropping the candidates that
+ * A search runs over a graph whose vertices are covered by items, free
+ * vertices and prescribed paths.  hk_new_graph builds the items' port masks
+ * from the allowed edges, as _ports in _pure.py does; hk_next enumerates
+ * the item cycles the masks admit, and hk_next_cycle decodes each one into
+ * a vertex cycle by _decode's orientation DP, dropping the candidates that
  * no orientation closes.
  *
- * A vertex set is an array of w = ceil(n / 64) 64-bit words, bit x of word
- * x / 64 standing for vertex x, so any n >= 3 is supported.  The search is a
- * resumable state machine: hk_next returns after each cycle, at a spent
- * node cap or at the end of the search, and the next call resumes it.
+ * A set of items is an array of w = ceil(n / 64) 64-bit words, bit x of
+ * word x / 64 standing for item x, so any n >= 3 is supported.  The search
+ * is a resumable state machine: hk_next returns after each cycle, at a
+ * spent node cap or at the end of the search, and the next call resumes it.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -59,115 +60,24 @@ static int lowest(word x) /* x != 0 */
 }
 
 struct hk {
-    int n, w, start, break_mirror;
+    int n, w, start, break_mirror; /* n: the number of items */
     const int *ranks; /* NULL: no waypoints */
     unsigned char *dirv;
-    word *pa, *pb, *umask, *rev;
+    word *pa, *pb, *umask;
     word *cands, *visited; /* cands: w words per depth */
     int *path, *need_stack, *starving_stack;
     /* the search's registers between two calls */
     int depth, need, starving, close_a, close_b, yielded;
     int64_t nodes;
-    /* a graph search only: item i is the vertex sequence seq[off[i]] ..
-     * seq[off[i + 1] - 1]; adj holds the allowed graph's nv rows of wv
-     * words; icycle and dp are the decoder's scratch */
+    /* item i is the vertex sequence seq[off[i]] .. seq[off[i + 1] - 1];
+     * adj holds the allowed graph's nv rows of wv words; icycle and dp are
+     * the decoder's scratch */
     int nv, wv;
     word *adj;
     int *seq, *off, *icycle;
     unsigned char *dp;
     int64_t candidates, rejected;
 };
-
-/* A zeroed search state over n >= 3 items, its arrays laid out after it,
- * with room for xw more words, xi more ints and xb more bytes, which start
- * at visited + w, starving_stack + 2 * n and dirv + n; NULL if out of
- * memory. */
-static struct hk *hk_alloc(int n, size_t xw, size_t xi, size_t xb)
-{
-    const int w = (n + 63) / 64;
-    const size_t nw = (size_t)n * w;
-    struct hk *h;
-
-    h = calloc(1, sizeof *h + (5 * nw + w + xw) * sizeof(word) +
-                      (4 * (size_t)n + xi) * sizeof(int) + (size_t)n + xb);
-    if (h == NULL)
-        return NULL;
-    h->n = n;
-    h->w = w;
-    h->pa = (word *)(h + 1);
-    h->pb = h->pa + nw;
-    h->umask = h->pb + nw;
-    h->rev = h->umask + nw;
-    h->cands = h->rev + nw;
-    h->visited = h->cands + nw;
-    h->path = (int *)(h->visited + w + xw);
-    h->need_stack = h->path + n;
-    h->starving_stack = h->need_stack + n;
-    h->dirv = (unsigned char *)(h->starving_stack + 2 * n + xi);
-    return h;
-}
-
-/* Set up the search once the port masks are in place, copying n directed
- * flags and n waypoint ranks or NULL. */
-static void hk_start(struct hk *h, const unsigned char *dirv, const int *ranks,
-                     int start, int break_mirror)
-{
-    const int n = h->n, w = h->w;
-    const word *pa = h->pa, *pb = h->pb;
-    word *umask = h->umask, *rev = h->rev;
-    int v, i, starved = NOBODY;
-
-    memcpy(h->dirv, dirv, (size_t)n);
-    if (ranks != NULL) {
-        int *ranks_ = h->starving_stack + n;
-        memcpy(ranks_, ranks, (size_t)n * sizeof(int));
-        h->ranks = ranks_;
-    }
-    h->start = start;
-    h->break_mirror = break_mirror;
-
-    /* rev[x]: the vertices whose union mask contains x */
-    for (v = 0; v < n; v++) {
-        int bits = 0;
-        for (i = 0; i < w; i++) {
-            word m = umask[v * w + i] = pa[v * w + i] | pb[v * w + i];
-            bits += popcount(m);
-            for (; m; m &= m - 1)
-                FLIP(rev + (size_t)(64 * i + lowest(m)) * w, v);
-        }
-        if (bits < 2 && v != start) /* never has two neighbours */
-            starved = starved == NOBODY ? v : MANY;
-    }
-
-    FLIP(h->visited, start);
-    h->path[0] = start;
-    for (i = 0; i < w; i++)
-        h->cands[i] = (dirv[start] ? pb : umask)[start * w + i] & ~h->visited[i];
-    /* the closing step enters start by port A when start is directed;
-     * otherwise by the port the first step did not leave from */
-    h->close_a = dirv[start];
-    h->need = h->need_stack[0] = ranks != NULL && ranks[start] == 0;
-    h->starving = h->starving_stack[0] = starved;
-    h->yielded = -1;
-}
-
-/* A search over n >= 3 vertices, copying its inputs: n * w words of port A
- * and port B masks, n directed flags, n waypoint ranks or NULL.  Masks hold
- * no bit at or past n and 0 <= start < n; the caller checks both.  NULL if
- * out of memory. */
-struct hk *hk_new(int n, const word *pa, const word *pb,
-                  const unsigned char *dirv, const int *ranks, int start,
-                  int break_mirror)
-{
-    struct hk *h = hk_alloc(n, 0, 0, 0);
-
-    if (h == NULL)
-        return NULL;
-    memcpy(h->pa, pa, (size_t)n * h->w * sizeof(word));
-    memcpy(h->pb, pb, (size_t)n * h->w * sizeof(word));
-    hk_start(h, dirv, ranks, start, break_mirror);
-    return h;
-}
 
 #define FIRST(h, i) ((h)->seq[(h)->off[i]])
 #define LAST(h, i) ((h)->seq[(h)->off[(i) + 1] - 1])
@@ -196,24 +106,49 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
                         const int *off, const unsigned char *dirv,
                         const int *ranks, int start, int break_mirror)
 {
-    const int wv = (nv + 63) / 64, len = off[k];
+    const int w = (k + 63) / 64, wv = (nv + 63) / 64, len = off[k];
+    const size_t kw = (size_t)k * w;
     struct hk *h;
-    int *owner, e, i;
+    word *pa, *pb, *umask;
+    int *owner, e, i, v, starved = NOBODY;
 
-    h = hk_alloc(k, (size_t)nv * wv, (size_t)len + 2 * (size_t)k + 1 + nv,
-                 5 * (size_t)k);
+    /* one block: the word arrays pa, pb, umask, cands, visited and adj, the
+     * int arrays path, need_stack, starving_stack, seq, off, icycle, owner
+     * and ranks, the byte arrays dirv and dp */
+    h = calloc(1, sizeof *h + (4 * kw + w + (size_t)nv * wv) * sizeof(word) +
+                      (6 * (size_t)k + len + 1 + nv) * sizeof(int) +
+                      6 * (size_t)k);
     if (h == NULL)
         return NULL;
+    h->n = k;
+    h->w = w;
     h->nv = nv;
     h->wv = wv;
-    h->adj = h->visited + h->w;
-    h->seq = h->starving_stack + 2 * k;
+    h->pa = pa = (word *)(h + 1);
+    h->pb = pb = pa + kw;
+    h->umask = umask = pb + kw;
+    h->cands = umask + kw;
+    h->visited = h->cands + kw;
+    h->adj = h->visited + w;
+    h->path = (int *)(h->adj + (size_t)nv * wv);
+    h->need_stack = h->path + k;
+    h->starving_stack = h->need_stack + k;
+    h->seq = h->starving_stack + k;
     h->off = h->seq + len;
     h->icycle = h->off + k + 1;
     owner = h->icycle + k;
+    h->dirv = (unsigned char *)(owner + nv + k);
     h->dp = h->dirv + k;
     memcpy(h->seq, seq, (size_t)len * sizeof(int));
     memcpy(h->off, off, ((size_t)k + 1) * sizeof(int));
+    memcpy(h->dirv, dirv, (size_t)k);
+    if (ranks != NULL) {
+        int *ranks_ = owner + nv;
+        memcpy(ranks_, ranks, (size_t)k * sizeof(int));
+        h->ranks = ranks_;
+    }
+    h->start = start;
+    h->break_mirror = break_mirror;
 
     /* owner[x]: the item that x is an end of, or -1 */
     for (i = 0; i < nv; i++)
@@ -221,20 +156,42 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
     for (i = 0; i < k; i++)
         owner[FIRST(h, i)] = owner[LAST(h, i)] = i;
     for (e = 0; e < m; e++) {
-        const int u = edges[2 * e], v = edges[2 * e + 1];
-        SET(h->adj + (size_t)u * wv, v);
-        SET(h->adj + (size_t)v * wv, u);
-        if (owner[u] >= 0 && owner[v] >= 0 && owner[u] != owner[v]) {
-            join(h, owner[u], u, owner[v]);
-            join(h, owner[v], v, owner[u]);
+        const int u = edges[2 * e], x = edges[2 * e + 1];
+        SET(h->adj + (size_t)u * wv, x);
+        SET(h->adj + (size_t)x * wv, u);
+        if (owner[u] >= 0 && owner[x] >= 0 && owner[u] != owner[x]) {
+            join(h, owner[u], u, owner[x]);
+            join(h, owner[x], x, owner[u]);
         }
     }
-    hk_start(h, dirv, ranks, start, break_mirror);
+
+    /* every edge joins an item to another at both ends, so the union masks
+     * are symmetric: x is in umask[v] exactly when v is in umask[x] */
+    for (v = 0; v < k; v++) {
+        int bits = 0;
+        for (i = 0; i < w; i++)
+            bits += popcount(umask[v * w + i] = pa[v * w + i] | pb[v * w + i]);
+        if (bits < 2 && v != start) /* never has two neighbours */
+            starved = starved == NOBODY ? v : MANY;
+    }
+
+    FLIP(h->visited, start);
+    h->path[0] = start;
+    for (i = 0; i < w; i++)
+        h->cands[i] = (dirv[start] ? pb : umask)[start * w + i] & ~h->visited[i];
+    /* the closing step enters start by port A when start is directed;
+     * otherwise by the port the first step did not leave from */
+    h->close_a = dirv[start];
+    h->need = h->need_stack[0] = ranks != NULL && ranks[start] == 0;
+    h->starving = h->starving_stack[0] = starved;
+    h->yielded = -1;
     return h;
 }
 
 /* What a step out of v would starve: NOBODY, the one vertex left with
- * fewer than two neighbours among the available ones, or MANY. */
+ * fewer than two neighbours among the available ones, or MANY.  Only a
+ * vertex whose union mask holds v can have lost a neighbour, and as the
+ * masks are symmetric these are the vertices of v's own union mask. */
 static int starve_after(const struct hk *h, int v)
 {
     const int w = h->w, start = h->start;
@@ -242,7 +199,7 @@ static int starve_after(const struct hk *h, int v)
     int found = NOBODY, i, j;
 
     for (i = 0; i < w; i++) {
-        word rem = h->rev[v * w + i] & ~visited[i];
+        word rem = h->umask[v * w + i] & ~visited[i];
         for (; rem; rem &= rem - 1) {
             const int x = 64 * i + lowest(rem);
             const word *m = h->umask + (size_t)x * w;
@@ -264,10 +221,9 @@ static int starve_after(const struct hk *h, int v)
 }
 
 /* Go on with the search under a cap of `cap` nodes in all.  Returns 1 with
- * the next cycle's n vertex ids, from start, in `cycle`; 0 at the end of
- * the search; -1 when the cap is spent.  After 0 or -1 only hk_nodes and
- * hk_free may be called. */
-int hk_next(struct hk *h, int64_t cap, int *cycle)
+ * the next item cycle's n item ids, from start, in `cycle`; 0 at the end of
+ * the search; -1 when the cap is spent. */
+static int hk_next(struct hk *h, int64_t cap, int *cycle)
 {
     const int n = h->n, w = h->w, start = h->start;
     const word *pa_s = h->pa + start * w, *pb_s = h->pb + start * w;
@@ -457,10 +413,10 @@ static int decode(const struct hk *h, int *cycle)
     return 0;
 }
 
-/* hk_next on a graph search: returns 1 with the next decoded cycle's
+/* Go on with the search: returns 1 with the next decoded cycle's
  * vertices, one per item vertex, in `cycle`, and 0 or -1 as hk_next does.
  * Writes the nodes, candidates and rejected candidates so far to
- * counts[0..2]. */
+ * counts[0..2].  After 0 or -1 only hk_free may be called. */
 int hk_next_cycle(struct hk *h, int64_t cap, int *cycle, int64_t *counts)
 {
     int status;
@@ -475,11 +431,6 @@ int hk_next_cycle(struct hk *h, int64_t cap, int *cycle, int64_t *counts)
     counts[1] = h->candidates;
     counts[2] = h->rejected;
     return status;
-}
-
-int64_t hk_nodes(const struct hk *h)
-{
-    return h->nodes;
 }
 
 void hk_free(struct hk *h)

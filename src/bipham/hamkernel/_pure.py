@@ -29,10 +29,11 @@ the neighbours of the vertex just left:
   exactly one vertex, ``prev``, out of the available set (none when
   ``prev`` is ``start``).  So only an unvisited vertex whose union mask
   contains ``prev`` can have dropped below two.  These vertices are read
-  from a reverse mask, not from ``prev``'s own union mask: the masks
-  ``_ports`` builds are symmetric, but ``CycleEnum``'s contract allows
-  asymmetric ones (the pinned ``ported-one-way`` instance in
-  ``tests/test_kernel.py`` has them).
+  from a reverse mask, not from ``prev``'s own union mask.  The masks
+  ``_ports`` builds are symmetric, so there the two are equal, and the C
+  kernel, which takes only graph searches, reads the union mask.  Only this
+  reference's ``CycleEnum`` allows asymmetric masks (the pinned
+  ``ported-one-way`` instance in ``tests/test_kernel.py`` has them).
 * For every child of one node the available set is the same, so the
   vertices that would drop below two (``starving``) are found once, when
   the node is pushed, and a child ``v`` fails the prune unless

@@ -33,7 +33,7 @@ from .bes import (
     plan_slice_decomposition,
     cover_global_by_cycles,
 )
-from .errors import BiphamError, PreconditionViolated
+from .errors import BadParams, BiphamError, PreconditionViolated
 from .graphs import Graph, LabelledPartition, PathSystem
 from .partitioning import framework_partition, localized_slices, orient_scheme
 from .report import DecompositionReport, Stage
@@ -93,6 +93,9 @@ class PipelineConstants:
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConstants":
+        unknown = sorted(set(doc) - {fld.name for fld in fields(PipelineConstants)})
+        if unknown:
+            raise BadParams(f"unknown constants {', '.join(unknown)}")
         kwargs = {}
         for fld in fields(PipelineConstants):
             if fld.name in doc:
@@ -535,8 +538,8 @@ def run_theorem_1factbip(
         need_pca = 7 * params.r_diamond
         if not part1.V0():
             empty = PathSystem(part1.n, [])
-            j_ca = {key: [empty] * params.r3 for key in _slot_keys(c.K1, c.f, c.L)}
-            j_pca = {key: [empty] * params.r_diamond for key in _slot_keys(c.K1, 7, 1)}
+            j_ca = {key: [empty] * params.r3 for key in _slot_keys(c.f, c.L)}
+            j_pca = {key: [empty] * params.r_diamond for key in _slot_keys(7, 1)}
             st.check(
                 "empty-exceptional-set",
                 True,
@@ -731,7 +734,7 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
     raise last_exc
 
 
-def _slot_keys(K: int, f: int, L: int):
+def _slot_keys(f: int, L: int):
     return [(i, h) for i in range(1, f + 1) for h in range(1, L + 1)]
 
 
@@ -753,7 +756,7 @@ def _select_robust_systems(j_cells: dict, constants, params):
     pool = {cell: list(lst) for cell, lst in sorted(j_cells.items())}
     j_ca: dict = {}
     intervals_ca = canonical_intervals(c.K1, c.f)
-    for i, h in _slot_keys(c.K1, c.f, c.L):
+    for i, h in _slot_keys(c.f, c.L):
         interior = set(intervals_ca[i - 1][1:-1])
         bucket: list = []
         for cell in sorted(pool):
@@ -771,7 +774,7 @@ def _select_robust_systems(j_cells: dict, constants, params):
         j_ca[(i, h)] = bucket
     j_pca: dict = {}
     intervals_pca = canonical_intervals(c.K1, 7)
-    for i, _h in _slot_keys(c.K1, 7, 1):
+    for i, _h in _slot_keys(7, 1):
         interior = set(intervals_pca[i - 1][1:-1])
         bucket = []
         for cell in sorted(pool):

@@ -84,6 +84,9 @@ class CycleSearch:
             if len(p.vertices) < 2:
                 raise ValueError("prescribed paths need at least one edge")
             for v in p.vertices:
+                if not 0 <= v < self.n:
+                    raise ValueError(
+                        f"an item has a vertex outside 0..{self.n - 1}")
                 if v in seen:
                     raise ValueError(f"vertex {v} on two prescribed paths")
                 seen.add(v)

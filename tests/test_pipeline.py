@@ -17,7 +17,7 @@ import pytest
 
 from bipham import hamkernel, pipeline, search, solvers
 from bipham.cli import main as cli_main
-from bipham.errors import PreconditionViolated, Timeout
+from bipham.errors import BadParams, PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
 from bipham.graphs import Graph, complete_bipartite, dump_graph, load_graph
 from bipham.pipeline import (
@@ -626,6 +626,25 @@ def test_cli_malformed_rationals_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["verify", "--level", "framework", "--eps", "0.5",
                      "--eps-prime", "1/4", str(inst)]) == 0
+
+
+def test_unknown_constants_rejected(tmp_path, capsys):
+    # a misspelt key used to leave its constant at the default unnoticed
+    with pytest.raises(BadParams, match="unknown constants max_node, tau$"):
+        PipelineConstants.from_json({"tau": 1, "max_node": 5, "L": 1})
+    inst = tmp_path / "k44.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 4}', "-o", str(inst)])
+    consts = tmp_path / "c.json"
+    consts.write_text(json.dumps({"max_node": 5}))
+    rep_path = tmp_path / "rep.json"
+    capsys.readouterr()
+    rc = cli_main(["decompose", "--theorem", "onefact", "--constants",
+                   str(consts), str(inst), "-o", str(rep_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: BadParams: unknown constants max_node\n")
+    assert not rep_path.exists()
 
 
 @pytest.mark.parametrize("name", ["K1", "L"])

@@ -9,7 +9,7 @@ import pytest
 
 from bipham import search
 from bipham.graphs import Graph, complete_bipartite
-from bipham.hamkernel import PureCycleEnum
+from bipham.hamkernel._pure import CycleEnum as PureCycleEnum
 from bipham.hamkernel._pure import _decode, _ports, _states
 from bipham.search import CycleSearch, Prescribed
 from bipham.solvers import _OracleEnum
@@ -170,3 +170,17 @@ def test_malformed_ranks_rejected(ranks):
     with pytest.raises(ValueError, match=r"ranks \[\d, \d\]"):
         CycleSearch(g, prescribed)
 
+
+
+@pytest.mark.parametrize("n, path", [
+    (3, (0, 1, 5)),
+    (3, (0, 5, 2)),
+    (3, (0, -1, 2)),
+    (4, (0, 5, 1)),
+], ids=["one item", "two items", "two items, negative", "three items"])
+def test_prescribed_vertex_out_of_range_rejected(n, path):
+    # with one or two items the search never reaches the kernel's checks,
+    # and used to yield a cycle through the vertex that is not there
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    with pytest.raises(ValueError, match=rf"vertex outside 0\.\.{n - 1}"):
+        CycleSearch(g, [Prescribed(path)])
