@@ -203,24 +203,23 @@ def _agree(c, pure, lower_cap):
 WORD_BOUNDARIES = (63, 64, 65, 127, 128, 129)
 
 
-def _graph_instance(seed):
+def _graph_instance(seed, items=None):
     """A seeded random graph search as ``GraphEnum`` keyword arguments:
     about a third of the vertices on prescribed paths of 2 to 5 vertices
     that are undirected, directed or directed and ranked, items in a
-    shuffled order, and a cap from 0 up.  Seeds 0, 1 and 2 mod 4 give 5 to
-    14, 15 to 40 and 60 to 90 vertices; seeds 3 mod 4 give an item count in
-    ``WORD_BOUNDARIES``, each of them once in any 24 consecutive seeds."""
+    shuffled order, and a cap from 0 up.  Without ``items``, seeds 0, 1 and
+    2 mod 3 give 5 to 14, 15 to 40 and 60 to 90 vertices; with it, the
+    search has exactly ``items`` items."""
     rng = random.Random(seed)
     sizes = []
-    if seed % 4 < 3:
-        n = rng.randint(*((5, 14), (15, 40), (60, 90))[seed % 4])
+    if items is None:
+        n = rng.randint(*((5, 14), (15, 40), (60, 90))[seed % 3])
         while sum(sizes) < n // 3:
             sizes.append(rng.randint(2, 5))
     else:
-        k = WORD_BOUNDARIES[seed // 4 % len(WORD_BOUNDARIES)]
-        while 3 * sum(sizes) < k + sum(sizes) - len(sizes):
+        while 3 * sum(sizes) < items + sum(sizes) - len(sizes):
             sizes.append(rng.randint(2, 5))
-        n = k + sum(sizes) - len(sizes)
+        n = items + sum(sizes) - len(sizes)
     p = rng.uniform(0.2, 0.9)
     edges = [x for u in range(n) for v in range(u + 1, n) if rng.random() < p
              for x in (u, v)]
@@ -250,17 +249,20 @@ def _graph_instance(seed):
     )
 
 
-def _graph_sweep(graph_enum, seeds):
+def _graph_sweep(graph_enum, seeds, wide=False):
     """Hold ``graph_enum`` to ``PureGraphEnum`` on the ``_graph_instance`` of
     each seed: the same cycles, nodes, candidates and rejections after
     every next(), and the same budget trips, also under a cap lowered
-    between two cycles.  Returns what the sweep reached."""
+    between two cycles.  With ``wide``, seed ``s`` gives a search of
+    ``WORD_BOUNDARIES[s % 6]`` items, each size once in any 6 consecutive
+    seeds.  Returns what the sweep reached."""
     seen = dict.fromkeys(
         ["cycles", "rejections", "trips", "over 64 items", "over 128 items",
          "cycles over 64 items", "trips over 64 items"]
         + [f"{k} items" for k in WORD_BOUNDARIES], 0)
     for seed in seeds:
-        kw = _graph_instance(seed)
+        kw = _graph_instance(
+            seed, WORD_BOUNDARIES[seed % len(WORD_BOUNDARIES)] if wide else None)
         k = len(kw["items"])
         rng = random.Random(seed)
 
@@ -284,10 +286,19 @@ def _graph_sweep(graph_enum, seeds):
     return seen
 
 
-@pytest.mark.parametrize("chunk", range(8))
+@pytest.mark.parametrize("chunk", range(4))
 def test_c_kernel_agrees_on_graph_instances(c_kernel, chunk):
     # the C builder, search and decoder against _ports, _search and _decode
-    seen = _graph_sweep(c_kernel, range(100 * chunk, 100 * (chunk + 1)))
+    # on searches of 5 to 90 vertices
+    seen = _graph_sweep(c_kernel, range(150 * chunk, 150 * (chunk + 1)))
+    assert seen["cycles"] and seen["rejections"] and seen["trips"], seen
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_c_kernel_agrees_on_random_instances(c_kernel, chunk):
+    # the same on searches whose item counts end one, two and three words
+    seen = _graph_sweep(c_kernel, range(50 * chunk, 50 * (chunk + 1)),
+                        wide=True)
     assert all(seen.values()), seen
 
 
@@ -434,12 +445,13 @@ from test_kernel import _graph_sweep
 
 graph_enum, kernel = hamkernel._load(Path(sys.argv[1]), "bipham-no-such-cc")
 assert kernel == "c", kernel
-print(_graph_sweep(graph_enum, range(200)))
+print(_graph_sweep(graph_enum, range(150)))
+print(_graph_sweep(graph_enum, range(50), wide=True))
 """
 
 
 def test_c_kernel_clean_under_sanitizers(tmp_path):
-    # the graph sweep on a build with AddressSanitizer and
+    # the graph sweeps on a build with AddressSanitizer and
     # UndefinedBehaviorSanitizer, which stop the process at the first
     # out-of-bounds access or undefined operation in the kernel
     cc = shutil.which("cc")
