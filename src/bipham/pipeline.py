@@ -98,16 +98,24 @@ class PipelineConstants:
             raise BadParams(f"unknown constants {', '.join(unknown)}")
         kwargs = {}
         for fld in fields(PipelineConstants):
-            if fld.name in doc:
-                val = doc[fld.name]
-                if fld.type in ("Fraction",):
-                    kwargs[fld.name] = frac(val)
-                elif fld.name in ("max_seconds",):
-                    kwargs[fld.name] = float(val)
-                elif fld.name in ("r1_override",):
-                    kwargs[fld.name] = None if val is None else int(val)
-                else:
-                    kwargs[fld.name] = int(val)
+            if fld.name not in doc:
+                continue
+            val = doc[fld.name]
+            if fld.type == "Fraction":
+                kwargs[fld.name] = frac(val)
+            elif fld.name == "max_seconds":
+                if isinstance(val, bool):
+                    raise BadParams(f"constant max_seconds = {val!r} "
+                                    "must be a number")
+                kwargs[fld.name] = float(val)
+            elif fld.name == "r1_override" and val is None:
+                kwargs[fld.name] = None
+            elif isinstance(val, int) and not isinstance(val, bool):
+                kwargs[fld.name] = val
+            else:
+                # int() would truncate 1.7 to 1 and read true as 1
+                raise BadParams(f"constant {fld.name} = {val!r} "
+                                "must be an integer")
         return PipelineConstants(**kwargs)
 
     def as_json(self) -> dict:

@@ -16,12 +16,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .balance import frac
 from .beps import BalancedFactor
 from .errors import (
     BackendFailure,
     BackendUnavailable,
+    BadParams,
     BiphamError,
     PreconditionViolated,
     Timeout,
@@ -30,7 +32,7 @@ from .errors import (
 from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, norm_edge
 from .matchings import kuhn_matching
 from .partitioning import uniform_refinement
-from .search import CycleSearch, Prescribed
+from .search import CycleSearch, Prescribed, SearchStats
 from .solvers import luby, peel_cycles
 from .validate import check_decomposition, cycle_edges
 
@@ -554,8 +556,18 @@ class RobustDecomposition:
         distinct because a level opens at most 92 orders in 20 M nodes.
         Only spending ``max_nodes`` raises ``Timeout``, whose text names the
         restarts run.  ``max_seconds`` is only the wall-clock safety net
-        over all restarts.
+        over all restarts; a budget that is not positive raises
+        ``BadParams``.
+
+        Once s' - 1 cycles are taken, the last one has no choice left: it
+        is the pool left plus the last path system's edges, or nothing.
+        That level is decided by one walk (``_closes``) and spends no
+        kernel nodes; only when the walk closes does the kernel run, to
+        report the cycle from the same start and in the same direction as
+        a search would.
         """
+        if max_nodes <= 0 or max_seconds <= 0:
+            raise BadParams("budget limits must be positive")
         if self.ca is None or self.pca is None:
             raise BackendUnavailable("absorbers not built yet")
         all_beps = [b for bf in self._bf + self._bf_prime for b in bf.systems]
@@ -580,11 +592,16 @@ class RobustDecomposition:
                 "or path systems overlapping"
             )
         prescribed = [[Prescribed(p) for p in b.paths] for b in all_beps]
+        n = self.part.n
         deadline = time.monotonic() + max_seconds
         spent = t = 0
         while spent < max_nodes:
             def search(i, pool_left, order, cap, base=seed + 131 * t):
-                found = CycleSearch(Graph._trusted(self.part.n, pool_left),
+                if i == s_prime - 1 and not _closes(n, pool_left,
+                                                    beps_edges[i]):
+                    # proven infeasible, in no nodes
+                    return iter(()), SearchStats(max_nodes=cap)
+                found = CycleSearch(Graph._trusted(n, pool_left),
                                     prescribed[i], max_nodes=cap,
                                     seed=base + order)
                 return ((c, cycle_edges(c) - beps_edges[i])
@@ -612,6 +629,26 @@ class RobustDecomposition:
         if problems:
             raise AssertionError(problems[0])
         return peel.cycles
+
+
+def _closes(n: int, pool, path_edges) -> bool:
+    """Whether the edges of ``pool`` and ``path_edges`` together form one
+    cycle through all of 0..n-1: exactly n edges, every vertex of degree
+    2, and the walk from vertex 0 meets all n before it returns."""
+    if n < 3 or len(pool) + len(path_edges) != n:
+        return False
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in chain(pool, path_edges):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    if set(map(len, nbrs)) != {2}:
+        return False
+    prev, cur, steps = 0, nbrs[0][0], 1
+    while cur:
+        a, b = nbrs[cur]
+        prev, cur = cur, a if b == prev else b
+        steps += 1
+    return steps == n
 
 
 @dataclass

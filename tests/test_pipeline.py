@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -198,6 +199,49 @@ def test_onefact_closure_finishes(seed, digest):
     assert rep.ok()
     assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
     assert _digest(rep) == digest
+
+
+@pytest.mark.parametrize("seed, digest, last_opened", [
+    (1, "b88749bfcf8e7f91318ae2fa2791284f09af4c50d1ba20ce36852ea139b9f161", 1),
+    (2, "5faa6c69db86887e8cd1131180f26a3de191a7378a4a93e2a81a3cd5e1fe6da8", 461),
+    (3, "0cdf6e964cbfddfdfa1b80db730db0ad298c4eb11fc019ab01ded0799e131841", 406),
+])
+def test_closure_last_level_runs_the_kernel_once(monkeypatch, seed, digest,
+                                                 last_opened):
+    # once s' - 1 cycles are taken the last one is forced: a walk decides
+    # each pool left, and the kernel runs only on the one that closes.
+    # Seed 1 descends straight; seeds 2 and 3 reach the last level with
+    # hundreds of pools that do not close
+    from collections import Counter
+
+    from bipham import walks
+
+    made, searches, opened = [], Counter(), Counter()
+    real_search, real_peel = walks.CycleSearch, walks.peel_cycles
+
+    def counting_search(*args, **kwargs):
+        made.append(None)
+        return real_search(*args, **kwargs)
+
+    def counting_peel(level_search, pool, depth, *args, **kwargs):
+        def counted(i, *rest):
+            before = len(made)
+            out = level_search(i, *rest)
+            opened[i, depth] += 1
+            searches[i, depth] += len(made) - before
+            return out
+        return real_peel(counted, pool, depth, *args, **kwargs)
+
+    monkeypatch.setattr(walks, "CycleSearch", counting_search)
+    monkeypatch.setattr(walks, "peel_cycles", counting_peel)
+    g, part, props = generate("complete_bipartite", {"m": 28})
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed,
+                               hint_split=(list(part.A), list(part.B)))
+    assert _digest(rep) == digest
+    last = (13, 14)  # level s' - 1 of s' = 14
+    assert opened[last] == last_opened
+    assert searches[last] == 1
+    assert all(searches[key] == opened[key] for key in opened if key != last)
 
 
 def test_onefact_k42_heavy_tailed_level_finishes():
@@ -645,6 +689,27 @@ def test_unknown_constants_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: BadParams: unknown constants max_node\n")
     assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("doc, text", [
+    ({"L": 1.7}, "L = 1.7 must be an integer"),
+    ({"max_nodes": True}, "max_nodes = True must be an integer"),
+    ({"K1": "7"}, "K1 = '7' must be an integer"),
+    ({"r1_override": 2.0}, "r1_override = 2.0 must be an integer"),
+    ({"max_seconds": False}, "max_seconds = False must be a number"),
+])
+def test_constants_not_truncated(doc, text):
+    with pytest.raises(BadParams, match=f"^constant {re.escape(text)}$"):
+        PipelineConstants.from_json(doc)
+
+
+def test_frozen_constants_load_unchanged():
+    spec = json.loads((EXCEPTIONAL_INPUTS.parent / "onefact-robust"
+                       / "instances.json").read_text())
+    assert PipelineConstants.from_json(spec["constants"]) == TOY_1FACT
+    assert PipelineConstants.from_json(
+        {"r1_override": None, "max_seconds": 5}
+    ) == PipelineConstants(max_seconds=5.0)
 
 
 @pytest.mark.parametrize("name", ["K1", "L"])

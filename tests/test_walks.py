@@ -1,8 +1,11 @@
 """Chord sequences, parity walks, bi-setups, robust-contract arithmetic."""
 
+import random
+
 import pytest
 
-from bipham.errors import PreconditionViolated, Timeout
+from bipham import hamkernel, search
+from bipham.errors import BadParams, PreconditionViolated, Timeout
 from bipham.graphs import Digraph, Graph, LabelledPartition
 from bipham.partitioning import orient_scheme
 from bipham.walks import (
@@ -184,6 +187,87 @@ def test_closure_failure_names_restarts_and_nodes(monkeypatch):
                        "the last: node budget 50 spent at level ") as exc:
         res.closure(Graph(part.n, []), max_nodes=250)
     assert exc.value.stats == {"nodes": 250, "restarts": 4}
+
+
+@pytest.mark.parametrize("budget", [{"max_nodes": 0}, {"max_nodes": -1},
+                                    {"max_seconds": 0}])
+def test_closure_rejects_non_positive_budget(budget):
+    # with no node to spend no restart runs, so a Timeout would have no
+    # last restart to name
+    g, part, bf_prime, params, res = _standalone_contract()
+    with pytest.raises(BadParams, match="^budget limits must be positive$"):
+        res.closure(Graph(part.n, []), **budget)
+
+
+def _forced_level_case(rng, kind):
+    """(n, pool, paths) for the closure's last level: the cycles of a
+    random 2-regular graph, one (kind "closes") or 2-3 ("split"), with
+    vertex-disjoint segments prescribed as paths and the rest as the pool;
+    "degree 3" moves one end of a pool edge onto a third vertex and
+    "count" drops a pool edge or adds one."""
+    n = rng.randint(6, 12) if kind == "split" else rng.randint(4, 12)
+    order = list(range(n))
+    rng.shuffle(order)
+    if kind == "split":
+        cuts = [0, rng.randint(3, n - 3), n]
+        if n >= 9 and rng.random() < 0.5:
+            cuts = [0, rng.randint(3, n - 6), n]
+            cuts.insert(2, rng.randint(cuts[1] + 3, n - 3))
+        cycles = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    else:
+        cycles = [order]
+    paths, edges = [], set()
+    for cyc in cycles:
+        edges |= {tuple(sorted((cyc[i - 1], cyc[i]))) for i in range(len(cyc))}
+        pos = 0
+        while pos < len(cyc) - 1:
+            size = rng.randint(2, 4)
+            if rng.random() < 0.4 and pos + size <= len(cyc):
+                paths.append(tuple(cyc[pos:pos + size]))
+                pos += size
+            else:
+                pos += 1
+    path_edges = {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])}
+    pool = edges - path_edges
+    if kind == "degree 3":
+        u, v = rng.choice(sorted(pool))
+        w = rng.choice([x for x in range(n) if x not in (u, v)
+                        and tuple(sorted((u, x))) not in edges])
+        pool = pool - {(u, v)} | {tuple(sorted((u, w)))}
+    elif kind == "count":
+        absent = [(a, b) for a in range(n) for b in range(a + 1, n)
+                  if (a, b) not in edges]
+        if rng.random() < 0.5 or not absent:
+            pool = pool - {rng.choice(sorted(pool))}
+        else:
+            pool = pool | {rng.choice(absent)}
+    return n, frozenset(pool), [search.Prescribed(p) for p in paths]
+
+
+@pytest.mark.parametrize("kernel", ["default", "pure"])
+def test_forced_level_decision_agrees_with_kernel(monkeypatch, kernel):
+    # the closure decides its last level by a walk; the referee is a full
+    # search of the same pool and paths, which at the forced level's edge
+    # count finds a cycle exactly when the pool closes
+    from bipham.validate import cycle_edges
+    from bipham.walks import _closes
+
+    if kernel == "pure":
+        monkeypatch.setattr(search, "cycle_enumerator", hamkernel.PureGraphEnum)
+    rng = random.Random(16)
+    for trial in range(240):
+        kind = ("closes", "split", "degree 3", "count")[trial % 4]
+        n, pool, paths = _forced_level_case(rng, kind)
+        path_edges = {tuple(sorted(e)) for p in paths
+                      for e in zip(p.vertices, p.vertices[1:])}
+        decided = _closes(n, pool, path_edges)
+        assert decided == (kind == "closes"), (kind, n, pool, paths)
+        found = search.CycleSearch(Graph._trusted(n, pool), paths)
+        if len(pool) + len(path_edges) == n:
+            assert decided == (found.first() is not None), (kind, n, pool)
+        else:
+            # more edges than a cycle takes: no cycle takes every one
+            assert not any(cycle_edges(c) >= pool for c in found.cycles())
 
 
 def test_divisibility_report():
