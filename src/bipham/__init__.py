@@ -1,14 +1,13 @@
 """Hamilton decompositions of dense nearly-bipartite graphs.
 
 Constructive, property-checked implementations of the balancing machinery
-(frameworks, balanced exceptional systems, fictive edges, parity walks) with
-explicit desk-scale parameters, brute-force referees, and two end-to-end
-pipelines.
+(frameworks, balanced exceptional systems, fictive edges) and of the robust
+decomposition contract, with explicit desk-scale parameters, brute-force
+referees, and two end-to-end pipelines.
 """
 
 from .balance import Framework, is_D_balanced, validate_framework
 from .graphs import (
-    Digraph,
     Graph,
     LabelledPartition,
     OrientedGraph,
@@ -18,7 +17,6 @@ from .pipeline import PipelineConstants, run_theorem_1factbip, run_theorem_NWbip
 from .report import DecompositionReport, emit_report
 
 __all__ = [
-    "Digraph",
     "DecompositionReport",
     "Framework",
     "Graph",

@@ -178,8 +178,9 @@ def class_labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
     return label
 
 
-class Digraph:
-    """A simple digraph: up to one arc per ordered pair, no loops."""
+class OrientedGraph:
+    """An oriented graph: up to one arc per unordered pair, no loops, so
+    never both (x, y) and (y, x)."""
 
     __slots__ = ("n", "arcs", "_out", "_in")
 
@@ -191,13 +192,12 @@ class Digraph:
                 raise BadParams(f"loop arc ({x},{y})")
             if not (0 <= x < self.n and 0 <= y < self.n):
                 raise BadParams(f"arc ({x},{y}) out of range")
-        self._check(a)
+        for x, y in a:
+            if (y, x) in a:
+                raise BadParams(f"both orientations of ({x},{y}) present")
         self.arcs = a
         self._out = None
         self._in = None
-
-    def _check(self, arcs):
-        pass
 
     @property
     def out(self) -> tuple[frozenset[int], ...]:
@@ -220,22 +220,11 @@ class Digraph:
     def underlying(self) -> Graph:
         return Graph(self.n, self.arcs)
 
-    def minus_arcs(self, arcs: Iterable[Sequence[int]]):
-        return type(self)(self.n, self.arcs - {(int(x), int(y)) for x, y in arcs})
+    def minus_arcs(self, arcs: Iterable[Sequence[int]]) -> "OrientedGraph":
+        return OrientedGraph(self.n, self.arcs - {(int(x), int(y)) for x, y in arcs})
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, m={len(self.arcs)})"
-
-
-class OrientedGraph(Digraph):
-    """A digraph with no pair of opposite arcs (an oriented graph)."""
-
-    __slots__ = ()
-
-    def _check(self, arcs):
-        for x, y in arcs:
-            if (y, x) in arcs:
-                raise BadParams(f"both orientations of ({x},{y}) present")
+        return f"OrientedGraph(n={self.n}, m={len(self.arcs)})"
 
 
 class LabelledPartition:

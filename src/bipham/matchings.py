@@ -17,8 +17,8 @@ Four tools used throughout the pipeline:
 * ``kuhn_matching``: a perfect matching of one vertex list into another by
   augmenting paths, deterministic in the order of both lists.  It is the
   package's one bipartite matching routine: ``bes``, ``beps`` and ``walks``
-  (the absorbers' matching layers and the 1-factors of the parity walks)
-  call it, and ``balancer`` runs its augmenting step ``_augment`` directly.
+  (the absorbers' matching layers) call it, and ``balancer`` runs its
+  augmenting step ``_augment`` directly.
 """
 
 from __future__ import annotations

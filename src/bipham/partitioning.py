@@ -28,7 +28,7 @@ from .errors import (
     PreconditionViolated,
     RetryBudgetExceeded,
 )
-from .graphs import Digraph, Graph, LabelledPartition, OrientedGraph, class_labels
+from .graphs import Graph, LabelledPartition, OrientedGraph, class_labels
 from .schemes import oriented_scheme_violations, rational_ceil, scheme_violations
 
 DEFAULT_ATTEMPTS = 64
@@ -481,87 +481,6 @@ def verify_slices(g, part, slices, side, eps1, eps2) -> list[str]:
     if union != within or total != e_prime:
         problems.append("(ii) slices do not partition the side's edge set")
     return problems
-
-
-# -- uniform refinement -------------------------------------------------------
-
-@dataclass
-class RefinementCertificate:
-    parent: LabelledPartition
-    child: LabelledPartition
-    max_relative_deviation: Fraction
-    attempts: int
-    seed: int
-
-
-def uniform_refinement(
-    g,
-    part: LabelledPartition,
-    ell: int,
-    eps,
-    seed: int = 0,
-    max_attempts: int = DEFAULT_ATTEMPTS,
-) -> RefinementCertificate:
-    """Split every cluster into ell equal parts so that every substantial
-    neighborhood splits essentially evenly (in- and out-neighborhoods for
-    oriented graphs)."""
-    eps = frac(eps)
-    m = part.m
-    if m is None or m % ell != 0:
-        raise DivisibilityError(f"ell = {ell} does not divide m = {m}")
-    last = []
-    for attempt in range(max_attempts):
-        rng = random.Random((seed, attempt).__hash__())
-
-        def split(cluster):
-            vs = list(cluster)
-            rng.shuffle(vs)
-            return _chunks(vs, ell)
-
-        refined_A = tuple(split(c) for c in part.clusters_A)
-        refined_B = tuple(split(c) for c in part.clusters_B)
-        child = part.with_refinement(refined_A, refined_B)
-        problems, worst = verify_refinement(g, part, child, ell, eps)
-        if not problems:
-            return RefinementCertificate(part, child, worst, attempt + 1, seed)
-        last = problems
-    raise RetryBudgetExceeded(
-        "uniform refinement verification failed",
-        attempts=max_attempts,
-        last_failures=last[:5],
-    )
-
-
-def _neighborhoods(g, v):
-    if isinstance(g, Digraph):
-        return (("out", g.out[v]), ("in", g.inn[v]))
-    return (("und", g.adj[v]),)
-
-
-def verify_refinement(g, parent, child, ell, eps):
-    eps = frac(eps)
-    problems = []
-    worst = Fraction(0)
-    clusters = list(parent.clusters_A) + list(parent.clusters_B)
-    subparts = list(child.refined_A) + list(child.refined_B)
-    for cluster, parts in zip(clusters, subparts):
-        cset = set(cluster)
-        for v in range(g.n):
-            for label, nbrs in _neighborhoods(g, v):
-                base = len(nbrs & cset)
-                if base < eps * len(cluster):
-                    continue
-                for p in parts:
-                    got = len(nbrs & set(p))
-                    dev = abs(Fraction(got) - Fraction(base, ell))
-                    rel = dev / Fraction(base, ell)
-                    worst = max(worst, rel)
-                    if rel > eps:
-                        problems.append(
-                            f"{label}-neighborhood of {v} splits unevenly: "
-                            f"{got} vs {base}/{ell}"
-                        )
-    return problems, worst
 
 
 # -- random orientation of a scheme -------------------------------------------

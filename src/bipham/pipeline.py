@@ -16,9 +16,11 @@ checked hard.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
 
 from .balance import Framework, frac, validate_framework
 from .balancer import bip_decompose, elimination_bound_holds, eliminate_A0B0
@@ -102,12 +104,25 @@ class PipelineConstants:
                 continue
             val = doc[fld.name]
             if fld.type == "Fraction":
-                kwargs[fld.name] = frac(val)
+                try:
+                    rational = frac(val)
+                except (TypeError, ValueError, ZeroDivisionError):
+                    rational = None
+                # Fraction(True) would read true as 1
+                if rational is None or isinstance(val, bool):
+                    raise BadParams(f"constant {fld.name} = {val!r} "
+                                    "must be a rational")
+                kwargs[fld.name] = rational
             elif fld.name == "max_seconds":
                 if isinstance(val, bool):
                     raise BadParams(f"constant max_seconds = {val!r} "
                                     "must be a number")
-                kwargs[fld.name] = float(val)
+                secs = float(val)
+                # written so that NaN fails: a NaN deadline never passes
+                if not (math.isfinite(secs) and secs > 0):
+                    raise BadParams(f"constant max_seconds = {val!r} "
+                                    "must be finite and positive")
+                kwargs[fld.name] = secs
             elif fld.name == "r1_override" and val is None:
                 kwargs[fld.name] = None
             elif isinstance(val, int) and not isinstance(val, bool):
@@ -514,27 +529,14 @@ def run_theorem_1factbip(
             fw1, fw1.graph, c.K1 * c.L, c.eps1, c.eps2, seed=seed
         )
         # regroup K1*L fine clusters into K1 clusters with L-part refinement
-        fine_a = part_fine.clusters_A
-        fine_b = part_fine.clusters_B
-        clusters_a = [
-            sorted(v for cc in fine_a[i * c.L : (i + 1) * c.L] for v in cc)
-            for i in range(c.K1)
-        ]
-        clusters_b = [
-            sorted(v for cc in fine_b[i * c.L : (i + 1) * c.L] for v in cc)
-            for i in range(c.K1)
-        ]
-        refined_a = [
-            [tuple(cc) for cc in fine_a[i * c.L : (i + 1) * c.L]]
-            for i in range(c.K1)
-        ]
-        refined_b = [
-            [tuple(cc) for cc in fine_b[i * c.L : (i + 1) * c.L]]
-            for i in range(c.K1)
-        ]
-        part1 = part_fine.with_clusters(clusters_a, clusters_b).with_refinement(
-            refined_a, refined_b
+        refined_a, refined_b = (
+            [fine[i * c.L : (i + 1) * c.L] for i in range(c.K1)]
+            for fine in (part_fine.clusters_A, part_fine.clusters_B)
         )
+        part1 = part_fine.with_clusters(
+            [chain.from_iterable(parts) for parts in refined_a],
+            [chain.from_iterable(parts) for parts in refined_b],
+        ).with_refinement(refined_a, refined_b)
         st.check("partition-certified", True, witness=cert.attempts)
         fw1 = Framework(
             fw1.graph, part1, d1, fw1.eps, fw1.eps_prime, c.K1, fw1.kind,
@@ -762,18 +764,23 @@ def _select_robust_systems(j_cells: dict, constants, params):
         return ((idx - 1) // L) + 1, ((idx - 1) % L) + 1
 
     pool = {cell: list(lst) for cell, lst in sorted(j_cells.items())}
+
+    def fill(interior: set, need: int, style: int | None = None) -> list:
+        """Up to ``need`` systems, taken from the pool in cell order, whose
+        coarse indices all lie in ``interior`` (with style ``style``, when
+        one is given)."""
+        bucket: list = []
+        for cell in sorted(pool):
+            if all(ci in interior and (style is None or s == style)
+                   for ci, s in map(coarse, cell)):
+                while pool[cell] and len(bucket) < need:
+                    bucket.append(pool[cell].pop(0))
+        return bucket
+
     j_ca: dict = {}
     intervals_ca = canonical_intervals(c.K1, c.f)
     for i, h in _slot_keys(c.f, c.L):
-        interior = set(intervals_ca[i - 1][1:-1])
-        bucket: list = []
-        for cell in sorted(pool):
-            cs = [coarse(x) for x in cell]
-            if all(style == h for _, style in cs) and all(
-                ci in interior for ci, _ in cs
-            ):
-                while pool[cell] and len(bucket) < params.r3:
-                    bucket.append(pool[cell].pop(0))
+        bucket = fill(set(intervals_ca[i - 1][1:-1]), params.r3, h)
         if len(bucket) < params.r3:
             raise PreconditionViolated(
                 f"absorber slot ({i},{h}) holds {len(bucket)} systems, "
@@ -783,13 +790,7 @@ def _select_robust_systems(j_cells: dict, constants, params):
     j_pca: dict = {}
     intervals_pca = canonical_intervals(c.K1, 7)
     for i, _h in _slot_keys(7, 1):
-        interior = set(intervals_pca[i - 1][1:-1])
-        bucket = []
-        for cell in sorted(pool):
-            cs = [coarse(x) for x in cell]
-            if all(ci in interior for ci, _ in cs):
-                while pool[cell] and len(bucket) < params.r_diamond:
-                    bucket.append(pool[cell].pop(0))
+        bucket = fill(set(intervals_pca[i - 1][1:-1]), params.r_diamond)
         if len(bucket) < params.r_diamond:
             raise PreconditionViolated(
                 f"switcher slot {i} holds {len(bucket)} systems, needs "

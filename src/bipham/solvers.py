@@ -30,6 +30,7 @@ called: the drivers import this module but never run the oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,8 +57,15 @@ class SolverBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
-            raise BadParams("budget limits must be positive")
+        check_limits(self.max_nodes, self.max_seconds)
+
+
+def check_limits(max_nodes: int, max_seconds: float) -> None:
+    """Raise BadParams unless the node budget is positive and the
+    wall-clock safety net finite and positive; a NaN deadline would never
+    pass, so it fails here."""
+    if max_nodes <= 0 or not (math.isfinite(max_seconds) and max_seconds > 0):
+        raise BadParams("budget limits must be positive")
 
 
 @dataclass

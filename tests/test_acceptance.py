@@ -3,6 +3,10 @@
 One test per criterion, each printing a single PASS line on success (pytest
 shows the failure otherwise).  Tolerances are exact; time limits are
 enforced with a stopwatch assertion inside each test.
+
+The criteria keep their numbers.  Criterion 5, the exact parity counts of
+the bi-universal walks, is retired with the walks themselves: the robust
+closure is discharged by search, and no driver ever built a walk.
 """
 
 import itertools
@@ -20,7 +24,7 @@ from bipham.generators import (
     regular_spanning_subgraph,
     two_cliques_instance,
 )
-from bipham.graphs import Digraph, Graph, LabelledPartition, PathSystem, complete_bipartite
+from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
 from bipham.matchings import vizing_balanced
 from bipham.pipeline import PipelineConstants, run_theorem_NWbip
 from bipham.report import render_report
@@ -35,7 +39,6 @@ from bipham.validate import (
     check_edge_disjoint,
     cycle_edges,
 )
-from bipham.walks import build_biuniversal_walk, check_biuniversal
 
 from conftest import complete_graph, random_graph
 
@@ -307,28 +310,6 @@ def test_acceptance_4_fictive_round_trip():
         passed += 1
     elapsed = done("criterion 4")
     print(f"\nACCEPTANCE 4 PASS: {passed} round trips, {elapsed:.1f}s")
-
-
-# -- 5: parity walks -------------------------------------------------------------
-
-def test_acceptance_5_biuniversal_walks():
-    done = _stopwatch(1)
-    for k in (4, 6, 8):
-        arcs = set()
-        for p in range(k):
-            arcs.add((p, (p + 1) % k))
-            arcs.add(((p - 1) % k, (p + 2) % k))
-        r = Digraph(k, arcs)
-        for ell in (4, 6):
-            walk = build_biuniversal_walk(r, list(range(k)), ell)
-            assert not check_biuniversal(walk)
-            odd = set(walk.order) - set(walk.even)
-            for v in range(k):
-                for cls in (set(walk.even), odd):
-                    assert sum(1 for i in cls if walk.edges[i].arc[1] == v) == ell // 2
-                    assert sum(1 for i in cls if walk.edges[i].arc[0] == v) == ell // 2
-    elapsed = done("criterion 5")
-    print(f"\nACCEPTANCE 5 PASS: 6 walk configurations, {elapsed:.1f}s")
 
 
 # -- 6: extremal facts ------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from bipham.errors import BadParams, PartitionMismatch
 from bipham.graphs import (
-    Digraph,
     Graph,
     LabelledPartition,
     OrientedGraph,
@@ -66,8 +65,6 @@ def test_graph_algebra():
 def test_oriented_graph_rejects_antiparallel():
     with pytest.raises(BadParams):
         OrientedGraph(3, [(0, 1), (1, 0)])
-    d = Digraph(3, [(0, 1), (1, 0)])
-    assert d.out[0] == {1} and d.inn[0] == {1}
     o = OrientedGraph(3, [(0, 1), (2, 1)])
     assert o.underlying().num_edges() == 2
 

@@ -1,5 +1,5 @@
 """Randomized partitions: equipartitions, cluster partitions, localized
-slices, uniform refinements, scheme orientation."""
+slices, scheme orientation."""
 
 import random
 from collections import Counter
@@ -17,7 +17,6 @@ from bipham.partitioning import (
     localized_slices,
     orient_scheme,
     random_equipartition,
-    uniform_refinement,
     verify_equipartition,
 )
 from bipham.regularity import check_regular_pair
@@ -132,38 +131,6 @@ def test_exceptional_internal_edges_spread_evenly():
     ]
     assert sum(counts) == len(inner_a)
     assert all(abs(c - len(inner_a) / 4) <= 1 for c in counts)
-
-
-def test_uniform_refinement_identity_and_exact():
-    g = complete_bipartite((6, 6))
-    part = LabelledPartition(12, [], range(6), [], range(6, 12),
-                             clusters_A=[[0, 1, 2], [3, 4, 5]],
-                             clusters_B=[[6, 7, 8], [9, 10, 11]])
-    cert = uniform_refinement(g, part, 1, "1/2", seed=0)
-    assert cert.max_relative_deviation == 0
-    cert3 = uniform_refinement(g, part, 3, "1/2", seed=0)
-    assert cert3.child.L == 3
-    assert cert3.max_relative_deviation == 0  # complete pair splits exactly
-
-
-def test_uniform_refinement_window(rng):
-    import random
-
-    n = 24
-    rnd = random.Random(9)
-    edges = [
-        (i, 12 + j)
-        for i in range(12)
-        for j in range(12)
-        if rnd.random() < 0.9
-    ]
-    g = Graph(n, edges)
-    part = LabelledPartition(
-        n, [], range(12), [], range(12, 24),
-        clusters_A=[list(range(12))], clusters_B=[list(range(12, 24))],
-    )
-    cert = uniform_refinement(g, part, 3, "1/2", seed=1)
-    assert cert.max_relative_deviation <= Fraction(1, 2)
 
 
 def _square_scheme(m=4, K=2):

@@ -534,20 +534,6 @@ def test_repartition_exceptional_maximizes_cut():
     assert a0 == [8] and b0 == [9]
 
 
-def test_uniform_refinement_handles_digraphs():
-    from bipham.graphs import Digraph, LabelledPartition
-    from bipham.partitioning import uniform_refinement
-
-    arcs = [(i, 4 + j) for i in range(4) for j in range(4)]
-    arcs += [(4 + j, i) for i in range(4) for j in range(4) if (i + j) % 2]
-    d = Digraph(8, arcs)
-    part = LabelledPartition(8, [], range(4), [], range(4, 8),
-                             clusters_A=[[0, 1, 2, 3]],
-                             clusters_B=[[4, 5, 6, 7]])
-    cert = uniform_refinement(d, part, 2, "3/4", seed=0)
-    assert cert.child.L == 2
-
-
 def test_cli_generate_verify_oracle_decompose(tmp_path):
     out = tmp_path / "inst.json"
     rc = cli_main([
@@ -697,6 +683,10 @@ def test_unknown_constants_rejected(tmp_path, capsys):
     ({"K1": "7"}, "K1 = '7' must be an integer"),
     ({"r1_override": 2.0}, "r1_override = 2.0 must be an integer"),
     ({"max_seconds": False}, "max_seconds = False must be a number"),
+    (json.loads('{"max_seconds": NaN}'),
+     "max_seconds = nan must be finite and positive"),
+    ({"eps0": True}, "eps0 = True must be a rational"),
+    ({"eps1": "1/0"}, "eps1 = '1/0' must be a rational"),
 ])
 def test_constants_not_truncated(doc, text):
     with pytest.raises(BadParams, match=f"^constant {re.escape(text)}$"):

@@ -123,10 +123,6 @@ UNCALLED = {
     "check_matching": "referee for the matchings the pipeline builds",
     "naive_regular_pair": "brute-force referee of check_regular_pair",
     "verify_eps_bipartite": "referee of the near-bipartite generators",
-    "chord_sequence": "robust-decomposition walks, ROADMAP item 3",
-    "assemble_bisetup": "robust-decomposition walks, ROADMAP item 3",
-    "verify_robust_params": "robust-decomposition walks, ROADMAP item 3",
-    "robust_decomposition": "robust-decomposition walks, ROADMAP item 3",
 }
 
 
@@ -178,3 +174,37 @@ def test_public_names_have_a_caller():
                     and not re.search(rf"\b{node.name}\b", bench)):
                 orphans.append(f"{name}: {qualified}")
     assert not orphans
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import statement binds in ``tree``,
+    at any depth; ``from __future__`` imports bind nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    """The names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_unused_imports():
+    # every name an import binds is read somewhere in its module, or listed
+    # in __all__: an import left behind by a deletion keeps a dead
+    # dependency between modules
+    unused = []
+    for name, tree in _modules():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _exported(tree)
+        unused += [f"{name}: {bound} (line {line})"
+                   for bound, line in _imported_names(tree) if bound not in used]
+    assert not unused
