@@ -113,13 +113,11 @@ def extend_to_two_balanced(
             import random as _random
 
             _random.Random((choice_seed, len(avail)).__hash__()).shuffle(avail)
+        adj = g.adj
+        cands = {slot: [w for w in avail if w in adj[slot[0]]] for slot in slots}
         match_r: dict[int, tuple] = {}
-
-        def adjacent(slot, w):
-            return g.has_edge(slot[0], w)
-
         for slot in slots:
-            if not _augment(slot, set(), avail, adjacent, match_r):
+            if not _augment(slot, set(), cands, match_r):
                 raise InsufficientNeighbors(
                     f"no unused neighbor for exceptional vertex {slot[0]}",
                     witness=slot[0],

@@ -237,7 +237,8 @@ def _build_beps_once(
             )
         heads = [seqs[t][-1] for t in active]
         mm = kuhn_matching(
-            range(len(heads)), avail, lambda pos, v: (heads[pos], v) in gdir.arcs
+            range(len(heads)),
+            [[v for v in avail if (x, v) in gdir.arcs] for x in heads],
         )
         if mm is None:
             raise MatchingFailure(
@@ -275,7 +276,9 @@ def _pure_matching_paths(gdir, part, interval, h):
             rows.append(list(part.subcluster_B(i, h)))
     succ: dict[int, int] = {}
     for left, right in zip(rows, rows[1:]):
-        mm = kuhn_matching(left, right, lambda u, v: (u, v) in gdir.arcs)
+        mm = kuhn_matching(
+            left, {u: [v for v in right if (u, v) in gdir.arcs] for u in left}
+        )
         if mm is None:
             raise MatchingFailure(
                 "no perfect matching between consecutive rows"

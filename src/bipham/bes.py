@@ -658,7 +658,8 @@ def _absorb_exceptional(gstar, part, own_sets, avoid_sets, side, checks):
             pts = {v for e in used for v in e}
             endpointed.append(pts)
         match = kuhn_matching(
-            nbrs, slots, lambda w, slot: w not in endpointed[slot[0]]
+            nbrs,
+            {w: [s for s in slots if w not in endpointed[s[0]]] for w in nbrs},
         )
         if match is None:
             raise AuxMatchingFailure(

@@ -221,7 +221,15 @@ class OrientedGraph:
         return Graph(self.n, self.arcs)
 
     def minus_arcs(self, arcs: Iterable[Sequence[int]]) -> "OrientedGraph":
-        return OrientedGraph(self.n, self.arcs - {(int(x), int(y)) for x, y in arcs})
+        """The graph without ``arcs``.  What is left is a subset of
+        validated arcs, so it skips the checks of __init__, as
+        ``Graph._trusted`` does, and rebuilds the set by iteration for the
+        same reason."""
+        g = object.__new__(OrientedGraph)
+        g.n = self.n
+        g.arcs = frozenset(iter(self.arcs - {(int(x), int(y)) for x, y in arcs}))
+        g._out = g._in = None
+        return g
 
     def __repr__(self):
         return f"OrientedGraph(n={self.n}, m={len(self.arcs)})"

@@ -14,11 +14,14 @@ Four tools used throughout the pipeline:
 * ``sparsify_split``: randomly split off a (1-gamma) fraction of the edges
   so that the leftover has small maximum degree, retrying until both
   postconditions verify.
-* ``kuhn_matching``: a perfect matching of one vertex list into another by
-  augmenting paths, deterministic in the order of both lists.  It is the
-  package's one bipartite matching routine: ``bes``, ``beps`` and ``walks``
-  (the absorbers' matching layers) call it, and ``balancer`` runs its
-  augmenting step ``_augment`` directly.
+* ``kuhn_matching``: a perfect matching of a vertex list by augmenting
+  paths over candidate lists.  Each left vertex comes with the list of right
+  vertices it may take, built once by the caller in the order it wants
+  them tried, so the augmenting step only walks lists and the result is a
+  fixed function of the left order and the lists.  It is the package's one
+  bipartite matching routine: ``bes``, ``beps`` and ``walks`` (the
+  absorbers' matching layers) call it, and ``balancer`` runs its augmenting
+  step ``_augment`` directly.
 """
 
 from __future__ import annotations
@@ -368,33 +371,33 @@ def _place_edge(idx, edges, sizes, ok, find, count, deg, parent, out) -> bool:
 
 # -- bipartite matching by augmenting paths ---------------------------------
 
-def kuhn_matching(left, right, adjacent) -> dict | None:
-    """Match every vertex of ``left`` to a distinct vertex of ``right``
-    (Kuhn's augmenting paths); returns the left->right map, or None when
-    some left vertex stays unmatched.
+def kuhn_matching(left, candidates) -> dict | None:
+    """Match every vertex of ``left`` to a distinct candidate (Kuhn's
+    augmenting paths); returns the left->right map, or None when some left
+    vertex stays unmatched.
 
-    ``adjacent(u, v)`` says whether u may be matched to v.  Left vertices
-    are matched in their order, candidates are tried in the order of
-    ``right``, and the map iterates in the order of ``left``, so the result
-    is a fixed function of the two orders.
+    ``candidates[u]`` lists the right vertices u may be matched to.  Left
+    vertices are matched in their order, each tries its candidates in
+    their order, and the map iterates in the order of ``left``, so the
+    result is a fixed function of the two orders.
     """
     match_r: dict = {}
     for u in left:
-        if not _augment(u, set(), right, adjacent, match_r):
+        if not _augment(u, set(), candidates, match_r):
             return None
     match_l = {u: v for v, u in match_r.items()}
     return {u: match_l[u] for u in left}
 
 
-def _augment(u, seen, right, adjacent, match_r) -> bool:
+def _augment(u, seen, candidates, match_r) -> bool:
     """Kuhn's augmenting-path step from left vertex ``u``.  A module-level
     function, not a closure: a self-referencing closure would keep each
-    call's ``adjacent`` and its graph alive until a full garbage collection."""
-    for v in right:
-        if v in seen or not adjacent(u, v):
+    call's lists and its graph alive until a full garbage collection."""
+    for v in candidates[u]:
+        if v in seen:
             continue
         seen.add(v)
-        if v not in match_r or _augment(match_r[v], seen, right, adjacent, match_r):
+        if v not in match_r or _augment(match_r[v], seen, candidates, match_r):
             match_r[v] = u
             return True
     return False

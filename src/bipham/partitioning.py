@@ -491,16 +491,15 @@ def orient_scheme(
     eps0,
     eps,
     seed: int = 0,
-    max_attempts: int = DEFAULT_ATTEMPTS,
-    exhaustive_limit: int = 12,
 ) -> tuple[OrientedGraph, Certificate]:
     """Orient every edge so the result is an oriented scheme with parameter
-    2*sqrt(eps) (rational ceiling); verified, retried.
+    2*sqrt(eps) (rational ceiling); verified.
 
     Every subcluster pair is edge-colored and whole color classes are
     oriented in alternating directions, which keeps near-perfect matchings
-    in both directions of each pair; the parity of ``seed + attempt`` picks
-    which classes point which way.
+    in both directions of each pair.  The orientation depends on the seed
+    only through its parity, so the parities of ``seed`` and ``seed + 1``
+    are each tried once, in that order.
     """
     eps0, eps = frac(eps0), frac(eps)
     pre = scheme_violations(g, part, eps0, eps)
@@ -508,12 +507,10 @@ def orient_scheme(
         raise PreconditionViolated("; ".join(pre[:3]))
     eps_dir = rational_ceil(2.0 * float(eps) ** 0.5)
     last = []
-    for attempt in range(max_attempts):
+    for attempt in range(2):
         arcs = _alternating_orientation(g, part, seed + attempt)
         gdir = OrientedGraph(g.n, arcs)
-        problems = oriented_scheme_violations(
-            gdir, part, eps0, eps_dir, exhaustive_limit=exhaustive_limit
-        )
+        problems = oriented_scheme_violations(gdir, part, eps0, eps_dir)
         if not problems:
             cert = Certificate(attempts=attempt + 1, seed=seed)
             cert.conditions["oriented-scheme"] = f"pass with eps={eps_dir}"
@@ -521,7 +518,7 @@ def orient_scheme(
         last = problems
     raise RetryBudgetExceeded(
         "scheme orientation verification failed",
-        attempts=max_attempts,
+        attempts=2,
         last_failures=last[:5],
     )
 
@@ -546,6 +543,9 @@ def _alternating_orientation(g: Graph, part: LabelledPartition, seed: int):
             pairs.setdefault((where_a[u], where_b[v]), []).append(e)
     arcs = []
     shift = seed % 2
+    # a coloring is a function of the pair's local edge set alone, so pairs
+    # of one shape (all of them, in a complete host) share one
+    colorings: dict[Graph, dict] = {}
     for ca in range(len(subs)):
         for cb in range(len(subs)):
             pair_edges = frozenset(pairs.get((ca, cb), ()))
@@ -555,7 +555,9 @@ def _alternating_orientation(g: Graph, part: LabelledPartition, seed: int):
             verts = sorted(set(v for e in pair_edges for v in e))
             idx = {v: t for t, v in enumerate(verts)}
             local = Graph(len(verts), [(idx[u], idx[v]) for u, v in pair_edges])
-            for (lu, lv), color in edge_coloring(local).items():
+            if local not in colorings:
+                colorings[local] = edge_coloring(local)
+            for (lu, lv), color in colorings[local].items():
                 u, v = verts[lu], verts[lv]
                 a_end, b_end = (u, v) if u in where_a else (v, u)
                 if (color + shift) % 2 == 0:

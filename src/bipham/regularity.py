@@ -7,6 +7,14 @@ other side, the extreme densities are attained by the vertices of largest
 (resp. smallest) degree into the subset, so sorted prefix sums replace the
 inner subset enumeration.  This is exact and is cross-checked in the tests
 against a doubly-exponential brute force.
+
+A check that cannot fail is decided without either mode and reported as
+mode ``vacuous``.  A rectangle's density lies in [0, 1], so it deviates from
+the pair density d by at most max(d, 1 - d), and by nothing when d is 0 or
+1: eps-regularity is vacuous when eps >= 1 or eps > max(d, 1 - d).  The
+degree window [(d - eps)|B|, (d + eps)|B|] holds every degree when d <= eps
+and d + eps >= 1.  At eps = 1 and d = 1/2, the oriented scheme's threshold
+at the desk constants, both are vacuous for every pair.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ class RegularityReport:
     witness: tuple | None  # (A_sub, B_sub, density) on failure
     is_superregular: bool
     degree_witness: tuple | None  # (vertex, degree, low, high) on failure
-    mode: str  # 'exhaustive' or 'sampled'
+    mode: str  # 'exhaustive', 'sampled' or 'vacuous'
     samples: int
     seed: int | None
 
@@ -63,6 +71,18 @@ def _min_size(eps: Fraction, size: int) -> int:
     return max(int(k), 1)
 
 
+def vacuous_regularity(eps: Fraction, density: Fraction | None = None) -> bool:
+    """Whether every pair of the given density is eps-regular because no
+    rectangle can deviate from it by eps; with density None, whether that
+    holds whatever the density."""
+    return eps >= 1 or (density is not None and eps > max(density, 1 - density))
+
+
+def vacuous_window(eps: Fraction, d: Fraction) -> bool:
+    """Whether the degree window of d and eps holds every degree."""
+    return d <= eps and d + eps >= 1
+
+
 def check_regular_pair(
     g: Graph,
     left: Sequence[int],
@@ -77,7 +97,8 @@ def check_regular_pair(
     the bipartite pair (left, right) in g.
 
     Edges inside either class are rejected.  Exhaustive when both classes
-    have at most ``exhaustive_limit`` vertices, sampled otherwise.
+    have at most ``exhaustive_limit`` vertices, sampled otherwise, and
+    decided at once, as mode ``vacuous``, when no rectangle can deviate.
     """
     eps = frac(eps)
     d = None if d is None else frac(d)
@@ -93,8 +114,10 @@ def check_regular_pair(
     e_total = g.e_between(A, B)
     density = Fraction(e_total, p * q)
 
-    exhaustive = p <= exhaustive_limit and q <= exhaustive_limit
-    if exhaustive:
+    if vacuous_regularity(eps, density):
+        ok, witness = True, None
+        mode, used = "vacuous", 0
+    elif p <= exhaustive_limit and q <= exhaustive_limit:
         ok, witness = _exhaustive_check(g, A, B, eps, density)
         mode, used = "exhaustive", 0
     else:
@@ -102,7 +125,7 @@ def check_regular_pair(
         mode, used = "sampled", samples
 
     deg_witness = None
-    if d is not None:
+    if d is not None and not vacuous_window(eps, d):
         deg_witness = _degree_witness(g, A, B, eps, d)
         if deg_witness is None:
             deg_witness = _degree_witness(g, B, A, eps, d)

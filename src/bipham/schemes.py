@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .balance import frac
 from .graphs import Graph, LabelledPartition, OrientedGraph
-from .regularity import check_regular_pair
+from .regularity import check_regular_pair, vacuous_regularity, vacuous_window
 
 
 def rational_ceil(x: float, granularity: int = 10**6) -> Fraction:
@@ -81,12 +81,12 @@ def oriented_scheme_violations(
     part: LabelledPartition,
     eps0,
     eps,
-    exhaustive_limit: int = 12,
     check_pairs: bool = True,
 ) -> list[str]:
     """Oriented scheme conditions: AB-orientation, superregular directed
     subcluster pairs at density one half, and large common in/out
-    neighborhoods inside every subcluster."""
+    neighborhoods inside every subcluster.  When eps makes the pair
+    condition vacuous for every pair, as eps >= 1 does, no pair is built."""
     eps0, eps = frac(eps0), frac(eps)
     problems = partition_structure_violations(part, eps0, require_refinement=False)
     A, B = frozenset(part.A), frozenset(part.B)
@@ -106,8 +106,8 @@ def oriented_scheme_violations(
         return Graph._trusted(gdir.n, [(x, y) if x < y else (y, x)
                                        for x in xs for y in out[x] & ys])
 
-    if check_pairs:
-        half = Fraction(1, 2)
+    half = Fraction(1, 2)
+    if check_pairs and not (vacuous_regularity(eps) and vacuous_window(eps, half)):
         for i in range(1, K + 1):
             for j in range(1, K + 1):
                 for h in range(1, L + 1):
@@ -124,14 +124,16 @@ def oriented_scheme_violations(
                                 sorted(right),
                                 eps,
                                 d=half,
-                                exhaustive_limit=exhaustive_limit,
                             )
                             if not rep.is_superregular:
                                 problems.append(
                                     f"pair {name} not [{eps},1/2]-superregular"
                                 )
-    # a count c is below (1-eps)m/(5L) exactly when it is below its ceiling
+    # a count c is below (1-eps)m/(5L) exactly when it is below its ceiling,
+    # and no count is below a ceiling of 0 or less, as at eps >= 1
     need = -(-(eps.denominator - eps.numerator) * m // (5 * L * eps.denominator))
+    if need <= 0:
+        return problems
     subs = [(i, h) for i in range(1, K + 1) for h in range(1, L + 1)]
     for side, other_sub in (
         (sorted(part.A), part.subcluster_B),

@@ -38,8 +38,11 @@ def check_cycle(n: int, cycle: Sequence[int], spanning: bool = True) -> list[str
 
 
 def cycle_edges(cycle: Sequence[int]) -> frozenset:
+    """The edges of a cycle given as a vertex sequence, the closing edge
+    last, each as (min, max); a loop raises BadParams (via ``norm_edge``)."""
     return frozenset(
-        norm_edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
+        (u, v) if u < v else (v, u) if v < u else norm_edge(u, v)
+        for u, v in zip(cycle, [*cycle[1:], *cycle[:1]])
     )
 
 

@@ -112,20 +112,23 @@ class RobustDecomposition:
         self._bf_prime: list[BalancedFactor] = []
 
     def _peel_matchings(self, avail: Graph, count: int, what: str) -> Graph:
+        """``count`` perfect matchings of A into B, taken one after another
+        from what the earlier ones left of ``avail``; their union."""
         A = sorted(self.part.A)
-        B = sorted(self.part.B)
+        B = frozenset(self.part.B)
+        nbrs = {a: set(avail.adj[a] & B) for a in A}
         chosen: set = set()
-        cur = avail
         for t in range(count):
-            adj = cur.adj
-            match = kuhn_matching(A, B, lambda a, b: b in adj[a])
+            # sorted, each list is in the order of B
+            match = kuhn_matching(A, {a: sorted(nbrs[a]) for a in A})
             if match is None:
                 raise BackendFailure(
                     f"{what}: no perfect matching at layer {t + 1}/{count}"
                 )
             edges = {norm_edge(a, b) for a, b in match.items()}
             chosen |= edges
-            cur = cur.minus_edges(edges)
+            for a, b in match.items():
+                nbrs[a].discard(b)
         return Graph(avail.n, chosen)
 
     def build_chord_absorber(
@@ -142,7 +145,7 @@ class RobustDecomposition:
         for bf in list(bf_family) + list(extra_avoid):
             for e in bf.edge_multiset():
                 used.add(e)
-        avail = Graph(self.gdir.n, self.gdir.underlying().edges - used)
+        avail = Graph._trusted(self.gdir.n, self.gdir.underlying().edges - used)
         self.ca = self._peel_matchings(
             avail, 2 * (self.params.r1 + self.params.r2), "chord absorber"
         )
@@ -160,7 +163,7 @@ class RobustDecomposition:
         used = set(self.ca.edges)
         for bf in self._bf + self._bf_prime:
             used |= set(bf.edge_multiset())
-        avail = Graph(self.gdir.n, self.gdir.underlying().edges - used)
+        avail = Graph._trusted(self.gdir.n, self.gdir.underlying().edges - used)
         self.pca = self._peel_matchings(
             avail, 10 * self.params.r_diamond, "parity switcher"
         )

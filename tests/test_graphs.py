@@ -15,6 +15,7 @@ from bipham.graphs import (
     norm_edge,
     parse_edge_list,
 )
+from bipham.validate import cycle_edges
 
 
 def test_graph_basics():
@@ -67,6 +68,43 @@ def test_oriented_graph_rejects_antiparallel():
         OrientedGraph(3, [(0, 1), (1, 0)])
     o = OrientedGraph(3, [(0, 1), (2, 1)])
     assert o.underlying().num_edges() == 2
+
+
+def test_minus_arcs_matches_a_validated_build():
+    # the unchecked result has the arcs, in the same iteration order, and
+    # the out- and in-neighbourhoods of the graph built through __init__
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(2, 20)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.4]
+        o = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                              for u, v in pairs])
+        removed = {a for a in o.arcs if rng.random() < 0.3}
+        removed |= {(v, u) for u, v in pairs if rng.random() < 0.1}  # absent
+        got = o.minus_arcs(removed)
+        want = OrientedGraph(n, o.arcs - removed)
+        assert got.n == want.n
+        assert list(got.arcs) == list(want.arcs)
+        assert got.out == want.out and got.inn == want.inn
+
+
+def test_cycle_edges_one_pass():
+    # the edges of a vertex sequence, closing edge included, in the order
+    # of the per-index construction; a loop anywhere, the closing edge
+    # included, raises
+    rng = random.Random(5)
+    for _ in range(200):
+        cycle = rng.sample(range(40), rng.choice((0, *range(2, 13))))
+        if rng.random() < 0.5:
+            cycle = tuple(cycle)
+        want = frozenset(norm_edge(cycle[i], cycle[(i + 1) % len(cycle)])
+                         for i in range(len(cycle)))
+        got = cycle_edges(cycle)
+        assert got == want and list(got) == list(want)
+    for bad in ([3], [0, 1, 1, 2], (2, 0, 1, 2)):
+        with pytest.raises(BadParams, match="loop"):
+            cycle_edges(bad)
 
 
 def test_labelled_partition_validation():

@@ -150,11 +150,36 @@ def test_sparsify_impossible_bound():
         sparsify_split(g, "1/5", "1/5", seed=0, max_attempts=8)
 
 
+def _predicate_kuhn(left, right, adjacent):
+    """Referee: Kuhn's augmenting paths asking ``adjacent(u, v)`` for each
+    candidate in the order of ``right`` as the search reaches it, as
+    ``kuhn_matching`` did before it took candidate lists."""
+    match_r = {}
+
+    def augment(u, seen):
+        for v in right:
+            if v in seen or not adjacent(u, v):
+                continue
+            seen.add(v)
+            if v not in match_r or augment(match_r[v], seen):
+                match_r[v] = u
+                return True
+        return False
+
+    for u in left:
+        if not augment(u, set()):
+            return None
+    match_l = {u: v for v, u in match_r.items()}
+    return {u: match_l[u] for u in left}
+
+
 def test_kuhn_matching_against_hopcroft_karp():
     # random bipartite graphs, as undirected edges and as arcs: a matching is
-    # returned exactly when a maximum matching saturates the left side
+    # returned exactly when a maximum matching saturates the left side, and
+    # it is the map, in the same order, that the predicate-driven search
+    # gives on the same orders
     rng = random.Random(7)
-    found = 0
+    found = unsaturated = 0
     for _ in range(400):
         left = list(range(rng.randint(0, 8)))
         right = list(range(10, 10 + rng.randint(0, 8)))
@@ -174,11 +199,15 @@ def test_kuhn_matching_against_hopcroft_karp():
             h.add_edges_from(pairs)
             best = nx.bipartite.hopcroft_karp_matching(h, top_nodes=left)
             saturated = all(u in best for u in left)
-            match = kuhn_matching(left, right, adjacent)
+            cands = {u: [v for v in right if adjacent(u, v)] for u in left}
+            match = kuhn_matching(left, cands)
             assert (match is not None) == saturated
+            ref = _predicate_kuhn(left, right, adjacent)
+            assert match == ref and list(match or ()) == list(ref or ())
+            unsaturated += match is None
             if match is not None:
                 found += 1
                 assert list(match) == left
                 assert len(set(match.values())) == len(left)
                 assert all(adjacent(u, v) for u, v in match.items())
-    assert found > 100
+    assert found > 100 and unsaturated > 100

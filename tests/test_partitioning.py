@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bipham.balance import Framework, validate_framework
-from bipham.errors import PreconditionViolated
+from bipham.errors import PreconditionViolated, RetryBudgetExceeded
 from bipham.graphs import Graph, LabelledPartition, OrientedGraph, complete_bipartite
 from bipham.matchings import edge_coloring
 from bipham.partitioning import (
@@ -152,6 +152,51 @@ def test_orient_scheme_verifies():
     assert not oriented_scheme_violations(gdir, part, "1/2", "1", check_pairs=False)
 
 
+def test_orient_scheme_pairs_are_vacuous_at_eps_dir_one(monkeypatch):
+    # eps = 1/4 gives eps_dir = 2*sqrt(1/4) = 1, at which no directed pair
+    # can fail [eps_dir, 1/2]-superregularity: the scheme check builds and
+    # checks no pair, and each pair, checked on its own, reports mode vacuous
+    from bipham import schemes
+
+    def no_pair_check(*args, **kwargs):
+        raise AssertionError("a vacuous pair was checked")
+
+    g, part = _square_scheme()
+    monkeypatch.setattr(schemes, "check_regular_pair", no_pair_check)
+    gdir, cert = orient_scheme(g, part, "1/2", "1/4", seed=0)
+    monkeypatch.undo()
+    assert cert.conditions["oriented-scheme"] == "pass with eps=1"
+    for sa in part.clusters_A:
+        for sb in part.clusters_B:
+            for left, right in ((sa, sb), (sb, sa)):
+                pair = Graph(gdir.n, [(x, y) for x, y in gdir.arcs
+                                      if x in left and y in right])
+                rep = check_regular_pair(pair, left, right, 1, d=Fraction(1, 2))
+                assert rep.density == Fraction(1, 2)
+                assert rep.mode == "vacuous" and rep.is_superregular
+
+
+def test_orient_scheme_tries_each_parity_once(monkeypatch):
+    # at eps = 1/100, eps_dir = 1/5, and single-vertex rectangles of density
+    # 0 or 1 break every half-density pair: both parities fail, and the
+    # failure is raised after exactly those two attempts
+    import bipham.partitioning as partitioning
+
+    seeds = []
+    orient = partitioning._alternating_orientation
+
+    def counted(g, part, seed):
+        seeds.append(seed)
+        return orient(g, part, seed)
+
+    monkeypatch.setattr(partitioning, "_alternating_orientation", counted)
+    g, part = _square_scheme()
+    with pytest.raises(RetryBudgetExceeded) as info:
+        orient_scheme(g, part, "1/2", "1/100", seed=5)
+    assert seeds == [5, 6] and info.value.attempts == 2
+    assert any(t.startswith("pair ") for t in info.value.last_failures)
+
+
 def test_orient_scheme_rejects_side_internal_edge():
     g, part = _square_scheme()
     bad = Graph(g.n, list(g.edges) + [(0, 1)])
@@ -181,15 +226,15 @@ def test_alternating_orientation_keeps_pair_matchings():
     gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=0)
     from bipham.matchings import kuhn_matching
 
-    def arc(u, v):
-        return (u, v) in gdir.arcs
+    def arcs_into(left, right):
+        return {u: [v for v in right if (u, v) in gdir.arcs] for u in left}
 
     for i in range(1, 3):
         for j in range(1, 3):
             left = list(part.clusters_A[i - 1])
             right = list(part.clusters_B[j - 1])
-            assert kuhn_matching(left, right, arc) is not None
-            assert kuhn_matching(right, left, arc) is not None
+            assert kuhn_matching(left, arcs_into(left, right)) is not None
+            assert kuhn_matching(right, arcs_into(right, left)) is not None
 
 
 def _ref_alternating_orientation(g, part, seed):

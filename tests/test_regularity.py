@@ -1,5 +1,6 @@
 """Density-regularity checking against an independent brute force."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -70,6 +71,43 @@ def test_exhaustive_matches_naive(seed):
     assert fast.is_eps_regular == slow_ok
 
 
+def test_vacuous_checks_agree_with_brute_force():
+    # eps >= 1, or eps > max(d, 1 - d), leaves no rectangle able to deviate:
+    # such a check is decided at once, and the brute force finds every
+    # rectangle within eps too; any other eps runs the exhaustive check
+    counts = {"vacuous": 0, "exhaustive": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        g = Graph(p + q, [(a, p + b) for a in range(p) for b in range(q)
+                          if rng.random() < rng.random()])
+        density = Fraction(len(g.edges), p * q)
+        eps = Fraction(rng.randint(1, 12), 10)
+        rep = check_regular_pair(g, range(p), range(p, p + q), eps)
+        vacuous = eps >= 1 or eps > max(density, 1 - density)
+        assert rep.mode == ("vacuous" if vacuous else "exhaustive"), seed
+        ok, _ = naive_regular_pair(g, range(p), range(p, p + q), eps)
+        assert rep.is_eps_regular == ok and (ok or not vacuous), seed
+        counts[rep.mode] += 1
+    assert min(counts.values()) > 50, counts
+
+
+def test_vacuous_boundary_stays_exact():
+    # eps = max(d, 1 - d) < 1 is not vacuous: two disjoint K(3,3) have
+    # density 1/2, and a 3x3 block inside one of them deviates by exactly 1/2
+    edges = [(i, 6 + j) for i in range(3) for j in range(3)]
+    edges += [(3 + i, 9 + j) for i in range(3) for j in range(3)]
+    g = Graph(12, edges)
+    rep = check_regular_pair(g, range(6), range(6, 12), "1/2", d="1/2")
+    assert rep.density == Fraction(1, 2) and rep.mode == "exhaustive"
+    assert not rep.is_eps_regular and not rep.is_superregular
+    assert abs(rep.witness[2] - rep.density) == Fraction(1, 2)
+    assert naive_regular_pair(g, range(6), range(6, 12), "1/2")[0] is False
+    # a hair above the boundary nothing can deviate
+    rep = check_regular_pair(g, range(6), range(6, 12), "501/1000", d="1/2")
+    assert rep.mode == "vacuous" and rep.is_superregular
+
+
 def test_sampled_mode_reports():
     g = complete_bipartite((14, 14))
     rep = check_regular_pair(g, range(14), range(14, 28), "1/4", samples=200, seed=7)
@@ -136,7 +174,7 @@ def test_integer_windows_match_fractions():
     # so that degree windows both hold and fail, on either side, and land
     # exactly on a window's end
     seen = {"superregular": 0, "left witness": 0, "right witness": 0,
-            "no d": 0, "sampled": 0, "on a bound": 0}
+            "no d": 0, "sampled": 0, "vacuous": 0, "on a bound": 0}
     for seed in range(300):
         rng = random.Random(seed)
         p, q = rng.randint(1, 8), rng.randint(1, 8)
@@ -154,14 +192,19 @@ def test_integer_windows_match_fractions():
             d = max(Fraction(0), density + Fraction(rng.randint(-3, 3), 10))
         kw = dict(eps=eps, d=d, samples=50, seed=seed)
         rep = check_regular_pair(g, left, right, **kw)
-        assert rep == _fraction_regular_pair(g, left, right, **kw), seed
-        assert rep.as_json() == _fraction_regular_pair(g, left, right, **kw).as_json()
+        ref = _fraction_regular_pair(g, left, right, **kw)
+        if rep.mode == "vacuous":
+            # decided at once: the full check agrees on all but the mode
+            ref = dataclasses.replace(ref, mode="vacuous", samples=0, seed=None)
+        assert rep == ref, seed
+        assert rep.as_json() == ref.as_json()
         witness = rep.degree_witness
         seen["superregular"] += rep.is_superregular
         seen["left witness"] += witness is not None and witness[0] in left
         seen["right witness"] += witness is not None and witness[0] in right
         seen["no d"] += d is None
         seen["sampled"] += rep.mode == "sampled"
+        seen["vacuous"] += rep.mode == "vacuous"
         seen["on a bound"] += d is not None and any(
             g.d(v, other) in ((d - eps) * len(other), (d + eps) * len(other))
             for side, other in ((left, right), (right, left)) for v in side)
