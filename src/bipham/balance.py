@@ -93,12 +93,6 @@ class Framework:
     def host_graph(self) -> Graph:
         return self.host if self.host is not None else self.graph
 
-    def replace_graphs(self, graph: Graph, host: Graph | None) -> "Framework":
-        return Framework(
-            graph, self.partition, self.D, self.eps, self.eps_prime, self.K,
-            self.kind, host,
-        )
-
 
 def _check_wf(g, f, part, D, eps, eps_prime, K) -> dict[str, list[Violation]]:
     """All conditions of all levels at once, keyed by condition id.

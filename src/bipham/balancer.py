@@ -12,7 +12,7 @@ reduced by twice the cycle count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 
@@ -266,16 +266,14 @@ def peel_hamilton_cycles(
 class EliminationResult:
     hamilton_cycles: list[list[int]]
     reduced: Framework
-    r_star: int
-    checks: list[str] = field(default_factory=list)
 
 
 def eliminate_A0B0(
     fw: Framework, budget: SolverBudget = SolverBudget()
 ) -> EliminationResult:
     """Remove edge-disjoint Hamilton cycles of the host graph covering every
-    exceptional-cut edge; the reduced graph is validated as a full framework
-    at balance degree D - 2 r*."""
+    exceptional-cut edge; the reduced graph is checked to be a full
+    framework at balance degree D - 2 r*, r* the number of cycles."""
     require_kind(fw, "weak")
     g, f, part = fw.graph, fw.host_graph(), fw.partition
     systems = cover_A0B0_by_path_systems(fw, choice_seed=budget.seed)
@@ -283,43 +281,21 @@ def eliminate_A0B0(
                                   max_paths=fw.eps_prime * g.n)
     used = set().union(*map(cycle_edges, cycles))
     g_cur, f_cur = g.minus_edges(used), f.minus_edges(used)
-    r_star = len(cycles)
-    d_reduced = fw.D - 2 * r_star
-    reduced = validate_framework(
-        g_cur, part, d_reduced, fw.eps, fw.eps_prime, fw.K, host=f_cur
+    d_reduced = fw.D - 2 * len(cycles)
+    problems = framework_violations(
+        g_cur, part, d_reduced, fw.eps, fw.eps_prime, fw.K, level="full",
+        host=f_cur,
     )
-    if isinstance(reduced, list):
-        raise AssertionError(
-            f"reduced graph is not a framework: {reduced[0].detail}"
-        )
-    if reduced.kind != "full":
-        # a weaker kind means some full-level condition fails
-        full_problems = framework_violations(
-            g_cur, part, d_reduced, fw.eps, fw.eps_prime, fw.K, level="full",
-            host=f_cur,
-        )
-        raise AssertionError(
-            f"reduced framework not full: {full_problems[0].detail}"
-        )
-    checks = [
-        f"cycles: {r_star}",
-        f"reduced balance degree: {d_reduced}",
-        f"parity preserved: {(fw.D - d_reduced) % 2 == 0}",
-    ]
+    if problems:
+        raise AssertionError(f"reduced framework not full: {problems[0].detail}")
     dup = check_edge_disjoint([cycle_edges(c) for c in cycles])
     if dup:
         raise AssertionError(dup[0])
-    return EliminationResult(cycles, reduced, r_star, checks)
+    reduced = replace(fw, graph=g_cur, D=d_reduced, kind="full", host=f_cur)
+    return EliminationResult(cycles, reduced)
 
 
 # -- from a nearly-bipartite host to a weak framework -------------------------
-
-@dataclass
-class BipDecomposition:
-    framework: Framework | list
-    split_trace: list[str] = field(default_factory=list)
-    flips: int = 0
-
 
 def bip_decompose(
     f: Graph,
@@ -329,10 +305,12 @@ def bip_decompose(
     eps_prime,
     hint_split: tuple | None = None,
     demotion_seed: int = 0,
-) -> BipDecomposition:
+) -> Framework:
     """Partition the vertex set of a nearly-bipartite host into
-    (A, A0, B, B0) and validate the weak-framework conditions for the
-    regular spanning subgraph g.
+    (A, A0, B, B0) and validate the framework conditions for the regular
+    spanning subgraph g: the framework at the strongest level that holds,
+    or ``PreconditionViolated`` naming the first violation when not even
+    the weakest level does.
 
     Starts from the near-bipartition (the hint when given, otherwise a local
     search minimizing internal edges), then repeatedly flips high-internal-
@@ -347,14 +325,11 @@ def bip_decompose(
         s1, s2 = set(hint_split[0]), set(hint_split[1])
     else:
         s1, s2 = near_bipartition(f)
-    trace = []
     # integer degrees against rational bounds: d >= r iff d >= ceil(r),
     # d < r iff d < ceil(r)
     high = ceil(rational_ceil(float(eps) ** 0.5) * n)
     S = {v for v in range(n) if f.d(v, s1 if v in s1 else s2) >= high}
-    trace.append(f"high-internal-degree set size {len(S)}")
 
-    flips = 0
     cut = g.e_between(s1, s2) if s1 and s2 else 0
     improved = True
     while improved:
@@ -368,9 +343,7 @@ def bip_decompose(
                 if new_cut <= cut:
                     raise AssertionError("flip did not increase the cut")
                 cut = new_cut
-                flips += 1
                 improved = True
-    trace.append(f"flips: {flips}")
 
     if len(s1) < len(s2):
         s1, s2 = s2, s1
@@ -412,7 +385,9 @@ def bip_decompose(
     demote(b_core, b0, len(b_core) - target)
     part = LabelledPartition(n, a0, a_core, b0, b_core)
     result = validate_framework(g, part, _common_degree(g), eps, eps_prime, K, host=f)
-    return BipDecomposition(result, trace, flips)
+    if isinstance(result, list):
+        raise PreconditionViolated(f"no weak framework: {result[0].detail}")
+    return result
 
 
 def _common_degree(g: Graph) -> int:

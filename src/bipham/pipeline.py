@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -92,6 +92,14 @@ class PipelineConstants:
                 raise PreconditionViolated(
                     f"constant {name} = {getattr(self, name)} must be at least 1"
                 )
+        # every stage's budget; written so that NaN fails: a NaN deadline
+        # never passes
+        if not self.max_nodes > 0:
+            raise BadParams(f"constant max_nodes = {self.max_nodes!r} "
+                            "must be positive")
+        if not (math.isfinite(self.max_seconds) and self.max_seconds > 0):
+            raise BadParams(f"constant max_seconds = {self.max_seconds!r} "
+                            "must be finite and positive")
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConstants":
@@ -117,12 +125,7 @@ class PipelineConstants:
                 if isinstance(val, bool):
                     raise BadParams(f"constant max_seconds = {val!r} "
                                     "must be a number")
-                secs = float(val)
-                # written so that NaN fails: a NaN deadline never passes
-                if not (math.isfinite(secs) and secs > 0):
-                    raise BadParams(f"constant max_seconds = {val!r} "
-                                    "must be finite and positive")
-                kwargs[fld.name] = secs
+                kwargs[fld.name] = float(val)
             elif fld.name == "r1_override" and val is None:
                 kwargs[fld.name] = None
             elif isinstance(val, int) and not isinstance(val, bool):
@@ -185,6 +188,10 @@ class BesStageResult:
     k: int
     eps4_achieved: Fraction
     warnings: list[str] = field(default_factory=list)
+
+    def family(self) -> list[PathSystem]:
+        """Every balanced exceptional system, cell by cell in cell order."""
+        return [j for cell in sorted(self.j_cells) for j in self.j_cells[cell]]
 
 
 def bes_stage(
@@ -258,13 +265,47 @@ def bes_stage(
     )
 
 
-def _instance_meta(f: Graph, g: Graph, D: int) -> dict:
-    return {
-        "n": f.n,
-        "host_edges": f.num_edges(),
-        "subgraph_edges": g.num_edges(),
-        "D": D,
-    }
+class _Run:
+    """One driver run: the report, opened with the instance, the regular
+    degree ``D`` of the subgraph (-1 when it is not regular) and the
+    hierarchy warnings, and the host edges its cycles have taken so far."""
+
+    def __init__(self, host: Graph, g: Graph, constants: PipelineConstants,
+                 seed: int):
+        degs = set(g.degrees())
+        self.D = degs.pop() if len(degs) == 1 else -1
+        self.irregular = sorted(degs)  # empty when g is regular
+        self.host = host
+        self.total = host.num_edges()
+        self.removed: set = set()
+        self.report = DecompositionReport({
+            "n": host.n,
+            "host_edges": self.total,
+            "subgraph_edges": g.num_edges(),
+            "D": self.D,
+        }, seed)
+        self.report.warnings.extend(constants.hierarchy_warnings())
+
+    def take(self, cycles, label: str | None = None) -> None:
+        """Add the edges of ``cycles`` to the removed edges; with a label,
+        record the edge conservation entry of that stage."""
+        for cyc in cycles:
+            self.removed |= cycle_edges(cyc)
+        if label is not None:
+            left = self.total - len(self.removed)
+            self.report.account(label, len(self.removed), left, self.total)
+
+    def left(self, *also) -> Graph:
+        """The host without the removed edges and the edge sets ``also``."""
+        return self.host.minus_edges(self.removed.union(*also))
+
+    def fail(self, exc) -> DecompositionReport:
+        """Mark the most recently opened stage failed and skip the rest."""
+        st = self.report.stages[-1]
+        st.status = "failed"
+        st.error = f"{type(exc).__name__}: {exc}"
+        self.report.stages.append(Stage("remaining", "skipped", status="skipped"))
+        return self.report
 
 
 def run_theorem_NWbip(
@@ -311,53 +352,40 @@ def _nwbip_attempt(
     # retries re-roll every free choice, not just the demotion: stage seeds
     # shift deterministically with the attempt index
     seed = seed + 7919 * demotion_seed
-    degs = set(g.degrees())
-    D = degs.pop() if len(degs) == 1 else -1
-    report = DecompositionReport(_instance_meta(f, g, D), seed)
-    report.warnings.extend(constants.hierarchy_warnings())
-    total_f = f.num_edges()
-    removed: set = set()
+    run = _Run(f, g, constants, seed)
+    report, D = run.report, run.D
     try:
         st = report.stage("input", "entry-gates", D=D)
-        st.require("subgraph-regular", D >= 0, witness=sorted(degs)[:3])
+        st.require("subgraph-regular", D >= 0, witness=run.irregular[:3])
         st.require("degree-even", D % 2 == 0, witness=D)
         st.require("spanning-subgraph", g.edges <= f.edges)
         st.check("degree-at-least-n-over-100", D * 100 >= f.n, witness=D)
 
         st = report.stage("eliminate-exceptional-cut", "elimination", K=constants.K)
-        dec = bip_decompose(
+        fw = bip_decompose(
             f, g, constants.K, constants.eps0, constants.eps_prime,
             hint_split=hint_split, demotion_seed=demotion_seed,
         )
-        if not isinstance(dec.framework, Framework):
-            raise PreconditionViolated(
-                f"no weak framework: {dec.framework[0].detail}"
-            )
-        fw = dec.framework
         st.check("weak-framework", fw.kind in ("weak", "full"), witness=fw.kind)
         elim = eliminate_A0B0(fw, budget=constants.budget(seed))
-        st.check("cut-cycles", True, witness=elim.r_star)
+        c1 = elim.hamilton_cycles
+        st.check("cut-cycles", True, witness=len(c1))
         st.require(
             "reduction-bound",
             elimination_bound_holds(D, elim.reduced.D, constants.eps0, f.n),
             witness=(D, elim.reduced.D),
         )
         st.require("parity-preserved", elim.reduced.D % 2 == 0)
-        c1 = elim.hamilton_cycles
-        _remove_cycles(report, removed, total_f, c1, "elimination")
+        run.take(c1, "elimination")
+        # the reduced framework's host is f without the cut cycles
         fw1 = elim.reduced
-        f1 = f.minus_edges(removed)
-        fw1 = fw1.replace_graphs(fw1.graph, f1)
 
         st = report.stage("cluster-partition", "partition", K=constants.K)
         part, cert = framework_partition(
-            fw1, f1, constants.K, constants.eps1, constants.eps2, seed=seed
+            fw1, fw1.host, constants.K, constants.eps1, constants.eps2, seed=seed
         )
         st.check("properties-verified", True, witness=cert.as_json()["conditions"])
-        fw1 = Framework(
-            fw1.graph, part, fw1.D, fw1.eps, fw1.eps_prime, constants.K,
-            fw1.kind, f1,
-        )
+        fw1 = replace(fw1, partition=part, K=constants.K)
 
         st = report.stage("balanced-exceptional-systems", "bes-cover")
         if fw1.D == 0:
@@ -368,30 +396,24 @@ def _nwbip_attempt(
         else:
             bes = bes_stage(fw1, part, constants, seed, st)
         c2 = bes.cycles
-        _remove_cycles(report, removed, total_f, c2, "bes-cycles")
+        run.take(c2, "bes-cycles")
 
         st = report.stage("approximate-decomposition", "approx")
-        j_family = [j for cell in sorted(bes.j_cells) for j in bes.j_cells[cell]]
+        j_family = bes.family()
         d2 = fw1.D - 2 * bes.k
         st.require("family-size-identity", d2 == 2 * len(j_family),
                    witness=(d2, len(j_family)))
-        f2 = f.minus_edges(removed)
-        res = approx_decomposition(
-            f2, part, j_family, constants.mu, constants.rho,
+        gate_note = "gates relaxed at desk scale (mu, rho may be zero)"
+        st.check("gates", True, witness=gate_note)
+        c3 = approx_decomposition(
+            run.left(), part, j_family, constants.mu, constants.rho,
             constants.eps_prime, budget=constants.budget(seed),
             enforce_gates=False,
         )
-        gate_note = "gates relaxed at desk scale (mu, rho may be zero)"
-        st.check("gates", True, witness=gate_note)
-        if res.cycles is None:
-            raise PreconditionViolated(
-                f"approximate decomposition stuck at index {res.stuck_index}"
-            )
-        c3 = res.cycles
         for i, cyc in enumerate(c3):
             missing = set(j_family[i].edges) - cycle_edges(cyc)
             st.require(f"cycle-{i}-contains-system", not missing, witness=sorted(missing)[:3])
-        _remove_cycles(report, removed, total_f, c3, "approx")
+        run.take(c3, "approx")
 
         st = report.stage("final-validation", "totals")
         cycles = c1 + c2 + c3
@@ -401,36 +423,14 @@ def _nwbip_attempt(
             len(c1) + len(c2) + len(c3) == D // 2,
             witness=[len(c1), len(c2), len(c3)],
         )
-        allowed = Graph(f.n, f.edges)
         for cyc in cycles:
-            for p in check_cycle_in_graph(allowed, cyc):
+            for p in check_cycle_in_graph(f, cyc):
                 st.require("cycle-valid", False, witness=p)
         dup = check_edge_disjoint([cycle_edges(c) for c in cycles])
         st.require("edge-disjoint", not dup, witness=dup[:1])
     except (BiphamError, AssertionError) as exc:
-        return _fail(report, exc)
+        return run.fail(exc)
     report.cycles = cycles
-    return report
-
-
-def _remove_cycles(
-    report: DecompositionReport, removed: set, total: int, cycles,
-    label: str | None = None,
-) -> None:
-    """Add the edges of ``cycles`` to ``removed``; with a label, record the
-    edge conservation entry of that stage."""
-    for cyc in cycles:
-        removed |= cycle_edges(cyc)
-    if label is not None:
-        report.account(label, len(removed), total - len(removed), total)
-
-
-def _fail(report: DecompositionReport, exc) -> DecompositionReport:
-    """Mark the most recently opened stage failed and skip the rest."""
-    st = report.stages[-1]
-    st.status = "failed"
-    st.error = f"{type(exc).__name__}: {exc}"
-    report.stages.append(Stage("remaining", "skipped", status="skipped"))
     return report
 
 
@@ -446,13 +446,9 @@ def run_theorem_1factbip(
     graph: carve out a robustly decomposable graph, approximately decompose
     the rest, absorb the leftover via the robust closure."""
     c = constants
-    degs = set(g.degrees())
-    D = degs.pop() if len(degs) == 1 else -1
-    report = DecompositionReport(_instance_meta(g, g, D), seed)
-    report.warnings.extend(c.hierarchy_warnings())
+    run = _Run(g, g, c, seed)
+    report, D = run.report, run.D
     report.warnings.extend(c.factorization_divisibility_warnings())
-    total = g.num_edges()
-    removed: set = set()
     try:
         st = report.stage("input", "entry-gates", D=D)
         st.require("regular", D >= 0)
@@ -485,25 +481,21 @@ def run_theorem_1factbip(
                 "Hamilton cycles before the pipeline"
             )
             st.check("degree-reduced", True, witness=len(pre_cycles))
-            _remove_cycles(report, removed, total, pre_cycles)
+            run.take(pre_cycles)
         D_work = D - 2 * len(pre_cycles)
         st.check("degree-at-most-half", 2 * D_work <= g.n, witness=D_work)
 
         st = report.stage("framework", "elimination", K=c.K1 * c.L)
-        dec = bip_decompose(
+        fw = bip_decompose(
             g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
             hint_split=hint_split,
         )
-        if not isinstance(dec.framework, Framework):
-            raise PreconditionViolated(
-                f"no weak framework: {dec.framework[0].detail}"
-            )
-        elim = eliminate_A0B0(dec.framework, budget=c.budget(seed))
+        elim = eliminate_A0B0(fw, budget=c.budget(seed))
         c1 = elim.hamilton_cycles
         fw1 = elim.reduced
         d1 = fw1.D
         st.check("cut-cycles", True, witness=len(c1))
-        _remove_cycles(report, removed, total, c1, "framework")
+        run.take(c1, "framework")
 
         st = report.stage("robust-parameters", "robust-contract")
         m1 = len(fw1.partition.A) // c.K1
@@ -538,10 +530,7 @@ def run_theorem_1factbip(
             [chain.from_iterable(parts) for parts in refined_b],
         ).with_refinement(refined_a, refined_b)
         st.check("partition-certified", True, witness=cert.attempts)
-        fw1 = Framework(
-            fw1.graph, part1, d1, fw1.eps, fw1.eps_prime, c.K1, fw1.kind,
-            fw1.host,
-        )
+        fw1 = replace(fw1, partition=part1, K=c.K1)
 
         st = report.stage("robust-bes", "bes-cover")
         need_ca = c.L * c.f * params.r3
@@ -556,12 +545,9 @@ def run_theorem_1factbip(
                 witness="no exceptional vertices: empty systems padded",
             )
         else:
-            fw_fine = Framework(
-                fw1.graph, part_fine, d1, fw1.eps, fw1.eps_prime,
-                c.K1 * c.L, fw1.kind, fw1.host,
-            )
+            fw_fine = replace(fw1, partition=part_fine, K=c.K1 * c.L)
             bes_all = bes_stage(fw_fine, part_fine, c, seed, st, K=c.K1 * c.L)
-            _remove_cycles(report, removed, total, bes_all.cycles)
+            run.take(bes_all.cycles)
             j_ca, j_pca = _select_robust_systems(
                 bes_all.j_cells, c, params
             )
@@ -628,7 +614,7 @@ def run_theorem_1factbip(
             c2, fw5 = [], fw4
         d5 = d4 - 2 * len(c2)
         st.check("second-elimination", True, witness=len(c2))
-        _remove_cycles(report, removed, total, c2, "repartition")
+        run.take(c2, "repartition")
 
         st = report.stage("approx-bes", "bes-cover", K2=c.K2)
         if d5 == 0:
@@ -640,34 +626,23 @@ def run_theorem_1factbip(
             part2, cert2 = framework_partition(
                 fw5, fw5.graph, c.K2, c.eps1, c.eps2, seed=seed + 7
             )
-            fw5 = Framework(
-                fw5.graph, part2, d5, fw5.eps, fw5.eps_prime, c.K2,
-                fw5.kind, fw5.host,
-            )
+            # the second elimination left fw5 at balance degree d5
+            fw5 = replace(fw5, partition=part2, K=c.K2)
             bes2 = bes_stage(fw5, part2, c, seed + 7, st, K=c.K2, eps4=c.eps4_prime)
-            j_prime = [j for cell in sorted(bes2.j_cells) for j in bes2.j_cells[cell]]
+            j_prime = bes2.family()
             c3 = bes2.cycles
         d6 = d5 - 2 * len(c3)
         st.require("family-size-identity", d6 == 2 * len(j_prime),
                    witness=(d6, len(j_prime)))
-        _remove_cycles(report, removed, total, c3, "approx-bes")
+        run.take(c3, "approx-bes")
 
         st = report.stage("approximate-decomposition", "approx")
-        g6 = g.minus_edges(removed | rob_edges)
-        if j_prime:
-            res = approx_decomposition(
-                g6, part2, j_prime, c.mu, c.rho, c.eps_prime,
-                budget=c.budget(seed), enforce_gates=False,
-            )
-            if res.cycles is None:
-                raise PreconditionViolated(
-                    f"approximate decomposition stuck at {res.stuck_index}"
-                )
-            c4 = res.cycles
-        else:
-            c4 = []
-        _remove_cycles(report, removed, total, c4)
-        h_prime = g.minus_edges(removed | rob_edges)
+        c4 = approx_decomposition(
+            run.left(rob_edges), part2, j_prime, c.mu, c.rho, c.eps_prime,
+            budget=c.budget(seed), enforce_gates=False,
+        ) if j_prime else []
+        run.take(c4)
+        h_prime = run.left(rob_edges)
         st.require(
             "leftover-regular",
             all(
@@ -682,7 +657,7 @@ def run_theorem_1factbip(
             and not h_prime.e_within(part1.B_prime()),
         )
         # the conservation entry is written once the leftover checks hold
-        _remove_cycles(report, removed, total, (), "approx")
+        run.take((), "approx")
 
         st = report.stage("robust-closure", "robust-contract")
         h = Graph(g.n, h_prime.edges_between(part1.A, part1.B))
@@ -700,7 +675,7 @@ def run_theorem_1factbip(
             for p in check_cycle_in_graph(g, cyc):
                 st.require("cycle-valid", False, witness=p)
     except (BiphamError, AssertionError) as exc:
-        return _fail(report, exc)
+        return run.fail(exc)
     report.cycles = cycles
     return report
 

@@ -19,10 +19,11 @@ one-factorization here, the approximate decomposition, the robust closure in
 ``balancer`` (for the cut elimination and the global cover in ``bes``) and
 the degree reduction of the 1-factorization driver in ``pipeline``.
 
-Failure is a first-class result here: searches return result objects whose
-``cycles`` field is None when the space was exhausted, and raise
-``Timeout`` only when a budget ran out (``WallClockExceeded`` when it was
-the safety net).
+A peel whose search space is exhausted returns ``cycles`` None: the
+referee reports such a graph as having no decomposition, and the
+approximate decomposition raises ``PreconditionViolated`` naming the
+deepest level it reached.  A spent budget raises ``Timeout``
+(``WallClockExceeded`` when it was the safety net).
 
 networkx, for the blossom test of ``_MatchingEnum``, is imported where it is
 called: the drivers import this module but never run the oracle.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -70,10 +71,8 @@ def check_limits(max_nodes: int, max_seconds: float) -> None:
 
 @dataclass
 class DecompositionResult:
-    cycles: list[list[int]] | None
+    cycles: list[list[int]] | None  # None: proven that no decomposition exists
     matching: list[tuple[int, int]] | None
-    proven_infeasible: bool
-    stats: dict = field(default_factory=dict)
 
 
 # -- the peeling engine -------------------------------------------------------
@@ -258,8 +257,7 @@ def exhaustive_hamilton_decomposition(
     peel = peel_cycles(search, g.edges, g.max_degree() // 2, budget.max_nodes,
                        deadline=time.monotonic() + budget.max_seconds)
     matching = None if peel.cycles is None else sorted(peel.rest) or None
-    return DecompositionResult(peel.cycles, matching, peel.cycles is None,
-                               {"nodes": peel.nodes})
+    return DecompositionResult(peel.cycles, matching)
 
 
 # -- even-regular spanning subgraphs -----------------------------------------
@@ -344,13 +342,6 @@ def chromatic_index_regular(
 
 # -- approximate decomposition contract --------------------------------------
 
-@dataclass
-class ApproxResult:
-    cycles: list[list[int]] | None
-    stuck_index: int | None
-    stats: dict = field(default_factory=dict)
-
-
 def check_approx_preconditions(
     g: Graph,
     part: LabelledPartition,
@@ -406,7 +397,7 @@ def approx_decomposition(
     eps0,
     budget: SolverBudget = SolverBudget(),
     enforce_gates: bool = True,
-) -> ApproxResult:
+) -> list[list[int]]:
     """len(family) edge-disjoint Hamilton cycles of ``g``, the i-th
     containing the i-th balanced exceptional system.
 
@@ -418,9 +409,9 @@ def approx_decomposition(
     One peel of ``len(family)`` levels under one node budget, on the
     engine's cap schedule; spending ``budget.max_nodes`` raises
     ``Timeout``.  Order k of level i searches under its own item order, seed
-    ``level_seed(budget.seed, i, k)``.  ``stuck_index`` is the deepest
-    system reached when the whole search space was exhausted without a
-    decomposition.
+    ``level_seed(budget.seed, i, k)``.  When the whole search space is
+    exhausted without a decomposition, ``PreconditionViolated`` names the
+    deepest system index reached.
     """
     problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
     if problems and enforce_gates:
@@ -440,5 +431,8 @@ def approx_decomposition(
         search, g.edges_between(part.A_prime(), part.B_prime()), len(family),
         budget.max_nodes, deadline=time.monotonic() + budget.max_seconds,
     )
-    stuck = None if peel.cycles is not None else peel.deepest
-    return ApproxResult(peel.cycles, stuck, {"nodes": peel.nodes})
+    if peel.cycles is None:
+        raise PreconditionViolated(
+            f"approximate decomposition stuck at index {peel.deepest}"
+        )
+    return peel.cycles

@@ -64,9 +64,7 @@ def _weak_framework_instance(seed=0, n=20, D=8, hubs=1):
         seed=seed,
     )
     hint = (list(part.A), list(part.B))
-    dec = bip_decompose(f, g, 1, "1/2", "1/4", hint_split=hint)
-    assert isinstance(dec.framework, Framework)
-    return f, g, dec
+    return f, g, bip_decompose(f, g, 1, "1/2", "1/4", hint_split=hint)
 
 
 def test_cover_empty_cut():
@@ -77,8 +75,7 @@ def test_cover_empty_cut():
 
 
 def test_cover_single_cut_edge():
-    f, g, dec = _weak_framework_instance(seed=1)
-    fw = dec.framework
+    f, g, fw = _weak_framework_instance(seed=1)
     part = fw.partition
     cut = fw.graph.edges_between(part.A0, part.B0)
     assert len(cut) >= 1
@@ -101,8 +98,7 @@ def test_hamilton_peel_empty_system():
 
 def test_hamilton_peel_through_exceptional_path():
     # 14-vertex dense instance, one exceptional vertex
-    f, g, dec = _weak_framework_instance(seed=3, n=16, D=6)
-    fw = dec.framework
+    f, g, fw = _weak_framework_instance(seed=3, n=16, D=6)
     part = fw.partition
     v0 = sorted(part.V0())
     q_edges = []
@@ -151,15 +147,14 @@ def test_eliminate_identity_when_no_cut():
     part = LabelledPartition(12, [], range(6), [], range(6, 12))
     fw = validate_framework(g, part, 6, "1/10", "1/10", 2)
     res = eliminate_A0B0(fw)
-    assert res.r_star == 0 and res.reduced.D == 6
+    assert res.hamilton_cycles == [] and res.reduced.D == 6
     assert res.reduced.graph == g
 
 
 def test_eliminate_full_postconditions():
-    f, g, dec = _weak_framework_instance(seed=5, n=24, D=10, hubs=2)
-    fw = dec.framework
+    f, g, fw = _weak_framework_instance(seed=5, n=24, D=10, hubs=2)
     res = eliminate_A0B0(fw)
-    assert res.reduced.D == fw.D - 2 * res.r_star
+    assert res.reduced.D == fw.D - 2 * len(res.hamilton_cycles)
     assert res.reduced.kind == "full"
     assert (fw.D - res.reduced.D) % 2 == 0
     cut = fw.graph.edges_between(fw.partition.A0, fw.partition.B0)
@@ -169,9 +164,8 @@ def test_eliminate_full_postconditions():
 
 def test_bip_decompose_on_clean_bipartite():
     g = complete_bipartite((6, 6))
-    dec = bip_decompose(g, g, 2, "1/100", "1/10",
-                        hint_split=(list(range(6)), list(range(6, 12))))
-    fw = dec.framework
+    fw = bip_decompose(g, g, 2, "1/100", "1/10",
+                       hint_split=(list(range(6)), list(range(6, 12))))
     assert isinstance(fw, Framework)
     assert fw.partition.a == 0 and fw.partition.b == 0
 
@@ -188,8 +182,7 @@ def test_bip_decompose_without_hint_finds_planted_split(host, kind):
     f, part, _, g = eps_bipartite_instance(**host)
     runs = []
     for hint in (None, (part.A_prime(), part.B_prime())):
-        fw = bip_decompose(f, g, 1, "1/2", "1/4", hint_split=hint).framework
-        assert isinstance(fw, Framework)
+        fw = bip_decompose(f, g, 1, "1/2", "1/4", hint_split=hint)
         p = fw.partition
         runs.append((fw.kind, {(p.A0, p.A), (p.B0, p.B)}))
     assert runs[0] == runs[1]
@@ -201,7 +194,16 @@ def test_bip_decompose_flipping_strictly_improves():
     # clears the root-eps threshold, and must be flipped back
     g = complete_bipartite((6, 6))
     hint = (list(range(1, 6)) + [11], [0] + list(range(6, 11)))
-    dec = bip_decompose(g, g, 1, "1/16", "1/2", hint_split=hint)
-    assert isinstance(dec.framework, Framework)
-    assert dec.flips >= 1
-    assert 0 in set(dec.framework.partition.A0) | set(dec.framework.partition.A)
+    part = bip_decompose(g, g, 1, "1/16", "1/2", hint_split=hint).partition
+    assert 0 in set(part.A0) | set(part.A)
+    assert 11 in set(part.B0) | set(part.B)
+
+
+def test_bip_decompose_raises_without_a_framework():
+    # a 6-regular graph with one edge inside each side: at eps = 1/1000
+    # that one edge already exceeds eps*n^2, so no framework level holds
+    g = complete_bipartite((6, 6)).minus_edges({(0, 6), (1, 7)})
+    g = Graph(12, g.edges | {(0, 1), (6, 7)})
+    with pytest.raises(PreconditionViolated, match=r"^no weak framework: e\(A'\)"):
+        bip_decompose(g, g, 1, "1/1000", "1/2",
+                      hint_split=(list(range(6)), list(range(6, 12))))

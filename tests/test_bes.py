@@ -23,9 +23,7 @@ from bipham.validate import check_bes, cycle_edges
 def _k1_framework(f, g, hint, eps="1/2", eps_prime="1/4"):
     from bipham.balancer import bip_decompose, eliminate_A0B0
 
-    dec = bip_decompose(f, g, 1, eps, eps_prime, hint_split=hint)
-    assert isinstance(dec.framework, Framework)
-    elim = eliminate_A0B0(dec.framework)
+    elim = eliminate_A0B0(bip_decompose(f, g, 1, eps, eps_prime, hint_split=hint))
     fw = elim.reduced
     f1 = fw.host_graph()
     part, _ = framework_partition(fw, f1, 1, "1", "1", seed=0)

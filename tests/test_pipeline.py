@@ -687,6 +687,7 @@ def test_unknown_constants_rejected(tmp_path, capsys):
      "max_seconds = nan must be finite and positive"),
     ({"eps0": True}, "eps0 = True must be a rational"),
     ({"eps1": "1/0"}, "eps1 = '1/0' must be a rational"),
+    ({"max_nodes": 0}, "max_nodes = 0 must be positive"),
 ])
 def test_constants_not_truncated(doc, text):
     with pytest.raises(BadParams, match=f"^constant {re.escape(text)}$"):
@@ -719,4 +720,28 @@ def test_zero_divisor_constants_rejected(tmp_path, capsys, name):
     assert capsys.readouterr().err == (
         f"error: PreconditionViolated: constant {name} = 0 must be at least 1\n"
     )
+    assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("doc, text", [
+    ({"max_nodes": 0}, "max_nodes = 0 must be positive"),
+    ({"max_seconds": float("nan")},
+     "max_seconds = nan must be finite and positive"),
+])
+def test_budget_constants_rejected(tmp_path, capsys, doc, text):
+    # a budget no stage could run under is refused when the constants are
+    # built, directly or from a file, before any report exists
+    with pytest.raises(BadParams, match=f"^constant {re.escape(text)}$"):
+        PipelineConstants(**doc)
+    inst = tmp_path / "k44.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 4}', "-o", str(inst)])
+    consts = tmp_path / "c.json"
+    consts.write_text(json.dumps(doc))
+    rep_path = tmp_path / "rep.json"
+    capsys.readouterr()
+    rc = cli_main(["decompose", "--theorem", "onefact", "--constants",
+                   str(consts), str(inst), "-o", str(rep_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: BadParams: constant {text}\n"
     assert not rep_path.exists()

@@ -80,7 +80,7 @@ def test_exhaustive_decomposition_families():
 
     two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     res_tt = exhaustive_hamilton_decomposition(two_triangles)
-    assert res_tt.cycles is None and res_tt.proven_infeasible
+    assert res_tt.cycles is None
 
 
 def test_exhaustive_decomposition_k66():
@@ -133,8 +133,20 @@ def test_approx_decomposition_empty_family():
     part = LabelledPartition(8, [], range(4), [], range(4, 8),
                              clusters_A=[list(range(4))],
                              clusters_B=[list(range(4, 8))])
-    res = approx_decomposition(g, part, [], 0, 0, "1/2")
-    assert res.cycles == []
+    assert approx_decomposition(g, part, [], 0, 0, "1/2") == []
+
+
+def test_approx_decomposition_raises_on_infeasible_family():
+    # K(4,4) holds two edge-disjoint Hamilton cycles, not three: the search
+    # space is exhausted at the third system, index 2
+    g = complete_bipartite((4, 4))
+    part = LabelledPartition(8, [], range(4), [], range(4, 8),
+                             clusters_A=[list(range(4))],
+                             clusters_B=[list(range(4, 8))])
+    family = [PathSystem(8, [])] * 3
+    with pytest.raises(PreconditionViolated,
+                       match="^approximate decomposition stuck at index 2$"):
+        approx_decomposition(g, part, family, 0, 0, "1/2", enforce_gates=False)
 
 
 def _one_system_instance():
@@ -162,21 +174,29 @@ def _one_system_instance():
 
 def test_approx_decomposition_with_system():
     f, part, j = _one_system_instance()
-    res = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
-    assert res.cycles is not None and len(res.cycles) == 1
-    assert set(j.edges) <= cycle_edges(res.cycles[0])
-    assert not check_cycle(14, res.cycles[0])
+    [cyc] = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    assert set(j.edges) <= cycle_edges(cyc)
+    assert not check_cycle(14, cyc)
 
 
-def test_approx_decomposition_counts_and_honours_nodes():
+def test_approx_decomposition_counts_and_honours_nodes(monkeypatch):
+    # the nodes a run needs, read off the kernel enumerators it starts
+    enums = []
+    enumerator = search.cycle_enumerator
+
+    def record(*args, **kwargs):
+        enums.append(enumerator(*args, **kwargs))
+        return enums[-1]
+
+    monkeypatch.setattr(search, "cycle_enumerator", record)
     f, part, j = _one_system_instance()
-    res = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
-    need = res.stats["nodes"]
+    cycles = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    need = sum(e.nodes for e in enums)
     assert need > 0
     exact = approx_decomposition(f, part, [j], 0, 0, "1/2",
                                  SolverBudget(max_nodes=need),
                                  enforce_gates=False)
-    assert exact.cycles == res.cycles
+    assert exact == cycles
     # one node short is a spent budget, not a system the search got stuck on
     with pytest.raises(Timeout, match=f"node budget {need - 1} spent at level 0"
                        ) as exc:

@@ -1,6 +1,9 @@
-"""Guards on the shape of the source itself, read with ``ast``."""
+"""Guards on the shape of the source itself, read with ``ast``, and on the
+names the benchmark's tracer looks up in it."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -208,3 +211,44 @@ def test_no_unused_imports():
         unused += [f"{name}: {bound} (line {line})"
                    for bound, line in _imported_names(tree) if bound not in used]
     assert not unused
+
+
+# traced entry points that no longer exist in the package, each with its
+# reason; the benchmark's per-layer figure for each reads zero
+STALE_ENTRY_POINTS = {
+    "bipham.solvers.bip_hamilton_with_prescribed":
+        "deleted from the package; the benchmark's list still names it",
+}
+
+
+def _bench_list(name):
+    """The module-level list ``name`` of the benchmark's tracer, read with
+    ``ast`` so that no tracer is built or installed."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
+
+
+def test_traced_entry_points_resolve():
+    # the tracer wraps each entry point by module and attribute name and
+    # records one it cannot find as missing, so a renamed function would
+    # silently zero its layer in the benchmark
+    missing = []
+    points = [(mod, attr) for _, mod, attr, _ in _bench_list("ENTRY_POINTS")]
+    points += [(mod, attr) for _, mod, attr in _bench_list("COUNTED")]
+    for modname, attr in points:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{modname}.{attr}")
+    assert set(missing) <= set(STALE_ENTRY_POINTS), missing
+    # the tracer's approximate-decomposition counter reads the family as
+    # the third positional argument
+    from bipham.solvers import approx_decomposition
+
+    params = list(inspect.signature(approx_decomposition).parameters)
+    assert params[2] == "family"
