@@ -3,18 +3,21 @@
 Each generator returns (graph, partition hint, properties dict); the
 properties are recomputed from the output, not assumed from the recipe.
 
-networkx is imported inside the two degree-factor functions, its only
-callers here: the drivers use only ``near_bipartition`` from this module,
-so they start without it.
+networkx is imported inside ``degree_factor``, its only caller here: the
+drivers use only ``near_bipartition`` from this module, so they start
+without it.  The bipartite degree factor runs on ``matchings.degree_split``
+instead.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .balance import frac
 from .errors import BadParams, MatchingFailure
 from .graphs import Graph, LabelledPartition, norm_edge
+from .matchings import degree_split
 
 
 def generate(kind: str, params: dict, seed: int = 0):
@@ -197,10 +200,10 @@ def regular_spanning_subgraph(
     avoiding the forbidden ones.  The seed permutes vertex labels to vary
     the outcome.
 
-    When the remaining host is bipartite (``split`` given, or detected from
-    an edgeless-within-sides check), the extraction runs as an integral
-    max-flow; otherwise the degree-gadget matching reduction handles the
-    general case.
+    When the remaining host is bipartite (``split`` given, and no host edge
+    inside a side), the extraction runs as an exact-degree bipartite split;
+    otherwise the degree-gadget matching reduction handles the general
+    case.
     """
     forced = set(norm_edge(*e) for e in (forced or ()))
     forbidden = set(norm_edge(*e) for e in (forbidden or ()))
@@ -229,36 +232,13 @@ def regular_spanning_subgraph(
 
 
 def bipartite_degree_factor(g: Graph, targets: dict, split: tuple) -> Graph:
-    """Exact-degree subgraph of a bipartite host via integral max-flow."""
-    import networkx as nx
-
+    """Exact-degree subgraph of a bipartite host, by ``degree_split`` with
+    each side in order and each candidate list sorted."""
     left, right = list(split[0]), list(split[1])
-    need_left = sum(targets.get(v, 0) for v in left)
-    need_right = sum(targets.get(v, 0) for v in right)
-    if need_left != need_right:
-        raise MatchingFailure("degree targets differ across the two sides")
-    # integer node labels (source -1, sink -2, vertices as themselves): the
-    # flow networkx finds, and so the subgraph, then does not depend on the
-    # string hash seed of the process
-    source, sink = -1, -2
-    gx = nx.DiGraph()
-    for v in left:
-        gx.add_edge(source, v, capacity=targets.get(v, 0))
-    for v in right:
-        gx.add_edge(v, sink, capacity=targets.get(v, 0))
-    lset = set(left)
-    for u, v in sorted(g.edges):
-        a, b = (u, v) if u in lset else (v, u)
-        gx.add_edge(a, b, capacity=1)
-    value, flow = nx.maximum_flow(gx, source, sink)
-    if value != need_left:
-        raise MatchingFailure("no spanning subgraph with the prescribed degrees")
-    chosen = [
-        (a, b)
-        for a, outs in flow.items() if a >= 0
-        for b, used in outs.items() if b >= 0 and used
-    ]
-    return Graph(g.n, chosen)
+    need = {v: targets.get(v, 0) for v in chain(left, right)}
+    rset = set(right)
+    cands = {u: sorted(g.adj[u] & rset) for u in left}
+    return Graph(g.n, degree_split(left, cands, need))
 
 
 def degree_factor(g: Graph, targets: dict[int, int]) -> Graph:

@@ -1,6 +1,6 @@
 """Edge decompositions into balanced matchings and path systems.
 
-Four tools used throughout the pipeline:
+Five tools used throughout the pipeline:
 
 * ``vizing_balanced``: decompose any graph into max-degree+1 matchings whose
   sizes differ by at most one (proper edge coloring followed by repeated
@@ -19,9 +19,14 @@ Four tools used throughout the pipeline:
   vertices it may take, built once by the caller in the order it wants
   them tried, so the augmenting step only walks lists and the result is a
   fixed function of the left order and the lists.  It is the package's one
-  bipartite matching routine: ``bes``, ``beps`` and ``walks`` (the
-  absorbers' matching layers) call it, and ``balancer`` runs its augmenting
-  step ``_augment`` directly.
+  bipartite matching routine: ``bes`` and ``beps`` call it, and
+  ``balancer`` runs its augmenting step ``_augment`` directly.
+* ``degree_split``: a bipartite subgraph with exact prescribed degrees (a
+  greedy pass, then augmenting paths: Kuhn's step with capacities).  It is
+  the package's one exact-degree bipartite routine: the generators'
+  bipartite degree factor, the absorbers (a ``count``-regular split, by
+  König a union of ``count`` perfect matchings) and the robust closure's
+  2-factors all run on it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balance import frac
-from .errors import BadParams, PreconditionViolated, RetryBudgetExceeded
+from .errors import (
+    BadParams,
+    MatchingFailure,
+    PreconditionViolated,
+    RetryBudgetExceeded,
+)
 from .graphs import Edge, Graph, PathSystem, norm_edge
 
 
@@ -399,6 +409,90 @@ def _augment(u, seen, candidates, match_r) -> bool:
         seen.add(v)
         if v not in match_r or _augment(match_r[v], seen, candidates, match_r):
             match_r[v] = u
+            return True
+    return False
+
+
+def degree_split(left, candidates, need: dict) -> list[tuple]:
+    """A subgraph in which every vertex ``v`` has exactly ``need[v]``
+    edges, as (left, right) pairs in the order of ``left``; raises
+    ``MatchingFailure`` when none exists.
+
+    ``candidates[u]`` lists the right vertices that left vertex ``u`` may
+    be joined to, each once; the right vertices are the keys of ``need``
+    outside ``left``.  A greedy pass takes, for each left vertex in order,
+    its candidates in order while both ends still need an edge; each left
+    vertex still short of its target then gains edges one at a time by
+    augmenting paths (Kuhn's step, with right vertices of any capacity),
+    so the result is a fixed function of the orders.
+    With the two sides' demands equal, every left vertex full means every
+    right vertex full.
+    """
+    lefts = set(left)
+    room = {v: t for v, t in need.items() if v not in lefts}
+    if sum(need.get(u, 0) for u in left) != sum(room.values()):
+        raise MatchingFailure("degree targets differ across the two sides")
+    # the right vertices of each left vertex and the reverse, each as a
+    # dict in the order taken (an ordered set)
+    chosen: dict = {}
+    holders: dict = {v: {} for v in room}
+    for u in left:
+        want = need.get(u, 0)
+        mine = chosen[u] = {}
+        for v in candidates[u]:
+            if len(mine) == want:
+                break
+            if room[v]:
+                room[v] -= 1
+                mine[v] = holders[v][u] = None
+    for u in left:
+        while len(chosen[u]) < need.get(u, 0):
+            if not _augment_capacitated(u, candidates, chosen, holders,
+                                        room):
+                raise MatchingFailure(
+                    f"no subgraph with the prescribed degrees: left vertex "
+                    f"{u} stays at {len(chosen[u])} of {need[u]}"
+                )
+    return [(u, v) for u in left for v in chosen[u]]
+
+
+def _augment_capacitated(u, candidates, chosen, holders, room) -> bool:
+    """One more edge at left vertex ``u`` along an augmenting path, found
+    depth first in candidate order: a right vertex with room takes the
+    edge at once, a full one is handed over to ``u`` by one of its holders
+    that can move to another right vertex.  The walk keeps its own stack,
+    so no path length meets the recursion limit."""
+    seen = set()
+    # one frame per left vertex on the path: [it, its candidates left to
+    # try, the full right vertex it tries, that vertex's holders left]
+    stack = [[u, iter(candidates[u]), None, None]]
+    while stack:
+        frame = stack[-1]
+        w, cands, _, holding = frame
+        if holding is not None:
+            x = next(holding, None)
+            if x is not None:
+                stack.append([x, iter(candidates[x]), None, None])
+                continue
+        mine = chosen[w]
+        for v in cands:
+            if v not in seen and v not in mine:
+                break
+        else:
+            stack.pop()
+            continue
+        seen.add(v)
+        frame[2], frame[3] = v, iter(holders[v])
+        if room[v]:
+            room[v] -= 1
+            # each left vertex on the path takes its right vertex and gives
+            # up the one the frame below it tried
+            for depth in range(len(stack) - 1, -1, -1):
+                x, _, took, _ = stack[depth]
+                chosen[x][took] = holders[took][x] = None
+                if depth:
+                    gave = stack[depth - 1][2]
+                    del chosen[x][gave], holders[gave][x]
             return True
     return False
 

@@ -325,9 +325,9 @@ def run_theorem_NWbip(
     at small scale; failed runs are retried with those choices reshuffled,
     deterministically in the seed.  The first clean report is returned,
     annotated with the retry count; if all attempts fail, the last report
-    is returned as-is.
+    is returned as-is.  A failure at the entry gates is returned at once:
+    no reshuffle changes the input.
     """
-    last = None
     for i in range(max(attempts, 1)):
         rep = _nwbip_attempt(f, g, constants, seed, hint_split,
                              demotion_seed=i)
@@ -337,8 +337,9 @@ def run_theorem_NWbip(
                     f"succeeded after reshuffling free choices {i} time(s)"
                 )
             return rep
-        last = rep
-    return last
+        if rep.stages[0].status == "failed":
+            break
+    return rep
 
 
 def _nwbip_attempt(
@@ -665,6 +666,8 @@ def run_theorem_1factbip(
                         seed=seed)
         st.check("closure-cycles", len(c5) == params.s_prime,
                  witness=(len(c5), params.s_prime))
+        st.check("split-attempts", True, witness=rd.split_attempts)
+        st.check("switches", True, witness=rd.swaps)
 
         st = report.stage("final-validation", "totals")
         cycles = pre_cycles + c1 + c2 + c3 + c4 + c5

@@ -14,10 +14,10 @@ them is meaningful evidence.
 Every backtracking peel runs on one engine, ``peel_cycles``, which counts
 every kernel node against one node budget: fixed input, seed and budget give
 the same outcome on any machine.  Its users are the referee and the
-one-factorization here, the approximate decomposition, the robust closure in
-``walks``, the Hamilton cycles through exceptional-cover path systems in
-``balancer`` (for the cut elimination and the global cover in ``bes``) and
-the degree reduction of the 1-factorization driver in ``pipeline``.
+one-factorization here, the approximate decomposition, the Hamilton cycles
+through exceptional-cover path systems in ``balancer`` (for the cut
+elimination and the global cover in ``bes``) and the degree reduction of
+the 1-factorization driver in ``pipeline``.
 
 A peel whose search space is exhausted returns ``cycles`` None: the
 referee reports such a graph as having no decomposition, and the

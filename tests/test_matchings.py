@@ -6,9 +6,14 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from bipham.errors import PreconditionViolated, RetryBudgetExceeded
+from bipham.errors import (
+    MatchingFailure,
+    PreconditionViolated,
+    RetryBudgetExceeded,
+)
 from bipham.graphs import Graph, PathSystem, complete_bipartite
 from bipham.matchings import (
+    degree_split,
     edge_coloring,
     kuhn_matching,
     path_system_split,
@@ -211,3 +216,78 @@ def test_kuhn_matching_against_hopcroft_karp():
                 assert len(set(match.values())) == len(left)
                 assert all(adjacent(u, v) for u, v in match.items())
     assert found > 100 and unsaturated > 100
+
+
+def test_degree_split_against_max_flow():
+    # random bipartite hosts with degree targets that some subgraph meets,
+    # half of them then moved by one unit between two right vertices: a
+    # split is returned exactly when an integral max-flow meets every
+    # target, and then every vertex has its target degree and every host
+    # edge is taken at most once
+    rng = random.Random(8)
+    found = failed = 0
+    for _ in range(300):
+        left = list(range(rng.randint(1, 7)))
+        right = list(range(10, 10 + rng.randint(2, 7)))
+        p = rng.random()
+        edges = sorted((u, v) for u in left for v in right if rng.random() < p)
+        need = dict.fromkeys(left + right, 0)
+        for u, v in edges:
+            if rng.random() < 0.5:
+                need[u] += 1
+                need[v] += 1
+        if rng.random() < 0.5:
+            v, w = rng.sample(right, 2)
+            if need[v]:
+                need[v] -= 1
+                need[w] += 1
+        flow = nx.DiGraph()
+        for u in left:
+            flow.add_edge("s", u, capacity=need[u])
+        for v in right:
+            flow.add_edge(v, "t", capacity=need[v])
+        for u, v in edges:
+            flow.add_edge(u, v, capacity=1)
+        meets = nx.maximum_flow_value(flow, "s", "t") == sum(
+            need[u] for u in left)
+        cands = {u: [v for w, v in edges if w == u] for u in left}
+        try:
+            pairs = degree_split(left, cands, need)
+        except MatchingFailure:
+            assert not meets
+            failed += 1
+            continue
+        assert meets
+        found += 1
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) <= set(edges)
+        deg = dict.fromkeys(need, 0)
+        for u, v in pairs:
+            deg[u] += 1
+            deg[v] += 1
+        assert deg == need
+    assert found > 100 and failed > 30
+
+
+def test_degree_split_failures_are_typed():
+    # both left vertices see only right vertex 10: Hall's condition fails
+    with pytest.raises(MatchingFailure, match="^no subgraph with the "
+                       "prescribed degrees: left vertex 1 stays at 0 of 1$"):
+        degree_split([0, 1], {0: [10], 1: [10]}, {0: 1, 1: 1, 10: 1, 11: 1})
+    with pytest.raises(MatchingFailure,
+                       match="^degree targets differ across the two sides$"):
+        degree_split([0], {0: [10, 11]}, {0: 1, 10: 1, 11: 1})
+
+
+def test_degree_split_walks_paths_past_the_recursion_limit():
+    # the greedy pass matches left i to right i + 1, so the last left vertex
+    # is only matched along an augmenting path through every vertex
+    import sys
+
+    k = sys.getrecursionlimit() + 100
+    right = [k + 1 + i for i in range(k + 1)]
+    cands = {i: [right[i + 1], right[i]] for i in range(k)}
+    cands[k] = [right[k]]
+    pairs = degree_split(list(range(k + 1)), cands,
+                         dict.fromkeys([*range(k + 1), *right], 1))
+    assert pairs == [(i, right[i]) for i in range(k + 1)]

@@ -154,6 +154,26 @@ def test_nwbip_stage_failure_marks_downstream_skipped():
     assert rep.cycles == []
 
 
+def test_nwbip_input_failure_runs_one_attempt(monkeypatch):
+    # no reshuffle changes the input: an entry-gate failure is returned
+    # after the first attempt, with the run's own seed
+    calls = []
+    attempt = pipeline._nwbip_attempt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["demotion_seed"])
+        return attempt(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_nwbip_attempt", counted)
+    g, part, props = generate("complete_bipartite", {"m": 3})  # odd degree
+    rep = run_theorem_NWbip(g, g, PipelineConstants(), seed=0,
+                            hint_split=(list(part.A), list(part.B)))
+    assert calls == [0]
+    assert rep.seed == 0
+    assert rep.stages[0].error == (
+        "AssertionError: input: check degree-even failed (3)")
+
+
 def test_reports_deterministic_and_round_trip(tmp_path):
     g, part, props = generate("complete_bipartite", {"m": 5})
     sub = regular_spanning_subgraph(g, 4, seed=3)
@@ -180,19 +200,17 @@ def test_onefact_full_run():
     assert len(rep.cycles) == 14
     assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
     assert _digest(rep) == (
-        "b88749bfcf8e7f91318ae2fa2791284f09af4c50d1ba20ce36852ea139b9f161"
+        "077c76107a12f7f95b0a616b607ee0e70357a1cae9d10e1355f0172c3d5e6263"
     )
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (2, "5faa6c69db86887e8cd1131180f26a3de191a7378a4a93e2a81a3cd5e1fe6da8"),
-    (3, "0cdf6e964cbfddfdfa1b80db730db0ad298c4eb11fc019ab01ded0799e131841"),
+    (2, "4cc47d07011d055442e5704aa4b5b3053c55b04fe6262741b827ea4b31390715"),
+    (3, "9c4bdfb71cf5370153af846ade380bcae71a9e59cbbc4cb7c5e2c383181ae79f"),
 ])
 def test_onefact_closure_finishes(seed, digest):
-    # the closure needs the kernel's prune to fire on these seeds: with
-    # path interiors in the port masks, seed 2 spent all of its nodes and
-    # seed 3 three of its four restarts; with item orders that all had a
-    # quarter of a restart, one closure level took up to 1.03 M nodes
+    # seeds 2 and 3 of the benchmark's K(28,28) instances, beside seed 1
+    # in test_onefact_full_run
     g, part, props = generate("complete_bipartite", {"m": 28})
     rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed,
                                hint_split=(list(part.A), list(part.B)))
@@ -201,47 +219,48 @@ def test_onefact_closure_finishes(seed, digest):
     assert _digest(rep) == digest
 
 
-@pytest.mark.parametrize("seed, digest, last_opened", [
-    (1, "b88749bfcf8e7f91318ae2fa2791284f09af4c50d1ba20ce36852ea139b9f161", 1),
-    (2, "5faa6c69db86887e8cd1131180f26a3de191a7378a4a93e2a81a3cd5e1fe6da8", 461),
-    (3, "0cdf6e964cbfddfdfa1b80db730db0ad298c4eb11fc019ab01ded0799e131841", 406),
-])
-def test_closure_last_level_runs_the_kernel_once(monkeypatch, seed, digest,
-                                                 last_opened):
-    # once s' - 1 cycles are taken the last one is forced: a walk decides
-    # each pool left, and the kernel runs only on the one that closes.
-    # Seed 1 descends straight; seeds 2 and 3 reach the last level with
-    # hundreds of pools that do not close
-    from collections import Counter
+def test_closure_builds_no_cycle_search(monkeypatch):
+    # the closure splits and switches: no CycleSearch is made while it
+    # runs, and its attempts and switches land in its stage
+    made, closures = [], []
+    real_init = search.CycleSearch.__init__
+    closure = RobustDecomposition.closure
 
-    from bipham import walks
+    def counting_init(self, *args, **kwargs):
+        if closures and closures[-1] is None:
+            made.append(args)
+        real_init(self, *args, **kwargs)
 
-    made, searches, opened = [], Counter(), Counter()
-    real_search, real_peel = walks.CycleSearch, walks.peel_cycles
+    def traced(self, h, **kwargs):
+        closures.append(None)
+        try:
+            return closure(self, h, **kwargs)
+        finally:
+            closures[-1] = (self.split_attempts, self.swaps)
 
-    def counting_search(*args, **kwargs):
-        made.append(None)
-        return real_search(*args, **kwargs)
-
-    def counting_peel(level_search, pool, depth, *args, **kwargs):
-        def counted(i, *rest):
-            before = len(made)
-            out = level_search(i, *rest)
-            opened[i, depth] += 1
-            searches[i, depth] += len(made) - before
-            return out
-        return real_peel(counted, pool, depth, *args, **kwargs)
-
-    monkeypatch.setattr(walks, "CycleSearch", counting_search)
-    monkeypatch.setattr(walks, "peel_cycles", counting_peel)
+    monkeypatch.setattr(search.CycleSearch, "__init__", counting_init)
+    monkeypatch.setattr(RobustDecomposition, "closure", traced)
     g, part, props = generate("complete_bipartite", {"m": 28})
-    rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed,
+    for seed in (1, 2, 3, 4):
+        rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed,
+                                   hint_split=(list(part.A), list(part.B)))
+        assert rep.ok()
+        [stage] = [st for st in rep.stages if st.name == "robust-closure"]
+        witnesses = {c.ident: c.witness for c in stage.checks}
+        assert (witnesses["split-attempts"], witnesses["switches"]) \
+            == closures[-1]
+    assert len(closures) == 4 and not made
+
+
+def test_onefact_k70_closes():
+    # the first rung of ROADMAP item 3's ladder that a search-based
+    # closure could not close within the default budget
+    g, part, props = generate("complete_bipartite", {"m": 70})
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=2,
                                hint_split=(list(part.A), list(part.B)))
-    assert _digest(rep) == digest
-    last = (13, 14)  # level s' - 1 of s' = 14
-    assert opened[last] == last_opened
-    assert searches[last] == 1
-    assert all(searches[key] == opened[key] for key in opened if key != last)
+    assert rep.ok()
+    assert len(rep.cycles) == 35
+    assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
 
 
 def test_onefact_k42_heavy_tailed_level_finishes():
@@ -263,8 +282,8 @@ def _slow_clock(monkeypatch, step):
 
 
 def test_closure_outcome_independent_of_clock(monkeypatch):
-    # the closure restarts on node budgets: a slow machine gets the same
-    # cycles as long as it stays inside the wall-clock safety net
+    # the closure runs on seeds, not on the clock: a slow machine gets the
+    # same cycles as long as it stays inside the wall-clock safety net
     calls = []
     closure = RobustDecomposition.closure
 
@@ -280,7 +299,7 @@ def test_closure_outcome_independent_of_clock(monkeypatch):
     [(rd, h, kwargs)] = calls
     expected = closure(rd, h, **kwargs)
     assert kwargs["max_seconds"] == 300.0
-    _slow_clock(monkeypatch, 10.0)  # 14 kernel calls: 150 s of 300
+    _slow_clock(monkeypatch, 10.0)  # 15 readings, one split: 140 s of 300
     assert closure(rd, h, **kwargs) == expected
     with pytest.raises(Timeout, match="not reproducible") as exc:
         closure(rd, h, **{**kwargs, "max_seconds": 100.0})

@@ -311,14 +311,14 @@ def test_peel_cycles_budget_rules():
 
 
 def test_orders_of_a_level_keep_distinct_seeds():
-    # level_seed is distinct for order < 1009, the closure's restarts are
-    # 131 seeds apart: under the default 20 M nodes no level opens that
-    # many orders (the last one opened gets what is left)
+    # level_seed is distinct for order < 1009: under the default 20 M nodes
+    # no level opens that many orders (the last one opened gets what is
+    # left)
     budget, orders = 20_000_000, 0
     while budget > 0:
         budget -= LEVEL_UNIT * luby(orders + 1)
         orders += 1
-    assert orders == 92 < 131 < 1009
+    assert orders == 92 < 1009
 
 
 def test_peel_cycles_wall_clock_is_only_a_safety_net():

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from bipham import hamkernel, search
-from bipham.errors import BackendUnavailable, BadParams, Timeout
-from bipham.graphs import Graph, LabelledPartition
+from bipham.errors import BackendFailure, BackendUnavailable, BadParams
+from bipham.graphs import Graph, LabelledPartition, norm_edge
 from bipham.partitioning import orient_scheme
 from bipham.walks import RobustDecomposition, RobustParams
 
@@ -90,100 +89,208 @@ def test_absorbers_and_closure_run_in_order():
         rd.closure(empty)
 
 
-def test_closure_failure_names_restarts_and_nodes(monkeypatch):
-    # restarts get 50, 50, 100 and 50 nodes, too few for any descent: the
-    # failure names the four restarts and the 250 nodes they spent
+def test_closure_failure_names_attempts_and_swaps(monkeypatch):
+    # each repair makes at most one switch and is then stuck: once the
+    # three attempts are spent the failure names them and the switches
     from bipham import walks
 
     g, part, bf_prime, params, rd = _standalone_contract()
-    monkeypatch.setattr(walks, "RESTART_UNIT", 50)
-    with pytest.raises(Timeout, match="closure: 4 restarts spent 250 nodes, "
-                       "the last: node budget 50 spent at level ") as exc:
-        rd.closure(Graph(part.n, []), max_nodes=250)
-    assert exc.value.stats == {"nodes": 250, "restarts": 4}
+    monkeypatch.setattr(walks, "CLOSURE_ATTEMPTS", 3)
+    real_find = walks._find_swap
+    moves = {}  # the one switch of each repair, by its factors
+
+    def one_per_repair(fx, factors, *rest):
+        if id(factors) in moves:
+            return None
+        move = real_find(fx, factors, *rest)
+        if move is not None:
+            moves[id(factors)] = factors  # kept alive: ids stay unique
+        return move
+
+    monkeypatch.setattr(walks, "_find_swap", one_per_repair)
+    with pytest.raises(BackendFailure) as exc:
+        rd.closure(Graph(part.n, []))
+    assert moves
+    assert str(exc.value) == (f"closure: 3 split attempts and {len(moves)} "
+                              "swaps left a factor that is not a Hamilton "
+                              "cycle")
 
 
 @pytest.mark.parametrize("budget", [{"max_nodes": 0}, {"max_nodes": -1},
                                     {"max_seconds": 0},
                                     {"max_seconds": float("nan")}])
 def test_closure_rejects_non_positive_budget(budget):
-    # with no node to spend no restart runs, so a Timeout would have no
-    # last restart to name; a NaN deadline never passes, so the wall-clock
-    # safety net would be silently off
+    # every stage refuses a budget that no search could run under; a NaN
+    # deadline never passes, so the wall-clock safety net would be silently
+    # off
     g, part, bf_prime, params, rd = _standalone_contract()
     with pytest.raises(BadParams, match="^budget limits must be positive$"):
         rd.closure(Graph(part.n, []), **budget)
 
 
-def _forced_level_case(rng, kind):
-    """(n, pool, paths) for the closure's last level: the cycles of a
-    random 2-regular graph, one (kind "closes") or 2-3 ("split"), with
-    vertex-disjoint segments prescribed as paths and the rest as the pool;
-    "degree 3" moves one end of a pool edge onto a third vertex and
-    "count" drops a pool edge or adds one."""
-    n = rng.randint(6, 12) if kind == "split" else rng.randint(4, 12)
-    order = list(range(n))
-    rng.shuffle(order)
-    if kind == "split":
-        cuts = [0, rng.randint(3, n - 3), n]
-        if n >= 9 and rng.random() < 0.5:
-            cuts = [0, rng.randint(3, n - 6), n]
-            cuts.insert(2, rng.randint(cuts[1] + 3, n - 3))
-        cycles = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-    else:
-        cycles = [order]
-    paths, edges = [], set()
-    for cyc in cycles:
-        edges |= {tuple(sorted((cyc[i - 1], cyc[i]))) for i in range(len(cyc))}
-        pos = 0
-        while pos < len(cyc) - 1:
-            size = rng.randint(2, 4)
-            if rng.random() < 0.4 and pos + size <= len(cyc):
-                paths.append(tuple(cyc[pos:pos + size]))
-                pos += size
-            else:
-                pos += 1
-    path_edges = {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])}
-    pool = edges - path_edges
-    if kind == "degree 3":
-        u, v = rng.choice(sorted(pool))
-        w = rng.choice([x for x in range(n) if x not in (u, v)
-                        and tuple(sorted((u, x))) not in edges])
-        pool = pool - {(u, v)} | {tuple(sorted((u, w)))}
-    elif kind == "count":
-        absent = [(a, b) for a in range(n) for b in range(a + 1, n)
-                  if (a, b) not in edges]
-        if rng.random() < 0.5 or not absent:
-            pool = pool - {rng.choice(sorted(pool))}
-        else:
-            pool = pool | {rng.choice(absent)}
-    return n, frozenset(pool), [search.Prescribed(p) for p in paths]
+def _small_case(rng, m):
+    """A closure on K(m,m): m/2 levels, each with up to three random
+    vertex-disjoint paths of one to three edges, no edge on two levels.
+    Returns (n, A, pool, paths per level, path edges per level)."""
+    n = 2 * m
+    A = list(range(m))
+    free = {(a, b) for a in A for b in range(m, n)}
+    levels = []
+    for _ in range(m // 2):
+        on_path, paths = set(), []
+        for _ in range(rng.randint(0, 3)):
+            starts = [v for v in range(n) if v not in on_path]
+            if not starts:
+                break
+            path = [rng.choice(starts)]
+            for _ in range(rng.randint(1, 3)):
+                nxt = [w for w in range(n) if w not in on_path
+                       and w not in path and norm_edge(path[-1], w) in free]
+                if not nxt:
+                    break
+                path.append(rng.choice(nxt))
+            if len(path) > 1:
+                on_path.update(path)
+                paths.append(tuple(path))
+                free -= {norm_edge(u, v) for u, v in zip(path, path[1:])}
+        levels.append(paths)
+    systems = [frozenset(norm_edge(u, v) for p in paths
+                         for u, v in zip(p, p[1:])) for paths in levels]
+    return n, A, frozenset(free), levels, systems
 
 
-@pytest.mark.parametrize("kernel", ["default", "pure"])
-def test_forced_level_decision_agrees_with_kernel(monkeypatch, kernel):
-    # the closure decides its last level by a walk; the referee is a full
-    # search of the same pool and paths, which at the forced level's edge
-    # count finds a cycle exactly when the pool closes
+def _factor_edges(nbrs):
+    return {norm_edge(u, v) for v in range(len(nbrs)) for u in nbrs[v]}
+
+
+def test_split_levels_hold_their_systems_and_no_other():
+    # each level is a 2-factor holding its own path system and, besides
+    # it, only pool edges; the levels partition the pool and the systems
+    from bipham import walks
+
+    rng = random.Random(20)
+    split = 0
+    for trial in range(60):
+        n, A, pool, _, systems = _small_case(rng, rng.choice((4, 6, 8)))
+        try:
+            needs = walks._level_needs(n, pool, systems)
+        except BackendFailure:
+            continue
+        factors = walks._split_levels(n, A, pool, systems, needs,
+                                      random.Random(trial), float("inf"))
+        if factors is None:
+            continue
+        split += 1
+        seen = set()
+        for nbrs, q in zip(factors, systems):
+            assert all(len(vs) == 2 for vs in nbrs)
+            edges = _factor_edges(nbrs)
+            assert q <= edges and edges - q <= pool
+            assert not seen & edges
+            seen |= edges
+        assert seen == pool.union(*systems)
+    assert split >= 40
+
+
+def test_each_switch_joins_two_cycles_and_keeps_the_rest(monkeypatch):
+    # every switch the closure makes keeps each vertex's two edges in every
+    # factor and each path system in its factor, takes one cycle off F_X,
+    # adds none to F_Y and leaves the other factors alone
+    from bipham import walks
+
+    real_switch = walks._switch
+    made = []
+
+    def checked(factors, cyc, owner, fx, move):
+        fy = move[-1]
+        before = [_factor_edges(nbrs) for nbrs in factors]
+        counts = [len(c[2]) for c in cyc]
+        real_switch(factors, cyc, owner, fx, move)
+        after = [_factor_edges(nbrs) for nbrs in factors]
+        assert all(len(vs) == 2 for nbrs in factors for vs in nbrs)
+        assert [c[2] for c in cyc] == [walks._cycles_of(nbrs)[2]
+                                       for nbrs in factors]
+        assert len(cyc[fx][2]) == counts[fx] - 1
+        assert len(cyc[fy][2]) <= counts[fy]
+        x, y, c, d, _ = move
+        assert after[fx] == before[fx] - {norm_edge(y, c), norm_edge(d, x)} \
+            | {norm_edge(x, y), norm_edge(c, d)}
+        assert after[fy] == before[fy] - {norm_edge(x, y), norm_edge(c, d)} \
+            | {norm_edge(y, c), norm_edge(d, x)}
+        assert all(after[i] == before[i] for i in range(len(factors))
+                   if i not in (fx, fy))
+        assert all(q <= edges for q, edges in zip(systems, after))
+        made.append(move)
+
+    monkeypatch.setattr(walks, "_switch", checked)
+    rng = random.Random(21)
+    for trial in range(40):
+        n, A, pool, _, systems = _small_case(rng, rng.choice((6, 8)))
+        try:
+            walks._close(n, A, pool, systems, trial, float("inf"))
+        except BackendFailure:
+            pass
+    assert len(made) >= 40
+
+
+def _referee(n, pool, levels, systems):
+    """``peel_cycles`` over ``CycleSearch``: a level search runs once per
+    orientation of its paths, each prescribed directed, the first path
+    kept as given; the kernel reports one orientation per item cycle, so
+    undirected paths would miss cycles that differ only in orientation."""
+    from itertools import product
+
+    from bipham.search import CycleSearch, Prescribed, SearchStats
+    from bipham.solvers import peel_cycles
     from bipham.validate import cycle_edges
-    from bipham.walks import _closes
 
-    if kernel == "pure":
-        monkeypatch.setattr(search, "cycle_enumerator", hamkernel.PureGraphEnum)
-    rng = random.Random(16)
-    for trial in range(240):
-        kind = ("closes", "split", "degree 3", "count")[trial % 4]
-        n, pool, paths = _forced_level_case(rng, kind)
-        path_edges = {tuple(sorted(e)) for p in paths
-                      for e in zip(p.vertices, p.vertices[1:])}
-        decided = _closes(n, pool, path_edges)
-        assert decided == (kind == "closes"), (kind, n, pool, paths)
-        found = search.CycleSearch(Graph._trusted(n, pool), paths)
-        if len(pool) + len(path_edges) == n:
-            assert decided == (found.first() is not None), (kind, n, pool)
-        else:
-            # more edges than a cycle takes: no cycle takes every one
-            assert not any(cycle_edges(c) >= pool for c in found.cycles())
+    def orientations(i, pool_left, order, stats):
+        spent = 0
+        for flips in product((False, True), repeat=max(len(levels[i]) - 1, 0)):
+            paths = [Prescribed(p[::-1] if flip else p, directed=True)
+                     for p, flip in zip(levels[i], (False, *flips))]
+            found = CycleSearch(Graph._trusted(n, pool_left), paths,
+                                max_nodes=stats.max_nodes - spent, seed=order)
+            for c in found.cycles():
+                stats.nodes = spent + found.stats.nodes
+                yield c, cycle_edges(c) - systems[i]
+            spent = stats.nodes = spent + found.stats.nodes
+            if found.stats.budget_exceeded:
+                stats.budget_exceeded = True
+                return
+
+    def search(i, pool_left, order, cap):
+        stats = SearchStats(max_nodes=cap)
+        return orientations(i, pool_left, order, stats), stats
+
+    return peel_cycles(search, pool, len(levels), 10_000_000)
+
+
+def test_closure_agrees_with_search_referee():
+    # on small hosts the closure closes exactly when an exhaustive peel
+    # finds a decomposition, and what it returns is one
+    from bipham import walks
+    from bipham.validate import check_decomposition, cycle_edges
+
+    rng = random.Random(22)
+    outcomes = []
+    for trial in range(60):
+        m = (4, 6, 8)[trial % 3]
+        n, A, pool, levels, systems = _small_case(rng, m)
+        peel = _referee(n, pool, levels, systems)
+        try:
+            cycles = walks._close(n, A, pool, systems, trial,
+                                  float("inf"))[0]
+        except BackendFailure:
+            cycles = None
+        outcomes.append((peel.cycles is not None, cycles is not None))
+        if cycles is not None:
+            assert not check_decomposition(
+                Graph(n, pool.union(*systems)),
+                [cycle_edges(c) for c in cycles])
+            assert all(q <= cycle_edges(c) for q, c in zip(systems, cycles))
+    assert all(ref == got for ref, got in outcomes)
+    assert 0 < sum(ref for ref, _ in outcomes) < len(outcomes)
 
 
 def test_divisibility_report():
