@@ -153,7 +153,9 @@ def cover_A0B0_by_path_systems(
     if part.a < part.b:
         part = part.swapped()
     n = g.n
-    cut = Graph(n, g.edges_between(part.A0, part.B0) if part.A0 and part.B0 else [])
+    # subsets of the validated edges of g need no checks
+    cut = Graph._trusted(
+        n, g.edges_between(part.A0, part.B0) if part.A0 and part.B0 else ())
     if not cut.edges:
         return []
     cut_matchings = [m for m in vizing_balanced(cut).matchings if m]
@@ -162,7 +164,7 @@ def cover_A0B0_by_path_systems(
     imbalance = part.a - part.b
     pads: list[frozenset] = []
     if imbalance > 0:
-        inner_a = Graph(n, g.edges_within(part.A_prime()) - cut.edges)
+        inner_a = Graph._trusted(n, g.edges_within(part.A_prime()) - cut.edges)
         big = [m for m in vizing_balanced(inner_a).matchings if len(m) >= imbalance]
         if len(big) < r_star:
             raise MatchingShortfall(
@@ -183,7 +185,7 @@ def cover_A0B0_by_path_systems(
     used = set()
     for i in range(r_star):
         seed = PathSystem(n, cut_matchings[i] | pads[i])
-        pool = Graph(n, g.edges - used - (reserved - seed.edges))
+        pool = Graph._trusted(n, g.edges - used - (reserved - seed.edges))
         q = extend_to_two_balanced(
             pool, part, seed, alpha=Fraction(1, 2), choice_seed=choice_seed
         )

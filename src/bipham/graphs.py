@@ -452,6 +452,9 @@ class PathSystem:
         bad = [v for v, d in deg.items() if d > 2]
         if bad:
             raise BadParams(f"vertex {min(bad)} has degree > 2, not a path system")
+        outside = [v for v in deg if not 0 <= v < self.n]
+        if outside:
+            raise BadParams(f"vertex {min(outside)} out of range for n={self.n}")
         self._paths = None
         if self._find_cycle(deg):
             raise BadParams("path system contains a cycle")
@@ -530,7 +533,8 @@ class PathSystem:
         return PathSystem(max(self.n, other.n), self.edges | other.edges)
 
     def as_graph(self) -> Graph:
-        return Graph(self.n, self.edges)
+        # the edges are normalised and in range (see __init__)
+        return Graph._trusted(self.n, self.edges)
 
     def __eq__(self, other):
         return (

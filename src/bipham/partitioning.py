@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor
 from typing import Sequence
 
@@ -77,7 +78,9 @@ def random_equipartition(
 
     The degree-dichotomy entry conditions are checked and reported as
     warnings only: at small n the max-based slack terms often absorb
-    violations, so runs proceed.
+    violations, so runs proceed.  They are counted in one pass over the
+    edges of ``g``, so U and the reference sets must be pairwise disjoint
+    (BadParams otherwise).
     """
     eps, eps1, eps2 = frac(eps), frac(eps1), frac(eps2)
     U = sorted(U)
@@ -87,18 +90,18 @@ def random_equipartition(
     warnings = []
     # d >= eps*n iff d >= ceil(eps*n); d <= eps*n iff d <= floor(eps*n)
     lo, hi = ceil(eps * n), floor(eps * n)
-    d_U = [r[0] for r in g.class_degrees(class_labels(n, [U]), 1)]
-    du = [d_U[v] for v in U]
+    # class 0 is U, class j + 1 the reference set R_j
+    rows = g.class_degrees(class_labels(n, [U, *R]), 1 + len(R))
+    du = [rows[v][0] for v in U]
     if du and not (min(du) >= lo or max(du) <= hi):
         warnings.append(
             f"degree dichotomy fails on U: min {min(du)}, max {max(du)}, eps*n={eps * n}"
         )
-    for j, Rj in enumerate(R):
-        d_Rj = g.class_degrees(class_labels(n, [Rj]), 1)
-        up = all(d_Rj[u][0] <= hi for u in U)
-        down = all(d_U[x] >= lo for x in Rj)
+    for j, Rj in enumerate(R, 1):
+        up = all(rows[u][j] <= hi for u in U)
+        down = all(rows[x][0] >= lo for x in Rj)
         if not (up or down):
-            warnings.append(f"degree dichotomy fails for reference set {j}")
+            warnings.append(f"degree dichotomy fails for reference set {j - 1}")
 
     last = []
     for attempt in range(max_attempts):
@@ -132,7 +135,8 @@ def verify_equipartition(
     graphs' own edges; independent of the sampling code.
 
     Each condition |x - y/q| > r (x, y integers) is decided as
-    |q*x - y| > floor(q*r)."""
+    |q*x - y| > floor(q*r).  Every degree and edge count comes from one
+    pass over each graph's edges."""
     eps1, eps2 = frac(eps1), frac(eps2)
     K = len(parts)
     n = g.n
@@ -144,31 +148,40 @@ def verify_equipartition(
     part_of = class_labels(n, parts)
     if any(in_U[x] == 0 or part_of[x] >= 0 for Rj in R for x in Rj):
         raise BadParams("reference sets must be disjoint from U and the parts")
-    g_U = g.class_degrees(in_U, 1)
-    g_P = g.class_degrees(part_of, K)
-    f_U = g_U if f is g else f.class_degrees(in_U, 1)
-    f_P = g_P if f is g else f.class_degrees(part_of, K)
-    e_P = g.class_edge_counts(part_of, K)
-    eU = g.class_edge_counts(in_U, 1)[0][0]
+    g_U, g_P = _u_and_part_degrees(g, in_U, part_of, K)
+    f_U, f_P = (g_U, g_P) if f is g else _u_and_part_degrees(f, in_U, part_of, K)
+    # e(part i, part i2) sums d(x, part i2) over x in part i, which counts
+    # each edge inside a part twice; e(U) likewise
+    members = [[] for _ in range(K)]
+    for v, i in enumerate(part_of):
+        if i >= 0:
+            members[i].append(v)
+    e_P = [[sum(g_P[x][i2] for x in xs) for i2 in range(K)] for xs in members]
+    for i in range(K):
+        e_P[i][i] //= 2
+    eU = sum(d for d, u in zip(g_U, in_U) if u == 0) // 2
     deg_bound = floor(eps1 * n)
     within_bound = floor(eps2 * max(n, eU))
     between_bound = floor(2 * eps2 * max(n, eU))
 
     # worst |q*x - y| per condition, with its q
     worst = {"ii": 0, "iii": 0, "iv": 0, "v": 0, "vi": 0}
-    for v in range(n):
-        dU, dUf = g_U[v][0], f_U[v][0]
-        for i in range(K):
-            dev = abs(K * g_P[v][i] - dU)
-            worst["ii"] = max(worst["ii"], dev)
-            if dev > deg_bound:
-                problems.append(f"(ii) d({v},part {i}) deviates by {Fraction(dev, K)}")
-            devf = abs(K * f_P[v][i] - dUf)
-            worst["vi"] = max(worst["vi"], devf)
-            if devf > deg_bound:
-                problems.append(
-                    f"(vi) host degree d({v},part {i}) deviates by {Fraction(devf, K)}"
-                )
+    devs = _degree_deviations(g_P, g_U, K)
+    devfs = devs if f is g else _degree_deviations(f_P, f_U, K)
+    worst["ii"] = max(map(max, devs), default=0)
+    worst["vi"] = max(map(max, devfs), default=0)
+    if max(worst["ii"], worst["vi"]) > deg_bound:
+        for v in range(n):
+            for i in range(K):
+                dev, devf = devs[i][v], devfs[i][v]
+                if dev > deg_bound:
+                    problems.append(
+                        f"(ii) d({v},part {i}) deviates by {Fraction(dev, K)}")
+                if devf > deg_bound:
+                    problems.append(
+                        f"(vi) host degree d({v},part {i}) deviates by "
+                        f"{Fraction(devf, K)}"
+                    )
     for i in range(K):
         for i2 in range(i + 1, K):
             dev = abs(K * K * e_P[i][i2] - 2 * eU)
@@ -183,7 +196,7 @@ def verify_equipartition(
             problems.append(f"(iv) e(part {i}) deviates by {Fraction(dev, K * K)}")
     for j, Rj in enumerate(R):
         Rj = set(Rj)
-        eUR = sum(g_U[x][0] for x in Rj)
+        eUR = sum(g_U[x] for x in Rj)
         bound = floor(eps2 * max(n, eUR))
         for i in range(K):
             dev = abs(K * sum(g_P[x][i] for x in Rj) - eUR)
@@ -196,6 +209,28 @@ def verify_equipartition(
             # val is 0 when there are no parts (q = 0)
             cert.conditions[key] = f"max deviation {Fraction(val, q[key]) if val else 0}"
     return problems
+
+
+def _u_and_part_degrees(g: Graph, in_U, part_of, K):
+    """``(d_U, rows)``: d(v, U) for every vertex v of ``g``, and rows whose
+    first K entries are the degrees d(v, part i), from one pass over its
+    edges.  A vertex of U in no part is class K, so the counts hold for
+    parts that do not cover U; a part vertex outside U is taken back out
+    of d(v, U) through its neighbours."""
+    label = [K if p < 0 and u == 0 else p for u, p in zip(in_U, part_of)]
+    rows = g.class_degrees(label, K + 1)
+    d_U = list(map(sum, rows))
+    for w, (u, p) in enumerate(zip(in_U, part_of)):
+        if p >= 0 and u != 0:
+            for v in g.adj[w]:
+                d_U[v] -= 1
+    return d_U, rows
+
+
+def _degree_deviations(rows, d_U, K) -> list[list[int]]:
+    """``devs[i][v]`` = |K*d(v, part i) - d(v, U)|, a column per part."""
+    return [[abs(K * d - u) for d, u in zip(col, d_U)]
+            for col in islice(zip(*rows), K)]
 
 
 # -- partition of a framework into clusters ----------------------------------

@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .balance import Framework, frac, validate_framework
@@ -146,7 +147,10 @@ class PipelineConstants:
                 out[fld.name] = val
         return out
 
-    def hierarchy_warnings(self) -> list[str]:
+    @cached_property
+    def hierarchy_warnings(self) -> tuple[str, ...]:
+        """The weak or degenerate separations of the epsilon ladder,
+        computed once per constants object."""
         ladder = [
             ("eps_ex", self.eps_ex), ("eps0", self.eps0),
             ("eps0_prime", self.eps0_prime), ("eps_prime", self.eps_prime),
@@ -162,7 +166,7 @@ class PipelineConstants:
                 )
             if v2 == 0 and v1 > 0:
                 out.append(f"separation {n1} << {n2} is degenerate ({n2} = 0)")
-        return out
+        return tuple(out)
 
     def factorization_divisibility_warnings(self) -> list[str]:
         out = []
@@ -284,7 +288,7 @@ class _Run:
             "subgraph_edges": g.num_edges(),
             "D": self.D,
         }, seed)
-        self.report.warnings.extend(constants.hierarchy_warnings())
+        self.report.warnings.extend(constants.hierarchy_warnings)
 
     def take(self, cycles, label: str | None = None) -> None:
         """Add the edges of ``cycles`` to the removed edges; with a label,

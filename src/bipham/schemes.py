@@ -51,25 +51,27 @@ def scheme_violations(
     if problems and problems[0] == "no clusters present":
         return problems
     A, B = frozenset(part.A), frozenset(part.B)
-    for u, v in sorted(g.edges):
-        if not ((u in A and v in B) or (u in B and v in A)):
-            problems.append(f"edge ({u},{v}) is not an AB-edge")
-            break
+    bad = min(((u, v) for u, v in g.edges
+               if not ((u in A and v in B) or (u in B and v in A))), default=None)
+    if bad is not None:
+        problems.append(f"edge ({bad[0]},{bad[1]}) is not an AB-edge")
     L = part.L or 1
     m = part.m
     threshold = (1 - eps) * Fraction(m, L)
+    # a degree is below the threshold exactly when it is below its ceiling
+    need = math.ceil(threshold)
     K = part.K
     for i in range(1, K + 1):
         for h in range(1, L + 1):
             sub_a = part.subcluster_A(i, h)
             sub_b = part.subcluster_B(i, h)
             for v in part.B:
-                if g.d(v, sub_a) < threshold:
+                if g.d(v, sub_a) < need:
                     problems.append(
                         f"d({v}, A_({i},{h})) = {g.d(v, sub_a)} < (1-eps)m/L = {threshold}"
                     )
             for w in part.A:
-                if g.d(w, sub_b) < threshold:
+                if g.d(w, sub_b) < need:
                     problems.append(
                         f"d({w}, B_({i},{h})) = {g.d(w, sub_b)} < (1-eps)m/L = {threshold}"
                     )

@@ -45,7 +45,7 @@ from .errors import (
     Timeout,
     WallClockExceeded,
 )
-from .fictive import build_fictive, consistent_cycle_search, substitute
+from .fictive import ABRelabel, build_fictive, consistent_cycle_search, substitute
 from .generators import degree_factor
 from .graphs import Graph, LabelledPartition, PathSystem
 from .validate import cycle_edges
@@ -412,24 +412,32 @@ def approx_decomposition(
     ``level_seed(budget.seed, i, k)``.  When the whole search space is
     exhausted without a decomposition, ``PreconditionViolated`` names the
     deepest system index reached.
+
+    The entry gates (``check_approx_preconditions``) are computed only with
+    ``enforce_gates``, and any problem they find raises
+    ``PreconditionViolated``.
     """
-    problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
-    if problems and enforce_gates:
-        raise PreconditionViolated("; ".join(problems))
+    if enforce_gates:
+        problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
+        if problems:
+            raise PreconditionViolated("; ".join(problems))
     ficts = [build_fictive(j, part) for j in family]
+    ab = ABRelabel(part)
 
     def search(i, pool, order, cap):
         j, fict = family[i], ficts[i]
         found = consistent_cycle_search(
-            Graph._trusted(g.n, pool), part, j, fict, max_nodes=cap,
+            pool, ab, fict, max_nodes=cap,
             seed=level_seed(budget.seed, i, order))
         cycles = (substitute(c, j, fict, part) for c in found)
-        return ((c, cycle_edges(c) - j.edges) for c in cycles), found.stats
+        return ((c, ab.edges(cycle_edges(c) - j.edges)) for c in cycles), found.stats
 
-    # the edges of the systems themselves are reserved per system
+    # the peel runs on A u B relabelled once; the edges of the systems
+    # themselves are reserved per system
     peel = peel_cycles(
-        search, g.edges_between(part.A_prime(), part.B_prime()), len(family),
-        budget.max_nodes, deadline=time.monotonic() + budget.max_seconds,
+        search, ab.edges(g.edges_between(part.A_prime(), part.B_prime())),
+        len(family), budget.max_nodes,
+        deadline=time.monotonic() + budget.max_seconds,
     )
     if peel.cycles is None:
         raise PreconditionViolated(

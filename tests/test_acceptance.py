@@ -16,7 +16,7 @@ import time
 from bipham.balance import is_D_balanced
 from bipham.balancer import bip_decompose, eliminate_A0B0
 from bipham.errors import BiphamError, PreconditionViolated
-from bipham.fictive import build_fictive, consistent_cycle_search, substitute
+from bipham.fictive import ABRelabel, build_fictive, consistent_cycle_search, substitute
 from bipham.generators import (
     babai_instance,
     eps_bipartite_instance,
@@ -300,7 +300,9 @@ def test_acceptance_4_fictive_round_trip():
             continue
         j, part, pool = made
         fict = build_fictive(j, part)
-        it = consistent_cycle_search(pool, part, j, fict, max_nodes=300000)
+        ab = ABRelabel(part)
+        it = consistent_cycle_search(ab.edges(pool.edges), ab, fict,
+                                     max_nodes=300000)
         cyc = next(it, None)
         if cyc is None:
             continue  # sparse pool had no consistent cycle; not a round trip

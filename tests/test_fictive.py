@@ -4,6 +4,7 @@ import pytest
 
 from bipham.errors import InconsistentInput
 from bipham.fictive import (
+    ABRelabel,
     build_fictive,
     consistent_cycle_search,
     is_consistent,
@@ -93,7 +94,8 @@ def test_consistent_search_yields_consistent_cycles():
     fict = build_fictive(j, part)
     pool = Graph(10, [(a, b) for a in range(4) for b in range(4, 8)])
     found = 0
-    for cyc in consistent_cycle_search(pool, part, j, fict):
+    ab = ABRelabel(part)
+    for cyc in consistent_cycle_search(ab.edges(pool.edges), ab, fict):
         assert is_consistent(cyc, fict)
         full = substitute(cyc, j, fict, part)
         assert not check_cycle(10, full)

@@ -20,7 +20,11 @@ from bipham.partitioning import (
     verify_equipartition,
 )
 from bipham.regularity import check_regular_pair
-from bipham.schemes import oriented_scheme_violations, partition_structure_violations
+from bipham.schemes import (
+    oriented_scheme_violations,
+    partition_structure_violations,
+    scheme_violations,
+)
 
 from conftest import complete_graph
 
@@ -204,6 +208,51 @@ def test_orient_scheme_rejects_side_internal_edge():
         orient_scheme(bad, part, "1/2", "1/4", seed=0)
 
 
+def _ref_dichotomy_warnings(g, U, R, eps):
+    """Referee: the degree-dichotomy warnings recounted with ``Graph.d``,
+    one reference set at a time, compared as Fractions."""
+    bound = Fraction(eps) * g.n
+    du = [g.d(v, U) for v in U]
+    out = []
+    if du and not (min(du) >= bound or max(du) <= bound):
+        out.append(f"degree dichotomy fails on U: min {min(du)}, "
+                   f"max {max(du)}, eps*n={bound}")
+    for j, Rj in enumerate(R):
+        up = all(g.d(u, Rj) <= bound for u in U)
+        down = all(g.d(x, U) >= bound for x in Rj)
+        if not (up or down):
+            out.append(f"degree dichotomy fails for reference set {j}")
+    return out
+
+
+def test_equipartition_dichotomy_warnings_match_referee():
+    # hosts drawn from random.Random alone (no set or hash order), bipartite
+    # across two sides with a few internal edges and an exceptional vertex
+    # or two per side; eps*n an integer up to the cross degrees, so that it
+    # meets degrees
+    seen = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.choice([12, 16, 20])
+        order = rng.sample(range(n), n)
+        a = rng.randint(0, 2)
+        A0, A = order[:a], order[a:n // 2]
+        B0, B = order[n // 2:n // 2 + a], order[n // 2 + a:]
+        side = {v: v in A0 or v in A for v in range(n)}
+        p, q = rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.3)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < (q if side[u] == side[v] else p)])
+        eps = Fraction(rng.randint(0, n // 2), n)
+        U, R = (A, [A0, B0, B]) if rng.random() < 0.5 else (B, [B0, A0, A])
+        K = rng.choice([k for k in (1, 2, 3) if len(U) % k == 0])
+        parts, cert = random_equipartition(g, g, U, R, K, eps, 4, 4, seed=seed)
+        assert cert.warnings == _ref_dichotomy_warnings(g, U, R, eps), seed
+        seen.update(w.split(" fails ")[1].split()[0] for w in cert.warnings)
+        seen["none"] += not cert.warnings
+    # the dichotomy fails on U, fails for a reference set, and holds
+    assert set(seen) == {"on", "for", "none"}, seen
+
+
 def test_equipartition_success_rate_monitor(capsys):
     # observed success rate over 100 seeds, reported (not asserted): at this
     # scale the generous parameters should verify on the first try
@@ -328,6 +377,54 @@ def _random_scheme(rng):
     p = rng.uniform(0.7, 1.0)
     edges = [(u, v) for u in A0 + A for v in B0 + B if rng.random() < p]
     return Graph(n, edges), part
+
+
+def _ref_scheme_violations(g, part, eps0, eps):
+    """Referee: the undirected scheme check with the edges sorted in full
+    and every degree compared with its Fraction threshold."""
+    eps = Fraction(eps)
+    problems = partition_structure_violations(part, eps0, require_refinement=False)
+    A, B = frozenset(part.A), frozenset(part.B)
+    for u, v in sorted(g.edges):
+        if not ((u in A and v in B) or (u in B and v in A)):
+            problems.append(f"edge ({u},{v}) is not an AB-edge")
+            break
+    L = part.L or 1
+    threshold = (1 - eps) * Fraction(part.m, L)
+    for i in range(1, part.K + 1):
+        for h in range(1, L + 1):
+            sub_a, sub_b = part.subcluster_A(i, h), part.subcluster_B(i, h)
+            for v in part.B:
+                if g.d(v, sub_a) < threshold:
+                    problems.append(f"d({v}, A_({i},{h})) = {g.d(v, sub_a)} "
+                                    f"< (1-eps)m/L = {threshold}")
+            for w in part.A:
+                if g.d(w, sub_b) < threshold:
+                    problems.append(f"d({w}, B_({i},{h})) = {g.d(w, sub_b)} "
+                                    f"< (1-eps)m/L = {threshold}")
+    return problems
+
+
+def test_scheme_violations_match_referee():
+    # random schemes, some with edges inside a side; thresholds on the
+    # lattice of m/L and just off it
+    rng = random.Random(7)
+    kinds = Counter()
+    for case in range(60):
+        g, part = _random_scheme(rng)
+        if rng.random() < 0.4:
+            side = rng.choice([part.A0 + part.A, part.B0 + part.B])
+            u, v = rng.sample(side, 2)
+            g = Graph(g.n, list(g.edges) + [(u, v)])
+        L = part.L or 1
+        t = rng.randint(0, part.m // L)
+        eps = rng.choice([Fraction(t * L, part.m), Fraction(t * L, part.m)
+                          + Fraction(1, 997), Fraction(1, 4)])
+        got = scheme_violations(g, part, "1/8", eps)
+        assert got == _ref_scheme_violations(g, part, "1/8", eps), case
+        kinds.update(t[:2] for t in got)
+        kinds["none"] += not got
+    assert {"ed", "d(", "none"} <= set(kinds), kinds
 
 
 def test_orientation_layer_matches_referee():

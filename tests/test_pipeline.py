@@ -88,6 +88,35 @@ def test_nwbip_reports_pinned_on_exceptional_hosts(name, seed, constants, digest
     assert _digest(rep) == digest
 
 
+DENSE_INPUTS = EXCEPTIONAL_INPUTS.parent / "nwbip-dense"
+
+
+@pytest.mark.parametrize("name, seed, digest", [
+    ("K12-D10", 12,
+     "0a70a20f62101bd0d91b1cf37abb4c231c9aaa902b76d94c92debc004ca460ea"),
+    ("K14-D10", 14,
+     "7f5e774ca2c35e67c8aa5bae0077991b8322629cba36b6e4d31431dabf91ab87"),
+    ("K16-D10", 16,
+     "a2524af2e12e765a5315709d236421ea093a42e07944aca0cb7a1247ee78acbf"),
+    # past the compiled kernel's 64 items; the largest pool of the five
+    ("K34-D10", 34,
+     "293897ddcc1689f4b44aa02d3952774213acd8a654da396fc2538e8856918548"),
+    ("K12-D12", 12,
+     "6e9f70ec21ddd8a27b6cf91e27d2239cb6c624129b39bd67cb5a54b896f1ec8d"),
+])
+def test_nwbip_reports_pinned_on_dense_hosts(name, seed, digest):
+    # the frozen complete bipartite hosts of the benchmark, where A0 u B0
+    # ends up empty and the approximate decomposition searches on the
+    # vertex ids as they are; reports must stay byte-identical
+    doc = json.loads((DENSE_INPUTS / f"{name}.json").read_text())
+    host = Graph(doc["n"], doc["edges"])
+    sub = Graph(doc["n"], doc["sub_edges"])
+    rep = run_theorem_NWbip(host, sub, PipelineConstants(), seed=seed,
+                            hint_split=tuple(doc["split"]))
+    assert rep.ok()
+    assert _digest(rep) == digest
+
+
 @pytest.mark.parametrize("case", [
     "n32-D8-h1-x1-s1001", "n24-D8-h2-x0-s1008", "n24-D6-h1-x1-s1002", "K28-s1",
 ])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from bipham import search
+from bipham import search, solvers
 from bipham.balancer import peel_hamilton_cycles
 from bipham.errors import (
     PreconditionViolated,
@@ -177,6 +177,26 @@ def test_approx_decomposition_with_system():
     [cyc] = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
     assert set(j.edges) <= cycle_edges(cyc)
     assert not check_cycle(14, cyc)
+
+
+def test_approx_decomposition_computes_no_unenforced_gates(monkeypatch):
+    # the drivers pass enforce_gates=False: the gates would only be thrown
+    # away, so they are not computed
+    calls = []
+    gates = solvers.check_approx_preconditions
+
+    def record(*args):
+        calls.append(args)
+        return gates(*args)
+
+    monkeypatch.setattr(solvers, "check_approx_preconditions", record)
+    f, part, j = _one_system_instance()
+    [cyc] = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    assert not check_cycle(14, cyc)
+    assert calls == []
+    # enforced, they are computed once, and here they pass
+    assert approx_decomposition(f, part, [j], 0, 0, "1/2") == [cyc]
+    assert len(calls) == 1
 
 
 def test_approx_decomposition_counts_and_honours_nodes(monkeypatch):

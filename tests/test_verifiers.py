@@ -332,7 +332,10 @@ def _e_slack_scale(rng, n, counts, factors):
 
 # -- the differential checks --------------------------------------------------
 
-def _outcome_equipartition(seed):
+def _outcome_equipartition(seed, uncovered=False):
+    """With ``uncovered``, every part drops one or two of its vertices, so
+    that the parts leave some of U uncovered, and half the time the parts
+    also take the first reference set, which lies outside U."""
     rng, f, g, part = _instance(seed)
     graph = rng.choice([g, f])
     side = rng.choice("AB")
@@ -344,11 +347,21 @@ def _outcome_equipartition(seed):
     parts = [list(c) for c in (part.clusters_A if side == "A" else part.clusters_B)]
     if rng.random() < 0.1 and len(parts[0]) > 1:
         parts[-1] = parts[-1][:-1]  # unequal sizes: condition (i)
+    if uncovered:
+        drop = rng.randint(1, 2)
+        parts = [sorted(rng.sample(p, max(len(p) - drop, 0))) for p in parts]
+        if R[0] and rng.random() < 0.5:
+            for t, x in enumerate(R[0]):
+                parts[t % K].append(x)
+            R = R[1:]
     n = g.n
     eU = graph.e_within(U)
     eUR = [graph.e_between(U, Rj) if Rj else 0 for Rj in R]
-    eps1 = _bound(rng, n, 4 * K)
-    eps2 = _bound(rng, _e_slack_scale(rng, n, [eU] + eUR, [1, 2]), 3 * K * K)
+    # an uncovered vertex adds its degree to the deviations: wider bounds
+    spread = 4 if uncovered else 1
+    eps1 = _bound(rng, n, 4 * K * spread)
+    eps2 = _bound(rng, _e_slack_scale(rng, n, [eU] + eUR, [1, 2]),
+                  3 * K * K * spread)
     cert_ref, cert_new = Certificate(), Certificate()
     ref = ref_verify_equipartition(graph, f, U, R, parts, eps1, eps2, cert_ref)
     new = verify_equipartition(graph, f, U, R, parts, eps1, eps2, cert_new)
@@ -437,6 +450,7 @@ def _outcome_framework(seed):
 
 OUTCOMES = {
     "equipartition": _outcome_equipartition,
+    "equipartition-uncovered": lambda seed: _outcome_equipartition(seed, True),
     "cluster_partition": _outcome_cluster_partition,
     "slices": _outcome_slices,
     "framework": _outcome_framework,
