@@ -9,11 +9,11 @@
  * hk_next_cycle and hk_free are the whole interface.
  *
  * A search runs over a graph whose vertices are covered by items, free
- * vertices and prescribed paths.  hk_new_graph builds the items' port masks
- * from the allowed edges, as _ports in _pure.py does; hk_next enumerates
- * the item cycles the masks admit, and hk_next_cycle decodes each one into
- * a vertex cycle by _decode's orientation DP, dropping the candidates that
- * no orientation closes.
+ * vertices and prescribed paths, some directed.  hk_new_graph builds the
+ * items' port masks from the allowed edges, as _ports in _pure.py does;
+ * hk_next enumerates the item cycles the masks admit, each from item 0, and
+ * hk_next_cycle decodes each one into a vertex cycle by _decode's
+ * orientation DP, dropping the candidates that no orientation closes.
  *
  * A set of items is an array of w = ceil(n / 64) 64-bit words, bit x of
  * word x / 64 standing for item x, so any n >= 3 is supported.  The search
@@ -60,14 +60,13 @@ static int lowest(word x) /* x != 0 */
 }
 
 struct hk {
-    int n, w, start, break_mirror; /* n: the number of items */
-    const int *ranks; /* NULL: no waypoints */
+    int n, w, break_mirror; /* n: the number of items */
     unsigned char *dirv;
     word *pa, *pb, *umask;
     word *cands, *visited; /* cands: w words per depth */
-    int *path, *need_stack, *starving_stack;
+    int *path, *starving_stack;
     /* the search's registers between two calls */
-    int depth, need, starving, close_a, close_b, yielded;
+    int depth, starving, close_a, close_b, yielded;
     int64_t nodes;
     /* item i is the vertex sequence seq[off[i]] .. seq[off[i + 1] - 1];
      * adj holds the allowed graph's nv rows of wv words; icycle and dp are
@@ -96,15 +95,15 @@ static void join(struct hk *h, int i, int x, int j)
 /* A search for the Hamilton cycles of a graph on nv vertices through k >= 3
  * items, copying its inputs: m edges as 2 * m vertex ids, the items' vertex
  * sequences one after another in seq, with item i at seq[off[i]] ..
- * seq[off[i + 1] - 1], k directed flags and k waypoint ranks or NULL.  The
- * caller checks that every id lies in 0..nv-1, that no vertex is on two
- * items or twice on one, and that 0 <= start < k.  A port of an item offers
+ * seq[off[i + 1] - 1], and k directed flags.  The caller checks that every
+ * id lies in 0..nv-1 and that no vertex is on two items or twice on one.
+ * The search starts at item 0.  A port of an item offers
  * the items that an allowed edge joins end to end with the port's end, the
  * item itself left out; a path interior is no item's end.  NULL if out of
  * memory. */
 struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
                         const int *off, const unsigned char *dirv,
-                        const int *ranks, int start, int break_mirror)
+                        int break_mirror)
 {
     const int w = (k + 63) / 64, wv = (nv + 63) / 64, len = off[k];
     const size_t kw = (size_t)k * w;
@@ -113,10 +112,10 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
     int *owner, e, i, v, starved = NOBODY;
 
     /* one block: the word arrays pa, pb, umask, cands, visited and adj, the
-     * int arrays path, need_stack, starving_stack, seq, off, icycle, owner
-     * and ranks, the byte arrays dirv and dp */
+     * int arrays path, starving_stack, seq, off, icycle and owner, the byte
+     * arrays dirv and dp */
     h = calloc(1, sizeof *h + (4 * kw + w + (size_t)nv * wv) * sizeof(word) +
-                      (6 * (size_t)k + len + 1 + nv) * sizeof(int) +
+                      (4 * (size_t)k + len + 1 + nv) * sizeof(int) +
                       6 * (size_t)k);
     if (h == NULL)
         return NULL;
@@ -131,23 +130,16 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
     h->visited = h->cands + kw;
     h->adj = h->visited + w;
     h->path = (int *)(h->adj + (size_t)nv * wv);
-    h->need_stack = h->path + k;
-    h->starving_stack = h->need_stack + k;
+    h->starving_stack = h->path + k;
     h->seq = h->starving_stack + k;
     h->off = h->seq + len;
     h->icycle = h->off + k + 1;
     owner = h->icycle + k;
-    h->dirv = (unsigned char *)(owner + nv + k);
+    h->dirv = (unsigned char *)(owner + nv);
     h->dp = h->dirv + k;
     memcpy(h->seq, seq, (size_t)len * sizeof(int));
     memcpy(h->off, off, ((size_t)k + 1) * sizeof(int));
     memcpy(h->dirv, dirv, (size_t)k);
-    if (ranks != NULL) {
-        int *ranks_ = owner + nv;
-        memcpy(ranks_, ranks, (size_t)k * sizeof(int));
-        h->ranks = ranks_;
-    }
-    h->start = start;
     h->break_mirror = break_mirror;
 
     /* owner[x]: the item that x is an end of, or -1 */
@@ -171,18 +163,16 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
         int bits = 0;
         for (i = 0; i < w; i++)
             bits += popcount(umask[v * w + i] = pa[v * w + i] | pb[v * w + i]);
-        if (bits < 2 && v != start) /* never has two neighbours */
+        if (bits < 2 && v != 0) /* never has two neighbours */
             starved = starved == NOBODY ? v : MANY;
     }
 
-    FLIP(h->visited, start);
-    h->path[0] = start;
+    FLIP(h->visited, 0); /* path[0] = 0, as calloc left it */
     for (i = 0; i < w; i++)
-        h->cands[i] = (dirv[start] ? pb : umask)[start * w + i] & ~h->visited[i];
-    /* the closing step enters start by port A when start is directed;
+        h->cands[i] = (dirv[0] ? pb : umask)[i] & ~h->visited[i];
+    /* the closing step enters item 0 by port A when it is directed;
      * otherwise by the port the first step did not leave from */
-    h->close_a = dirv[start];
-    h->need = h->need_stack[0] = ranks != NULL && ranks[start] == 0;
+    h->close_a = dirv[0];
     h->starving = h->starving_stack[0] = starved;
     h->yielded = -1;
     return h;
@@ -194,7 +184,7 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
  * masks are symmetric these are the vertices of v's own union mask. */
 static int starve_after(const struct hk *h, int v)
 {
-    const int w = h->w, start = h->start;
+    const int w = h->w;
     const word *visited = h->visited;
     int found = NOBODY, i, j;
 
@@ -204,12 +194,9 @@ static int starve_after(const struct hk *h, int v)
             const int x = 64 * i + lowest(rem);
             const word *m = h->umask + (size_t)x * w;
             int bits = 0;
-            for (j = 0; j < w && bits < 2; j++) {
-                word avail = ~visited[j];
-                if (j == start >> 6)
-                    avail |= (word)1 << (start & 63);
-                bits += popcount(m[j] & avail);
-            }
+            /* available: the unvisited items and item 0 */
+            for (j = 0; j < w && bits < 2; j++)
+                bits += popcount(m[j] & (~visited[j] | (word)(j == 0)));
             if (bits < 2) {
                 if (found != NOBODY)
                     return MANY;
@@ -221,15 +208,15 @@ static int starve_after(const struct hk *h, int v)
 }
 
 /* Go on with the search under a cap of `cap` nodes in all.  Returns 1 with
- * the next item cycle's n item ids, from start, in `cycle`; 0 at the end of
+ * the next item cycle's n item ids, from item 0, in `cycle`; 0 at the end of
  * the search; -1 when the cap is spent. */
 static int hk_next(struct hk *h, int64_t cap, int *cycle)
 {
-    const int n = h->n, w = h->w, start = h->start;
-    const word *pa_s = h->pa + start * w, *pb_s = h->pb + start * w;
+    const int n = h->n, w = h->w;
+    const word *pa_s = h->pa, *pb_s = h->pb; /* item 0's ports */
     word *visited = h->visited;
     int *path = h->path;
-    int depth = h->depth, need = h->need, starving = h->starving;
+    int depth = h->depth, starving = h->starving;
     int64_t nodes = h->nodes;
     int status = 0, i;
 
@@ -240,7 +227,7 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
     for (;;) {
         word *cand = h->cands + (size_t)depth * w, *exits = cand + w;
         const word *a_v, *b_v;
-        int v, new_need, prev, from_a, from_b, child, any, k;
+        int v, prev, from_a, from_b, child, any, k;
 
         for (i = 0; i < w && cand[i] == 0; i++)
             ;
@@ -249,7 +236,6 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
                 break;
             FLIP(visited, path[depth]);
             depth--;
-            need = h->need_stack[depth];
             starving = h->starving_stack[depth];
             continue;
         }
@@ -262,13 +248,6 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
         }
         nodes++;
 
-        new_need = need;
-        if (h->ranks != NULL && h->ranks[v] >= 0) {
-            if (h->ranks[v] != need)
-                continue;
-            new_need = need + 1;
-        }
-
         /* the ports v can leave by, entered from prev: B when entered
          * through A, and A when entered through B unless v is directed */
         prev = path[depth];
@@ -276,14 +255,14 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
         b_v = h->pb + v * w;
         from_a = HAS(a_v, prev);
         from_b = !h->dirv[v] && HAS(b_v, prev);
-        if (depth == 0 && !h->dirv[start]) {
+        if (depth == 0 && !h->dirv[0]) {
             h->close_a = HAS(pb_s, v);
             h->close_b = HAS(pa_s, v);
         }
 
         FLIP(visited, v);
         if (depth + 2 == n) {
-            if (((from_a && HAS(b_v, start)) || (from_b && HAS(a_v, start))) &&
+            if (((from_a && HAS(b_v, 0)) || (from_b && HAS(a_v, 0))) &&
                 ((h->close_a && HAS(pa_s, v)) || (h->close_b && HAS(pb_s, v))) &&
                 !(h->break_mirror && path[1] > v)) {
                 memcpy(cycle, path, (size_t)(depth + 1) * sizeof(int));
@@ -311,7 +290,6 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
         if (child != MANY) {
             depth++;
             path[depth] = v;
-            need = h->need_stack[depth] = new_need;
             starving = h->starving_stack[depth] = child;
             continue;
         }
@@ -327,7 +305,6 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
         FLIP(visited, v);
     }
     h->depth = depth;
-    h->need = need;
     h->starving = starving;
     h->nodes = nodes;
     return status;

@@ -11,7 +11,6 @@ reduced by twice the cycle count.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
@@ -34,8 +33,7 @@ from .generators import near_bipartition
 from .graphs import Graph, LabelledPartition, PathSystem
 from .matchings import _augment, vizing_balanced
 from .schemes import rational_ceil
-from .search import CycleSearch, Prescribed
-from .solvers import SolverBudget, peel_cycles
+from .solvers import SolverBudget, peel_through_systems
 from .validate import (
     check_a0b0_path_system,
     check_cycle_in_graph,
@@ -216,13 +214,13 @@ def peel_hamilton_cycles(
 ) -> list[list[int]]:
     """Extend each 2-balanced exceptional-cover path system in turn into a
     Hamilton cycle of the host ``f`` whose remaining edges all join the two
-    inner classes, the cycles edge-disjoint: one peel of ``len(systems)``
-    levels under one node budget.
+    inner classes, the cycles edge-disjoint: one ``peel_through_systems``
+    over the cross edges of ``f`` outside the systems, under one node
+    budget.
 
-    Level i looks for a cycle through system i on the cross edges of ``f``
-    that no earlier level took, under item orders 0, 1, 2, ... (seeds
-    ``budget.seed + order``) capped on the engine's schedule.  A level
-    exhausted within its cap backtracks; a spent budget raises
+    Level i looks for a cycle through system i, order k under seed
+    ``level_seed(budget.seed, i, k)``, capped on the engine's schedule.  A
+    level exhausted within its cap backtracks; a spent budget raises
     ``Timeout``.  Every cycle is checked to lie in its level's graph and to
     meet ``g`` in a 2-balanced graph.
     """
@@ -233,18 +231,9 @@ def peel_hamilton_cycles(
             raise PreconditionViolated(
                 f"{q.num_nontrivial()} nontrivial paths exceed the cap {max_paths}"
             )
-    prescribed = [[Prescribed(p) for p in q.paths] for q in systems]
-
-    def search(i, pool, order, cap):
-        q = systems[i]
-        found = CycleSearch(Graph._trusted(f.n, pool), prescribed[i],
-                            max_nodes=cap, seed=budget.seed + order)
-        return ((c, cycle_edges(c) - q.edges) for c in found.cycles()), found.stats
-
     # the systems' own edges are reserved for their levels
     pool = f.edges_between(part.A, part.B).difference(*(q.edges for q in systems))
-    peel = peel_cycles(search, pool, len(systems), budget.max_nodes,
-                       deadline=time.monotonic() + budget.max_seconds)
+    peel = peel_through_systems(f.n, pool, systems, budget)
     if peel.cycles is None:
         raise SolverFailure(
             "no edge-disjoint Hamilton cycles through the path systems using "

@@ -103,10 +103,9 @@ def _dispatch(args) -> int:
         eps = _rational("--eps", args.eps)
         eps_prime = _rational("--eps-prime", args.eps_prime)
         graph, part = _load(args.graph)
+        if part is None:
+            raise InputFileError(f"no partition in {args.graph}")
         if args.level == "framework":
-            if part is None:
-                print("no partition in file")
-                return 2
             D = args.D if args.D is not None else _common_degree(graph)
             res = validate_framework(graph, part, D, eps, eps_prime, args.K)
             if isinstance(res, Framework):

@@ -9,6 +9,11 @@ edges.  A Hamilton cycle of G[A u B] + J* that contains all fictive edges
 and visits their endpoints in the canonical interleaved order pulls back,
 by deleting J* and inserting J, to a Hamilton cycle of G u J on the full
 vertex set including the exceptional vertices.
+
+Here fictive edges serve only the construction of balanced exceptional
+path systems (``beps``), which threads a path through J* in that order and
+pulls it back with ``substitute``.  The Hamilton searches through a system
+prescribe its own paths instead (``solvers.peel_through_systems``).
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadParams, InconsistentInput
-from .graphs import Graph, LabelledPartition, PathSystem, norm_edge
-from .search import CycleSearch, Prescribed
+from .graphs import LabelledPartition, PathSystem, norm_edge
 
 
 @dataclass(frozen=True)
@@ -230,68 +234,3 @@ def substitute(
     if len(out) != len(adj):
         raise InconsistentInput("substitution produced a disconnected path")
     return out
-
-
-class ABRelabel:
-    """The vertices of A u B as compact ids 0..|A u B| - 1, in increasing
-    order of vertex id: the vertex set of ``consistent_cycle_search``.
-    Built once per decomposition, so that its pool is relabelled once, not
-    once per search.  When A0 u B0 is empty, A u B is all of 0..n-1, the
-    map is the identity and nothing is rebuilt."""
-
-    __slots__ = ("n", "_ids", "_comp")
-
-    def __init__(self, part: LabelledPartition):
-        self.n = len(part.A) + len(part.B)
-        if self.n == part.n:
-            self._ids = self._comp = None
-        else:
-            self._ids = tuple(sorted(part.A + part.B))
-            self._comp = {v: i for i, v in enumerate(self._ids)}
-
-    def edges(self, edges) -> frozenset:
-        """The normalised edges with both ends in A u B, in compact ids;
-        the map is increasing, so they stay normalised."""
-        comp = self._comp
-        if comp is None:
-            return frozenset(edges)
-        return frozenset([(comp[u], comp[v]) for u, v in edges
-                          if u in comp and v in comp])
-
-    def compact(self, v: int) -> int:
-        return v if self._comp is None else self._comp[v]
-
-    def original(self, seq: list[int]) -> list[int]:
-        ids = self._ids
-        return seq if ids is None else [ids[v] for v in seq]
-
-
-def consistent_cycle_search(
-    pool: frozenset,
-    ab: ABRelabel,
-    fict: FictiveMatching,
-    max_nodes: int | None = None,
-    seed: int = 0,
-) -> "ConsistentCycles":
-    """Enumerate Hamilton cycles of pool + J* consistent with J*, where
-    ``pool`` is an edge set on A u B in the compact ids of ``ab`` (see
-    ``ABRelabel.edges``).
-
-    The fictive edges are prescribed as directed, rank-ordered length-one
-    paths, so every cycle the kernel reports is consistent by construction.
-    Iterates cycles as vertex sequences over the original vertex ids; its
-    ``stats`` are the search's (nodes, budget), for node budgets.
-    """
-    prescribed = [
-        Prescribed((ab.compact(e.x), ab.compact(e.y)), directed=True, rank=i)
-        for i, e in enumerate(fict.edges)
-    ]
-    search = CycleSearch(Graph._trusted(ab.n, pool), prescribed,
-                         max_nodes=max_nodes, seed=seed)
-    found = ConsistentCycles(ab.original, search.cycles())
-    found.stats = search.stats
-    return found
-
-
-class ConsistentCycles(map):
-    """The relabelled cycles of one search, carrying its ``stats``."""

@@ -2,11 +2,12 @@
 a graph through prescribed paths, over port-constrained items.
 
 A search instance is a graph, its allowed edges, and the items that cover
-its vertices: free vertices and prescribed paths, some directed, some
-ranked.  The kernel builds each item's two port masks from the allowed
-edges, enumerates the item cycles the masks admit, and re-checks each one
-by an orientation DP over the graph's adjacency, yielding only the vertex
-cycles it decodes (``_pure`` documents the masks and the DP).
+its vertices: free vertices and prescribed paths, some directed.  The
+kernel builds each item's two port masks from the allowed edges,
+enumerates the item cycles the masks admit, each from the first item, and
+re-checks each one by an orientation DP over the graph's adjacency,
+yielding only the vertex cycles it decodes (``_pure`` documents the masks
+and the DP).
 
 One search has two kernels.  The C kernel, ``csrc/hamkernel.c`` in the
 source tree, is compiled on the first import with the system C compiler
@@ -97,7 +98,7 @@ def _c_kernel(dll):
     """The graph enumerator class over the C kernel loaded as ``dll``."""
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
     dll.hk_new_graph.argtypes = [c_int, c_int, ptr, c_int, ptr, ptr,
-                                 ctypes.c_char_p, ptr, c_int, c_int]
+                                 ctypes.c_char_p, c_int]
     dll.hk_new_graph.restype = ptr
     dll.hk_next_cycle.argtypes = [ptr, ctypes.c_int64, ptr, ptr]
     dll.hk_next_cycle.restype = c_int
@@ -113,9 +114,9 @@ def _c_kernel(dll):
         _free = dll.hk_free
         _state = None
 
-        def __init__(self, n, edges, items, directed, start=0,
-                     waypoint_ranks=None, max_nodes=None, break_mirror=False):
-            seq = check_graph(n, edges, items, directed, start, waypoint_ranks)
+        def __init__(self, n, edges, items, directed, max_nodes=None,
+                     break_mirror=False):
+            seq = check_graph(n, edges, items, directed)
             self.nodes = self.candidates = self.rejected = 0
             self.budget_exceeded = False
             self._cap = max_nodes
@@ -124,7 +125,6 @@ def _c_kernel(dll):
                 return
             edges = array("i", edges)
             offsets = array("i", accumulate(map(len, items), initial=0))
-            ranks = None if waypoint_ranks is None else array("i", waypoint_ranks)
             self._counts = array("q", bytes(24))
             self._counts_at = self._counts.buffer_info()[0]
             self._cycle = array("i", [0]) * len(seq)
@@ -137,8 +137,6 @@ def _c_kernel(dll):
                 seq.buffer_info()[0],
                 offsets.buffer_info()[0],
                 bytes(map(bool, directed)),
-                None if ranks is None else ranks.buffer_info()[0],
-                start,
                 bool(break_mirror),
             )
             if state is None:
@@ -180,27 +178,10 @@ def _c_kernel(dll):
 GraphEnum, KERNEL = _load()
 
 
-def cycle_enumerator(
-    n,
-    edges,
-    items,
-    directed,
-    start=0,
-    waypoint_ranks=None,
-    max_nodes=None,
-    break_mirror=False,
-):
+def cycle_enumerator(n, edges, items, directed, max_nodes=None,
+                     break_mirror=False):
     """The Hamilton cycles of a graph on vertices 0..n-1 with allowed
     ``edges`` (2m vertex ids, a flat ``array("i")`` or list) through
     ``items`` (vertex sequences), on the kernel that runs; see
     ``PureGraphEnum``."""
-    return GraphEnum(
-        n,
-        edges,
-        items,
-        directed,
-        start,
-        waypoint_ranks,
-        max_nodes,
-        break_mirror,
-    )
+    return GraphEnum(n, edges, items, directed, max_nodes, break_mirror)

@@ -14,8 +14,7 @@ masks equal to their adjacency mask.  A vertex produced by contracting a
 prescribed path has port masks equal to the allowed neighborhoods of the two
 path ends.  A "directed" vertex must be entered through port A and left
 through port B (used to force a traversal direction through contracted
-edges).  Optional waypoint ranks force a set of vertices to appear in a
-fixed cyclic order.
+edges).
 
 Masks are Python ints, so any vertex count is supported.
 
@@ -52,38 +51,27 @@ from array import array
 from itertools import chain
 
 
-def check_instance(port_a, port_b, directed, start, waypoint_ranks) -> int:
+def check_instance(port_a, port_b, directed, start) -> int:
     """The vertex count of a search instance; ``ValueError`` if its lists
-    differ in length, a port mask has a bit at or past the vertex count,
-    ``start`` is out of range or is not the rank-0 waypoint."""
+    differ in length, a port mask has a bit at or past the vertex count or
+    ``start`` is out of range."""
     n = len(port_a)
     if len(port_b) != n:
         raise ValueError("the port masks differ in length")
     if any(m >> n for m in port_a) or any(m >> n for m in port_b):
         raise ValueError(f"a port mask has a bit at or past vertex count {n}")
-    _check_order(n, directed, start, waypoint_ranks)
+    if len(directed) != n:
+        raise ValueError(f"directed flags not one per item of {n}")
+    if n >= 3 and not 0 <= start < n:
+        raise ValueError(f"start vertex {start} out of range")
     return n
 
 
-def _check_order(n, directed, start, waypoint_ranks):
-    """The checks on the flags, ranks and ``start`` of ``n`` search items
-    that port and graph instances share."""
-    if len(directed) != n or (
-        waypoint_ranks is not None and len(waypoint_ranks) != n
-    ):
-        raise ValueError(f"directed flags or ranks not one per item of {n}")
-    if n >= 3 and not 0 <= start < n:
-        raise ValueError(f"start vertex {start} out of range")
-    if waypoint_ranks is not None and waypoint_ranks[start] not in (0, -1):
-        raise ValueError("start vertex must be the rank-0 waypoint")
-
-
-def check_graph(n, edges, items, directed, start, waypoint_ranks) -> array:
+def check_graph(n, edges, items, directed) -> array:
     """The items' vertices, one item after another, of a graph search
     instance; ``ValueError`` if an edge or an item has a vertex outside
     0..n-1, an item is empty, a vertex lies on two items (or twice on one),
-    or the flags, ranks and ``start`` do not fit the items as
-    ``check_instance`` requires of a port instance.  ``edges`` holds the
+    or there is not one directed flag per item.  ``edges`` holds the
     allowed edges as 2m vertex ids, edge i being ``edges[2i], edges[2i+1]``."""
     if len(edges) % 2:
         raise ValueError("the edge list holds an odd number of vertex ids")
@@ -96,7 +84,8 @@ def check_graph(n, edges, items, directed, start, waypoint_ranks) -> array:
         raise ValueError(f"an item has a vertex outside 0..{n - 1}")
     if len(set(seq)) != len(seq):
         raise ValueError("a vertex lies on two items or twice on one")
-    _check_order(len(items), directed, start, waypoint_ranks)
+    if len(directed) != len(items):
+        raise ValueError(f"directed flags not one per item of {len(items)}")
     return seq
 
 
@@ -210,11 +199,10 @@ class CycleEnum:
         port_b: list[int],
         directed: list[bool],
         start: int = 0,
-        waypoint_ranks: list[int] | None = None,
         max_nodes: int | None = None,
         break_mirror: bool = False,
     ):
-        check_instance(port_a, port_b, directed, start, waypoint_ranks)
+        check_instance(port_a, port_b, directed, start)
         self.nodes = 0
         self.budget_exceeded = False
         self._cap = [max_nodes]
@@ -225,7 +213,6 @@ class CycleEnum:
             list(port_b),
             list(directed),
             start,
-            None if waypoint_ranks is None else list(waypoint_ranks),
             self._cap,
             break_mirror,
         )
@@ -253,23 +240,23 @@ class GraphEnum:
     0..n-1 that run through ``items``, each a vertex sequence: a free
     vertex, or a prescribed path the cycle must traverse, in its given
     order when its ``directed`` flag is set.  ``edges`` holds the allowed
-    edges as 2m vertex ids; ``start``, ``waypoint_ranks``, ``max_nodes``
-    and ``break_mirror`` are ``CycleEnum``'s, over item indices.
+    edges as 2m vertex ids; ``max_nodes`` and ``break_mirror`` are
+    ``CycleEnum``'s, over item indices, whose search starts at item 0.
 
     Yields each cycle as a list of vertex ids.  ``nodes``,
     ``budget_exceeded``, ``candidates`` (item cycles the search found) and
     ``rejected`` (those no orientation closes) are current after every
     ``next()``.  Fewer than three items give no cycle."""
 
-    def __init__(self, n, edges, items, directed, start=0,
-                 waypoint_ranks=None, max_nodes=None, break_mirror=False):
-        check_graph(n, edges, items, directed, start, waypoint_ranks)
+    def __init__(self, n, edges, items, directed, max_nodes=None,
+                 break_mirror=False):
+        check_graph(n, edges, items, directed)
         self.candidates = self.rejected = 0
         self._items = [tuple(v) for v in items]
         port_a, port_b, self._adj = _ports(n, edges, self._items)
         self._states = _states(self._items, directed)
-        self._enum = CycleEnum(port_a, port_b, directed, start,
-                               waypoint_ranks, max_nodes, break_mirror)
+        self._enum = CycleEnum(port_a, port_b, directed, 0, max_nodes,
+                               break_mirror)
 
     @property
     def nodes(self) -> int:
@@ -297,7 +284,7 @@ class GraphEnum:
         raise StopIteration
 
 
-def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
+def _search(pa, pb, dirv, start, cap, break_mirror):
     """The depth-first search, on local variables.  Yields ``(cycle,
     nodes)`` and returns ``(nodes, budget_exceeded)``.  ``cap[0]`` is the
     node cap, read at the start and after every yield."""
@@ -321,11 +308,10 @@ def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
             m ^= b
             rev[b.bit_length() - 1] |= wb
 
-    # per depth: current vertex, untried candidates, next waypoint
-    # rank, and the vertices that a step out of the node would starve
+    # per depth: current vertex, untried candidates, and the vertices that
+    # a step out of the node would starve
     path = [start] * n
     cands = [0] * n
-    need_stack = [0] * n
     starving_stack = [0] * n
     visited = start_bit
     if dirv[start]:
@@ -334,8 +320,6 @@ def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
     else:
         cands[0] = umask[start] & ~visited
         close_mask = 0  # determined once the first step is chosen
-    need = 1 if (ranks is not None and ranks[start] == 0) else 0
-    need_stack[0] = need
     starving = starving_stack[0] = starved & ~start_bit
     depth = 0
     nodes = 0
@@ -347,7 +331,6 @@ def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
                 break
             visited ^= 1 << path[depth]
             depth -= 1
-            need = need_stack[depth]
             starving = starving_stack[depth]
             continue
         b = cand & -cand
@@ -357,14 +340,6 @@ def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
         if has_budget and nodes >= max_nodes:
             return nodes, True
         nodes += 1
-
-        new_need = need
-        if ranks is not None:
-            r = ranks[v]
-            if r >= 0:
-                if r != need:
-                    continue
-                new_need = need + 1
 
         # the ports v can leave by, entered from prev
         prev = path[depth]
@@ -411,7 +386,6 @@ def _search(pa, pb, dirv, start, ranks, cap, break_mirror):
             depth += 1
             path[depth] = v
             cands[depth] = exits
-            need = need_stack[depth] = new_need
             starving = starving_stack[depth] = child_starving
             continue
         # two vertices starve: every child of v fails the prune

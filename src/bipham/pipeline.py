@@ -17,7 +17,6 @@ checked hard.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -41,8 +40,7 @@ from .graphs import Graph, LabelledPartition, PathSystem
 from .partitioning import framework_partition, localized_slices, orient_scheme
 from .report import DecompositionReport, Stage
 from .schemes import scheme_violations
-from .search import CycleSearch
-from .solvers import SolverBudget, approx_decomposition, level_seed, peel_cycles
+from .solvers import SolverBudget, approx_decomposition, peel_through_systems
 from .validate import (
     check_cycle_in_graph,
     check_decomposition,
@@ -463,18 +461,12 @@ def run_theorem_1factbip(
         if 2 * D > g.n:
             # peel the fewest Hamilton cycles that bring the degree to at
             # most half the order (substitution: a direct search does the
-            # removal), in one peel under the run's node budget; each
-            # (level, order) searches under its own item order, level 0,
-            # order 0 unshuffled
-            def search(i, pool, order, cap):
-                found = CycleSearch(Graph._trusted(g.n, pool), max_nodes=cap,
-                                    seed=level_seed(0, i, order))
-                return ((c, cycle_edges(c)) for c in found.cycles()), found.stats
-
-            # k cycles leave degree D - 2k: the least k with 2(D-2k) <= n
-            peel = peel_cycles(search, g.edges, (2 * D - g.n + 3) // 4,
-                               c.max_nodes,
-                               deadline=time.monotonic() + c.max_seconds)
+            # removal), in one peel through empty systems under the run's
+            # node budget, level 0, order 0 unshuffled.  k cycles leave
+            # degree D - 2k: the least k with 2(D-2k) <= n
+            k = (2 * D - g.n + 3) // 4
+            peel = peel_through_systems(g.n, g.edges, [PathSystem(g.n, [])] * k,
+                                        c.budget(0))
             if peel.cycles is None:
                 raise PreconditionViolated(
                     "cannot reduce the degree below half the order"

@@ -23,9 +23,8 @@ candidates in ascending order, so an unbudgeted search yields the same
 cycles, in the same order, as masks that also offered interiors would, in
 no more nodes.
 
-Prescribed paths may be directed (must be traversed in the given vertex
-order) and carry ranks forcing a cyclic visit order, which is how
-"traverse these edges in this sequence" constraints are expressed.
+A prescribed path may be directed: the cycle must then traverse it in the
+given vertex order.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class Prescribed:
 
     vertices: tuple[int, ...]
     directed: bool = False
-    rank: int = -1
 
 
 @dataclass
@@ -90,22 +88,16 @@ class CycleSearch:
                 if v in seen:
                     raise ValueError(f"vertex {v} on two prescribed paths")
                 seen.add(v)
-        ranks = sorted(p.rank for p in self.prescribed if p.rank >= 0)
-        if ranks != list(range(len(ranks))):
-            raise ValueError(
-                f"prescribed path ranks {ranks} must be 0..{len(ranks) - 1},"
-                " each used once"
-            )
 
     # -- item construction -------------------------------------------------
     def _items(self):
         on_path = {v for p in self.prescribed for v in p.vertices}
         items = []
         for p in self.prescribed:
-            items.append(("path", p.vertices, p.directed, p.rank))
+            items.append(("path", p.vertices, p.directed))
         for v in range(self.n):
             if v not in on_path:
-                items.append(("free", (v,), False, -1))
+                items.append(("free", (v,), False))
         if self.seed:
             rng = random.Random(self.seed)
             rng.shuffle(items)
@@ -121,18 +113,14 @@ class CycleSearch:
             return
 
         directed = [it[2] for it in items]
-        ranks = [it[3] for it in items]
-        has_ranks = any(r >= 0 for r in ranks)
         stats = self.stats
         enum = cycle_enumerator(
             self.n,
             array("i", chain.from_iterable(self.allowed.edges)),
             [it[1] for it in items],
             directed,
-            start=ranks.index(0) if has_ranks else 0,
-            waypoint_ranks=ranks if has_ranks else None,
             max_nodes=stats.max_nodes,
-            break_mirror=not has_ranks and not any(directed),
+            break_mirror=not any(directed),
         )
         for cycle in enum:
             stats.nodes, stats.candidates, stats.rejected = (
@@ -153,11 +141,11 @@ class CycleSearch:
         length of three items does not apply."""
         has = self.allowed.has_edge
         if len(items) == 1:
-            kind, verts, dirflag, _ = items[0]
+            kind, verts, dirflag = items[0]
             if kind == "path" and len(verts) >= 3 and has(verts[0], verts[-1]):
                 yield list(verts)
             return
-        (k1, v1, d1, _), (k2, v2, d2, _) = items
+        (k1, v1, d1), (k2, v2, d2) = items
         # need two distinct allowed edges joining opposite ends
         ends1 = (v1[0], v1[-1])
         ends2 = (v2[0], v2[-1])

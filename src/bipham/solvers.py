@@ -14,10 +14,12 @@ them is meaningful evidence.
 Every backtracking peel runs on one engine, ``peel_cycles``, which counts
 every kernel node against one node budget: fixed input, seed and budget give
 the same outcome on any machine.  Its users are the referee and the
-one-factorization here, the approximate decomposition, the Hamilton cycles
-through exceptional-cover path systems in ``balancer`` (for the cut
-elimination and the global cover in ``bes``) and the degree reduction of
-the 1-factorization driver in ``pipeline``.
+one-factorization here, and ``peel_through_systems``, the one Hamilton
+level search through path systems, which every pipeline peel runs: the
+approximate decomposition, the Hamilton cycles through exceptional-cover
+path systems in ``balancer`` (for the cut elimination and the global cover
+in ``bes``) and the degree reduction of ``pipeline.run_theorem_1factbip``,
+through empty systems.
 
 A peel whose search space is exhausted returns ``cycles`` None: the
 referee reports such a graph as having no decomposition, and the
@@ -45,9 +47,9 @@ from .errors import (
     Timeout,
     WallClockExceeded,
 )
-from .fictive import ABRelabel, build_fictive, consistent_cycle_search, substitute
 from .generators import degree_factor
 from .graphs import Graph, LabelledPartition, PathSystem
+from .search import CycleSearch, Prescribed
 from .validate import cycle_edges
 
 
@@ -182,12 +184,33 @@ def level_seed(seed: int, level: int, order: int) -> int:
     orders within the default 20 M nodes.  Integer arithmetic only, so the
     orders do not depend on the platform or on hash randomisation.
 
-    Peels whose levels all search one kind of graph (the approximate
-    decomposition, the degree reduction) use it: under one order at every
-    level, each level peels a cycle much like the one before, and what is
-    left can be barren (NW-bip on K(12,12), D = 12, at level 5).
+    Every peel through path systems (``peel_through_systems``) uses it:
+    under one order at every level, each level peels a cycle much like the
+    one before, and what is left can be barren (NW-bip on K(12,12), D = 12,
+    at level 5).
     """
     return seed + 1009 * level + order
+
+
+def peel_through_systems(n: int, pool: frozenset, systems: Sequence[PathSystem],
+                         budget: SolverBudget) -> Peel:
+    """Peel one Hamilton cycle on 0..n-1 through each path system, the
+    cycles edge-disjoint: one ``peel_cycles`` of ``len(systems)`` levels
+    under ``budget``.  Level i searches, on what is left of ``pool``, for a
+    cycle through the paths of ``systems[i]``, undirected, and takes its
+    edges outside that system; order k of level i searches under seed
+    ``level_seed(budget.seed, i, k)``.  ``pool`` must hold none of the
+    systems' edges, which are reserved for their own levels."""
+    paths = [[Prescribed(p) for p in q.paths] for q in systems]
+
+    def search(i, sub, order, cap):
+        found = CycleSearch(Graph._trusted(n, sub), paths[i], max_nodes=cap,
+                            seed=level_seed(budget.seed, i, order))
+        own = systems[i].edges
+        return ((c, cycle_edges(c) - own) for c in found.cycles()), found.stats
+
+    return peel_cycles(search, pool, len(systems), budget.max_nodes,
+                       deadline=time.monotonic() + budget.max_seconds)
 
 
 # -- independent plain enumerator (referee) ----------------------------------
@@ -399,17 +422,13 @@ def approx_decomposition(
     enforce_gates: bool = True,
 ) -> list[list[int]]:
     """len(family) edge-disjoint Hamilton cycles of ``g``, the i-th
-    containing the i-th balanced exceptional system.
+    containing the i-th balanced exceptional system and otherwise only
+    edges of g[A, B].
 
-    Works through the fictive-edge reduction: each system J is replaced by
-    its matching J*, a cycle of g[A u B] + J* consistent with J* is found
-    (greedily, with backtracking across systems), and the fictive edges are
-    substituted back.  Cycle edges other than J's come from g[A, B].
-
-    One peel of ``len(family)`` levels under one node budget, on the
-    engine's cap schedule; spending ``budget.max_nodes`` raises
-    ``Timeout``.  Order k of level i searches under its own item order, seed
-    ``level_seed(budget.seed, i, k)``.  When the whole search space is
+    One ``peel_through_systems`` over the A-B edges of ``g`` outside the
+    systems: level i prescribes the paths of system i itself, as the robust
+    closure's 2-factors hold their path systems as fixed edges.  Spending
+    ``budget.max_nodes`` raises ``Timeout``.  When the whole search space is
     exhausted without a decomposition, ``PreconditionViolated`` names the
     deepest system index reached.
 
@@ -421,24 +440,8 @@ def approx_decomposition(
         problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
         if problems:
             raise PreconditionViolated("; ".join(problems))
-    ficts = [build_fictive(j, part) for j in family]
-    ab = ABRelabel(part)
-
-    def search(i, pool, order, cap):
-        j, fict = family[i], ficts[i]
-        found = consistent_cycle_search(
-            pool, ab, fict, max_nodes=cap,
-            seed=level_seed(budget.seed, i, order))
-        cycles = (substitute(c, j, fict, part) for c in found)
-        return ((c, ab.edges(cycle_edges(c) - j.edges)) for c in cycles), found.stats
-
-    # the peel runs on A u B relabelled once; the edges of the systems
-    # themselves are reserved per system
-    peel = peel_cycles(
-        search, ab.edges(g.edges_between(part.A_prime(), part.B_prime())),
-        len(family), budget.max_nodes,
-        deadline=time.monotonic() + budget.max_seconds,
-    )
+    pool = g.edges_between(part.A, part.B).difference(*(j.edges for j in family))
+    peel = peel_through_systems(g.n, pool, family, budget)
     if peel.cycles is None:
         raise PreconditionViolated(
             f"approximate decomposition stuck at index {peel.deepest}"

@@ -3,14 +3,8 @@
 import pytest
 
 from bipham.errors import InconsistentInput
-from bipham.fictive import (
-    ABRelabel,
-    build_fictive,
-    consistent_cycle_search,
-    is_consistent,
-    substitute,
-)
-from bipham.graphs import Graph, LabelledPartition, PathSystem
+from bipham.fictive import build_fictive, is_consistent, substitute
+from bipham.graphs import LabelledPartition, PathSystem
 from bipham.validate import check_cycle, cycle_edges
 
 
@@ -86,20 +80,3 @@ def test_substitute_round_trip():
     assert (0, 3) not in es and (1, 4) not in es
     with pytest.raises(InconsistentInput):
         substitute([0, 3, 2, 4, 1, 5], j, fict, part)
-
-
-def test_consistent_search_yields_consistent_cycles():
-    part = LabelledPartition(10, [8], [0, 1, 2, 3], [9], [4, 5, 6, 7])
-    j = PathSystem(10, [(8, 0), (8, 1), (9, 4), (9, 5)])
-    fict = build_fictive(j, part)
-    pool = Graph(10, [(a, b) for a in range(4) for b in range(4, 8)])
-    found = 0
-    ab = ABRelabel(part)
-    for cyc in consistent_cycle_search(ab.edges(pool.edges), ab, fict):
-        assert is_consistent(cyc, fict)
-        full = substitute(cyc, j, fict, part)
-        assert not check_cycle(10, full)
-        found += 1
-        if found >= 5:
-            break
-    assert found == 5

@@ -1,7 +1,7 @@
 """Kernel behavior: exactness against a permutation brute force and a
 full-scan reference search, pinned runs, the C kernel against the pure one
 (also under the address and undefined-behaviour sanitizers), the C kernel's
-build and its fallback, prescribed paths and visit-order constraints."""
+build and its fallback, and prescribed paths."""
 
 import gc
 import hashlib
@@ -97,13 +97,6 @@ def _pinned_instances():
     out["directed-free-start"] = dict(
         port_a=pa, port_b=pb, directed=[False, True, True] + [False] * 7, start=5
     )
-    pa, pb = _ports(5, 11, 0.8, ported=3)
-    out["waypoints"] = dict(
-        port_a=pa,
-        port_b=pb,
-        directed=[True] * 3 + [False] * 8,
-        waypoint_ranks=[0, 1, 2] + [-1] * 8,
-    )
     pa, pb = _ports(6, 16, 0.8, ported=2, one_way=4)
     out["budget-trip"] = dict(
         port_a=pa, port_b=pb, directed=[False] * 16, max_nodes=3000,
@@ -126,7 +119,6 @@ PINNED = {
     "ported-one-way": (49421, False, "bbb9810808010889181731e7afc7d0174734448a8c317f8c66271e981ad1c898"),
     "directed-start": (6190, False, "adf97c53eaf7c21b0b6d03134dec501d1bc29482aba724621c949999573afacf"),
     "directed-free-start": (15762, False, "edd03ffed4cc4f1a16c8e1c3178b56022a14926ae85916fec59dcfbe0a5f8955"),
-    "waypoints": (91967, False, "be434c736a8d75bade41e06ac2b88eb032fb770bf847f806bd60eb3c7c5eca45"),
     "budget-trip": (3000, True, "aa2669338e26727687ec661a4ebb3ca1153e48482cad1666ecd08a3eb8cc5683"),
     "single-bit": (8, False, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "large-72": (20000, True, "1b400e1786ffc92dec64fe049fb4454718f53e767e84dcdcdfea73bfe3a85572"),
@@ -206,7 +198,7 @@ WORD_BOUNDARIES = (63, 64, 65, 127, 128, 129)
 def _graph_instance(seed, items=None):
     """A seeded random graph search as ``GraphEnum`` keyword arguments:
     about a third of the vertices on prescribed paths of 2 to 5 vertices
-    that are undirected, directed or directed and ranked, items in a
+    that are all undirected, some directed or all directed, items in a
     shuffled order, and a cap from 0 up.  Without ``items``, seeds 0, 1 and
     2 mod 3 give 5 to 14, 15 to 40 and 60 to 90 vertices; with it, the
     search has exactly ``items`` items."""
@@ -227,25 +219,21 @@ def _graph_instance(seed, items=None):
     at = sum(sizes)
     paths = [tuple(order[end - size:end])
              for size, end in zip(sizes, itertools.accumulate(sizes))]
-    kind = rng.choice(("undirected", "mixed", "ranked"))
+    kind = rng.choice(("undirected", "mixed", "directed"))
     items = [
-        (verts, kind == "ranked" or (kind == "mixed" and rng.random() < 0.5),
-         rank if kind == "ranked" else -1)
-        for rank, verts in enumerate(paths)
-    ] + [((v,), False, -1) for v in order[at:]]
+        (verts, kind == "directed" or (kind == "mixed" and rng.random() < 0.5))
+        for verts in paths
+    ] + [((v,), False) for v in order[at:]]
     rng.shuffle(items)
-    ranks = [it[2] for it in items]
     directed = [it[1] for it in items]
     return dict(
         n=n,
         edges=edges,
         items=[it[0] for it in items],
         directed=directed,
-        start=ranks.index(0) if kind == "ranked" else 0,
-        waypoint_ranks=ranks if kind == "ranked" else None,
         max_nodes=rng.choice([0, 1, 5, 40, 400, 3000, 20000]
                              + ([None] if n <= 9 else [])),
-        break_mirror=kind != "ranked" and not any(directed),
+        break_mirror=not any(directed),
     )
 
 
@@ -345,19 +333,9 @@ def test_pure_port_search_rejects_bad_instances(bad):
     # a 4-cycle whose vertex 0 has a bit past n = 4: the pure search used
     # to fail on it with an IndexError partway through
     masks = [0b1010, 0b0101, 0b1010, 0b0101]
-    with pytest.raises(ValueError, match="rank-0 waypoint"):
-        PureCycleEnum(masks, masks, [False] * 4, start=1,
-                      waypoint_ranks=[0, 1, -1, -1])
     masks[0] |= bad
     with pytest.raises(ValueError, match="past vertex count 4"):
         PureCycleEnum(masks, masks, [False] * 4)
-
-
-@pytest.mark.parametrize("kernel", ["pure", "c"])
-def test_kernels_reject_a_start_off_rank_zero(request, kernel):
-    with pytest.raises(ValueError, match="rank-0 waypoint"):
-        _kernel(request, kernel)(4, CYCLE4, FREE4, [False] * 4, start=1,
-                                 waypoint_ranks=[0, 1, -1, -1])
 
 
 @pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
@@ -530,8 +508,8 @@ def test_kernel_loader_reuses_a_filled_cache(tmp_path, monkeypatch):
     assert list(graph_enum(**instance)) == list(PureGraphEnum(**instance))
 
 
-def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,
-                      max_nodes=None, break_mirror=False):
+def _full_scan_search(port_a, port_b, directed, start=0, max_nodes=None,
+                      break_mirror=False):
     """Reference for the kernel's search, written recursively with the full
     prune scan over every unvisited vertex at every node.  Returns (cycles,
     nodes, budget_exceeded)."""
@@ -555,7 +533,7 @@ def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,
             for w in range(n)
         )
 
-    def extend(path, visited, cands, need, close_mask):
+    def extend(path, visited, cands, close_mask):
         """False once the node budget is exhausted."""
         nonlocal nodes
         for v in range(n):
@@ -564,11 +542,6 @@ def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,
             if max_nodes is not None and nodes >= max_nodes:
                 return False
             nodes += 1
-            new_need = need
-            if waypoint_ranks is not None and waypoint_ranks[v] >= 0:
-                if waypoint_ranks[v] != need:
-                    continue
-                new_need = need + 1
             if len(path) == 1 and not directed[start]:
                 close_mask = exits(start, v)
             out = exits(v, path[-1])
@@ -580,7 +553,7 @@ def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,
                 continue
             out &= ~seen
             if out and not starved(v, seen):
-                if not extend(path + [v], seen, out, new_need, close_mask):
+                if not extend(path + [v], seen, out, close_mask):
                     return False
         return True
 
@@ -588,8 +561,7 @@ def _full_scan_search(port_a, port_b, directed, start=0, waypoint_ranks=None,
         return cycles, 0, False
     first = port_b[start] if directed[start] else umask[start]
     close = port_a[start] if directed[start] else 0
-    need = 1 if waypoint_ranks is not None and waypoint_ranks[start] == 0 else 0
-    finished = extend([start], 1 << start, first & ~(1 << start), need, close)
+    finished = extend([start], 1 << start, first & ~(1 << start), close)
     return cycles, nodes, not finished
 
 
@@ -599,20 +571,11 @@ def test_pure_kernel_matches_full_scan(seed):
     n = rng.randint(3, 11)
     pa, pb = _ports(seed, n, rng.uniform(0.3, 1.0), ported=rng.randint(0, n),
                     one_way=rng.randint(0, n))
-    ranks = None
-    start = rng.randrange(n)
-    if rng.random() < 0.3:
-        others = rng.sample([v for v in range(n) if v != start], rng.randint(1, 3))
-        ranks = [-1] * n
-        ranks[start] = 0
-        for rank, v in enumerate(others, 1):
-            ranks[v] = rank
     kw = dict(
         port_a=pa,
         port_b=pb,
         directed=[rng.random() < 0.3 for _ in range(n)],
-        start=start,
-        waypoint_ranks=ranks,
+        start=rng.randrange(n),
         max_nodes=rng.choice([None, 1, 40, 400, 4000]),
         break_mirror=rng.random() < 0.5,
     )
@@ -638,21 +601,6 @@ def test_prescribed_path_blocks_when_infeasible():
     sparse = Graph(4, [(0, 2), (0, 3), (2, 3)])
     res = CycleSearch(sparse, [Prescribed((1, 2))], max_nodes=10000).first()
     assert res is None
-
-
-def test_waypoint_order_enforced():
-    g = complete_graph(8)
-    pre = [
-        Prescribed((0, 1), directed=True, rank=0),
-        Prescribed((2, 3), directed=True, rank=1),
-        Prescribed((4, 5), directed=True, rank=2),
-    ]
-    for cyc in itertools.islice(CycleSearch(g, pre).cycles(), 25):
-        order = [v for v in cyc if v in (0, 2, 4)]
-        start = cyc.index(0)
-        rotated = cyc[start:] + cyc[:start]
-        marked = [v for v in rotated if v in (0, 1, 2, 3, 4, 5)]
-        assert marked == [0, 1, 2, 3, 4, 5]
 
 
 def test_budget_reported():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from bipham import hamkernel, pipeline, search, solvers
+from bipham import balancer, hamkernel, pipeline, search, solvers
 from bipham.cli import main as cli_main
 from bipham.errors import BadParams, PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
@@ -55,7 +55,7 @@ def test_nwbip_on_complete_bipartite():
     assert all(e["conserved"] for e in rep.accounting)
     # pinned report: refactors of the drivers must leave it byte-identical
     assert _digest(rep) == (
-        "534c67752c9e8f3a53b2ace41433eb056478e80db9883fcf8ac1b66badd64ac7"
+        "7ce3f2111f09ab0a84cb4f0c11db956337e805b35dc6c489c3702cb95ad4f06f"
     )
 
 
@@ -68,10 +68,15 @@ EXCEPTIONAL_INPUTS = (
     # planted hubs make the exceptional sets, WF2, FR6 and the slices'
     # exceptional counts nontrivial
     ("n32-D8-h1-x1-s1001", 1001, {},
-     "9e325ee76d70d92f9fe19178069056a03cbd8995bbf3262f4e02c1e5ed2f84e1"),
+     "964b5a3e138380e9c538f72714b0d0145f51efe29ed7cd214ec7a9a82e104251"),
     # fails in the balanced-exceptional-systems stage
     ("n24-D8-h2-x0-s1008", 1008, {},
      "51764ae8ff91ecbbdb23a0858ac181edab3a27f13e2824f60bc69174397032a6"),
+    # succeeds in its fourth attempt, whose first system has a Hamilton
+    # cycle through its paths but none through its fictive edges in their
+    # canonical order
+    ("n24-D8-h2-x0-s1131", 1131, {},
+     "46a9d0282474f4fe906856f85fdc55d947ff2b498033edaca2f13fd3caaa1b31"),
     # fails the weak-framework check with the text of a WF4 violation,
     # "a+b = 2 > eps*n = 6/25"
     ("n24-D6-h1-x1-s1002", 1002, {"eps0": Fraction(1, 100)},
@@ -93,16 +98,16 @@ DENSE_INPUTS = EXCEPTIONAL_INPUTS.parent / "nwbip-dense"
 
 @pytest.mark.parametrize("name, seed, digest", [
     ("K12-D10", 12,
-     "0a70a20f62101bd0d91b1cf37abb4c231c9aaa902b76d94c92debc004ca460ea"),
+     "d3003ad3af9b9adcad1d939fa72f73103a02548627127c5bcfe2fa53fa07297f"),
     ("K14-D10", 14,
-     "7f5e774ca2c35e67c8aa5bae0077991b8322629cba36b6e4d31431dabf91ab87"),
+     "07441c66c3fc994146c953df096f129105e6e3464218f3edf31d7e1fe34572e7"),
     ("K16-D10", 16,
-     "a2524af2e12e765a5315709d236421ea093a42e07944aca0cb7a1247ee78acbf"),
+     "13fcd4dc8b4fe93d00462cd1bea04299e211bb39cffba779f8a6486f808849fd"),
     # past the compiled kernel's 64 items; the largest pool of the five
     ("K34-D10", 34,
-     "293897ddcc1689f4b44aa02d3952774213acd8a654da396fc2538e8856918548"),
+     "d1179218f1cb9f0fee455e55df6482539e1e139eee06b71f37f219f2820b4502"),
     ("K12-D12", 12,
-     "6e9f70ec21ddd8a27b6cf91e27d2239cb6c624129b39bd67cb5a54b896f1ec8d"),
+     "01213cf2a6b8c6af0c5d41a059205eb7c601e7a501cf08c2d642192678f70c97"),
 ])
 def test_nwbip_reports_pinned_on_dense_hosts(name, seed, digest):
     # the frozen complete bipartite hosts of the benchmark, where A0 u B0
@@ -118,7 +123,8 @@ def test_nwbip_reports_pinned_on_dense_hosts(name, seed, digest):
 
 
 @pytest.mark.parametrize("case", [
-    "n32-D8-h1-x1-s1001", "n24-D8-h2-x0-s1008", "n24-D6-h1-x1-s1002", "K28-s1",
+    "n32-D8-h1-x1-s1001", "n24-D8-h2-x0-s1008", "n24-D6-h1-x1-s1002",
+    "n24-D8-h2-x0-s1131", "K28-s1",
 ])
 def test_reports_identical_on_both_kernels(monkeypatch, case):
     # the hosts of test_nwbip_reports_pinned_on_exceptional_hosts and the
@@ -413,13 +419,13 @@ def test_onefact_degree_reduction_peels_a_hamilton_cycle(monkeypatch):
     g, hint = _kmm_with_circulants(14, (1,))
     assert set(g.degrees()) == {16}
     peels = []
-    peel_cycles = pipeline.peel_cycles
+    peel = pipeline.peel_through_systems
 
     def record(*args, **kwargs):
-        peels.append(peel_cycles(*args, **kwargs))
+        peels.append(peel(*args, **kwargs))
         return peels[-1]
 
-    monkeypatch.setattr(pipeline, "peel_cycles", record)
+    monkeypatch.setattr(pipeline, "peel_through_systems", record)
     rep = run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
     st = rep.stages[0]
     assert st.name == "input" and st.status == "ok"
@@ -449,13 +455,13 @@ def test_onefact_degree_reduction_peels_four_levels(monkeypatch, seed):
     g, hint = _kmm_with_circulants(20, (1, 2, 3, 4))
     assert set(g.degrees()) == {28}
     peels = []
-    peel_cycles = pipeline.peel_cycles
+    peel = pipeline.peel_through_systems
 
     def record(*args, **kwargs):
-        peels.append(peel_cycles(*args, **kwargs))
+        peels.append(peel(*args, **kwargs))
         return peels[-1]
 
-    monkeypatch.setattr(pipeline, "peel_cycles", record)
+    monkeypatch.setattr(pipeline, "peel_through_systems", record)
     rep = run_theorem_1factbip(g, replace(TOY_1FACT, max_nodes=200_000),
                                seed=seed, hint_split=hint)
     st = rep.stages[0]
@@ -485,32 +491,34 @@ def test_nwbip_at_degree_m_peels_every_level(seed):
 
 
 def test_level_searches_get_their_own_item_orders(monkeypatch):
-    # the approximate decomposition and the degree reduction give every
-    # (level, order) its own seed; level 0, order 0 keeps the peel's seed
-    calls = []
+    # every peel through path systems (the degree reduction, the cut
+    # elimination, the approximate decomposition) gives every (level,
+    # order) its own seed; level 0, order 0 keeps the peel's seed
+    peels = []  # [caller, first seed, depth, {(level, order): seeds}]
+    level = []  # the (level, order) searching now
 
-    def record_levels(module):
-        peel = module.peel_cycles
+    for module in (pipeline, balancer, solvers):
+        def opened(n, pool, systems, budget, name=module.__name__,
+                   helper=module.peel_through_systems):
+            peels.append([name, budget.seed, len(systems), {}])
+            return helper(n, pool, systems, budget)
+        monkeypatch.setattr(module, "peel_through_systems", opened)
 
-        def wrapped(level_search, *args, **kwargs):
-            def level(i, pool, order, cap):
-                calls.append([module.__name__, i, order, None])
-                return level_search(i, pool, order, cap)
-            return peel(level, *args, **kwargs)
-        monkeypatch.setattr(module, "peel_cycles", wrapped)
+    peel = solvers.peel_cycles
 
-    def record_seed(module, name):
-        search = getattr(module, name)
+    def levels(level_search, *args, **kwargs):
+        def search(i, pool, order, cap):
+            level[:] = [(i, order)]
+            return level_search(i, pool, order, cap)
+        return peel(search, *args, **kwargs)
+    monkeypatch.setattr(solvers, "peel_cycles", levels)
 
-        def wrapped(*args, seed=0, **kwargs):
-            calls[-1][3] = seed
-            return search(*args, seed=seed, **kwargs)
-        monkeypatch.setattr(module, name, wrapped)
+    cycle_search = solvers.CycleSearch
 
-    record_levels(pipeline)
-    record_levels(solvers)
-    record_seed(pipeline, "CycleSearch")
-    record_seed(solvers, "consistent_cycle_search")
+    def built(*args, seed=0, **kwargs):
+        peels[-1][3].setdefault(level[0], set()).add(seed)
+        return cycle_search(*args, seed=seed, **kwargs)
+    monkeypatch.setattr(solvers, "CycleSearch", built)
 
     g, hint = _kmm_with_circulants(20, (1, 2, 3, 4))
     run_theorem_1factbip(g, replace(TOY_1FACT, max_nodes=200_000), seed=1,
@@ -518,17 +526,24 @@ def test_level_searches_get_their_own_item_orders(monkeypatch):
     k12, part, props = generate("complete_bipartite", {"m": 12})
     run_theorem_NWbip(k12, k12, replace(PipelineConstants(), max_nodes=100_000),
                       seed=5, hint_split=(list(part.A), list(part.B)))
-    for module, first, depth in [("bipham.pipeline", 0, 4),
-                                 ("bipham.solvers", 5, 6)]:
-        seeds = {}
-        for name, i, order, seed in calls:
-            if name == module:
-                seeds.setdefault((i, order), set()).add(seed)
-        assert sorted(seeds) == [(i, 0) for i in range(depth)]
+    # a two-hub host whose cut elimination peels two levels
+    doc = json.loads((EXCEPTIONAL_INPUTS / "n24-D4-h2-x0-s1041.json").read_text())
+    assert run_theorem_NWbip(
+        Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"]),
+        PipelineConstants(), seed=1041, hint_split=tuple(doc["split"])).ok()
+    seen = set()
+    for caller, first, depth, seeds in peels:
         assert all(len(s) == 1 for s in seeds.values())
         flat = [s for (s,) in seeds.values()]
         assert len(set(flat)) == len(flat)
-        assert seeds[(0, 0)] == {first}
+        if depth:
+            assert seeds[(0, 0)] == {first}
+        seen.add((caller, first, depth, tuple(sorted(seeds))))
+    for caller, first, depth in [("bipham.pipeline", 0, 4),
+                                 ("bipham.solvers", 5, 6),
+                                 ("bipham.balancer", 1041, 2)]:
+        assert (caller, first, depth,
+                tuple((i, 0) for i in range(depth))) in seen
 
 
 def test_onefact_rejects_odd_degree():
@@ -685,6 +700,19 @@ def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
         assert err.startswith("error: InputFileError: "), err
         assert err.count("\n") == 1, err
         assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("level", ["framework", "scheme", "bes"])
+def test_cli_verify_without_partition_exit_2(tmp_path, capsys, level):
+    # an edge list holds no partition: one error line and exit 2 at every
+    # level, not a traceback and exit 1 ("violations found")
+    edges = tmp_path / "p4.txt"
+    edges.write_text("0 1\n1 2\n2 3\n")
+    rc = cli_main(["verify", "--level", level, str(edges)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == f"error: InputFileError: no partition in {edges}\n", err
+    assert not out
 
 
 def test_cli_malformed_rationals_exit_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Prescribed-path search layer: the port masks the kernel builds for a
-``CycleSearch``, its rank check, and the cycle order it yields."""
+``CycleSearch``, its checks, and the cycle order it yields."""
 
 import hashlib
 import json
@@ -34,8 +34,8 @@ def _capture_kernel_inputs(monkeypatch):
 
 def _random_instance(rng):
     """A random host on 8..12 vertices with prescribed paths of 3 or 4
-    vertices (two on 10 or more vertices), some directed, some ranked; at
-    least three search items."""
+    vertices (two on 10 or more vertices), some directed, all of them in
+    about a third of the instances; at least three search items."""
     n = rng.randint(8, 12)
     g = random_graph(rng, n, rng.uniform(0.45, 0.9))
     order = rng.sample(range(n), n)
@@ -44,14 +44,10 @@ def _random_instance(rng):
         size = rng.randint(3, 4)
         paths.append(tuple(order[at:at + size]))
         at += size
-    ranked = rng.random() < 0.3
+    all_directed = rng.random() < 0.3
     prescribed = [
-        Prescribed(
-            verts,
-            directed=ranked or rng.random() < 0.3,
-            rank=rank if ranked else -1,
-        )
-        for rank, verts in enumerate(paths)
+        Prescribed(verts, directed=all_directed or rng.random() < 0.3)
+        for verts in paths
     ]
     return g, prescribed
 
@@ -70,17 +66,7 @@ def _loose_reference(g, prescribed):
     port_a = [mask(it[1][0], idx) for idx, it in enumerate(items)]
     port_b = [mask(it[1][-1], idx) for idx, it in enumerate(items)]
     directed = [it[2] for it in items]
-    ranks = [it[3] for it in items]
-    has_ranks = any(r >= 0 for r in ranks)
-    enum = PureCycleEnum(
-        port_a,
-        port_b,
-        directed,
-        ranks.index(0) if has_ranks else 0,
-        ranks if has_ranks else None,
-        None,
-        not has_ranks and not any(directed),
-    )
+    enum = PureCycleEnum(port_a, port_b, directed, 0, None, not any(directed))
     verts = [it[1] for it in items]
     adj = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
     states = _states(verts, directed)
@@ -156,20 +142,6 @@ def test_free_vertex_enumeration_matches_oracle():
         expected = {cycle_edges(c) for c in oracle.cycles()}
         got = [cycle_edges(c) for c in CycleSearch(g, seed=rng.randint(0, 3)).cycles()]
         assert len(got) == len(set(got)) and set(got) == expected, seed
-
-
-@pytest.mark.parametrize(
-    "ranks", [(1, 2), (0, 2), (0, 0)], ids=["no-zero", "gap", "repeat"]
-)
-def test_malformed_ranks_rejected(ranks):
-    g = complete_bipartite((4, 4))
-    prescribed = [
-        Prescribed((0, 4), directed=True, rank=ranks[0]),
-        Prescribed((1, 5), directed=True, rank=ranks[1]),
-    ]
-    with pytest.raises(ValueError, match=r"ranks \[\d, \d\]"):
-        CycleSearch(g, prescribed)
-
 
 
 @pytest.mark.parametrize("n, path", [
