@@ -9,11 +9,12 @@
  * hk_next_cycle and hk_free are the whole interface.
  *
  * A search runs over a graph whose vertices are covered by items, free
- * vertices and prescribed paths, some directed.  hk_new_graph builds the
- * items' port masks from the allowed edges, as _ports in _pure.py does;
- * hk_next enumerates the item cycles the masks admit, each from item 0, and
- * hk_next_cycle decodes each one into a vertex cycle by _decode's
- * orientation DP, dropping the candidates that no orientation closes.
+ * vertices and prescribed paths, which a cycle may traverse either way.
+ * hk_new_graph builds the items' port masks from the allowed edges, as
+ * _ports in _pure.py does; hk_next enumerates the item cycles the masks
+ * admit, each once, from item 0, and hk_next_cycle decodes each one into a
+ * vertex cycle by _decode's orientation DP, dropping the candidates that
+ * no orientation closes.
  *
  * A set of items is an array of w = ceil(n / 64) 64-bit words, bit x of
  * word x / 64 standing for item x, so any n >= 3 is supported.  The search
@@ -60,8 +61,7 @@ static int lowest(word x) /* x != 0 */
 }
 
 struct hk {
-    int n, w, break_mirror; /* n: the number of items */
-    unsigned char *dirv;
+    int n, w; /* n: the number of items */
     word *pa, *pb, *umask;
     word *cands, *visited; /* cands: w words per depth */
     int *path, *starving_stack;
@@ -93,17 +93,16 @@ static void join(struct hk *h, int i, int x, int j)
 }
 
 /* A search for the Hamilton cycles of a graph on nv vertices through k >= 3
- * items, copying its inputs: m edges as 2 * m vertex ids, the items' vertex
- * sequences one after another in seq, with item i at seq[off[i]] ..
- * seq[off[i + 1] - 1], and k directed flags.  The caller checks that every
- * id lies in 0..nv-1 and that no vertex is on two items or twice on one.
- * The search starts at item 0.  A port of an item offers
+ * items, copying its inputs: m edges as 2 * m vertex ids, and the items'
+ * vertex sequences one after another in seq, with item i at seq[off[i]] ..
+ * seq[off[i + 1] - 1].  The caller checks that every id lies in 0..nv-1
+ * and that no vertex is on two items or twice on one.  The search starts
+ * at item 0 and yields each item cycle once.  A port of an item offers
  * the items that an allowed edge joins end to end with the port's end, the
  * item itself left out; a path interior is no item's end.  NULL if out of
  * memory. */
 struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
-                        const int *off, const unsigned char *dirv,
-                        int break_mirror)
+                        const int *off)
 {
     const int w = (k + 63) / 64, wv = (nv + 63) / 64, len = off[k];
     const size_t kw = (size_t)k * w;
@@ -113,10 +112,10 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
 
     /* one block: the word arrays pa, pb, umask, cands, visited and adj, the
      * int arrays path, starving_stack, seq, off, icycle and owner, the byte
-     * arrays dirv and dp */
+     * array dp */
     h = calloc(1, sizeof *h + (4 * kw + w + (size_t)nv * wv) * sizeof(word) +
                       (4 * (size_t)k + len + 1 + nv) * sizeof(int) +
-                      6 * (size_t)k);
+                      5 * (size_t)k);
     if (h == NULL)
         return NULL;
     h->n = k;
@@ -135,12 +134,9 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
     h->off = h->seq + len;
     h->icycle = h->off + k + 1;
     owner = h->icycle + k;
-    h->dirv = (unsigned char *)(owner + nv);
-    h->dp = h->dirv + k;
+    h->dp = (unsigned char *)(owner + nv);
     memcpy(h->seq, seq, (size_t)len * sizeof(int));
     memcpy(h->off, off, ((size_t)k + 1) * sizeof(int));
-    memcpy(h->dirv, dirv, (size_t)k);
-    h->break_mirror = break_mirror;
 
     /* owner[x]: the item that x is an end of, or -1 */
     for (i = 0; i < nv; i++)
@@ -169,10 +165,7 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
 
     FLIP(h->visited, 0); /* path[0] = 0, as calloc left it */
     for (i = 0; i < w; i++)
-        h->cands[i] = (dirv[0] ? pb : umask)[i] & ~h->visited[i];
-    /* the closing step enters item 0 by port A when it is directed;
-     * otherwise by the port the first step did not leave from */
-    h->close_a = dirv[0];
+        h->cands[i] = umask[i] & ~h->visited[i];
     h->starving = h->starving_stack[0] = starved;
     h->yielded = -1;
     return h;
@@ -249,13 +242,15 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
         nodes++;
 
         /* the ports v can leave by, entered from prev: B when entered
-         * through A, and A when entered through B unless v is directed */
+         * through A, and A when entered through B */
         prev = path[depth];
         a_v = h->pa + v * w;
         b_v = h->pb + v * w;
         from_a = HAS(a_v, prev);
-        from_b = !h->dirv[v] && HAS(b_v, prev);
-        if (depth == 0 && !h->dirv[0]) {
+        from_b = HAS(b_v, prev);
+        if (depth == 0) {
+            /* the closing step enters item 0 by the port the first step
+             * did not leave from */
             h->close_a = HAS(pb_s, v);
             h->close_b = HAS(pa_s, v);
         }
@@ -264,7 +259,7 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
         if (depth + 2 == n) {
             if (((from_a && HAS(b_v, 0)) || (from_b && HAS(a_v, 0))) &&
                 ((h->close_a && HAS(pa_s, v)) || (h->close_b && HAS(pb_s, v))) &&
-                !(h->break_mirror && path[1] > v)) {
+                path[1] < v) { /* each cycle once, not also reversed */
                 memcpy(cycle, path, (size_t)(depth + 1) * sizeof(int));
                 cycle[depth + 1] = v;
                 h->yielded = v;
@@ -312,10 +307,10 @@ static int hk_next(struct hk *h, int64_t cap, int *cycle)
 
 /* Item i's two vertices in state s, entered by `entry` and left by the
  * other: state 0 enters at its first vertex, state 1 at its last.  A free
- * vertex and a directed path have state 0 only. */
+ * vertex has state 0 only. */
 static int states(const struct hk *h, int i)
 {
-    return h->off[i + 1] - h->off[i] > 1 && !h->dirv[i] ? 2 : 1;
+    return h->off[i + 1] - h->off[i] > 1 ? 2 : 1;
 }
 
 static int entry(const struct hk *h, int i, int s)

@@ -221,8 +221,11 @@ def peel_hamilton_cycles(
     Level i looks for a cycle through system i, order k under seed
     ``level_seed(budget.seed, i, k)``, capped on the engine's schedule.  A
     level exhausted within its cap backtracks; a spent budget raises
-    ``Timeout``.  Every cycle is checked to lie in its level's graph and to
-    meet ``g`` in a 2-balanced graph.
+    ``Timeout``.  When every level is exhausted ``SolverFailure`` is raised,
+    which proves no infeasibility: the search yields one orientation of a
+    level's paths per item cycle (``search``), so cycles that differ only in
+    how the paths are traversed can be missed.  Every cycle is checked to
+    lie in its level's graph and to meet ``g`` in a 2-balanced graph.
     """
     for q in systems:
         if not is_two_balanced(q, part):

@@ -2,12 +2,12 @@
 a graph through prescribed paths, over port-constrained items.
 
 A search instance is a graph, its allowed edges, and the items that cover
-its vertices: free vertices and prescribed paths, some directed.  The
-kernel builds each item's two port masks from the allowed edges,
-enumerates the item cycles the masks admit, each from the first item, and
-re-checks each one by an orientation DP over the graph's adjacency,
-yielding only the vertex cycles it decodes (``_pure`` documents the masks
-and the DP).
+its vertices: free vertices and prescribed paths, which a cycle may
+traverse either way.  The kernel builds each item's two port masks from
+the allowed edges, enumerates the item cycles the masks admit, each once,
+from the first item, and re-checks each one by an orientation DP over the
+graph's adjacency, yielding the vertex cycle of the first orientation that
+closes (``_pure`` documents the masks and the DP).
 
 One search has two kernels.  The C kernel, ``csrc/hamkernel.c`` in the
 source tree, is compiled on the first import with the system C compiler
@@ -97,8 +97,7 @@ def _build(source, lib, compiler):
 def _c_kernel(dll):
     """The graph enumerator class over the C kernel loaded as ``dll``."""
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
-    dll.hk_new_graph.argtypes = [c_int, c_int, ptr, c_int, ptr, ptr,
-                                 ctypes.c_char_p, c_int]
+    dll.hk_new_graph.argtypes = [c_int, c_int, ptr, c_int, ptr, ptr]
     dll.hk_new_graph.restype = ptr
     dll.hk_next_cycle.argtypes = [ptr, ctypes.c_int64, ptr, ptr]
     dll.hk_next_cycle.restype = c_int
@@ -114,9 +113,8 @@ def _c_kernel(dll):
         _free = dll.hk_free
         _state = None
 
-        def __init__(self, n, edges, items, directed, max_nodes=None,
-                     break_mirror=False):
-            seq = check_graph(n, edges, items, directed)
+        def __init__(self, n, edges, items, max_nodes=None):
+            seq = check_graph(n, edges, items)
             self.nodes = self.candidates = self.rejected = 0
             self.budget_exceeded = False
             self._cap = max_nodes
@@ -136,8 +134,6 @@ def _c_kernel(dll):
                 k,
                 seq.buffer_info()[0],
                 offsets.buffer_info()[0],
-                bytes(map(bool, directed)),
-                bool(break_mirror),
             )
             if state is None:
                 raise MemoryError("no memory for the kernel's search state")
@@ -178,10 +174,9 @@ def _c_kernel(dll):
 GraphEnum, KERNEL = _load()
 
 
-def cycle_enumerator(n, edges, items, directed, max_nodes=None,
-                     break_mirror=False):
+def cycle_enumerator(n, edges, items, max_nodes=None):
     """The Hamilton cycles of a graph on vertices 0..n-1 with allowed
     ``edges`` (2m vertex ids, a flat ``array("i")`` or list) through
     ``items`` (vertex sequences), on the kernel that runs; see
     ``PureGraphEnum``."""
-    return GraphEnum(n, edges, items, directed, max_nodes, break_mirror)
+    return GraphEnum(n, edges, items, max_nodes)

@@ -12,27 +12,25 @@ The search instance is a graph whose vertices each expose two "ports": a
 cycle must use one edge through each port.  Ordinary vertices have both port
 masks equal to their adjacency mask.  A vertex produced by contracting a
 prescribed path has port masks equal to the allowed neighborhoods of the two
-path ends.  A "directed" vertex must be entered through port A and left
-through port B (used to force a traversal direction through contracted
-edges).
+path ends, and the cycle may traverse the path either way.  A vertex's
+union mask is the union of its two ports; the union masks must be
+symmetric (``check_instance``), as every edge joins two ends.  The search
+starts at vertex 0 and yields each cycle once, in the direction whose
+second vertex is the lower of vertex 0's two neighbours.
 
 Masks are Python ints, so any vertex count is supported.
 
 The search prunes a node whose current vertex is ``cur`` when some
 unvisited vertex has fewer than two neighbours, in its union mask, among the
-available vertices: the unvisited ones, ``cur`` and ``start``.  Rather than
+available vertices: the unvisited ones, ``cur`` and vertex 0.  Rather than
 scan every unvisited vertex at every node, it decides this predicate from
 the neighbours of the vertex just left:
 
 * A node's parent passed the prune, and the step ``prev -> cur`` takes
   exactly one vertex, ``prev``, out of the available set (none when
-  ``prev`` is ``start``).  So only an unvisited vertex whose union mask
-  contains ``prev`` can have dropped below two.  These vertices are read
-  from a reverse mask, not from ``prev``'s own union mask.  The masks
-  ``_ports`` builds are symmetric, so there the two are equal, and the C
-  kernel, which takes only graph searches, reads the union mask.  Only this
-  reference's ``CycleEnum`` allows asymmetric masks (the pinned
-  ``ported-one-way`` instance in ``tests/test_kernel.py`` has them).
+  ``prev`` is vertex 0).  So only an unvisited vertex whose union mask
+  contains ``prev`` can have dropped below two, and as the masks are
+  symmetric these are the vertices of ``prev``'s own union mask.
 * For every child of one node the available set is the same, so the
   vertices that would drop below two (``starving``) are found once, when
   the node is pushed, and a child ``v`` fails the prune unless
@@ -51,28 +49,32 @@ from array import array
 from itertools import chain
 
 
-def check_instance(port_a, port_b, directed, start) -> int:
+def check_instance(port_a, port_b) -> int:
     """The vertex count of a search instance; ``ValueError`` if its lists
     differ in length, a port mask has a bit at or past the vertex count or
-    ``start`` is out of range."""
+    the union masks are not symmetric."""
     n = len(port_a)
     if len(port_b) != n:
         raise ValueError("the port masks differ in length")
-    if any(m >> n for m in port_a) or any(m >> n for m in port_b):
+    umask = [a | b for a, b in zip(port_a, port_b)]
+    if any(m >> n for m in umask):
         raise ValueError(f"a port mask has a bit at or past vertex count {n}")
-    if len(directed) != n:
-        raise ValueError(f"directed flags not one per item of {n}")
-    if n >= 3 and not 0 <= start < n:
-        raise ValueError(f"start vertex {start} out of range")
+    for v, m in enumerate(umask):
+        while m:
+            w = (m & -m).bit_length() - 1
+            m ^= 1 << w
+            if not umask[w] >> v & 1:
+                raise ValueError(
+                    f"vertex {v} offers vertex {w}, which does not offer it back")
     return n
 
 
-def check_graph(n, edges, items, directed) -> array:
+def check_graph(n, edges, items) -> array:
     """The items' vertices, one item after another, of a graph search
     instance; ``ValueError`` if an edge or an item has a vertex outside
-    0..n-1, an item is empty, a vertex lies on two items (or twice on one),
-    or there is not one directed flag per item.  ``edges`` holds the
-    allowed edges as 2m vertex ids, edge i being ``edges[2i], edges[2i+1]``."""
+    0..n-1, an item is empty, or a vertex lies on two items (or twice on
+    one).  ``edges`` holds the allowed edges as 2m vertex ids, edge i being
+    ``edges[2i], edges[2i+1]``."""
     if len(edges) % 2:
         raise ValueError("the edge list holds an odd number of vertex ids")
     if len(edges) and (min(edges) < 0 or max(edges) >= n):
@@ -84,8 +86,6 @@ def check_graph(n, edges, items, directed) -> array:
         raise ValueError(f"an item has a vertex outside 0..{n - 1}")
     if len(set(seq)) != len(seq):
         raise ValueError("a vertex lies on two items or twice on one")
-    if len(directed) != len(items):
-        raise ValueError(f"directed flags not one per item of {len(items)}")
     return seq
 
 
@@ -114,13 +114,13 @@ def _ports(n, edges, items):
     return port_a, port_b, adj
 
 
-def _states(items, directed):
+def _states(items):
     """Each item's (entry, exit) vertex pairs, in the order the decoder
-    tries them: a path enters at its first vertex, or, when undirected, at
-    its last; a free vertex is both."""
+    tries them: a path enters at its first vertex or at its last; a free
+    vertex is both."""
     return [
-        ((v[0], v[-1]),) if d or len(v) == 1 else ((v[0], v[-1]), (v[-1], v[0]))
-        for v, d in zip(items, directed)
+        ((v[0], v[-1]),) if len(v) == 1 else ((v[0], v[-1]), (v[-1], v[0]))
+        for v in items
     ]
 
 
@@ -132,7 +132,7 @@ def _decode(item_cycle, items, states, adj) -> list[int] | None:
     states are tried in turn, and the cycle closes on the first reachable
     state of the last item that joins the first."""
     if all(len(states[idx]) == 1 for idx in item_cycle):
-        # one orientation each: only the steps to re-check
+        # free vertices only: only the steps to re-check
         prev = states[item_cycle[-1]][0][1]
         for idx in item_cycle:
             entry, prev_exit = states[idx][0]
@@ -186,36 +186,26 @@ def _orient(item_cycle, states, adj):
 class CycleEnum:
     """Resumable enumerator of Hamilton cycles.
 
-    Yields each cycle as a list of vertex ids starting at ``start``.  The
-    enumeration order is deterministic: candidates are tried in ascending
-    vertex order.  ``nodes`` and ``budget_exceeded`` are current after every
-    ``next()``.  ``set_cap`` changes the node cap between two ``next()``
-    calls.
+    Yields each cycle once, as a list of vertex ids starting at vertex 0
+    whose second vertex is below its last.  The enumeration order is
+    deterministic: candidates are tried in ascending vertex order.
+    ``nodes`` and ``budget_exceeded`` are current after every ``next()``.
+    ``set_cap`` changes the node cap between two ``next()`` calls.
     """
 
     def __init__(
         self,
         port_a: list[int],
         port_b: list[int],
-        directed: list[bool],
-        start: int = 0,
         max_nodes: int | None = None,
-        break_mirror: bool = False,
     ):
-        check_instance(port_a, port_b, directed, start)
+        check_instance(port_a, port_b)
         self.nodes = 0
         self.budget_exceeded = False
         self._cap = [max_nodes]
         # the search holds no reference back to self, so an enumerator that
         # is dropped before the end is freed at once, not by the cycle GC
-        self._search = _search(
-            list(port_a),
-            list(port_b),
-            list(directed),
-            start,
-            self._cap,
-            break_mirror,
-        )
+        self._search = _search(list(port_a), list(port_b), self._cap)
 
     def set_cap(self, max_nodes: int | None) -> None:
         """Cap the search at ``max_nodes`` nodes in all from the next
@@ -238,25 +228,22 @@ class CycleEnum:
 class GraphEnum:
     """Resumable enumerator of the Hamilton cycles of a graph on vertices
     0..n-1 that run through ``items``, each a vertex sequence: a free
-    vertex, or a prescribed path the cycle must traverse, in its given
-    order when its ``directed`` flag is set.  ``edges`` holds the allowed
-    edges as 2m vertex ids; ``max_nodes`` and ``break_mirror`` are
-    ``CycleEnum``'s, over item indices, whose search starts at item 0.
+    vertex, or a prescribed path the cycle must traverse, either way.
+    ``edges`` holds the allowed edges as 2m vertex ids; ``max_nodes`` is
+    ``CycleEnum``'s, over item indices.
 
     Yields each cycle as a list of vertex ids.  ``nodes``,
     ``budget_exceeded``, ``candidates`` (item cycles the search found) and
     ``rejected`` (those no orientation closes) are current after every
     ``next()``.  Fewer than three items give no cycle."""
 
-    def __init__(self, n, edges, items, directed, max_nodes=None,
-                 break_mirror=False):
-        check_graph(n, edges, items, directed)
+    def __init__(self, n, edges, items, max_nodes=None):
+        check_graph(n, edges, items)
         self.candidates = self.rejected = 0
         self._items = [tuple(v) for v in items]
         port_a, port_b, self._adj = _ports(n, edges, self._items)
-        self._states = _states(self._items, directed)
-        self._enum = CycleEnum(port_a, port_b, directed, 0, max_nodes,
-                               break_mirror)
+        self._states = _states(self._items)
+        self._enum = CycleEnum(port_a, port_b, max_nodes)
 
     @property
     def nodes(self) -> int:
@@ -284,7 +271,7 @@ class GraphEnum:
         raise StopIteration
 
 
-def _search(pa, pb, dirv, start, cap, break_mirror):
+def _search(pa, pb, cap):
     """The depth-first search, on local variables.  Yields ``(cycle,
     nodes)`` and returns ``(nodes, budget_exceeded)``.  ``cap[0]`` is the
     node cap, read at the start and after every yield."""
@@ -295,32 +282,18 @@ def _search(pa, pb, dirv, start, cap, break_mirror):
     max_nodes = cap[0]
     has_budget = max_nodes is not None
     full = (1 << n) - 1
-    start_bit = 1 << start
-
-    rev = [0] * n  # rev[x]: the vertices whose union mask contains x
-    starved = 0  # vertices that never have two neighbours
-    for w in range(n):
-        m, wb = umask[w] & full, 1 << w
-        if umask[w].bit_count() < 2:
-            starved |= wb
-        while m:
-            b = m & -m
-            m ^= b
-            rev[b.bit_length() - 1] |= wb
+    # vertices other than 0 that never have two neighbours
+    starved = sum(1 << w for w in range(1, n) if umask[w].bit_count() < 2)
 
     # per depth: current vertex, untried candidates, and the vertices that
     # a step out of the node would starve
-    path = [start] * n
+    path = [0] * n
     cands = [0] * n
     starving_stack = [0] * n
-    visited = start_bit
-    if dirv[start]:
-        cands[0] = pb[start] & ~visited
-        close_mask = pa[start]
-    else:
-        cands[0] = umask[start] & ~visited
-        close_mask = 0  # determined once the first step is chosen
-    starving = starving_stack[0] = starved & ~start_bit
+    visited = 1
+    cands[0] = umask[0] & ~visited
+    close_mask = 0  # determined once the first step is chosen
+    starving = starving_stack[0] = starved
     depth = 0
     nodes = 0
     while True:
@@ -345,21 +318,14 @@ def _search(pa, pb, dirv, start, cap, break_mirror):
         prev = path[depth]
         fb = 1 << prev
         a_v, b_v = pa[v], pb[v]
-        if dirv[v]:
-            exits = b_v if a_v & fb else 0
-        else:
-            exits = (b_v if a_v & fb else 0) | (a_v if b_v & fb else 0)
-        if depth == 0 and not dirv[start]:
-            a_s, b_s = pa[start], pb[start]
+        exits = (b_v if a_v & fb else 0) | (a_v if b_v & fb else 0)
+        if depth == 0:
+            a_s, b_s = pa[0], pb[0]
             close_mask = (b_s if a_s & b else 0) | (a_s if b_s & b else 0)
 
         visited |= b
         if visited == full:
-            if (
-                exits & start_bit
-                and close_mask & b
-                and not (break_mirror and path[1] > v)
-            ):
+            if exits & 1 and close_mask & b and path[1] < v:
                 yield path[: depth + 1] + [v], nodes
                 max_nodes = cap[0]
                 has_budget = max_nodes is not None
@@ -373,8 +339,8 @@ def _search(pa, pb, dirv, start, cap, break_mirror):
 
         # v passed the prune; find what a step out of v would starve
         child_starving = 0
-        avail = ~visited | start_bit
-        rem = rev[v] & ~visited
+        avail = ~visited | 1
+        rem = umask[v] & ~visited
         while rem:
             lb = rem & -rem
             rem ^= lb

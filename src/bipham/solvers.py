@@ -24,8 +24,13 @@ through empty systems.
 A peel whose search space is exhausted returns ``cycles`` None: the
 referee reports such a graph as having no decomposition, and the
 approximate decomposition raises ``PreconditionViolated`` naming the
-deepest level it reached.  A spent budget raises ``Timeout``
-(``WallClockExceeded`` when it was the safety net).
+deepest level it reached.  Exhaustion proves that no decomposition exists
+only when no level prescribes a path, as in the referee, the
+one-factorization and the degree reduction: the kernel yields one
+orientation of a level's paths per item cycle (``search``), so a peel
+through path systems can be exhausted although cycles through them exist.
+A spent budget raises ``Timeout`` (``WallClockExceeded`` when it was the
+safety net).
 
 networkx, for the blossom test of ``_MatchingEnum``, is imported where it is
 called: the drivers import this module but never run the oracle.
@@ -121,11 +126,13 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
     ``LEVEL_UNIT * luby(k + 1)`` and at what is left of ``max_nodes``, so
     one heavy-tailed order costs a bounded share.  A call resumed after a
     deeper level failed has its cap lowered to what is left then, so no
-    call runs past ``max_nodes``.  A call exhausted within its cap proves
-    its level infeasible for that pool; one that hits its cap hands over to
-    the next order.  Only spending ``max_nodes`` raises ``Timeout``.  Past
-    ``deadline`` (``time.monotonic()``) the next call raises
-    ``WallClockExceeded`` instead of starting.
+    call runs past ``max_nodes``.  A call exhausted within its cap ends
+    its level for that pool, which proves the level infeasible only if the
+    call yields every cycle of it (a search with no prescribed path does;
+    one through prescribed paths may not, see ``search``); one that hits
+    its cap hands over to the next order.  Only spending ``max_nodes``
+    raises ``Timeout``.  Past ``deadline`` (``time.monotonic()``) the next
+    call raises ``WallClockExceeded`` instead of starting.
     """
     spent = deepest = 0
     chosen: list[list[int]] = []
@@ -430,7 +437,8 @@ def approx_decomposition(
     closure's 2-factors hold their path systems as fixed edges.  Spending
     ``budget.max_nodes`` raises ``Timeout``.  When the whole search space is
     exhausted without a decomposition, ``PreconditionViolated`` names the
-    deepest system index reached.
+    deepest system index reached; as the search yields one orientation of
+    the paths per item cycle, that is no proof that none exists.
 
     The entry gates (``check_approx_preconditions``) are computed only with
     ``enforce_gates``, and any problem they find raises

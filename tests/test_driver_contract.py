@@ -2,16 +2,18 @@
 
 Whatever the host and constants, a driver returns a report: an ok report
 holds a valid decomposition, and a failed one ends in exactly one failed
-stage, carrying a typed error, and one skipped ``remaining`` stage.
+stage, carrying a typed error, and one skipped ``remaining`` stage.  The
+report is the same, byte for byte, on either kernel.
 """
 
 import re
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bipham import errors
+from bipham import errors, hamkernel, search
 from bipham.generators import eps_bipartite_instance, regular_spanning_subgraph
 from bipham.graphs import complete_bipartite
 from bipham.pipeline import (
@@ -19,6 +21,7 @@ from bipham.pipeline import (
     run_theorem_1factbip,
     run_theorem_NWbip,
 )
+from bipham.report import render_report
 from bipham.validate import (
     check_cycle_in_graph,
     check_decomposition,
@@ -39,6 +42,16 @@ def _typed_errors():
 
 
 TYPED = _typed_errors()
+
+
+def _on_both_kernels(run):
+    """The report of ``run()`` on the kernel that loaded, once the same run
+    on the pure kernel has rendered the same report."""
+    rep = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "cycle_enumerator", hamkernel.PureGraphEnum)
+        assert render_report(run()) == render_report(rep)
+    return rep
 
 
 def _check_report(rep) -> bool:
@@ -91,8 +104,8 @@ def nwbip_hosts(draw):
 def test_nwbip_report_contract(host, K, eps0, max_nodes, seed):
     f, g, hint = host
     constants = PipelineConstants(K=K, eps0=eps0, max_nodes=max_nodes)
-    rep = run_theorem_NWbip(f, g, constants, seed=seed, hint_split=hint,
-                            attempts=2)
+    rep = _on_both_kernels(lambda: run_theorem_NWbip(
+        f, g, constants, seed=seed, hint_split=hint, attempts=2))
     if _check_report(rep):
         assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
         for cyc in rep.cycles:
@@ -107,6 +120,7 @@ def test_nwbip_report_contract(host, K, eps0, max_nodes, seed):
 def test_onefact_report_contract(m, change, max_nodes, seed):
     g = complete_bipartite((m, m))
     constants = replace(TOY_1FACT, max_nodes=max_nodes, **change)
-    rep = run_theorem_1factbip(g, constants, seed=seed)
+    rep = _on_both_kernels(
+        lambda: run_theorem_1factbip(g, constants, seed=seed))
     if _check_report(rep):
         assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])

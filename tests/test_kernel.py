@@ -58,10 +58,10 @@ def test_enumeration_matches_brute_force(seed):
     assert set(got) == expect
 
 
-def _ports(seed, n, p, ported=0, one_way=0, bipartite=False):
+def _ports(seed, n, p, ported=0, bipartite=False):
     """Port masks of a seeded random instance.  The first ``ported`` vertices
-    get two different port masks, like contracted paths; ``one_way`` extra
-    arcs make some union masks asymmetric."""
+    get two different port masks, like contracted paths, whose union is
+    still the vertex's neighbourhood, so the union masks are symmetric."""
     rng = random.Random(seed)
     adj = [0] * n
     for i in range(n):
@@ -71,9 +71,6 @@ def _ports(seed, n, p, ported=0, one_way=0, bipartite=False):
             if rng.random() < p:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    for _ in range(one_way):
-        i, j = rng.sample(range(n), 2)
-        adj[i] |= 1 << j
     pa, pb = list(adj), list(adj)
     for i in range(ported):
         pa[i] = adj[i] & rng.getrandbits(n)
@@ -84,59 +81,44 @@ def _ports(seed, n, p, ported=0, one_way=0, bipartite=False):
 def _pinned_instances():
     out = {}
     pa, pb = _ports(1, 10, 0.6)
-    out["plain-mirror"] = dict(
-        port_a=pa, port_b=pb, directed=[False] * 10, break_mirror=True
-    )
-    pa, pb = _ports(2, 11, 0.7, ported=3, one_way=6)
-    out["ported-one-way"] = dict(port_a=pa, port_b=pb, directed=[False] * 11)
-    pa, pb = _ports(3, 10, 0.75, ported=4)
-    out["directed-start"] = dict(
-        port_a=pa, port_b=pb, directed=[True] * 3 + [False] * 7
-    )
-    pa, pb = _ports(4, 10, 0.85, ported=3, one_way=3)
-    out["directed-free-start"] = dict(
-        port_a=pa, port_b=pb, directed=[False, True, True] + [False] * 7, start=5
-    )
-    pa, pb = _ports(6, 16, 0.8, ported=2, one_way=4)
-    out["budget-trip"] = dict(
-        port_a=pa, port_b=pb, directed=[False] * 16, max_nodes=3000,
-        break_mirror=True,
-    )
+    out["plain-mirror"] = dict(port_a=pa, port_b=pb)
+    pa, pb = _ports(6, 16, 0.8, ported=2)
+    out["budget-trip"] = dict(port_a=pa, port_b=pb, max_nodes=3000)
     pa, pb = _ports(7, 9, 0.8)
-    pa[6] = pb[6] = pa[6] & -pa[6]  # one neighbour: every root child prunes
-    out["single-bit"] = dict(port_a=pa, port_b=pb, directed=[False] * 9)
-    pa, pb = _ports(8, 72, 0.5, ported=6, one_way=10, bipartite=True)
-    out["large-72"] = dict(
-        port_a=pa, port_b=pb, directed=[False] * 72, max_nodes=20000,
-        break_mirror=True,
-    )
+    # one neighbour, vertex 0: every root child prunes
+    for w in range(1, 9):
+        pa[w] &= ~(1 << 6)
+        pb[w] &= ~(1 << 6)
+    pa[6] = pb[6] = 1
+    out["single-bit"] = dict(port_a=pa, port_b=pb)
+    pa, pb = _ports(8, 72, 0.5, ported=6, bipartite=True)
+    out["large-72"] = dict(port_a=pa, port_b=pb, max_nodes=20000)
     return out
 
 
 # (nodes, budget_exceeded, sha256 of the JSON list of yielded cycles)
 PINNED = {
     "plain-mirror": (23576, False, "c830459eb57cfb73d2c266ebeddbf7208be6ccdc4abc7d36723b754e48ff5eff"),
-    "ported-one-way": (49421, False, "bbb9810808010889181731e7afc7d0174734448a8c317f8c66271e981ad1c898"),
-    "directed-start": (6190, False, "adf97c53eaf7c21b0b6d03134dec501d1bc29482aba724621c949999573afacf"),
-    "directed-free-start": (15762, False, "edd03ffed4cc4f1a16c8e1c3178b56022a14926ae85916fec59dcfbe0a5f8955"),
-    "budget-trip": (3000, True, "aa2669338e26727687ec661a4ebb3ca1153e48482cad1666ecd08a3eb8cc5683"),
+    "budget-trip": (3000, True, "a3112f90e75703443a42c155bfd9a2d2717a3859d657c4591dcab828c2a8b30f"),
     "single-bit": (8, False, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "large-72": (20000, True, "1b400e1786ffc92dec64fe049fb4454718f53e767e84dcdcdfea73bfe3a85572"),
+    "large-72": (20000, True, "c75770262514533f6cb43a49d5c1eb1097990105c2cc86715b0cc05fffbfac1f"),
 }
 
 
-def _run_pinned(kernel, name):
-    enum = kernel(**_pinned_instances()[name])
-    cycles = list(enum)
-    digest = hashlib.sha256(json.dumps(cycles).encode()).hexdigest()
-    return enum.nodes, bool(enum.budget_exceeded), digest
+def _digest(cycles):
+    return hashlib.sha256(json.dumps(cycles).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pure_kernel_pinned(name):
     """The pure kernel's cycles, node count and budget flag on fixed
-    port-constrained instances, as recorded before its incremental prune."""
-    assert _run_pinned(PureCycleEnum, name) == PINNED[name]
+    port-constrained instances, and the full-scan search's."""
+    instance = _pinned_instances()[name]
+    enum = PureCycleEnum(**instance)
+    cycles = list(enum)
+    assert (enum.nodes, enum.budget_exceeded, _digest(cycles)) == PINNED[name]
+    cycles, nodes, tripped = _full_scan_search(**instance)
+    assert (nodes, tripped, _digest(cycles)) == PINNED[name]
 
 
 def test_pure_kernel_dropped_early_is_freed_at_once():
@@ -197,19 +179,18 @@ WORD_BOUNDARIES = (63, 64, 65, 127, 128, 129)
 
 def _graph_instance(seed, items=None):
     """A seeded random graph search as ``GraphEnum`` keyword arguments:
-    about a third of the vertices on prescribed paths of 2 to 5 vertices
-    that are all undirected, some directed or all directed, items in a
-    shuffled order, and a cap from 0 up.  Without ``items``, seeds 0, 1 and
-    2 mod 3 give 5 to 14, 15 to 40 and 60 to 90 vertices; with it, the
-    search has exactly ``items`` items."""
+    about half of the vertices on prescribed paths of 2 to 5 vertices,
+    items in a shuffled order, and a cap from 0 up.  Without ``items``,
+    seeds 0, 1 and 2 mod 3 give 5 to 14, 15 to 40 and 60 to 90 vertices;
+    with it, the search has exactly ``items`` items."""
     rng = random.Random(seed)
     sizes = []
     if items is None:
         n = rng.randint(*((5, 14), (15, 40), (60, 90))[seed % 3])
-        while sum(sizes) < n // 3:
+        while sum(sizes) < n // 2:
             sizes.append(rng.randint(2, 5))
     else:
-        while 3 * sum(sizes) < items + sum(sizes) - len(sizes):
+        while 2 * sum(sizes) < items + sum(sizes) - len(sizes):
             sizes.append(rng.randint(2, 5))
         n = items + sum(sizes) - len(sizes)
     p = rng.uniform(0.2, 0.9)
@@ -219,21 +200,14 @@ def _graph_instance(seed, items=None):
     at = sum(sizes)
     paths = [tuple(order[end - size:end])
              for size, end in zip(sizes, itertools.accumulate(sizes))]
-    kind = rng.choice(("undirected", "mixed", "directed"))
-    items = [
-        (verts, kind == "directed" or (kind == "mixed" and rng.random() < 0.5))
-        for verts in paths
-    ] + [((v,), False) for v in order[at:]]
+    items = paths + [(v,) for v in order[at:]]
     rng.shuffle(items)
-    directed = [it[1] for it in items]
     return dict(
         n=n,
         edges=edges,
-        items=[it[0] for it in items],
-        directed=directed,
+        items=items,
         max_nodes=rng.choice([0, 1, 5, 40, 400, 3000, 20000]
                              + ([None] if n <= 9 else [])),
-        break_mirror=not any(directed),
     )
 
 
@@ -328,14 +302,18 @@ CYCLE4 = [0, 1, 1, 2, 2, 3, 3, 0]
 FREE4 = [(0,), (1,), (2,), (3,)]
 
 
-@pytest.mark.parametrize("bad", [1 << 5, -1])
+@pytest.mark.parametrize("bad", [1 << 5, -1,
+                                 pytest.param(1 << 2, id="one-way")])
 def test_pure_port_search_rejects_bad_instances(bad):
     # a 4-cycle whose vertex 0 has a bit past n = 4: the pure search used
-    # to fail on it with an IndexError partway through
+    # to fail on it with an IndexError partway through; or that offers
+    # vertex 2, which does not offer vertex 0
     masks = [0b1010, 0b0101, 0b1010, 0b0101]
     masks[0] |= bad
-    with pytest.raises(ValueError, match="past vertex count 4"):
-        PureCycleEnum(masks, masks, [False] * 4)
+    match = ("vertex 0 offers vertex 2, which does not offer it back"
+             if bad == 1 << 2 else "past vertex count 4")
+    with pytest.raises(ValueError, match=match):
+        PureCycleEnum(masks, masks)
 
 
 @pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
@@ -344,7 +322,7 @@ def test_kernels_reject_masks_past_the_vertex_count(request, kernel, bad):
     # an edge from vertex 0 to 5, or to -1, would set a port bit past n = 4
     far = 5 if bad > 0 else -1
     with pytest.raises(ValueError, match=r"edge has an end outside 0\.\.3"):
-        _kernel(request, kernel)(4, CYCLE4 + [0, far], FREE4, [False] * 4)
+        _kernel(request, kernel)(4, CYCLE4 + [0, far], FREE4)
 
 
 @pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
@@ -362,7 +340,7 @@ def test_kernels_reject_bad_graph_instances(request, kernel, edges, items,
     # checked before either kernel builds its ports: the C builder indexes
     # its arrays by these ids, and Python lists take -1 silently
     with pytest.raises(ValueError, match=match):
-        _kernel(request, kernel)(4, edges, items, [False] * len(items))
+        _kernel(request, kernel)(4, edges, items)
 
 
 def test_c_kernel_state_freed_at_end_and_when_dropped(c_kernel, monkeypatch):
@@ -375,8 +353,7 @@ def test_c_kernel_state_freed_at_end_and_when_dropped(c_kernel, monkeypatch):
     searches = {
         n: dict(n=n, edges=[x for e in itertools.combinations(range(n), 2)
                             for x in e],
-                items=[(v,) for v in range(n)], directed=[False] * n,
-                max_nodes=cap, break_mirror=True)
+                items=[(v,) for v in range(n)], max_nodes=cap)
         for n, cap in ((7, None), (10, 3000))
     }
     for n, kw in searches.items():
@@ -508,8 +485,7 @@ def test_kernel_loader_reuses_a_filled_cache(tmp_path, monkeypatch):
     assert list(graph_enum(**instance)) == list(PureGraphEnum(**instance))
 
 
-def _full_scan_search(port_a, port_b, directed, start=0, max_nodes=None,
-                      break_mirror=False):
+def _full_scan_search(port_a, port_b, max_nodes=None):
     """Reference for the kernel's search, written recursively with the full
     prune scan over every unvisited vertex at every node.  Returns (cycles,
     nodes, budget_exceeded)."""
@@ -521,13 +497,11 @@ def _full_scan_search(port_a, port_b, directed, start=0, max_nodes=None,
 
     def exits(v, came_from):
         fb = 1 << came_from
-        out_a = port_b[v] if port_a[v] & fb else 0
-        if directed[v]:
-            return out_a
-        return out_a | (port_a[v] if port_b[v] & fb else 0)
+        return ((port_b[v] if port_a[v] & fb else 0)
+                | (port_a[v] if port_b[v] & fb else 0))
 
     def starved(cur, visited):
-        avail = ~visited | (1 << cur) | (1 << start)
+        avail = ~visited | (1 << cur) | 1
         return any(
             not visited >> w & 1 and (umask[w] & avail).bit_count() < 2
             for w in range(n)
@@ -542,13 +516,12 @@ def _full_scan_search(port_a, port_b, directed, start=0, max_nodes=None,
             if max_nodes is not None and nodes >= max_nodes:
                 return False
             nodes += 1
-            if len(path) == 1 and not directed[start]:
-                close_mask = exits(start, v)
+            if len(path) == 1:
+                close_mask = exits(0, v)
             out = exits(v, path[-1])
             seen = visited | 1 << v
             if seen == full:
-                if (out >> start & 1 and close_mask >> v & 1
-                        and not (break_mirror and path[1] > v)):
+                if out & 1 and close_mask >> v & 1 and path[1] < v:
                     cycles.append(path + [v])
                 continue
             out &= ~seen
@@ -559,9 +532,7 @@ def _full_scan_search(port_a, port_b, directed, start=0, max_nodes=None,
 
     if n < 3:
         return cycles, 0, False
-    first = port_b[start] if directed[start] else umask[start]
-    close = port_a[start] if directed[start] else 0
-    finished = extend([start], 1 << start, first & ~(1 << start), close)
+    finished = extend([0], 1, umask[0] & ~1, 0)
     return cycles, nodes, not finished
 
 
@@ -569,15 +540,11 @@ def _full_scan_search(port_a, port_b, directed, start=0, max_nodes=None,
 def test_pure_kernel_matches_full_scan(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 11)
-    pa, pb = _ports(seed, n, rng.uniform(0.3, 1.0), ported=rng.randint(0, n),
-                    one_way=rng.randint(0, n))
+    pa, pb = _ports(seed, n, rng.uniform(0.3, 1.0), ported=rng.randint(0, n))
     kw = dict(
         port_a=pa,
         port_b=pb,
-        directed=[rng.random() < 0.3 for _ in range(n)],
-        start=rng.randrange(n),
         max_nodes=rng.choice([None, 1, 40, 400, 4000]),
-        break_mirror=rng.random() < 0.5,
     )
     enum = PureCycleEnum(**kw)
     got = list(enum)

@@ -34,8 +34,7 @@ def _capture_kernel_inputs(monkeypatch):
 
 def _random_instance(rng):
     """A random host on 8..12 vertices with prescribed paths of 3 or 4
-    vertices (two on 10 or more vertices), some directed, all of them in
-    about a third of the instances; at least three search items."""
+    vertices (two on 10 or more vertices); at least three search items."""
     n = rng.randint(8, 12)
     g = random_graph(rng, n, rng.uniform(0.45, 0.9))
     order = rng.sample(range(n), n)
@@ -44,33 +43,32 @@ def _random_instance(rng):
         size = rng.randint(3, 4)
         paths.append(tuple(order[at:at + size]))
         at += size
-    all_directed = rng.random() < 0.3
-    prescribed = [
-        Prescribed(verts, directed=all_directed or rng.random() < 0.3)
-        for verts in paths
-    ]
-    return g, prescribed
+    return g, [Prescribed(verts) for verts in paths]
 
 
 def _loose_reference(g, prescribed):
     """The search with port masks built from every vertex of a prescribed
     path, interiors included: the over-approximation ``CycleSearch`` used
-    before interiors were left out.  Returns (cycles, kernel nodes)."""
-    s = CycleSearch(g, prescribed)
-    items = s._items()
-    where = {v: idx for idx, it in enumerate(items) for v in it[1]}
+    before interiors were left out.  An item that another offers offers it
+    back through both ports, so that the union masks are symmetric.
+    Returns (cycles, kernel nodes)."""
+    items = CycleSearch(g, prescribed)._items()
+    where = {v: idx for idx, verts in enumerate(items) for v in verts}
 
     def mask(end, idx):
         return sum({1 << where[w] for w in g.adj[end] if where[w] != idx})
 
-    port_a = [mask(it[1][0], idx) for idx, it in enumerate(items)]
-    port_b = [mask(it[1][-1], idx) for idx, it in enumerate(items)]
-    directed = [it[2] for it in items]
-    enum = PureCycleEnum(port_a, port_b, directed, 0, None, not any(directed))
-    verts = [it[1] for it in items]
+    port_a = [mask(verts[0], idx) for idx, verts in enumerate(items)]
+    port_b = [mask(verts[-1], idx) for idx, verts in enumerate(items)]
+    for i, offered in enumerate([a | b for a, b in zip(port_a, port_b)]):
+        for j in range(len(items)):
+            if offered >> j & 1:
+                port_a[j] |= 1 << i
+                port_b[j] |= 1 << i
+    enum = PureCycleEnum(port_a, port_b)
     adj = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-    states = _states(verts, directed)
-    cycles = [c for c in (_decode(ic, verts, states, adj) for ic in enum)
+    states = _states(items)
+    cycles = [c for c in (_decode(ic, items, states, adj) for ic in enum)
               if c is not None]
     return cycles, enum.nodes
 
@@ -83,7 +81,7 @@ def test_interior_neighbour_sets_no_port_bit(monkeypatch):
     s = CycleSearch(g, [Prescribed((0, 1, 2))])
     assert list(s.cycles()) == [[2, 1, 0, 4, 3, 5]]
     [(port_a, port_b)] = calls
-    idx = {it[1]: i for i, it in enumerate(s._items())}
+    idx = {verts: i for i, verts in enumerate(s._items())}
     path_bit = 1 << idx[(0, 1, 2)]
     assert not (port_a[idx[(3,)]] | port_b[idx[(3,)]]) & path_bit
     assert port_a[idx[(4,)]] & path_bit and port_a[idx[(5,)]] & path_bit

@@ -120,6 +120,30 @@ def test_no_indented_json_encoding():
     assert not found
 
 
+def _parameters(tree, name, cls=None):
+    """The parameter list, defaults included, of the function ``name`` in
+    ``tree`` (a method of the class ``cls``, without ``self``), at any
+    depth, as source text."""
+    if cls is not None:
+        tree = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    text = ast.unparse(fn.args)
+    return text if cls is None else text.removeprefix("self, ")
+
+
+def test_kernel_entry_points_take_one_parameter_list():
+    # the tests that compare kernels swap one entry point for another, so
+    # the entry point and both graph enumerators take the same parameters
+    modules = dict(_modules())
+    loader, pure = modules["hamkernel/__init__.py"], modules["hamkernel/_pure.py"]
+    assert (_parameters(loader, "cycle_enumerator")
+            == _parameters(loader, "__init__", "CGraphEnum")
+            == _parameters(pure, "__init__", "GraphEnum")
+            == "n, edges, items, max_nodes=None")
+
+
 # public names kept although nothing in the package or the benchmark uses
 # them, each with its reason
 UNCALLED = {

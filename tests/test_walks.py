@@ -131,7 +131,7 @@ def test_closure_rejects_non_positive_budget(budget):
 def _small_case(rng, m):
     """A closure on K(m,m): m/2 levels, each with up to three random
     vertex-disjoint paths of one to three edges, no edge on two levels.
-    Returns (n, A, pool, paths per level, path edges per level)."""
+    Returns (n, A, pool, path edges per level)."""
     n = 2 * m
     A = list(range(m))
     free = {(a, b) for a in A for b in range(m, n)}
@@ -156,7 +156,7 @@ def _small_case(rng, m):
         levels.append(paths)
     systems = [frozenset(norm_edge(u, v) for p in paths
                          for u, v in zip(p, p[1:])) for paths in levels]
-    return n, A, frozenset(free), levels, systems
+    return n, A, frozenset(free), systems
 
 
 def _factor_edges(nbrs):
@@ -171,7 +171,7 @@ def test_split_levels_hold_their_systems_and_no_other():
     rng = random.Random(20)
     split = 0
     for trial in range(60):
-        n, A, pool, _, systems = _small_case(rng, rng.choice((4, 6, 8)))
+        n, A, pool, systems = _small_case(rng, rng.choice((4, 6, 8)))
         try:
             needs = walks._level_needs(n, pool, systems)
         except BackendFailure:
@@ -225,7 +225,7 @@ def test_each_switch_joins_two_cycles_and_keeps_the_rest(monkeypatch):
     monkeypatch.setattr(walks, "_switch", checked)
     rng = random.Random(21)
     for trial in range(40):
-        n, A, pool, _, systems = _small_case(rng, rng.choice((6, 8)))
+        n, A, pool, systems = _small_case(rng, rng.choice((6, 8)))
         try:
             walks._close(n, A, pool, systems, trial, float("inf"))
         except BackendFailure:
@@ -233,37 +233,81 @@ def test_each_switch_joins_two_cycles_and_keeps_the_rest(monkeypatch):
     assert len(made) >= 40
 
 
-def _referee(n, pool, levels, systems):
-    """``peel_cycles`` over ``CycleSearch``: a level search runs once per
-    orientation of its paths, each prescribed directed, the first path
-    kept as given; the kernel reports one orientation per item cycle, so
-    undirected paths would miss cycles that differ only in orientation."""
-    from itertools import product
+def _level_cycles(n, pool, fixed, stats):
+    """Every Hamilton cycle on 0..n-1 that contains the edges ``fixed`` and
+    otherwise only edges of ``pool``, once each, as a vertex list from 0
+    whose second vertex is below its last.  A depth-first search over
+    vertices: a vertex is left by its fixed edge not yet walked when it has
+    one, and otherwise by a pool edge to a vertex with at most one fixed
+    edge.  A node is pruned when a vertex off the path has fewer than two
+    edges to the vertices it can still join: those off the path, the
+    current one and 0.  Each step counts one node in ``stats.nodes``; with
+    ``stats.max_nodes`` spent the search sets ``stats.budget_exceeded`` and
+    ends."""
+    fixed_nb = [set() for _ in range(n)]
+    pool_nb = [set() for _ in range(n)]
+    for nb, edges in ((fixed_nb, fixed), (pool_nb, pool)):
+        for u, v in edges:
+            nb[u].add(v)
+            nb[v].add(u)
+    path, off = [0], set(range(1, n))
 
-    from bipham.search import CycleSearch, Prescribed, SearchStats
+    def by_pool(v):
+        return {w for w in pool_nb[v] if len(fixed_nb[w]) < 2}
+
+    def exits(v, prev):
+        rest = fixed_nb[v] - {prev}
+        if rest:
+            return rest if len(rest) == 1 else set()
+        return by_pool(v)
+
+    def stuck(v):
+        open_ = off | {v, 0}
+        return any(len((fixed_nb[w] | pool_nb[w]) & open_) < 2 for w in off)
+
+    def extend(v, prev):
+        if prev is None:  # 0 is left by either of its two cycle edges
+            options = fixed_nb[0] | (by_pool(0) if len(fixed_nb[0]) < 2
+                                     else set())
+        else:
+            options = exits(v, prev)
+        for w in sorted(options & off):
+            if stats.nodes >= stats.max_nodes:
+                stats.budget_exceeded = True
+                return
+            stats.nodes += 1
+            path.append(w)
+            off.discard(w)
+            if not off:
+                if (0 in exits(w, v) and fixed_nb[0] <= {path[1], w}
+                        and path[1] < w):
+                    yield list(path)
+            elif not stuck(w):
+                yield from extend(w, v)
+            off.add(w)
+            path.pop()
+            if stats.budget_exceeded:
+                return
+
+    return extend(0, None)
+
+
+def _referee(n, pool, systems):
+    """``peel_cycles`` over ``_level_cycles``: level i searches for a
+    Hamilton cycle through the edges of ``systems[i]``, traversing its
+    paths either way, and takes its pool edges.  It shares no code with
+    the kernels."""
+    from types import SimpleNamespace
+
     from bipham.solvers import peel_cycles
     from bipham.validate import cycle_edges
 
-    def orientations(i, pool_left, order, stats):
-        spent = 0
-        for flips in product((False, True), repeat=max(len(levels[i]) - 1, 0)):
-            paths = [Prescribed(p[::-1] if flip else p, directed=True)
-                     for p, flip in zip(levels[i], (False, *flips))]
-            found = CycleSearch(Graph._trusted(n, pool_left), paths,
-                                max_nodes=stats.max_nodes - spent, seed=order)
-            for c in found.cycles():
-                stats.nodes = spent + found.stats.nodes
-                yield c, cycle_edges(c) - systems[i]
-            spent = stats.nodes = spent + found.stats.nodes
-            if found.stats.budget_exceeded:
-                stats.budget_exceeded = True
-                return
-
     def search(i, pool_left, order, cap):
-        stats = SearchStats(max_nodes=cap)
-        return orientations(i, pool_left, order, stats), stats
+        stats = SimpleNamespace(nodes=0, budget_exceeded=False, max_nodes=cap)
+        found = _level_cycles(n, pool_left, systems[i], stats)
+        return ((c, cycle_edges(c) - systems[i]) for c in found), stats
 
-    return peel_cycles(search, pool, len(levels), 10_000_000)
+    return peel_cycles(search, pool, len(systems), 10_000_000)
 
 
 def test_closure_agrees_with_search_referee():
@@ -276,8 +320,8 @@ def test_closure_agrees_with_search_referee():
     outcomes = []
     for trial in range(60):
         m = (4, 6, 8)[trial % 3]
-        n, A, pool, levels, systems = _small_case(rng, m)
-        peel = _referee(n, pool, levels, systems)
+        n, A, pool, systems = _small_case(rng, m)
+        peel = _referee(n, pool, systems)
         try:
             cycles = walks._close(n, A, pool, systems, trial,
                                   float("inf"))[0]
@@ -291,6 +335,36 @@ def test_closure_agrees_with_search_referee():
             assert all(q <= cycle_edges(c) for q, c in zip(systems, cycles))
     assert all(ref == got for ref, got in outcomes)
     assert 0 < sum(ref for ref, _ in outcomes) < len(outcomes)
+
+
+def test_referee_yields_the_orientations_the_kernels_miss(monkeypatch):
+    # K(6,6) through three paths: the referee yields every Hamilton cycle
+    # that contains them; each kernel yields one orientation of the paths
+    # per item cycle, so it yields only some of these cycles (20 of 40)
+    from types import SimpleNamespace
+
+    from bipham import hamkernel, search
+    from bipham.graphs import complete_bipartite
+    from bipham.search import CycleSearch, Prescribed
+    from bipham.validate import cycle_edges
+
+    g = complete_bipartite((6, 6))
+    paths = [(10, 5, 8, 1), (11, 4), (7, 0, 9)]
+    fixed = {norm_edge(u, v) for p in paths for u, v in zip(p, p[1:])}
+    every = {cycle_edges(c) for c in CycleSearch(g).cycles()}
+    assert len(every) == 43200
+    through = {c for c in every if fixed <= c}
+    stats = SimpleNamespace(nodes=0, budget_exceeded=False, max_nodes=10**6)
+    found = [cycle_edges(c)
+             for c in _level_cycles(g.n, g.edges - fixed, fixed, stats)]
+    assert len(found) == len(set(found)) == 40 and set(found) == through
+    allowed = Graph(g.n, g.edges - fixed)
+    for kernel in (hamkernel.GraphEnum, hamkernel.PureGraphEnum):
+        monkeypatch.setattr(search, "cycle_enumerator", kernel)
+        for seed in range(4):
+            cycles = CycleSearch(allowed, [Prescribed(p) for p in paths],
+                                 seed=seed).cycles()
+            assert {cycle_edges(c) for c in cycles} <= through
 
 
 def test_divisibility_report():
