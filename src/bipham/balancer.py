@@ -239,8 +239,10 @@ def peel_hamilton_cycles(
     peel = peel_through_systems(f.n, pool, systems, budget)
     if peel.cycles is None:
         raise SolverFailure(
-            "no edge-disjoint Hamilton cycles through the path systems using "
-            f"cross edges (deepest level {peel.deepest})",
+            "search for edge-disjoint Hamilton cycles through the path "
+            f"systems using cross edges exhausted at level {peel.deepest} "
+            "(one orientation of the paths per item cycle; not a proof of "
+            "infeasibility)",
             stats={"nodes": peel.nodes},
         )
     for q, cyc in zip(systems, peel.cycles):

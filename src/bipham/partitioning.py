@@ -533,29 +533,26 @@ def orient_scheme(
     Every subcluster pair is edge-colored and whole color classes are
     oriented in alternating directions, which keeps near-perfect matchings
     in both directions of each pair.  The orientation depends on the seed
-    only through its parity, so the parities of ``seed`` and ``seed + 1``
-    are each tried once, in that order.
+    only through its parity; ``RetryBudgetExceeded`` is raised when that
+    parity's orientation fails verification, and a caller that wants the
+    other parity tries ``seed + 1``.
     """
     eps0, eps = frac(eps0), frac(eps)
     pre = scheme_violations(g, part, eps0, eps)
     if pre:
         raise PreconditionViolated("; ".join(pre[:3]))
     eps_dir = rational_ceil(2.0 * float(eps) ** 0.5)
-    last = []
-    for attempt in range(2):
-        arcs = _alternating_orientation(g, part, seed + attempt)
-        gdir = OrientedGraph(g.n, arcs)
-        problems = oriented_scheme_violations(gdir, part, eps0, eps_dir)
-        if not problems:
-            cert = Certificate(attempts=attempt + 1, seed=seed)
-            cert.conditions["oriented-scheme"] = f"pass with eps={eps_dir}"
-            return gdir, cert
-        last = problems
-    raise RetryBudgetExceeded(
-        "scheme orientation verification failed",
-        attempts=2,
-        last_failures=last[:5],
-    )
+    gdir = OrientedGraph(g.n, _alternating_orientation(g, part, seed))
+    problems = oriented_scheme_violations(gdir, part, eps0, eps_dir)
+    if problems:
+        raise RetryBudgetExceeded(
+            "scheme orientation verification failed",
+            attempts=1,
+            last_failures=problems[:5],
+        )
+    cert = Certificate(attempts=1, seed=seed)
+    cert.conditions["oriented-scheme"] = f"pass with eps={eps_dir}"
+    return gdir, cert
 
 
 def _alternating_orientation(g: Graph, part: LabelledPartition, seed: int):

@@ -4,9 +4,13 @@ Two drivers: ``run_theorem_NWbip`` packs half-the-degree many edge-disjoint
 Hamilton cycles into a dense nearly-bipartite host around a regular spanning
 subgraph; ``run_theorem_1factbip`` fully decomposes an even-regular
 nearly-bipartite graph into Hamilton cycles via a robustly decomposable
-subgraph.  Each driver opens its stages in turn and has one failure path:
-a typed error or failed requirement marks the most recently opened stage
-failed with the error, and one skipped ``remaining`` stage ends the report.
+subgraph.  Both pack with one routine, ``_pack``: the 1-factorization packs
+what its robustly decomposable graph leaves with the same elimination,
+cluster partition, balanced exceptional systems and approximate
+decomposition as NW-bip.  Each driver opens its stages in turn and has one
+failure path: a typed error or failed requirement marks the most recently
+opened stage failed with the error, and one skipped ``remaining`` stage
+ends the report.
 
 All numeric thresholds live in PipelineConstants as exact rationals; the
 asymptotic separation conditions between them are evaluated and logged as
@@ -17,13 +21,18 @@ checked hard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
 from .balance import Framework, frac, validate_framework
-from .balancer import bip_decompose, elimination_bound_holds, eliminate_A0B0
+from .balancer import (
+    EliminationResult,
+    bip_decompose,
+    elimination_bound_holds,
+    eliminate_A0B0,
+)
 from .beps import build_bf_family, canonical_intervals
 from .bes import (
     build_localized_pairs,
@@ -171,7 +180,6 @@ class PipelineConstants:
         for name, num, den in (
             ("K1/28fgL", self.K1, 28 * self.f * self.g * self.L),
             ("K2/4gLK1", self.K2, 4 * self.g * self.L * self.K1),
-            ("4fK1/3g(g-1)", 4 * self.f * self.K1, 3 * self.g * (self.g - 1)),
         ):
             if den == 0 or num % den:
                 out.append(f"divisibility {name} fails ({num} vs {den})")
@@ -187,9 +195,6 @@ class BesStageResult:
     cycles: list[list[int]]
     diamond: Graph
     t_K: int
-    k: int
-    eps4_achieved: Fraction
-    warnings: list[str] = field(default_factory=list)
 
     def family(self) -> list[PathSystem]:
         """Every balanced exceptional system, cell by cell in cell order."""
@@ -202,16 +207,14 @@ def bes_stage(
     constants: PipelineConstants,
     seed: int,
     stage: Stage,
-    K: int | None = None,
-    eps4=None,
+    K: int,
+    eps4,
 ) -> BesStageResult:
     """Localized slices -> per-slice systems -> paired -> balanced
     exceptional systems, then the global leftover is absorbed into Hamilton
     cycles.  Every intermediate postcondition lands in ``stage``."""
     c = constants
-    K = K if K is not None else part.K
-    eps4 = frac(eps4 if eps4 is not None else c.eps4)
-    t_K, k, eps4_achieved = derive_slice_counts(fw.D, K, eps4)
+    t_K, k, eps4_achieved = derive_slice_counts(fw.D, K, frac(eps4))
     stage.params.update({"t_K": t_K, "k": k, "eps4_achieved": str(eps4_achieved)})
     slices = localized_slices(fw, part, c.eps1, c.eps2, seed=seed)
     stage.check("slices-partition-verified", True)
@@ -262,21 +265,22 @@ def bes_stage(
     )
     stage.check("global-cover", True, witness=cover.checks)
     stage.check("diamond-exceptional-isolated", True)
-    return BesStageResult(
-        j_cells, cover.cycles, cover.diamond, t_K, k, eps4_achieved, warnings
-    )
+    return BesStageResult(j_cells, cover.cycles, cover.diamond, t_K)
 
 
 class _Run:
-    """One driver run: the report, opened with the instance, the regular
-    degree ``D`` of the subgraph (-1 when it is not regular) and the
-    hierarchy warnings, and the host edges its cycles have taken so far."""
+    """One driver run: its constants and seed, the report, opened with the
+    instance, the regular degree ``D`` of the subgraph (-1 when it is not
+    regular) and the hierarchy warnings, and the host edges its cycles have
+    taken so far."""
 
     def __init__(self, host: Graph, g: Graph, constants: PipelineConstants,
                  seed: int):
         degs = set(g.degrees())
         self.D = degs.pop() if len(degs) == 1 else -1
         self.irregular = sorted(degs)  # empty when g is regular
+        self.constants = constants
+        self.seed = seed
         self.host = host
         self.total = host.num_edges()
         self.removed: set = set()
@@ -308,6 +312,64 @@ class _Run:
         st.error = f"{type(exc).__name__}: {exc}"
         self.report.stages.append(Stage("remaining", "skipped", status="skipped"))
         return self.report
+
+
+def _eliminate(run: _Run, fw: Framework) -> EliminationResult:
+    """Eliminate the exceptional cut of ``fw`` under the run's budget, in
+    the open stage, and take the cut cycles; the reduced degree is held to
+    the reduction bound of ``fw.eps``."""
+    st = run.report.stages[-1]
+    elim = eliminate_A0B0(fw, budget=run.constants.budget(run.seed))
+    st.check("cut-cycles", True, witness=len(elim.hamilton_cycles))
+    st.require(
+        "reduction-bound",
+        elimination_bound_holds(fw.D, elim.reduced.D, fw.eps, fw.graph.n),
+        witness=(fw.D, elim.reduced.D),
+    )
+    st.require("parity-preserved", elim.reduced.D % 2 == 0)
+    run.take(elim.hamilton_cycles, "elimination")
+    return elim
+
+
+def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
+    """Pack Hamilton cycles into the weak framework ``fw``: eliminate the
+    exceptional cut in the open stage, then, in three stages of their own,
+    partition into K clusters, build balanced exceptional systems (slices
+    under ``eps4``) and extend each system into a Hamilton cycle of what is
+    left of the host outside ``reserved``.  Returns the cut, system-cover
+    and system-extension cycles; when the elimination leaves degree 0,
+    nothing is left to pack and no stage opens."""
+    c, report = run.constants, run.report
+    elim = _eliminate(run, fw)
+    fw = elim.reduced
+    if fw.D == 0:
+        return elim.hamilton_cycles, [], []
+
+    st = report.stage("cluster-partition", "partition", K=K)
+    part, cert = framework_partition(fw, fw.host_graph(), K, c.eps1, c.eps2,
+                                     seed=run.seed)
+    st.check("properties-verified", True, witness=cert.as_json()["conditions"])
+    fw = replace(fw, partition=part, K=K)
+
+    st = report.stage("balanced-exceptional-systems", "bes-cover")
+    bes = bes_stage(fw, part, c, run.seed, st, K, eps4)
+    run.take(bes.cycles, "bes-cycles")
+
+    st = report.stage("approximate-decomposition", "approx")
+    family = bes.family()
+    rest = fw.D - 2 * len(bes.cycles)
+    st.require("family-size-identity", rest == 2 * len(family),
+               witness=(rest, len(family)))
+    approx = approx_decomposition(
+        run.left(reserved), part, family, c.mu, c.rho, c.eps_prime,
+        budget=c.budget(run.seed), enforce_gates=False,
+    )
+    for i, cyc in enumerate(approx):
+        missing = set(family[i].edges) - cycle_edges(cyc)
+        st.require(f"cycle-{i}-contains-system", not missing,
+                   witness=sorted(missing)[:3])
+    run.take(approx, "approx")
+    return elim.hamilton_cycles, bes.cycles, approx
 
 
 def run_theorem_NWbip(
@@ -370,53 +432,7 @@ def _nwbip_attempt(
             hint_split=hint_split, demotion_seed=demotion_seed,
         )
         st.check("weak-framework", fw.kind in ("weak", "full"), witness=fw.kind)
-        elim = eliminate_A0B0(fw, budget=constants.budget(seed))
-        c1 = elim.hamilton_cycles
-        st.check("cut-cycles", True, witness=len(c1))
-        st.require(
-            "reduction-bound",
-            elimination_bound_holds(D, elim.reduced.D, constants.eps0, f.n),
-            witness=(D, elim.reduced.D),
-        )
-        st.require("parity-preserved", elim.reduced.D % 2 == 0)
-        run.take(c1, "elimination")
-        # the reduced framework's host is f without the cut cycles
-        fw1 = elim.reduced
-
-        st = report.stage("cluster-partition", "partition", K=constants.K)
-        part, cert = framework_partition(
-            fw1, fw1.host, constants.K, constants.eps1, constants.eps2, seed=seed
-        )
-        st.check("properties-verified", True, witness=cert.as_json()["conditions"])
-        fw1 = replace(fw1, partition=part, K=constants.K)
-
-        st = report.stage("balanced-exceptional-systems", "bes-cover")
-        if fw1.D == 0:
-            # the elimination already consumed the whole balance degree:
-            # no systems or further cycles are needed
-            st.check("nothing-left", True, witness="balance degree zero")
-            bes = BesStageResult({}, [], fw1.graph, 0, 0, Fraction(0))
-        else:
-            bes = bes_stage(fw1, part, constants, seed, st)
-        c2 = bes.cycles
-        run.take(c2, "bes-cycles")
-
-        st = report.stage("approximate-decomposition", "approx")
-        j_family = bes.family()
-        d2 = fw1.D - 2 * bes.k
-        st.require("family-size-identity", d2 == 2 * len(j_family),
-                   witness=(d2, len(j_family)))
-        gate_note = "gates relaxed at desk scale (mu, rho may be zero)"
-        st.check("gates", True, witness=gate_note)
-        c3 = approx_decomposition(
-            run.left(), part, j_family, constants.mu, constants.rho,
-            constants.eps_prime, budget=constants.budget(seed),
-            enforce_gates=False,
-        )
-        for i, cyc in enumerate(c3):
-            missing = set(j_family[i].edges) - cycle_edges(cyc)
-            st.require(f"cycle-{i}-contains-system", not missing, witness=sorted(missing)[:3])
-        run.take(c3, "approx")
+        c1, c2, c3 = _pack(run, fw, constants.K, constants.eps4)
 
         st = report.stage("final-validation", "totals")
         cycles = c1 + c2 + c3
@@ -487,12 +503,8 @@ def run_theorem_1factbip(
             g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
             hint_split=hint_split,
         )
-        elim = eliminate_A0B0(fw, budget=c.budget(seed))
-        c1 = elim.hamilton_cycles
-        fw1 = elim.reduced
-        d1 = fw1.D
-        st.check("cut-cycles", True, witness=len(c1))
-        run.take(c1, "framework")
+        elim = _eliminate(run, fw)
+        c1, fw1 = elim.hamilton_cycles, elim.reduced
 
         st = report.stage("robust-parameters", "robust-contract")
         m1 = len(fw1.partition.A) // c.K1
@@ -543,7 +555,7 @@ def run_theorem_1factbip(
             )
         else:
             fw_fine = replace(fw1, partition=part_fine, K=c.K1 * c.L)
-            bes_all = bes_stage(fw_fine, part_fine, c, seed, st, K=c.K1 * c.L)
+            bes_all = bes_stage(fw_fine, part_fine, c, seed, st, c.K1 * c.L, c.eps4)
             run.take(bes_all.cycles)
             j_ca, j_pca = _select_robust_systems(
                 bes_all.j_cells, c, params
@@ -560,11 +572,10 @@ def run_theorem_1factbip(
         )
         sch = scheme_violations(g2, part1, c.eps0, c.eps_prime)
         st.check("scheme", not sch, witness=sch[:2])
-        ocert, rd, bf_ca, bf_pca, ca, pca = _build_absorbers(
+        parities, rd, bf_ca, bf_pca, ca, pca = _build_absorbers(
             g2, part1, params, j_ca, j_pca, c, seed
         )
-        st.check("orientation-verified", True, witness=ocert.attempts)
-        report.warnings.extend(rd.warnings)
+        st.check("orientation-verified", True, witness=parities)
         st.check("chord-absorber-regular",
                  set(Graph(g.n, ca.edges).degrees()) <= {2 * (params.r1 + params.r2)},
                  witness=2 * (params.r1 + params.r2))
@@ -589,7 +600,7 @@ def run_theorem_1factbip(
 
         st = report.stage("repartition", "approx", K2=c.K2)
         g4 = fw1.graph.minus_edges(rob_edges)
-        d4 = d1 - r0_rob
+        d4 = fw1.D - r0_rob
         deg_law = all(
             g4.degree(v) == (d4 if v in part1.V0() else d4 + 2 * r)
             for v in range(g.n)
@@ -604,41 +615,9 @@ def run_theorem_1factbip(
         )
         if isinstance(fw4, list):
             raise PreconditionViolated(f"repartitioned graph: {fw4[0].detail}")
-        if d4 > 0:
-            elim2 = eliminate_A0B0(fw4, budget=c.budget(seed))
-            c2, fw5 = elim2.hamilton_cycles, elim2.reduced
-        else:
-            c2, fw5 = [], fw4
-        d5 = d4 - 2 * len(c2)
-        st.check("second-elimination", True, witness=len(c2))
-        run.take(c2, "repartition")
+        c2, c3, c4 = _pack(run, fw4, c.K2, c.eps4_prime, reserved=rob_edges)
 
-        st = report.stage("approx-bes", "bes-cover", K2=c.K2)
-        if d5 == 0:
-            j_prime: list[PathSystem] = []
-            c3 = []
-            part2 = part_star
-            st.check("empty-remainder", True)
-        else:
-            part2, cert2 = framework_partition(
-                fw5, fw5.graph, c.K2, c.eps1, c.eps2, seed=seed + 7
-            )
-            # the second elimination left fw5 at balance degree d5
-            fw5 = replace(fw5, partition=part2, K=c.K2)
-            bes2 = bes_stage(fw5, part2, c, seed + 7, st, K=c.K2, eps4=c.eps4_prime)
-            j_prime = bes2.family()
-            c3 = bes2.cycles
-        d6 = d5 - 2 * len(c3)
-        st.require("family-size-identity", d6 == 2 * len(j_prime),
-                   witness=(d6, len(j_prime)))
-        run.take(c3, "approx-bes")
-
-        st = report.stage("approximate-decomposition", "approx")
-        c4 = approx_decomposition(
-            run.left(rob_edges), part2, j_prime, c.mu, c.rho, c.eps_prime,
-            budget=c.budget(seed), enforce_gates=False,
-        ) if j_prime else []
-        run.take(c4)
+        st = report.stage("robust-closure", "robust-contract")
         h_prime = run.left(rob_edges)
         st.require(
             "leftover-regular",
@@ -653,10 +632,6 @@ def run_theorem_1factbip(
             not h_prime.e_within(part1.A_prime())
             and not h_prime.e_within(part1.B_prime()),
         )
-        # the conservation entry is written once the leftover checks hold
-        run.take((), "approx")
-
-        st = report.stage("robust-closure", "robust-contract")
         h = Graph(g.n, h_prime.edges_between(part1.A, part1.B))
         c5 = rd.closure(h, max_nodes=c.max_nodes, max_seconds=c.max_seconds,
                         seed=seed)
@@ -685,13 +660,14 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
     first, then the absorbers are peeled from the regular remainder (the
     stated construction order interleaves these; the postconditions checked
     by the caller are order-independent).  The alternating orientation is
-    tried with both parities (seeds ``seed`` and ``seed + 1``); the last
-    failure is raised when both fail."""
+    tried with the parities of ``seed`` and ``seed + 1``, in that order,
+    and the number of parities tried is returned first; the last failure is
+    raised when both fail."""
     part1_coarse = part1.with_clusters(part1.clusters_A, part1.clusters_B)
     last_exc = None
     for attempt in range(2):
         try:
-            g2dir, ocert = orient_scheme(
+            g2dir, _ = orient_scheme(
                 g2, part1, c.eps0, c.eps_prime, seed=seed + attempt,
             )
             rd = RobustDecomposition(g2dir, part1, params)
@@ -711,7 +687,7 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
             )
             ca = rd.build_chord_absorber(bf_ca, extra_avoid=bf_pca)
             pca = rd.build_parity_switcher(bf_pca)
-            return ocert, rd, bf_ca, bf_pca, ca, pca
+            return attempt + 1, rd, bf_ca, bf_pca, ca, pca
         except BiphamError as exc:
             # no traceback: it would tie this frame to itself (see build_beps)
             last_exc = exc.with_traceback(None)
@@ -776,35 +752,38 @@ def _select_robust_systems(j_cells: dict, constants, params):
 
 def _repartition_exceptional(g4: Graph, part: LabelledPartition):
     """Split the exceptional set to maximize the cut towards the opposite
-    inner side: exhaustive for up to 20 exceptional vertices, single-move
-    local search beyond."""
+    inner side: exhaustive for up to 20 exceptional vertices (the first
+    maximum in mask order), single-move local search beyond.  A split's cut
+    is counted from each exceptional vertex's degrees into A and B and its
+    exceptional neighbours, less the e(A, B) edges every split cuts."""
     v0 = sorted(part.V0())
     if not v0:
         return [], []
-    A, B = set(part.A), set(part.B)
+    bit = {v: 1 << i for i, v in enumerate(v0)}
+    into_a = [g4.d(v, part.A) for v in v0]
+    into_b = [g4.d(v, part.B) for v in v0]
+    inner = [sum(bit.get(w, 0) for w in g4.adj[v]) for v in v0]
 
-    def cut_value(a0):
-        a0 = set(a0)
-        b0 = set(v0) - a0
-        s1 = A | a0
-        s2 = B | b0
-        return g4.e_between(s1, s2)
+    def cut(mask):
+        """The cut with v0[i] joined to A for each bit i of ``mask`` and to
+        B otherwise; an edge inside v0 counts from its A end."""
+        return sum(
+            into_b[i] + (inner[i] & ~mask).bit_count() if mask >> i & 1
+            else into_a[i]
+            for i in range(len(v0))
+        )
 
     if len(v0) <= 20:
-        best, best_val = None, -1
-        for mask in range(1 << len(v0)):
-            a0 = [v0[i] for i in range(len(v0)) if mask >> i & 1]
-            val = cut_value(a0)
-            if val > best_val:
-                best, best_val = a0, val
-        return best, sorted(set(v0) - set(best))
-    cur = set(part.A0)
-    improved = True
-    while improved:
-        improved = False
-        for v in v0:
-            cand = cur ^ {v}
-            if cut_value(cand) > cut_value(cur):
-                cur = cand
-                improved = True
-    return sorted(cur), sorted(set(v0) - cur)
+        best = max(range(1 << len(v0)), key=lambda mask: (cut(mask), -mask))
+    else:
+        best = sum(bit[v] for v in part.A0)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(len(v0)):
+                cand = best ^ (1 << i)
+                if cut(cand) > cut(best):
+                    best = cand
+                    improved = True
+    return ([v for v in v0 if best & bit[v]],
+            [v for v in v0 if not best & bit[v]])

@@ -452,6 +452,8 @@ def approx_decomposition(
     peel = peel_through_systems(g.n, pool, family, budget)
     if peel.cycles is None:
         raise PreconditionViolated(
-            f"approximate decomposition stuck at index {peel.deepest}"
+            f"approximate decomposition: search exhausted at index "
+            f"{peel.deepest} (one orientation of the paths per item cycle; "
+            "not a proof of infeasibility)"
         )
     return peel.cycles

@@ -105,7 +105,6 @@ class RobustDecomposition:
         self.gdir = gdir
         self.part = part
         self.params = params
-        self.warnings = params.divisibility_report()
         self.ca: Graph | None = None
         self.pca: Graph | None = None
         self._bf: list[BalancedFactor] = []

@@ -14,7 +14,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bipham import errors, hamkernel, search
-from bipham.generators import eps_bipartite_instance, regular_spanning_subgraph
+from bipham.generators import (
+    babai_instance,
+    eps_bipartite_instance,
+    regular_spanning_subgraph,
+)
 from bipham.graphs import complete_bipartite
 from bipham.pipeline import (
     PipelineConstants,
@@ -29,7 +33,7 @@ from bipham.validate import (
     cycle_edges,
 )
 
-from test_pipeline import TOY_1FACT
+from test_pipeline import TOY_1FACT, _kmm_with_circulants
 
 
 def _typed_errors():
@@ -56,6 +60,7 @@ def _on_both_kernels(run):
 
 def _check_report(rep) -> bool:
     """Assert the report contract and return whether the report is ok."""
+    assert len(set(rep.warnings)) == len(rep.warnings), rep.warnings
     statuses = [s.status for s in rep.stages]
     if rep.ok():
         assert set(statuses) == {"ok"}
@@ -97,6 +102,18 @@ def nwbip_hosts(draw):
     return f, g, (list(part.A), list(part.B))
 
 
+@st.composite
+def babai_hosts(draw):
+    """(host, D-regular spanning subgraph, hint split) of a Babai host: a
+    perfect matching inside the larger side, which a D-regular subgraph
+    must use D times, so D is at most the matching's size."""
+    k = draw(st.integers(1, 2))
+    f, part, _ = babai_instance(k)
+    D = draw(st.integers(1, 2 * k + 1))
+    g = regular_spanning_subgraph(f, D, seed=draw(st.integers(0, 9)))
+    return f, g, (list(part.A), list(part.B))
+
+
 @given(nwbip_hosts(), st.sampled_from([1, 2]),
        st.sampled_from([Fraction(1, 2), Fraction(1, 4)]), budgets,
        st.integers(0, 3))
@@ -122,5 +139,32 @@ def test_onefact_report_contract(m, change, max_nodes, seed):
     constants = replace(TOY_1FACT, max_nodes=max_nodes, **change)
     rep = _on_both_kernels(
         lambda: run_theorem_1factbip(g, constants, seed=seed))
+    if _check_report(rep):
+        assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
+
+
+@given(babai_hosts(), st.sampled_from([1, 2]), budgets, st.integers(0, 3))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_nwbip_report_contract_on_babai_hosts(host, K, max_nodes, seed):
+    f, g, hint = host
+    constants = PipelineConstants(K=K, max_nodes=max_nodes)
+    rep = _on_both_kernels(lambda: run_theorem_NWbip(
+        f, g, constants, seed=seed, hint_split=hint, attempts=2))
+    if _check_report(rep):
+        assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
+        for cyc in rep.cycles:
+            assert not check_cycle_in_graph(f, cyc)
+
+
+@given(st.sampled_from([6, 8, 10, 14]),
+       st.sampled_from([(1,), (2,), (1, 2)]), budgets, st.integers(1, 3))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_onefact_report_contract_on_circulant_hosts(m, steps, max_nodes, seed):
+    # K(m, m) plus a circulant inside each side: (m + 2 len(steps))-regular
+    # with edges inside both sides, so the degree reduction runs first
+    g, hint = _kmm_with_circulants(m, steps)
+    constants = replace(TOY_1FACT, max_nodes=max_nodes)
+    rep = _on_both_kernels(
+        lambda: run_theorem_1factbip(g, constants, seed=seed, hint_split=hint))
     if _check_report(rep):
         assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])

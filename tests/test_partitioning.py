@@ -180,11 +180,12 @@ def test_orient_scheme_pairs_are_vacuous_at_eps_dir_one(monkeypatch):
                 assert rep.mode == "vacuous" and rep.is_superregular
 
 
-def test_orient_scheme_tries_each_parity_once(monkeypatch):
+def test_absorber_builder_tries_each_parity_once(monkeypatch):
     # at eps = 1/100, eps_dir = 1/5, and single-vertex rectangles of density
-    # 0 or 1 break every half-density pair: both parities fail, and the
-    # failure is raised after exactly those two attempts
+    # 0 or 1 break every half-density pair: both parities fail, each is
+    # oriented and verified once, and the second failure is raised
     import bipham.partitioning as partitioning
+    from bipham.pipeline import PipelineConstants, _build_absorbers
 
     seeds = []
     orient = partitioning._alternating_orientation
@@ -195,9 +196,10 @@ def test_orient_scheme_tries_each_parity_once(monkeypatch):
 
     monkeypatch.setattr(partitioning, "_alternating_orientation", counted)
     g, part = _square_scheme()
+    c = PipelineConstants(eps_prime=Fraction(1, 100))
     with pytest.raises(RetryBudgetExceeded) as info:
-        orient_scheme(g, part, "1/2", "1/100", seed=5)
-    assert seeds == [5, 6] and info.value.attempts == 2
+        _build_absorbers(g, part, None, {}, {}, c, seed=5)
+    assert seeds == [5, 6] and info.value.attempts == 1
     assert any(t.startswith("pair ") for t in info.value.last_failures)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -20,7 +21,13 @@ from bipham import balancer, hamkernel, pipeline, search, solvers
 from bipham.cli import main as cli_main
 from bipham.errors import BadParams, PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
-from bipham.graphs import Graph, complete_bipartite, dump_graph, load_graph
+from bipham.graphs import (
+    Graph,
+    LabelledPartition,
+    complete_bipartite,
+    dump_graph,
+    load_graph,
+)
 from bipham.pipeline import (
     PipelineConstants,
     run_theorem_1factbip,
@@ -55,7 +62,7 @@ def test_nwbip_on_complete_bipartite():
     assert all(e["conserved"] for e in rep.accounting)
     # pinned report: refactors of the drivers must leave it byte-identical
     assert _digest(rep) == (
-        "7ce3f2111f09ab0a84cb4f0c11db956337e805b35dc6c489c3702cb95ad4f06f"
+        "acbdb13b1ea78058d1bd3966b323575cf2a428c365e08ccffd7ffc766387726b"
     )
 
 
@@ -68,7 +75,7 @@ EXCEPTIONAL_INPUTS = (
     # planted hubs make the exceptional sets, WF2, FR6 and the slices'
     # exceptional counts nontrivial
     ("n32-D8-h1-x1-s1001", 1001, {},
-     "964b5a3e138380e9c538f72714b0d0145f51efe29ed7cd214ec7a9a82e104251"),
+     "4e36d3c97fa29d21b0aee14f0ad1e73ea0868961a0d85f3da62519a5c3af9ad3"),
     # fails in the balanced-exceptional-systems stage
     ("n24-D8-h2-x0-s1008", 1008, {},
      "51764ae8ff91ecbbdb23a0858ac181edab3a27f13e2824f60bc69174397032a6"),
@@ -76,7 +83,7 @@ EXCEPTIONAL_INPUTS = (
     # cycle through its paths but none through its fictive edges in their
     # canonical order
     ("n24-D8-h2-x0-s1131", 1131, {},
-     "46a9d0282474f4fe906856f85fdc55d947ff2b498033edaca2f13fd3caaa1b31"),
+     "ca5179889af3c60b77ac6216dc29cfcb8678c9f1740f42fe0b74d761b2b7dd44"),
     # fails the weak-framework check with the text of a WF4 violation,
     # "a+b = 2 > eps*n = 6/25"
     ("n24-D6-h1-x1-s1002", 1002, {"eps0": Fraction(1, 100)},
@@ -98,16 +105,16 @@ DENSE_INPUTS = EXCEPTIONAL_INPUTS.parent / "nwbip-dense"
 
 @pytest.mark.parametrize("name, seed, digest", [
     ("K12-D10", 12,
-     "d3003ad3af9b9adcad1d939fa72f73103a02548627127c5bcfe2fa53fa07297f"),
+     "718666fe1e0d35ae48197d1efbca013ec0d32c1b48240da7521fcebf2eb950dd"),
     ("K14-D10", 14,
-     "07441c66c3fc994146c953df096f129105e6e3464218f3edf31d7e1fe34572e7"),
+     "5d19d5b6335124f7833111bbd491c8d1b0c0fb8fd909f2ee3217635f2b0c8848"),
     ("K16-D10", 16,
-     "13fcd4dc8b4fe93d00462cd1bea04299e211bb39cffba779f8a6486f808849fd"),
+     "2006b0906dc61cd93d3132c967ca06456b02959ac9c8a0cd75785b5d60e70c13"),
     # past the compiled kernel's 64 items; the largest pool of the five
     ("K34-D10", 34,
-     "d1179218f1cb9f0fee455e55df6482539e1e139eee06b71f37f219f2820b4502"),
+     "993feab6ae3ac1ece24d2b30c173ebf1feef20b216f92ff7f26a85ad5afa555f"),
     ("K12-D12", 12,
-     "01213cf2a6b8c6af0c5d41a059205eb7c601e7a501cf08c2d642192678f70c97"),
+     "a4f2490f5eb5fc3b3b6a3e25991da60ed51e6857a2234b65a3283501a290c71c"),
 ])
 def test_nwbip_reports_pinned_on_dense_hosts(name, seed, digest):
     # the frozen complete bipartite hosts of the benchmark, where A0 u B0
@@ -120,6 +127,53 @@ def test_nwbip_reports_pinned_on_dense_hosts(name, seed, digest):
                             hint_split=tuple(doc["split"]))
     assert rep.ok()
     assert _digest(rep) == digest
+
+
+def test_nwbip_packs_nothing_after_an_elimination_to_degree_zero(monkeypatch):
+    # the cut cycles of this frozen host already take the whole degree 4:
+    # the run is ok at its first attempt, and no cluster partition, systems
+    # or approximate decomposition follows the elimination
+    calls = []
+    partition = pipeline.framework_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "framework_partition", counted)
+    doc = json.loads((EXCEPTIONAL_INPUTS / "n24-D4-h2-x0-s1041.json").read_text())
+    rep = run_theorem_NWbip(Graph(doc["n"], doc["edges"]),
+                            Graph(doc["n"], doc["sub_edges"]),
+                            PipelineConstants(), seed=1041,
+                            hint_split=tuple(doc["split"]))
+    assert rep.ok() and not any("reshuffling" in w for w in rep.warnings)
+    assert calls == []
+    assert [s.name for s in rep.stages] == [
+        "input", "eliminate-exceptional-cut", "final-validation"]
+    count = {c.ident: c.witness for c in rep.stages[-1].checks}["count-identity"]
+    assert count == [2, 0, 0]
+    assert [e["stage"] for e in rep.accounting] == ["elimination"]
+
+
+def test_onefact_packs_with_the_nwbip_stages():
+    # past the robust graph, the 1-factorization packs what is left with
+    # NW-bip's own elimination, partition, systems and approximation
+    g, part, props = generate("complete_bipartite", {"m": 56})
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=1,
+                               hint_split=(list(part.A), list(part.B)))
+    assert rep.ok()
+    assert [s.name for s in rep.stages] == [
+        "input", "framework", "robust-parameters", "robust-partition",
+        "robust-bes", "robust-graph", "repartition", "cluster-partition",
+        "balanced-exceptional-systems", "approximate-decomposition",
+        "robust-closure", "final-validation",
+    ]
+    assert [e["stage"] for e in rep.accounting] == [
+        "elimination", "elimination", "bes-cycles", "approx"]
+    stages = {s.name: s for s in rep.stages}
+    for name in ("framework", "repartition"):
+        checks = [c.ident for c in stages[name].checks]
+        assert checks[-3:] == ["cut-cycles", "reduction-bound", "parity-preserved"]
 
 
 @pytest.mark.parametrize("case", [
@@ -235,13 +289,13 @@ def test_onefact_full_run():
     assert len(rep.cycles) == 14
     assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
     assert _digest(rep) == (
-        "077c76107a12f7f95b0a616b607ee0e70357a1cae9d10e1355f0172c3d5e6263"
+        "0eeabac46dca031535410f5b8a180b06abbc9e1d91563f323783dd199334de63"
     )
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (2, "4cc47d07011d055442e5704aa4b5b3053c55b04fe6262741b827ea4b31390715"),
-    (3, "9c4bdfb71cf5370153af846ade380bcae71a9e59cbbc4cb7c5e2c383181ae79f"),
+    (2, "51a5c12cc31be06f261d1db9a612a8b6cccbb1d9c22d0d6f6d71654e52a7c637"),
+    (3, "1e416b120a4a7fc477479c2a7ceda2a06806865bdf2c823e5ac3b55ee0b6cd29"),
 ])
 def test_onefact_closure_finishes(seed, digest):
     # seeds 2 and 3 of the benchmark's K(28,28) instances, beside seed 1
@@ -595,6 +649,83 @@ def test_repartition_exceptional_maximizes_cut():
     part = LabelledPartition(10, [9], [0, 1, 2, 3], [8], [4, 5, 6, 7])
     a0, b0 = _repartition_exceptional(g, part)
     assert a0 == [8] and b0 == [9]
+
+
+def _repartition_referee(g4, part):
+    """The exceptional split recounted with ``Graph.e_between`` for every
+    candidate: exhaustive up to 20 exceptional vertices, the first maximum
+    in mask order; single-move local search from A0 beyond."""
+    v0 = sorted(part.V0())
+    if not v0:
+        return [], []
+    A, B = set(part.A), set(part.B)
+
+    def cut_value(a0):
+        a0 = set(a0)
+        return g4.e_between(A | a0, B | (set(v0) - a0))
+
+    if len(v0) <= 20:
+        best, best_val = None, -1
+        for mask in range(1 << len(v0)):
+            a0 = [v0[i] for i in range(len(v0)) if mask >> i & 1]
+            val = cut_value(a0)
+            if val > best_val:
+                best, best_val = a0, val
+        return best, sorted(set(v0) - set(best))
+    cur = set(part.A0)
+    improved = True
+    while improved:
+        improved = False
+        for v in v0:
+            cand = cur ^ {v}
+            if cut_value(cand) > cut_value(cur):
+                cur = cand
+                improved = True
+    return sorted(cur), sorted(set(v0) - cur)
+
+
+def _exceptional_host(n, k, density, seed):
+    # a random graph whose first k vertices are exceptional, half of them
+    # in A0; edges anywhere, inside the sides and inside V0 too
+    rng = random.Random(seed)
+    g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                  if rng.random() < density])
+    inner = list(range(k, n))
+    rng.shuffle(inner)
+    half = len(inner) // 2
+    return g, LabelledPartition(n, range(k // 2), inner[:half],
+                                range(k // 2, k), inner[half:])
+
+
+@pytest.mark.parametrize("k", [*range(11), 21, 23, 26])
+def test_repartition_exceptional_matches_referee(k):
+    # exhaustive below 21 exceptional vertices, local search from 21 on;
+    # sparse and dense hosts, so that ties and improving moves both occur
+    sizes = (12, 30) if k <= 20 else (60, 80)
+    for seed in range(4):
+        for density in (0.1, 0.5):
+            g, part = _exceptional_host(sizes[seed % 2] + k, k, density,
+                                        seed + 100 * k)
+            assert (pipeline._repartition_exceptional(g, part)
+                    == _repartition_referee(g, part)), (k, seed, density)
+
+
+def test_repartition_exceptional_scans_the_edges_a_bounded_number_of_times():
+    # 12 exceptional vertices give 4096 splits; the edge set is scanned a
+    # constant number of times, not once per split
+    scans = []
+
+    class Counted(frozenset):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    g, part = _exceptional_host(60, 12, 0.3, 7)
+    expected = _repartition_referee(g, part)
+    g = Graph(g.n, g.edges)
+    g.edges = Counted(g.edges)
+    assert pipeline._repartition_exceptional(g, part) == expected
+    assert len(scans) <= 2
 
 
 def test_cli_generate_verify_oracle_decompose(tmp_path):

@@ -145,7 +145,9 @@ def test_approx_decomposition_raises_on_infeasible_family():
                              clusters_B=[list(range(4, 8))])
     family = [PathSystem(8, [])] * 3
     with pytest.raises(PreconditionViolated,
-                       match="^approximate decomposition stuck at index 2$"):
+                       match=r"^approximate decomposition: search exhausted "
+                             r"at index 2 \(one orientation of the paths per "
+                             r"item cycle; not a proof of infeasibility\)$"):
         approx_decomposition(g, part, family, 0, 0, "1/2", enforce_gates=False)
 
 
