@@ -222,10 +222,11 @@ def peel_hamilton_cycles(
     ``level_seed(budget.seed, i, k)``, capped on the engine's schedule.  A
     level exhausted within its cap backtracks; a spent budget raises
     ``Timeout``.  When every level is exhausted ``SolverFailure`` is raised,
-    which proves no infeasibility: the search yields one orientation of a
-    level's paths per item cycle (``search``), so cycles that differ only in
-    how the paths are traversed can be missed.  Every cycle is checked to
-    lie in its level's graph and to meet ``g`` in a 2-balanced graph.
+    which proves that no such cycles exist: each level's search yields
+    every Hamilton cycle through its paths, and only a search that ends
+    within its cap counts as exhausted (``solvers.peel_cycles``).  Every
+    cycle is checked to lie in its level's graph and to meet ``g`` in a
+    2-balanced graph.
     """
     for q in systems:
         if not is_two_balanced(q, part):
@@ -241,8 +242,7 @@ def peel_hamilton_cycles(
         raise SolverFailure(
             "search for edge-disjoint Hamilton cycles through the path "
             f"systems using cross edges exhausted at level {peel.deepest} "
-            "(one orientation of the paths per item cycle; not a proof of "
-            "infeasibility)",
+            "(an exhaustive search: no such cycles exist)",
             stats={"nodes": peel.nodes},
         )
     for q, cyc in zip(systems, peel.cycles):

@@ -1,13 +1,13 @@
 """Hamilton-search kernel: a resumable enumerator of the Hamilton cycles of
-a graph through prescribed paths, over port-constrained items.
+a graph through prescribed paths, by required-edge backtracking.
 
 A search instance is a graph, its allowed edges, and the items that cover
 its vertices: free vertices and prescribed paths, which a cycle may
-traverse either way.  The kernel builds each item's two port masks from
-the allowed edges, enumerates the item cycles the masks admit, each once,
-from the first item, and re-checks each one by an orientation DP over the
-graph's adjacency, yielding the vertex cycle of the first orientation that
-closes (``_pure`` documents the masks and the DP).
+traverse either way.  The kernel replaces each path by its two ends joined
+by a required edge, leaving its interior out, and searches that vertex
+instance from its vertex 0; it yields every Hamilton cycle through the
+paths once, with the interiors put back (``_pure`` documents the instance,
+the search and its prune).
 
 One search has two kernels.  The C kernel, ``csrc/hamkernel.c`` in the
 source tree, is compiled on the first import with the system C compiler
@@ -16,13 +16,11 @@ imports only load that file, through ``ctypes``.  The pure-Python kernel
 (``_pure``) is the reference the C kernel is tested against, and runs in
 its place when the source is missing (an installed package), the build
 directory is not writable, there is no compiler or the build fails.  Both
-yield the same cycles in the same order and count the same nodes,
-candidates and rejections, so a report does not depend on the kernel.
+yield the same cycles in the same order and count the same nodes, so a
+report does not depend on the kernel.
 
 ``cycle_enumerator`` is the one entry point; ``KERNEL`` names the kernel
-that runs: ``"c"``, or ``"pure: <why not c>"``.  The C kernel takes only
-graph searches; the pure search over port masks alone (``_pure.CycleEnum``)
-is the reference its search is tested against.
+that runs: ``"c"``, or ``"pure: <why not c>"``.
 """
 
 import contextlib
@@ -106,8 +104,8 @@ def _c_kernel(dll):
 
     class CGraphEnum:
         """``PureGraphEnum`` on the C kernel: the same arguments, cycles,
-        counts and budget trips; the ports are built and the candidates
-        decoded in C.  The search state lives in C and is freed when the
+        node counts and budget trips; the vertex instance is built and
+        searched in C.  The search state lives in C and is freed when the
         search ends or the enumerator is dropped."""
 
         _free = dll.hk_free
@@ -115,23 +113,22 @@ def _c_kernel(dll):
 
         def __init__(self, n, edges, items, max_nodes=None):
             seq = check_graph(n, edges, items)
-            self.nodes = self.candidates = self.rejected = 0
+            self.nodes = 0
             self.budget_exceeded = False
             self._cap = max_nodes
-            k = len(items)
-            if k < 3:
-                return
+            if len(items) < 3 and sum(min(len(v), 2) for v in items) < 3:
+                return  # fewer than three instance vertices: no cycle
             edges = array("i", edges)
             offsets = array("i", accumulate(map(len, items), initial=0))
-            self._counts = array("q", bytes(24))
-            self._counts_at = self._counts.buffer_info()[0]
+            self._nodes = array("q", [0])
+            self._nodes_at = self._nodes.buffer_info()[0]
             self._cycle = array("i", [0]) * len(seq)
             self._cycle_at = self._cycle.buffer_info()[0]
             state = dll.hk_new_graph(
                 n,
                 len(edges) // 2,
                 edges.buffer_info()[0],
-                k,
+                len(items),
                 seq.buffer_info()[0],
                 offsets.buffer_info()[0],
             )
@@ -152,8 +149,8 @@ def _c_kernel(dll):
                 raise StopIteration
             cap = _NO_CAP if self._cap is None else min(max(self._cap, 0), _NO_CAP)
             found = dll.hk_next_cycle(self._state, cap, self._cycle_at,
-                                      self._counts_at)
-            self.nodes, self.candidates, self.rejected = self._counts
+                                      self._nodes_at)
+            self.nodes = self._nodes[0]
             if found > 0:
                 return self._cycle.tolist()
             self.budget_exceeded = found < 0

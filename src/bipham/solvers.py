@@ -6,10 +6,10 @@ chromatic index for regular graphs.
 ``generators.degree_factor``, the package's one such reduction.
 
 Two independent Hamilton-cycle code paths exist on purpose: the fast
-port-constrained kernel (via ``bipham.search``) drives the pipeline
-builders, while the plain recursive enumerator in this module acts as the
-referee for decompositions.  They share no search code, so agreement between
-them is meaningful evidence.
+required-edge kernel (via ``bipham.search``) drives the pipeline builders,
+while the plain recursive enumerator in this module acts as the referee
+for decompositions.  They share no search code, so agreement between them
+is meaningful evidence.
 
 Every backtracking peel runs on one engine, ``peel_cycles``, which counts
 every kernel node against one node budget: fixed input, seed and budget give
@@ -24,13 +24,15 @@ through empty systems.
 A peel whose search space is exhausted returns ``cycles`` None: the
 referee reports such a graph as having no decomposition, and the
 approximate decomposition raises ``PreconditionViolated`` naming the
-deepest level it reached.  Exhaustion proves that no decomposition exists
-only when no level prescribes a path, as in the referee, the
-one-factorization and the degree reduction: the kernel yields one
-orientation of a level's paths per item cycle (``search``), so a peel
-through path systems can be exhausted although cycles through them exist.
-A spent budget raises ``Timeout`` (``WallClockExceeded`` when it was the
-safety net).
+deepest level it reached.  Exhaustion is a proof that no peel exists.
+Every level search here is exact: it yields every cycle (or matching) of
+its level, and the kernel every Hamilton cycle through a level's paths
+(``search``).  A level ends only when one item order's call finishes
+within its cap, after each cycle it yielded led to a level below that
+ended the same way; an order that hits its cap is restarted under the
+next, never taken for exhausted.  A spent budget raises ``Timeout``
+(``WallClockExceeded`` when it was the safety net), which proves
+nothing.
 
 networkx, for the blossom test of ``_MatchingEnum``, is imported where it is
 called: the drivers import this module but never run the oracle.
@@ -94,8 +96,9 @@ class Peel:
 
 # the node cap of a level's first item order.  It sits above what a
 # well-conditioned level search spends (every NW-bip benchmark call takes at
-# most 22 224 nodes, the 1-factorization's hardest level on K(28,28), seed 1,
-# 72 689), so the schedule cuts only heavy-tailed calls
+# most 361 nodes; the 1-factorization of K(42,42) with the toy constants of
+# the tests, seed 1, at most 1 474), so the schedule cuts only heavy-tailed
+# calls, such as a level of that run at seeds 2 and 3
 LEVEL_UNIT = 81_920
 
 
@@ -126,13 +129,13 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
     ``LEVEL_UNIT * luby(k + 1)`` and at what is left of ``max_nodes``, so
     one heavy-tailed order costs a bounded share.  A call resumed after a
     deeper level failed has its cap lowered to what is left then, so no
-    call runs past ``max_nodes``.  A call exhausted within its cap ends
-    its level for that pool, which proves the level infeasible only if the
-    call yields every cycle of it (a search with no prescribed path does;
-    one through prescribed paths may not, see ``search``); one that hits
-    its cap hands over to the next order.  Only spending ``max_nodes``
-    raises ``Timeout``.  Past ``deadline`` (``time.monotonic()``) the next
-    call raises ``WallClockExceeded`` instead of starting.
+    call runs past ``max_nodes``.  A call exhausted within its cap has
+    yielded every cycle of its level, as each level search here does, so
+    it ends its level for that pool, and ``cycles`` None proves that no
+    peel exists; one that hits its cap hands over to the next order.
+    Only spending ``max_nodes`` raises ``Timeout``.  Past ``deadline``
+    (``time.monotonic()``) the next call raises ``WallClockExceeded``
+    instead of starting.
     """
     spent = deepest = 0
     chosen: list[list[int]] = []
@@ -224,7 +227,7 @@ def peel_through_systems(n: int, pool: frozenset, systems: Sequence[PathSystem],
 
 class _OracleEnum:
     """Recursive lexicographic Hamilton-cycle enumerator on adjacency sets.
-    No ports, no contraction; used as the referee and for exhaustive
+    No bit masks, no required edges; used as the referee and for exhaustive
     decompositions."""
 
     def __init__(self, g: Graph, max_nodes: int):
@@ -437,8 +440,8 @@ def approx_decomposition(
     closure's 2-factors hold their path systems as fixed edges.  Spending
     ``budget.max_nodes`` raises ``Timeout``.  When the whole search space is
     exhausted without a decomposition, ``PreconditionViolated`` names the
-    deepest system index reached; as the search yields one orientation of
-    the paths per item cycle, that is no proof that none exists.
+    deepest system index reached; that proves that the pool holds no such
+    cycles (``peel_cycles``).
 
     The entry gates (``check_approx_preconditions``) are computed only with
     ``enforce_gates``, and any problem they find raises
@@ -453,7 +456,7 @@ def approx_decomposition(
     if peel.cycles is None:
         raise PreconditionViolated(
             f"approximate decomposition: search exhausted at index "
-            f"{peel.deepest} (one orientation of the paths per item cycle; "
-            "not a proof of infeasibility)"
+            f"{peel.deepest} (an exhaustive search: no edge-disjoint Hamilton "
+            "cycles through the systems exist)"
         )
     return peel.cycles

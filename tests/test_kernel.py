@@ -1,7 +1,8 @@
-"""Kernel behavior: exactness against a permutation brute force and a
-full-scan reference search, pinned runs, the C kernel against the pure one
-(also under the address and undefined-behaviour sanitizers), the C kernel's
-build and its fallback, and prescribed paths."""
+"""Kernel behavior: exactness against a permutation brute force, the
+vertex-level referee and a full-scan reference search, pinned runs, the C
+kernel against the pure one (also under the address and undefined-behaviour
+sanitizers), the C kernel's build and its fallback, and prescribed
+paths."""
 
 import gc
 import hashlib
@@ -12,19 +13,19 @@ import random
 import shutil
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
 import pytest
 
-from bipham import hamkernel, search
-from bipham.graphs import Graph, complete_bipartite
+from bipham import hamkernel
+from bipham.graphs import Graph, complete_bipartite, norm_edge
 from bipham.hamkernel import PureGraphEnum, cycle_enumerator
-from bipham.hamkernel._pure import CycleEnum as PureCycleEnum
 from bipham.search import CycleSearch, Prescribed
 from bipham.validate import check_cycle_in_graph, cycle_edges
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, level_cycles, random_graph
 
 
 def brute_force_cycles(g: Graph):
@@ -58,50 +59,46 @@ def test_enumeration_matches_brute_force(seed):
     assert set(got) == expect
 
 
-def _ports(seed, n, p, ported=0, bipartite=False):
-    """Port masks of a seeded random instance.  The first ``ported`` vertices
-    get two different port masks, like contracted paths, whose union is
-    still the vertex's neighbourhood, so the union masks are symmetric."""
+def _random_search(seed, n, p, paths=0):
+    """A seeded random graph search as ``GraphEnum`` keyword arguments:
+    edges of probability ``p``, and up to ``paths`` prescribed paths of 2
+    to 4 random vertices, before the free vertices in ascending order."""
     rng = random.Random(seed)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bipartite and i % 2 == j % 2:
-                continue
-            if rng.random() < p:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    pa, pb = list(adj), list(adj)
-    for i in range(ported):
-        pa[i] = adj[i] & rng.getrandbits(n)
-        pb[i] = (adj[i] & ~pa[i]) | (adj[i] & rng.getrandbits(n))
-    return pa, pb
+    edges = [x for i in range(n) for j in range(i + 1, n) if rng.random() < p
+             for x in (i, j)]
+    order = rng.sample(range(n), n)
+    items, at = [], 0
+    for _ in range(paths):
+        size = rng.randint(2, 4)
+        if at + size <= n:
+            items.append(tuple(order[at:at + size]))
+            at += size
+    items += [(v,) for v in sorted(order[at:])]
+    return dict(n=n, edges=edges, items=items)
 
 
 def _pinned_instances():
     out = {}
-    pa, pb = _ports(1, 10, 0.6)
-    out["plain-mirror"] = dict(port_a=pa, port_b=pb)
-    pa, pb = _ports(6, 16, 0.8, ported=2)
-    out["budget-trip"] = dict(port_a=pa, port_b=pb, max_nodes=3000)
-    pa, pb = _ports(7, 9, 0.8)
+    out["plain-mirror"] = _random_search(1, 10, 0.6)
+    # the instance's vertex 0 is a path end
+    out["budget-trip"] = dict(_random_search(6, 16, 0.8, paths=2),
+                              max_nodes=3000)
     # one neighbour, vertex 0: every root child prunes
-    for w in range(1, 9):
-        pa[w] &= ~(1 << 6)
-        pb[w] &= ~(1 << 6)
-    pa[6] = pb[6] = 1
-    out["single-bit"] = dict(port_a=pa, port_b=pb)
-    pa, pb = _ports(8, 72, 0.5, ported=6, bipartite=True)
-    out["large-72"] = dict(port_a=pa, port_b=pb, max_nodes=20000)
+    single = _random_search(7, 9, 0.8)
+    pairs = zip(single["edges"][::2], single["edges"][1::2])
+    single["edges"] = [x for e in pairs if 6 not in e for x in e] + [0, 6]
+    out["single-bit"] = single
+    # 67 instance vertices: two words
+    out["large-72"] = dict(_random_search(8, 72, 0.5, paths=6), max_nodes=20000)
     return out
 
 
 # (nodes, budget_exceeded, sha256 of the JSON list of yielded cycles)
 PINNED = {
     "plain-mirror": (23576, False, "c830459eb57cfb73d2c266ebeddbf7208be6ccdc4abc7d36723b754e48ff5eff"),
-    "budget-trip": (3000, True, "a3112f90e75703443a42c155bfd9a2d2717a3859d657c4591dcab828c2a8b30f"),
+    "budget-trip": (3000, True, "149fc7b39a9502fa065da2263ab43999c3b666c8212c81b470a02b1ac62897c5"),
     "single-bit": (8, False, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "large-72": (20000, True, "c75770262514533f6cb43a49d5c1eb1097990105c2cc86715b0cc05fffbfac1f"),
+    "large-72": (20000, True, "89bbf602a88a95b950c7a136af9bb0ab71f94e58a58c63740b203116b3a1b481"),
 }
 
 
@@ -112,9 +109,9 @@ def _digest(cycles):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pure_kernel_pinned(name):
     """The pure kernel's cycles, node count and budget flag on fixed
-    port-constrained instances, and the full-scan search's."""
+    graph searches, and the full-scan search's."""
     instance = _pinned_instances()[name]
-    enum = PureCycleEnum(**instance)
+    enum = PureGraphEnum(**instance)
     cycles = list(enum)
     assert (enum.nodes, enum.budget_exceeded, _digest(cycles)) == PINNED[name]
     cycles, nodes, tripped = _full_scan_search(**instance)
@@ -127,7 +124,7 @@ def test_pure_kernel_dropped_early_is_freed_at_once():
     gc.collect()
     gc.disable()
     try:
-        enum = PureCycleEnum(**_pinned_instances()["plain-mirror"])
+        enum = PureGraphEnum(**_pinned_instances()["plain-mirror"])
         next(enum)
         alive = weakref.ref(enum)
         del enum
@@ -148,19 +145,15 @@ def c_kernel():
 
 def _agree(c, pure, lower_cap):
     """Run a C and a pure graph enumerator of one instance in lock step: the
-    same cycle and the same nodes, candidates and rejections after every
-    ``next()``, the same end and budget flag.  ``lower_cap(nodes)`` returns
-    a cap (or ``False`` for none) that both get by ``set_cap`` after each
-    cycle.  Returns (cycles, budget_exceeded)."""
-
-    def tally(enum):
-        return enum.nodes, enum.candidates, enum.rejected
-
+    same cycle and the same node count after every ``next()``, the same end
+    and budget flag.  ``lower_cap(nodes)`` returns a cap (or ``False`` for
+    none) that both get by ``set_cap`` after each cycle.  Returns (cycles,
+    budget_exceeded)."""
     cycles = 0
     while True:
         got, want = next(c, None), next(pure, None)
         assert got == want, f"cycle {cycles}"
-        assert tally(c) == tally(pure), f"counts after cycle {cycles}"
+        assert c.nodes == pure.nodes, f"nodes after cycle {cycles}"
         if want is None:
             break
         cycles += 1
@@ -169,30 +162,31 @@ def _agree(c, pure, lower_cap):
             c.set_cap(cap)
             pure.set_cap(cap)
     assert c.budget_exceeded == pure.budget_exceeded
-    assert next(c, None) is None and tally(c) == tally(pure)
+    assert next(c, None) is None and c.nodes == pure.nodes
     return cycles, pure.budget_exceeded
 
 
-# item counts at the ends of one, two and three 64-bit words
+# instance sizes at the ends of one, two and three 64-bit words
 WORD_BOUNDARIES = (63, 64, 65, 127, 128, 129)
 
 
-def _graph_instance(seed, items=None):
+def _graph_instance(seed, size=None):
     """A seeded random graph search as ``GraphEnum`` keyword arguments:
     about half of the vertices on prescribed paths of 2 to 5 vertices,
-    items in a shuffled order, and a cap from 0 up.  Without ``items``,
+    items in a shuffled order, and a cap from 0 up.  Without ``size``,
     seeds 0, 1 and 2 mod 3 give 5 to 14, 15 to 40 and 60 to 90 vertices;
-    with it, the search has exactly ``items`` items."""
+    with it, the search's instance has exactly ``size`` vertices: a free
+    vertex counts one, a path its two ends."""
     rng = random.Random(seed)
     sizes = []
-    if items is None:
+    if size is None:
         n = rng.randint(*((5, 14), (15, 40), (60, 90))[seed % 3])
         while sum(sizes) < n // 2:
             sizes.append(rng.randint(2, 5))
     else:
-        while 2 * sum(sizes) < items + sum(sizes) - len(sizes):
+        while sum(sizes) < size - 2 * len(sizes):
             sizes.append(rng.randint(2, 5))
-        n = items + sum(sizes) - len(sizes)
+        n = size + sum(sizes) - 2 * len(sizes)
     p = rng.uniform(0.2, 0.9)
     edges = [x for u in range(n) for v in range(u + 1, n) if rng.random() < p
              for x in (u, v)]
@@ -213,19 +207,20 @@ def _graph_instance(seed, items=None):
 
 def _graph_sweep(graph_enum, seeds, wide=False):
     """Hold ``graph_enum`` to ``PureGraphEnum`` on the ``_graph_instance`` of
-    each seed: the same cycles, nodes, candidates and rejections after
-    every next(), and the same budget trips, also under a cap lowered
-    between two cycles.  With ``wide``, seed ``s`` gives a search of
-    ``WORD_BOUNDARIES[s % 6]`` items, each size once in any 6 consecutive
-    seeds.  Returns what the sweep reached."""
+    each seed: the same cycles and node counts after every next(), and the
+    same budget trips, also under a cap lowered between two cycles.  With
+    ``wide``, seed ``s`` gives an instance of ``WORD_BOUNDARIES[s % 6]``
+    vertices, each size once in any 6 consecutive seeds.  Returns what the
+    sweep reached."""
     seen = dict.fromkeys(
-        ["cycles", "rejections", "trips", "over 64 items", "over 128 items",
-         "cycles over 64 items", "trips over 64 items"]
-        + [f"{k} items" for k in WORD_BOUNDARIES], 0)
+        ["cycles", "trips", "single-edge paths", "vertex 0 on a path",
+         "over 64 vertices", "over 128 vertices", "cycles over 64 vertices",
+         "trips over 64 vertices"]
+        + [f"{k} vertices" for k in WORD_BOUNDARIES], 0)
     for seed in seeds:
         kw = _graph_instance(
             seed, WORD_BOUNDARIES[seed % len(WORD_BOUNDARIES)] if wide else None)
-        k = len(kw["items"])
+        k = sum(min(len(v), 2) for v in kw["items"])
         rng = random.Random(seed)
 
         def lower_cap(nodes):
@@ -235,58 +230,63 @@ def _graph_sweep(graph_enum, seeds, wide=False):
         try:
             cycles, tripped = _agree(graph_enum(**kw), pure, lower_cap)
         except AssertionError as exc:
-            raise AssertionError(f"seed {seed}, {k} items: {exc}") from exc
+            raise AssertionError(f"seed {seed}, {k} vertices: {exc}") from exc
         seen["cycles"] += cycles
-        seen["rejections"] += pure.rejected
         seen["trips"] += tripped
-        seen["over 64 items"] += k > 64
-        seen["over 128 items"] += k > 128
-        seen["cycles over 64 items"] += k > 64 and cycles > 0
-        seen["trips over 64 items"] += k > 64 and tripped
+        seen["single-edge paths"] += any(len(v) == 2 for v in kw["items"])
+        seen["vertex 0 on a path"] += cycles > 0 and len(kw["items"][0]) > 1
+        seen["over 64 vertices"] += k > 64
+        seen["over 128 vertices"] += k > 128
+        seen["cycles over 64 vertices"] += k > 64 and cycles > 0
+        seen["trips over 64 vertices"] += k > 64 and tripped
         if k in WORD_BOUNDARIES:
-            seen[f"{k} items"] += 1
+            seen[f"{k} vertices"] += 1
     return seen
 
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_c_kernel_agrees_on_graph_instances(c_kernel, chunk):
-    # the C builder, search and decoder against _ports, _search and _decode
-    # on searches of 5 to 90 vertices
+    # the C instance builder and search against _instance and _search on
+    # searches of 5 to 90 vertices
     seen = _graph_sweep(c_kernel, range(150 * chunk, 150 * (chunk + 1)))
-    assert seen["cycles"] and seen["rejections"] and seen["trips"], seen
+    assert all(seen[key] for key in ("cycles", "trips", "single-edge paths",
+                                     "vertex 0 on a path")), seen
 
 
 @pytest.mark.parametrize("chunk", range(8))
 def test_c_kernel_agrees_on_random_instances(c_kernel, chunk):
-    # the same on searches whose item counts end one, two and three words
+    # the same on instances whose sizes end one, two and three words
     seen = _graph_sweep(c_kernel, range(50 * chunk, 50 * (chunk + 1)),
                         wide=True)
     assert all(seen.values()), seen
 
 
-# found by a random sweep: the search's fourth candidate is a cycle of the
-# contracted items that no orientation of the two paths closes
-REJECTING = dict(
-    n=9,
-    edges=[(0, 2), (0, 3), (0, 6), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5),
-           (3, 6), (3, 8), (4, 5), (4, 7), (5, 6), (5, 7), (6, 8), (7, 8)],
-    prescribed=[(5, 2), (7, 1)],
-    seed=10,
-)
-
-
+@pytest.mark.parametrize("chunk", range(4))
 @pytest.mark.parametrize("kernel", ["pure", "c"])
-def test_rejected_candidate_pinned(request, monkeypatch, kernel):
-    monkeypatch.setattr(search, "cycle_enumerator", _kernel(request, kernel))
-    s = CycleSearch(Graph(REJECTING["n"], REJECTING["edges"]),
-                    [Prescribed(p) for p in REJECTING["prescribed"]],
-                    seed=REJECTING["seed"])
-    assert list(s.cycles()) == [
-        [1, 7, 8, 6, 0, 3, 4, 5, 2],
-        [1, 7, 8, 6, 0, 2, 5, 4, 3],
-        [7, 1, 3, 8, 6, 0, 2, 5, 4],
-    ]
-    assert (s.stats.nodes, s.stats.candidates, s.stats.rejected) == (140, 4, 1)
+def test_kernels_yield_the_referee_cycles(request, kernel, chunk):
+    # every Hamilton cycle through the paths, once, and no other: the
+    # vertex-level referee's set, with vertex 0 free and on a path
+    graph_enum = _kernel(request, kernel)
+    starts = {"free": 0, "path": 0}
+    for seed in range(50 * chunk, 50 * (chunk + 1)):
+        rng = random.Random(seed)
+        kw = _random_search(seed, rng.randint(3, 9), rng.uniform(0.3, 1.0),
+                            paths=rng.randint(0, 2))
+        rng.shuffle(kw["items"])
+        items = kw["items"]
+        if len(items) == 1:
+            continue  # a path closing on itself: ``CycleSearch`` decides it
+        fixed = {norm_edge(u, v) for p in items for u, v in zip(p, p[1:])}
+        pairs = zip(kw["edges"][::2], kw["edges"][1::2])
+        pool = {norm_edge(u, v) for u, v in pairs} - fixed
+        stats = types.SimpleNamespace(nodes=0, budget_exceeded=False,
+                                      max_nodes=10**7)
+        want = {cycle_edges(c) for c in level_cycles(kw["n"], pool, fixed,
+                                                     stats)}
+        got = [cycle_edges(c) for c in graph_enum(**kw)]
+        assert len(got) == len(set(got)) and set(got) == want, seed
+        starts["path" if len(items[0]) > 1 else "free"] += bool(want)
+    assert all(starts.values()), starts
 
 
 def _kernel(request, name):
@@ -302,24 +302,10 @@ CYCLE4 = [0, 1, 1, 2, 2, 3, 3, 0]
 FREE4 = [(0,), (1,), (2,), (3,)]
 
 
-@pytest.mark.parametrize("bad", [1 << 5, -1,
-                                 pytest.param(1 << 2, id="one-way")])
-def test_pure_port_search_rejects_bad_instances(bad):
-    # a 4-cycle whose vertex 0 has a bit past n = 4: the pure search used
-    # to fail on it with an IndexError partway through; or that offers
-    # vertex 2, which does not offer vertex 0
-    masks = [0b1010, 0b0101, 0b1010, 0b0101]
-    masks[0] |= bad
-    match = ("vertex 0 offers vertex 2, which does not offer it back"
-             if bad == 1 << 2 else "past vertex count 4")
-    with pytest.raises(ValueError, match=match):
-        PureCycleEnum(masks, masks)
-
-
 @pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
 @pytest.mark.parametrize("bad", [1 << 5, -1])
 def test_kernels_reject_masks_past_the_vertex_count(request, kernel, bad):
-    # an edge from vertex 0 to 5, or to -1, would set a port bit past n = 4
+    # an edge from vertex 0 to 5, or to -1, would set a mask bit past n = 4
     far = 5 if bad > 0 else -1
     with pytest.raises(ValueError, match=r"edge has an end outside 0\.\.3"):
         _kernel(request, kernel)(4, CYCLE4 + [0, far], FREE4)
@@ -337,8 +323,8 @@ def test_kernels_reject_masks_past_the_vertex_count(request, kernel, bad):
         "vertex on two items", "vertex twice on an item", "empty item"])
 def test_kernels_reject_bad_graph_instances(request, kernel, edges, items,
                                             match):
-    # checked before either kernel builds its ports: the C builder indexes
-    # its arrays by these ids, and Python lists take -1 silently
+    # checked before either kernel builds its instance: the C builder
+    # indexes its arrays by these ids, and Python lists take -1 silently
     with pytest.raises(ValueError, match=match):
         _kernel(request, kernel)(4, edges, items)
 
@@ -485,54 +471,53 @@ def test_kernel_loader_reuses_a_filled_cache(tmp_path, monkeypatch):
     assert list(graph_enum(**instance)) == list(PureGraphEnum(**instance))
 
 
-def _full_scan_search(port_a, port_b, max_nodes=None):
-    """Reference for the kernel's search, written recursively with the full
-    prune scan over every unvisited vertex at every node.  Returns (cycles,
-    nodes, budget_exceeded)."""
-    n = len(port_a)
-    umask = [a | b for a, b in zip(port_a, port_b)]
-    full = (1 << n) - 1
-    cycles = []
-    nodes = 0
+def _full_scan_search(n, edges, items, max_nodes=None):
+    """Reference for the pure kernel's search, written recursively over its
+    own build of the vertex instance, with the full prune scan over every
+    unvisited vertex at every node.  Returns (cycles, nodes,
+    budget_exceeded)."""
+    ids, mate, walk = {}, [], []
+    for verts in items:
+        ends = dict.fromkeys((verts[0], verts[-1]))
+        for end in ends:
+            ids[end] = len(ids)
+            walk.append(tuple(verts) if end == verts[0] else tuple(verts[::-1]))
+        mate += [ids[verts[-1]], ids[verts[0]]][2 - len(ends):]
+    size = len(ids)
+    adj = [set() for _ in range(size)]
+    for u, v in zip(edges[::2], edges[1::2]):
+        if u in ids and v in ids and ids[v] not in (ids[u], mate[ids[u]]):
+            adj[ids[u]].add(ids[v])
+            adj[ids[v]].add(ids[u])
+    cycles, nodes = [], 0
 
-    def exits(v, came_from):
-        fb = 1 << came_from
-        return ((port_b[v] if port_a[v] & fb else 0)
-                | (port_a[v] if port_b[v] & fb else 0))
+    def starved(cur, seen):
+        # a path end needs one available neighbour, a free vertex two
+        avail = set(range(size)) - seen | {cur, 0}
+        return any(w not in seen and len(adj[w] & avail) < 1 + (mate[w] == w)
+                   for w in range(size))
 
-    def starved(cur, visited):
-        avail = ~visited | (1 << cur) | 1
-        return any(
-            not visited >> w & 1 and (umask[w] & avail).bit_count() < 2
-            for w in range(n)
-        )
-
-    def extend(path, visited, cands, close_mask):
+    def extend(path, seen):
         """False once the node budget is exhausted."""
         nonlocal nodes
-        for v in range(n):
-            if not cands >> v & 1:
-                continue
+        for v in sorted(adj[mate[path[-1]]] - seen):
             if max_nodes is not None and nodes >= max_nodes:
                 return False
             nodes += 1
-            if len(path) == 1:
-                close_mask = exits(0, v)
-            out = exits(v, path[-1])
-            seen = visited | 1 << v
-            if seen == full:
-                if out & 1 and close_mask >> v & 1 and path[1] < v:
-                    cycles.append(path + [v])
-                continue
-            out &= ~seen
-            if out and not starved(v, seen):
-                if not extend(path + [v], seen, out, close_mask):
+            last, now = mate[v], seen | {v, mate[v]}
+            if len(now) == size:
+                # from 0 across its required edge, or entering a lower
+                # vertex first than the one the cycle closes from
+                if 0 in adj[last] and (mate[0] != 0 or (path + [v])[1] < last):
+                    cycles.append([x for y in path + [v] for x in walk[y]])
+            elif adj[last] - now and not starved(last, now):
+                if not extend(path + [v], now):
                     return False
         return True
 
-    if n < 3:
+    if size < 3:
         return cycles, 0, False
-    finished = extend([0], 1, umask[0] & ~1, 0)
+    finished = extend([0], {0, mate[0]})
     return cycles, nodes, not finished
 
 
@@ -540,13 +525,12 @@ def _full_scan_search(port_a, port_b, max_nodes=None):
 def test_pure_kernel_matches_full_scan(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 11)
-    pa, pb = _ports(seed, n, rng.uniform(0.3, 1.0), ported=rng.randint(0, n))
     kw = dict(
-        port_a=pa,
-        port_b=pb,
+        _random_search(seed, n, rng.uniform(0.3, 1.0), paths=rng.randint(0, 3)),
         max_nodes=rng.choice([None, 1, 40, 400, 4000]),
     )
-    enum = PureCycleEnum(**kw)
+    rng.shuffle(kw["items"])
+    enum = PureGraphEnum(**kw)
     got = list(enum)
     assert (got, enum.nodes, enum.budget_exceeded) == _full_scan_search(**kw)
 

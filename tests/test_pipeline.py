@@ -71,24 +71,29 @@ EXCEPTIONAL_INPUTS = (
 )
 
 
-@pytest.mark.parametrize("name, seed, constants, digest", [
+# the pinned reports' parameters; each test is named by its instance and
+# seed, so re-pinning a digest does not rename it
+EXCEPTIONAL_PINS = [
     # planted hubs make the exceptional sets, WF2, FR6 and the slices'
     # exceptional counts nontrivial
     ("n32-D8-h1-x1-s1001", 1001, {},
-     "4e36d3c97fa29d21b0aee14f0ad1e73ea0868961a0d85f3da62519a5c3af9ad3"),
+     "0e9029c4bc02771c633c0f09a4994238566078eea4ec0ade0af76244e5835e37"),
     # fails in the balanced-exceptional-systems stage
     ("n24-D8-h2-x0-s1008", 1008, {},
      "51764ae8ff91ecbbdb23a0858ac181edab3a27f13e2824f60bc69174397032a6"),
-    # succeeds in its fourth attempt, whose first system has a Hamilton
-    # cycle through its paths but none through its fictive edges in their
-    # canonical order
+    # succeeds in its fourth attempt; the first three fail in the
+    # balanced-exceptional-systems stage (InsufficientNeighbors)
     ("n24-D8-h2-x0-s1131", 1131, {},
-     "ca5179889af3c60b77ac6216dc29cfcb8678c9f1740f42fe0b74d761b2b7dd44"),
+     "1689260d061398d07b02ce9eed6567b3cf2c4aa1ef4427692213d1d7f1861b29"),
     # fails the weak-framework check with the text of a WF4 violation,
     # "a+b = 2 > eps*n = 6/25"
     ("n24-D6-h1-x1-s1002", 1002, {"eps0": Fraction(1, 100)},
      "58cd53507b01ba1e2fc0686804c242ae3953c33c585402b3d608480ef0f7e66c"),
-])
+]
+
+
+@pytest.mark.parametrize("name, seed, constants, digest", EXCEPTIONAL_PINS,
+                         ids=[name for name, *_ in EXCEPTIONAL_PINS])
 def test_nwbip_reports_pinned_on_exceptional_hosts(name, seed, constants, digest):
     # frozen eps-bipartite hosts of the benchmark (the generator's subgraph
     # depends on the hash seed); reports must stay byte-identical
@@ -103,19 +108,23 @@ def test_nwbip_reports_pinned_on_exceptional_hosts(name, seed, constants, digest
 DENSE_INPUTS = EXCEPTIONAL_INPUTS.parent / "nwbip-dense"
 
 
-@pytest.mark.parametrize("name, seed, digest", [
+DENSE_PINS = [
     ("K12-D10", 12,
      "718666fe1e0d35ae48197d1efbca013ec0d32c1b48240da7521fcebf2eb950dd"),
     ("K14-D10", 14,
      "5d19d5b6335124f7833111bbd491c8d1b0c0fb8fd909f2ee3217635f2b0c8848"),
     ("K16-D10", 16,
      "2006b0906dc61cd93d3132c967ca06456b02959ac9c8a0cd75785b5d60e70c13"),
-    # past the compiled kernel's 64 items; the largest pool of the five
+    # past 64 instance vertices; the largest pool of the five
     ("K34-D10", 34,
      "993feab6ae3ac1ece24d2b30c173ebf1feef20b216f92ff7f26a85ad5afa555f"),
     ("K12-D12", 12,
      "a4f2490f5eb5fc3b3b6a3e25991da60ed51e6857a2234b65a3283501a290c71c"),
-])
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", DENSE_PINS,
+                         ids=[f"{name}-s{seed}" for name, seed, _ in DENSE_PINS])
 def test_nwbip_reports_pinned_on_dense_hosts(name, seed, digest):
     # the frozen complete bipartite hosts of the benchmark, where A0 u B0
     # ends up empty and the approximate decomposition searches on the
@@ -296,7 +305,7 @@ def test_onefact_full_run():
 @pytest.mark.parametrize("seed, digest", [
     (2, "51a5c12cc31be06f261d1db9a612a8b6cccbb1d9c22d0d6f6d71654e52a7c637"),
     (3, "1e416b120a4a7fc477479c2a7ceda2a06806865bdf2c823e5ac3b55ee0b6cd29"),
-])
+], ids=["K28-s2", "K28-s3"])
 def test_onefact_closure_finishes(seed, digest):
     # seeds 2 and 3 of the benchmark's K(28,28) instances, beside seed 1
     # in test_onefact_full_run

@@ -47,7 +47,8 @@ def test_prescribed_hamilton_basaic():
 
     two_squares = Graph(8, [(0, 4), (0, 5), (1, 4), (1, 5),
                             (2, 6), (2, 7), (3, 6), (3, 7)])
-    with pytest.raises(SolverFailure) as exc:
+    with pytest.raises(SolverFailure, match=r"exhausted at level 0 \(an "
+                       r"exhaustive search: no such cycles exist\)$") as exc:
         peel_hamilton_cycles(two_squares, two_squares, part, [PathSystem(8, [])])
     assert exc.type is SolverFailure
 
@@ -146,8 +147,9 @@ def test_approx_decomposition_raises_on_infeasible_family():
     family = [PathSystem(8, [])] * 3
     with pytest.raises(PreconditionViolated,
                        match=r"^approximate decomposition: search exhausted "
-                             r"at index 2 \(one orientation of the paths per "
-                             r"item cycle; not a proof of infeasibility\)$"):
+                             r"at index 2 \(an exhaustive search: no "
+                             r"edge-disjoint Hamilton cycles through the "
+                             r"systems exist\)$"):
         approx_decomposition(g, part, family, 0, 0, "1/2", enforce_gates=False)
 
 

@@ -10,6 +10,8 @@ from bipham.graphs import Graph, LabelledPartition, norm_edge
 from bipham.partitioning import orient_scheme
 from bipham.walks import RobustDecomposition, RobustParams
 
+from conftest import level_cycles
+
 
 def test_robust_params_identities():
     p = RobustParams(r=1, r1=3, g=2, f=1, L=1, ell_prime=4, K=14, m=16)
@@ -233,67 +235,8 @@ def test_each_switch_joins_two_cycles_and_keeps_the_rest(monkeypatch):
     assert len(made) >= 40
 
 
-def _level_cycles(n, pool, fixed, stats):
-    """Every Hamilton cycle on 0..n-1 that contains the edges ``fixed`` and
-    otherwise only edges of ``pool``, once each, as a vertex list from 0
-    whose second vertex is below its last.  A depth-first search over
-    vertices: a vertex is left by its fixed edge not yet walked when it has
-    one, and otherwise by a pool edge to a vertex with at most one fixed
-    edge.  A node is pruned when a vertex off the path has fewer than two
-    edges to the vertices it can still join: those off the path, the
-    current one and 0.  Each step counts one node in ``stats.nodes``; with
-    ``stats.max_nodes`` spent the search sets ``stats.budget_exceeded`` and
-    ends."""
-    fixed_nb = [set() for _ in range(n)]
-    pool_nb = [set() for _ in range(n)]
-    for nb, edges in ((fixed_nb, fixed), (pool_nb, pool)):
-        for u, v in edges:
-            nb[u].add(v)
-            nb[v].add(u)
-    path, off = [0], set(range(1, n))
-
-    def by_pool(v):
-        return {w for w in pool_nb[v] if len(fixed_nb[w]) < 2}
-
-    def exits(v, prev):
-        rest = fixed_nb[v] - {prev}
-        if rest:
-            return rest if len(rest) == 1 else set()
-        return by_pool(v)
-
-    def stuck(v):
-        open_ = off | {v, 0}
-        return any(len((fixed_nb[w] | pool_nb[w]) & open_) < 2 for w in off)
-
-    def extend(v, prev):
-        if prev is None:  # 0 is left by either of its two cycle edges
-            options = fixed_nb[0] | (by_pool(0) if len(fixed_nb[0]) < 2
-                                     else set())
-        else:
-            options = exits(v, prev)
-        for w in sorted(options & off):
-            if stats.nodes >= stats.max_nodes:
-                stats.budget_exceeded = True
-                return
-            stats.nodes += 1
-            path.append(w)
-            off.discard(w)
-            if not off:
-                if (0 in exits(w, v) and fixed_nb[0] <= {path[1], w}
-                        and path[1] < w):
-                    yield list(path)
-            elif not stuck(w):
-                yield from extend(w, v)
-            off.add(w)
-            path.pop()
-            if stats.budget_exceeded:
-                return
-
-    return extend(0, None)
-
-
 def _referee(n, pool, systems):
-    """``peel_cycles`` over ``_level_cycles``: level i searches for a
+    """``peel_cycles`` over ``level_cycles``: level i searches for a
     Hamilton cycle through the edges of ``systems[i]``, traversing its
     paths either way, and takes its pool edges.  It shares no code with
     the kernels."""
@@ -304,7 +247,7 @@ def _referee(n, pool, systems):
 
     def search(i, pool_left, order, cap):
         stats = SimpleNamespace(nodes=0, budget_exceeded=False, max_nodes=cap)
-        found = _level_cycles(n, pool_left, systems[i], stats)
+        found = level_cycles(n, pool_left, systems[i], stats)
         return ((c, cycle_edges(c) - systems[i]) for c in found), stats
 
     return peel_cycles(search, pool, len(systems), 10_000_000)
@@ -339,8 +282,9 @@ def test_closure_agrees_with_search_referee():
 
 def test_referee_yields_the_orientations_the_kernels_miss(monkeypatch):
     # K(6,6) through three paths: the referee yields every Hamilton cycle
-    # that contains them; each kernel yields one orientation of the paths
-    # per item cycle, so it yields only some of these cycles (20 of 40)
+    # that contains them, and so does each kernel under every item order;
+    # a search over contracted paths that kept one orientation per item
+    # cycle yielded 20 of these 40
     from types import SimpleNamespace
 
     from bipham import hamkernel, search
@@ -356,15 +300,16 @@ def test_referee_yields_the_orientations_the_kernels_miss(monkeypatch):
     through = {c for c in every if fixed <= c}
     stats = SimpleNamespace(nodes=0, budget_exceeded=False, max_nodes=10**6)
     found = [cycle_edges(c)
-             for c in _level_cycles(g.n, g.edges - fixed, fixed, stats)]
+             for c in level_cycles(g.n, g.edges - fixed, fixed, stats)]
     assert len(found) == len(set(found)) == 40 and set(found) == through
     allowed = Graph(g.n, g.edges - fixed)
     for kernel in (hamkernel.GraphEnum, hamkernel.PureGraphEnum):
         monkeypatch.setattr(search, "cycle_enumerator", kernel)
         for seed in range(4):
-            cycles = CycleSearch(allowed, [Prescribed(p) for p in paths],
-                                 seed=seed).cycles()
-            assert {cycle_edges(c) for c in cycles} <= through
+            cycles = [cycle_edges(c) for c in CycleSearch(
+                allowed, [Prescribed(p) for p in paths], seed=seed).cycles()]
+            assert len(cycles) == len(set(cycles)) == 40, (kernel, seed)
+            assert set(cycles) == through, (kernel, seed)
 
 
 def test_divisibility_report():
