@@ -1,12 +1,20 @@
 """Covering and eliminating the edges between the two exceptional sets.
 
 The elimination pipeline turns a weak framework into a full one: decompose
-the exceptional-cut edges into matchings, pad each matching with A'-internal
-edges so it balances the side sizes, extend each into a 2-balanced path
-system covering every exceptional vertex, extend each of those into a
-Hamilton cycle using cross edges only (one peel, ``peel_hamilton_cycles``),
-and validate the leftover as a full framework with the balance degree
-reduced by twice the cycle count.
+the exceptional-cut edges into balanced matchings, pad each matching with
+A'-internal edges so it balances the side sizes, extend each into a
+2-balanced path system covering every exceptional vertex, extend each of
+those into a Hamilton cycle using cross edges only (one peel,
+``peel_hamilton_cycles``), and validate the leftover as a full framework
+with the balance degree reduced by twice the cycle count.
+
+Two choices are made from the framework alone, so that one attempt
+suffices.  Each system gives every exceptional vertex degree 2, so the cut,
+of max degree d, is split into d + 1 matchings (Vizing) when 2(d + 1) <= D
+and into d (König: the cut is bipartite) otherwise.  And the extension
+attaches exceptional vertices to contested neighbors first, those shared by
+the most exceptional vertices of the side, so that what is left of two
+hubs' neighborhoods stays apart for the balanced exceptional systems.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .errors import (
 )
 from .generators import near_bipartition
 from .graphs import Graph, LabelledPartition, PathSystem
-from .matchings import _augment, vizing_balanced
+from .matchings import _augment, balanced_matchings, vizing_balanced
 from .schemes import rational_ceil
 from .solvers import SolverBudget, peel_through_systems
 from .validate import (
@@ -73,8 +81,11 @@ def extend_to_two_balanced(
     2-balanced system covering every exceptional vertex, adding only edges
     from an exceptional vertex to the opposite inner class.
 
-    Greedy, lowest available index first; chosen endpoints are vertices not
-    touched by the system so far, so path endpoints stay distinct.
+    Per side, an exact matching of the missing edge slots against opposite
+    inner vertices not touched by the system so far (so path endpoints stay
+    distinct), each slot trying the vertices adjacent to the most of the
+    side's exceptional vertices first, then the lowest index (or the
+    choice seed's shuffle).
     """
     alpha = frac(alpha)
     n = g.n
@@ -112,6 +123,13 @@ def extend_to_two_balanced(
 
             _random.Random((choice_seed, len(avail)).__hash__()).shuffle(avail)
         adj = g.adj
+        # contested neighbors first: taking the vertices that several of
+        # the side's exceptional vertices share keeps what is left of
+        # their neighborhoods apart, which the balanced exceptional
+        # systems, attached inside one designated cluster, need.  The sort
+        # is stable, so the seed's shuffle still varies the ties.
+        side = set(exceptional)
+        avail.sort(key=lambda w: -len(adj[w] & side))
         cands = {slot: [w for w in avail if w in adj[slot[0]]] for slot in slots}
         match_r: dict[int, tuple] = {}
         for slot in slots:
@@ -144,7 +162,10 @@ def cover_A0B0_by_path_systems(
 ) -> list[PathSystem]:
     """Edge-disjoint 2-balanced path systems that together cover every edge
     between the exceptional sets, none using any edge between the inner
-    classes."""
+    classes: one per non-empty class of a balanced matching decomposition
+    of the cut, into d + 1 classes when 2(d + 1) <= D and d otherwise (d
+    the cut's max degree), each extended by ``extend_to_two_balanced``,
+    contested neighbors first."""
     require_kind(fw, "weak")
     g = fw.graph
     part = fw.partition
@@ -156,7 +177,11 @@ def cover_A0B0_by_path_systems(
         n, g.edges_between(part.A0, part.B0) if part.A0 and part.B0 else ())
     if not cut.edges:
         return []
-    cut_matchings = [m for m in vizing_balanced(cut).matchings if m]
+    # each system gives every exceptional vertex degree 2, and the cut is
+    # bipartite, so its max degree of classes always exists (König)
+    delta = cut.max_degree()
+    classes = delta + 1 if 2 * (delta + 1) <= fw.D else delta
+    cut_matchings = [m for m in balanced_matchings(cut, classes) if m]
     r_star = len(cut_matchings)
 
     imbalance = part.a - part.b

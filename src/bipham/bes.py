@@ -488,19 +488,21 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
             slots += [(x, i)] * need
     if not slots:
         return
-    cluster_sorted = sorted(set(cluster))
+    # the pool does not change during the search: each vertex's pool
+    # neighbors in the cluster, in cluster order, are listed once
+    reach = {
+        x: [(w, (min(x, w), max(x, w))) for w in sorted(set(cluster))
+            if (min(x, w), max(x, w)) in pool]
+        for x in {x for x, _ in slots}
+    }
     used_edge: set = set()
     chosen: list = []
     nodes = [0]
 
     def candidates(slot):
         x, i = slot
-        out = []
-        for w in cluster_sorted:
-            e = (min(x, w), max(x, w))
-            if e in pool and e not in used_edge and w not in covered[i]:
-                out.append(w)
-        return out
+        return [w for w, e in reach[x]
+                if e not in used_edge and w not in covered[i]]
 
     if not _flow_solve(slots, candidates, used_edge, covered, chosen, nodes,
                        max_nodes):
@@ -534,11 +536,8 @@ def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes,
     nodes[0] += 1
     if nodes[0] > max_nodes:
         return False
-    ranked = sorted(
-        range(len(open_slots)),
-        key=lambda t: len(candidates(open_slots[t])),
-    )
-    pick = ranked[0]
+    pick = min(range(len(open_slots)),
+               key=lambda t: len(candidates(open_slots[t])))
     slot = open_slots[pick]
     rest = open_slots[:pick] + open_slots[pick + 1 :]
     x, i = slot

@@ -2,11 +2,13 @@
 
 Five tools used throughout the pipeline:
 
-* ``vizing_balanced``: decompose any graph into max-degree+1 matchings whose
-  sizes differ by at most one (proper edge coloring followed by repeated
+* ``balanced_matchings``: decompose any graph into k >= max-degree+1
+  matchings whose sizes differ by at most one, or a bipartite graph into
+  k >= max-degree (König; the coloring's extra class is recolored into the
+  others by alternating paths).  A proper edge coloring, then repeated
   alternating-path exchanges between the largest and smallest classes; the
   sum of squared class sizes strictly drops each exchange, so the loop
-  terminates).
+  terminates.  ``vizing_balanced`` is its max-degree+1 case.
 * ``split_trick``: decompose a graph on A0 u A with bounded degrees into
   D/2 edge-disjoint path systems of near-equal size whose internal vertices
   all lie in A0 (duplicate A0, decompose the auxiliary graph into balanced
@@ -201,19 +203,79 @@ def rebalance_matchings(classes: list[set[Edge]]) -> None:
 
 
 def balanced_matchings(g: Graph, num_classes: int) -> list[frozenset[Edge]]:
-    """Decompose E(g) into ``num_classes`` matchings with sizes within one.
-    Requires num_classes >= max_degree + 1."""
-    if num_classes < g.max_degree() + 1:
+    """Decompose E(g) into ``num_classes`` matchings with sizes within one,
+    largest first.  Requires num_classes >= max_degree + 1, or, when g is
+    bipartite, num_classes >= max_degree (König): the coloring's class
+    max_degree is then recolored into the others by alternating paths."""
+    delta = g.max_degree()
+    if num_classes < delta + 1 and (num_classes < max(delta, 1)
+                                    or not _is_bipartite(g)):
         raise BadParams(
-            f"{num_classes} classes < max degree {g.max_degree()} + 1"
+            f"{num_classes} classes < max degree {delta} + 1 (or max "
+            "degree, on a bipartite graph)"
         )
     coloring = edge_coloring(g)
+    if num_classes == delta:
+        _recolor_last_class(coloring, g.n, delta)
     classes: list[set[Edge]] = [set() for _ in range(num_classes)]
     for e, c in coloring.items():
         classes[c].add(e)
     rebalance_matchings(classes)
     ordered = sorted(classes, key=lambda m: (-len(m), sorted(m)))
     return [frozenset(m) for m in ordered]
+
+
+def _is_bipartite(g: Graph) -> bool:
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if side[w] < 0:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return False
+    return True
+
+
+def _recolor_last_class(coloring: dict[Edge, int], n: int, k: int) -> None:
+    """Recolor the edges of color ``k`` of a proper coloring of a bipartite
+    graph with max degree ``k`` into colors 0..k-1 (in place), in sorted
+    order.  For edge uv, u misses some color a < k and v some b < k; when
+    v has a, the a/b path from v is swapped first.  In a bipartite graph
+    that path cannot reach u (it would arrive at u by an a edge), so a is
+    then free at both ends."""
+    at: list[dict[int, int]] = [dict() for _ in range(n)]
+    for (u, v), c in coloring.items():
+        if c < k:
+            at[u][c] = v
+            at[v][c] = u
+    for u, v in sorted(e for e, c in coloring.items() if c == k):
+        a = next(c for c in range(k) if c not in at[u])
+        b = next(c for c in range(k) if c not in at[v])
+        if a in at[v]:
+            path = [v]
+            col = a
+            while col in at[path[-1]]:
+                path.append(at[path[-1]][col])
+                col = b if col == a else a
+            steps = list(zip(path, path[1:]))
+            for x, y in steps:
+                del at[x][coloring[norm_edge(x, y)]]
+                del at[y][coloring[norm_edge(x, y)]]
+            for x, y in steps:
+                new = b if coloring[norm_edge(x, y)] == a else a
+                coloring[norm_edge(x, y)] = new
+                at[x][new] = y
+                at[y][new] = x
+        coloring[(u, v)] = a
+        at[u][a] = v
+        at[v][a] = u
 
 
 def vizing_balanced(g: Graph) -> MatchingDecomposition:

@@ -20,7 +20,11 @@ import pytest
 from bipham import balancer, hamkernel, pipeline, search, solvers
 from bipham.cli import main as cli_main
 from bipham.errors import BadParams, PreconditionViolated, Timeout
-from bipham.generators import generate, regular_spanning_subgraph
+from bipham.generators import (
+    eps_bipartite_instance,
+    generate,
+    regular_spanning_subgraph,
+)
 from bipham.graphs import (
     Graph,
     LabelledPartition,
@@ -71,6 +75,12 @@ EXCEPTIONAL_INPUTS = (
 )
 
 
+def _exceptional_input(name):
+    doc = json.loads((EXCEPTIONAL_INPUTS / f"{name}.json").read_text())
+    return (Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"]),
+            tuple(doc["split"]))
+
+
 # the pinned reports' parameters; each test is named by its instance and
 # seed, so re-pinning a digest does not rename it
 EXCEPTIONAL_PINS = [
@@ -78,13 +88,14 @@ EXCEPTIONAL_PINS = [
     # exceptional counts nontrivial
     ("n32-D8-h1-x1-s1001", 1001, {},
      "0e9029c4bc02771c633c0f09a4994238566078eea4ec0ade0af76244e5835e37"),
-    # fails in the balanced-exceptional-systems stage
+    # two hubs that share B-neighbors: the cut elimination takes the shared
+    # ones first, so each hub keeps neighbors of its own in the designated
+    # cluster and the balanced-exceptional-systems stage attaches both at
+    # the first attempt
     ("n24-D8-h2-x0-s1008", 1008, {},
-     "51764ae8ff91ecbbdb23a0858ac181edab3a27f13e2824f60bc69174397032a6"),
-    # succeeds in its fourth attempt; the first three fail in the
-    # balanced-exceptional-systems stage (InsufficientNeighbors)
+     "8869d2107e0a3fa95ecb3e95bb40d545878a263d9203ed76e69ba0a2b4c6dde3"),
     ("n24-D8-h2-x0-s1131", 1131, {},
-     "1689260d061398d07b02ce9eed6567b3cf2c4aa1ef4427692213d1d7f1861b29"),
+     "2d942d1c5f66445172bce4699e004de5672e90d4d913e96d7bb4c84881a73eae"),
     # fails the weak-framework check with the text of a WF4 violation,
     # "a+b = 2 > eps*n = 6/25"
     ("n24-D6-h1-x1-s1002", 1002, {"eps0": Fraction(1, 100)},
@@ -97,12 +108,67 @@ EXCEPTIONAL_PINS = [
 def test_nwbip_reports_pinned_on_exceptional_hosts(name, seed, constants, digest):
     # frozen eps-bipartite hosts of the benchmark (the generator's subgraph
     # depends on the hash seed); reports must stay byte-identical
-    doc = json.loads((EXCEPTIONAL_INPUTS / f"{name}.json").read_text())
-    host = Graph(doc["n"], doc["edges"])
-    sub = Graph(doc["n"], doc["sub_edges"])
+    host, sub, hint = _exceptional_input(name)
     rep = run_theorem_NWbip(host, sub, PipelineConstants(**constants), seed=seed,
-                            hint_split=tuple(doc["split"]))
+                            hint_split=hint)
     assert _digest(rep) == digest
+
+
+def _packed_at_first_attempt(rep, host, D):
+    assert rep.ok(), [st.error for st in rep.stages if st.error]
+    assert not any("reshuffling" in w for w in rep.warnings)
+    assert len(rep.cycles) == D // 2
+    for cyc in rep.cycles:
+        assert not check_cycle_in_graph(host, cyc)
+    assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
+
+
+def test_cut_decomposition_is_sized_to_the_degree():
+    # vertex 1 has cut degree 2 at D = 4: Vizing's three matchings would
+    # ask it for degree 6, König's two fit
+    host, sub, hint = _exceptional_input("n24-D4-h2-x1-s1142")
+    c = PipelineConstants()
+    fw = balancer.bip_decompose(host, sub, c.K, c.eps0, c.eps_prime,
+                                hint_split=hint)
+    part = fw.partition
+    cut = Graph(fw.graph.n, fw.graph.edges_between(part.A0, part.B0))
+    assert (fw.D, cut.max_degree()) == (4, 2)
+    assert len(balancer.cover_A0B0_by_path_systems(fw)) == 2
+    rep = run_theorem_NWbip(host, sub, c, seed=1142, hint_split=hint)
+    _packed_at_first_attempt(rep, host, 4)
+
+
+def test_every_frozen_exceptional_host_packs_at_its_first_attempt():
+    spec = json.loads((EXCEPTIONAL_INPUTS / "instances.json").read_text())
+    assert len(spec["instances"]) == 200
+    for inst in spec["instances"]:
+        host, sub, hint = _exceptional_input(inst["graph"])
+        rep = run_theorem_NWbip(host, sub, PipelineConstants(),
+                                seed=inst["seed"], hint_split=hint)
+        _packed_at_first_attempt(rep, host, rep.instance["D"])
+
+
+def test_two_hub_hosts_pack_at_their_first_attempt():
+    # the draw of perfbench/freeze.py at seed 7 with hubs from [1, 2, 2],
+    # two-hub hosts only; generated here, so under this run's hash seed
+    rng = random.Random(7)
+    gen_seed, done = 7000, 0
+    while done < 30:
+        gen_seed += 1
+        n, D = rng.choice([24, 32, 40, 48, 56, 64]), rng.choice([4, 6, 8])
+        hubs, extra = rng.choice([1, 2, 2]), rng.randint(0, 2)
+        if hubs == 1:
+            continue
+        try:
+            host, part, _, sub = eps_bipartite_instance(
+                n=n, D=D, eps="1/8", hubs=2, hub_degree=n // 4 + 1,
+                extra_internal=extra, seed=gen_seed)
+        except BadParams:  # the internal edge budget is blown
+            continue
+        rep = run_theorem_NWbip(host, sub, PipelineConstants(), seed=gen_seed,
+                                hint_split=(list(part.A), list(part.B)))
+        _packed_at_first_attempt(rep, host, D)
+        done += 1
 
 
 DENSE_INPUTS = EXCEPTIONAL_INPUTS.parent / "nwbip-dense"
@@ -416,20 +482,24 @@ def test_wall_clock_overrun_lands_in_report(monkeypatch):
     assert "not reproducible" in failed[0].error
 
 
-@pytest.mark.parametrize("theorem,m", [
-    ("nwbip", 8), ("onefact", 28),
-    # frozen hosts with exceptional vertices: one run that succeeds, one
-    # whose six attempts fail in the balanced-exceptional-systems stage
-    ("nwbip", "n32-D8-h1-x1-s1001"), ("nwbip", "n24-D8-h2-x0-s1008"),
-])
-def test_driver_run_leaves_no_reference_cycles(theorem, m):
+DRIVER_RUNS = [
+    ("nwbip", 8, None), ("onefact", 28, None),
+    # frozen hosts with exceptional vertices: one run that succeeds, and
+    # one whose elimination peel spends a 40-node budget at its third
+    # level, so that all six attempts fail inside the kernel
+    ("nwbip", "n32-D8-h1-x1-s1001", None), ("nwbip", "n24-D8-h2-x0-s1008", 40),
+]
+
+
+@pytest.mark.parametrize("theorem,m,max_nodes", DRIVER_RUNS,
+                         ids=[f"{t}-{m}" for t, m, _ in DRIVER_RUNS])
+def test_driver_run_leaves_no_reference_cycles(theorem, m, max_nodes):
     # a run's graphs and search state are freed by reference counting, so
     # repeated runs in one process keep a flat memory high-water mark
     # without waiting for the cycle collector
     if isinstance(m, str):
-        doc = json.loads((EXCEPTIONAL_INPUTS / f"{m}.json").read_text())
-        g, sub = Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"])
-        hint, seed = tuple(doc["split"]), int(m.rsplit("-s", 1)[1])
+        g, sub, hint = _exceptional_input(m)
+        seed = int(m.rsplit("-s", 1)[1])
     else:
         g, part, props = generate("complete_bipartite", {"m": m})
         sub, hint, seed = g, (list(part.A), list(part.B)), 1
@@ -437,11 +507,15 @@ def test_driver_run_leaves_no_reference_cycles(theorem, m):
     gc.disable()
     try:
         if theorem == "nwbip":
-            rep = run_theorem_NWbip(g, sub, PipelineConstants(), seed=seed,
+            constants = (PipelineConstants() if max_nodes is None
+                         else PipelineConstants(max_nodes=max_nodes))
+            rep = run_theorem_NWbip(g, sub, constants, seed=seed,
                                     hint_split=hint)
         else:
             rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed, hint_split=hint)
-        assert rep.ok() == (m != "n24-D8-h2-x0-s1008")
+        assert rep.ok() == (max_nodes is None)
+        if max_nodes is not None:
+            assert rep.stages[-2].error.startswith("Timeout: ")
         del rep
         assert gc.collect() == 0
     finally:
@@ -706,7 +780,7 @@ def _exceptional_host(n, k, density, seed):
                                 range(k // 2, k), inner[half:])
 
 
-@pytest.mark.parametrize("k", [*range(11), 21, 23, 26])
+@pytest.mark.parametrize("k", [*range(13), 21, 23, 26])
 def test_repartition_exceptional_matches_referee(k):
     # exhaustive below 21 exceptional vertices, local search from 21 on;
     # sparse and dense hosts, so that ties and improving moves both occur

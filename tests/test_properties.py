@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bipham.balance import is_D_balanced
+from bipham.errors import BadParams
 from bipham.graphs import Graph, LabelledPartition, PathSystem
-from bipham.matchings import vizing_balanced
+from bipham.matchings import balanced_matchings, vizing_balanced
 from bipham.regularity import check_regular_pair, naive_regular_pair
 from bipham.search import CycleSearch
 from bipham.validate import cycle_edges
@@ -20,13 +22,10 @@ def graphs(draw, max_n=9):
     return Graph(n, [e for e, keep in zip(pairs, mask) if keep])
 
 
-@given(graphs())
-@settings(max_examples=60, deadline=None)
-def test_vizing_invariants(g):
-    md = vizing_balanced(g)
-    assert len(md.matchings) == g.max_degree() + 1
+def _check_balanced_matchings(g, classes, k):
+    assert len(classes) == k
     union = set()
-    for m in md.matchings:
+    for m in classes:
         touched = set()
         for u, v in m:
             assert u not in touched and v not in touched
@@ -34,8 +33,15 @@ def test_vizing_invariants(g):
         assert not (m & union)
         union |= m
     assert union == g.edges
-    sizes = md.sizes()
+    sizes = [len(m) for m in classes]
     assert max(sizes) - min(sizes) <= 1
+
+
+@given(graphs())
+@settings(max_examples=60, deadline=None)
+def test_vizing_invariants(g):
+    _check_balanced_matchings(g, vizing_balanced(g).matchings,
+                              g.max_degree() + 1)
 
 
 @given(graphs(max_n=7))
@@ -77,6 +83,25 @@ def bipartite_pairs(draw):
     edges = [e for e, keep in zip(pairs, mask) if keep] or [pairs[0]]
     eps = Fraction(draw(st.integers(min_value=1, max_value=9)), 10)
     return Graph(p + q, edges), list(range(p)), list(range(p, p + q)), eps
+
+
+@given(bipartite_pairs(), st.integers(min_value=0, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_balanced_matchings_on_bipartite_graphs(case, extra):
+    # König: max degree classes suffice on a bipartite graph
+    g = case[0]
+    k = g.max_degree() + extra
+    _check_balanced_matchings(g, balanced_matchings(g, k), k)
+
+
+@given(graphs(), st.integers(min_value=0, max_value=2))
+@settings(max_examples=40, deadline=None)
+def test_balanced_matchings_needs_vizing_classes_off_bipartite(g, short):
+    # a triangle makes any graph non-bipartite: König's bound is off
+    triangle = Graph(g.n + 3, g.edges | {(g.n, g.n + 1), (g.n + 1, g.n + 2),
+                                         (g.n, g.n + 2)})
+    with pytest.raises(BadParams):
+        balanced_matchings(triangle, triangle.max_degree() - short)
 
 
 @given(bipartite_pairs())
