@@ -776,19 +776,7 @@ def _repartition_exceptional(g4: Graph, part: LabelledPartition):
         )
 
     if len(v0) <= 20:
-        # the masks in Gray-code order: step t flips bit i, the lowest set
-        # bit of t, which moves v0[i] to A (or back) and changes the cut
-        # by into_b - into_a plus its edges inside v0 to B less those to A
-        mask = best = 0
-        best_cut = value = cut(0)
-        for t in range(1, 1 << len(v0)):
-            i = (t & -t).bit_length() - 1
-            gain = (into_b[i] - into_a[i] + (inner[i] & ~mask).bit_count()
-                    - (inner[i] & mask).bit_count())
-            mask ^= 1 << i
-            value += gain if mask >> i & 1 else -gain
-            if value > best_cut or value == best_cut and mask < best:
-                best, best_cut = mask, value
+        best = max(range(1 << len(v0)), key=lambda mask: (cut(mask), -mask))
     else:
         best = sum(bit[v] for v in part.A0)
         improved = True
