@@ -346,31 +346,50 @@ def bip_decompose(
         s1, s2 = set(hint_split[0]), set(hint_split[1])
     else:
         s1, s2 = near_bipartition(f)
+    # d(v, s1) and d(v, s2) in f and g come from class-degree passes over
+    # the edges, labelled by side, so the caller's graphs are never indexed
+    # by neighbourhood: one pass per graph (one when f is g), then one of g
+    # per flip and one of f after the flips
+    def split_degrees(h: Graph) -> list[list[int]]:
+        return h.class_degrees(
+            [0 if v in s1 else 1 if v in s2 else -1 for v in range(n)], 2)
+
+    def own(v: int) -> int:
+        return 0 if v in s1 else 1
+
     # integer degrees against rational bounds: d >= r iff d >= ceil(r),
     # d < r iff d < ceil(r)
     high = ceil(rational_ceil(float(eps) ** 0.5) * n)
-    S = {v for v in range(n) if f.d(v, s1 if v in s1 else s2) >= high}
+    gd = split_degrees(g)
+    fd = gd if f is g else split_degrees(f)
+    S = {v for v in range(n) if fd[v][own(v)] >= high}
 
-    cut = g.e_between(s1, s2) if s1 and s2 else 0
-    improved = True
+    cut = sum(gd[w][1] for w in s1)
+    improved, flipped = True, False
     while improved:
         improved = False
         for v in sorted(S):
-            own, other = (s1, s2) if v in s1 else (s2, s1)
-            if g.d(v, own) > g.d(v, other):
-                own.discard(v)
+            i = own(v)
+            if gd[v][i] > gd[v][1 - i]:
+                own_side, other = (s1, s2) if i == 0 else (s2, s1)
+                own_side.discard(v)
                 other.add(v)
-                new_cut = g.e_between(s1, s2)
+                gd = split_degrees(g)
+                new_cut = sum(gd[w][1] for w in s1)
                 if new_cut <= cut:
                     raise AssertionError("flip did not increase the cut")
                 cut = new_cut
-                improved = True
+                flipped = improved = True
 
     if len(s1) < len(s2):
         s1, s2 = s2, s1
+        fd = [row[::-1] for row in fd]
+        gd = [row[::-1] for row in gd]
+    if flipped:
+        fd = gd if f is g else split_degrees(f)
     low = ceil(eps_prime * n)
-    a_core = {v for v in s1 if f.d(v, s1) < low}
-    b_core = {v for v in s2 if f.d(v, s2) < low}
+    a_core = {v for v in s1 if fd[v][0] < low}
+    b_core = {v for v in s2 if fd[v][1] < low}
     a0 = set(s1) - a_core
     b0 = set(s2) - b_core
     target = (min(len(a_core), len(b_core)) // K) * K
@@ -386,8 +405,8 @@ def bip_decompose(
         # free; a nonzero demotion seed reshuffles it so callers can retry
         # when a particular pick strands the downstream covering.
         def key(v):
-            side = s1 if v in s1 else s2
-            return (-g.d(v, side), -f.d(v, side))
+            i = own(v)
+            return (-gd[v][i], -fd[v][i])
 
         by_internal = sorted(core, key=lambda v: (key(v), v))
         if demotion_seed:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .balance import Framework, frac
 from .balancer import is_two_balanced, peel_hamilton_cycles
@@ -396,27 +398,29 @@ def exceptional_degree_floor_violations(
     eps4,
 ) -> list[str]:
     """Per-cell lower bound on how much of each exceptional vertex's side
-    degree the cell's systems retain."""
+    degree the cell's systems retain: x in A0 keeps at least
+    (d(x, A) - 15 eps4 D) / K^4 edges in every cell, y in B0 likewise with
+    d(y, B).  Compared in integers; the floor is built as a Fraction only
+    for the message."""
     eps4 = frac(eps4)
     K4 = plan.K**4
+    den = eps4.denominator
+    slack = 15 * eps4.numerator * plan.D
+    rows = g.class_degrees(part.side_labels(), 4)
+    side_degree = [(x, rows[x][1]) for x in part.A0]
+    side_degree += [(y, rows[y][3]) for y in part.B0]
     problems = []
     for cell, pairs in sorted(fam.cells.items()):
         edges = set()
         for p, p2 in pairs:
             edges |= p.edges | p2.edges
-        for x in part.A0:
-            dx = sum(1 for e in edges if x in e)
-            floor_x = (Fraction(g.d(x, part.A)) - 15 * eps4 * plan.D) / K4
-            if dx < floor_x:
+        kept = Counter(chain.from_iterable(edges))
+        for x, d in side_degree:
+            # kept < (d - 15 eps4 D) / K^4, times K^4 and eps4's denominator
+            if kept[x] * K4 * den < d * den - slack:
+                floor = (Fraction(d) - 15 * eps4 * plan.D) / K4
                 problems.append(
-                    f"cell {cell}: exceptional {x} keeps {dx} < {floor_x}"
-                )
-        for y in part.B0:
-            dy = sum(1 for e in edges if y in e)
-            floor_y = (Fraction(g.d(y, part.B)) - 15 * eps4 * plan.D) / K4
-            if dy < floor_y:
-                problems.append(
-                    f"cell {cell}: exceptional {y} keeps {dy} < {floor_y}"
+                    f"cell {cell}: exceptional {x} keeps {kept[x]} < {floor}"
                 )
     return problems
 
@@ -635,6 +639,7 @@ def _absorb_exceptional(gstar, part, own_sets, avoid_sets, side, checks):
     k = len(own_sets)
     exceptional = part.A0 if side == "A" else part.B0
     inner_opp = part.B if side == "A" else part.A
+    opposite = frozenset(inner_opp)
     additions: list[set] = [set() for _ in range(k)]
     for x in sorted(exceptional):
         deg_in = [
@@ -643,7 +648,7 @@ def _absorb_exceptional(gstar, part, own_sets, avoid_sets, side, checks):
             for i in range(k)
         ]
         slots = [(i, c) for i in range(k) for c in range(2 - deg_in[i])]
-        nbrs = sorted(w for w in gstar.adj[x] if w in set(inner_opp))
+        nbrs = sorted(gstar.adj[x] & opposite)
         if len(slots) != len(nbrs):
             raise AuxMatchingFailure(
                 f"slot/neighbor identity fails at {x}: {len(slots)} slots vs "

@@ -4,12 +4,20 @@ path systems.
 Vertices are dense integer ids 0..n-1 everywhere; partitions refer to ids.
 All types are immutable values after construction, so they can be shared
 freely between threads and hashed into reports.
+
+A ``Graph`` stores its edge frozenset.  Two indexes are derived from it
+on first use and cached: the degree tuple, counted in one pass over the
+edges, which every degree question reads, and the neighbour index ``adj``,
+a frozenset per vertex, built only when a neighbourhood itself is asked
+for.  The neighbour index of a dense host is larger than its edge set, so
+degree questions never build it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import BadParams, PartitionMismatch
@@ -30,9 +38,15 @@ def norm_edges(pairs: Iterable[Sequence[int]]) -> frozenset[Edge]:
 
 
 class Graph:
-    """A simple undirected graph on vertices 0..n-1."""
+    """A simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    Stores ``edges``, a frozenset of (min, max) pairs.  Caches, each built
+    on first use: the degree tuple, which ``degree``, ``degrees``,
+    ``max_degree``, ``min_degree`` and ``is_regular`` read and which is
+    counted from the edges without building neighbourhoods, and ``adj``,
+    the frozenset of each vertex's neighbours."""
+
+    __slots__ = ("n", "edges", "_adj", "_deg")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         self.n = n = int(n)
@@ -45,6 +59,7 @@ class Graph:
             raise BadParams(f"edge ({u},{v}) out of range for n={n}")
         self.edges = es
         self._adj = None
+        self._deg = None
 
     @classmethod
     def _trusted(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -56,6 +71,7 @@ class Graph:
         g.n = n
         g.edges = frozenset(iter(edges))
         g._adj = None
+        g._deg = None
         return g
 
     # -- basic accessors -------------------------------------------------
@@ -69,17 +85,23 @@ class Graph:
             self._adj = tuple(frozenset(s) for s in nbrs)
         return self._adj
 
+    def _degree_tuple(self) -> tuple[int, ...]:
+        if self._deg is None:
+            count = Counter(chain.from_iterable(self.edges))
+            self._deg = tuple(count[v] for v in range(self.n))
+        return self._deg
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._degree_tuple()[v]
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+        return list(self._degree_tuple())
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0) if self.n else 0
+        return max(self._degree_tuple(), default=0)
 
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0) if self.n else 0
+        return min(self._degree_tuple(), default=0)
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -150,8 +172,7 @@ class Graph:
         return Graph(max(self.n, other.n), self.edges | other.edges)
 
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return len(set(degs)) <= 1
+        return len(set(self._degree_tuple())) <= 1
 
     def __eq__(self, other):
         return (

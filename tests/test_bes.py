@@ -201,3 +201,53 @@ def test_flow_attach_cap_is_a_timeout():
     assert attach(2) == ([{(0, 1), (0, 2)}], set())
     with pytest.raises(Timeout, match="node cap 1"):
         attach(1)
+
+
+def _floor_violations_in_fractions(g, part, fam, plan, eps4):
+    # the bound as stated: x in A0 keeps (d(x, A) - 15 eps4 D) / K^4 edges
+    out = []
+    for cell, pairs in sorted(fam.cells.items()):
+        edges = set().union(*(p.edges | p2.edges for p, p2 in pairs))
+        for x, side in [(x, part.A) for x in part.A0] + [(y, part.B) for y in part.B0]:
+            kept = sum(1 for e in edges if x in e)
+            floor = (Fraction(g.d(x, side)) - 15 * eps4 * plan.D) / plan.K**4
+            if kept < floor:
+                out.append(f"cell {cell}: exceptional {x} keeps {kept} < {floor}")
+    return out
+
+
+def test_exceptional_degree_floor_matches_the_rational_bound():
+    # integer comparison, same messages, on random cells of path-system
+    # pairs and bounds on both sides of every kept count
+    import random
+    from types import SimpleNamespace
+
+    from bipham.bes import exceptional_degree_floor_violations
+    from bipham.graphs import PathSystem
+
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(60):
+        n = rng.randint(6, 16)
+        order = rng.sample(range(n), n)
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        rest = order[a + b:]
+        part = LabelledPartition(n, order[:a], rest[::2], order[a:a + b],
+                                 rest[1::2])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.6])
+        plan = SimpleNamespace(K=rng.randint(1, 2), D=rng.randint(2, 8))
+        eps4 = Fraction(rng.randint(0, 3), rng.randint(1, 40))
+
+        def system():
+            path = rng.sample(range(n), rng.randint(1, 4))
+            return PathSystem(n, zip(path, path[1:]))
+
+        fam = SimpleNamespace(cells={
+            (i, j): [(system(), system()) for _ in range(rng.randint(0, 2))]
+            for i in range(2) for j in range(2)
+        })
+        got = exceptional_degree_floor_violations(g, part, fam, plan, eps4)
+        assert got == _floor_violations_in_fractions(g, part, fam, plan, eps4)
+        seen += len(got)
+    assert seen

@@ -45,6 +45,54 @@ def test_graph_edges_keep_construction_order():
         )
 
 
+def _recount(g):
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def _check_index(g, rng):
+    # degree questions read the degree tuple and leave adj unbuilt; adj is
+    # the neighbours of every vertex
+    nbrs = _recount(g)
+    degs = [len(a) for a in nbrs]
+    assert [g.degree(v) for v in range(g.n)] == degs
+    assert g.degrees() == degs
+    assert g.max_degree() == max(degs, default=0)
+    assert g.min_degree() == min(degs, default=0)
+    assert g.is_regular() == (len(set(degs)) <= 1)
+    assert g._adj is None
+    assert g.adj == tuple(map(frozenset, nbrs))
+    for v in range(g.n):
+        S = rng.sample(range(g.n), rng.randint(0, g.n))
+        expected = len(nbrs[v] & set(S))
+        assert g.d(v, S) == g.d(v, set(S)) == g.d(v, frozenset(S)) == expected
+    # and in the other order
+    h = Graph._trusted(g.n, g.edges)
+    assert h.adj == g.adj
+    assert h.degrees() == degs
+
+
+def test_graph_index_matches_a_recount():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 24)
+        m = rng.randint(1, n)
+
+        def draw(k):
+            if k < 2:
+                return []
+            return [rng.sample(range(k), 2) for _ in range(rng.randint(0, 3 * k))]
+
+        a, b = Graph(n, draw(n)), Graph(m, draw(m))
+        some = rng.sample(sorted(a.edges), len(a.edges) // 2)
+        for g in (a, Graph._trusted(n, a.edges), a.minus_edges(some),
+                  a.minus(b), a.union(b), b.union(a)):
+            _check_index(g, rng)
+
+
 @pytest.mark.parametrize("edges, text", [
     ([(0, 1), (2, 2)], "loop edge (2,2) not allowed"),
     ([(2, 1), (5, 1)], "edge (1,5) out of range for n=3"),

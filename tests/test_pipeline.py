@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -554,6 +555,47 @@ def test_render_report_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert text == json.dumps(rep.as_json(), indent=1, sort_keys=True) + "\n"
+
+
+def _driver_input(theorem, m):
+    if theorem == "nwbip":
+        f, g, hint = _exceptional_input(m)
+        return f, g, hint, int(m.rsplit("-s", 1)[1])
+    f, part, props = generate("complete_bipartite", {"m": m})
+    return f, f, (list(part.A), list(part.B)), 1
+
+
+def _run_driver(theorem, f, g, hint, seed):
+    if theorem == "nwbip":
+        return run_theorem_NWbip(f, g, PipelineConstants(), seed=seed,
+                                 hint_split=hint)
+    return run_theorem_1factbip(f, TOY_1FACT, seed=seed, hint_split=hint)
+
+
+@pytest.mark.parametrize("theorem,warm,m", [
+    ("nwbip", "n24-D4-h1-x0-s1081", "n64-D6-h1-x0-s1003"),
+    ("onefact", 8, 28),
+])
+def test_driver_run_leaves_the_callers_graphs_unindexed(theorem, warm, m):
+    # the drivers answer degree questions about the caller's graphs from
+    # their degree tuples and count degrees into sides by label, so neither
+    # graph gets a neighbour index, and a run's allocations go with its
+    # report.  A frozenset index of the host alone would keep 172 KiB
+    # (NW-bip here) and 68 KiB (K(28,28)) past the run
+    _run_driver(theorem, *_driver_input(theorem, warm))  # imports, caches
+    f, g, hint, seed = _driver_input(theorem, m)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = _run_driver(theorem, f, g, hint, seed)
+        assert rep.ok()
+        del rep
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert f._adj is None and g._adj is None
+    assert retained < 4096
 
 
 def _kmm_with_circulants(m, steps):
