@@ -50,6 +50,9 @@ from .validate import (
     is_two_balanced_counts,
 )
 
+# the paper's alpha: a seed has at most ALPHA * n nontrivial paths
+ALPHA = Fraction(1, 2)
+
 
 def is_two_balanced(q: PathSystem, part: LabelledPartition) -> bool:
     """2-balancedness of an exceptional-cover path system, computed both as
@@ -74,7 +77,6 @@ def extend_to_two_balanced(
     g: Graph,
     part: LabelledPartition,
     q0: PathSystem,
-    alpha,
     choice_seed: int = 0,
 ) -> PathSystem:
     """Extend a path system satisfying the edge-count identity into a
@@ -87,7 +89,6 @@ def extend_to_two_balanced(
     side's exceptional vertices first, then the lowest index (or the
     choice seed's shuffle).
     """
-    alpha = frac(alpha)
     n = g.n
     eA, eB, _, _ = is_two_balanced_counts(q0, part)
     if eA - eB != part.a - part.b:
@@ -98,9 +99,9 @@ def extend_to_two_balanced(
     bad = sorted(q0.internal() & inner)
     if bad:
         raise PreconditionViolated(f"inner vertices internal in the seed: {bad[:3]}")
-    if q0.num_nontrivial() > alpha * n:
+    if q0.num_nontrivial() > ALPHA * n:
         raise PreconditionViolated(
-            f"seed has {q0.num_nontrivial()} nontrivial paths > alpha*n = {alpha * n}"
+            f"seed has {q0.num_nontrivial()} nontrivial paths > alpha*n = {ALPHA * n}"
         )
     edges = set(q0.edges)
     touched = set(PathSystem(n, edges).covered())
@@ -209,9 +210,7 @@ def cover_A0B0_by_path_systems(
     for i in range(r_star):
         seed = PathSystem(n, cut_matchings[i] | pads[i])
         pool = Graph._trusted(n, g.edges - used - (reserved - seed.edges))
-        q = extend_to_two_balanced(
-            pool, part, seed, alpha=Fraction(1, 2), choice_seed=choice_seed
-        )
+        q = extend_to_two_balanced(pool, part, seed, choice_seed=choice_seed)
         systems.append(q)
         used |= q.edges
     leftover_cut = cut.edges - {e for q in systems for e in q.edges}
@@ -424,17 +423,14 @@ def bip_decompose(
     demote(a_core, a0, len(a_core) - target)
     demote(b_core, b0, len(b_core) - target)
     part = LabelledPartition(n, a0, a_core, b0, b_core)
-    result = validate_framework(g, part, _common_degree(g), eps, eps_prime, K, host=f)
+    D = g.common_degree()
+    if D is None:
+        raise PreconditionViolated(
+            f"spanning subgraph not regular: degrees {sorted(set(g.degrees()))}")
+    result = validate_framework(g, part, D, eps, eps_prime, K, host=f)
     if isinstance(result, list):
         raise PreconditionViolated(f"no weak framework: {result[0].detail}")
     return result
-
-
-def _common_degree(g: Graph) -> int:
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise PreconditionViolated(f"spanning subgraph not regular: degrees {sorted(degs)}")
-    return degs.pop()
 
 
 def elimination_bound_holds(fw_before_D: int, reduced_D: int, eps, n: int) -> bool:

@@ -26,6 +26,8 @@ from .graphs import LabelledPartition, OrientedGraph, PathSystem, norm_edge
 from .matchings import kuhn_matching
 from .validate import check_edge_disjoint
 
+BEPS_ATTEMPTS = 16
+
 
 def canonical_intervals(K: int, f: int) -> list[list[int]]:
     """The f intervals of the cluster cycle A_1 B_1 ... A_K B_K, each given
@@ -69,13 +71,12 @@ def build_beps(
     min_interval: int = 10,
     source_id: str = "J",
     seed: int = 0,
-    attempts: int = 16,
 ) -> BEPS:
     """Extend a balanced exceptional system into a path system of the given
     style spanning the interval; retries with reshuffled pivot choices when
-    a greedy pick or a fill matching gets stuck."""
+    a greedy pick or a fill matching gets stuck (``BEPS_ATTEMPTS`` tries)."""
     last = None
-    for attempt in range(attempts):
+    for attempt in range(BEPS_ATTEMPTS):
         try:
             return _build_beps_once(
                 gdir, part, j_sys, style, interval, min_interval, source_id,

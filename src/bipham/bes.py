@@ -34,6 +34,8 @@ from .schemes import rational_ceil
 from .solvers import SolverBudget
 from .validate import check_bes, check_decomposition, check_edge_disjoint, cycle_edges
 
+ATTACH_NODES = 50_000
+
 
 def derive_slice_counts(D: int, K: int, eps4_requested) -> tuple[int, int, Fraction]:
     """Integer counts (t_K, k) realizing the requested leftover fraction:
@@ -474,8 +476,7 @@ def extend_to_bes(
     return out
 
 
-def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
-                 max_nodes: int = 50_000):
+def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell):
     """Assign every (vertex, system) edge demand of one side at once.
 
     Constraints: each pool edge is used at most once, each system covers a
@@ -483,7 +484,7 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
     interleaved partition constraints do not reduce to a single matching or
     flow, but the instances are tiny, so an exact fail-first backtracking
     (always extending the most constrained open slot) settles them, within
-    ``max_nodes`` search nodes; a failure once they are spent is a
+    ``ATTACH_NODES`` search nodes; a failure once they are spent is a
     ``Timeout``."""
     slots = []
     for x in sorted(exceptional):
@@ -508,13 +509,12 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
         return [w for w, e in reach[x]
                 if e not in used_edge and w not in covered[i]]
 
-    if not _flow_solve(slots, candidates, used_edge, covered, chosen, nodes,
-                       max_nodes):
-        if nodes[0] > max_nodes:
+    if not _flow_solve(slots, candidates, used_edge, covered, chosen, nodes):
+        if nodes[0] > ATTACH_NODES:
             raise Timeout(
                 f"attaching the exceptional vertices of cell {cell} spent "
-                f"the node cap {max_nodes}",
-                stats={"nodes": max_nodes},
+                f"the node cap {ATTACH_NODES}",
+                stats={"nodes": ATTACH_NODES},
             )
         worst = min(
             (slot for slot in slots), key=lambda s: len(candidates(s))
@@ -530,15 +530,14 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell,
         pool.discard(e)
 
 
-def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes,
-                max_nodes) -> bool:
+def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes) -> bool:
     """One node of ``_flow_attach``'s search: place the most constrained
     open slot, then the rest; module level for the reason
     ``matchings._augment`` gives."""
     if not open_slots:
         return True
     nodes[0] += 1
-    if nodes[0] > max_nodes:
+    if nodes[0] > ATTACH_NODES:
         return False
     pick = min(range(len(open_slots)),
                key=lambda t: len(candidates(open_slots[t])))
@@ -550,8 +549,7 @@ def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes,
         used_edge.add(e)
         covered[i].add(w)
         chosen.append((x, i, w))
-        if _flow_solve(rest, candidates, used_edge, covered, chosen, nodes,
-                       max_nodes):
+        if _flow_solve(rest, candidates, used_edge, covered, chosen, nodes):
             return True
         chosen.pop()
         covered[i].discard(w)

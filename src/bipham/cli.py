@@ -17,7 +17,6 @@ from .balance import frac, validate_framework, Framework
 from .errors import BadParams, BiphamError, InputFileError
 from .generators import generate, regular_spanning_subgraph
 from .graphs import (
-    Graph,
     PathSystem,
     dump_graph,
     load_graph,
@@ -106,7 +105,9 @@ def _dispatch(args) -> int:
         if part is None:
             raise InputFileError(f"no partition in {args.graph}")
         if args.level == "framework":
-            D = args.D if args.D is not None else _common_degree(graph)
+            D = args.D if args.D is not None else graph.common_degree()
+            if D is None:
+                raise BiphamError("graph is not regular; pass --D")
             res = validate_framework(graph, part, D, eps, eps_prime, args.K)
             if isinstance(res, Framework):
                 print(f"framework kind: {res.kind}")
@@ -191,13 +192,6 @@ def _rational(flag: str, text: str):
         return frac(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"malformed {flag}: {text!r}") from exc
-
-
-def _common_degree(g: Graph) -> int:
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise BiphamError("graph is not regular; pass --D")
-    return degs.pop()
 
 
 def _load(path: str):

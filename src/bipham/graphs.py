@@ -103,6 +103,11 @@ class Graph:
     def min_degree(self) -> int:
         return min(self._degree_tuple(), default=0)
 
+    def common_degree(self) -> int | None:
+        """The degree of every vertex; None without vertices or regularity."""
+        degs = set(self._degree_tuple())
+        return degs.pop() if len(degs) == 1 else None
+
     def num_edges(self) -> int:
         return len(self.edges)
 
@@ -594,20 +599,31 @@ def graph_to_json(g: Graph, partition: LabelledPartition | None = None) -> dict:
 
 
 def graph_from_json(doc: dict) -> tuple[Graph, LabelledPartition | None]:
-    g = Graph(doc["n"], doc["edges"])
-    part = None
-    if "partition" in doc and doc["partition"] is not None:
-        p = doc["partition"]
-        part = LabelledPartition(
-            g.n,
-            p.get("A0", []),
-            p.get("A", []),
-            p.get("B0", []),
-            p.get("B", []),
-            p.get("clusters_A"),
-            p.get("clusters_B"),
-        )
-    return g, part
+    """The graph and partition of a graph file's document; ValueError
+    unless ``n`` and every vertex id are JSON integers and ``n`` >= 0."""
+    n = doc["n"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n = {n!r} is not a vertex count")
+    g = Graph(n, [_vertex_ids(e, "an edge") for e in doc["edges"]])
+    p = doc.get("partition")
+    if p is None:
+        return g, None
+    if not isinstance(p, dict):
+        raise ValueError("the partition is not an object")
+    classes = [_vertex_ids(p.get(k, []), k) for k in ("A0", "A", "B0", "B")]
+    clusters = [None if p.get(k) is None else [_vertex_ids(c, k) for c in p[k]]
+                for k in ("clusters_A", "clusters_B")]
+    return g, LabelledPartition(n, *classes, *clusters)
+
+
+def _vertex_ids(values, where: str) -> list:
+    """``values`` as a list of JSON integers, else ValueError: a float or a
+    boolean would pass for one in comparisons and set lookups."""
+    ids = list(values)
+    bad = next((v for v in ids if type(v) is not int), None)
+    if bad is not None:
+        raise ValueError(f"{where} holds {bad!r}, not a vertex id")
+    return ids
 
 
 def dump_graph(path: str, g: Graph, partition: LabelledPartition | None = None):

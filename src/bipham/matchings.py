@@ -47,6 +47,8 @@ from .errors import (
 )
 from .graphs import Edge, Graph, PathSystem, norm_edge
 
+SPARSIFY_ATTEMPTS = 64
+
 
 # -- proper edge coloring (max-degree + 1 colors) ---------------------------
 
@@ -574,7 +576,6 @@ def sparsify_split(
     gamma,
     alpha,
     seed: int = 0,
-    max_attempts: int = 64,
     target_edges: int | None = None,
 ) -> SparsifyResult:
     """Split g into (kept, leftover) with e(kept) = ceil((1-gamma) e(g)) and
@@ -582,8 +583,8 @@ def sparsify_split(
 
     Each attempt keeps every edge out of ``kept`` independently with
     probability 11*gamma/10 and then tops up or trims (lowest-index first)
-    to hit the exact edge count; both postconditions are verified and the
-    construction retries with fresh randomness until they hold.
+    to hit the exact edge count; both postconditions are verified, and up
+    to ``SPARSIFY_ATTEMPTS`` attempts run with fresh randomness.
     """
     gamma, alpha = frac(gamma), frac(alpha)
     if not 0 <= gamma < Fraction(1, 2):
@@ -600,7 +601,7 @@ def sparsify_split(
     p = float(Fraction(11, 10) * gamma)
     sorted_edges = sorted(g.edges)
     last = []
-    for attempt in range(max_attempts):
+    for attempt in range(SPARSIFY_ATTEMPTS):
         rng = random.Random((seed, attempt).__hash__())
         removed = {e for e in sorted_edges if rng.random() < p}
         kept_edges = set(g.edges) - removed
@@ -623,8 +624,8 @@ def sparsify_split(
             f"{leftover.max_degree()} vs bound {bound}"
         ]
     raise RetryBudgetExceeded(
-        f"sparsify_split failed after {max_attempts} attempts "
+        f"sparsify_split failed after {SPARSIFY_ATTEMPTS} attempts "
         f"(degree bound {bound})",
-        attempts=max_attempts,
+        attempts=SPARSIFY_ATTEMPTS,
         last_failures=last,
     )

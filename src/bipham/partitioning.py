@@ -2,9 +2,9 @@
 
 Every operation here follows the same retry-until-verified pattern: sample
 a uniformly random structure, verify every claimed property exhaustively
-with exact thresholds, and retry with fresh randomness (up to a budget)
-when verification fails.  Certificates record the achieved deviations so
-reports can show how much slack was left.
+with exact thresholds, and retry with fresh randomness (``DEFAULT_ATTEMPTS``
+times at most) when verification fails.  Certificates record the achieved
+deviations so reports can show how much slack was left.
 
 The verifiers count each degree and edge number once, in one pass over the
 graph's edges, and stay exact in integers: a condition |x - y/q| > r with
@@ -70,7 +70,6 @@ def random_equipartition(
     eps1,
     eps2,
     seed: int = 0,
-    max_attempts: int = DEFAULT_ATTEMPTS,
 ) -> tuple[list[list[int]], Certificate]:
     """Partition U into K parts of equal size m so that every vertex degree
     into every part, edge counts inside and between parts, and edge counts
@@ -104,7 +103,7 @@ def random_equipartition(
             warnings.append(f"degree dichotomy fails for reference set {j - 1}")
 
     last = []
-    for attempt in range(max_attempts):
+    for attempt in range(DEFAULT_ATTEMPTS):
         rng = random.Random((seed, attempt).__hash__())
         shuffled = list(U)
         rng.shuffle(shuffled)
@@ -116,7 +115,7 @@ def random_equipartition(
         last = problems
     raise RetryBudgetExceeded(
         f"equipartition of {len(U)} vertices into {K} parts failed verification",
-        attempts=max_attempts,
+        attempts=DEFAULT_ATTEMPTS,
         last_failures=last[:5],
     )
 
@@ -242,7 +241,6 @@ def framework_partition(
     eps1,
     eps2,
     seed: int = 0,
-    max_attempts: int = DEFAULT_ATTEMPTS,
 ) -> tuple[LabelledPartition, Certificate]:
     """Split A and B of a full framework into K clusters each, certifying
     the six per-cluster degree/edge-count properties for the framework graph
@@ -256,12 +254,10 @@ def framework_partition(
         warnings.append(f"min degree {g.min_degree()} < D = {fw.D}")
     clusters_A, cert_a = random_equipartition(
         g, f, part.A, [part.A0, part.B0, part.B], K,
-        fw.eps_prime, eps1, eps2, seed=seed, max_attempts=max_attempts,
-    )
+        fw.eps_prime, eps1, eps2, seed=seed)
     clusters_B, cert_b = random_equipartition(
         g, f, part.B, [part.B0, part.A0] + clusters_A, K,
-        fw.eps_prime, eps1, eps2, seed=seed + 1, max_attempts=max_attempts,
-    )
+        fw.eps_prime, eps1, eps2, seed=seed + 1)
     clustered = part.with_clusters(clusters_A, clusters_B)
     cert = Certificate(
         warnings=warnings + cert_a.warnings + cert_b.warnings,
@@ -384,7 +380,6 @@ def localized_slices(
     eps1,
     eps2,
     seed: int = 0,
-    max_attempts: int = DEFAULT_ATTEMPTS,
 ) -> LocalizedSlices:
     """Partition the edges inside A' (and B') into K^2 localized slices,
     slice (i,j) living on A0 u A_i u A_j, with certified size and degree
@@ -393,7 +388,7 @@ def localized_slices(
     eps1, eps2 = frac(eps1), frac(eps2)
     K = part.K
     last = []
-    for attempt in range(max_attempts):
+    for attempt in range(DEFAULT_ATTEMPTS):
         rng = random.Random((seed, attempt).__hash__())
         slices_A = _build_side_slices(g, part.A0, part.clusters_A, K, rng)
         slices_B = _build_side_slices(g, part.B0, part.clusters_B, K, rng)
@@ -406,7 +401,7 @@ def localized_slices(
         last = problems
     raise RetryBudgetExceeded(
         "localized slice verification failed",
-        attempts=max_attempts,
+        attempts=DEFAULT_ATTEMPTS,
         last_failures=last[:5],
     )
 

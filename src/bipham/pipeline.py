@@ -58,6 +58,8 @@ from .validate import (
 )
 from .walks import RobustDecomposition, RobustParams
 
+NWBIP_ATTEMPTS = 6
+
 
 @dataclass(frozen=True)
 class PipelineConstants:
@@ -378,7 +380,6 @@ def run_theorem_NWbip(
     constants: PipelineConstants,
     seed: int = 0,
     hint_split=None,
-    attempts: int = 6,
 ) -> DecompositionReport:
     """Pack D/2 edge-disjoint Hamilton cycles of the host f around the
     D-regular spanning subgraph g: eliminate the exceptional cut, build
@@ -389,12 +390,12 @@ def run_theorem_NWbip(
     held-out draw of the same generator needs a second attempt.  The
     retries stay as a safety net: a failed run is retried with the free
     choices (which vertices become exceptional, greedy orders) reshuffled,
-    deterministically in the seed.  The first clean report is returned,
-    annotated with the retry count; if all attempts fail, the last report
-    is returned as-is.  A failure at the entry gates is returned at once:
-    no reshuffle changes the input.
+    deterministically in the seed, up to ``NWBIP_ATTEMPTS`` runs in all.
+    The first clean report is returned, annotated with the retry count; if
+    all attempts fail, the last report is returned as-is.  A failure at the
+    entry gates is returned at once: no reshuffle changes the input.
     """
-    for i in range(max(attempts, 1)):
+    for i in range(NWBIP_ATTEMPTS):
         rep = _nwbip_attempt(f, g, constants, seed, hint_split,
                              demotion_seed=i)
         if rep.ok():
@@ -635,8 +636,7 @@ def run_theorem_1factbip(
             and not h_prime.e_within(part1.B_prime()),
         )
         h = Graph(g.n, h_prime.edges_between(part1.A, part1.B))
-        c5 = rd.closure(h, max_nodes=c.max_nodes, max_seconds=c.max_seconds,
-                        seed=seed)
+        c5 = rd.closure(h, max_seconds=c.max_seconds, seed=seed)
         st.check("closure-cycles", len(c5) == params.s_prime,
                  witness=(len(c5), params.s_prime))
         st.check("split-attempts", True, witness=rd.split_attempts)

@@ -16,11 +16,13 @@ from .balance import frac
 from .graphs import Graph, LabelledPartition, OrientedGraph
 from .regularity import check_regular_pair, vacuous_regularity, vacuous_window
 
+CEIL_DENOMINATOR = 10**6
 
-def rational_ceil(x: float, granularity: int = 10**6) -> Fraction:
-    """Smallest Fraction with the given denominator that is >= x; used to
-    turn irrational thresholds (like 2*sqrt(eps)) into exact ones."""
-    return Fraction(math.ceil(x * granularity), granularity)
+
+def rational_ceil(x: float) -> Fraction:
+    """Smallest Fraction with denominator ``CEIL_DENOMINATOR`` that is >= x;
+    turns irrational thresholds (like 2*sqrt(eps)) into exact ones."""
+    return Fraction(math.ceil(x * CEIL_DENOMINATOR), CEIL_DENOMINATOR)
 
 
 def partition_structure_violations(
@@ -83,7 +85,6 @@ def oriented_scheme_violations(
     part: LabelledPartition,
     eps0,
     eps,
-    check_pairs: bool = True,
 ) -> list[str]:
     """Oriented scheme conditions: AB-orientation, superregular directed
     subcluster pairs at density one half, and large common in/out
@@ -109,7 +110,7 @@ def oriented_scheme_violations(
                                        for x in xs for y in out[x] & ys])
 
     half = Fraction(1, 2)
-    if check_pairs and not (vacuous_regularity(eps) and vacuous_window(eps, half)):
+    if not (vacuous_regularity(eps) and vacuous_window(eps, half)):
         for i in range(1, K + 1):
             for j in range(1, K + 1):
                 for h in range(1, L + 1):

@@ -67,14 +67,15 @@ class SolverBudget:
     seed: int = 0
 
     def __post_init__(self):
-        check_limits(self.max_nodes, self.max_seconds)
+        if self.max_nodes <= 0:
+            raise BadParams("budget limits must be positive")
+        check_wall_clock(self.max_seconds)
 
 
-def check_limits(max_nodes: int, max_seconds: float) -> None:
-    """Raise BadParams unless the node budget is positive and the
-    wall-clock safety net finite and positive; a NaN deadline would never
-    pass, so it fails here."""
-    if max_nodes <= 0 or not (math.isfinite(max_seconds) and max_seconds > 0):
+def check_wall_clock(max_seconds: float) -> None:
+    """Raise BadParams unless the wall-clock safety net is finite and
+    positive; a NaN deadline would never pass, so it fails here."""
+    if not (math.isfinite(max_seconds) and max_seconds > 0):
         raise BadParams("budget limits must be positive")
 
 

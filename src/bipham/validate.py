@@ -13,12 +13,12 @@ from typing import Iterable, Sequence
 from .graphs import Graph, LabelledPartition, PathSystem, norm_edge
 
 
-def check_cycle(n: int, cycle: Sequence[int], spanning: bool = True) -> list[str]:
-    """A cycle given as a vertex sequence (closing edge implicit).
+def check_cycle(n: int, cycle: Sequence[int]) -> list[str]:
+    """A Hamilton cycle given as a vertex sequence (closing edge implicit).
 
     Returns a list of violation strings; empty means valid.  Checks: correct
-    length, no repeats, no loops; with ``spanning`` it must visit all of
-    0..n-1.  Connectivity and 2-regularity follow from the sequence form.
+    length, no repeats, no loops, every vertex of 0..n-1 visited.
+    Connectivity and 2-regularity follow from the sequence form.
     """
     problems = []
     if len(cycle) < 3:
@@ -27,7 +27,7 @@ def check_cycle(n: int, cycle: Sequence[int], spanning: bool = True) -> list[str
     if len(set(cycle)) != len(cycle):
         dup = [v for v, c in Counter(cycle).items() if c > 1]
         problems.append(f"repeated vertices {sorted(dup)[:3]}")
-    if spanning and set(cycle) != set(range(n)):
+    if set(cycle) != set(range(n)):
         problems.append(
             f"not spanning: visits {len(set(cycle))} of {n} vertices"
         )

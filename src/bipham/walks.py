@@ -26,9 +26,10 @@ from .errors import (
     PreconditionViolated,
     WallClockExceeded,
 )
-from .graphs import Graph, LabelledPartition, OrientedGraph, norm_edge
+from .generators import bipartite_degree_factor
+from .graphs import Graph, LabelledPartition, OrientedGraph
 from .matchings import degree_split
-from .solvers import check_limits
+from .solvers import check_wall_clock
 from .validate import check_decomposition, cycle_edges
 
 # the closure's split-and-repair attempts: attempt k splits and repairs
@@ -117,18 +118,14 @@ class RobustDecomposition:
         """A ``count``-regular spanning subgraph of the A-B edges of
         ``avail``; by König's theorem, a union of ``count`` perfect
         matchings of A into B."""
-        A = sorted(self.part.A)
-        B = frozenset(self.part.B)
+        A, B = self.part.A, self.part.B
         try:
-            pairs = degree_split(
-                A, {a: sorted(avail.adj[a] & B) for a in A},
-                dict.fromkeys(chain(A, B), count),
-            )
+            return bipartite_degree_factor(
+                avail, dict.fromkeys(chain(A, B), count), (A, B))
         except MatchingFailure as exc:
             raise BackendFailure(
                 f"{what}: no {count}-regular split ({exc})"
             ) from None
-        return Graph._trusted(avail.n, (norm_edge(a, b) for a, b in pairs))
 
     def build_chord_absorber(
         self,
@@ -171,7 +168,6 @@ class RobustDecomposition:
     def closure(
         self,
         h: Graph,
-        max_nodes: int = 20_000_000,
         max_seconds: float = 300.0,
         seed: int = 0,
     ) -> list[list[int]]:
@@ -194,12 +190,12 @@ class RobustDecomposition:
         switches they made; once ``CLOSURE_ATTEMPTS`` are stuck,
         ``BackendFailure`` names both counts.
 
-        The closure runs no search, so it spends none of ``max_nodes``;
+        The closure runs no search, so it takes no node budget;
         ``max_seconds`` is the wall-clock safety net, read before each split
-        level.  A budget that is not positive, or a wall clock that is not
-        finite, raises ``BadParams``.
+        level.  A wall clock that is not finite and positive raises
+        ``BadParams``.
         """
-        check_limits(max_nodes, max_seconds)
+        check_wall_clock(max_seconds)
         if self.ca is None or self.pca is None:
             raise BackendUnavailable("absorbers not built yet")
         all_beps = [b for bf in self._bf + self._bf_prime for b in bf.systems]

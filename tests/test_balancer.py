@@ -36,14 +36,14 @@ def test_extend_to_two_balanced():
     # seed already complete
     part = LabelledPartition(4, [0], [1], [], [2, 3])
     q = PathSystem(4, [(0, 1), (0, 2)])
-    assert extend_to_two_balanced(complete_bipartite((2, 2)), part, q, "1/2").edges == q.edges
+    assert extend_to_two_balanced(complete_bipartite((2, 2)), part, q).edges == q.edges
 
     # one missing edge at the exceptional vertex gets attached to the
     # opposite inner class
     g = Graph(5, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     part2 = LabelledPartition(5, [0], [1, 2], [], [3, 4])
     seed = PathSystem(5, [(0, 1)])
-    out = extend_to_two_balanced(g, part2, seed, "1/2")
+    out = extend_to_two_balanced(g, part2, seed)
     new = out.edges - seed.edges
     assert len(new) == 1 and all(e[0] == 0 for e in new)
     assert is_two_balanced(out, part2)
@@ -52,7 +52,7 @@ def test_extend_to_two_balanced():
     part3 = LabelledPartition(6, [0, 1], [2, 3], [], [4, 5])
     with pytest.raises(PreconditionViolated):
         extend_to_two_balanced(
-            complete_bipartite((3, 3)), part3, PathSystem(6, []), "1/2"
+            complete_bipartite((3, 3)), part3, PathSystem(6, [])
         )
 
 

@@ -186,16 +186,16 @@ def test_global_cover_with_nonzero_pairs():
     assert not check_edge_disjoint([cycle_edges(cy) for cy in res.cycles])
 
 
-def test_flow_attach_cap_is_a_timeout():
+def test_flow_attach_cap_is_a_timeout(monkeypatch):
     # one exceptional vertex 0 needs both of its edges in one system, into
     # the cluster {1, 2}: two search nodes settle it, one does not
-    from bipham.bes import _flow_attach
+    from bipham import bes
     from bipham.errors import Timeout
 
     def attach(max_nodes):
+        monkeypatch.setattr(bes, "ATTACH_NODES", max_nodes)
         sys_edges, covered, pool = [set()], [set()], {(0, 1), (0, 2)}
-        _flow_attach([0], [1, 2], sys_edges, covered, pool, (1, 1, 1, 1),
-                     max_nodes=max_nodes)
+        bes._flow_attach([0], [1, 2], sys_edges, covered, pool, (1, 1, 1, 1))
         return sys_edges, pool
 
     assert attach(2) == ([{(0, 1), (0, 2)}], set())

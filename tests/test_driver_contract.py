@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bipham import errors, hamkernel, search
+from bipham import errors, hamkernel, pipeline, search
 from bipham.generators import (
     babai_instance,
     eps_bipartite_instance,
@@ -56,6 +56,15 @@ def _on_both_kernels(run):
         patch.setattr(search, "cycle_enumerator", hamkernel.PureGraphEnum)
         assert render_report(run()) == render_report(rep)
     return rep
+
+
+def _two_attempts(run):
+    """``_on_both_kernels(run)`` with NW-bip held to two attempts.  The
+    hypothesis tests cannot take the function-scoped ``monkeypatch``
+    fixture, so each example patches in its own context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "NWBIP_ATTEMPTS", 2)
+        return _on_both_kernels(run)
 
 
 def _check_report(rep) -> bool:
@@ -121,8 +130,8 @@ def babai_hosts(draw):
 def test_nwbip_report_contract(host, K, eps0, max_nodes, seed):
     f, g, hint = host
     constants = PipelineConstants(K=K, eps0=eps0, max_nodes=max_nodes)
-    rep = _on_both_kernels(lambda: run_theorem_NWbip(
-        f, g, constants, seed=seed, hint_split=hint, attempts=2))
+    rep = _two_attempts(lambda: run_theorem_NWbip(
+        f, g, constants, seed=seed, hint_split=hint))
     if _check_report(rep):
         assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
         for cyc in rep.cycles:
@@ -148,8 +157,8 @@ def test_onefact_report_contract(m, change, max_nodes, seed):
 def test_nwbip_report_contract_on_babai_hosts(host, K, max_nodes, seed):
     f, g, hint = host
     constants = PipelineConstants(K=K, max_nodes=max_nodes)
-    rep = _on_both_kernels(lambda: run_theorem_NWbip(
-        f, g, constants, seed=seed, hint_split=hint, attempts=2))
+    rep = _two_attempts(lambda: run_theorem_NWbip(
+        f, g, constants, seed=seed, hint_split=hint))
     if _check_report(rep):
         assert not check_edge_disjoint([cycle_edges(c) for c in rep.cycles])
         for cyc in rep.cycles:

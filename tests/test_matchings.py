@@ -146,13 +146,15 @@ def test_sparsify_identity_and_success():
     assert res.leftover.max_degree() <= bound
 
 
-def test_sparsify_impossible_bound():
+def test_sparsify_impossible_bound(monkeypatch):
     # the degree bound rounds to zero at this scale, so only a leftover-free
     # split could succeed, which the edge target forbids
+    from bipham import matchings
     from bipham.generators import regular_spanning_subgraph
     g = regular_spanning_subgraph(complete_graph(20), 3, seed=0)
-    with pytest.raises(RetryBudgetExceeded):
-        sparsify_split(g, "1/5", "1/5", seed=0, max_attempts=8)
+    monkeypatch.setattr(matchings, "SPARSIFY_ATTEMPTS", 8)
+    with pytest.raises(RetryBudgetExceeded, match="after 8 attempts"):
+        sparsify_split(g, "1/5", "1/5", seed=0)
 
 
 def _predicate_kuhn(left, right, adjacent):

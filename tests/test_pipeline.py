@@ -953,6 +953,21 @@ def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     missing = str(tmp_path / "missing.json")
     rep_path = tmp_path / "rep.json"
+    # ids that Python would take for integers: a float or a boolean vertex,
+    # a fractional or negative n, a float in a partition class; and a
+    # partition that is not an object
+    not_ids = []
+    for i, text in enumerate([
+        '{"n": 4, "edges": [[0, 1.5]]}',
+        '{"n": 4, "edges": [[0, true]]}',
+        '{"n": 2.5, "edges": []}',
+        '{"n": -1, "edges": []}',
+        '{"n": 4, "edges": [[0, 1], [0, 3], [2, 1], [2, 3]],'
+        ' "partition": {"A": [0, 2.0], "B": [1, 3]}}',
+        '{"n": 2, "edges": [[0, 1]], "partition": [[0], [1]]}',
+    ]):
+        not_ids.append(tmp_path / f"not_ids_{i}.json")
+        not_ids[-1].write_text(text)
     for args in [
         ["decompose", "--theorem", "nwbip", missing],
         # a directory cannot be read
@@ -966,9 +981,14 @@ def test_cli_unloadable_inputs_exit_2(tmp_path, capsys):
         ["decompose", "--theorem", "onefact", "--constants", str(not_object),
          str(inst)],
         ["generate", "--kind", "complete_bipartite", "--params", "{bad"],
+        *(["decompose", "--theorem", theorem, str(path)]
+          for path in not_ids for theorem in ("nwbip", "onefact")),
+        *(["verify", "--level", "framework", str(path)] for path in not_ids),
+        *(["oracle", "--op", "hamdecomp", str(path)] for path in not_ids),
     ]:
         capsys.readouterr()
-        rc = cli_main([*args, "-o", str(rep_path)])
+        out = ["-o", str(rep_path)] if args[0] in ("decompose", "generate") else []
+        rc = cli_main([*args, *out])
         err = capsys.readouterr().err
         assert rc == 2, args
         assert err.startswith("error: InputFileError: "), err

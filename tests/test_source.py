@@ -203,6 +203,76 @@ def test_public_names_have_a_caller():
     assert not orphans
 
 
+# optional parameters that no call in the package or the benchmark passes,
+# each with its reason
+UNPASSED = {
+    "cli.py: main(argv)":
+        "the console script calls main(); the tests pass their own argv",
+    "hamkernel/__init__.py: _load(compiler)":
+        "the fallback tests substitute a missing compiler",
+    "hamkernel/__init__.py: _load(source)":
+        "the fallback tests substitute another kernel source",
+    "regularity.py: check_regular_pair(exhaustive_limit)":
+        "ROADMAP item 7 removes the sampled mode",
+    "regularity.py: check_regular_pair(samples)":
+        "ROADMAP item 7 removes the sampled mode",
+    "regularity.py: check_regular_pair(seed)":
+        "ROADMAP item 7 removes the sampled mode",
+}
+
+
+def _optional_parameters(fn):
+    """(name, position or None) of every parameter of ``fn`` with a
+    default; the position counts after ``self`` or ``cls``, and a
+    keyword-only parameter has none."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    """Whether ``call`` passes the parameter ``name`` at ``position``; an
+    unpacked ``*args`` or ``**kwargs`` may pass any."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def test_optional_parameters_have_a_caller():
+    # an optional parameter of a function or method in the package is
+    # passed, by keyword or position, by some call of that name in the
+    # package or the benchmark: a value only tests turn is a constant,
+    # which a test patches in the module
+    trees = [tree for _, tree in _modules()]
+    trees += [ast.parse(path.read_text())
+              for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                calls.setdefault(callee, []).append(node)
+    unpassed = []
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            for param, position in _optional_parameters(fn):
+                if not any(_passes(call, param, position)
+                           for call in calls.get(fn.name, [])):
+                    unpassed.append(f"{name}: {fn.name}({param})")
+    assert set(unpassed) == set(UNPASSED), sorted(set(unpassed) ^ set(UNPASSED))
+
+
 def _imported_names(tree):
     """(name, line) of every name an import statement binds in ``tree``,
     at any depth; ``from __future__`` imports bind nothing."""

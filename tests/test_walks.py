@@ -118,13 +118,13 @@ def test_closure_failure_names_attempts_and_swaps(monkeypatch):
                               "cycle")
 
 
-@pytest.mark.parametrize("budget", [{"max_nodes": 0}, {"max_nodes": -1},
-                                    {"max_seconds": 0},
+@pytest.mark.parametrize("budget", [{"max_seconds": 0},
+                                    {"max_seconds": float("inf")},
                                     {"max_seconds": float("nan")}])
 def test_closure_rejects_non_positive_budget(budget):
-    # every stage refuses a budget that no search could run under; a NaN
-    # deadline never passes, so the wall-clock safety net would be silently
-    # off
+    # the closure runs no search, so its one limit is the wall clock, which
+    # must be finite and positive; a NaN deadline never passes, so the
+    # safety net would be silently off
     g, part, bf_prime, params, rd = _standalone_contract()
     with pytest.raises(BadParams, match="^budget limits must be positive$"):
         rd.closure(Graph(part.n, []), **budget)
