@@ -59,13 +59,6 @@ class Violation:
     detail: str
     witness: tuple = ()
 
-    def as_json(self):
-        return {
-            "condition": self.condition,
-            "detail": self.detail,
-            "witness": list(self.witness),
-        }
-
 
 @dataclass(frozen=True)
 class Framework:
@@ -85,10 +78,6 @@ class Framework:
     K: int
     kind: str
     host: Graph | None = None
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
     def host_graph(self) -> Graph:
         return self.host if self.host is not None else self.graph

@@ -187,7 +187,7 @@ def _build_beps_once(
     chain = [z_start] + chain
     # continue through both rows of every unvisited cluster, interval order;
     # a visited cluster drops its adjacent (A_i, B_i) pair, which keeps the
-    # А/B alternation intact
+    # A/B alternation intact
     for idx, i in enumerate(interval):
         if idx < len(interval) - 1 and visits.get(i, 0) == 0:
             nxt = pick(b_row[i], lambda cand: (chain[-1], cand) in gdir.arcs)

@@ -52,21 +52,12 @@ class FictiveMatching:
     def s_prime(self) -> int:
         return len(self.edges)
 
-    def xs(self) -> list[int]:
-        return [e.x for e in self.edges]
-
-    def ys(self) -> list[int]:
-        return [e.y for e in self.edges]
-
     def vertex_order(self) -> list[int]:
         out = []
         for e in self.edges:
             out.append(e.x)
             out.append(e.y)
         return out
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [e.pair() for e in self.edges]
 
 
 def build_fictive(

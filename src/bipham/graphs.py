@@ -173,9 +173,6 @@ class Graph:
     def minus(self, other: "Graph") -> "Graph":
         return Graph._trusted(self.n, self.edges - other.edges)
 
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(max(self.n, other.n), self.edges | other.edges)
-
     def is_regular(self) -> bool:
         return len(set(self._degree_tuple())) <= 1
 
@@ -371,12 +368,6 @@ class LabelledPartition:
             )
         return self._labels
 
-    def side(self, v: int) -> str:
-        """One of 'A0', 'A', 'B0', 'B'."""
-        if not 0 <= v < self.n:
-            raise KeyError(v)
-        return ("A0", "A", "B0", "B")[self.side_labels()[v]]
-
     def swapped(self) -> "LabelledPartition":
         """The partition with the roles of the two sides exchanged."""
         return LabelledPartition(
@@ -554,9 +545,6 @@ class PathSystem:
 
     def num_nontrivial(self) -> int:
         return len(self.paths)
-
-    def union(self, other: "PathSystem") -> "PathSystem":
-        return PathSystem(max(self.n, other.n), self.edges | other.edges)
 
     def as_graph(self) -> Graph:
         # the edges are normalised and in range (see __init__)

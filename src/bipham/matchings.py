@@ -143,9 +143,6 @@ class MatchingDecomposition:
     matchings: tuple[frozenset[Edge], ...]
     source: Graph
 
-    def sizes(self) -> list[int]:
-        return [len(m) for m in self.matchings]
-
 
 def _components_alternating(m1: frozenset[Edge], m2: frozenset[Edge]):
     """Components of the symmetric difference m1 ^ m2, each as a list of

@@ -88,8 +88,6 @@ class PipelineConstants:
     gamma: Fraction = Fraction(0)
     gamma1: Fraction = Fraction(0)
     ell_prime: int = 4
-    mu: Fraction = Fraction(0)
-    rho: Fraction = Fraction(0)
     r1_override: int | None = None
     min_interval: int = 10
     max_nodes: int = 4_000_000
@@ -362,10 +360,8 @@ def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
     rest = fw.D - 2 * len(bes.cycles)
     st.require("family-size-identity", rest == 2 * len(family),
                witness=(rest, len(family)))
-    approx = approx_decomposition(
-        run.left(reserved), part, family, c.mu, c.rho, c.eps_prime,
-        budget=c.budget(run.seed), enforce_gates=False,
-    )
+    approx = approx_decomposition(run.left(reserved), part, family,
+                                  budget=c.budget(run.seed))
     for i, cyc in enumerate(approx):
         missing = set(family[i].edges) - cycle_edges(cyc)
         st.require(f"cycle-{i}-contains-system", not missing,

@@ -6,9 +6,15 @@ admissible subsets of one class; for a fixed subset and a fixed size on the
 other side, the extreme densities are attained by the vertices of largest
 (resp. smallest) degree into the subset, so sorted prefix sums replace the
 inner subset enumeration.  This is exact and is cross-checked in the tests
-against a doubly-exponential brute force.
+against a doubly-exponential brute force.  It runs when both classes have
+at most ``EXHAUSTIVE_LIMIT`` vertices; past that a non-vacuous check is
+reported as mode ``unverified``, with ``is_eps_regular`` None.  Deciding
+eps-regularity is co-NP-complete (Alon, Duke, Lefmann, Rödl and Yuster,
+J. Algorithms 1994), so no sample of rectangles could stand in for it.
+The degree window is exact at every size, so a degree outside it still
+refutes superregularity.
 
-A check that cannot fail is decided without either mode and reported as
+A check that cannot fail is decided without enumeration and reported as
 mode ``vacuous``.  A rectangle's density lies in [0, 1], so it deviates from
 the pair density d by at most max(d, 1 - d), and by nothing when d is 0 or
 1: eps-regularity is vacuous when eps >= 1 or eps > max(d, 1 - d).  The
@@ -20,7 +26,6 @@ at the desk constants, both are vacuous for every pair.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,31 +43,11 @@ class RegularityReport:
     density: Fraction
     eps: Fraction
     d: Fraction | None
-    is_eps_regular: bool
+    is_eps_regular: bool | None  # None: unverified
     witness: tuple | None  # (A_sub, B_sub, density) on failure
-    is_superregular: bool
+    is_superregular: bool | None  # None: unverified, but no degree witness
     degree_witness: tuple | None  # (vertex, degree, low, high) on failure
-    mode: str  # 'exhaustive', 'sampled' or 'vacuous'
-    samples: int
-    seed: int | None
-
-    def as_json(self):
-        return {
-            "density": [self.density.numerator, self.density.denominator],
-            "eps": str(self.eps),
-            "d": None if self.d is None else str(self.d),
-            "is_eps_regular": self.is_eps_regular,
-            "witness": None
-            if self.witness is None
-            else [list(self.witness[0]), list(self.witness[1]), str(self.witness[2])],
-            "is_superregular": self.is_superregular,
-            "degree_witness": None
-            if self.degree_witness is None
-            else list(map(str, self.degree_witness)),
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+    mode: str  # 'exhaustive', 'unverified' or 'vacuous'
 
 
 def _min_size(eps: Fraction, size: int) -> int:
@@ -89,16 +74,15 @@ def check_regular_pair(
     right: Sequence[int],
     eps,
     d=None,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> RegularityReport:
     """Test eps-regularity (and [eps, d]-superregularity when d is given) of
     the bipartite pair (left, right) in g.
 
-    Edges inside either class are rejected.  Exhaustive when both classes
-    have at most ``exhaustive_limit`` vertices, sampled otherwise, and
-    decided at once, as mode ``vacuous``, when no rectangle can deviate.
+    Edges inside either class are rejected.  Decided at once, as mode
+    ``vacuous``, when no rectangle can deviate; exhaustively when both
+    classes have at most ``EXHAUSTIVE_LIMIT`` vertices; otherwise mode
+    ``unverified``, with ``is_eps_regular`` None, and ``is_superregular``
+    None unless a degree witness refutes it.
     """
     eps = frac(eps)
     d = None if d is None else frac(d)
@@ -115,14 +99,12 @@ def check_regular_pair(
     density = Fraction(e_total, p * q)
 
     if vacuous_regularity(eps, density):
-        ok, witness = True, None
-        mode, used = "vacuous", 0
-    elif p <= exhaustive_limit and q <= exhaustive_limit:
+        ok, witness, mode = True, None, "vacuous"
+    elif p <= EXHAUSTIVE_LIMIT and q <= EXHAUSTIVE_LIMIT:
         ok, witness = _exhaustive_check(g, A, B, eps, density)
-        mode, used = "exhaustive", 0
+        mode = "exhaustive"
     else:
-        ok, witness = _sampled_check(g, A, B, eps, density, samples, seed)
-        mode, used = "sampled", samples
+        ok, witness, mode = None, None, "unverified"
 
     deg_witness = None
     if d is not None and not vacuous_window(eps, d):
@@ -135,11 +117,9 @@ def check_regular_pair(
         d=d,
         is_eps_regular=ok,
         witness=witness,
-        is_superregular=ok and deg_witness is None if d is not None else False,
+        is_superregular=deg_witness is None and ok if d is not None else False,
         degree_witness=deg_witness,
         mode=mode,
-        samples=used,
-        seed=seed if mode == "sampled" else None,
     )
 
 
@@ -209,21 +189,6 @@ def _exhaustive_check(g, A, B, eps, density):
                     A_sub = [A[i] for i in range(p) if bits >> i & 1]
                     B_sub = sorted(B[j] for j in pick)
                     return False, (tuple(A_sub), tuple(B_sub), Fraction(s, k * ell))
-    return True, None
-
-
-def _sampled_check(g, A, B, eps, density, samples, seed):
-    rng = random.Random(seed)
-    p, q = len(A), len(B)
-    ka, kb = _min_size(eps, p), _min_size(eps, q)
-    for _ in range(samples):
-        k = rng.randint(ka, p)
-        ell = rng.randint(kb, q)
-        A_sub = rng.sample(A, k)
-        B_sub = rng.sample(B, ell)
-        s = g.e_between(A_sub, B_sub)
-        if _deviates(s, k, ell, density, eps):
-            return False, (tuple(sorted(A_sub)), tuple(sorted(B_sub)), Fraction(s, k * ell))
     return True, None
 
 

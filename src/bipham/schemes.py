@@ -14,7 +14,12 @@ from fractions import Fraction
 
 from .balance import frac
 from .graphs import Graph, LabelledPartition, OrientedGraph
-from .regularity import check_regular_pair, vacuous_regularity, vacuous_window
+from .regularity import (
+    EXHAUSTIVE_LIMIT,
+    check_regular_pair,
+    vacuous_regularity,
+    vacuous_window,
+)
 
 CEIL_DENOMINATOR = 10**6
 
@@ -89,7 +94,10 @@ def oriented_scheme_violations(
     """Oriented scheme conditions: AB-orientation, superregular directed
     subcluster pairs at density one half, and large common in/out
     neighborhoods inside every subcluster.  When eps makes the pair
-    condition vacuous for every pair, as eps >= 1 does, no pair is built."""
+    condition vacuous for every pair, as eps >= 1 does, no pair is built.
+    A pair that ``check_regular_pair`` cannot decide (a class over
+    ``EXHAUSTIVE_LIMIT`` vertices and no degree witness) is listed as
+    unverified, not as passing."""
     eps0, eps = frac(eps0), frac(eps)
     problems = partition_structure_violations(part, eps0, require_refinement=False)
     A, B = frozenset(part.A), frozenset(part.B)
@@ -128,7 +136,13 @@ def oriented_scheme_violations(
                                 eps,
                                 d=half,
                             )
-                            if not rep.is_superregular:
+                            if rep.is_superregular is None:
+                                problems.append(
+                                    f"pair {name} unverified: [{eps},1/2]-"
+                                    "superregularity is decided only up to "
+                                    f"{EXHAUSTIVE_LIMIT} vertices a class"
+                                )
+                            elif not rep.is_superregular:
                                 problems.append(
                                     f"pair {name} not [{eps},1/2]-superregular"
                                 )

@@ -43,10 +43,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .balance import frac
 from .errors import (
     BadParams,
     MatchingFailure,
@@ -374,63 +372,13 @@ def chromatic_index_regular(
     return D + 1, [sorted(m) for m in classes]
 
 
-# -- approximate decomposition contract --------------------------------------
-
-def check_approx_preconditions(
-    g: Graph,
-    part: LabelledPartition,
-    family: Sequence[PathSystem],
-    mu,
-    rho,
-    eps0,
-) -> list[str]:
-    """The four entry gates of the approximate-decomposition contract:
-    degree windows into every cluster, family size, localization into the
-    partition, and bounded incidence of each vertex to the family."""
-    mu, rho, eps0 = frac(mu), frac(rho), frac(eps0)
-    problems = []
-    K, m, n = part.K, part.m, part.n
-    lo = (1 - 4 * mu - Fraction(4, K)) * m
-    hi = (1 - 4 * mu + Fraction(4, K)) * m
-    for w in part.A:
-        for i in range(K):
-            dw = g.d(w, part.clusters_B[i])
-            if not lo <= dw <= hi:
-                problems.append(
-                    f"degree window: d({w},B_{i + 1}) = {dw} outside [{lo},{hi}]"
-                )
-    for v in part.B:
-        for i in range(K):
-            dv = g.d(v, part.clusters_A[i])
-            if not lo <= dv <= hi:
-                problems.append(
-                    f"degree window: d({v},A_{i + 1}) = {dv} outside [{lo},{hi}]"
-                )
-    if len(family) > (Fraction(1, 4) - mu - rho) * n:
-        problems.append(
-            f"family size {len(family)} > (1/4-mu-rho)n = "
-            f"{(Fraction(1, 4) - mu - rho) * n}"
-        )
-    incidence = {v: 0 for v in list(part.A) + list(part.B)}
-    for j in family:
-        for v in j.covered():
-            if v in incidence:
-                incidence[v] += 1
-    worst = max(incidence.values(), default=0)
-    if worst > 2 * eps0 * n:
-        problems.append(f"vertex incident to {worst} systems > 2*eps0*n")
-    return problems
-
+# -- approximate decomposition -----------------------------------------------
 
 def approx_decomposition(
     g: Graph,
     part: LabelledPartition,
     family: Sequence[PathSystem],
-    mu,
-    rho,
-    eps0,
     budget: SolverBudget = SolverBudget(),
-    enforce_gates: bool = True,
 ) -> list[list[int]]:
     """len(family) edge-disjoint Hamilton cycles of ``g``, the i-th
     containing the i-th balanced exceptional system and otherwise only
@@ -444,14 +392,10 @@ def approx_decomposition(
     deepest system index reached; that proves that the pool holds no such
     cycles (``peel_cycles``).
 
-    The entry gates (``check_approx_preconditions``) are computed only with
-    ``enforce_gates``, and any problem they find raises
-    ``PreconditionViolated``.
+    The lemma's entry hypotheses (degree windows into the clusters, family
+    size, bounded incidence) are not checked: the search itself decides
+    whether the cycles exist.
     """
-    if enforce_gates:
-        problems = check_approx_preconditions(g, part, family, mu, rho, eps0)
-        if problems:
-            raise PreconditionViolated("; ".join(problems))
     pool = g.edges_between(part.A, part.B).difference(*(j.edges for j in family))
     peel = peel_through_systems(g.n, pool, family, budget)
     if peel.cycles is None:

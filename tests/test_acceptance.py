@@ -74,7 +74,7 @@ def test_acceptance_1_vizing_balance():
             assert not (m & union)
             union |= m
         assert union == g.edges
-        sizes = md.sizes()
+        sizes = [len(m) for m in md.matchings]
         assert max(sizes) - min(sizes) <= 1
     elapsed = done("criterion 1")
     print(f"\nACCEPTANCE 1 PASS: {len(cases)} graphs, {elapsed:.1f}s")
@@ -306,7 +306,7 @@ def _consistent_cycle(rng, fict, part, pool):
     seq = []
     for e, gap in itertools.zip_longest(fict.edges, gaps):
         seq += ([] if e is None else [e.x, e.y]) + gap
-    fictive = {frozenset(p) for p in fict.pairs()}
+    fictive = {frozenset(e.pair()) for e in fict.edges}
     for u, v in zip(seq, seq[1:] + seq[:1]):
         if frozenset((u, v)) not in fictive and not pool.has_edge(u, v):
             return None

@@ -13,7 +13,7 @@ def test_single_cross_path():
     j = PathSystem(3, [(0, 1), (0, 2)])
     fict = build_fictive(j, part)
     assert fict.s == 0
-    assert fict.pairs() == [(1, 2)]
+    assert [e.pair() for e in fict.edges] == [(1, 2)]
 
 
 def test_two_sided_pairing():
@@ -23,7 +23,7 @@ def test_two_sided_pairing():
     j = PathSystem(8, [(0, 6), (6, 1), (3, 7), (7, 4)])
     fict = build_fictive(j, part)
     assert fict.s == 1
-    assert fict.pairs() == [(0, 3), (1, 4)]
+    assert [e.pair() for e in fict.edges] == [(0, 3), (1, 4)]
 
 
 def test_fictive_size_never_exceeds_system(rng):
@@ -43,7 +43,7 @@ def test_fictive_size_never_exceeds_system(rng):
         j = PathSystem(n, edges)
         fict = build_fictive(j, part)
         assert fict.s_prime <= j.num_edges()
-        assert all(x in set(part.A) and y in set(part.B) for x, y in fict.pairs())
+        assert all(e.x in set(part.A) and e.y in set(part.B) for e in fict.edges)
 
 
 def test_consistency_checks():

@@ -20,7 +20,7 @@ from bipham.partitioning import (
     random_equipartition,
     verify_equipartition,
 )
-from bipham.regularity import check_regular_pair
+from bipham.regularity import EXHAUSTIVE_LIMIT, check_regular_pair
 from bipham.schemes import (
     oriented_scheme_violations,
     partition_structure_violations,
@@ -179,6 +179,42 @@ def test_orient_scheme_pairs_are_vacuous_at_eps_dir_one(monkeypatch):
                 rep = check_regular_pair(pair, left, right, 1, d=Fraction(1, 2))
                 assert rep.density == Fraction(1, 2)
                 assert rep.mode == "vacuous" and rep.is_superregular
+
+
+def _half_density_scheme(m=14):
+    """K(m, m) as one cluster a side, its edge colour classes oriented in
+    alternating directions: each directed pair has density 1/2 and every
+    degree m/2, inside the window at eps = 1/4."""
+    g, part = _square_scheme(m=m, K=1)
+    return OrientedGraph(g.n, _alternating_orientation(g, part, 0)), part
+
+
+def test_oriented_scheme_lists_undecided_pairs_as_unverified():
+    # classes of 14 vertices are past the exhaustive limit: at eps = 1/4 the
+    # pairs are not vacuous, so their regularity is undecided, and the
+    # scheme check says so instead of passing them
+    gdir, part = _half_density_scheme()
+    assert len(part.clusters_A[0]) > EXHAUSTIVE_LIMIT
+    pairs = [p for p in oriented_scheme_violations(gdir, part, "1/2", "1/4")
+             if p.startswith("pair ")]
+    assert pairs == [
+        f"pair {name} unverified: [1/4,1/2]-superregularity is decided only "
+        f"up to {EXHAUSTIVE_LIMIT} vertices a class"
+        for name in ("A_(1,1)->B_(1,1)", "B_(1,1)->A_(1,1)")
+    ]
+
+
+def test_oriented_scheme_degree_witness_refutes_large_pairs():
+    # the same pairs with every arc at vertex 0 turned out of it: 0 has
+    # out-degree 14 and in-degree 0, outside [7/2, 21/2], so both pairs
+    # fail superregularity whatever their regularity
+    gdir, part = _half_density_scheme()
+    arcs = [(y, x) if y == 0 else (x, y) for x, y in gdir.arcs]
+    pairs = [p for p in oriented_scheme_violations(OrientedGraph(gdir.n, arcs),
+                                                   part, "1/2", "1/4")
+             if p.startswith("pair ")]
+    assert pairs == ["pair A_(1,1)->B_(1,1) not [1/4,1/2]-superregular",
+                     "pair B_(1,1)->A_(1,1) not [1/4,1/2]-superregular"]
 
 
 def test_absorber_builder_tries_each_parity_once(monkeypatch):
@@ -341,7 +377,12 @@ def _ref_oriented_scheme_violations(gdir, part, eps0, eps):
                                               if x in left and y in right])
                         rep = check_regular_pair(pair, sorted(left), sorted(right),
                                                  eps, d=Fraction(1, 2))
-                        if not rep.is_superregular:
+                        if rep.is_superregular is None:
+                            problems.append(
+                                f"pair {name} unverified: [{eps},1/2]-"
+                                "superregularity is decided only up to "
+                                f"{EXHAUSTIVE_LIMIT} vertices a class")
+                        elif not rep.is_superregular:
                             problems.append(
                                 f"pair {name} not [{eps},1/2]-superregular")
     floor_cn = (1 - eps) * Fraction(m, 5 * L)

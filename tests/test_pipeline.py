@@ -1029,22 +1029,26 @@ def test_cli_malformed_rationals_exit_2(tmp_path, capsys):
 
 
 def test_unknown_constants_rejected(tmp_path, capsys):
-    # a misspelt key used to leave its constant at the default unnoticed
+    # a misspelt key used to leave its constant at the default unnoticed;
+    # mu and rho fed only the approximate decomposition's entry gates, which
+    # no run computed, and are gone
     with pytest.raises(BadParams, match="unknown constants max_node, tau$"):
         PipelineConstants.from_json({"tau": 1, "max_node": 5, "L": 1})
     inst = tmp_path / "k44.json"
     cli_main(["generate", "--kind", "complete_bipartite",
               "--params", '{"m": 4}', "-o", str(inst)])
     consts = tmp_path / "c.json"
-    consts.write_text(json.dumps({"max_node": 5}))
     rep_path = tmp_path / "rep.json"
-    capsys.readouterr()
-    rc = cli_main(["decompose", "--theorem", "onefact", "--constants",
-                   str(consts), str(inst), "-o", str(rep_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: BadParams: unknown constants max_node\n")
-    assert not rep_path.exists()
+    for doc, name in [({"max_node": 5}, "max_node"), ({"mu": "0"}, "mu"),
+                      ({"rho": "0"}, "rho")]:
+        consts.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli_main(["decompose", "--theorem", "onefact", "--constants",
+                       str(consts), str(inst), "-o", str(rep_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: BadParams: unknown constants {name}\n")
+        assert not rep_path.exists()
 
 
 @pytest.mark.parametrize("doc, text", [

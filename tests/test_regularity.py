@@ -1,6 +1,5 @@
 """Density-regularity checking against an independent brute force."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,9 +10,9 @@ from bipham.errors import NotBipartite
 from bipham.graphs import Graph, complete_bipartite
 from bipham.balance import frac
 from bipham.regularity import (
+    EXHAUSTIVE_LIMIT,
     RegularityReport,
     _exhaustive_check,
-    _sampled_check,
     check_regular_pair,
     naive_regular_pair,
 )
@@ -108,11 +107,28 @@ def test_vacuous_boundary_stays_exact():
     assert rep.mode == "vacuous" and rep.is_superregular
 
 
-def test_sampled_mode_reports():
+def test_large_pair_is_unverified():
+    # past the exhaustive limit a non-vacuous check decides nothing: K(14,14)
+    # at eps = 1/4 is regular, but no check here proves it
     g = complete_bipartite((14, 14))
-    rep = check_regular_pair(g, range(14), range(14, 28), "1/4", samples=200, seed=7)
-    assert rep.mode == "sampled" and rep.samples == 200 and rep.seed == 7
-    assert rep.is_eps_regular
+    assert 14 > EXHAUSTIVE_LIMIT
+    rep = check_regular_pair(g, range(14), range(14, 28), "1/4", d=1)
+    assert rep.mode == "unverified"
+    assert rep.is_eps_regular is None and rep.witness is None
+    assert rep.is_superregular is None and rep.degree_witness is None
+    # without d there is no superregularity to report
+    assert check_regular_pair(g, range(14), range(14, 28), "1/4").is_superregular is False
+
+
+def test_large_pair_degree_witness_still_refutes():
+    # the degree window is exact at every size: vertex 0 keeps 10 of its 14
+    # edges, below (1 - 1/4) * 14, so the pair is not superregular although
+    # its regularity is unverified
+    g = complete_bipartite((14, 14)).minus_edges([(0, 14 + j) for j in range(4)])
+    rep = check_regular_pair(g, range(14), range(14, 28), "1/4", d=1)
+    assert rep.mode == "unverified" and rep.is_eps_regular is None
+    assert rep.is_superregular is False
+    assert rep.degree_witness == (0, 10, Fraction(21, 2), Fraction(35, 2))
 
 
 def test_class_hygiene():
@@ -123,11 +139,11 @@ def test_class_hygiene():
         check_regular_pair(g, [0, 1], [2, 3], "1/2")  # edge inside {0,1}
 
 
-def _fraction_regular_pair(g, left, right, eps, d=None, exhaustive_limit=12,
-                           samples=2000, seed=0):
+def _fraction_regular_pair(g, left, right, eps, d=None):
     """``check_regular_pair`` as it was before its degree windows were
     compared in integers: every bound a Fraction, each degree taken by
-    ``Graph.d``.  The referee of ``test_integer_windows_match_fractions``."""
+    ``Graph.d``, and the window checked even where it holds every degree.
+    The referee of ``test_integer_windows_match_fractions``."""
     eps = frac(eps)
     d = None if d is None else frac(d)
     A = sorted(left)
@@ -140,12 +156,15 @@ def _fraction_regular_pair(g, left, right, eps, d=None, exhaustive_limit=12,
     if p == 0 or q == 0:
         raise NotBipartite("empty class")
     density = Fraction(g.e_between(A, B), p * q)
-    if p <= exhaustive_limit and q <= exhaustive_limit:
+    # a rectangle's density lies in [0, 1], so none deviates from the pair
+    # density by eps when eps >= 1 or eps > max(density, 1 - density)
+    if eps >= 1 or eps > max(density, 1 - density):
+        ok, witness, mode = True, None, "vacuous"
+    elif p <= EXHAUSTIVE_LIMIT and q <= EXHAUSTIVE_LIMIT:
         ok, witness = _exhaustive_check(g, A, B, eps, density)
-        mode, used = "exhaustive", 0
+        mode = "exhaustive"
     else:
-        ok, witness = _sampled_check(g, A, B, eps, density, samples, seed)
-        mode, used = "sampled", samples
+        ok, witness, mode = None, None, "unverified"
     super_ok, deg_witness = True, None
     if d is not None:
         for a in A:
@@ -163,18 +182,17 @@ def _fraction_regular_pair(g, left, right, eps, d=None, exhaustive_limit=12,
                     break
     return RegularityReport(
         density=density, eps=eps, d=d, is_eps_regular=ok, witness=witness,
-        is_superregular=ok and super_ok if d is not None else False,
-        degree_witness=deg_witness, mode=mode, samples=used,
-        seed=seed if mode == "sampled" else None,
+        is_superregular=super_ok and ok if d is not None else False,
+        degree_witness=deg_witness, mode=mode,
     )
 
 
 def test_integer_windows_match_fractions():
-    # random pairs, exhaustive and sampled, with d drawn around the density
+    # random pairs, exhaustive and unverified, with d drawn around the density
     # so that degree windows both hold and fail, on either side, and land
     # exactly on a window's end
     seen = {"superregular": 0, "left witness": 0, "right witness": 0,
-            "no d": 0, "sampled": 0, "vacuous": 0, "on a bound": 0}
+            "no d": 0, "unverified": 0, "vacuous": 0, "on a bound": 0}
     for seed in range(300):
         rng = random.Random(seed)
         p, q = rng.randint(1, 8), rng.randint(1, 8)
@@ -190,20 +208,14 @@ def test_integer_windows_match_fractions():
         if rng.random() < 0.85:
             density = Fraction(len(g.edges), p * q)
             d = max(Fraction(0), density + Fraction(rng.randint(-3, 3), 10))
-        kw = dict(eps=eps, d=d, samples=50, seed=seed)
-        rep = check_regular_pair(g, left, right, **kw)
-        ref = _fraction_regular_pair(g, left, right, **kw)
-        if rep.mode == "vacuous":
-            # decided at once: the full check agrees on all but the mode
-            ref = dataclasses.replace(ref, mode="vacuous", samples=0, seed=None)
-        assert rep == ref, seed
-        assert rep.as_json() == ref.as_json()
+        rep = check_regular_pair(g, left, right, eps, d)
+        assert rep == _fraction_regular_pair(g, left, right, eps, d), seed
         witness = rep.degree_witness
-        seen["superregular"] += rep.is_superregular
+        seen["superregular"] += rep.is_superregular is True
         seen["left witness"] += witness is not None and witness[0] in left
         seen["right witness"] += witness is not None and witness[0] in right
         seen["no d"] += d is None
-        seen["sampled"] += rep.mode == "sampled"
+        seen["unverified"] += rep.mode == "unverified"
         seen["vacuous"] += rep.mode == "vacuous"
         seen["on a bound"] += d is not None and any(
             g.d(v, other) in ((d - eps) * len(other), (d + eps) * len(other))

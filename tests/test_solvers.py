@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from bipham import search, solvers
+from bipham import search
 from bipham.balancer import peel_hamilton_cycles
 from bipham.errors import (
     PreconditionViolated,
@@ -20,7 +20,6 @@ from bipham.solvers import (
     LEVEL_UNIT,
     SolverBudget,
     approx_decomposition,
-    check_approx_preconditions,
     chromatic_index_regular,
     exhaustive_hamilton_decomposition,
     luby,
@@ -108,7 +107,7 @@ def test_reg_even_monotone_under_edge_addition(rng):
         extra = [(i, j) for i in range(8) for j in range(i + 1, 8)
                  if not g.has_edge(i, j)]
         rng.shuffle(extra)
-        g2 = g.union(Graph(8, extra[: len(extra) // 2]))
+        g2 = Graph(8, g.edges | set(extra[: len(extra) // 2]))
         assert reg_even(g2)[0] >= reg_even(g)[0]
 
 
@@ -134,7 +133,7 @@ def test_approx_decomposition_empty_family():
     part = LabelledPartition(8, [], range(4), [], range(4, 8),
                              clusters_A=[list(range(4))],
                              clusters_B=[list(range(4, 8))])
-    assert approx_decomposition(g, part, [], 0, 0, "1/2") == []
+    assert approx_decomposition(g, part, []) == []
 
 
 def test_approx_decomposition_raises_on_infeasible_family():
@@ -150,7 +149,7 @@ def test_approx_decomposition_raises_on_infeasible_family():
                              r"at index 2 \(an exhaustive search: no "
                              r"edge-disjoint Hamilton cycles through the "
                              r"systems exist\)$"):
-        approx_decomposition(g, part, family, 0, 0, "1/2", enforce_gates=False)
+        approx_decomposition(g, part, family)
 
 
 def _one_system_instance():
@@ -178,29 +177,26 @@ def _one_system_instance():
 
 def test_approx_decomposition_with_system():
     f, part, j = _one_system_instance()
-    [cyc] = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    [cyc] = approx_decomposition(f, part, [j])
     assert set(j.edges) <= cycle_edges(cyc)
     assert not check_cycle(14, cyc)
 
 
 def test_approx_decomposition_computes_no_unenforced_gates(monkeypatch):
-    # the drivers pass enforce_gates=False: the gates would only be thrown
-    # away, so they are not computed
+    # no run acts on the lemma's entry gates, so none is computed: the
+    # degree windows into the clusters were the gates' only Graph.d calls
     calls = []
-    gates = solvers.check_approx_preconditions
+    degree = Graph.d
 
-    def record(*args):
+    def record(self, *args):
         calls.append(args)
-        return gates(*args)
+        return degree(self, *args)
 
-    monkeypatch.setattr(solvers, "check_approx_preconditions", record)
+    monkeypatch.setattr(Graph, "d", record)
     f, part, j = _one_system_instance()
-    [cyc] = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    [cyc] = approx_decomposition(f, part, [j])
     assert not check_cycle(14, cyc)
     assert calls == []
-    # enforced, they are computed once, and here they pass
-    assert approx_decomposition(f, part, [j], 0, 0, "1/2") == [cyc]
-    assert len(calls) == 1
 
 
 def test_approx_decomposition_counts_and_honours_nodes(monkeypatch):
@@ -214,19 +210,15 @@ def test_approx_decomposition_counts_and_honours_nodes(monkeypatch):
 
     monkeypatch.setattr(search, "cycle_enumerator", record)
     f, part, j = _one_system_instance()
-    cycles = approx_decomposition(f, part, [j], 0, 0, "1/2", enforce_gates=False)
+    cycles = approx_decomposition(f, part, [j])
     need = sum(e.nodes for e in enums)
     assert need > 0
-    exact = approx_decomposition(f, part, [j], 0, 0, "1/2",
-                                 SolverBudget(max_nodes=need),
-                                 enforce_gates=False)
+    exact = approx_decomposition(f, part, [j], SolverBudget(max_nodes=need))
     assert exact == cycles
     # one node short is a spent budget, not a system the search got stuck on
     with pytest.raises(Timeout, match=f"node budget {need - 1} spent at level 0"
                        ) as exc:
-        approx_decomposition(f, part, [j], 0, 0, "1/2",
-                             SolverBudget(max_nodes=need - 1),
-                             enforce_gates=False)
+        approx_decomposition(f, part, [j], SolverBudget(max_nodes=need - 1))
     assert exc.value.stats["nodes"] == need - 1
 
 
@@ -243,8 +235,7 @@ def test_approx_decomposition_resumed_call_stays_in_budget(monkeypatch):
     monkeypatch.setattr(search, "cycle_enumerator", record)
     f, part, j = _one_system_instance()
     with pytest.raises(Timeout, match="node budget 86 spent") as exc:
-        approx_decomposition(f, part, [j, j, j], 0, 0, "1/2",
-                             SolverBudget(max_nodes=86), enforce_gates=False)
+        approx_decomposition(f, part, [j, j, j], SolverBudget(max_nodes=86))
     assert exc.value.stats["nodes"] == 86
     assert sum(e.nodes for e in enums) <= 86
 
@@ -350,19 +341,3 @@ def test_peel_cycles_wall_clock_is_only_a_safety_net():
     with pytest.raises(WallClockExceeded, match="not reproducible"):
         peel_cycles(_scripted(plan, []), frozenset(), 2, 100,
                     deadline=time.monotonic() - 1)
-
-
-def test_approx_gate_reports_degree_window():
-    # the +-4/K slack needs K >= 5 before the window can bite; starve one
-    # vertex of an entire opposite cluster
-    base = complete_bipartite((10, 10))
-    g = base.minus_edges([(0, 10), (0, 11)])
-    part = LabelledPartition(
-        20, [], range(10), [], range(10, 20),
-        clusters_A=[[2 * i, 2 * i + 1] for i in range(5)],
-        clusters_B=[[10 + 2 * i, 11 + 2 * i] for i in range(5)],
-    )
-    problems = check_approx_preconditions(g, part, [], 0, 0, "1/2")
-    assert any("degree window" in p for p in problems)
-    with pytest.raises(PreconditionViolated):
-        approx_decomposition(g, part, [], 0, 0, "1/2")

@@ -154,20 +154,20 @@ UNCALLED = {
 
 
 def _mentions(tree, skip=None):
-    """Every plain name and attribute name used in ``tree``, outside the
-    subtree ``skip``."""
-    found = set()
+    """(plain names, attribute names) used in ``tree``, outside the subtree
+    ``skip``."""
+    names, attrs = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attrs.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names, attrs
 
 
 def _public_defs(tree):
@@ -188,17 +188,25 @@ def test_public_names_have_a_caller():
     # a public module-level function or class, or a public method of a
     # public class, is named somewhere in the package outside its own
     # definition, or in the benchmark; tests alone do not keep a name
-    # alive.  Imports and __all__ do not count
+    # alive.  Imports and __all__ do not count.  A method counts as named
+    # only as an attribute (``.xs``): a plain name ``xs`` elsewhere does
+    # not call it
     modules = dict(_modules())
     used = {name: _mentions(tree) for name, tree in modules.items()}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py")))
     orphans = []
     for name, tree in modules.items():
-        others = set().union(*(u for m, u in used.items() if m != name))
+        other_names = set().union(*(u[0] for m, u in used.items() if m != name))
+        other_attrs = set().union(*(u[1] for m, u in used.items() if m != name))
         for qualified, node in _public_defs(tree):
-            if (qualified not in UNCALLED
-                    and node.name not in others | _mentions(tree, skip=node)
-                    and not re.search(rf"\b{node.name}\b", bench)):
+            names, attrs = _mentions(tree, skip=node)
+            seen = attrs | other_attrs
+            method = "." in qualified
+            if not method:
+                seen |= names | other_names
+            pattern = rf"\.{node.name}\b" if method else rf"\b{node.name}\b"
+            if (qualified not in UNCALLED and node.name not in seen
+                    and not re.search(pattern, bench)):
                 orphans.append(f"{name}: {qualified}")
     assert not orphans
 
@@ -208,16 +216,12 @@ def test_public_names_have_a_caller():
 UNPASSED = {
     "cli.py: main(argv)":
         "the console script calls main(); the tests pass their own argv",
+    "hamkernel/__init__.py: _load(build_dir)":
+        "the loader tests build into a temporary directory",
     "hamkernel/__init__.py: _load(compiler)":
         "the fallback tests substitute a missing compiler",
     "hamkernel/__init__.py: _load(source)":
         "the fallback tests substitute another kernel source",
-    "regularity.py: check_regular_pair(exhaustive_limit)":
-        "ROADMAP item 7 removes the sampled mode",
-    "regularity.py: check_regular_pair(samples)":
-        "ROADMAP item 7 removes the sampled mode",
-    "regularity.py: check_regular_pair(seed)":
-        "ROADMAP item 7 removes the sampled mode",
 }
 
 
@@ -244,31 +248,106 @@ def _passes(call, name, position):
             or position is not None and len(call.args) > position)
 
 
+def _package_module(modules, parts):
+    """The package module at the dotted path ``parts`` below ``bipham``,
+    or None."""
+    for path in ("/".join(parts) + ".py", "/".join(parts + ["__init__.py"])):
+        if path in modules:
+            return path
+    return None
+
+
+def _bindings(modules, name, tree):
+    """What each name that an import in ``tree`` binds to the package is:
+    ``(module, None)`` for a package module, ``(module, attr)`` for a name
+    imported from one.  ``name`` is the module of ``tree``, or "" for a
+    file outside the package."""
+    package = name.split("/")[:-1]
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            dotted = node.module.split(".") if node.module else []
+            if node.level:
+                base = package[:len(package) + 1 - node.level] + dotted
+            elif dotted[:1] == ["bipham"]:
+                base = dotted[1:]
+            else:
+                continue
+            for alias in node.names:
+                sub = _package_module(modules, base + [alias.name])
+                found[alias.asname or alias.name] = (
+                    (sub, None) if sub else (_package_module(modules, base), alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                dotted = alias.name.split(".")
+                if dotted[0] == "bipham" and alias.asname:
+                    found[alias.asname] = (_package_module(modules, dotted[1:]), None)
+    return found
+
+
+def _resolve(bindings, defined, module, attr):
+    """``(module, attr)`` where the name ``attr`` read from the package
+    module ``module`` is defined, through re-exports; None when it is
+    neither defined nor imported there."""
+    while attr not in defined.get(module, ()):
+        module, attr = bindings.get(module, {}).get(attr, (None, None))
+        if attr is None:
+            return None
+    return module, attr
+
+
+def _callee(func, name, bound, bindings, defined):
+    """What a call of ``func`` in module ``name`` (bindings ``bound``)
+    reaches: ``(module, function)``, ``("*", function)`` for a method call
+    on any other receiver, which may reach every function of that name, or
+    None outside the package."""
+    if isinstance(func, ast.Name):
+        if func.id in bound:
+            module, attr = bound[func.id]
+            return attr and _resolve(bindings, defined, module, attr)
+        return (name, func.id) if func.id in defined.get(name, ()) else None
+    if isinstance(func, ast.Attribute):
+        target = bound.get(func.value.id) if isinstance(func.value, ast.Name) else None
+        if target is not None and target[1] is None:
+            return _resolve(bindings, defined, target[0], func.attr)
+        return "*", func.attr
+    return None
+
+
 def test_optional_parameters_have_a_caller():
     # an optional parameter of a function or method in the package is
-    # passed, by keyword or position, by some call of that name in the
-    # package or the benchmark: a value only tests turn is a constant,
-    # which a test patches in the module
-    trees = [tree for _, tree in _modules()]
-    trees += [ast.parse(path.read_text())
-              for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    # passed, by keyword or position, by some call that resolves to it in
+    # the package or the benchmark: a value only tests turn is a constant,
+    # which a test patches in the module.  A plain-name call resolves
+    # through its module's imports and definitions, and ``m.f()`` through
+    # the module ``m`` it imports; a call on any other receiver, a method
+    # call, may reach every function of that name
+    modules = dict(_modules())
+    defined = {name: {node.name for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        for name, tree in modules.items()}
+    bindings = {name: _bindings(modules, name, tree)
+                for name, tree in modules.items()}
+    callers = [(name, tree, bindings[name]) for name, tree in modules.items()]
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers.append(("", tree, _bindings(modules, "", tree)))
     calls = {}
-    for tree in trees:
+    for name, tree, bound in callers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                callee = (func.attr if isinstance(func, ast.Attribute)
-                          else getattr(func, "id", None))
-                calls.setdefault(callee, []).append(node)
+                target = _callee(node.func, name, bound, bindings, defined)
+                if target is not None:
+                    calls.setdefault(target, []).append(node)
     unpassed = []
-    for name, tree in _modules():
+    for name, tree in modules.items():
         for fn in ast.walk(tree):
             if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     or fn.name.startswith("__") and fn.name.endswith("__")):
                 continue
+            reaching = calls.get((name, fn.name), []) + calls.get(("*", fn.name), [])
             for param, position in _optional_parameters(fn):
-                if not any(_passes(call, param, position)
-                           for call in calls.get(fn.name, [])):
+                if not any(_passes(call, param, position) for call in reaching):
                     unpassed.append(f"{name}: {fn.name}({param})")
     assert set(unpassed) == set(UNPASSED), sorted(set(unpassed) ^ set(UNPASSED))
 

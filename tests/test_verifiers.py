@@ -199,7 +199,7 @@ def ref_verify_slices(g, part, slices, side, eps1, eps2):
 
 
 def ref_internal_degree(g, part, v):
-    side = part.A_prime() if part.side(v) in ("A0", "A") else part.B_prime()
+    side = part.A_prime() if v in part.A_prime() else part.B_prime()
     return g.d(v, side)
 
 
