@@ -16,17 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InsufficientNeighbors,
-    MatchingFailure,
-    PreconditionViolated,
-)
-from .fictive import FictiveMatching, build_fictive, is_consistent, substitute
+from .errors import MatchingFailure, PreconditionViolated
+from .fictive import FictiveMatching, build_fictive
 from .graphs import LabelledPartition, OrientedGraph, PathSystem, norm_edge
 from .matchings import kuhn_matching
 from .validate import check_edge_disjoint
-
-BEPS_ATTEMPTS = 16
 
 
 def canonical_intervals(K: int, f: int) -> list[list[int]]:
@@ -70,49 +64,13 @@ def build_beps(
     interval: list[int],
     min_interval: int = 10,
     source_id: str = "J",
-    seed: int = 0,
 ) -> BEPS:
-    """Extend a balanced exceptional system into a path system of the given
-    style spanning the interval; retries with reshuffled pivot choices when
-    a greedy pick or a fill matching gets stuck (``BEPS_ATTEMPTS`` tries)."""
-    last = None
-    for attempt in range(BEPS_ATTEMPTS):
-        try:
-            return _build_beps_once(
-                gdir, part, j_sys, style, interval, min_interval, source_id,
-                (seed, attempt).__hash__(),
-            )
-        except (InsufficientNeighbors, MatchingFailure) as exc:
-            # a kept traceback would refer back to this frame, and the cycle
-            # would hold every failed attempt until a full garbage collection
-            last = exc.with_traceback(None)
-    raise last
-
-
-def _build_beps_once(
-    gdir: OrientedGraph,
-    part: LabelledPartition,
-    j_sys: PathSystem,
-    style: int,
-    interval: list[int],
-    min_interval: int,
-    source_id: str,
-    seed: int,
-) -> BEPS:
-    """One construction attempt.
-
-    Thread a directed path through the fictive edges in their canonical
-    order, using fresh pivot vertices from the subclusters of the fictive
-    endpoints, then continue it through one vertex of every untouched row
-    cluster.  The remaining paths (detours that skip a multiply-visited
-    cluster, and plain row-to-row paths) are routed together, one bipartite
-    matching per row transition.  Picks follow a seeded order (ascending
-    for seed zero).
-    """
-    import random as _random
-
-    L = part.L or 1
-    h = style
+    """The path system of the given style spanning the interval around the
+    balanced exceptional system ``j_sys``, which must be empty: the robust
+    front runs only on frameworks without exceptional vertices, so every
+    slot holds an empty system.  All rows of the interval are then joined
+    by chained perfect matchings between consecutive rows, with no free
+    choice; ``MatchingFailure`` when two rows have none."""
     if len(set(interval)) != len(interval):
         raise PreconditionViolated(
             "interval wraps onto itself: paths would need two endpoints in "
@@ -123,141 +81,17 @@ def _build_beps_once(
             f"interval has {2 * len(interval) - 1} clusters < {min_interval}"
         )
     fict = build_fictive(j_sys, part, source_id)
-    a_row = {i: list(part.subcluster_A(i, h)) for i in interval}
-    b_row = {i: list(part.subcluster_B(i, h)) for i in interval[:-1]}
-    cluster_of_a = {v: i for i in interval for v in a_row[i]}
-    cluster_of_b = {v: i for i in interval[:-1] for v in b_row[i]}
-
-    interior = set(interval[1:-1])
-    visits: dict[int, int] = {}
-    for e in fict.edges:
-        ca = cluster_of_a.get(e.x)
-        cb = cluster_of_b.get(e.y)
-        if ca is None or cb is None or ca not in interior or cb not in interior:
-            raise PreconditionViolated(
-                f"fictive endpoint outside the interval interior: {e.pair()}"
-            )
-        visits[ca] = visits.get(ca, 0) + 1
-        visits[cb] = visits.get(cb, 0) + 1
-    used: set[int] = set(v for e in fict.edges for v in e.pair())
-
-    rng = _random.Random(seed)
-
-    def pick(candidates, pred):
-        order = list(candidates)
-        if seed:
-            rng.shuffle(order)
-        for w in order:
-            if w not in used and pred(w):
-                used.add(w)
-                return w
-        raise InsufficientNeighbors("no fresh pivot vertex available")
-
-    if not fict.edges:
-        # no exceptional content: the whole system is a chain of perfect
-        # matchings between consecutive rows, which is both the most robust
-        # construction and exactly what the filling step below produces
-        star, rest = _pure_matching_paths(gdir, part, interval, h)
-        beps = BEPS(
-            paths=tuple([star] + rest),
-            bes=j_sys,
-            fict=fict,
-            star_path=star,
-            style=style,
-            interval=tuple(interval),
+    if fict.edges:
+        raise PreconditionViolated(
+            f"system {source_id} covers exceptional vertices: only empty "
+            "systems are built"
         )
-        problems = check_beps(beps, gdir, part)
-        if problems:
-            raise AssertionError(problems[0])
-        return beps
-
-    # thread a directed path through the fictive edges, in their order
-    chain: list[int] = []
-    prev_z = None
-    for e in fict.edges:
-        w = pick(
-            b_row[cluster_of_a[e.x]],
-            lambda cand: (prev_z is None or (prev_z, cand) in gdir.arcs)
-            and (cand, e.x) in gdir.arcs,
-        )
-        z = pick(a_row[cluster_of_b[e.y]], lambda cand: (e.y, cand) in gdir.arcs)
-        chain += [w, e.x, e.y, z]
-        prev_z = z
-    z_start = pick(a_row[interval[0]], lambda cand: (cand, chain[0]) in gdir.arcs)
-    chain = [z_start] + chain
-    # continue through both rows of every unvisited cluster, interval order;
-    # a visited cluster drops its adjacent (A_i, B_i) pair, which keeps the
-    # A/B alternation intact
-    for idx, i in enumerate(interval):
-        if idx < len(interval) - 1 and visits.get(i, 0) == 0:
-            nxt = pick(b_row[i], lambda cand: (chain[-1], cand) in gdir.arcs)
-            chain.append(nxt)
-        if idx + 1 < len(interval) and visits.get(interval[idx + 1], 0) == 0:
-            nxt = pick(
-                a_row[interval[idx + 1]],
-                lambda cand: (chain[-1], cand) in gdir.arcs,
-            )
-            chain.append(nxt)
-    star_path = tuple(chain)
-    if cluster_of_a.get(star_path[-1]) != interval[-1]:
-        raise AssertionError("threaded path does not end in the last cluster")
-    if not is_consistent(star_path, fict, closed=False):
-        raise AssertionError("threaded path inconsistent with the fictive matching")
-
-    # remaining paths: for a cluster met k times, k-1 paths that skip it
-    # (skipping drops the adjacent (A_i, B_i) row pair, preserving the A/B
-    # alternation), plus plain paths through every row.  All of them are
-    # routed together, one bipartite matching per row transition, which
-    # keeps the matchings large instead of degenerating to singletons.
-    skip_plan: list[int | None] = []
-    for i in sorted(visits):
-        skip_plan += [i] * (visits[i] - 1)
-    n_paths = part.m // L - 1
-    skip_plan += [None] * (n_paths - len(skip_plan))
-    if len(skip_plan) != n_paths:
-        raise InsufficientNeighbors("more detours than free rows")
-    starts = [v for v in a_row[interval[0]] if v not in used]
-    seqs: list[list[int]] = [[s] for s in starts]
-    if len(seqs) != n_paths:
-        raise AssertionError("start row leftover does not match path count")
-    row_plan: list[tuple[str, int]] = []
-    for idx, c in enumerate(interval):
-        if idx > 0:
-            row_plan.append(("A", c))
-        if idx < len(interval) - 1:
-            row_plan.append(("B", c))
-    row_plan.sort(key=lambda rc: (interval.index(rc[1]), rc[0] == "B"))
-    for kind, c in row_plan:
-        row = a_row[c] if kind == "A" else b_row[c]
-        avail = [v for v in row if v not in used]
-        active = [t for t in range(n_paths) if skip_plan[t] != c]
-        if len(active) != len(avail):
-            raise AssertionError(
-                f"row {kind}_{c}: {len(active)} active paths vs "
-                f"{len(avail)} free vertices"
-            )
-        heads = [seqs[t][-1] for t in active]
-        mm = kuhn_matching(
-            range(len(heads)),
-            [[v for v in avail if (x, v) in gdir.arcs] for x in heads],
-        )
-        if mm is None:
-            raise MatchingFailure(
-                f"no perfect matching into row {kind}_{c}"
-            )
-        for pos, t in enumerate(active):
-            v = mm[pos]
-            seqs[t].append(v)
-            used.add(v)
-    detours = [tuple(s) for t, s in enumerate(seqs) if skip_plan[t] is not None]
-    matched_paths = [tuple(s) for t, s in enumerate(seqs) if skip_plan[t] is None]
-
-    p1 = tuple(substitute(star_path, j_sys, fict, part, closed=False))
+    star, rest = _pure_matching_paths(gdir, part, interval, style)
     beps = BEPS(
-        paths=tuple([p1] + detours + matched_paths),
+        paths=tuple([star] + rest),
         bes=j_sys,
         fict=fict,
-        star_path=star_path,
+        star_path=star,
         style=style,
         interval=tuple(interval),
     )
@@ -419,7 +253,6 @@ def build_bf_family(
                 beps = build_beps(
                     cur, part, j_sys, h, interval,
                     min_interval=min_interval, source_id=f"BF{jdx}-I{i_idx}-h{h}",
-                    seed=jdx * 1000 + i_idx * 10 + h,
                 )
                 systems.append(beps)
                 for seq in [beps.star_path] + list(beps.paths[1:]):

@@ -97,8 +97,3 @@ class BackendFailure(BiphamError):
 
 class DivisibilityError(BadParams):
     """An exact divisibility requirement fails."""
-
-
-class InconsistentInput(BiphamError):
-    """An input violates a structural assumption (e.g. a cycle that is not
-    consistent with its fictive matching)."""

@@ -4,13 +4,14 @@ Two drivers: ``run_theorem_NWbip`` packs half-the-degree many edge-disjoint
 Hamilton cycles into a dense nearly-bipartite host around a regular spanning
 subgraph; ``run_theorem_1factbip`` fully decomposes an even-regular
 nearly-bipartite graph into Hamilton cycles via a robustly decomposable
-subgraph.  Both pack with one routine, ``_pack``: the 1-factorization packs
-what its robustly decomposable graph leaves with the same elimination,
-cluster partition, balanced exceptional systems and approximate
-decomposition as NW-bip.  Each driver opens its stages in turn and has one
-failure path: a typed error or failed requirement marks the most recently
-opened stage failed with the error, and one skipped ``remaining`` stage
-ends the report.
+subgraph, or, when its framework has exceptional vertices, by packing the
+whole host as NW-bip does.  Both pack with one routine, ``_pack``: the
+1-factorization packs what its robustly decomposable graph leaves with the
+same elimination, cluster partition, balanced exceptional systems and
+approximate decomposition as NW-bip.  Each driver opens its stages in turn
+and has one failure path: a typed error or failed requirement marks the
+most recently opened stage failed with the error, and one skipped
+``remaining`` stage ends the report.
 
 All numeric thresholds live in PipelineConstants as exact rationals; the
 asymptotic separation conditions between them are evaluated and logged as
@@ -33,7 +34,7 @@ from .balancer import (
     elimination_bound_holds,
     eliminate_A0B0,
 )
-from .beps import build_bf_family, canonical_intervals
+from .beps import build_bf_family
 from .bes import (
     build_localized_pairs,
     decompose_global,
@@ -461,8 +462,14 @@ def run_theorem_1factbip(
     hint_split=None,
 ) -> DecompositionReport:
     """Complete Hamilton decomposition of an even-regular nearly-bipartite
-    graph: carve out a robustly decomposable graph, approximately decompose
-    the rest, absorb the leftover via the robust closure."""
+    graph.  After the degree reduction, the framework stage takes one of two
+    routes.  A framework with exceptional vertices packs the whole input
+    host with NW-bip (``_pack_host``): the robust front closes no such run,
+    and the reduction's cycles are dropped, since packing what they leave
+    fails where packing g does not.  A framework without them keeps the
+    robust front, the paper's construction: carve out a robustly
+    decomposable graph, approximately decompose the rest, absorb the
+    leftover via the robust closure."""
     c = constants
     run = _Run(g, g, c, seed)
     report, D = run.report, run.D
@@ -502,6 +509,11 @@ def run_theorem_1factbip(
             g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
             hint_split=hint_split,
         )
+        if fw.partition.V0():
+            st.check("route", True, witness={
+                "route": "packing", "exceptional": len(fw.partition.V0()),
+                "peeled_cycles_dropped": len(pre_cycles)})
+            return _pack_host(run, g, hint_split)
         elim = _eliminate(run, fw)
         c1, fw1 = elim.hamilton_cycles, elim.reduced
 
@@ -541,28 +553,13 @@ def run_theorem_1factbip(
         fw1 = replace(fw1, partition=part1, K=c.K1)
 
         st = report.stage("robust-bes", "bes-cover")
-        need_ca = c.L * c.f * params.r3
-        need_pca = 7 * params.r_diamond
-        if not part1.V0():
-            empty = PathSystem(part1.n, [])
-            j_ca = {key: [empty] * params.r3 for key in _slot_keys(c.f, c.L)}
-            j_pca = {key: [empty] * params.r_diamond for key in _slot_keys(7, 1)}
-            st.check(
-                "empty-exceptional-set",
-                True,
-                witness="no exceptional vertices: empty systems padded",
-            )
-        else:
-            fw_fine = replace(fw1, partition=part_fine, K=c.K1 * c.L)
-            bes_all = bes_stage(fw_fine, part_fine, c, seed, st, c.K1 * c.L, c.eps4)
-            run.take(bes_all.cycles)
-            j_ca, j_pca = _select_robust_systems(
-                bes_all.j_cells, c, params
-            )
-        st.check("ca-slots", all(len(v) == params.r3 for v in j_ca.values()),
-                 witness=need_ca)
-        st.check("pca-slots", all(len(v) == params.r_diamond for v in j_pca.values()),
-                 witness=need_pca)
+        empty = PathSystem(part1.n, [])
+        j_ca = {key: [empty] * params.r3 for key in _slot_keys(c.f, c.L)}
+        j_pca = {key: [empty] * params.r_diamond for key in _slot_keys(7, 1)}
+        st.check("empty-exceptional-set", True,
+                 witness="no exceptional vertices: empty systems padded")
+        st.check("ca-slots", True, witness=c.L * c.f * params.r3)
+        st.check("pca-slots", True, witness=7 * params.r_diamond)
 
         st = report.stage("robust-graph", "robust-contract")
         g2 = Graph(
@@ -589,26 +586,17 @@ def run_theorem_1factbip(
         st.require("exceptional-robust-degree-identity", r0_rob - r_rob == 2 * r,
                    witness=(r0_rob, r_rob))
         rob = Graph(g.n, rob_edges)
-        deg_ok = all(
-            rob.degree(v) == (r0_rob if v in part1.V0() else r_rob)
-            for v in range(g.n)
-        )
-        st.require("robust-degrees", deg_ok, witness=(r0_rob, r_rob))
+        st.require("robust-degrees", set(rob.degrees()) == {r_rob},
+                   witness=(r0_rob, r_rob))
         st.check("robust-degree-bounds", 7 * params.r1 <= r0_rob <= 30 * params.r1,
                  witness=r0_rob)
 
         st = report.stage("repartition", "approx", K2=c.K2)
         g4 = fw1.graph.minus_edges(rob_edges)
         d4 = fw1.D - r0_rob
-        deg_law = all(
-            g4.degree(v) == (d4 if v in part1.V0() else d4 + 2 * r)
-            for v in range(g.n)
-        )
-        st.require("degree-law-after-robust", deg_law, witness=d4)
-        a0s, b0s = _repartition_exceptional(g4, part1)
-        part_star = LabelledPartition(g.n, a0s, part1.A, b0s, part1.B)
-        if len(a0s) < len(b0s):
-            part_star = part_star.swapped()
+        st.require("degree-law-after-robust", set(g4.degrees()) == {d4 + 2 * r},
+                   witness=d4)
+        part_star = LabelledPartition(g.n, [], part1.A, [], part1.B)
         fw4 = validate_framework(
             g4, part_star, d4, c.eps0, c.eps_prime, c.K2, host=g4
         )
@@ -618,14 +606,8 @@ def run_theorem_1factbip(
 
         st = report.stage("robust-closure", "robust-contract")
         h_prime = run.left(rob_edges)
-        st.require(
-            "leftover-regular",
-            all(
-                h_prime.degree(v) == (0 if v in part1.V0() else 2 * r)
-                for v in range(g.n)
-            ),
-            witness=2 * r,
-        )
+        st.require("leftover-regular", set(h_prime.degrees()) == {2 * r},
+                   witness=2 * r)
         st.require(
             "leftover-bipartite",
             not h_prime.e_within(part1.A_prime())
@@ -649,6 +631,25 @@ def run_theorem_1factbip(
     except (BiphamError, AssertionError) as exc:
         return run.fail(exc)
     report.cycles = cycles
+    return report
+
+
+def _pack_host(run: _Run, g: Graph, hint_split) -> DecompositionReport:
+    """The packing route of the 1-factorization: D/2 edge-disjoint Hamilton
+    cycles of the D-regular g are a Hamilton decomposition of g, so NW-bip
+    packs g around itself, reshuffles included, and its stages follow the
+    run's own.  An ok packing gains the exact-decomposition check."""
+    packed = run_theorem_NWbip(g, g, run.constants, run.seed, hint_split)
+    report = run.report
+    # NW-bip's entry gates repeat the ones g has passed
+    report.stages += packed.stages[1:]
+    report.accounting = packed.accounting
+    report.warnings += [w for w in packed.warnings if w not in report.warnings]
+    if packed.ok():
+        problems = check_decomposition(g, [cycle_edges(cy) for cy in packed.cycles])
+        report.stages[-1].require("exact-decomposition", not problems,
+                                  witness=problems[:1])
+        report.cycles = packed.cycles
     return report
 
 
@@ -687,101 +688,11 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
             pca = rd.build_parity_switcher(bf_pca)
             return attempt + 1, rd, bf_ca, bf_pca, ca, pca
         except BiphamError as exc:
-            # no traceback: it would tie this frame to itself (see build_beps)
+            # no traceback: it would tie this frame to itself, and the cycle
+            # would hold the failed attempt until a full garbage collection
             last_exc = exc.with_traceback(None)
     raise last_exc
 
 
 def _slot_keys(f: int, L: int):
     return [(i, h) for i in range(1, f + 1) for h in range(1, L + 1)]
-
-
-def _select_robust_systems(j_cells: dict, constants, params):
-    """Assign systems built over the fine partition to interval/style slots
-    for both factor kinds.
-
-    A system localized to fine clusters (i1', i2', i3', i4') has style h and
-    coarse indices i when all four fine indices decompose as i' = (i-1)L + h
-    with one common h; the absorber slots additionally need all coarse
-    indices inside their interval's interior.  At small scale the supply per
-    slot may fall short, which is reported as a precondition failure."""
-    c = constants
-    L = c.L
-
-    def coarse(idx: int) -> tuple[int, int]:
-        return ((idx - 1) // L) + 1, ((idx - 1) % L) + 1
-
-    pool = {cell: list(lst) for cell, lst in sorted(j_cells.items())}
-
-    def fill(interior: set, need: int, style: int | None = None) -> list:
-        """Up to ``need`` systems, taken from the pool in cell order, whose
-        coarse indices all lie in ``interior`` (with style ``style``, when
-        one is given)."""
-        bucket: list = []
-        for cell in sorted(pool):
-            if all(ci in interior and (style is None or s == style)
-                   for ci, s in map(coarse, cell)):
-                while pool[cell] and len(bucket) < need:
-                    bucket.append(pool[cell].pop(0))
-        return bucket
-
-    j_ca: dict = {}
-    intervals_ca = canonical_intervals(c.K1, c.f)
-    for i, h in _slot_keys(c.f, c.L):
-        bucket = fill(set(intervals_ca[i - 1][1:-1]), params.r3, h)
-        if len(bucket) < params.r3:
-            raise PreconditionViolated(
-                f"absorber slot ({i},{h}) holds {len(bucket)} systems, "
-                f"needs {params.r3} (supply too small at this scale)"
-            )
-        j_ca[(i, h)] = bucket
-    j_pca: dict = {}
-    intervals_pca = canonical_intervals(c.K1, 7)
-    for i, _h in _slot_keys(7, 1):
-        bucket = fill(set(intervals_pca[i - 1][1:-1]), params.r_diamond)
-        if len(bucket) < params.r_diamond:
-            raise PreconditionViolated(
-                f"switcher slot {i} holds {len(bucket)} systems, needs "
-                f"{params.r_diamond}"
-            )
-        j_pca[(i, 1)] = bucket
-    return j_ca, j_pca
-
-
-def _repartition_exceptional(g4: Graph, part: LabelledPartition):
-    """Split the exceptional set to maximize the cut towards the opposite
-    inner side: exhaustive for up to 20 exceptional vertices (the first
-    maximum in mask order), single-move local search beyond.  A split's cut
-    is counted from each exceptional vertex's degrees into A and B and its
-    exceptional neighbours, less the e(A, B) edges every split cuts."""
-    v0 = sorted(part.V0())
-    if not v0:
-        return [], []
-    bit = {v: 1 << i for i, v in enumerate(v0)}
-    into_a = [g4.d(v, part.A) for v in v0]
-    into_b = [g4.d(v, part.B) for v in v0]
-    inner = [sum(bit.get(w, 0) for w in g4.adj[v]) for v in v0]
-
-    def cut(mask):
-        """The cut with v0[i] joined to A for each bit i of ``mask`` and to
-        B otherwise; an edge inside v0 counts from its A end."""
-        return sum(
-            into_b[i] + (inner[i] & ~mask).bit_count() if mask >> i & 1
-            else into_a[i]
-            for i in range(len(v0))
-        )
-
-    if len(v0) <= 20:
-        best = max(range(1 << len(v0)), key=lambda mask: (cut(mask), -mask))
-    else:
-        best = sum(bit[v] for v in part.A0)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(v0)):
-                cand = best ^ (1 << i)
-                if cut(cand) > cut(best):
-                    best = cand
-                    improved = True
-    return ([v for v in v0 if best & bit[v]],
-            [v for v in v0 if not best & bit[v]])

@@ -9,7 +9,6 @@ from bipham.beps import (
     check_factor_degrees,
 )
 from bipham.errors import PreconditionViolated
-from bipham.fictive import build_fictive
 from bipham.graphs import Graph, LabelledPartition, PathSystem
 from bipham.partitioning import orient_scheme
 
@@ -66,27 +65,13 @@ def test_wrapping_interval_rejected():
                    canonical_intervals(4, 1)[0], min_interval=3)
 
 
-def test_build_beps_with_system():
+def test_build_beps_refuses_an_exceptional_system():
+    # the robust front runs only on frameworks without exceptional
+    # vertices, so a slot's system must be empty
     g, part, gdir = _scheme()
     interval = canonical_intervals(10, 2)[0]  # clusters 1..6, interior 2..5
-    j = _system(part, 0)
-    beps = build_beps(gdir, part, j, 1, interval, min_interval=10)
-    assert len(beps.paths) == part.m
-    got = set(v for p in beps.paths for v in p)
-    assert set(part.V0()) <= got
-    fict = build_fictive(j, part)
-    assert [e.pair() for e in beps.fict.edges] == [e.pair() for e in fict.edges]
-    # vertex bookkeeping: the starred path visits each interior cluster row
-    # once per fictive endpoint it hosts, and every other row exactly once
-    star = set(beps.star_path)
-    for i in interval:
-        row = set(part.subcluster_A(i, 1))
-        hosts = sum(1 for e in beps.fict.edges if e.x in row) + sum(
-            1
-            for e in beps.fict.edges
-            if e.y in set(part.subcluster_B(i, 1))
-        )
-        assert len(row & star) == max(hosts, 1)
+    with pytest.raises(PreconditionViolated, match="covers exceptional"):
+        build_beps(gdir, part, _system(part, 0), 1, interval, min_interval=10)
 
 
 def test_build_bf_family_single_factor():
@@ -98,64 +83,3 @@ def test_build_bf_family_single_factor():
     bf = factors[0]
     assert not check_factor_degrees(bf, part)
     assert len(bf.systems) == 2
-
-
-def test_starred_cycle_pulls_back():
-    # a Hamilton cycle of the bipartite scheme plus the fictive edges that
-    # contains the starred path system corresponds, after substituting the
-    # embedded system back, to a Hamilton cycle on the full vertex set
-    from bipham.search import CycleSearch, Prescribed
-    from bipham.validate import check_cycle, cycle_edges
-    from bipham.fictive import substitute
-
-    g, part, gdir = _scheme(K=10, m=6)
-    interval = canonical_intervals(10, 2)[0]
-    j = _system(part, 0)
-    beps = build_beps(gdir, part, j, 1, interval, min_interval=10)
-    # search universe: inner vertices only; allowed edges: the scheme
-    universe = sorted(set(part.A) | set(part.B))
-    comp = {v: i for i, v in enumerate(universe)}
-    allowed = Graph(len(universe),
-                    [(comp[x], comp[y]) for x, y in gdir.underlying().edges])
-    prescribed = [Prescribed(tuple(comp[v] for v in beps.star_path))]
-    prescribed += [Prescribed(tuple(comp[v] for v in p)) for p in beps.paths[1:]]
-    cyc = None
-    for seed in range(6):  # a bad item order can trap the first descent
-        cyc = CycleSearch(allowed, prescribed, max_nodes=500_000,
-                          seed=seed).first()
-        if cyc is not None:
-            break
-    assert cyc is not None
-    star_cycle = [universe[v] for v in cyc]
-    full = substitute(star_cycle, beps.bes, beps.fict, part)
-    assert not check_cycle(part.n, full)
-    # the pulled-back cycle contains the whole undirected path system
-    assert beps.edge_set() <= cycle_edges(full)
-
-
-def test_bf_degree_law_with_exceptional():
-    # two factors need q/m well below one: use wider rows than the
-    # single-factor case
-    g, part, gdir = _scheme(K=10, m=8, seed=9)
-    # every slot needs a system covering all exceptional vertices; interval 1
-    # has interior clusters 2..5, interval 2 has 7..10
-    assignments = {
-        (1, 1): [_system(part, 0, base=2), _system(part, 1, base=2)],
-        (2, 1): [_system(part, 0, base=7), _system(part, 1, base=7)],
-    }
-    factors = build_bf_family(gdir, part, assignments, 1, 2, 2, min_interval=10)
-    assert len(factors) == 2
-    for bf in factors:
-        assert not check_factor_degrees(bf, part)
-        v0 = sorted(part.V0())
-        deg = {v: 0 for v in v0}
-        for b in bf.systems:
-            for p in b.paths:
-                for i in range(len(p) - 1):
-                    for v in (p[i], p[i + 1]):
-                        if v in deg:
-                            deg[v] += 1
-        assert all(d == 2 * 1 * 2 for d in deg.values())
-    e0 = set(factors[0].edge_multiset())
-    e1 = set(factors[1].edge_multiset())
-    assert not (e0 & e1)

@@ -1,11 +1,7 @@
-"""Fictive matchings: construction, consistency, substitution."""
+"""Fictive matchings: construction."""
 
-import pytest
-
-from bipham.errors import InconsistentInput
-from bipham.fictive import build_fictive, is_consistent, substitute
+from bipham.fictive import build_fictive
 from bipham.graphs import LabelledPartition, PathSystem
-from bipham.validate import check_cycle, cycle_edges
 
 
 def test_single_cross_path():
@@ -13,7 +9,7 @@ def test_single_cross_path():
     j = PathSystem(3, [(0, 1), (0, 2)])
     fict = build_fictive(j, part)
     assert fict.s == 0
-    assert [e.pair() for e in fict.edges] == [(1, 2)]
+    assert [(e.x, e.y) for e in fict.edges] == [(1, 2)]
 
 
 def test_two_sided_pairing():
@@ -23,7 +19,7 @@ def test_two_sided_pairing():
     j = PathSystem(8, [(0, 6), (6, 1), (3, 7), (7, 4)])
     fict = build_fictive(j, part)
     assert fict.s == 1
-    assert [e.pair() for e in fict.edges] == [(0, 3), (1, 4)]
+    assert [(e.x, e.y) for e in fict.edges] == [(0, 3), (1, 4)]
 
 
 def test_fictive_size_never_exceeds_system(rng):
@@ -44,39 +40,3 @@ def test_fictive_size_never_exceeds_system(rng):
         fict = build_fictive(j, part)
         assert fict.s_prime <= j.num_edges()
         assert all(e.x in set(part.A) and e.y in set(part.B) for e in fict.edges)
-
-
-def test_consistency_checks():
-    part = LabelledPartition(8, [6], [0, 1, 2], [7], [3, 4, 5])
-    j = PathSystem(8, [(0, 6), (6, 1), (3, 7), (7, 4)])
-    fict = build_fictive(j, part)  # pairs (0,3), (1,4)
-    assert is_consistent([0, 3, 1, 4], fict)
-    assert is_consistent(list(reversed([0, 3, 1, 4])), fict)
-    # a 4-cycle with both pairs adjacent is consistent in one of its two
-    # orientations no matter how it is written down
-    assert is_consistent([0, 4, 1, 3], fict)
-    assert is_consistent([0, 3, 2, 5, 1, 4], fict)
-    # both fictive adjacencies present but the visit order is wrong in both
-    # orientations
-    assert not is_consistent([0, 3, 2, 4, 1, 5], fict)
-    # missing a fictive adjacency
-    assert not is_consistent([0, 5, 1, 4, 2, 3], fict)
-    # empty matchings are always consistent
-    empty = build_fictive(PathSystem(8, []), part.swapped().swapped())
-    assert empty.s_prime == 0
-
-
-def test_substitute_round_trip():
-    part = LabelledPartition(8, [6], [0, 1, 2], [7], [3, 4, 5])
-    j = PathSystem(8, [(0, 6), (6, 1), (3, 7), (7, 4)])
-    fict = build_fictive(j, part)
-    cyc = [0, 3, 2, 5, 1, 4]  # consistent; visits all inner vertices
-    full = substitute(cyc, j, fict, part)
-    assert sorted(full) == list(range(8))
-    assert not check_cycle(8, full)
-    # fictive pairs replaced by the system's paths
-    es = cycle_edges(full)
-    assert set(j.edges) <= es
-    assert (0, 3) not in es and (1, 4) not in es
-    with pytest.raises(InconsistentInput):
-        substitute([0, 3, 2, 4, 1, 5], j, fict, part)

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -24,7 +23,6 @@ from bipham.errors import BadParams, PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
 from bipham.graphs import (
     Graph,
-    LabelledPartition,
     complete_bipartite,
     dump_graph,
     load_graph,
@@ -610,6 +608,31 @@ def _kmm_with_circulants(m, steps):
     return Graph(2 * m, edges), (list(range(m)), list(range(m, 2 * m)))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,steps", [(30, ()), (44, ()), (30, (1,))],
+                         ids=["K30", "K44", "K30+C1"])
+def test_onefact_packs_a_host_whose_framework_has_exceptional_vertices(
+        m, steps, seed):
+    # 7 does not divide m, so the framework demotes vertices to exceptional
+    # ones to form K1*L = 7 clusters, and the whole host is packed as NW-bip
+    # packs it.  K(30,30) + C(1) is 32-regular on 60 vertices: its degree is
+    # reduced first, and g itself, not what the reduction leaves, is packed
+    g, hint = _kmm_with_circulants(m, steps)
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed, hint_split=hint)
+    assert rep.ok()
+    assert len(rep.cycles) == (m + 2 * len(steps)) // 2
+    assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
+    assert [s.name for s in rep.stages] == [
+        "input", "framework", "eliminate-exceptional-cut", "cluster-partition",
+        "balanced-exceptional-systems", "approximate-decomposition",
+        "final-validation",
+    ]
+    route = {c.ident: c.witness for c in rep.stages[1].checks}["route"]
+    assert route["route"] == "packing" and route["exceptional"] > 0
+    assert route["peeled_cycles_dropped"] == len(steps)
+    assert rep.stages[-1].checks[-1].ident == "exact-decomposition"
+
+
 def test_onefact_degree_reduction_peels_a_hamilton_cycle(monkeypatch):
     # a 14-cycle inside each side: 16-regular on 28 vertices, so one
     # Hamilton cycle must go before the degree is at most n/2
@@ -779,96 +802,6 @@ def test_onefact_parameter_failure_lands_in_report(tmp_path):
     ])
     assert rc == 1
     assert json.loads(rep_path.read_text()) == rep.as_json()
-
-
-def test_repartition_exceptional_maximizes_cut():
-    from bipham.graphs import LabelledPartition
-    from bipham.pipeline import _repartition_exceptional
-
-    # two exceptional vertices: 8 sends 3 edges to the B side, 9 sends 3 to
-    # the A side; the optimal split puts 8 with A and 9 with B
-    edges = [(8, i) for i in (4, 5, 6)] + [(9, i) for i in (0, 1, 2)]
-    g = Graph(10, edges)
-    part = LabelledPartition(10, [9], [0, 1, 2, 3], [8], [4, 5, 6, 7])
-    a0, b0 = _repartition_exceptional(g, part)
-    assert a0 == [8] and b0 == [9]
-
-
-def _repartition_referee(g4, part):
-    """The exceptional split recounted with ``Graph.e_between`` for every
-    candidate: exhaustive up to 20 exceptional vertices, the first maximum
-    in mask order; single-move local search from A0 beyond."""
-    v0 = sorted(part.V0())
-    if not v0:
-        return [], []
-    A, B = set(part.A), set(part.B)
-
-    def cut_value(a0):
-        a0 = set(a0)
-        return g4.e_between(A | a0, B | (set(v0) - a0))
-
-    if len(v0) <= 20:
-        best, best_val = None, -1
-        for mask in range(1 << len(v0)):
-            a0 = [v0[i] for i in range(len(v0)) if mask >> i & 1]
-            val = cut_value(a0)
-            if val > best_val:
-                best, best_val = a0, val
-        return best, sorted(set(v0) - set(best))
-    cur = set(part.A0)
-    improved = True
-    while improved:
-        improved = False
-        for v in v0:
-            cand = cur ^ {v}
-            if cut_value(cand) > cut_value(cur):
-                cur = cand
-                improved = True
-    return sorted(cur), sorted(set(v0) - cur)
-
-
-def _exceptional_host(n, k, density, seed):
-    # a random graph whose first k vertices are exceptional, half of them
-    # in A0; edges anywhere, inside the sides and inside V0 too
-    rng = random.Random(seed)
-    g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
-                  if rng.random() < density])
-    inner = list(range(k, n))
-    rng.shuffle(inner)
-    half = len(inner) // 2
-    return g, LabelledPartition(n, range(k // 2), inner[:half],
-                                range(k // 2, k), inner[half:])
-
-
-@pytest.mark.parametrize("k", [*range(11), 21, 23, 26])
-def test_repartition_exceptional_matches_referee(k):
-    # exhaustive below 21 exceptional vertices, local search from 21 on;
-    # sparse and dense hosts, so that ties and improving moves both occur
-    sizes = (12, 30) if k <= 20 else (60, 80)
-    for seed in range(4):
-        for density in (0.1, 0.5):
-            g, part = _exceptional_host(sizes[seed % 2] + k, k, density,
-                                        seed + 100 * k)
-            assert (pipeline._repartition_exceptional(g, part)
-                    == _repartition_referee(g, part)), (k, seed, density)
-
-
-def test_repartition_exceptional_scans_the_edges_a_bounded_number_of_times():
-    # 12 exceptional vertices give 4096 splits; the edge set is scanned a
-    # constant number of times, not once per split
-    scans = []
-
-    class Counted(frozenset):
-        def __iter__(self):
-            scans.append(1)
-            return super().__iter__()
-
-    g, part = _exceptional_host(60, 12, 0.3, 7)
-    expected = _repartition_referee(g, part)
-    g = Graph(g.n, g.edges)
-    g.edges = Counted(g.edges)
-    assert pipeline._repartition_exceptional(g, part) == expected
-    assert len(scans) <= 2
 
 
 def test_cli_generate_verify_oracle_decompose(tmp_path):

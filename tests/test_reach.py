@@ -30,9 +30,9 @@ FROZEN = [("nwbip-exceptional", 20), ("nwbip-dense", 4), ("onefact-robust", 1)]
 # small near-bipartite hosts with edges inside their sides, drawn as the
 # contract tests draw them: (n, D, hubs, extra internal edges, seed, driver)
 CENSUS = [
-    (16, 6, 0, 2, 4, "onefact"),  # selects robust systems, fails a slot
+    (16, 6, 0, 2, 4, "onefact"),  # has exceptional vertices: packs the host
     (24, 4, 2, 0, 3, "nwbip"),  # recolours a balanced colouring's last class
-    (16, 4, 1, 0, 2, "onefact"),  # its cluster partition fails its check
+    (16, 4, 1, 0, 2, "onefact"),  # has exceptional vertices: packs the host
 ]
 
 # what the kernel that did not load leaves unreached
@@ -59,9 +59,6 @@ LOADER = "the kernel loader, which runs once at import, before any driver"
 REPR = "a repr, for debugging and test failure messages"
 CONSTANTS = ("constants are built before a run, by the command line, the "
              "benchmark's worker or a test")
-EXCEPTIONAL_1FACT = (
-    "the 1-factorization of a host with exceptional vertices: no run gets "
-    "past the robust front with one (ROADMAP items 1 and 10)")
 REGULARITY = (
     "a non-vacuous superregularity check: orient_scheme at eps_prime < 1/4, "
     "which no benchmark, ladder or default constants set (ROADMAP item 7)")
@@ -135,14 +132,6 @@ UNREACHED = {
         "the oracles' precondition, and the closure's check of a non-empty "
         "remainder, which needs r >= 1 (ROADMAP item 10)",
     **dict.fromkeys([
-        "beps.py: _build_beps_once.<locals>.pick",
-        "fictive.py: FictiveEdge.pair", "fictive.py: FictiveMatching.vertex_order",
-        "fictive.py: _marked_ok", "fictive.py: is_consistent",
-        "pipeline.py: _repartition_exceptional.<locals>.cut",
-    ], EXCEPTIONAL_1FACT),
-    "fictive.py: substitute":
-        EXCEPTIONAL_1FACT + "; the benchmark traces it as fictive.busy_s",
-    **dict.fromkeys([
         "regularity.py: check_regular_pair", "regularity.py: _degree_witness",
         "regularity.py: _deviates", "regularity.py: _exhaustive_check",
         "regularity.py: _min_size", "graphs.py: Graph.e_between",
@@ -155,6 +144,11 @@ UNREACHED = {
         "matchings.py: sparsify_split", "graphs.py: Graph.minus",
     ], "bes at gamma > 0, which no benchmark or default constants set "
        "(ROADMAP item 17)"),
+    "bes.py: decompose_global.<locals>.side_systems":
+        "global path-system pairs (k > 0), which bes builds only at K > 1 or "
+        "eps4 > 0; since a framework with exceptional vertices packs the "
+        "whole host at K = 1, no benchmark, ladder or default constants set "
+        "either",
     **dict.fromkeys([
         "matchings.py: _backtrack_path_split",
         "matchings.py: _backtrack_path_split.<locals>.find",
@@ -221,6 +215,16 @@ def _driver_runs():
     nwbip = PipelineConstants()
     yield lambda: run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
     yield lambda: run_theorem_NWbip(g, g, nwbip, seed=1, hint_split=hint)
+    # a framework with exceptional vertices: the packing route
+    k30, hint30 = _kmm_with_circulants(30, ())
+    yield lambda: run_theorem_1factbip(k30, TOY_1FACT, seed=1, hint_split=hint30)
+    # 4-regular on 7 + 7 vertices, two cross matchings and a 7-cycle inside
+    # each side: no exceptional vertex, and the robust partition's seven
+    # one-vertex clusters run out of retries
+    c7 = Graph(14, [(i, 7 + (i + j) % 7) for i in range(7) for j in (0, 1)]
+               + [(s + i, s + (i + 1) % 7) for s in (0, 7) for i in range(7)])
+    sides = (list(range(7)), list(range(7, 14)))
+    yield lambda: run_theorem_1factbip(c7, TOY_1FACT, seed=1, hint_split=sides)
     # a spent node budget
     starved = replace(TOY_1FACT, max_nodes=5)
     yield lambda: run_theorem_1factbip(g, starved, seed=1, hint_split=hint)

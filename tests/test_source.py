@@ -395,6 +395,10 @@ STALE_ENTRY_POINTS = {
         "deleted with the fictive-edge search: the approximate decomposition "
         "prescribes each system's own paths; the benchmark's list still "
         "names it",
+    "bipham.fictive.substitute":
+        "deleted with the exceptional branch of the balanced exceptional path "
+        "systems: a framework with exceptional vertices packs the whole host; "
+        "the benchmark's list still names it",
 }
 
 
