@@ -1,9 +1,9 @@
 """Hamilton decompositions of dense nearly-bipartite graphs.
 
 Constructive, property-checked implementations of the balancing machinery
-(frameworks, balanced exceptional systems, fictive edges) and of the robust
-decomposition contract, with explicit desk-scale parameters, brute-force
-referees, and two end-to-end pipelines.
+(frameworks, balanced exceptional systems, balanced path-system factors) and
+of the robust decomposition contract, with explicit desk-scale parameters,
+brute-force referees, and two end-to-end pipelines.
 """
 
 from .balance import Framework, is_D_balanced, validate_framework

@@ -463,13 +463,13 @@ def run_theorem_1factbip(
 ) -> DecompositionReport:
     """Complete Hamilton decomposition of an even-regular nearly-bipartite
     graph.  After the degree reduction, the framework stage takes one of two
-    routes.  A framework with exceptional vertices packs the whole input
-    host with NW-bip (``_pack_host``): the robust front closes no such run,
-    and the reduction's cycles are dropped, since packing what they leave
-    fails where packing g does not.  A framework without them keeps the
-    robust front, the paper's construction: carve out a robustly
-    decomposable graph, approximately decompose the rest, absorb the
-    leftover via the robust closure."""
+    routes.  A framework with exceptional vertices, or none found at all,
+    packs the whole input host with NW-bip (``_pack_host``): the robust
+    front closes no such run, and the reduction's cycles are dropped, since
+    packing what they leave fails where packing g does not.  A framework
+    without them keeps the robust front, the paper's construction: carve
+    out a robustly decomposable graph, approximately decompose the rest,
+    absorb the leftover via the robust closure."""
     c = constants
     run = _Run(g, g, c, seed)
     report, D = run.report, run.D
@@ -505,13 +505,19 @@ def run_theorem_1factbip(
         st.check("degree-at-most-half", 2 * D_work <= g.n, witness=D_work)
 
         st = report.stage("framework", "elimination", K=c.K1 * c.L)
-        fw = bip_decompose(
-            g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
-            hint_split=hint_split,
-        )
-        if fw.partition.V0():
+        try:
+            fw = bip_decompose(
+                g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
+                hint_split=hint_split,
+            )
+        except PreconditionViolated as exc:
+            why = {"framework": str(exc)}
+        else:
+            why = ({"exceptional": len(fw.partition.V0())}
+                   if fw.partition.V0() else None)
+        if why:
             st.check("route", True, witness={
-                "route": "packing", "exceptional": len(fw.partition.V0()),
+                "route": "packing", **why,
                 "peeled_cycles_dropped": len(pre_cycles)})
             return _pack_host(run, g, hint_split)
         elim = _eliminate(run, fw)
@@ -553,9 +559,6 @@ def run_theorem_1factbip(
         fw1 = replace(fw1, partition=part1, K=c.K1)
 
         st = report.stage("robust-bes", "bes-cover")
-        empty = PathSystem(part1.n, [])
-        j_ca = {key: [empty] * params.r3 for key in _slot_keys(c.f, c.L)}
-        j_pca = {key: [empty] * params.r_diamond for key in _slot_keys(7, 1)}
         st.check("empty-exceptional-set", True,
                  witness="no exceptional vertices: empty systems padded")
         st.check("ca-slots", True, witness=c.L * c.f * params.r3)
@@ -569,7 +572,7 @@ def run_theorem_1factbip(
         sch = scheme_violations(g2, part1, c.eps0, c.eps_prime)
         st.check("scheme", not sch, witness=sch[:2])
         parities, rd, bf_ca, bf_pca, ca, pca = _build_absorbers(
-            g2, part1, params, j_ca, j_pca, c, seed
+            g2, part1, params, c, seed
         )
         st.check("orientation-verified", True, witness=parities)
         st.check("chord-absorber-regular",
@@ -653,12 +656,15 @@ def _pack_host(run: _Run, g: Graph, hint_split) -> DecompositionReport:
     return report
 
 
-def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
+def _build_absorbers(g2, part1, params, c, seed):
     """Orient the scheme, build both balanced-factor families on it and the
-    two absorbers from them.  Both families are built at full scheme density
-    first, then the absorbers are peeled from the regular remainder (the
-    stated construction order interleaves these; the postconditions checked
-    by the caller are order-independent).  The alternating orientation is
+    two absorbers from them: r3 factors of L*f path systems for the chord
+    absorber, then r_diamond factors of 7 path systems on the arcs those
+    leave for the parity switcher (a count of 0 builds no family).  Both
+    families are built before the absorbers, which are then peeled from
+    the regular remainder (the stated construction order interleaves
+    these; the postconditions checked by the caller are
+    order-independent).  The alternating orientation is
     tried with the parities of ``seed`` and ``seed + 1``, in that order,
     and the number of parities tried is returned first; the last failure is
     raised when both fail."""
@@ -671,9 +677,8 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
             )
             rd = RobustDecomposition(g2dir, part1, params)
             bf_ca = build_bf_family(
-                g2dir, part1, j_ca, c.L, c.f, params.r3,
-                min_interval=c.min_interval,
-            ) if params.r3 else []
+                g2dir, part1, c.L, c.f, params.r3, min_interval=c.min_interval,
+            )
             used_bf: set = set()
             for bf in bf_ca:
                 used_bf |= set(bf.edge_multiset())
@@ -681,7 +686,7 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
                 {a for a in g2dir.arcs if (min(a), max(a)) in used_bf}
             )
             bf_pca = build_bf_family(
-                g3dir, part1_coarse, j_pca, 1, 7, params.r_diamond,
+                g3dir, part1_coarse, 1, 7, params.r_diamond,
                 min_interval=c.min_interval,
             )
             ca = rd.build_chord_absorber(bf_ca, extra_avoid=bf_pca)
@@ -692,7 +697,3 @@ def _build_absorbers(g2, part1, params, j_ca, j_pca, c, seed):
             # would hold the failed attempt until a full garbage collection
             last_exc = exc.with_traceback(None)
     raise last_exc
-
-
-def _slot_keys(f: int, L: int):
-    return [(i, h) for i in range(1, f + 1) for h in range(1, L + 1)]

@@ -235,7 +235,7 @@ def test_absorber_builder_tries_each_parity_once(monkeypatch):
     g, part = _square_scheme()
     c = PipelineConstants(eps_prime=Fraction(1, 100))
     with pytest.raises(RetryBudgetExceeded) as info:
-        _build_absorbers(g, part, None, {}, {}, c, seed=5)
+        _build_absorbers(g, part, None, c, seed=5)
     assert seeds == [5, 6] and info.value.attempts == 1
     assert any(t.startswith("pair ") for t in info.value.last_failures)
 

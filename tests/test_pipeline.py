@@ -633,6 +633,23 @@ def test_onefact_packs_a_host_whose_framework_has_exceptional_vertices(
     assert rep.stages[-1].checks[-1].ident == "exact-decomposition"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_onefact_packs_a_host_that_has_no_framework(seed):
+    # K(20,20) + C(1,2,3,4) is 28-regular on 40 vertices; after the degree
+    # reduction no weak framework on K1*L = 7 clusters exists, and the
+    # whole host is packed instead, with the framework error as the reason
+    g, hint = _kmm_with_circulants(20, (1, 2, 3, 4))
+    rep = run_theorem_1factbip(g, TOY_1FACT, seed=seed, hint_split=hint)
+    assert rep.ok(), [st.error for st in rep.stages if st.error]
+    assert len(rep.cycles) == 14
+    assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
+    route = {c.ident: c.witness for c in rep.stages[1].checks}["route"]
+    assert route == {"route": "packing",
+                     "framework": "no weak framework: a+b = 12 > eps*n = 8",
+                     "peeled_cycles_dropped": 4}
+    assert rep.stages[-1].checks[-1].ident == "exact-decomposition"
+
+
 def test_onefact_degree_reduction_peels_a_hamilton_cycle(monkeypatch):
     # a 14-cycle inside each side: 16-regular on 28 vertices, so one
     # Hamilton cycle must go before the degree is at most n/2

@@ -399,6 +399,11 @@ STALE_ENTRY_POINTS = {
         "deleted with the exceptional branch of the balanced exceptional path "
         "systems: a framework with exceptional vertices packs the whole host; "
         "the benchmark's list still names it",
+    "bipham.fictive.build_fictive":
+        "deleted with the balanced exceptional systems of the path systems: "
+        "the robust front sees only empty ones, and its path systems chain "
+        "perfect matchings between rows; the benchmark's list still names "
+        "it, and imports the now empty module",
 }
 
 

@@ -29,7 +29,6 @@ def _standalone_setup():
     before any absorber is built: (host, partition, factor family,
     params, backend)."""
     from bipham.beps import build_bf_family
-    from bipham.graphs import PathSystem
 
     K, m = 7, 4
     nA = K * m
@@ -44,12 +43,7 @@ def _standalone_setup():
     gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=3)
     params = RobustParams(r=0, r1=2, g=2, f=1, L=1, ell_prime=4, K=K, m=m)
     assert params.s_prime == 14
-    empty = PathSystem(part.n, [])
-    bf_prime = build_bf_family(
-        gdir, part,
-        {(i, 1): [empty, empty] for i in range(1, 8)},
-        1, 7, params.r_diamond, min_interval=3,
-    )
+    bf_prime = build_bf_family(gdir, part, 1, 7, params.r_diamond, min_interval=3)
     return g, part, bf_prime, params, RobustDecomposition(gdir, part, params)
 
 
