@@ -266,7 +266,8 @@ def peel_hamilton_cycles(
         raise SolverFailure(
             "search for edge-disjoint Hamilton cycles through the path "
             f"systems using cross edges exhausted at level {peel.deepest} "
-            "(an exhaustive search: no such cycles exist)",
+            "(exhaustive for the chosen systems and pool: no such cycles "
+            "exist in that pool; not a claim about the host)",
             stats={"nodes": peel.nodes},
         )
     for q, cyc in zip(systems, peel.cycles):
@@ -286,6 +287,7 @@ def peel_hamilton_cycles(
 class EliminationResult:
     hamilton_cycles: list[list[int]]
     reduced: Framework
+    edge_sets: list[frozenset]  # of the cycles, one each
 
 
 def eliminate_A0B0(
@@ -299,7 +301,8 @@ def eliminate_A0B0(
     systems = cover_A0B0_by_path_systems(fw, choice_seed=budget.seed)
     cycles = peel_hamilton_cycles(f, g, part, systems, budget,
                                   max_paths=fw.eps_prime * g.n)
-    used = set().union(*map(cycle_edges, cycles))
+    edge_sets = [cycle_edges(c) for c in cycles]
+    used = set().union(*edge_sets)
     g_cur, f_cur = g.minus_edges(used), f.minus_edges(used)
     d_reduced = fw.D - 2 * len(cycles)
     problems = framework_violations(
@@ -308,11 +311,11 @@ def eliminate_A0B0(
     )
     if problems:
         raise AssertionError(f"reduced framework not full: {problems[0].detail}")
-    dup = check_edge_disjoint([cycle_edges(c) for c in cycles])
+    dup = check_edge_disjoint(edge_sets)
     if dup:
         raise AssertionError(dup[0])
     reduced = replace(fw, graph=g_cur, D=d_reduced, kind="full", host=f_cur)
-    return EliminationResult(cycles, reduced)
+    return EliminationResult(cycles, reduced, edge_sets)
 
 
 # -- from a nearly-bipartite host to a weak framework -------------------------

@@ -5,12 +5,17 @@ Vertices are dense integer ids 0..n-1 everywhere; partitions refer to ids.
 All types are immutable values after construction, so they can be shared
 freely between threads and hashed into reports.
 
-A ``Graph`` stores its edge frozenset.  Two indexes are derived from it
-on first use and cached: the degree tuple, counted in one pass over the
-edges, which every degree question reads, and the neighbour index ``adj``,
-a frozenset per vertex, built only when a neighbourhood itself is asked
-for.  The neighbour index of a dense host is larger than its edge set, so
-degree questions never build it.
+A ``Graph`` stores its edge frozenset.  Its edges are process-wide
+shared tuples: the first graph to store a vertex pair (u, v), u < v, with
+``int`` ids puts its tuple into a module table, and every later graph
+stores that same object, so a host, its subgraphs and other hosts on the
+same vertices hold one tuple per pair between them.  The table keeps one
+entry per pair ever stored and frees none.  Two indexes are derived from
+the edges on first use and cached: the degree tuple, counted in one pass
+over the edges, which every degree question reads, and the neighbour
+index ``adj``, a frozenset per vertex, built only when a neighbourhood
+itself is asked for.  The neighbour index of a dense host is larger than
+its edge set, so degree questions never build it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ from .errors import BadParams, PartitionMismatch
 from .report import format_json
 
 Edge = tuple[int, int]
+
+# the one shared tuple of each (min, max) pair of plain ``int`` ids that a
+# Graph has stored, keyed by itself (see Graph); entries are made by
+# setdefault, so two threads entering one pair at once leave at worst an
+# equal tuple unshared
+_EDGES: dict[Edge, Edge] = {}
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -40,23 +51,36 @@ def norm_edges(pairs: Iterable[Sequence[int]]) -> frozenset[Edge]:
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    Stores ``edges``, a frozenset of (min, max) pairs.  Caches, each built
-    on first use: the degree tuple, which ``degree``, ``degrees``,
-    ``max_degree``, ``min_degree`` and ``is_regular`` read and which is
-    counted from the edges without building neighbourhoods, and ``adj``,
-    the frozenset of each vertex's neighbours."""
+    Stores ``edges``, a frozenset of (min, max) pairs, each the shared
+    tuple of its pair: the frozenset receives each edge as the table's
+    tuple when there is one, else as the tuple normalised from the input,
+    and only once the edges pass the checks are their new pairs of plain
+    ``int`` ids entered, so a loop, a negative id, or a ``True``, float or
+    numpy id never becomes another graph's edge.  A shared tuple is equal
+    to the one it stands for, and the frozenset receives the edges in
+    input order as before, so its iteration order, which searches and
+    generators follow, is unchanged.  Caches, each built on first use:
+    the degree tuple, which ``degree``, ``degrees``, ``max_degree``,
+    ``min_degree`` and ``is_regular`` read and which is counted from the
+    edges without building neighbourhoods, and ``adj``, the frozenset of
+    each vertex's neighbours."""
 
     __slots__ = ("n", "edges", "_adj", "_deg")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         self.n = n = int(n)
-        es = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        shared = _EDGES.get
+        es = frozenset(shared(e, e) for u, v in edges
+                       for e in [(u, v) if u < v else (v, u)])
         bad = next((e for e in es if e[0] == e[1] or e[0] < 0 or e[1] >= n), None)
         if bad is not None:
             u, v = bad
             if u == v:
                 raise BadParams(f"loop edge ({u},{v}) not allowed")
             raise BadParams(f"edge ({u},{v}) out of range for n={n}")
+        for e in es.difference(_EDGES):
+            if type(e[0]) is type(e[1]) is int:
+                _EDGES.setdefault(e, e)
         self.edges = es
         self._adj = None
         self._deg = None
@@ -67,9 +91,17 @@ class Graph:
         subset of a validated graph's edges; skips the checks of __init__.
         The set is still rebuilt by iteration, so that its iteration order,
         which searches and generators follow, is the one __init__ gives."""
+        return cls._over(n, frozenset(iter(edges)))
+
+    @classmethod
+    def _over(cls, n: int, edges: frozenset) -> "Graph":
+        """A graph whose edge set is the frozenset ``edges`` itself, known
+        to be normalised and in range: no copy is made, so the set keeps
+        whatever iteration order it has, which only a caller that does not
+        depend on edge order may accept."""
         g = object.__new__(cls)
         g.n = n
-        g.edges = frozenset(iter(edges))
+        g.edges = edges
         g._adj = None
         g._deg = None
         return g

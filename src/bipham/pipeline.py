@@ -101,6 +101,10 @@ class PipelineConstants:
                 raise PreconditionViolated(
                     f"constant {name} = {getattr(self, name)} must be at least 1"
                 )
+        if self.r1_override is not None and self.r1_override < 0:
+            raise PreconditionViolated(
+                f"constant r1_override = {self.r1_override} must be at least 0"
+            )
         # every stage's budget; written so that NaN fails: a NaN deadline
         # never passes
         if not self.max_nodes > 0:
@@ -273,7 +277,8 @@ class _Run:
     """One driver run: its constants and seed, the report, opened with the
     instance, the regular degree ``D`` of the subgraph (-1 when it is not
     regular) and the hierarchy warnings, and the host edges its cycles have
-    taken so far."""
+    taken so far, as one edge set per cycle in the order taken and as
+    their union."""
 
     def __init__(self, host: Graph, g: Graph, constants: PipelineConstants,
                  seed: int):
@@ -285,6 +290,7 @@ class _Run:
         self.host = host
         self.total = host.num_edges()
         self.removed: set = set()
+        self.taken: list[frozenset] = []
         self.report = DecompositionReport({
             "n": host.n,
             "host_edges": self.total,
@@ -293,11 +299,12 @@ class _Run:
         }, seed)
         self.report.warnings.extend(constants.hierarchy_warnings)
 
-    def take(self, cycles, label: str | None = None) -> None:
-        """Add the edges of ``cycles`` to the removed edges; with a label,
-        record the edge conservation entry of that stage."""
-        for cyc in cycles:
-            self.removed |= cycle_edges(cyc)
+    def take(self, edge_sets: list[frozenset], label: str | None = None) -> None:
+        """Add ``edge_sets``, the edge sets of the cycles a stage took, to
+        the removed edges; with a label, record the edge conservation entry
+        of that stage."""
+        self.taken += edge_sets
+        self.removed.update(*edge_sets)
         if label is not None:
             left = self.total - len(self.removed)
             self.report.account(label, len(self.removed), left, self.total)
@@ -328,7 +335,7 @@ def _eliminate(run: _Run, fw: Framework) -> EliminationResult:
         witness=(fw.D, elim.reduced.D),
     )
     st.require("parity-preserved", elim.reduced.D % 2 == 0)
-    run.take(elim.hamilton_cycles, "elimination")
+    run.take(elim.edge_sets, "elimination")
     return elim
 
 
@@ -354,7 +361,7 @@ def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
 
     st = report.stage("balanced-exceptional-systems", "bes-cover")
     bes = bes_stage(fw, part, c, run.seed, st, K, eps4)
-    run.take(bes.cycles, "bes-cycles")
+    run.take([cycle_edges(c) for c in bes.cycles], "bes-cycles")
 
     st = report.stage("approximate-decomposition", "approx")
     family = bes.family()
@@ -363,11 +370,12 @@ def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
                witness=(rest, len(family)))
     approx = approx_decomposition(run.left(reserved), part, family,
                                   budget=c.budget(run.seed))
-    for i, cyc in enumerate(approx):
-        missing = set(family[i].edges) - cycle_edges(cyc)
+    sets = [cycle_edges(c) for c in approx]
+    for i, edges in enumerate(sets):
+        missing = set(family[i].edges) - edges
         st.require(f"cycle-{i}-contains-system", not missing,
                    witness=sorted(missing)[:3])
-    run.take(approx, "approx")
+    run.take(sets, "approx")
     return elim.hamilton_cycles, bes.cycles, approx
 
 
@@ -445,7 +453,8 @@ def _nwbip_attempt(
         for cyc in cycles:
             for p in check_cycle_in_graph(f, cyc):
                 st.require("cycle-valid", False, witness=p)
-        dup = check_edge_disjoint([cycle_edges(c) for c in cycles])
+        # the run took each of them, in this order
+        dup = check_edge_disjoint(run.taken)
         st.require("edge-disjoint", not dup, witness=dup[:1])
     except (BiphamError, AssertionError) as exc:
         return run.fail(exc)
@@ -500,7 +509,7 @@ def run_theorem_1factbip(
                 "Hamilton cycles before the pipeline"
             )
             st.check("degree-reduced", True, witness=len(pre_cycles))
-            run.take(pre_cycles)
+            run.take([cycle_edges(c) for c in pre_cycles])
         D_work = D - 2 * len(pre_cycles)
         st.check("degree-at-most-half", 2 * D_work <= g.n, witness=D_work)
 

@@ -209,11 +209,16 @@ def peel_through_systems(n: int, pool: frozenset, systems: Sequence[PathSystem],
     cycle through the paths of ``systems[i]``, undirected, and takes its
     edges outside that system; order k of level i searches under seed
     ``level_seed(budget.seed, i, k)``.  ``pool`` must hold none of the
-    systems' edges, which are reserved for their own levels."""
+    systems' edges, which are reserved for their own levels.
+
+    Each level's search runs on a Graph over its frame's own pool
+    frozenset (``Graph._over``), not a copy, so an open level holds its
+    pool once: the search does not depend on edge order, since both
+    kernels turn the edges into adjacency bitsets."""
     paths = [[Prescribed(p) for p in q.paths] for q in systems]
 
     def search(i, sub, order, cap):
-        found = CycleSearch(Graph._trusted(n, sub), paths[i], max_nodes=cap,
+        found = CycleSearch(Graph._over(n, sub), paths[i], max_nodes=cap,
                             seed=level_seed(budget.seed, i, order))
         own = systems[i].edges
         return ((c, cycle_edges(c) - own) for c in found.cycles()), found.stats
@@ -401,7 +406,8 @@ def approx_decomposition(
     if peel.cycles is None:
         raise PreconditionViolated(
             f"approximate decomposition: search exhausted at index "
-            f"{peel.deepest} (an exhaustive search: no edge-disjoint Hamilton "
-            "cycles through the systems exist)"
+            f"{peel.deepest} (exhaustive for the chosen systems and pool: no "
+            "edge-disjoint Hamilton cycles through the systems exist in that "
+            "pool; not a claim about the host)"
         )
     return peel.cycles

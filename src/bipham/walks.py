@@ -235,7 +235,10 @@ def _close(n, A, pool, systems, seed, deadline):
     """The closure's split and repair over the A-B edges ``pool``, one
     2-factor per path system of ``systems``: (the Hamilton cycles, the
     attempts run, the switches made), or ``BackendFailure`` once
-    ``CLOSURE_ATTEMPTS`` are stuck."""
+    ``CLOSURE_ATTEMPTS`` are stuck.  Without systems (s' = 0) the edge
+    budget has left the pool empty, and no cycle is due."""
+    if not systems:
+        return [], 0, 0
     needs = _level_needs(n, pool, systems)
     swaps = 0
     for attempt in range(CLOSURE_ATTEMPTS):

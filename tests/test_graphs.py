@@ -1,8 +1,14 @@
+import hashlib
+import json
 import random
 import re
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bipham import graphs
 from bipham.errors import BadParams, PartitionMismatch
 from bipham.graphs import (
     Graph,
@@ -40,9 +46,52 @@ def test_graph_edges_keep_construction_order():
         pairs += rng.sample(pairs, len(pairs) // 3)  # duplicates
         rng.shuffle(pairs)
         es = [(u, v) if rng.random() < 0.5 else [u, v] for u, v in pairs]
-        assert list(Graph(n, es).edges) == list(
-            frozenset(norm_edge(u, v) for u, v in es)
+        g = Graph(n, es)
+        assert list(g.edges) == list(
+            frozenset([(u, v) if u < v else (v, u) for u, v in es])
         )
+        # a second build from fresh lists holds the same tuples in turn
+        again = Graph(n, [[u, v] for u, v in es])
+        assert all(a is b for a, b in zip(g.edges, again.edges))
+
+
+def test_host_and_subgraph_share_edge_tuples():
+    # built from separate [u, v] lists, as the benchmark's worker and
+    # graph_from_json build a host and its subgraph, the two hold one tuple
+    # per shared pair
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(4, 40)
+        host = complete_bipartite((n // 2, n - n // 2))
+        doc = json.loads(json.dumps({"n": n, "edges": [list(e) for e in host.edges]}))
+        sub = [list(e)[::rng.choice((1, -1))] for e in host.edges
+               if rng.random() < 0.3]
+        f, _ = graph_from_json(doc)
+        g = Graph(n, json.loads(json.dumps(sub)))
+        held = {e: e for e in f.edges}
+        assert g.edges <= f.edges
+        assert all(held[e] is e for e in g.edges)
+        assert all(held[e] is e for e in host.edges)
+
+
+# pairs on ids that no other test uses, so each is new to the shared table
+FRESH = 7_000_000
+
+
+@pytest.mark.parametrize("make_one, base", [
+    (lambda: True, FRESH), (lambda: 1.0, FRESH + 10),
+    (lambda: pytest.importorskip("numpy").int64(1), FRESH + 20),
+    (lambda: Fraction(1), FRESH + 30),
+], ids=["bool", "float", "numpy", "fraction"])
+def test_shared_edges_hold_int_ids_only(make_one, base):
+    # a non-int id that Graph accepts never becomes another graph's edge:
+    # after a graph on (one, base), a pair new to the table, a graph on
+    # (1, base) holds ints
+    one = make_one()
+    Graph(base + 1, [(one, base)])
+    Graph(3, [(one - 1, one)])
+    for g in (Graph(base + 1, [(1, base)]), Graph(3, [(0, 1)])):
+        assert [type(v) for e in g.edges for v in e] == [int, int]
 
 
 def _recount(g):
@@ -101,6 +150,18 @@ def test_graph_index_matches_a_recount():
 def test_graph_rejects_a_bad_edge(edges, text):
     with pytest.raises(BadParams, match=re.escape(text)):
         Graph(3, edges)
+
+
+def test_a_refused_graph_shares_no_edge():
+    # no pair of a graph that __init__ refuses enters the shared table, the
+    # valid pair beside the bad one included
+    a, b, c = FRESH + 100, FRESH + 101, FRESH + 102
+    for n, es in ((c + 1, [(a, b), (c, c)]), (c, [(a, b), (b, c)]),
+                  (c + 1, [(a, b), (a, -1)])):
+        size = len(graphs._EDGES)
+        with pytest.raises(BadParams):
+            Graph(n, es)
+        assert len(graphs._EDGES) == size and (a, b) not in graphs._EDGES
 
 
 def test_graph_algebra():
@@ -202,3 +263,34 @@ def test_json_and_edge_list_round_trip(tmp_path):
     g3 = parse_edge_list("# n=5 m=6\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n")
     assert g3.edges == g.edges
     assert parse_edge_list("# empty\n0 1\n").edges == frozenset({(0, 1)})
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def test_benchmark_inputs_hold_shared_edges():
+    # the 200 frozen nwbip-exceptional input pairs, read as the benchmark's
+    # worker reads them (each file checked against the manifest's sha256,
+    # none written), store 138 177 edges over at most 2 016 vertex pairs.
+    # Built with one tuple per edge per graph they held about 105 bytes per
+    # stored edge; with shared tuples about 50
+    digests = json.loads((INPUTS / "MANIFEST.json").read_bytes())["sha256"]
+
+    def read(rel):
+        data = (INPUTS / rel).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digests[rel], rel
+        return json.loads(data)
+
+    spec = read("nwbip-exceptional/instances.json")
+    docs = [read(f"nwbip-exceptional/{inst['graph']}.json")
+            for inst in spec["instances"]]
+    tracemalloc.start()
+    try:
+        pairs = [(Graph(d["n"], d["edges"]), Graph(d["n"], d["sub_edges"]))
+                 for d in docs]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stored = sum(len(f.edges) + len(g.edges) for f, g in pairs)
+    assert len(pairs) == 200 and stored == 138_177
+    assert held / stored < 75, held / stored

@@ -1047,6 +1047,31 @@ def test_zero_divisor_constants_rejected(tmp_path, capsys, name):
     assert not rep_path.exists()
 
 
+def test_negative_r1_override_rejected():
+    # r_diamond and s' are counts: a negative r1 has no path systems to
+    # build, so the constants refuse it before any run
+    with pytest.raises(PreconditionViolated,
+                       match=r"^constant r1_override = -3 must be at least 0$"):
+        PipelineConstants(r1_override=-3)
+    with pytest.raises(PreconditionViolated, match="r1_override = -1"):
+        PipelineConstants.from_json({"r1_override": -1})
+    assert PipelineConstants(r1_override=0).r1_override == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_onefact_with_no_closure_systems(seed):
+    # r1_override = 0 with gamma = 0 leaves s' = 0 path systems: the edge
+    # budget proves the closure's pool empty, so it adds no cycle, and the
+    # earlier stages' cycles decompose the host on their own
+    g = complete_bipartite((28, 28))
+    rep = run_theorem_1factbip(g, replace(TOY_1FACT, r1_override=0), seed=seed)
+    assert rep.ok(), [(s.name, s.error) for s in rep.stages]
+    [robust] = [st for st in rep.stages if st.name == "robust-parameters"]
+    assert robust.params["s_prime"] == 0
+    assert len(rep.cycles) == 14
+    assert not check_decomposition(g, [cycle_edges(c) for c in rep.cycles])
+
+
 @pytest.mark.parametrize("doc, text", [
     ({"max_nodes": 0}, "max_nodes = 0 must be positive"),
     ({"max_seconds": float("nan")},

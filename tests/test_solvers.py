@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from bipham import search
+from bipham import search, solvers
 from bipham.balancer import peel_hamilton_cycles
 from bipham.errors import (
     PreconditionViolated,
@@ -46,8 +46,10 @@ def test_prescribed_hamilton_basaic():
 
     two_squares = Graph(8, [(0, 4), (0, 5), (1, 4), (1, 5),
                             (2, 6), (2, 7), (3, 6), (3, 7)])
-    with pytest.raises(SolverFailure, match=r"exhausted at level 0 \(an "
-                       r"exhaustive search: no such cycles exist\)$") as exc:
+    with pytest.raises(SolverFailure, match=r"exhausted at level 0 "
+                       r"\(exhaustive for the chosen systems and pool: no "
+                       r"such cycles exist in that pool; not a claim about "
+                       r"the host\)$") as exc:
         peel_hamilton_cycles(two_squares, two_squares, part, [PathSystem(8, [])])
     assert exc.type is SolverFailure
 
@@ -146,9 +148,10 @@ def test_approx_decomposition_raises_on_infeasible_family():
     family = [PathSystem(8, [])] * 3
     with pytest.raises(PreconditionViolated,
                        match=r"^approximate decomposition: search exhausted "
-                             r"at index 2 \(an exhaustive search: no "
-                             r"edge-disjoint Hamilton cycles through the "
-                             r"systems exist\)$"):
+                             r"at index 2 \(exhaustive for the chosen "
+                             r"systems and pool: no edge-disjoint Hamilton "
+                             r"cycles through the systems exist in that "
+                             r"pool; not a claim about the host\)$"):
         approx_decomposition(g, part, family)
 
 
@@ -238,6 +241,37 @@ def test_approx_decomposition_resumed_call_stays_in_budget(monkeypatch):
         approx_decomposition(f, part, [j, j, j], SolverBudget(max_nodes=86))
     assert exc.value.stats["nodes"] == 86
     assert sum(e.nodes for e in enums) <= 86
+
+
+def test_level_searches_run_on_their_frames_pools(monkeypatch):
+    # each level's CycleSearch runs on a Graph over the pool its peel frame
+    # holds, the same frozenset object, not a copy of it: on K(4,4), two
+    # cycles are found and the third level backtracks through every order
+    pools, searched = [], []
+    peel = solvers.peel_cycles
+
+    def recording_peel(level_search, pool, depth, max_nodes, deadline=None):
+        def level(i, sub, order, cap):
+            pools.append(sub)
+            return level_search(i, sub, order, cap)
+        return peel(level, pool, depth, max_nodes, deadline)
+
+    class RecordingSearch(search.CycleSearch):
+        def __init__(self, allowed, *args, **kwargs):
+            searched.append(allowed.edges)
+            super().__init__(allowed, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "peel_cycles", recording_peel)
+    monkeypatch.setattr(solvers, "CycleSearch", RecordingSearch)
+    g = complete_bipartite((4, 4))
+    part = LabelledPartition(8, [], range(4), [], range(4, 8),
+                             clusters_A=[list(range(4))],
+                             clusters_B=[list(range(4, 8))])
+    assert len(approx_decomposition(g, part, [PathSystem(8, [])] * 2)) == 2
+    with pytest.raises(PreconditionViolated):
+        approx_decomposition(g, part, [PathSystem(8, [])] * 3)
+    assert len(pools) == len(searched) > 3
+    assert all(a is b for a, b in zip(pools, searched))
 
 
 def _scripted(plan, calls):
