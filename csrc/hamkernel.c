@@ -1,4 +1,5 @@
-/* Hamilton-cycle search of a graph through prescribed paths, in C99.
+/* Hamilton-cycle search of a graph through prescribed paths, in C99, and
+ * two passes over a graph's edge array.
  *
  * A port of GraphEnum in src/bipham/hamkernel/_pure.py, which documents the
  * vertex instance, the search and the incremental starvation prune.  Both
@@ -6,14 +7,18 @@
  * the same nodes and trip a node cap at the same node; tests/test_kernel.py
  * holds them to that.  bipham.hamkernel builds this file on first import
  * and calls it through ctypes: hk_new_graph, hk_next_cycle and hk_free are
- * the whole interface.
+ * the search, and hk_minus and hk_class_degrees serve bipham.graphs.
  *
  * A search runs over a graph whose vertices are covered by items, free
  * vertices and prescribed paths, which a cycle may traverse either way.
- * hk_new_graph builds the vertex instance: a free vertex is an instance
- * vertex, and a path becomes its two ends, joined by a required edge, with
- * its interior left out.  hk_next_cycle searches the instance from vertex 0
- * and writes each cycle out with the interiors put back.
+ * Its allowed edges are given as three things: a host's edge array, which
+ * the caller keeps and hk_new_graph only reads; optional side labels, which
+ * keep only the host edges between side 0 and side 1; and the excluded
+ * edges, which are taken out.  hk_new_graph builds the vertex instance: a
+ * free vertex is an instance vertex, and a path becomes its two ends,
+ * joined by a required edge, with its interior left out.  hk_next_cycle
+ * searches the instance from vertex 0 and writes each cycle out with the
+ * interiors put back.
  *
  * A set of instance vertices is an array of w = ceil(n / 64) 64-bit words,
  * bit x of word x / 64 standing for vertex x, so any n >= 3 is supported.
@@ -30,6 +35,7 @@ typedef uint64_t word;
 #define HAS(set, x) ((int)((set)[(x) >> 6] >> ((x) & 63) & 1))
 #define FLIP(set, x) ((set)[(x) >> 6] ^= (word)1 << ((x) & 63))
 #define SET(set, x) ((set)[(x) >> 6] |= (word)1 << ((x) & 63))
+#define CLEAR(set, x) ((set)[(x) >> 6] &= ~((word)1 << ((x) & 63)))
 
 /* "starving" below: the vertices that a step out of a node would starve,
  * as NOBODY, one vertex id, or MANY for two or more */
@@ -139,20 +145,33 @@ static int end_starves(const struct hk *h, int v, int u)
     return 0;
 }
 
+/* Whether a and b are both vertex ids of 0..nv-1. */
+static int in_range(int a, int b, int nv)
+{
+    return (unsigned)a < (unsigned)nv && (unsigned)b < (unsigned)nv;
+}
+
 /* A search for the Hamilton cycles of a graph on nv vertices through k
- * items, copying its inputs: m edges as 2 * m vertex ids, and the items'
- * vertex sequences one after another in seq, with item i at seq[off[i]] ..
- * seq[off[i + 1] - 1].  The caller checks that every id lies in 0..nv-1,
+ * items, in *out.  The allowed edges are those of the m edges of the host
+ * array `edges` (2 * m vertex ids) that, when `sides` (nv labels) is not
+ * NULL, join a vertex of side 0 to one of side 1, less the x edges of
+ * `excluded` (2 * x vertex ids).  The items' vertex sequences lie one after
+ * another in seq, item i at seq[off[i]] .. seq[off[i + 1] - 1].  The search
+ * copies what it keeps; it holds no pointer to `edges`, `sides` or
+ * `excluded`.  The caller checks that every item vertex lies in 0..nv-1,
  * that no vertex is on two items or twice on one, and that the instance
- * has at least three vertices.  Instance vertices take ids in item order,
- * a path's first end before its last; an allowed edge joins two of them
- * unless it meets a path interior or joins the two ends of one path.  NULL
- * if out of memory. */
-struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
-                        const int *off)
+ * has at least three vertices; the edge ids are checked here, as they are
+ * read.  Instance vertices take ids in item order, a path's first end
+ * before its last; an allowed edge joins two of them unless it meets a path
+ * interior or joins the two ends of one path.  Returns 0, 1 when a host
+ * edge has an end outside 0..nv-1, 2 when an excluded edge has, and -1 when
+ * out of memory; *out is set only on 0. */
+int hk_new_graph(int nv, int m, const int *edges, const int *sides, int x,
+                 const int *excluded, int k, const int *seq, const int *off,
+                 struct hk **out)
 {
     const int len = off[k];
-    int n = 0, w, e, i, x;
+    int n = 0, w, e, i, v;
     size_t nw;
     struct hk *h;
     int *ids;
@@ -166,7 +185,7 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
     h = calloc(1, sizeof *h + (2 * nw + w) * sizeof(word) +
                       (4 * (size_t)n + len + nv) * sizeof(int));
     if (h == NULL)
-        return NULL;
+        return -1;
     h->w = w;
     h->adj = (word *)(h + 1);
     h->cands = h->adj + nw;
@@ -181,24 +200,48 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
 
     for (i = 0; i < nv; i++)
         ids[i] = -1;
-    for (x = i = 0; i < k; i++) {
+    for (v = i = 0; i < k; i++) {
         const int a = off[i], b = off[i + 1] - 1;
-        ids[seq[a]] = x;
-        h->at[x] = a;
-        h->mate[x] = x;
+        ids[seq[a]] = v;
+        h->at[v] = a;
+        h->mate[v] = v;
         if (b > a) {
-            ids[seq[b]] = x + 1;
-            h->at[x + 1] = b;
-            h->mate[x] = x + 1;
-            h->mate[x + 1] = x;
+            ids[seq[b]] = v + 1;
+            h->at[v + 1] = b;
+            h->mate[v] = v + 1;
+            h->mate[v + 1] = v;
         }
-        x = h->mate[x] + 1;
+        v = h->mate[v] + 1;
     }
     for (e = 0; e < m; e++) {
-        const int u = ids[edges[2 * e]], v = ids[edges[2 * e + 1]];
-        if (u >= 0 && v >= 0 && v != u && v != h->mate[u]) {
-            SET(h->adj + (size_t)u * w, v);
-            SET(h->adj + (size_t)v * w, u);
+        const int a = edges[2 * e], b = edges[2 * e + 1];
+        int s, t;
+        if (!in_range(a, b, nv)) {
+            free(h);
+            return 1;
+        }
+        if (sides != NULL &&
+            (sides[a] < 0 || sides[b] < 0 || sides[a] == sides[b]))
+            continue;
+        s = ids[a];
+        t = ids[b];
+        if (s >= 0 && t >= 0 && t != s && t != h->mate[s]) {
+            SET(h->adj + (size_t)s * w, t);
+            SET(h->adj + (size_t)t * w, s);
+        }
+    }
+    for (e = 0; e < x; e++) {
+        const int a = excluded[2 * e], b = excluded[2 * e + 1];
+        int s, t;
+        if (!in_range(a, b, nv)) {
+            free(h);
+            return 2;
+        }
+        s = ids[a];
+        t = ids[b];
+        if (s >= 0 && t >= 0) {
+            CLEAR(h->adj + (size_t)s * w, t);
+            CLEAR(h->adj + (size_t)t * w, s);
         }
     }
 
@@ -208,12 +251,13 @@ struct hk *hk_new_graph(int nv, int m, const int *edges, int k, const int *seq,
     for (i = 0; i < w; i++)
         h->cands[i] = h->adj[(size_t)h->mate[0] * w + i] & ~h->visited[i];
     h->starving = NOBODY;
-    for (x = 1; x < n; x++)
-        if (!HAS(h->visited, x) && short_of(h, x, -1))
-            h->starving = h->starving == NOBODY ? x : MANY;
+    for (v = 1; v < n; v++)
+        if (!HAS(h->visited, v) && short_of(h, v, -1))
+            h->starving = h->starving == NOBODY ? v : MANY;
     h->starving_stack[0] = h->starving;
     h->yielded = -1;
-    return h;
+    *out = h;
+    return 0;
 }
 
 /* Go on with the search under a cap of `cap` nodes in all.  Returns 1 with
@@ -319,4 +363,71 @@ int hk_next_cycle(struct hk *h, int64_t cap, int *cycle, int64_t *nodes_out)
 void hk_free(struct hk *h)
 {
     free(h);
+}
+
+/* The key of the edge {a, b} of a graph on nv vertices, for hk_minus. */
+static uint64_t edge_key(int a, int b, int nv)
+{
+    return a < b ? (uint64_t)a * nv + b : (uint64_t)b * nv + a;
+}
+
+/* Remove from the m edges of `edges` (2 * m vertex ids of 0..nv-1), in
+ * place and keeping their order, every edge that is among the r edges of
+ * `gone` (2 * r vertex ids, either end first).  A gone edge with an end
+ * outside 0..nv-1 matches no edge.  Returns the number of edges kept, or
+ * -1 if out of memory. */
+int hk_minus(int nv, int m, int *edges, int r, const int *gone)
+{
+    /* an open-addressing set of the gone edges' keys plus one, 0 empty */
+    size_t size = 2, mask, at;
+    uint64_t *table, key;
+    int e, kept = 0;
+
+    while (size < 2 * (size_t)r)
+        size *= 2;
+    mask = size - 1;
+    table = calloc(size, sizeof *table);
+    if (table == NULL)
+        return -1;
+    for (e = 0; e < r; e++) {
+        const int a = gone[2 * e], b = gone[2 * e + 1];
+        if (!in_range(a, b, nv))
+            continue;
+        key = edge_key(a, b, nv) + 1;
+        for (at = key * 0x9E3779B97F4A7C15u >> 32 & mask; table[at] != 0 &&
+             table[at] != key; at = (at + 1) & mask)
+            ;
+        table[at] = key;
+    }
+    for (e = 0; e < m; e++) {
+        const int a = edges[2 * e], b = edges[2 * e + 1];
+        key = edge_key(a, b, nv) + 1;
+        for (at = key * 0x9E3779B97F4A7C15u >> 32 & mask; table[at] != 0 &&
+             table[at] != key; at = (at + 1) & mask)
+            ;
+        if (table[at] == 0) {
+            edges[2 * kept] = a;
+            edges[2 * kept + 1] = b;
+            kept++;
+        }
+    }
+    free(table);
+    return kept;
+}
+
+/* Add to rows[v * k + c] the neighbours of each vertex v in class c, over
+ * the m edges of `edges` (2 * m vertex ids of 0..nv-1): label[v] is the
+ * class 0..k-1 of v, or negative for none. */
+void hk_class_degrees(int m, const int *edges, const int *label, int k,
+                      int *rows)
+{
+    int e;
+
+    for (e = 0; e < m; e++) {
+        const int a = edges[2 * e], b = edges[2 * e + 1];
+        if (label[b] >= 0)
+            rows[(size_t)a * k + label[b]]++;
+        if (label[a] >= 0)
+            rows[(size_t)b * k + label[a]]++;
+    }
 }

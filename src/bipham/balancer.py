@@ -38,13 +38,13 @@ from .errors import (
     SolverFailure,
 )
 from .generators import near_bipartition
-from .graphs import Graph, LabelledPartition, PathSystem
+from .graphs import Graph, LabelledPartition, PathSystem, class_labels
 from .matchings import _augment, balanced_matchings, vizing_balanced
 from .schemes import rational_ceil
 from .solvers import SolverBudget, peel_through_systems
 from .validate import (
     check_a0b0_path_system,
-    check_cycle_in_graph,
+    check_cycle,
     check_edge_disjoint,
     cycle_edges,
     is_two_balanced_counts,
@@ -219,9 +219,9 @@ def cover_A0B0_by_path_systems(
     dup = check_edge_disjoint([q.edges for q in systems])
     if dup:
         raise AssertionError(dup[0])
-    ab = g.edges_between(part.A, part.B)
+    side = part.side_labels()  # 1 for A, 3 for B
     for q in systems:
-        if q.edges & ab:
+        if any({side[u], side[v]} == {1, 3} for u, v in q.edges):
             raise AssertionError("system uses an edge between the inner classes")
         if not is_two_balanced(q, part):
             raise AssertionError("system is not 2-balanced")
@@ -235,12 +235,14 @@ def peel_hamilton_cycles(
     systems: list[PathSystem],
     budget: SolverBudget = SolverBudget(),
     max_paths=None,
+    excluded=frozenset(),
 ) -> list[list[int]]:
     """Extend each 2-balanced exceptional-cover path system in turn into a
     Hamilton cycle of the host ``f`` whose remaining edges all join the two
-    inner classes, the cycles edge-disjoint: one ``peel_through_systems``
-    over the cross edges of ``f`` outside the systems, under one node
-    budget.
+    inner classes and lie outside the edge set ``excluded``, the cycles
+    edge-disjoint: one ``peel_through_systems`` over the cross edges of
+    ``f`` outside the systems and ``excluded``, under one node budget,
+    which reads ``f``'s edge array under the partition's side labels.
 
     Level i looks for a cycle through system i, order k under seed
     ``level_seed(budget.seed, i, k)``, capped on the engine's schedule.  A
@@ -259,9 +261,9 @@ def peel_hamilton_cycles(
             raise PreconditionViolated(
                 f"{q.num_nontrivial()} nontrivial paths exceed the cap {max_paths}"
             )
-    # the systems' own edges are reserved for their levels
-    pool = f.edges_between(part.A, part.B).difference(*(q.edges for q in systems))
-    peel = peel_through_systems(f.n, pool, systems, budget)
+    sides = class_labels(f.n, (part.A, part.B))
+    peel = peel_through_systems(f, systems, budget, sides=sides,
+                                excluded=excluded)
     if peel.cycles is None:
         raise SolverFailure(
             "search for edge-disjoint Hamilton cycles through the path "
@@ -270,12 +272,19 @@ def peel_hamilton_cycles(
             "exist in that pool; not a claim about the host)",
             stats={"nodes": peel.nodes},
         )
+    # each cycle's edges outside its system are cross edges of f that no
+    # system, no cycle before it and nothing excluded holds; a label sum
+    # of 1 is a side-0, side-1 pair
+    barred = set(excluded).union(*(q.edges for q in systems))
     for q, cyc in zip(systems, peel.cycles):
-        problems = check_cycle_in_graph(Graph._trusted(f.n, pool | q.edges), cyc)
+        used = cycle_edges(cyc)
+        off = [e for e in used - q.edges if e in barred or e not in f.edges
+               or sides[e[0]] + sides[e[1]] != 1]
+        problems = check_cycle(f.n, cyc) + (
+            [f"{len(off)} cycle edges not in graph: {sorted(off)[:3]}"] if off else [])
         if problems:
             raise AssertionError(problems[0])
-        used = cycle_edges(cyc)
-        pool = pool - used
+        barred |= used
         if not is_D_balanced(Graph._trusted(g.n, used & g.edges), part, 2):
             raise AssertionError(
                 "cycle's intersection with the graph is not 2-balanced"

@@ -539,12 +539,13 @@ def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes) -> bo
     nodes[0] += 1
     if nodes[0] > ATTACH_NODES:
         return False
-    pick = min(range(len(open_slots)),
-               key=lambda t: len(candidates(open_slots[t])))
-    slot = open_slots[pick]
+    # every open slot's candidates, listed once: the first slot with the
+    # fewest is placed, trying its candidates in that order
+    lists = [candidates(slot) for slot in open_slots]
+    pick = min(range(len(open_slots)), key=lambda t: len(lists[t]))
     rest = open_slots[:pick] + open_slots[pick + 1 :]
-    x, i = slot
-    for w in candidates(slot):
+    x, i = open_slots[pick]
+    for w in lists[pick]:
         e = (min(x, w), max(x, w))
         used_edge.add(e)
         covered[i].add(w)
@@ -618,8 +619,8 @@ def cover_global_by_cycles(
         raise AssertionError(problems[0])
     checks.append(f"non-cross reduced edges decomposed into {k} systems")
 
-    cycles = peel_hamilton_cycles(f.minus_edges(bes_edges), gstar, part,
-                                  systems, budget)
+    cycles = peel_hamilton_cycles(f, gstar, part, systems, budget,
+                                  excluded=bes_edges)
     diamond = gstar.minus_edges(set().union(*map(cycle_edges, cycles)))
     for v in part.V0():
         if diamond.degree(v):

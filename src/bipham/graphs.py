@@ -10,21 +10,28 @@ shared tuples: the first graph to store a vertex pair (u, v), u < v, with
 ``int`` ids puts its tuple into a module table, and every later graph
 stores that same object, so a host, its subgraphs and other hosts on the
 same vertices hold one tuple per pair between them.  The table keeps one
-entry per pair ever stored and frees none.  Two indexes are derived from
+entry per pair ever stored and frees none.  Three things are derived from
 the edges on first use and cached: the degree tuple, counted in one pass
-over the edges, which every degree question reads, and the neighbour
-index ``adj``, a frozenset per vertex, built only when a neighbourhood
-itself is asked for.  The neighbour index of a dense host is larger than
-its edge set, so degree questions never build it.
+over the edges, which every degree question reads; the neighbour index
+``adj``, a frozenset per vertex, built only when a neighbourhood itself is
+asked for; and the edge array ``edge_ids()``, the edges as one flat
+``array("i")`` of vertex ids, which the Hamilton kernel searches and in
+which it counts class degrees.  The neighbour index of a dense host is
+larger than its edge set, so degree questions never build it.  A graph
+made by ``minus_edges`` or ``minus`` from a parent that holds an edge
+array gets its own from the parent's, derived in the compiled kernel, so a
+host's edges are flattened in Python once for all its subgraphs.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
+from . import hamkernel
 from .errors import BadParams, PartitionMismatch
 from .report import format_json
 
@@ -62,10 +69,11 @@ class Graph:
     generators follow, is unchanged.  Caches, each built on first use:
     the degree tuple, which ``degree``, ``degrees``, ``max_degree``,
     ``min_degree`` and ``is_regular`` read and which is counted from the
-    edges without building neighbourhoods, and ``adj``, the frozenset of
-    each vertex's neighbours."""
+    edges without building neighbourhoods; ``adj``, the frozenset of each
+    vertex's neighbours; and ``edge_ids()``, the kernel's edge array, which
+    ``minus_edges`` and ``minus`` also derive from a parent's."""
 
-    __slots__ = ("n", "edges", "_adj", "_deg")
+    __slots__ = ("n", "edges", "_adj", "_deg", "_ids")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         self.n = n = int(n)
@@ -84,6 +92,7 @@ class Graph:
         self.edges = es
         self._adj = None
         self._deg = None
+        self._ids = None
 
     @classmethod
     def _trusted(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -91,19 +100,12 @@ class Graph:
         subset of a validated graph's edges; skips the checks of __init__.
         The set is still rebuilt by iteration, so that its iteration order,
         which searches and generators follow, is the one __init__ gives."""
-        return cls._over(n, frozenset(iter(edges)))
-
-    @classmethod
-    def _over(cls, n: int, edges: frozenset) -> "Graph":
-        """A graph whose edge set is the frozenset ``edges`` itself, known
-        to be normalised and in range: no copy is made, so the set keeps
-        whatever iteration order it has, which only a caller that does not
-        depend on edge order may accept."""
         g = object.__new__(cls)
         g.n = n
-        g.edges = edges
+        g.edges = frozenset(iter(edges))
         g._adj = None
         g._deg = None
+        g._ids = None
         return g
 
     # -- basic accessors -------------------------------------------------
@@ -116,6 +118,16 @@ class Graph:
                 nbrs[v].add(u)
             self._adj = tuple(frozenset(s) for s in nbrs)
         return self._adj
+
+    def edge_ids(self) -> array:
+        """The edges as one flat ``array("i")`` of 2m vertex ids, edge i at
+        2i and 2i + 1, in no particular order: the host array the Hamilton
+        kernel reads.  Built on first use from the edges, which
+        construction checked, or derived from a parent's (``minus_edges``),
+        and kept; callers must not change it."""
+        if self._ids is None:
+            self._ids = array("i", chain.from_iterable(self.edges))
+        return self._ids
 
     def _degree_tuple(self) -> tuple[int, ...]:
         if self._deg is None:
@@ -175,7 +187,12 @@ class Graph:
     def class_degrees(self, label: Sequence[int], k: int) -> list[list[int]]:
         """``rows[v][c]`` = d(v, class c) for every vertex v, where
         ``label[w]`` is the class 0..k-1 of w or -1 for none (see
-        ``class_labels``); one pass over the edges."""
+        ``class_labels``); one pass over the edges, in the compiled kernel
+        over ``edge_ids()`` when it runs."""
+        if hamkernel.KERNEL == "c":
+            rows = hamkernel.class_degree_rows(self.n, self.edge_ids(), label, k)
+            if rows is not None:
+                return rows
         rows = [[0] * k for _ in range(self.n)]
         for u, v in self.edges:
             c = label[v]
@@ -200,10 +217,19 @@ class Graph:
 
     # -- algebra ----------------------------------------------------------
     def minus_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":
-        return Graph._trusted(self.n, self.edges - norm_edges(edges))
+        return self._less(norm_edges(edges))
 
     def minus(self, other: "Graph") -> "Graph":
-        return Graph._trusted(self.n, self.edges - other.edges)
+        return self._less(other.edges)
+
+    def _less(self, gone: frozenset) -> "Graph":
+        """The graph without the edges ``gone``; its edge array, when this
+        graph holds one, is derived from this graph's in the compiled
+        kernel."""
+        g = Graph._trusted(self.n, self.edges - gone)
+        if self._ids is not None:
+            g._ids = hamkernel.minus_ids(self.n, self._ids, gone)
+        return g
 
     def is_regular(self) -> bool:
         return len(set(self._degree_tuple())) <= 1

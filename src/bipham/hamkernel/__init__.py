@@ -3,11 +3,14 @@ a graph through prescribed paths, by required-edge backtracking.
 
 A search instance is a graph, its allowed edges, and the items that cover
 its vertices: free vertices and prescribed paths, which a cycle may
-traverse either way.  The kernel replaces each path by its two ends joined
-by a required edge, leaving its interior out, and searches that vertex
-instance from its vertex 0; it yields every Hamilton cycle through the
-paths once, with the interiors put back (``_pure`` documents the instance,
-the search and its prune).
+traverse either way.  The allowed edges come as a host's flat edge array,
+optional side labels that keep only the host edges between two sides, and
+the edges a level excludes, so a caller hands over the array its host
+already holds (``Graph.edge_ids``).  The kernel replaces each path by its
+two ends joined by a required edge, leaving its interior out, and searches
+that vertex instance from its vertex 0; it yields every Hamilton cycle
+through the paths once, with the interiors put back (``_pure`` documents
+the instance, the search and its prune).
 
 One search has two kernels.  The C kernel, ``csrc/hamkernel.c`` in the
 source tree, is compiled on the first import with the system C compiler
@@ -19,8 +22,13 @@ directory is not writable, there is no compiler or the build fails.  Both
 yield the same cycles in the same order and count the same nodes, so a
 report does not depend on the kernel.
 
-``cycle_enumerator`` is the one entry point; ``KERNEL`` names the kernel
-that runs: ``"c"``, or ``"pure: <why not c>"``.
+``cycle_enumerator`` is the one entry point of the search; ``KERNEL``
+names the kernel that runs: ``"c"``, or ``"pure: <why not c>"``.  The C
+kernel also serves ``graphs.Graph``'s edge arrays: ``minus_ids`` derives a
+subgraph's array from its parent's (None on the pure kernel: the subgraph
+builds its own when it needs one), and ``class_degree_rows`` counts
+degrees into labelled classes over one (the graph counts in Python on
+the pure kernel).
 """
 
 import contextlib
@@ -28,11 +36,11 @@ import ctypes
 import hashlib
 import os
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 from ._pure import GraphEnum as PureGraphEnum
-from ._pure import check_graph
+from ._pure import check_graph, check_items
 
 _ROOT = Path(__file__).resolve().parents[3]
 _SOURCE = _ROOT / "csrc" / "hamkernel.c"
@@ -93,48 +101,68 @@ def _build(source, lib, compiler):
 
 
 def _c_kernel(dll):
-    """The graph enumerator class over the C kernel loaded as ``dll``."""
+    """The graph enumerator class over the C kernel loaded as ``dll``; its
+    ``dll`` attribute holds the library."""
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
-    dll.hk_new_graph.argtypes = [c_int, c_int, ptr, c_int, ptr, ptr]
-    dll.hk_new_graph.restype = ptr
+    dll.hk_new_graph.argtypes = [c_int, c_int, ptr, ptr, c_int, ptr, c_int,
+                                 ptr, ptr, ptr]
+    dll.hk_new_graph.restype = c_int
     dll.hk_next_cycle.argtypes = [ptr, ctypes.c_int64, ptr, ptr]
     dll.hk_next_cycle.restype = c_int
     dll.hk_free.argtypes = [ptr]
     dll.hk_free.restype = None
+    dll.hk_minus.argtypes = [c_int, c_int, ptr, c_int, ptr]
+    dll.hk_minus.restype = c_int
+    dll.hk_class_degrees.argtypes = [c_int, ptr, ptr, c_int, ptr]
+    dll.hk_class_degrees.restype = None
 
     class CGraphEnum:
         """``PureGraphEnum`` on the C kernel: the same arguments, cycles,
         node counts and budget trips; the vertex instance is built and
-        searched in C.  The search state lives in C and is freed when the
-        search ends or the enumerator is dropped."""
+        searched in C, which reads the host array in place.  The search
+        state lives in C and is freed when the search ends or the
+        enumerator is dropped."""
 
         _free = dll.hk_free
         _state = None
 
-        def __init__(self, n, edges, items, max_nodes=None):
-            seq = check_graph(n, edges, items)
+        def __init__(self, n, edges, items, max_nodes=None, sides=None,
+                     excluded=()):
             self.nodes = 0
             self.budget_exceeded = False
             self._cap = max_nodes
             if len(items) < 3 and sum(min(len(v), 2) for v in items) < 3:
-                return  # fewer than three instance vertices: no cycle
-            edges = array("i", edges)
+                # fewer than three instance vertices: no cycle, and no
+                # builder to check the edges
+                check_graph(n, edges, items, sides, excluded)
+                return
+            seq = check_items(n, edges, items, sides, excluded)
+            edges, excluded = _ints(edges), _ints(excluded)
+            sides = None if sides is None else _ints(sides)
             offsets = array("i", accumulate(map(len, items), initial=0))
             self._nodes = array("q", [0])
             self._nodes_at = self._nodes.buffer_info()[0]
             self._cycle = array("i", [0]) * len(seq)
             self._cycle_at = self._cycle.buffer_info()[0]
-            state = dll.hk_new_graph(
+            state = ctypes.c_void_p()
+            status = dll.hk_new_graph(
                 n,
                 len(edges) // 2,
                 edges.buffer_info()[0],
+                None if sides is None else sides.buffer_info()[0],
+                len(excluded) // 2,
+                excluded.buffer_info()[0],
                 len(items),
                 seq.buffer_info()[0],
                 offsets.buffer_info()[0],
+                ctypes.byref(state),
             )
-            if state is None:
+            if status < 0:
                 raise MemoryError("no memory for the kernel's search state")
-            self._state = state
+            if status > 0:
+                what = "an edge" if status == 1 else "an excluded edge"
+                raise ValueError(f"{what} has an end outside 0..{n - 1}")
+            self._state = state.value
 
         def set_cap(self, max_nodes):
             """Cap the search at ``max_nodes`` nodes in all from the next
@@ -165,15 +193,60 @@ def _c_kernel(dll):
             if self._state is not None:
                 self._release()
 
+    CGraphEnum.dll = dll
     return CGraphEnum
 
 
+def _ints(ids):
+    """``ids`` as an ``array("i")``: itself when it is one, else a copy."""
+    return ids if isinstance(ids, array) and ids.typecode == "i" else array("i", ids)
+
+
 GraphEnum, KERNEL = _load()
+_DLL = getattr(GraphEnum, "dll", None)  # None on the pure kernel
 
 
-def cycle_enumerator(n, edges, items, max_nodes=None):
-    """The Hamilton cycles of a graph on vertices 0..n-1 with allowed
-    ``edges`` (2m vertex ids, a flat ``array("i")`` or list) through
-    ``items`` (vertex sequences), on the kernel that runs; see
-    ``PureGraphEnum``."""
-    return GraphEnum(n, edges, items, max_nodes)
+def cycle_enumerator(n, edges, items, max_nodes=None, sides=None,
+                     excluded=()):
+    """The Hamilton cycles of a graph on vertices 0..n-1 through ``items``
+    (vertex sequences), on the kernel that runs; the allowed edges are the
+    host's ``edges`` (2m vertex ids, a flat ``array("i")`` or list) between
+    side 0 and side 1 of ``sides`` (None: all of them), less ``excluded``;
+    see ``PureGraphEnum``."""
+    return GraphEnum(n, edges, items, max_nodes, sides, excluded)
+
+
+def minus_ids(n, ids, gone):
+    """A copy of ``ids``, the flat edge array of a graph on 0..n-1, without
+    the edges of ``gone``, an iterable of vertex pairs, derived in the C
+    kernel in the order of ``ids``; None on the pure kernel, or when a
+    vertex of ``gone`` is not a C int (no edge of ``ids`` has one)."""
+    if _DLL is None:
+        return None
+    try:
+        drop = array("i", chain.from_iterable(gone))
+    except (TypeError, OverflowError):
+        return None
+    out = ids[:]
+    kept = _DLL.hk_minus(n, len(out) // 2, out.buffer_info()[0],
+                         len(drop) // 2, drop.buffer_info()[0])
+    if kept < 0:
+        raise MemoryError("no memory to derive an edge array")
+    del out[2 * kept:]
+    return out
+
+
+def class_degree_rows(n, ids, label, k):
+    """``rows[v][c]``, the neighbours of v in class c over the flat edge
+    array ``ids`` of a graph on 0..n-1, counted in the C kernel, which must
+    have loaded, where ``label[w]`` is the class 0..k-1 of w or negative
+    for none; None for labels it cannot take (fewer than n, or one past
+    k - 1)."""
+    label = array("i", label[:n])
+    if len(label) < n or (n and max(label) >= k):
+        return None
+    rows = array("i", bytes(4 * n * k))
+    _DLL.hk_class_degrees(len(ids) // 2, ids.buffer_info()[0],
+                          label.buffer_info()[0], k, rows.buffer_info()[0])
+    flat = rows.tolist()
+    return [flat[i:i + k] for i in range(0, n * k, k)]

@@ -4,16 +4,21 @@ the kernel that runs when that one cannot be built.
 
 ``GraphEnum`` is the search that ``search.CycleSearch`` runs: the Hamilton
 cycles of a graph through items, free vertices and prescribed paths that a
-cycle may traverse either way.  It searches a vertex instance
-(``_instance``).  A free vertex is an instance vertex.  A path becomes its
-two ends, joined by a required edge, and its interior leaves the instance.
-Instance vertices take ids in item order, a path's first end before its
-last, and the allowed edges that join two of them, other than the two ends
-of one path, make their adjacency masks.  This is required-edge
-backtracking (Rubin, JACM 1974): the Hamilton cycles of the instance that
-take every required edge are exactly the Hamilton cycles of the graph
-through the paths, each path traversed in whichever direction the cycle
-takes it, so an exhausted search proves that there is none.
+cycle may traverse either way.  Its allowed edges are given as three
+things: a host's edge array, which the caller keeps; optional side labels,
+which keep only the host edges between side 0 and side 1; and the excluded
+edges, which are taken out.  So a level of a peel passes the host it
+already has and what the level excludes, and no pool is flattened.  It
+searches a vertex instance (``_instance``).  A free vertex is an instance
+vertex.  A path becomes its two ends, joined by a required edge, and its
+interior leaves the instance.  Instance vertices take ids in item order, a
+path's first end before its last, and the allowed edges that join two of
+them, other than the two ends of one path, make their adjacency masks.
+This is required-edge backtracking (Rubin, JACM 1974): the Hamilton cycles
+of the instance that take every required edge are exactly the Hamilton
+cycles of the graph through the paths, each path traversed in whichever
+direction the cycle takes it, so an exhausted search proves that there is
+none.
 
 The search starts at vertex 0 and tries candidates in ascending id order,
 so in item order.  A step into a free vertex stays there; a step into a
@@ -58,16 +63,31 @@ from array import array
 from itertools import chain
 
 
-def check_graph(n, edges, items) -> array:
+def check_graph(n, edges, items, sides=None, excluded=()) -> array:
     """The items' vertices, one item after another, of a graph search
-    instance; ``ValueError`` if an edge or an item has a vertex outside
-    0..n-1, an item is empty, or a vertex lies on two items (or twice on
-    one).  ``edges`` holds the allowed edges as 2m vertex ids, edge i being
-    ``edges[2i], edges[2i+1]``."""
-    if len(edges) % 2:
-        raise ValueError("the edge list holds an odd number of vertex ids")
-    if len(edges) and (min(edges) < 0 or max(edges) >= n):
-        raise ValueError(f"an edge has an end outside 0..{n - 1}")
+    instance; ``ValueError`` if an item is empty, a vertex lies on two
+    items (or twice on one), the side labels are not n values of -1, 0 and
+    1, or an item, an edge or an excluded edge has a vertex outside
+    0..n-1.  ``edges`` and ``excluded`` hold edges as vertex ids, edge i
+    being ``[2i], [2i+1]``.  The C kernel makes this check but for the
+    ends of the edges, which its builder checks as it reads them."""
+    seq = check_items(n, edges, items, sides, excluded)
+    for ids, what in ((edges, "an edge"), (excluded, "an excluded edge")):
+        if len(ids) and (min(ids) < 0 or max(ids) >= n):
+            raise ValueError(f"{what} has an end outside 0..{n - 1}")
+    return seq
+
+
+def check_items(n, edges, items, sides, excluded) -> array:
+    """``check_graph`` but for the ends of the edges."""
+    for ids, what in ((edges, "edge"), (excluded, "excluded edge")):
+        if len(ids) % 2:
+            raise ValueError(f"the {what} list holds an odd number of "
+                             "vertex ids")
+    if sides is not None and (len(sides) != n
+                              or not set(sides) <= {-1, 0, 1}):
+        raise ValueError(f"the side labels are not {n} values of -1, 0 "
+                         "and 1")
     if not all(items):
         raise ValueError("an item has no vertex")
     seq = array("i", chain.from_iterable(items))
@@ -78,7 +98,7 @@ def check_graph(n, edges, items) -> array:
     return seq
 
 
-def _instance(n, edges, items):
+def _instance(n, edges, items, sides, excluded):
     """``(adj, mate, runs)``, the vertex instance of a checked graph search:
     ``adj[x]`` is instance vertex x's neighbourhood as a bit mask,
     ``mate[x]`` the other end of x's path (x itself for a free vertex), and
@@ -97,19 +117,30 @@ def _instance(n, edges, items):
     adj = [0] * len(mate)
     ends = iter(edges)
     for u, v in zip(ends, ends):
+        if sides is not None and (sides[u] < 0 or sides[v] < 0
+                                  or sides[u] == sides[v]):
+            continue
         x, y = ids[u], ids[v]
         if x >= 0 and y >= 0 and y != x and y != mate[x]:
             adj[x] |= 1 << y
             adj[y] |= 1 << x
+    ends = iter(excluded)
+    for u, v in zip(ends, ends):
+        x, y = ids[u], ids[v]
+        if x >= 0 and y >= 0:
+            adj[x] &= ~(1 << y)
+            adj[y] &= ~(1 << x)
     return adj, mate, runs
 
 
 class GraphEnum:
     """Resumable enumerator of the Hamilton cycles of a graph on vertices
     0..n-1 that run through ``items``, each a vertex sequence: a free
-    vertex, or a prescribed path the cycle must traverse, either way.
-    ``edges`` holds the allowed edges as 2m vertex ids; ``max_nodes`` caps
-    the search nodes (None: no cap).
+    vertex, or a prescribed path the cycle must traverse, either way.  The
+    allowed edges are the host's, ``edges`` (2m vertex ids), that join side
+    0 to side 1 of ``sides`` (n labels, -1 for neither side; None: every
+    host edge), less the edges ``excluded`` (vertex ids as in ``edges``);
+    ``max_nodes`` caps the search nodes (None: no cap).
 
     Yields each cycle once, as a list of vertex ids.  ``nodes`` and
     ``budget_exceeded`` are current after every ``next()``; ``set_cap``
@@ -117,14 +148,16 @@ class GraphEnum:
     fewer than three vertices (a path's two ends count, its interior does
     not) gives no cycle."""
 
-    def __init__(self, n, edges, items, max_nodes=None):
-        check_graph(n, edges, items)
+    def __init__(self, n, edges, items, max_nodes=None, sides=None,
+                 excluded=()):
+        check_graph(n, edges, items, sides, excluded)
         self.nodes = 0
         self.budget_exceeded = False
         self._cap = [max_nodes]
         # the search holds no reference back to self, so an enumerator that
         # is dropped before the end is freed at once, not by the cycle GC
-        self._search = _search(*_instance(n, edges, items), self._cap)
+        self._search = _search(*_instance(n, edges, items, sides, excluded),
+                               self._cap)
 
     def set_cap(self, max_nodes: int | None) -> None:
         """Cap the search at ``max_nodes`` nodes in all from the next

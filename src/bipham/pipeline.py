@@ -368,8 +368,9 @@ def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
     rest = fw.D - 2 * len(bes.cycles)
     st.require("family-size-identity", rest == 2 * len(family),
                witness=(rest, len(family)))
-    approx = approx_decomposition(run.left(reserved), part, family,
-                                  budget=c.budget(run.seed))
+    approx = approx_decomposition(run.host, part, family,
+                                  budget=c.budget(run.seed),
+                                  excluded=run.removed | reserved)
     sets = [cycle_edges(c) for c in approx]
     for i, edges in enumerate(sets):
         missing = set(family[i].edges) - edges
@@ -496,14 +497,14 @@ def run_theorem_1factbip(
             # node budget, level 0, order 0 unshuffled.  k cycles leave
             # degree D - 2k: the least k with 2(D-2k) <= n
             k = (2 * D - g.n + 3) // 4
-            peel = peel_through_systems(g.n, g.edges, [PathSystem(g.n, [])] * k,
+            peel = peel_through_systems(g, [PathSystem(g.n, [])] * k,
                                         c.budget(0))
             if peel.cycles is None:
                 raise PreconditionViolated(
                     "cannot reduce the degree below half the order"
                 )
             pre_cycles = peel.cycles
-            g_work = Graph._trusted(g.n, peel.rest)
+            g_work = Graph._trusted(g.n, peel.rest(g.edges))
             report.warnings.append(
                 f"degree reduced from {D} by removing {len(pre_cycles)} "
                 "Hamilton cycles before the pipeline"

@@ -2,9 +2,11 @@
 
 A target cycle must contain every edge of a set of vertex-disjoint
 prescribed paths, traversing each either way, and may otherwise only use
-edges of an ``allowed`` graph.  ``CycleSearch`` validates the paths,
-shuffles the search items (each path, and every other vertex on its own)
-and hands the graph and the items to the kernel (``hamkernel``).  The
+edges of an ``allowed`` graph: all of its edges, or those between the two
+sides of optional side labels, in either case less the ``excluded`` edges.
+``CycleSearch`` validates the paths, shuffles the search items (each path,
+and every other vertex on its own) and hands the graph's edge array, the
+labels, the exclusions and the items to the kernel (``hamkernel``).  The
 kernel searches exactly: each path becomes its two ends joined by a
 required edge, and every Hamilton cycle through the paths, in whichever
 direction it traverses each, is yielded once.  So a search that ends
@@ -16,9 +18,7 @@ Hamilton cycle through the paths; one that spends its cap
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence
 
 from .graphs import Graph
@@ -47,7 +47,14 @@ class SearchStats:
 
 class CycleSearch:
     """Enumerates Hamilton cycles of ``allowed`` + prescribed paths covering
-    all of 0..n-1.  Yields cycles as vertex lists (closing edge implicit)."""
+    all of 0..n-1.  Yields cycles as vertex lists (closing edge implicit).
+
+    With ``sides`` (a label per vertex: 0 or 1 for the two sides, -1 for
+    neither), only the edges of ``allowed`` between side 0 and side 1 are
+    allowed; ``excluded`` holds edges that are not, as a flat sequence of
+    vertex ids (edge i at 2i and 2i + 1).  The kernel reads
+    ``allowed.edge_ids()`` in place, so a level search over a host costs no
+    copy of the host's edges."""
 
     def __init__(
         self,
@@ -55,11 +62,15 @@ class CycleSearch:
         prescribed: Sequence[Prescribed] = (),
         max_nodes: int | None = None,
         seed: int = 0,
+        sides: Sequence[int] | None = None,
+        excluded: Sequence[int] = (),
     ):
         self.allowed = allowed
         self.n = allowed.n
         self.prescribed = list(prescribed)
         self.seed = seed
+        self.sides = sides
+        self.excluded = excluded
         self.stats = SearchStats(max_nodes=max_nodes)
         if any(len(p.vertices) < 2 for p in self.prescribed):
             raise ValueError("prescribed paths need at least one edge")
@@ -82,16 +93,21 @@ class CycleSearch:
             # one path closing on itself, by an edge that joins the two ends
             # the kernel's instance joins by the required edge
             [verts] = items
-            if len(verts) >= 3 and self.allowed.has_edge(verts[0], verts[-1]):
+            u, v, sides, gone = verts[0], verts[-1], self.sides, iter(self.excluded)
+            if (len(verts) >= 3 and self.allowed.has_edge(u, v)
+                    and (sides is None or {sides[u], sides[v]} == {0, 1})
+                    and {u, v} not in ({a, b} for a, b in zip(gone, gone))):
                 yield list(verts)
             return
 
         stats = self.stats
         enum = cycle_enumerator(
             self.n,
-            array("i", chain.from_iterable(self.allowed.edges)),
+            self.allowed.edge_ids(),
             items,
             max_nodes=stats.max_nodes,
+            sides=self.sides,
+            excluded=self.excluded,
         )
         for cycle in enum:
             stats.nodes = enum.nodes

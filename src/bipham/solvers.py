@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadParams,
@@ -53,7 +55,7 @@ from .errors import (
     WallClockExceeded,
 )
 from .generators import degree_factor
-from .graphs import Graph, LabelledPartition, PathSystem
+from .graphs import Edge, Graph, LabelledPartition, PathSystem, class_labels
 from .search import CycleSearch, Prescribed
 from .validate import cycle_edges
 
@@ -88,9 +90,18 @@ class DecompositionResult:
 @dataclass
 class Peel:
     cycles: list[list[int]] | None  # None: proven that no peeling exists
-    rest: frozenset  # the pool left after the last level
+    # the edges each level's cycle took, level by level ([] without cycles)
+    taken: list[frozenset]
     nodes: int
     deepest: int  # deepest level searched
+
+    def rest(self, pool: frozenset) -> frozenset:
+        """What is left of ``pool``, the edges the levels took from, after
+        the peel: the taken sets removed one after another, as a level
+        removes its cycle's edges from what the level above left."""
+        for used in self.taken:
+            pool = pool - used
+        return pool
 
 
 # the node cap of a level's first item order.  It sits above what a
@@ -113,14 +124,16 @@ def luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
-                max_nodes: int, deadline: float | None = None) -> Peel:
-    """Peel ``depth`` edge-disjoint cycles off ``pool``, one per level, with
-    full backtracking.
+def peel_cycles(level_search: Callable, depth: int, max_nodes: int,
+                deadline: float | None = None) -> Peel:
+    """Peel ``depth`` edge-disjoint cycles, one per level, with full
+    backtracking.
 
-    ``level_search(i, pool, order, cap)`` starts one kernel call for level
-    ``i`` under item order ``order``, capped at ``cap`` nodes, and returns
-    ``(found, stats)``: ``found`` yields ``(cycle, pool edges it takes)``,
+    ``level_search(i, taken, order, cap)`` starts one kernel call for level
+    ``i`` under item order ``order``, capped at ``cap`` nodes, where
+    ``taken`` is the tuple of the edge sets the cycles of levels 0..i-1
+    took, which the level must not take again; it returns ``(found,
+    stats)``: ``found`` yields ``(cycle, edges it takes)``,
     ``stats.nodes`` is current at every yield and ``stats.budget_exceeded``
     once ``found`` ends, and ``stats.max_nodes`` is the call's cap, which
     holds from the next ``next(found)`` on.  Orders 0, 1, 2, ... of a level
@@ -130,37 +143,38 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
     deeper level failed has its cap lowered to what is left then, so no
     call runs past ``max_nodes``.  A call exhausted within its cap has
     yielded every cycle of its level, as each level search here does, so
-    it ends its level for that pool, and ``cycles`` None proves that no
-    peel exists; one that hits its cap hands over to the next order.
-    Only spending ``max_nodes`` raises ``Timeout``.  Past ``deadline``
+    it ends its level for what the levels above took, and ``cycles`` None
+    proves that no peel exists; one that hits its cap hands over to the
+    next order.  A frame holds what its level excludes, never a copy of
+    what it may take.  Only spending ``max_nodes`` raises ``Timeout``.  Past ``deadline``
     (``time.monotonic()``) the next call raises ``WallClockExceeded``
     instead of starting.
     """
     spent = deepest = 0
     chosen: list[list[int]] = []
-    # one frame per open level: [pool, order, found, stats, nodes counted]
+    # one frame per open level: [taken, order, found, stats, nodes counted]
     frames: list[list] = []
 
     def timeout(i):
         return Timeout(f"node budget {max_nodes} spent at level {i}",
                        stats={"nodes": spent, "level": i})
 
-    def open_level(i, sub, order):
+    def open_level(i, taken, order):
         if deadline is not None and time.monotonic() > deadline:
             raise WallClockExceeded(
                 f"wall-clock safety net passed at level {i} after {spent} "
                 "nodes; the result is not reproducible",
                 stats={"nodes": spent, "level": i})
         cap = min(LEVEL_UNIT * luby(order + 1), max_nodes - spent)
-        found, stats = level_search(i, sub, order, cap)
-        frames.append([sub, order, found, stats, 0])
+        found, stats = level_search(i, taken, order, cap)
+        frames.append([taken, order, found, stats, 0])
 
     if depth == 0:
-        return Peel([], pool, 0, 0)
-    open_level(0, pool, 0)
+        return Peel([], [], 0, 0)
+    open_level(0, (), 0)
     while frames:
         i = len(frames) - 1
-        sub, order, found, stats, counted = frame = frames[i]
+        taken, order, found, stats, counted = frame = frames[i]
         deepest = max(deepest, i)
         stats.max_nodes = min(stats.max_nodes, counted + max_nodes - spent)
         step = next(found, None)
@@ -170,8 +184,8 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
             cycle, used = step
             chosen.append(cycle)
             if i + 1 == depth:
-                return Peel(chosen, sub - used, spent, deepest)
-            open_level(i + 1, sub - used, 0)
+                return Peel(chosen, [*taken, used], spent, deepest)
+            open_level(i + 1, (*taken, used), 0)
             continue
         frames.pop()
         if not stats.budget_exceeded:
@@ -181,8 +195,8 @@ def peel_cycles(level_search: Callable, pool: frozenset, depth: int,
             continue
         if spent >= max_nodes:
             raise timeout(i)
-        open_level(i, sub, order + 1)
-    return Peel(None, pool, spent, deepest)
+        open_level(i, taken, order + 1)
+    return Peel(None, [], spent, deepest)
 
 
 def level_seed(seed: int, level: int, order: int) -> int:
@@ -201,29 +215,49 @@ def level_seed(seed: int, level: int, order: int) -> int:
     return seed + 1009 * level + order
 
 
-def peel_through_systems(n: int, pool: frozenset, systems: Sequence[PathSystem],
-                         budget: SolverBudget) -> Peel:
-    """Peel one Hamilton cycle on 0..n-1 through each path system, the
-    cycles edge-disjoint: one ``peel_cycles`` of ``len(systems)`` levels
-    under ``budget``.  Level i searches, on what is left of ``pool``, for a
-    cycle through the paths of ``systems[i]``, undirected, and takes its
-    edges outside that system; order k of level i searches under seed
-    ``level_seed(budget.seed, i, k)``.  ``pool`` must hold none of the
-    systems' edges, which are reserved for their own levels.
+def peel_through_systems(host: Graph, systems: Sequence[PathSystem],
+                         budget: SolverBudget, sides: Sequence[int] | None = None,
+                         excluded: Iterable[Edge] = ()) -> Peel:
+    """Peel one Hamilton cycle on the vertices of ``host`` through each path
+    system, the cycles edge-disjoint: one ``peel_cycles`` of
+    ``len(systems)`` levels under ``budget``.  The pool is the edges of
+    ``host`` between side 0 and side 1 of ``sides`` (a label per vertex,
+    -1 for neither side; None: every edge of ``host``), less the edges
+    ``excluded`` and every system's edges, which are reserved for their
+    own levels.  Level i searches what the levels above left of the pool
+    for a cycle through the paths of ``systems[i]``, undirected, and takes
+    its edges outside that system; order k of level i searches under seed
+    ``level_seed(budget.seed, i, k)``.
 
-    Each level's search runs on a Graph over its frame's own pool
-    frozenset (``Graph._over``), not a copy, so an open level holds its
-    pool once: the search does not depend on edge order, since both
-    kernels turn the edges into adjacency bitsets."""
+    No pool is built: every level's search reads the host's edge array
+    (``Graph.edge_ids``) in place and is handed the side labels and what
+    the level excludes, ``excluded``, the systems' edges and the edges the
+    levels above took, each taken set flattened once while a frame holds
+    it."""
     paths = [[Prescribed(p) for p in q.paths] for q in systems]
+    if sides is not None:
+        sides = array("i", sides)
+    barred = array("i", chain.from_iterable(
+        chain(excluded, *(q.edges for q in systems))))
+    # id of a set the open levels took -> (the set, its edges flattened);
+    # an entry holds its set, so no other set can take that id meanwhile
+    flat: dict[int, tuple] = {}
 
-    def search(i, sub, order, cap):
-        found = CycleSearch(Graph._over(n, sub), paths[i], max_nodes=cap,
-                            seed=level_seed(budget.seed, i, order))
+    def search(i, taken, order, cap):
+        kept = {id(u): flat.get(id(u)) or (u, array("i", chain.from_iterable(u)))
+                for u in taken}
+        flat.clear()
+        flat.update(kept)
+        gone = barred[:]
+        for _, ids in kept.values():
+            gone.extend(ids)
+        found = CycleSearch(host, paths[i], max_nodes=cap,
+                            seed=level_seed(budget.seed, i, order),
+                            sides=sides, excluded=gone)
         own = systems[i].edges
         return ((c, cycle_edges(c) - own) for c in found.cycles()), found.stats
 
-    return peel_cycles(search, pool, len(systems), budget.max_nodes,
+    return peel_cycles(search, len(systems), budget.max_nodes,
                        deadline=time.monotonic() + budget.max_seconds)
 
 
@@ -285,15 +319,15 @@ def exhaustive_hamilton_decomposition(
     if not g.is_regular():
         raise PreconditionViolated("graph is not regular")
 
-    def search(i, pool, order, cap):
-        enum = _OracleEnum(Graph(g.n, pool), cap)
+    def search(i, taken, order, cap):
+        enum = _OracleEnum(Graph(g.n, g.edges.difference(*taken)), cap)
         return ((c, cycle_edges(c)) for c in enum.cycles()), enum
 
     # peeling a Hamilton cycle keeps the graph regular: D // 2 cycles, and
     # a perfect matching is left when D is odd
-    peel = peel_cycles(search, g.edges, g.max_degree() // 2, budget.max_nodes,
+    peel = peel_cycles(search, g.max_degree() // 2, budget.max_nodes,
                        deadline=time.monotonic() + budget.max_seconds)
-    matching = None if peel.cycles is None else sorted(peel.rest) or None
+    matching = None if peel.cycles is None else sorted(peel.rest(g.edges)) or None
     return DecompositionResult(peel.cycles, matching)
 
 
@@ -365,11 +399,11 @@ def chromatic_index_regular(
         raise PreconditionViolated("graph is not regular")
     D = g.max_degree()
 
-    def search(i, pool, order, cap):
-        enum = _MatchingEnum(Graph(g.n, pool), cap)
+    def search(i, taken, order, cap):
+        enum = _MatchingEnum(Graph(g.n, g.edges.difference(*taken)), cap)
         return ((sorted(pm), pm) for pm in enum.matchings()), enum
 
-    peel = peel_cycles(search, g.edges, D, budget.max_nodes,
+    peel = peel_cycles(search, D, budget.max_nodes,
                        deadline=time.monotonic() + budget.max_seconds)
     if peel.cycles is not None:
         return D, peel.cycles
@@ -384,14 +418,17 @@ def approx_decomposition(
     part: LabelledPartition,
     family: Sequence[PathSystem],
     budget: SolverBudget = SolverBudget(),
+    excluded: Iterable[Edge] = (),
 ) -> list[list[int]]:
     """len(family) edge-disjoint Hamilton cycles of ``g``, the i-th
     containing the i-th balanced exceptional system and otherwise only
-    edges of g[A, B].
+    edges of g[A, B] outside ``excluded``.
 
     One ``peel_through_systems`` over the A-B edges of ``g`` outside the
-    systems: level i prescribes the paths of system i itself, as the robust
-    closure's 2-factors hold their path systems as fixed edges.  Spending
+    systems and ``excluded``, which the kernel reads from ``g``'s edge
+    array under the partition's side labels: level i prescribes the paths
+    of system i itself, as the robust closure's 2-factors hold their path
+    systems as fixed edges.  Spending
     ``budget.max_nodes`` raises ``Timeout``.  When the whole search space is
     exhausted without a decomposition, ``PreconditionViolated`` names the
     deepest system index reached; that proves that the pool holds no such
@@ -401,8 +438,9 @@ def approx_decomposition(
     size, bounded incidence) are not checked: the search itself decides
     whether the cycles exist.
     """
-    pool = g.edges_between(part.A, part.B).difference(*(j.edges for j in family))
-    peel = peel_through_systems(g.n, pool, family, budget)
+    peel = peel_through_systems(g, family, budget,
+                                sides=class_labels(g.n, (part.A, part.B)),
+                                excluded=excluded)
     if peel.cycles is None:
         raise PreconditionViolated(
             f"approximate decomposition: search exhausted at index "

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from bipham import graphs
+from bipham import graphs, hamkernel
 from bipham.errors import BadParams, PartitionMismatch
 from bipham.graphs import (
     Graph,
     LabelledPartition,
     OrientedGraph,
     PathSystem,
+    class_labels,
     complete_bipartite,
     graph_from_json,
     graph_to_json,
@@ -140,6 +141,57 @@ def test_graph_index_matches_a_recount():
         for g in (a, Graph._trusted(n, a.edges), a.minus_edges(some),
                   a.minus(b), Graph(n, a.edges | b.edges)):
             _check_index(g, rng)
+
+
+def _pairs(ids):
+    return sorted(zip(ids[::2], ids[1::2]))
+
+
+def test_class_degrees_over_derived_edge_arrays(monkeypatch):
+    # f's edge array is built once; f minus some cycles, and that minus
+    # more edges, derive theirs from it in the compiled kernel, and every
+    # count of degrees into labelled classes over them is the pure count
+    rng = random.Random(7)
+    derived = hamkernel.KERNEL == "c"
+    for _ in range(40):
+        n = rng.randint(3, 40)
+        f = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < rng.uniform(0.2, 0.9)])
+        f.edge_ids()
+        cycles = [cycle_edges(rng.sample(range(n), rng.randint(3, n)))
+                  for _ in range(rng.randint(1, 3))]
+        g1 = f.minus_edges(set().union(*cycles))
+        some = rng.sample(sorted(g1.edges), len(g1.edges) // 3)
+        g2 = g1.minus(Graph(n, some + [rng.sample(range(n), 2)]))
+        assert all((h._ids is not None) == derived for h in (g1, g2))
+        k = rng.randint(1, 4)
+        label = [rng.randint(-1, k - 1) for _ in range(n)]
+        counts = [h.class_degrees(label, k) for h in (f, g1, g2)]
+        for h in (f, g1, g2):
+            assert _pairs(h.edge_ids()) == sorted(h.edges)
+        with monkeypatch.context() as patch:
+            patch.setattr(hamkernel, "KERNEL", "pure: the reference count")
+            assert counts == [h.class_degrees(label, k) for h in (f, g1, g2)]
+
+
+def test_derived_edge_arrays_ignore_what_is_no_edge():
+    # a removed pair outside 0..n-1 matches no edge, though (0, 18) and
+    # the edge (1, 8) would share a key on 10 vertices, and a float vertex
+    # leaves the array to be built from the edges on first use
+    f = complete_bipartite((5, 5)).minus_edges([(0, 5)])
+    f.edge_ids()
+    g = f.minus_edges([(0, 18), (1, 6)])
+    assert _pairs(g.edge_ids()) == sorted(g.edges)
+    assert (1, 8) in g.edges and (1, 6) not in g.edges
+    h = f.minus_edges([(1.0, 6.0), (2, 7)])
+    assert hamkernel.KERNEL != "c" or h._ids is None
+    assert _pairs(h.edge_ids()) == sorted(h.edges)
+    assert len(h.edges) == len(f.edges) - 2
+    # labels a compiled count cannot take go to the pure count
+    label = class_labels(10, [range(5), range(5, 10)])
+    assert f.class_degrees(label, 2)[0] == [0, 4]
+    with pytest.raises(IndexError):
+        f.class_degrees(label, 1)
 
 
 @pytest.mark.parametrize("edges, text", [

@@ -205,21 +205,54 @@ def _graph_instance(seed, size=None):
     )
 
 
-def _graph_sweep(graph_enum, seeds, wide=False):
+def _labelled(kw, seed):
+    """The graph search ``kw`` with side labels and excluded edges.  In
+    three searches of four, path interiors get random labels, -1 for
+    neither side, and the items' ends get sides that a cycle through the
+    items in a random order can alternate between; in the fourth, no
+    labels.  A quarter of the edges or fewer are excluded, either end
+    first, with a few pairs that are no edge."""
+    rng = random.Random(seed)
+    n = kw["n"]
+    sides = [rng.choice((-1, 0, 1)) for _ in range(n)]
+    order = rng.sample(kw["items"], len(kw["items"]))
+    side = 0
+    for item in order:
+        sides[item[0]] = side
+        sides[item[-1]] = rng.randint(0, 1) if len(item) > 1 else side
+        side = 1 - sides[item[-1]]
+    if len(order[-1]) > 1:
+        sides[order[-1][-1]] = 1  # back to side 0 at order[0]
+    if rng.random() < 0.25:
+        sides = None
+    pairs = list(zip(kw["edges"][::2], kw["edges"][1::2]))
+    gone = rng.sample(pairs, rng.randint(0, len(pairs) // 4))
+    gone += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    excluded = [x for e in gone for x in (e if rng.random() < 0.5 else e[::-1])]
+    return dict(kw, sides=sides, excluded=excluded)
+
+
+def _graph_sweep(graph_enum, seeds, wide=False, labelled=False):
     """Hold ``graph_enum`` to ``PureGraphEnum`` on the ``_graph_instance`` of
     each seed: the same cycles and node counts after every next(), and the
     same budget trips, also under a cap lowered between two cycles.  With
     ``wide``, seed ``s`` gives an instance of ``WORD_BOUNDARIES[s % 6]``
-    vertices, each size once in any 6 consecutive seeds.  Returns what the
-    sweep reached."""
+    vertices, each size once in any 6 consecutive seeds; with
+    ``labelled``, the instance gets side labels and excluded edges
+    (``_labelled``).  Returns what the sweep reached."""
     seen = dict.fromkeys(
         ["cycles", "trips", "single-edge paths", "vertex 0 on a path",
          "over 64 vertices", "over 128 vertices", "cycles over 64 vertices",
          "trips over 64 vertices"]
         + [f"{k} vertices" for k in WORD_BOUNDARIES], 0)
+    if labelled:
+        seen.update(dict.fromkeys(["cycles with side labels",
+                                   "cycles with exclusions"], 0))
     for seed in seeds:
         kw = _graph_instance(
             seed, WORD_BOUNDARIES[seed % len(WORD_BOUNDARIES)] if wide else None)
+        if labelled:
+            kw = _labelled(kw, seed)
         k = sum(min(len(v), 2) for v in kw["items"])
         rng = random.Random(seed)
 
@@ -241,6 +274,9 @@ def _graph_sweep(graph_enum, seeds, wide=False):
         seen["trips over 64 vertices"] += k > 64 and tripped
         if k in WORD_BOUNDARIES:
             seen[f"{k} vertices"] += 1
+        if labelled and cycles:
+            seen["cycles with side labels"] += kw["sides"] is not None
+            seen["cycles with exclusions"] += bool(kw["excluded"])
     return seen
 
 
@@ -259,6 +295,17 @@ def test_c_kernel_agrees_on_random_instances(c_kernel, chunk):
     seen = _graph_sweep(c_kernel, range(50 * chunk, 50 * (chunk + 1)),
                         wide=True)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_c_kernel_agrees_with_side_labels_and_exclusions(c_kernel, chunk):
+    # the same on searches of 5 to 90 vertices whose allowed edges are a
+    # host's edges between two sides, less excluded ones
+    seen = _graph_sweep(c_kernel, range(150 * chunk, 150 * (chunk + 1)),
+                        labelled=True)
+    assert all(seen[key] for key in (
+        "cycles", "trips", "single-edge paths", "vertex 0 on a path",
+        "cycles with side labels", "cycles with exclusions")), seen
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -329,6 +376,23 @@ def test_kernels_reject_bad_graph_instances(request, kernel, edges, items,
         _kernel(request, kernel)(4, edges, items)
 
 
+@pytest.mark.parametrize("kernel", ["pure", "c", "entry point"])
+@pytest.mark.parametrize("kw, match", [
+    (dict(excluded=[0, 5]), r"excluded edge has an end outside 0\.\.3"),
+    (dict(excluded=[-1, 2]), r"excluded edge has an end outside 0\.\.3"),
+    (dict(excluded=[0, 1, 2]), "excluded edge list holds an odd number"),
+    (dict(sides=[0, 1, 0]), r"side labels are not 4 values"),
+    (dict(sides=[0, 1, 0, 1, 0]), r"side labels are not 4 values"),
+    (dict(sides=[0, 1, 2, 1]), r"side labels are not 4 values"),
+], ids=["excluded past n", "negative excluded vertex", "odd excluded list",
+        "three side labels", "five side labels", "side label 2"])
+def test_kernels_reject_bad_exclusions_and_side_labels(request, kernel, kw,
+                                                       match):
+    # the C builder indexes the side labels and the instance by these ids
+    with pytest.raises(ValueError, match=match):
+        _kernel(request, kernel)(4, CYCLE4, FREE4, **kw)
+
+
 def test_c_kernel_state_freed_at_end_and_when_dropped(c_kernel, monkeypatch):
     freed = []
     free = c_kernel._free
@@ -388,11 +452,13 @@ graph_enum, kernel = hamkernel._load(Path(sys.argv[1]), "bipham-no-such-cc")
 assert kernel == "c", kernel
 print(_graph_sweep(graph_enum, range(150)))
 print(_graph_sweep(graph_enum, range(50), wide=True))
+print(_graph_sweep(graph_enum, range(150), labelled=True))
 """
 
 
 def test_c_kernel_clean_under_sanitizers(tmp_path):
-    # the graph sweeps on a build with AddressSanitizer and
+    # the graph sweeps, with side labels and exclusions too, on a build
+    # with AddressSanitizer and
     # UndefinedBehaviorSanitizer, which stop the process at the first
     # out-of-bounds access or undefined operation in the kernel
     cc = shutil.which("cc")

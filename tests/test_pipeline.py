@@ -578,7 +578,8 @@ def test_driver_run_leaves_the_callers_graphs_unindexed(theorem, warm, m):
     # the drivers answer degree questions about the caller's graphs from
     # their degree tuples and count degrees into sides by label, so neither
     # graph gets a neighbour index, and a run's allocations go with its
-    # report.  A frozenset index of the host alone would keep 172 KiB
+    # report, but for the graphs' edge arrays, the kernel's cache of their
+    # edges.  A frozenset index of the host alone would keep 172 KiB
     # (NW-bip here) and 68 KiB (K(28,28)) past the run
     _run_driver(theorem, *_driver_input(theorem, warm))  # imports, caches
     f, g, hint, seed = _driver_input(theorem, m)
@@ -593,7 +594,10 @@ def test_driver_run_leaves_the_callers_graphs_unindexed(theorem, warm, m):
     finally:
         tracemalloc.stop()
     assert f._adj is None and g._adj is None
-    assert retained < 4096
+    kept = {id(h): h for h in (f, g) if h._ids is not None}.values()
+    assert all(sorted(zip(h._ids[::2], h._ids[1::2])) == sorted(h.edges)
+               for h in kept)
+    assert retained < 4096 + sum(sys.getsizeof(h._ids) for h in kept)
 
 
 def _kmm_with_circulants(m, steps):
@@ -735,18 +739,18 @@ def test_level_searches_get_their_own_item_orders(monkeypatch):
     level = []  # the (level, order) searching now
 
     for module in (pipeline, balancer, solvers):
-        def opened(n, pool, systems, budget, name=module.__name__,
-                   helper=module.peel_through_systems):
+        def opened(host, systems, budget, *args, name=module.__name__,
+                   helper=module.peel_through_systems, **kwargs):
             peels.append([name, budget.seed, len(systems), {}])
-            return helper(n, pool, systems, budget)
+            return helper(host, systems, budget, *args, **kwargs)
         monkeypatch.setattr(module, "peel_through_systems", opened)
 
     peel = solvers.peel_cycles
 
     def levels(level_search, *args, **kwargs):
-        def search(i, pool, order, cap):
+        def search(i, taken, order, cap):
             level[:] = [(i, order)]
-            return level_search(i, pool, order, cap)
+            return level_search(i, taken, order, cap)
         return peel(search, *args, **kwargs)
     monkeypatch.setattr(solvers, "peel_cycles", levels)
 

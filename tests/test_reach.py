@@ -41,7 +41,8 @@ KERNEL_FUNCTIONS = {
         f"hamkernel/__init__.py: _c_kernel.<locals>.CGraphEnum.{name}"
         for name in ("__init__", "set_cap", "__iter__", "__next__",
                      "_release", "__del__")
-    },
+    } | {f"hamkernel/__init__.py: {name}" for name in ("_ints",
+                                                         "class_degree_rows")},
     "pure": {
         f"hamkernel/_pure.py: {name}"
         for name in ("GraphEnum.__init__", "GraphEnum.set_cap",

@@ -1,6 +1,7 @@
 """Reference solvers: prescribed-path Hamilton peels, exhaustive
 decompositions, densest even-regular subgraphs, chromatic index."""
 
+import random
 import time
 
 import pytest
@@ -8,22 +9,32 @@ import pytest
 from bipham import search, solvers
 from bipham.balancer import peel_hamilton_cycles
 from bipham.errors import (
+    BadParams,
     PreconditionViolated,
     SolverFailure,
     Timeout,
     WallClockExceeded,
 )
 from bipham.generators import babai_instance, generate, two_cliques_instance
-from bipham.graphs import Graph, LabelledPartition, PathSystem, complete_bipartite
-from bipham.search import SearchStats
+from bipham.graphs import (
+    Graph,
+    LabelledPartition,
+    PathSystem,
+    class_labels,
+    complete_bipartite,
+    norm_edge,
+)
+from bipham.search import CycleSearch, Prescribed, SearchStats
 from bipham.solvers import (
     LEVEL_UNIT,
     SolverBudget,
     approx_decomposition,
     chromatic_index_regular,
     exhaustive_hamilton_decomposition,
+    level_seed,
     luby,
     peel_cycles,
+    peel_through_systems,
     reg_even,
 )
 from bipham.validate import (
@@ -243,35 +254,139 @@ def test_approx_decomposition_resumed_call_stays_in_budget(monkeypatch):
     assert sum(e.nodes for e in enums) <= 86
 
 
-def test_level_searches_run_on_their_frames_pools(monkeypatch):
-    # each level's CycleSearch runs on a Graph over the pool its peel frame
-    # holds, the same frozenset object, not a copy of it: on K(4,4), two
-    # cycles are found and the third level backtracks through every order
-    pools, searched = [], []
+def test_level_searches_read_the_host_in_place(monkeypatch):
+    # each level's CycleSearch reads the host itself, through the one edge
+    # array it built, and is handed what its peel frame excludes: the
+    # edges the cycles above it took, never a pool.  On K(4,4), two cycles
+    # are found and the third level backtracks through every order
+    frames, searched = [], []
     peel = solvers.peel_cycles
 
-    def recording_peel(level_search, pool, depth, max_nodes, deadline=None):
-        def level(i, sub, order, cap):
-            pools.append(sub)
-            return level_search(i, sub, order, cap)
-        return peel(level, pool, depth, max_nodes, deadline)
+    def recording_peel(level_search, depth, max_nodes, deadline=None):
+        def level(i, taken, order, cap):
+            frames.append(frozenset().union(*taken))
+            return level_search(i, taken, order, cap)
+        return peel(level, depth, max_nodes, deadline)
 
     class RecordingSearch(search.CycleSearch):
         def __init__(self, allowed, *args, **kwargs):
-            searched.append(allowed.edges)
             super().__init__(allowed, *args, **kwargs)
+            gone = iter(self.excluded)
+            searched.append((allowed, allowed.edge_ids(),
+                             {norm_edge(u, v) for u, v in zip(gone, gone)}))
 
     monkeypatch.setattr(solvers, "peel_cycles", recording_peel)
     monkeypatch.setattr(solvers, "CycleSearch", RecordingSearch)
     g = complete_bipartite((4, 4))
+    ids = g.edge_ids()
     part = LabelledPartition(8, [], range(4), [], range(4, 8),
                              clusters_A=[list(range(4))],
                              clusters_B=[list(range(4, 8))])
     assert len(approx_decomposition(g, part, [PathSystem(8, [])] * 2)) == 2
     with pytest.raises(PreconditionViolated):
         approx_decomposition(g, part, [PathSystem(8, [])] * 3)
-    assert len(pools) == len(searched) > 3
-    assert all(a is b for a, b in zip(pools, searched))
+    assert len(frames) == len(searched) > 3
+    assert any(frames)
+    assert all(host is g and arr is ids and gone == taken
+               for (host, arr, gone), taken in zip(searched, frames))
+
+
+def _pool_peel(n, pool, systems, budget):
+    """``peel_through_systems`` as it ran on a materialised frozenset pool:
+    each level searches a Graph over what the levels above left of
+    ``pool``, under the same seeds and caps; ``Timeout`` as its text and
+    stats."""
+    paths = [[Prescribed(p) for p in q.paths] for q in systems]
+
+    def search(i, taken, order, cap):
+        found = CycleSearch(Graph._trusted(n, pool.difference(*taken)), paths[i],
+                            max_nodes=cap,
+                            seed=level_seed(budget.seed, i, order))
+        own = systems[i].edges
+        return ((c, cycle_edges(c) - own) for c in found.cycles()), found.stats
+
+    return _outcome(peel_cycles, search, len(systems), budget.max_nodes)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Timeout as exc:
+        return str(exc), exc.stats
+
+
+def _near_bipartite(rng):
+    """A random near-bipartite host, its partition with up to one
+    exceptional vertex a side, 1 to 3 path systems of the exceptional
+    vertices' paths and single cross edges, and excluded edges: some of
+    the host's, and a pair that is no edge."""
+    half = rng.randint(3, 6)
+    n = 2 * half
+    s1, s2 = range(half), range(half, n)
+    a0 = rng.sample(s1, rng.randint(0, 1))
+    b0 = rng.sample(s2, rng.randint(0, 1))
+    part = LabelledPartition(n, a0, set(s1) - set(a0), b0, set(s2) - set(b0))
+    p = rng.uniform(0.6, 1.0)
+    host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < (p if (u < half) != (v < half) else 0.2)])
+    systems = []
+    for _ in range(rng.randint(1, 3)):
+        edges = [e for x in a0 + b0
+                 for e in ((rng.choice(part.A), x), (x, rng.choice(part.B)))]
+        if rng.random() < 0.5:
+            edges.append((rng.choice(part.A), rng.choice(part.B)))
+        try:
+            systems.append(PathSystem(n, edges))
+        except BadParams:  # a vertex of degree 3, or a cycle
+            systems.append(PathSystem(n, []))
+    cross = sorted(host.edges_between(part.A, part.B))
+    excluded = set(rng.sample(cross, rng.randint(0, len(cross) // 6)))
+    excluded.add((0, n - 1) if (0, n - 1) not in host.edges else (0, 1))
+    return host, part, systems, excluded
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "pure"])
+def test_host_peels_match_materialised_pool_peels(monkeypatch, kernel):
+    # a peel over (host, side labels, excluded) is the peel over the
+    # frozenset pool they stand for: the same cycles, taken edges, nodes,
+    # deepest level and rest, or the same Timeout; and the degree
+    # reduction's peel, whose pool is all of its graph, leaves the same
+    # rest in the same iteration order
+    from bipham.hamkernel import PureGraphEnum
+
+    if kernel == "pure":
+        monkeypatch.setattr(search, "cycle_enumerator", PureGraphEnum)
+    rng = random.Random(31)
+    seen = {"cycles": 0, "exhausted": 0, "timeout": 0}
+    for _ in range(60 if kernel == "loaded" else 15):
+        host, part, systems, excluded = _near_bipartite(rng)
+        budget = SolverBudget(max_nodes=rng.choice([60, 2_000, 200_000]),
+                              seed=rng.randint(0, 9))
+        pool = frozenset(host.edges_between(part.A, part.B)).difference(
+            excluded, *(q.edges for q in systems))
+        want = _pool_peel(host.n, pool, systems, budget)
+        got = _outcome(peel_through_systems, host, systems, budget,
+                       sides=class_labels(host.n, (part.A, part.B)),
+                       excluded=excluded)
+        assert got == want
+        if isinstance(got, solvers.Peel):
+            assert got.rest(pool) == pool.difference(*want.taken)
+            seen["cycles" if got.cycles else "exhausted"] += 1
+        else:
+            seen["timeout"] += 1
+
+        g = Graph(host.n, host.edges)
+        budget = SolverBudget(max_nodes=budget.max_nodes)
+        k = [PathSystem(g.n, [])] * rng.randint(1, 2)
+        want = _pool_peel(g.n, g.edges, k, budget)
+        got = _outcome(peel_through_systems, g, k, budget)
+        assert got == want
+        if isinstance(got, solvers.Peel):
+            chain = g.edges
+            for used in want.taken:
+                chain = chain - used
+            assert list(got.rest(g.edges)) == list(chain)
+    assert all(seen.values()), seen
 
 
 def _scripted(plan, calls):
@@ -279,7 +394,7 @@ def _scripted(plan, calls):
     [(node count, cycle), ...])`` under the engine's caps, including a cap
     lowered while it is suspended."""
 
-    def level_search(i, pool, order, cap):
+    def level_search(i, taken, order, cap):
         calls.append((i, order, cap))
         total, yields = plan[i, order]
         stats = SearchStats(max_nodes=cap)
@@ -311,7 +426,7 @@ def test_peel_cycles_budget_rules():
     calls = []
     plan = {(0, 0): (10 * U, []), (0, 1): (10 * U, []), (0, 2): (10 * U, []),
             (0, 3): (5, [])}
-    peel = peel_cycles(_scripted(plan, calls), frozenset(), 2, 100 * U)
+    peel = peel_cycles(_scripted(plan, calls), 2, 100 * U)
     assert peel.cycles is None and peel.nodes == 4 * U + 5
     assert calls == [(0, 0, U), (0, 1, U), (0, 2, 2 * U), (0, 3, U)]
 
@@ -319,7 +434,7 @@ def test_peel_cycles_budget_rules():
     # cap, and then exhausts itself: level 0 is infeasible too
     calls = []
     plan = {(0, 0): (10 * U, []), (0, 1): (50, [(30, [0])]), (1, 0): (20, [])}
-    peel = peel_cycles(_scripted(plan, calls), frozenset(), 2, 100 * U)
+    peel = peel_cycles(_scripted(plan, calls), 2, 100 * U)
     assert peel.cycles is None and peel.nodes == U + 70 and peel.deepest == 1
     assert calls == [(0, 0, U), (0, 1, U), (1, 0, U)]
 
@@ -329,14 +444,14 @@ def test_peel_cycles_budget_rules():
     plan = {(0, k): (10 * U, []) for k in range(3)}
     with pytest.raises(Timeout, match=f"node budget {3 * U + 7} spent at level 0"
                        ) as exc:
-        peel_cycles(_scripted(plan, calls), frozenset(), 2, 3 * U + 7)
+        peel_cycles(_scripted(plan, calls), 2, 3 * U + 7)
     assert exc.value.stats["nodes"] == 3 * U + 7
     assert calls == [(0, 0, U), (0, 1, U), (0, 2, U + 7)]
 
     # a heavy tail is cut at its cap: order 0 would need 10 U nodes, and
     # order 1 finds a cycle in 10
     plan = {(0, 0): (10 * U, []), (0, 1): (20, [(10, [0])])}
-    peel = peel_cycles(_scripted(plan, []), frozenset(), 1, 20_000_000)
+    peel = peel_cycles(_scripted(plan, []), 1, 20_000_000)
     assert peel.cycles == [[0]] and peel.nodes == U + 10
 
     # under a budget below the unit, order 0 gets what is left; spending
@@ -344,18 +459,18 @@ def test_peel_cycles_budget_rules():
     calls = []
     plan = {(0, 0): (80, [(10, [0])]), (1, 0): (90, [])}
     with pytest.raises(Timeout, match="node budget 50 spent at level 1"):
-        peel_cycles(_scripted(plan, calls), frozenset(), 2, 50)
+        peel_cycles(_scripted(plan, calls), 2, 50)
     assert calls == [(0, 0, 50), (1, 0, 40)]
 
     # a call resumed after a deeper level failed is capped at what is
     # left: 10 + 85 + 5 nodes spend the 100
     plan = {(0, 0): (40, [(10, [0])]), (1, 0): (85, [])}
     with pytest.raises(Timeout, match="spent at level 0") as exc:
-        peel_cycles(_scripted(plan, []), frozenset(), 2, 100)
+        peel_cycles(_scripted(plan, []), 2, 100)
     assert exc.value.stats["nodes"] == 100
 
     plan = {(0, 0): (40, [(10, [0])]), (1, 0): (20, [(5, [1])])}
-    peel = peel_cycles(_scripted(plan, []), frozenset(), 2, 100)
+    peel = peel_cycles(_scripted(plan, []), 2, 100)
     assert peel.cycles == [[0], [1]] and peel.nodes == 15
 
 
@@ -373,5 +488,5 @@ def test_orders_of_a_level_keep_distinct_seeds():
 def test_peel_cycles_wall_clock_is_only_a_safety_net():
     plan = {(0, 0): (10, [(5, [0])]), (1, 0): (10, [(5, [1])])}
     with pytest.raises(WallClockExceeded, match="not reproducible"):
-        peel_cycles(_scripted(plan, []), frozenset(), 2, 100,
+        peel_cycles(_scripted(plan, []), 2, 100,
                     deadline=time.monotonic() - 1)

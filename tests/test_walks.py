@@ -239,12 +239,12 @@ def _referee(n, pool, systems):
     from bipham.solvers import peel_cycles
     from bipham.validate import cycle_edges
 
-    def search(i, pool_left, order, cap):
+    def search(i, taken, order, cap):
         stats = SimpleNamespace(nodes=0, budget_exceeded=False, max_nodes=cap)
-        found = level_cycles(n, pool_left, systems[i], stats)
+        found = level_cycles(n, pool.difference(*taken), systems[i], stats)
         return ((c, cycle_edges(c) - systems[i]) for c in found), stats
 
-    return peel_cycles(search, pool, len(systems), 10_000_000)
+    return peel_cycles(search, len(systems), 10_000_000)
 
 
 def test_closure_agrees_with_search_referee():
