@@ -1,18 +1,14 @@
 """Hamilton decompositions of dense nearly-bipartite graphs.
 
 Constructive, property-checked implementations of the balancing machinery
-(frameworks, balanced exceptional systems, balanced path-system factors) and
-of the robust decomposition contract, with explicit desk-scale parameters,
-brute-force referees, and two end-to-end pipelines.
+(frameworks, balanced exceptional systems) and of the split-and-switch
+engine that closes an approximate decomposition with an exact edge budget,
+with explicit desk-scale parameters, brute-force referees, and two
+end-to-end pipelines.
 """
 
 from .balance import Framework, is_D_balanced, validate_framework
-from .graphs import (
-    Graph,
-    LabelledPartition,
-    OrientedGraph,
-    PathSystem,
-)
+from .graphs import Graph, LabelledPartition, PathSystem
 from .pipeline import PipelineConstants, run_theorem_1factbip, run_theorem_NWbip
 from .report import DecompositionReport, emit_report
 
@@ -21,7 +17,6 @@ __all__ = [
     "Framework",
     "Graph",
     "LabelledPartition",
-    "OrientedGraph",
     "PathSystem",
     "PipelineConstants",
     "emit_report",

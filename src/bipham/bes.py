@@ -493,32 +493,28 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell):
             slots += [(x, i)] * need
     if not slots:
         return
-    # the pool does not change during the search: each vertex's pool
-    # neighbors in the cluster, in cluster order, are listed once
-    reach = {
-        x: [(w, (min(x, w), max(x, w))) for w in sorted(set(cluster))
-            if (min(x, w), max(x, w)) in pool]
-        for x in {x for x, _ in slots}
-    }
-    used_edge: set = set()
+    # each slot's candidates: the pool neighbours of its vertex in the
+    # cluster, in cluster order, that its system does not cover yet.  One
+    # list per distinct slot, kept up to date as the search assigns: an
+    # assignment (x, i, w) takes w from the slots of x (the edge xw is
+    # used) and of system i (it covers w)
+    order = sorted(set(cluster))
+    reach = {x: [w for w in order if (min(x, w), max(x, w)) in pool]
+             for x in {x for x, _ in slots}}
+    cands = {(x, i): [w for w in reach[x] if w not in covered[i]]
+             for x, i in set(slots)}
+    touch = {slot: [s for s in cands if s[0] == slot[0] or s[1] == slot[1]]
+             for slot in cands}
     chosen: list = []
     nodes = [0]
-
-    def candidates(slot):
-        x, i = slot
-        return [w for w, e in reach[x]
-                if e not in used_edge and w not in covered[i]]
-
-    if not _flow_solve(slots, candidates, used_edge, covered, chosen, nodes):
+    if not _flow_solve(slots, cands, touch, covered, chosen, nodes):
         if nodes[0] > ATTACH_NODES:
             raise Timeout(
                 f"attaching the exceptional vertices of cell {cell} spent "
                 f"the node cap {ATTACH_NODES}",
                 stats={"nodes": ATTACH_NODES},
             )
-        worst = min(
-            (slot for slot in slots), key=lambda s: len(candidates(s))
-        )
+        worst = min(slots, key=lambda s: len(cands[s]))
         raise InsufficientNeighbors(
             f"exceptional vertex {worst[0]} has no free neighbor in the "
             f"designated cluster of cell {cell}",
@@ -530,31 +526,31 @@ def _flow_attach(exceptional, cluster, sys_edges, covered, pool, cell):
         pool.discard(e)
 
 
-def _flow_solve(open_slots, candidates, used_edge, covered, chosen, nodes) -> bool:
-    """One node of ``_flow_attach``'s search: place the most constrained
-    open slot, then the rest; module level for the reason
-    ``matchings._augment`` gives."""
+def _flow_solve(open_slots, cands, touch, covered, chosen, nodes) -> bool:
+    """One node of ``_flow_attach``'s search: place the first open slot
+    with the fewest candidates, trying them in order, then the rest; every
+    list it changes is restored when it backtracks.  Module level for the
+    reason ``matchings._augment`` gives."""
     if not open_slots:
         return True
     nodes[0] += 1
     if nodes[0] > ATTACH_NODES:
         return False
-    # every open slot's candidates, listed once: the first slot with the
-    # fewest is placed, trying its candidates in that order
-    lists = [candidates(slot) for slot in open_slots]
-    pick = min(range(len(open_slots)), key=lambda t: len(lists[t]))
+    pick = min(range(len(open_slots)), key=lambda t: len(cands[open_slots[t]]))
     rest = open_slots[:pick] + open_slots[pick + 1 :]
-    x, i = open_slots[pick]
-    for w in lists[pick]:
-        e = (min(x, w), max(x, w))
-        used_edge.add(e)
+    slot = open_slots[pick]
+    x, i = slot
+    for w in cands[slot]:
+        saved = [(s, cands[s]) for s in touch[slot] if w in cands[s]]
+        for s, ws in saved:
+            cands[s] = [v for v in ws if v != w]
         covered[i].add(w)
         chosen.append((x, i, w))
-        if _flow_solve(rest, candidates, used_edge, covered, chosen, nodes):
+        if _flow_solve(rest, cands, touch, covered, chosen, nodes):
             return True
         chosen.pop()
         covered[i].discard(w)
-        used_edge.discard(e)
+        cands.update(saved)
     return False
 
 

@@ -87,12 +87,8 @@ class WallClockExceeded(Timeout):
     failure the result is not reproducible."""
 
 
-class BackendUnavailable(BiphamError):
-    """No backend is configured for a contract operation."""
-
-
 class BackendFailure(BiphamError):
-    """The configured backend could not discharge the contract."""
+    """The split-and-switch engine could not close its decomposition."""
 
 
 class DivisibilityError(BadParams):

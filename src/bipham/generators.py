@@ -4,9 +4,9 @@ Each generator returns (graph, partition hint, properties dict); the
 properties are recomputed from the output, not assumed from the recipe.
 
 networkx is imported inside ``degree_factor``, its only caller here: the
-drivers use only ``near_bipartition`` and ``bipartite_degree_factor`` from
-this module, so they start without it.  The bipartite degree factor runs
-on ``matchings.degree_split`` instead.
+drivers use only ``near_bipartition`` from this module, so they start
+without it.  The bipartite degree factor behind ``regular_spanning_subgraph``
+runs on ``matchings.degree_split`` instead.
 """
 
 from __future__ import annotations

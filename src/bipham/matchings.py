@@ -21,14 +21,12 @@ Five tools used throughout the pipeline:
   vertices it may take, built once by the caller in the order it wants
   them tried, so the augmenting step only walks lists and the result is a
   fixed function of the left order and the lists.  It is the package's one
-  bipartite matching routine: ``bes`` and ``beps`` call it, and
-  ``balancer`` runs its augmenting step ``_augment`` directly.
+  bipartite matching routine: ``bes`` calls it, and ``balancer`` runs its
+  augmenting step ``_augment`` directly.
 * ``degree_split``: a bipartite subgraph with exact prescribed degrees (a
   greedy pass, then augmenting paths: Kuhn's step with capacities).  It is
   the package's one exact-degree bipartite routine: the generators'
-  bipartite degree factor, the absorbers (a ``count``-regular split, by
-  König a union of ``count`` perfect matchings) and the robust closure's
-  2-factors all run on it.
+  bipartite degree factor and the 2-factors of ``switches`` run on it.
 """
 
 from __future__ import annotations

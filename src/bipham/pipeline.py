@@ -3,14 +3,12 @@
 Two drivers: ``run_theorem_NWbip`` packs half-the-degree many edge-disjoint
 Hamilton cycles into a dense nearly-bipartite host around a regular spanning
 subgraph; ``run_theorem_1factbip`` fully decomposes an even-regular
-nearly-bipartite graph into Hamilton cycles via a robustly decomposable
-subgraph, or, when its framework has exceptional vertices, by packing the
-whole host as NW-bip does.  Both pack with one routine, ``_pack``: the
-1-factorization packs what its robustly decomposable graph leaves with the
-same elimination, cluster partition, balanced exceptional systems and
-approximate decomposition as NW-bip.  Each driver opens its stages in turn
-and has one failure path: a typed error or failed requirement marks the
-most recently opened stage failed with the error, and one skipped
+nearly-bipartite graph into Hamilton cycles by packing it around itself.
+NW-bip packs with one routine, ``_pack``: the exceptional cut's
+elimination, the cluster partition, the balanced exceptional systems and
+the approximate decomposition.  The driver opens its stages in turn and
+has one failure path: a typed error or failed requirement marks the most
+recently opened stage failed with the error, and one skipped
 ``remaining`` stage ends the report.
 
 All numeric thresholds live in PipelineConstants as exact rationals; the
@@ -25,16 +23,14 @@ import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
-from .balance import Framework, frac, validate_framework
+from .balance import Framework, frac
 from .balancer import (
     EliminationResult,
     bip_decompose,
     elimination_bound_holds,
     eliminate_A0B0,
 )
-from .beps import build_bf_family
 from .bes import (
     build_localized_pairs,
     decompose_global,
@@ -47,17 +43,15 @@ from .bes import (
 )
 from .errors import BadParams, BiphamError, PreconditionViolated
 from .graphs import Graph, LabelledPartition, PathSystem
-from .partitioning import framework_partition, localized_slices, orient_scheme
+from .partitioning import framework_partition, localized_slices
 from .report import DecompositionReport, Stage
-from .schemes import scheme_violations
-from .solvers import SolverBudget, approx_decomposition, peel_through_systems
+from .solvers import SolverBudget, approx_decomposition
 from .validate import (
     check_cycle_in_graph,
     check_decomposition,
     check_edge_disjoint,
     cycle_edges,
 )
-from .walks import RobustDecomposition, RobustParams
 
 NWBIP_ATTEMPTS = 6
 
@@ -71,7 +65,6 @@ class PipelineConstants:
     """
 
     eps_ex: Fraction = Fraction(1, 10)
-    eps_star: Fraction = Fraction(1, 5)
     eps0: Fraction = Fraction(1, 2)
     eps0_prime: Fraction = Fraction(7, 10)
     eps_prime: Fraction = Fraction(1, 4)
@@ -79,10 +72,8 @@ class PipelineConstants:
     eps2: Fraction = Fraction(9, 10)
     eps3: Fraction = Fraction(1, 25)
     eps4: Fraction = Fraction(0)
-    eps4_prime: Fraction = Fraction(0)
     K: int = 1
     K1: int = 7
-    K2: int = 1
     L: int = 1
     f: int = 1
     g: int = 2
@@ -95,8 +86,10 @@ class PipelineConstants:
     max_seconds: float = 120.0
 
     def __post_init__(self):
-        # the drivers divide by these (cluster sizes, slot counts, 1/K)
-        for name in ("K", "K1", "K2", "L", "f", "g", "ell_prime"):
+        # NW-bip divides by K (cluster sizes, 1/K); the others belonged to
+        # the robust decomposition front, which is gone, and are kept, with
+        # their checks, because the benchmark's constants still name them
+        for name in ("K", "K1", "L", "f", "g", "ell_prime"):
             if getattr(self, name) < 1:
                 raise PreconditionViolated(
                     f"constant {name} = {getattr(self, name)} must be at least 1"
@@ -180,16 +173,6 @@ class PipelineConstants:
                 out.append(f"separation {n1} << {n2} is degenerate ({n2} = 0)")
         return tuple(out)
 
-    def factorization_divisibility_warnings(self) -> list[str]:
-        out = []
-        for name, num, den in (
-            ("K1/28fgL", self.K1, 28 * self.f * self.g * self.L),
-            ("K2/4gLK1", self.K2, 4 * self.g * self.L * self.K1),
-        ):
-            if den == 0 or num % den:
-                out.append(f"divisibility {name} fails ({num} vs {den})")
-        return out
-
     def budget(self, seed: int = 0) -> SolverBudget:
         return SolverBudget(self.max_nodes, self.max_seconds, seed)
 
@@ -212,13 +195,13 @@ def bes_stage(
     constants: PipelineConstants,
     seed: int,
     stage: Stage,
-    K: int,
-    eps4,
 ) -> BesStageResult:
     """Localized slices -> per-slice systems -> paired -> balanced
     exceptional systems, then the global leftover is absorbed into Hamilton
-    cycles.  Every intermediate postcondition lands in ``stage``."""
+    cycles, on K clusters with slices under ``eps4`` of ``constants``.
+    Every intermediate postcondition lands in ``stage``."""
     c = constants
+    K, eps4 = c.K, c.eps4
     t_K, k, eps4_achieved = derive_slice_counts(fw.D, K, frac(eps4))
     stage.params.update({"t_K": t_K, "k": k, "eps4_achieved": str(eps4_achieved)})
     slices = localized_slices(fw, part, c.eps1, c.eps2, seed=seed)
@@ -299,19 +282,14 @@ class _Run:
         }, seed)
         self.report.warnings.extend(constants.hierarchy_warnings)
 
-    def take(self, edge_sets: list[frozenset], label: str | None = None) -> None:
+    def take(self, edge_sets: list[frozenset], label: str) -> None:
         """Add ``edge_sets``, the edge sets of the cycles a stage took, to
-        the removed edges; with a label, record the edge conservation entry
-        of that stage."""
+        the removed edges, and record the edge conservation entry of that
+        stage under ``label``."""
         self.taken += edge_sets
         self.removed.update(*edge_sets)
-        if label is not None:
-            left = self.total - len(self.removed)
-            self.report.account(label, len(self.removed), left, self.total)
-
-    def left(self, *also) -> Graph:
-        """The host without the removed edges and the edge sets ``also``."""
-        return self.host.minus_edges(self.removed.union(*also))
+        left = self.total - len(self.removed)
+        self.report.account(label, len(self.removed), left, self.total)
 
     def fail(self, exc) -> DecompositionReport:
         """Mark the most recently opened stage failed and skip the rest."""
@@ -339,28 +317,28 @@ def _eliminate(run: _Run, fw: Framework) -> EliminationResult:
     return elim
 
 
-def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
+def _pack(run: _Run, fw: Framework):
     """Pack Hamilton cycles into the weak framework ``fw``: eliminate the
     exceptional cut in the open stage, then, in three stages of their own,
-    partition into K clusters, build balanced exceptional systems (slices
-    under ``eps4``) and extend each system into a Hamilton cycle of what is
-    left of the host outside ``reserved``.  Returns the cut, system-cover
-    and system-extension cycles; when the elimination leaves degree 0,
-    nothing is left to pack and no stage opens."""
+    partition into the constants' K clusters, build balanced exceptional
+    systems (slices under their ``eps4``) and extend each system into a
+    Hamilton cycle of what is left of the host.  Returns the cut, system-cover and system-extension
+    cycles; when the elimination leaves degree 0, nothing is left to pack
+    and no stage opens."""
     c, report = run.constants, run.report
     elim = _eliminate(run, fw)
     fw = elim.reduced
     if fw.D == 0:
         return elim.hamilton_cycles, [], []
 
-    st = report.stage("cluster-partition", "partition", K=K)
-    part, cert = framework_partition(fw, fw.host_graph(), K, c.eps1, c.eps2,
+    st = report.stage("cluster-partition", "partition", K=c.K)
+    part, cert = framework_partition(fw, fw.host_graph(), c.K, c.eps1, c.eps2,
                                      seed=run.seed)
     st.check("properties-verified", True, witness=cert.as_json()["conditions"])
-    fw = replace(fw, partition=part, K=K)
+    fw = replace(fw, partition=part, K=c.K)
 
     st = report.stage("balanced-exceptional-systems", "bes-cover")
-    bes = bes_stage(fw, part, c, run.seed, st, K, eps4)
+    bes = bes_stage(fw, part, c, run.seed, st)
     run.take([cycle_edges(c) for c in bes.cycles], "bes-cycles")
 
     st = report.stage("approximate-decomposition", "approx")
@@ -370,7 +348,7 @@ def _pack(run: _Run, fw: Framework, K: int, eps4, reserved=frozenset()):
                witness=(rest, len(family)))
     approx = approx_decomposition(run.host, part, family,
                                   budget=c.budget(run.seed),
-                                  excluded=run.removed | reserved)
+                                  excluded=run.removed)
     sets = [cycle_edges(c) for c in approx]
     for i, edges in enumerate(sets):
         missing = set(family[i].edges) - edges
@@ -441,7 +419,7 @@ def _nwbip_attempt(
             hint_split=hint_split, demotion_seed=demotion_seed,
         )
         st.check("weak-framework", fw.kind in ("weak", "full"), witness=fw.kind)
-        c1, c2, c3 = _pack(run, fw, constants.K, constants.eps4)
+        c1, c2, c3 = _pack(run, fw)
 
         st = report.stage("final-validation", "totals")
         cycles = c1 + c2 + c3
@@ -472,238 +450,16 @@ def run_theorem_1factbip(
     hint_split=None,
 ) -> DecompositionReport:
     """Complete Hamilton decomposition of an even-regular nearly-bipartite
-    graph.  After the degree reduction, the framework stage takes one of two
-    routes.  A framework with exceptional vertices, or none found at all,
-    packs the whole input host with NW-bip (``_pack_host``): the robust
-    front closes no such run, and the reduction's cycles are dropped, since
-    packing what they leave fails where packing g does not.  A framework
-    without them keeps the robust front, the paper's construction: carve
-    out a robustly decomposable graph, approximately decompose the rest,
-    absorb the leftover via the robust closure."""
-    c = constants
-    run = _Run(g, g, c, seed)
-    report, D = run.report, run.D
-    report.warnings.extend(c.factorization_divisibility_warnings())
-    try:
-        st = report.stage("input", "entry-gates", D=D)
-        st.require("regular", D >= 0)
-        st.require("degree-even", D % 2 == 0, witness=D)
-        pre_cycles = []
-        g_work = g
-        if 2 * D > g.n:
-            # peel the fewest Hamilton cycles that bring the degree to at
-            # most half the order (substitution: a direct search does the
-            # removal), in one peel through empty systems under the run's
-            # node budget, level 0, order 0 unshuffled.  k cycles leave
-            # degree D - 2k: the least k with 2(D-2k) <= n
-            k = (2 * D - g.n + 3) // 4
-            peel = peel_through_systems(g, [PathSystem(g.n, [])] * k,
-                                        c.budget(0))
-            if peel.cycles is None:
-                raise PreconditionViolated(
-                    "cannot reduce the degree below half the order"
-                )
-            pre_cycles = peel.cycles
-            g_work = Graph._trusted(g.n, peel.rest(g.edges))
-            report.warnings.append(
-                f"degree reduced from {D} by removing {len(pre_cycles)} "
-                "Hamilton cycles before the pipeline"
-            )
-            st.check("degree-reduced", True, witness=len(pre_cycles))
-            run.take([cycle_edges(c) for c in pre_cycles])
-        D_work = D - 2 * len(pre_cycles)
-        st.check("degree-at-most-half", 2 * D_work <= g.n, witness=D_work)
-
-        st = report.stage("framework", "elimination", K=c.K1 * c.L)
-        try:
-            fw = bip_decompose(
-                g_work, g_work, c.K1 * c.L, c.eps_star, c.eps0,
-                hint_split=hint_split,
-            )
-        except PreconditionViolated as exc:
-            why = {"framework": str(exc)}
-        else:
-            why = ({"exceptional": len(fw.partition.V0())}
-                   if fw.partition.V0() else None)
-        if why:
-            st.check("route", True, witness={
-                "route": "packing", **why,
-                "peeled_cycles_dropped": len(pre_cycles)})
-            return _pack_host(run, g, hint_split)
-        elim = _eliminate(run, fw)
-        c1, fw1 = elim.hamilton_cycles, elim.reduced
-
-        st = report.stage("robust-parameters", "robust-contract")
-        m1 = len(fw1.partition.A) // c.K1
-        r = int(round(c.gamma * m1))
-        r1 = c.r1_override if c.r1_override is not None else max(int(round(c.gamma1 * m1)), 1)
-        params = RobustParams(
-            r=r, r1=r1, g=c.g, f=c.f, L=c.L, ell_prime=c.ell_prime, K=c.K1, m=m1
-        )
-        derived = {
-            "r2": params.r2, "r3": params.r3,
-            "r_diamond": params.r_diamond, "s_prime": params.s_prime,
-        }
-        st.params.update(r=r, r1=r1, **derived)
-        st.check("identities", True, witness=derived)
-        div = params.divisibility_report()
-        # the full divisibility list cannot hold at this scale; failures are
-        # recorded as warnings, and the check notes what was waived
-        st.check("divisibility-recorded", True, witness=div)
-        report.warnings.extend(div)
-
-        st = report.stage("robust-partition", "partition", K1=c.K1, L=c.L)
-        part_fine, cert = framework_partition(
-            fw1, fw1.graph, c.K1 * c.L, c.eps1, c.eps2, seed=seed
-        )
-        # regroup K1*L fine clusters into K1 clusters with L-part refinement
-        refined_a, refined_b = (
-            [fine[i * c.L : (i + 1) * c.L] for i in range(c.K1)]
-            for fine in (part_fine.clusters_A, part_fine.clusters_B)
-        )
-        part1 = part_fine.with_clusters(
-            [chain.from_iterable(parts) for parts in refined_a],
-            [chain.from_iterable(parts) for parts in refined_b],
-        ).with_refinement(refined_a, refined_b)
-        st.check("partition-certified", True, witness=cert.attempts)
-        fw1 = replace(fw1, partition=part1, K=c.K1)
-
-        st = report.stage("robust-bes", "bes-cover")
-        st.check("empty-exceptional-set", True,
-                 witness="no exceptional vertices: empty systems padded")
-        st.check("ca-slots", True, witness=c.L * c.f * params.r3)
-        st.check("pca-slots", True, witness=7 * params.r_diamond)
-
-        st = report.stage("robust-graph", "robust-contract")
-        g2 = Graph(
-            fw1.graph.n,
-            fw1.graph.edges_between(part1.A, part1.B),
-        )
-        sch = scheme_violations(g2, part1, c.eps0, c.eps_prime)
-        st.check("scheme", not sch, witness=sch[:2])
-        parities, rd, bf_ca, bf_pca, ca, pca = _build_absorbers(
-            g2, part1, params, c, seed
-        )
-        st.check("orientation-verified", True, witness=parities)
-        st.check("chord-absorber-regular",
-                 set(Graph(g.n, ca.edges).degrees()) <= {2 * (params.r1 + params.r2)},
-                 witness=2 * (params.r1 + params.r2))
-        st.check("parity-switcher-regular",
-                 set(Graph(g.n, pca.edges).degrees()) <= {10 * params.r_diamond},
-                 witness=10 * params.r_diamond)
-        rob_edges = set(ca.edges) | set(pca.edges)
-        for bf in bf_ca + bf_pca:
-            rob_edges |= set(bf.edge_multiset())
-        r0_rob = 2 * (c.L * c.f * params.r3 + 7 * params.r_diamond)
-        r_rob = 2 * (params.r1 + params.r2 + params.r3 + 6 * params.r_diamond)
-        st.require("exceptional-robust-degree-identity", r0_rob - r_rob == 2 * r,
-                   witness=(r0_rob, r_rob))
-        rob = Graph(g.n, rob_edges)
-        st.require("robust-degrees", set(rob.degrees()) == {r_rob},
-                   witness=(r0_rob, r_rob))
-        st.check("robust-degree-bounds", 7 * params.r1 <= r0_rob <= 30 * params.r1,
-                 witness=r0_rob)
-
-        st = report.stage("repartition", "approx", K2=c.K2)
-        g4 = fw1.graph.minus_edges(rob_edges)
-        d4 = fw1.D - r0_rob
-        st.require("degree-law-after-robust", set(g4.degrees()) == {d4 + 2 * r},
-                   witness=d4)
-        part_star = LabelledPartition(g.n, [], part1.A, [], part1.B)
-        fw4 = validate_framework(
-            g4, part_star, d4, c.eps0, c.eps_prime, c.K2, host=g4
-        )
-        if isinstance(fw4, list):
-            raise PreconditionViolated(f"repartitioned graph: {fw4[0].detail}")
-        c2, c3, c4 = _pack(run, fw4, c.K2, c.eps4_prime, reserved=rob_edges)
-
-        st = report.stage("robust-closure", "robust-contract")
-        h_prime = run.left(rob_edges)
-        st.require("leftover-regular", set(h_prime.degrees()) == {2 * r},
-                   witness=2 * r)
-        st.require(
-            "leftover-bipartite",
-            not h_prime.e_within(part1.A_prime())
-            and not h_prime.e_within(part1.B_prime()),
-        )
-        h = Graph(g.n, h_prime.edges_between(part1.A, part1.B))
-        c5 = rd.closure(h, max_seconds=c.max_seconds, seed=seed)
-        st.check("closure-cycles", len(c5) == params.s_prime,
-                 witness=(len(c5), params.s_prime))
-        st.check("split-attempts", True, witness=rd.split_attempts)
-        st.check("switches", True, witness=rd.swaps)
-
-        st = report.stage("final-validation", "totals")
-        cycles = pre_cycles + c1 + c2 + c3 + c4 + c5
-        st.require("cycle-count", len(cycles) == D // 2, witness=(len(cycles), D // 2))
-        problems = check_decomposition(g, [cycle_edges(cy) for cy in cycles])
-        st.require("exact-decomposition", not problems, witness=problems[:1])
-        for cyc in cycles:
-            for p in check_cycle_in_graph(g, cyc):
-                st.require("cycle-valid", False, witness=p)
-    except (BiphamError, AssertionError) as exc:
-        return run.fail(exc)
-    report.cycles = cycles
+    graph: D/2 edge-disjoint Hamilton cycles of the D-regular g are a
+    Hamilton decomposition of g, so NW-bip packs g around itself,
+    reshuffles included, and an ok packing gains the exact-decomposition
+    check.  Packed around itself, g leaves its approximate decomposition
+    an exact budget, every pool edge on some cycle, which
+    ``solvers.approx_decomposition`` closes by split and switch with no
+    search; at D > n/2 no degree is reduced first."""
+    report = run_theorem_NWbip(g, g, constants, seed, hint_split)
+    if report.ok():
+        problems = check_decomposition(g, [cycle_edges(c) for c in report.cycles])
+        report.stages[-1].check("exact-decomposition", not problems,
+                                witness=problems[:1])
     return report
-
-
-def _pack_host(run: _Run, g: Graph, hint_split) -> DecompositionReport:
-    """The packing route of the 1-factorization: D/2 edge-disjoint Hamilton
-    cycles of the D-regular g are a Hamilton decomposition of g, so NW-bip
-    packs g around itself, reshuffles included, and its stages follow the
-    run's own.  An ok packing gains the exact-decomposition check."""
-    packed = run_theorem_NWbip(g, g, run.constants, run.seed, hint_split)
-    report = run.report
-    # NW-bip's entry gates repeat the ones g has passed
-    report.stages += packed.stages[1:]
-    report.accounting = packed.accounting
-    report.warnings += [w for w in packed.warnings if w not in report.warnings]
-    if packed.ok():
-        problems = check_decomposition(g, [cycle_edges(cy) for cy in packed.cycles])
-        report.stages[-1].require("exact-decomposition", not problems,
-                                  witness=problems[:1])
-        report.cycles = packed.cycles
-    return report
-
-
-def _build_absorbers(g2, part1, params, c, seed):
-    """Orient the scheme, build both balanced-factor families on it and the
-    two absorbers from them: r3 factors of L*f path systems for the chord
-    absorber, then r_diamond factors of 7 path systems on the arcs those
-    leave for the parity switcher (a count of 0 builds no family).  Both
-    families are built before the absorbers, which are then peeled from
-    the regular remainder (the stated construction order interleaves
-    these; the postconditions checked by the caller are
-    order-independent).  The alternating orientation is
-    tried with the parities of ``seed`` and ``seed + 1``, in that order,
-    and the number of parities tried is returned first; the last failure is
-    raised when both fail."""
-    part1_coarse = part1.with_clusters(part1.clusters_A, part1.clusters_B)
-    last_exc = None
-    for attempt in range(2):
-        try:
-            g2dir, _ = orient_scheme(
-                g2, part1, c.eps0, c.eps_prime, seed=seed + attempt,
-            )
-            rd = RobustDecomposition(g2dir, part1, params)
-            bf_ca = build_bf_family(
-                g2dir, part1, c.L, c.f, params.r3, min_interval=c.min_interval,
-            )
-            used_bf: set = set()
-            for bf in bf_ca:
-                used_bf |= set(bf.edge_multiset())
-            g3dir = g2dir.minus_arcs(
-                {a for a in g2dir.arcs if (min(a), max(a)) in used_bf}
-            )
-            bf_pca = build_bf_family(
-                g3dir, part1_coarse, 1, 7, params.r_diamond,
-                min_interval=c.min_interval,
-            )
-            ca = rd.build_chord_absorber(bf_ca, extra_avoid=bf_pca)
-            pca = rd.build_parity_switcher(bf_pca)
-            return attempt + 1, rd, bf_ca, bf_pca, ca, pca
-        except BiphamError as exc:
-            # no traceback: it would tie this frame to itself, and the cycle
-            # would hold the failed attempt until a full garbage collection
-            last_exc = exc.with_traceback(None)
-    raise last_exc

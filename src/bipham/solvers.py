@@ -16,10 +16,10 @@ every kernel node against one node budget: fixed input, seed and budget give
 the same outcome on any machine.  Its users are the referee and the
 one-factorization here, and ``peel_through_systems``, the one Hamilton
 level search through path systems, which every pipeline peel runs: the
-approximate decomposition, the Hamilton cycles through exceptional-cover
+approximate decomposition and the Hamilton cycles through exceptional-cover
 path systems in ``balancer`` (for the cut elimination and the global cover
-in ``bes``) and the degree reduction of ``pipeline.run_theorem_1factbip``,
-through empty systems.
+in ``bes``).  An approximate decomposition whose cycles must take its whole
+pool runs no search: ``switches.split_and_switch`` splits and repairs it.
 
 A peel whose search space is exhausted returns ``cycles`` None: the
 referee reports such a graph as having no decomposition, and the
@@ -45,7 +45,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     BadParams,
@@ -57,6 +57,7 @@ from .errors import (
 from .generators import degree_factor
 from .graphs import Edge, Graph, LabelledPartition, PathSystem, class_labels
 from .search import CycleSearch, Prescribed
+from .switches import split_and_switch
 from .validate import cycle_edges
 
 
@@ -313,8 +314,7 @@ def exhaustive_hamilton_decomposition(
     """Decompose a regular graph into Hamilton cycles plus at most one
     perfect matching, by peeling cycles with full backtracking.
 
-    Used as the referee for every decomposition the pipeline produces and
-    as the desk backend for the robust-decomposition contract.
+    Used as the referee for every decomposition the pipeline produces.
     """
     if not g.is_regular():
         raise PreconditionViolated("graph is not regular")
@@ -418,28 +418,39 @@ def approx_decomposition(
     part: LabelledPartition,
     family: Sequence[PathSystem],
     budget: SolverBudget = SolverBudget(),
-    excluded: Iterable[Edge] = (),
+    excluded: Collection[Edge] = (),
 ) -> list[list[int]]:
     """len(family) edge-disjoint Hamilton cycles of ``g``, the i-th
     containing the i-th balanced exceptional system and otherwise only
     edges of g[A, B] outside ``excluded``.
 
-    One ``peel_through_systems`` over the A-B edges of ``g`` outside the
-    systems and ``excluded``, which the kernel reads from ``g``'s edge
-    array under the partition's side labels: level i prescribes the paths
-    of system i itself, as the robust closure's 2-factors hold their path
-    systems as fixed edges.  Spending
+    The pool is the A-B edges of ``g`` outside the systems and
+    ``excluded``.  When the pool and the systems hold exactly
+    ``len(family) * n`` edges, as when g is its own host, the cycles must
+    take every pool edge, and ``switches.split_and_switch`` builds them
+    with no search, under ``budget.seed`` and the wall clock
+    ``budget.max_seconds``, or raises ``BackendFailure``; whether the
+    budget is exact is decided from edge counts, and only then is the pool
+    built.  Every other call runs one ``peel_through_systems`` over the
+    pool, which the kernel reads from ``g``'s edge array under the
+    partition's side labels: level i prescribes the paths of system i
+    itself.  Spending
     ``budget.max_nodes`` raises ``Timeout``.  When the whole search space is
     exhausted without a decomposition, ``PreconditionViolated`` names the
     deepest system index reached; that proves that the pool holds no such
     cycles (``peel_cycles``).
 
     The lemma's entry hypotheses (degree windows into the clusters, family
-    size, bounded incidence) are not checked: the search itself decides
-    whether the cycles exist.
+    size, bounded incidence) are not checked: the engine or the search
+    itself decides whether the cycles exist.
     """
-    peel = peel_through_systems(g, family, budget,
-                                sides=class_labels(g.n, (part.A, part.B)),
+    sides = class_labels(g.n, (part.A, part.B))
+    pool = _exact_pool(g, part, sides, family, excluded)
+    if pool is not None:
+        return split_and_switch(
+            g.n, part.A, pool, [q.edges for q in family], budget.seed,
+            time.monotonic() + budget.max_seconds)[0]
+    peel = peel_through_systems(g, family, budget, sides=sides,
                                 excluded=excluded)
     if peel.cycles is None:
         raise PreconditionViolated(
@@ -449,3 +460,20 @@ def approx_decomposition(
             "pool; not a claim about the host)"
         )
     return peel.cycles
+
+
+def _exact_pool(g, part, sides, family, excluded) -> frozenset | None:
+    """The A-B edges of ``g`` (``sides``: 0 on A, 1 on B, -1 elsewhere, so
+    an edge is A-B exactly when its ends' sides sum to 1) outside the
+    systems of ``family`` and ``excluded``, when they and the systems'
+    edges number exactly ``len(family) * g.n``; else None, decided from
+    the A-B degrees of ``g`` and the barred edges alone."""
+    barred = {(u, v) if u < v else (v, u)
+              for u, v in chain(excluded, *(q.edges for q in family))}
+    rows = g.class_degrees(sides, 2)
+    cross = sum(rows[a][1] for a in part.A) - sum(
+        1 for e in barred if sides[e[0]] + sides[e[1]] == 1 and e in g.edges)
+    if cross + sum(len(q.edges) for q in family) != len(family) * g.n:
+        return None
+    return frozenset(e for e in g.edges
+                     if sides[e[0]] + sides[e[1]] == 1 and e not in barred)

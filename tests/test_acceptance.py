@@ -5,11 +5,11 @@ shows the failure otherwise).  Tolerances are exact; time limits are
 enforced with a stopwatch assertion inside each test.
 
 The criteria keep their numbers.  Criterion 5, the exact parity counts of
-the bi-universal walks, is retired with the walks themselves: the robust
-closure is discharged by search, and no driver ever built a walk.
+the bi-universal walks, is retired with the walks themselves: no driver
+ever built a walk, and the robust decomposition front they served is gone.
 Criterion 4, the round trip of a cycle through a system's fictive edges,
-is retired with the substitution: the robust front builds only empty
-systems, since a framework with exceptional vertices packs the whole host.
+is retired with the substitution: every Hamilton search through a system
+prescribes the system's own paths.
 """
 
 import itertools

@@ -147,7 +147,7 @@ def test_full_bes_stage_with_exceptional_vertices():
     fw = _k1_framework(f, g, (list(part0.A), list(part0.B)))
     stage = Stage("test", "bes-cover")
     c = PipelineConstants()
-    res = bes_stage(fw, fw.partition, c, 3, stage, c.K, c.eps4)
+    res = bes_stage(fw, fw.partition, c, 3, stage)
     # every produced system passes the shared validator
     eps0 = Fraction(7, 10)
     for cell, systems in res.j_cells.items():
@@ -176,7 +176,7 @@ def test_global_cover_with_nonzero_pairs():
     fw = _k1_framework(f, g, (list(part0.A), list(part0.B)))
     stage = Stage("test", "bes-cover")
     c = PipelineConstants(eps4="1/20")
-    res = bes_stage(fw, fw.partition, c, 5, stage, c.K, c.eps4)
+    res = bes_stage(fw, fw.partition, c, 5, stage)
     assert stage.params["k"] >= 1
     assert len(res.cycles) == stage.params["k"]
     # cycles are genuine and edge-disjoint

@@ -30,9 +30,9 @@ FROZEN = [("nwbip-exceptional", 20), ("nwbip-dense", 4), ("onefact-robust", 1)]
 # small near-bipartite hosts with edges inside their sides, drawn as the
 # contract tests draw them: (n, D, hubs, extra internal edges, seed, driver)
 CENSUS = [
-    (16, 6, 0, 2, 4, "onefact"),  # has exceptional vertices: packs the host
+    (16, 6, 0, 2, 4, "onefact"),
     (24, 4, 2, 0, 3, "nwbip"),  # recolours a balanced colouring's last class
-    (16, 4, 1, 0, 2, "onefact"),  # has exceptional vertices: packs the host
+    (16, 4, 1, 0, 2, "onefact"),
 ]
 
 # what the kernel that did not load leaves unreached
@@ -61,8 +61,10 @@ REPR = "a repr, for debugging and test failure messages"
 CONSTANTS = ("constants are built before a run, by the command line, the "
              "benchmark's worker or a test")
 REGULARITY = (
-    "a non-vacuous superregularity check: orient_scheme at eps_prime < 1/4, "
-    "which no benchmark, ladder or default constants set (ROADMAP item 7)")
+    "the regularity checker, which only the oriented scheme of the robust "
+    "decomposition front ran; the module goes in a change of its own "
+    "(ROADMAP item 1)")
+SCHEME = "the scheme check of ``bipham verify --level scheme``"
 UNEQUAL_EXCEPTIONAL = (
     "unequal exceptional sets (a != b): every host here plants its hubs in "
     "pairs (ROADMAP item 15)")
@@ -83,6 +85,7 @@ UNREACHED = {
     ], GRAPH_IO),
     **dict.fromkeys([
         "generators.py: babai_instance",
+        "generators.py: bipartite_degree_factor",
         "generators.py: complete_bipartite_instance",
         "generators.py: eps_bipartite_instance", "generators.py: generate",
         "generators.py: regular_spanning_subgraph",
@@ -100,6 +103,7 @@ UNREACHED = {
         "solvers.py: exhaustive_hamilton_decomposition",
         "solvers.py: exhaustive_hamilton_decomposition.<locals>.search",
         "solvers.py: reg_even", "validate.py: check_matching",
+        "solvers.py: Peel.rest",
     ], ORACLE),
     "generators.py: degree_factor":
         "reg_even's degree-factor reduction (an oracle) and the generators'",
@@ -114,11 +118,24 @@ UNREACHED = {
     ], LOADER),
     **dict.fromkeys([
         "graphs.py: Graph.__repr__", "graphs.py: LabelledPartition.__repr__",
-        "graphs.py: OrientedGraph.__repr__", "graphs.py: PathSystem.__repr__",
+        "graphs.py: PathSystem.__repr__",
     ], REPR),
     **dict.fromkeys([
+        "graphs.py: Graph.__eq__", "graphs.py: Graph.__hash__",
         "graphs.py: PathSystem.__eq__", "graphs.py: PathSystem.__hash__",
-    ], "a path system's value semantics, which the tests compare by"),
+    ], "a graph's or path system's value semantics, which the tests compare "
+       "by"),
+    **dict.fromkeys([
+        "schemes.py: scheme_violations",
+        "schemes.py: partition_structure_violations", "graphs.py: Graph.d",
+        "graphs.py: LabelledPartition.m",
+    ], SCHEME),
+    **dict.fromkeys([
+        "hamkernel/__init__.py: _c_kernel.<locals>.CGraphEnum.set_cap",
+        "hamkernel/_pure.py: GraphEnum.set_cap",
+    ], "a kernel call resumed after a deeper level of its peel failed, "
+       "which lowers the call's cap; no run here backtracks since an "
+       "approximate decomposition with an exact budget splits and switches"),
     **dict.fromkeys([
         "pipeline.py: PipelineConstants.__post_init__",
         "pipeline.py: PipelineConstants.as_json",
@@ -129,14 +146,12 @@ UNREACHED = {
     "graphs.py: Graph.has_edge":
         "a level search of one item, a prescribed path through every vertex "
         "(CycleSearch.cycles); no run's level has one",
-    "graphs.py: Graph.is_regular":
-        "the oracles' precondition, and the closure's check of a non-empty "
-        "remainder, which needs r >= 1 (ROADMAP item 10)",
+    "graphs.py: Graph.is_regular": "the oracles' precondition",
     **dict.fromkeys([
         "regularity.py: check_regular_pair", "regularity.py: _degree_witness",
         "regularity.py: _deviates", "regularity.py: _exhaustive_check",
-        "regularity.py: _min_size", "graphs.py: Graph.e_between",
-        "schemes.py: oriented_scheme_violations.<locals>.directed_pair",
+        "regularity.py: _min_size", "regularity.py: vacuous_regularity",
+        "regularity.py: vacuous_window", "graphs.py: Graph.e_between",
     ], REGULARITY),
     **dict.fromkeys([
         "graphs.py: LabelledPartition.swapped", "matchings.py: vizing_balanced",
@@ -150,16 +165,14 @@ UNREACHED = {
         "eps4 > 0; since a framework with exceptional vertices packs the "
         "whole host at K = 1, no benchmark, ladder or default constants set "
         "either",
-    **dict.fromkeys([
-        "matchings.py: _backtrack_path_split",
-        "matchings.py: _backtrack_path_split.<locals>.find",
-        "matchings.py: _backtrack_path_split.<locals>.ok",
-        "matchings.py: _place_edge",
-    ], "path_system_split's exact fallback, when the split trick misses the "
-       "sizes; no run here misses them (ROADMAP item 17)"),
     "errors.py: AuxMatchingFailure.__init__":
         "the exceptional edges' assignment in bes failing; no run here fails "
         "it (ROADMAP item 18 asks for its Hall violator)",
+    "matchings.py: kuhn_matching":
+        "the exceptional edges' assignment in bes (_absorb_exceptional) with "
+        "slots left open; no run here leaves one",
+    "errors.py: RetryBudgetExceeded.__init__":
+        "a randomized partition that spends its retries; no run here does",
 }
 
 
@@ -216,19 +229,21 @@ def _driver_runs():
     nwbip = PipelineConstants()
     yield lambda: run_theorem_1factbip(g, TOY_1FACT, seed=1, hint_split=hint)
     yield lambda: run_theorem_NWbip(g, g, nwbip, seed=1, hint_split=hint)
-    # a framework with exceptional vertices: the packing route
     k30, hint30 = _kmm_with_circulants(30, ())
     yield lambda: run_theorem_1factbip(k30, TOY_1FACT, seed=1, hint_split=hint30)
     # 4-regular on 7 + 7 vertices, two cross matchings and a 7-cycle inside
-    # each side: no exceptional vertex, and the robust partition's seven
-    # one-vertex clusters run out of retries
+    # each side
     c7 = Graph(14, [(i, 7 + (i + j) % 7) for i in range(7) for j in (0, 1)]
                + [(s + i, s + (i + 1) % 7) for s in (0, 7) for i in range(7)])
     sides = (list(range(7)), list(range(7, 14)))
     yield lambda: run_theorem_1factbip(c7, TOY_1FACT, seed=1, hint_split=sides)
-    # a spent node budget
-    starved = replace(TOY_1FACT, max_nodes=5)
-    yield lambda: run_theorem_1factbip(g, starved, seed=1, hint_split=hint)
+    # a spent node budget: K(12,12) around a 10-regular subgraph leaves its
+    # approximate decomposition spare edges, so it searches level by level
+    doc = json.loads((INPUTS / "nwbip-dense" / "K12-D10.json").read_bytes())
+    k12, k12sub = Graph(doc["n"], doc["edges"]), Graph(doc["n"], doc["sub_edges"])
+    starved = replace(nwbip, max_nodes=5)
+    yield lambda: run_theorem_NWbip(k12, k12sub, starved, seed=1,
+                                    hint_split=tuple(doc["split"]))
     for n, D, hubs, extra, seed, driver in CENSUS:
         f, part, _, sub = eps_bipartite_instance(
             n=n, D=D, eps="1/8", hubs=hubs, hub_degree=n // 4 + 1,

@@ -166,6 +166,63 @@ def test_approx_decomposition_raises_on_infeasible_family():
         approx_decomposition(g, part, family)
 
 
+def test_approx_decomposition_splits_and_switches_an_exact_budget(monkeypatch):
+    # K(4,4) through two empty systems: the pool is all 16 edges and the
+    # two cycles need 2 * 8 of them, so the engine takes the call and no
+    # CycleSearch is made; with an edge excluded, or one system, the
+    # budget is not exact, and the kernel peel searches level by level
+    from bipham import switches
+
+    made, engine = [], []
+    real_init = search.CycleSearch.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    def traced(*args):
+        engine.append(args)
+        return switches.split_and_switch(*args)
+
+    monkeypatch.setattr(search.CycleSearch, "__init__", counting_init)
+    monkeypatch.setattr(solvers, "split_and_switch", traced)
+    g = complete_bipartite((4, 4))
+    part = LabelledPartition(8, [], range(4), [], range(4, 8))
+    cycles = approx_decomposition(g, part, [PathSystem(8, [])] * 2,
+                                  SolverBudget(seed=4))
+    assert not check_decomposition(g, [cycle_edges(c) for c in cycles])
+    [(n, A, pool, systems, seed, deadline)] = engine
+    assert (n, tuple(A), pool, seed) == (8, tuple(range(4)), g.edges, 4)
+    assert systems == [frozenset()] * 2 and not made
+    with pytest.raises(PreconditionViolated, match="search exhausted"):
+        approx_decomposition(g, part, [PathSystem(8, [])] * 2,
+                             excluded={(0, 4)})
+    assert len(approx_decomposition(g, part, [PathSystem(8, [])])) == 1
+    assert len(engine) == 1 and made
+
+
+def test_approx_decomposition_engine_failure_is_typed(monkeypatch):
+    # a stuck engine is a BackendFailure, which the driver's stage records;
+    # no kernel peel runs after it
+    from bipham import switches
+    from bipham.errors import BackendFailure
+
+    monkeypatch.setattr(switches, "CLOSURE_ATTEMPTS", 0)
+    made = []
+    real_init = search.CycleSearch.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(search.CycleSearch, "__init__", counting_init)
+    g = complete_bipartite((4, 4))
+    part = LabelledPartition(8, [], range(4), [], range(4, 8))
+    with pytest.raises(BackendFailure, match="^closure: 0 split attempts"):
+        approx_decomposition(g, part, [PathSystem(8, [])] * 2)
+    assert not made
+
+
 def _one_system_instance():
     # dense instance with one exceptional vertex per side
     f, part0, props, g = generate(
