@@ -1,4 +1,5 @@
-"""Core graph types: simple graphs, labelled partitions and path systems.
+"""Core graph types: simple graphs, oriented graphs, labelled partitions and
+path systems.
 
 Vertices are dense integer ids 0..n-1 everywhere; partitions refer to ids.
 All types are immutable values after construction, so they can be shared
@@ -258,10 +259,69 @@ def class_labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
     return label
 
 
+class OrientedGraph:
+    """An oriented graph: up to one arc per unordered pair, no loops, so
+    never both (x, y) and (y, x)."""
+
+    __slots__ = ("n", "arcs", "_out", "_in")
+
+    def __init__(self, n: int, arcs: Iterable[Sequence[int]] = ()):
+        self.n = int(n)
+        a = frozenset((int(x), int(y)) for x, y in arcs)
+        for x, y in a:
+            if x == y:
+                raise BadParams(f"loop arc ({x},{y})")
+            if not (0 <= x < self.n and 0 <= y < self.n):
+                raise BadParams(f"arc ({x},{y}) out of range")
+        for x, y in a:
+            if (y, x) in a:
+                raise BadParams(f"both orientations of ({x},{y}) present")
+        self.arcs = a
+        self._out = None
+        self._in = None
+
+    @property
+    def out(self) -> tuple[frozenset[int], ...]:
+        if self._out is None:
+            o = [set() for _ in range(self.n)]
+            for x, y in self.arcs:
+                o[x].add(y)
+            self._out = tuple(frozenset(s) for s in o)
+        return self._out
+
+    @property
+    def inn(self) -> tuple[frozenset[int], ...]:
+        if self._in is None:
+            i = [set() for _ in range(self.n)]
+            for x, y in self.arcs:
+                i[y].add(x)
+            self._in = tuple(frozenset(s) for s in i)
+        return self._in
+
+    def underlying(self) -> Graph:
+        return Graph(self.n, self.arcs)
+
+    def minus_arcs(self, arcs: Iterable[Sequence[int]]) -> "OrientedGraph":
+        """The graph without ``arcs``.  What is left is a subset of
+        validated arcs, so it skips the checks of __init__, as
+        ``Graph._trusted`` does, and rebuilds the set by iteration for the
+        same reason."""
+        g = object.__new__(OrientedGraph)
+        g.n = self.n
+        g.arcs = frozenset(iter(self.arcs - {(int(x), int(y)) for x, y in arcs}))
+        g._out = g._in = None
+        return g
+
+    def __repr__(self):
+        return f"OrientedGraph(n={self.n}, m={len(self.arcs)})"
+
+
 class LabelledPartition:
     """The (A0, A, B0, B) split of 0..n-1, optionally with clusters.
 
-    ``clusters_A``/``clusters_B`` split A and B into K parts of equal size m.
+    ``clusters_A``/``clusters_B`` split A and B into K parts of equal size m;
+    ``refined_A``/``refined_B`` further split each cluster into L parts of
+    size m/L.
     """
 
     __slots__ = (
@@ -272,6 +332,8 @@ class LabelledPartition:
         "B",
         "clusters_A",
         "clusters_B",
+        "refined_A",
+        "refined_B",
         "_labels",
         "_A_prime",
         "_B_prime",
@@ -286,6 +348,8 @@ class LabelledPartition:
         B: Iterable[int],
         clusters_A: Sequence[Iterable[int]] | None = None,
         clusters_B: Sequence[Iterable[int]] | None = None,
+        refined_A: Sequence[Sequence[Iterable[int]]] | None = None,
+        refined_B: Sequence[Sequence[Iterable[int]]] | None = None,
     ):
         self.n = int(n)
         self.A0 = tuple(sorted(A0))
@@ -310,6 +374,8 @@ class LabelledPartition:
             }
             if len(sizes) > 1:
                 raise PartitionMismatch(f"cluster sizes differ: {sorted(sizes)}")
+        self.refined_A = _check_refinement(refined_A, self.clusters_A, "A")
+        self.refined_B = _check_refinement(refined_B, self.clusters_B, "B")
         self._labels = None
         self._A_prime = None
         self._B_prime = None
@@ -332,6 +398,12 @@ class LabelledPartition:
         if self.clusters_A is None or not self.clusters_A:
             return None
         return len(self.clusters_A[0])
+
+    @property
+    def L(self) -> int | None:
+        if self.refined_A is None or not self.refined_A:
+            return None
+        return len(self.refined_A[0])
 
     def A_prime(self) -> frozenset[int]:
         if self._A_prime is None:
@@ -364,12 +436,42 @@ class LabelledPartition:
             self.A,
             self.clusters_B,
             self.clusters_A,
+            self.refined_B,
+            self.refined_A,
         )
 
     def with_clusters(self, clusters_A, clusters_B) -> "LabelledPartition":
         return LabelledPartition(
             self.n, self.A0, self.A, self.B0, self.B, clusters_A, clusters_B
         )
+
+    def with_refinement(self, refined_A, refined_B) -> "LabelledPartition":
+        return LabelledPartition(
+            self.n,
+            self.A0,
+            self.A,
+            self.B0,
+            self.B,
+            self.clusters_A,
+            self.clusters_B,
+            refined_A,
+            refined_B,
+        )
+
+    def subcluster_A(self, i: int, h: int) -> tuple[int, ...]:
+        """Part h (1-based) of cluster A_i (1-based)."""
+        if self.refined_A is not None:
+            return self.refined_A[i - 1][h - 1]
+        if h != 1:
+            raise BadParams("no refinement present")
+        return self.clusters_A[i - 1]
+
+    def subcluster_B(self, i: int, h: int) -> tuple[int, ...]:
+        if self.refined_B is not None:
+            return self.refined_B[i - 1][h - 1]
+        if h != 1:
+            raise BadParams("no refinement present")
+        return self.clusters_B[i - 1]
 
     def __repr__(self):
         k = f", K={self.K}" if self.K else ""
@@ -387,6 +489,23 @@ def _check_clusters(clusters, side, name):
     if sorted(flat) != list(side):
         raise PartitionMismatch(f"clusters of {name} do not partition {name}")
     return cl
+
+def _check_refinement(refined, clusters, name):
+    if refined is None:
+        return None
+    if clusters is None:
+        raise PartitionMismatch("refinement requires clusters")
+    rf = tuple(tuple(tuple(sorted(p)) for p in parts) for parts in refined)
+    if len(rf) != len(clusters):
+        raise PartitionMismatch(f"refinement of {name} has wrong cluster count")
+    sizes = set()
+    for parts, cluster in zip(rf, clusters):
+        flat = sorted(v for p in parts for v in p)
+        if flat != list(cluster):
+            raise PartitionMismatch(f"refinement does not partition a {name}-cluster")
+        sizes |= {len(p) for p in parts}
+        sizes.add(len(parts))
+    return rf
 
 
 class PathSystem:

@@ -23,8 +23,14 @@ from math import ceil, floor
 from typing import Sequence
 
 from .balance import Framework, frac, require_kind
-from .errors import BadParams, DivisibilityError, RetryBudgetExceeded
-from .graphs import Graph, LabelledPartition, class_labels
+from .errors import (
+    BadParams,
+    DivisibilityError,
+    PreconditionViolated,
+    RetryBudgetExceeded,
+)
+from .graphs import Graph, LabelledPartition, OrientedGraph, class_labels
+from .schemes import oriented_scheme_violations, rational_ceil, scheme_violations
 
 DEFAULT_ATTEMPTS = 64
 
@@ -505,3 +511,84 @@ def verify_slices(g, part, slices, side, eps1, eps2) -> list[str]:
     if union != within or total != e_prime:
         problems.append("(ii) slices do not partition the side's edge set")
     return problems
+
+
+# -- random orientation of a scheme -------------------------------------------
+
+def orient_scheme(
+    g: Graph,
+    part: LabelledPartition,
+    eps0,
+    eps,
+    seed: int = 0,
+) -> tuple[OrientedGraph, Certificate]:
+    """Orient every edge so the result is an oriented scheme with parameter
+    2*sqrt(eps) (rational ceiling); verified.
+
+    Every subcluster pair is edge-colored and whole color classes are
+    oriented in alternating directions, which keeps near-perfect matchings
+    in both directions of each pair.  The orientation depends on the seed
+    only through its parity; ``RetryBudgetExceeded`` is raised when that
+    parity's orientation fails verification, and a caller that wants the
+    other parity tries ``seed + 1``.
+    """
+    eps0, eps = frac(eps0), frac(eps)
+    pre = scheme_violations(g, part, eps0, eps)
+    if pre:
+        raise PreconditionViolated("; ".join(pre[:3]))
+    eps_dir = rational_ceil(2.0 * float(eps) ** 0.5)
+    gdir = OrientedGraph(g.n, _alternating_orientation(g, part, seed))
+    problems = oriented_scheme_violations(gdir, part, eps0, eps_dir)
+    if problems:
+        raise RetryBudgetExceeded(
+            "scheme orientation verification failed",
+            attempts=1,
+            last_failures=problems[:5],
+        )
+    cert = Certificate(attempts=1, seed=seed)
+    cert.conditions["oriented-scheme"] = f"pass with eps={eps_dir}"
+    return gdir, cert
+
+
+def _alternating_orientation(g: Graph, part: LabelledPartition, seed: int):
+    """Per subcluster pair, orient alternate edge-color classes in opposite
+    directions (rotated by the seed)."""
+    from .matchings import edge_coloring
+
+    K = part.K
+    L = part.L or 1
+    subs = [(i, h) for i in range(1, K + 1) for h in range(1, L + 1)]
+    where_a = {v: c for c, (i, h) in enumerate(subs) for v in part.subcluster_A(i, h)}
+    where_b = {v: c for c, (i, h) in enumerate(subs) for v in part.subcluster_B(i, h)}
+    # each pair's edges in the order of g.edges, as edges_between gives them
+    pairs = {}
+    for e in g.edges:
+        u, v = e
+        if u in where_b:
+            u, v = v, u
+        if u in where_a and v in where_b:
+            pairs.setdefault((where_a[u], where_b[v]), []).append(e)
+    arcs = []
+    shift = seed % 2
+    # a coloring is a function of the pair's local edge set alone, so pairs
+    # of one shape (all of them, in a complete host) share one
+    colorings: dict[Graph, dict] = {}
+    for ca in range(len(subs)):
+        for cb in range(len(subs)):
+            pair_edges = frozenset(pairs.get((ca, cb), ()))
+            if not pair_edges:
+                continue
+            # relabel the pair compactly for the coloring
+            verts = sorted(set(v for e in pair_edges for v in e))
+            idx = {v: t for t, v in enumerate(verts)}
+            local = Graph(len(verts), [(idx[u], idx[v]) for u, v in pair_edges])
+            if local not in colorings:
+                colorings[local] = edge_coloring(local)
+            for (lu, lv), color in colorings[local].items():
+                u, v = verts[lu], verts[lv]
+                a_end, b_end = (u, v) if u in where_a else (v, u)
+                if (color + shift) % 2 == 0:
+                    arcs.append((a_end, b_end))
+                else:
+                    arcs.append((b_end, a_end))
+    return arcs

@@ -19,10 +19,9 @@ mode ``vacuous``.  A rectangle's density lies in [0, 1], so it deviates from
 the pair density d by at most max(d, 1 - d), and by nothing when d is 0 or
 1: eps-regularity is vacuous when eps >= 1 or eps > max(d, 1 - d).  The
 degree window [(d - eps)|B|, (d + eps)|B|] holds every degree when d <= eps
-and d + eps >= 1.  At eps = 1 and d = 1/2, the threshold of the oriented
-scheme that the robust decomposition front checked at the desk constants,
-both are vacuous for every pair.  No driver runs this module since that
-front went.
+and d + eps >= 1.  At eps = 1 and d = 1/2, the oriented scheme's threshold
+at the desk constants, both are vacuous for every pair.  Its one caller,
+``schemes.oriented_scheme_violations``, is run by no driver.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from bipham.errors import BadParams, PartitionMismatch
 from bipham.graphs import (
     Graph,
     LabelledPartition,
+    OrientedGraph,
     PathSystem,
     class_labels,
     complete_bipartite,
@@ -222,6 +223,32 @@ def test_graph_algebra():
     assert g.minus(h).edges == frozenset({(0, 2)})
 
 
+def test_oriented_graph_rejects_antiparallel():
+    with pytest.raises(BadParams):
+        OrientedGraph(3, [(0, 1), (1, 0)])
+    o = OrientedGraph(3, [(0, 1), (2, 1)])
+    assert o.underlying().num_edges() == 2
+
+
+def test_minus_arcs_matches_a_validated_build():
+    # the unchecked result has the arcs, in the same iteration order, and
+    # the out- and in-neighbourhoods of the graph built through __init__
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(2, 20)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.4]
+        o = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                              for u, v in pairs])
+        removed = {a for a in o.arcs if rng.random() < 0.3}
+        removed |= {(v, u) for u, v in pairs if rng.random() < 0.1}  # absent
+        got = o.minus_arcs(removed)
+        want = OrientedGraph(n, o.arcs - removed)
+        assert got.n == want.n
+        assert list(got.arcs) == list(want.arcs)
+        assert got.out == want.out and got.inn == want.inn
+
+
 def test_cycle_edges_one_pass():
     # the edges of a vertex sequence, closing edge included, in the order
     # of the per-index construction; a loop anywhere, the closing edge
@@ -253,7 +280,7 @@ def test_labelled_partition_validation():
         LabelledPartition(6, [0], [1], [2], [3, 4])
 
 
-def test_clusters_are_validated():
+def test_clusters_and_refinement():
     with pytest.raises(PartitionMismatch):
         LabelledPartition(8, [], [0, 1, 2, 3], [], [4, 5, 6, 7],
                           clusters_A=[[0, 1], [2]], clusters_B=[[4, 5], [6, 7]])
@@ -262,6 +289,9 @@ def test_clusters_are_validated():
         clusters_A=[[0, 1], [2, 3]], clusters_B=[[4, 5], [6, 7]],
     )
     assert q.K == 2 and q.m == 2
+    r = q.with_refinement([[[0], [1]], [[2], [3]]], [[[4], [5]], [[6], [7]]])
+    assert r.L == 2
+    assert r.subcluster_A(2, 1) == (2,)
 
 
 def test_path_system_structure():

@@ -1,20 +1,31 @@
 """Randomized partitions: equipartitions, cluster partitions, localized
-slices; and the scheme check."""
+slices, scheme orientation."""
 
 import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from bipham import partitioning
 from bipham.balance import Framework, validate_framework
-from bipham.graphs import Graph, LabelledPartition, complete_bipartite
+from bipham.errors import PreconditionViolated, RetryBudgetExceeded
+from bipham.graphs import Graph, LabelledPartition, OrientedGraph, complete_bipartite
+from bipham.matchings import edge_coloring
 from bipham.partitioning import (
+    _alternating_orientation,
     framework_partition,
     localized_slices,
+    orient_scheme,
     random_equipartition,
     verify_equipartition,
 )
-from bipham.schemes import partition_structure_violations, scheme_violations
+from bipham.regularity import EXHAUSTIVE_LIMIT, check_regular_pair
+from bipham.schemes import (
+    oriented_scheme_violations,
+    partition_structure_violations,
+    scheme_violations,
+)
 
 from conftest import complete_graph
 
@@ -127,6 +138,92 @@ def test_exceptional_internal_edges_spread_evenly():
     assert all(abs(c - len(inner_a) / 4) <= 1 for c in counts)
 
 
+def _square_scheme(m=4, K=2):
+    g = complete_bipartite((K * m, K * m))
+    A = list(range(K * m))
+    B = list(range(K * m, 2 * K * m))
+    part = LabelledPartition(
+        2 * K * m, [], A, [], B,
+        clusters_A=[A[i * m : (i + 1) * m] for i in range(K)],
+        clusters_B=[B[i * m : (i + 1) * m] for i in range(K)],
+    )
+    return g, part
+
+
+def test_orient_scheme_verifies():
+    g, part = _square_scheme()
+    gdir, cert = orient_scheme(g, part, "1/2", "1/4", seed=2)
+    assert len(gdir.arcs) == g.num_edges()
+    assert not oriented_scheme_violations(gdir, part, "1/2", "1")
+
+
+def test_orient_scheme_pairs_are_vacuous_at_eps_dir_one(monkeypatch):
+    # eps = 1/4 gives eps_dir = 2*sqrt(1/4) = 1, at which no directed pair
+    # can fail [eps_dir, 1/2]-superregularity: the scheme check builds and
+    # checks no pair, and each pair, checked on its own, reports mode vacuous
+    from bipham import schemes
+
+    def no_pair_check(*args, **kwargs):
+        raise AssertionError("a vacuous pair was checked")
+
+    g, part = _square_scheme()
+    monkeypatch.setattr(schemes, "check_regular_pair", no_pair_check)
+    gdir, cert = orient_scheme(g, part, "1/2", "1/4", seed=0)
+    monkeypatch.undo()
+    assert cert.conditions["oriented-scheme"] == "pass with eps=1"
+    for sa in part.clusters_A:
+        for sb in part.clusters_B:
+            for left, right in ((sa, sb), (sb, sa)):
+                pair = Graph(gdir.n, [(x, y) for x, y in gdir.arcs
+                                      if x in left and y in right])
+                rep = check_regular_pair(pair, left, right, 1, d=Fraction(1, 2))
+                assert rep.density == Fraction(1, 2)
+                assert rep.mode == "vacuous" and rep.is_superregular
+
+
+def _half_density_scheme(m=14):
+    """K(m, m) as one cluster a side, its edge colour classes oriented in
+    alternating directions: each directed pair has density 1/2 and every
+    degree m/2, inside the window at eps = 1/4."""
+    g, part = _square_scheme(m=m, K=1)
+    return OrientedGraph(g.n, _alternating_orientation(g, part, 0)), part
+
+
+def test_oriented_scheme_lists_undecided_pairs_as_unverified():
+    # classes of 14 vertices are past the exhaustive limit: at eps = 1/4 the
+    # pairs are not vacuous, so their regularity is undecided, and the
+    # scheme check says so instead of passing them
+    gdir, part = _half_density_scheme()
+    assert len(part.clusters_A[0]) > EXHAUSTIVE_LIMIT
+    pairs = [p for p in oriented_scheme_violations(gdir, part, "1/2", "1/4")
+             if p.startswith("pair ")]
+    assert pairs == [
+        f"pair {name} unverified: [1/4,1/2]-superregularity is decided only "
+        f"up to {EXHAUSTIVE_LIMIT} vertices a class"
+        for name in ("A_(1,1)->B_(1,1)", "B_(1,1)->A_(1,1)")
+    ]
+
+
+def test_oriented_scheme_degree_witness_refutes_large_pairs():
+    # the same pairs with every arc at vertex 0 turned out of it: 0 has
+    # out-degree 14 and in-degree 0, outside [7/2, 21/2], so both pairs
+    # fail superregularity whatever their regularity
+    gdir, part = _half_density_scheme()
+    arcs = [(y, x) if y == 0 else (x, y) for x, y in gdir.arcs]
+    pairs = [p for p in oriented_scheme_violations(OrientedGraph(gdir.n, arcs),
+                                                   part, "1/2", "1/4")
+             if p.startswith("pair ")]
+    assert pairs == ["pair A_(1,1)->B_(1,1) not [1/4,1/2]-superregular",
+                     "pair B_(1,1)->A_(1,1) not [1/4,1/2]-superregular"]
+
+
+def test_orient_scheme_rejects_side_internal_edge():
+    g, part = _square_scheme()
+    bad = Graph(g.n, list(g.edges) + [(0, 1)])
+    with pytest.raises(PreconditionViolated):
+        orient_scheme(bad, part, "1/2", "1/4", seed=0)
+
+
 def _ref_dichotomy_warnings(g, U, R, eps):
     """Referee: the degree-dichotomy warnings recounted with ``Graph.d``,
     one reference set at a time, compared as Fractions."""
@@ -190,10 +287,103 @@ def test_equipartition_success_rate_monitor(capsys, monkeypatch):
     print(f"\nequipartition first-try success rate: {ok}/100")
 
 
+def test_alternating_orientation_keeps_pair_matchings():
+    g, part = _square_scheme()
+    gdir, _ = orient_scheme(g, part, "1/2", "1/4", seed=0)
+    from bipham.matchings import kuhn_matching
+
+    def arcs_into(left, right):
+        return {u: [v for v in right if (u, v) in gdir.arcs] for u in left}
+
+    for i in range(1, 3):
+        for j in range(1, 3):
+            left = list(part.clusters_A[i - 1])
+            right = list(part.clusters_B[j - 1])
+            assert kuhn_matching(left, arcs_into(left, right)) is not None
+            assert kuhn_matching(right, arcs_into(right, left)) is not None
+
+
+def _ref_alternating_orientation(g, part, seed):
+    """Referee: the orientation as one edges_between scan per subcluster
+    pair."""
+    K, L = part.K, part.L or 1
+    arcs = []
+    for i in range(1, K + 1):
+        for h in range(1, L + 1):
+            sa = part.subcluster_A(i, h)
+            for j in range(1, K + 1):
+                for h2 in range(1, L + 1):
+                    pair_edges = g.edges_between(sa, part.subcluster_B(j, h2))
+                    if not pair_edges:
+                        continue
+                    verts = sorted(set(v for e in pair_edges for v in e))
+                    idx = {v: t for t, v in enumerate(verts)}
+                    local = Graph(len(verts), [(idx[u], idx[v]) for u, v in pair_edges])
+                    for (lu, lv), color in edge_coloring(local).items():
+                        u, v = verts[lu], verts[lv]
+                        a_end, b_end = (u, v) if u in sa else (v, u)
+                        if (color + seed % 2) % 2 == 0:
+                            arcs.append((a_end, b_end))
+                        else:
+                            arcs.append((b_end, a_end))
+    return arcs
+
+
+def _ref_oriented_scheme_violations(gdir, part, eps0, eps):
+    """Referee: the oriented scheme check with one scan of all arcs per
+    directed pair and common neighbourhoods compared as Fractions."""
+    eps = Fraction(eps)
+    K, L, m = part.K, part.L or 1, part.m
+    problems = partition_structure_violations(part, eps0, require_refinement=False)
+    A, B = frozenset(part.A), frozenset(part.B)
+    for x, y in sorted(gdir.arcs):
+        if not ((x in A and y in B) or (x in B and y in A)):
+            problems.append(f"arc ({x},{y}) is not an AB-arc")
+            break
+    for i in range(1, K + 1):
+        for j in range(1, K + 1):
+            for h in range(1, L + 1):
+                for h2 in range(1, L + 1):
+                    sa = set(part.subcluster_A(i, h))
+                    sb = set(part.subcluster_B(j, h2))
+                    for left, right, name in (
+                        (sa, sb, f"A_({i},{h})->B_({j},{h2})"),
+                        (sb, sa, f"B_({j},{h2})->A_({i},{h})"),
+                    ):
+                        pair = Graph(gdir.n, [(x, y) for x, y in gdir.arcs
+                                              if x in left and y in right])
+                        rep = check_regular_pair(pair, sorted(left), sorted(right),
+                                                 eps, d=Fraction(1, 2))
+                        if rep.is_superregular is None:
+                            problems.append(
+                                f"pair {name} unverified: [{eps},1/2]-"
+                                "superregularity is decided only up to "
+                                f"{EXHAUSTIVE_LIMIT} vertices a class")
+                        elif not rep.is_superregular:
+                            problems.append(
+                                f"pair {name} not [{eps},1/2]-superregular")
+    floor_cn = (1 - eps) * Fraction(m, 5 * L)
+    for side, other_sub in ((sorted(part.A), part.subcluster_B),
+                            (sorted(part.B), part.subcluster_A)):
+        for xi, x in enumerate(side):
+            for y in side[xi + 1:]:
+                for i in range(1, K + 1):
+                    for h in range(1, L + 1):
+                        sub = set(other_sub(i, h))
+                        both = len(gdir.out[x] & gdir.inn[y] & sub)
+                        rev = len(gdir.out[y] & gdir.inn[x] & sub)
+                        if both < floor_cn or rev < floor_cn:
+                            problems.append(
+                                f"common neighborhood of ({x},{y}) in "
+                                f"subcluster ({i},{h}) too small: "
+                                f"{min(both, rev)} < {floor_cn}")
+    return problems
+
+
 def _random_scheme(rng):
-    """A random bipartite host on K clusters of m per side, with an
-    exceptional vertex on each side half the time."""
-    K, m = rng.randint(1, 3), rng.choice((4, 6))
+    """A random bipartite host on K clusters of m per side, refined into L
+    parts, with an exceptional vertex on each side half the time."""
+    K, m, L = rng.randint(1, 3), rng.choice((4, 6)), rng.choice((1, 2))
     a = rng.randint(0, 1)
     n = 2 * (K * m + a)
     order = rng.sample(range(n), n)
@@ -201,7 +391,10 @@ def _random_scheme(rng):
     B0, B = order[a + K * m:2 * a + K * m], order[2 * a + K * m:]
     clusters_A = [A[i * m:(i + 1) * m] for i in range(K)]
     clusters_B = [B[i * m:(i + 1) * m] for i in range(K)]
-    part = LabelledPartition(n, A0, A, B0, B, clusters_A, clusters_B)
+    part = LabelledPartition(n, A0, A, B0, B, clusters_A, clusters_B).with_refinement(
+        [[c[t * m // L:(t + 1) * m // L] for t in range(L)] for c in clusters_A],
+        [[c[t * m // L:(t + 1) * m // L] for t in range(L)] for c in clusters_B],
+    )
     p = rng.uniform(0.7, 1.0)
     edges = [(u, v) for u in A0 + A for v in B0 + B if rng.random() < p]
     return Graph(n, edges), part
@@ -211,29 +404,31 @@ def _ref_scheme_violations(g, part, eps0, eps):
     """Referee: the undirected scheme check with the edges sorted in full
     and every degree compared with its Fraction threshold."""
     eps = Fraction(eps)
-    problems = partition_structure_violations(part, eps0)
+    problems = partition_structure_violations(part, eps0, require_refinement=False)
     A, B = frozenset(part.A), frozenset(part.B)
     for u, v in sorted(g.edges):
         if not ((u in A and v in B) or (u in B and v in A)):
             problems.append(f"edge ({u},{v}) is not an AB-edge")
             break
-    threshold = (1 - eps) * Fraction(part.m)
+    L = part.L or 1
+    threshold = (1 - eps) * Fraction(part.m, L)
     for i in range(1, part.K + 1):
-        sub_a, sub_b = part.clusters_A[i - 1], part.clusters_B[i - 1]
-        for v in part.B:
-            if g.d(v, sub_a) < threshold:
-                problems.append(f"d({v}, A_({i},1)) = {g.d(v, sub_a)} "
-                                f"< (1-eps)m/L = {threshold}")
-        for w in part.A:
-            if g.d(w, sub_b) < threshold:
-                problems.append(f"d({w}, B_({i},1)) = {g.d(w, sub_b)} "
-                                f"< (1-eps)m/L = {threshold}")
+        for h in range(1, L + 1):
+            sub_a, sub_b = part.subcluster_A(i, h), part.subcluster_B(i, h)
+            for v in part.B:
+                if g.d(v, sub_a) < threshold:
+                    problems.append(f"d({v}, A_({i},{h})) = {g.d(v, sub_a)} "
+                                    f"< (1-eps)m/L = {threshold}")
+            for w in part.A:
+                if g.d(w, sub_b) < threshold:
+                    problems.append(f"d({w}, B_({i},{h})) = {g.d(w, sub_b)} "
+                                    f"< (1-eps)m/L = {threshold}")
     return problems
 
 
 def test_scheme_violations_match_referee():
     # random schemes, some with edges inside a side; thresholds on the
-    # lattice of m and just off it
+    # lattice of m/L and just off it
     rng = random.Random(7)
     kinds = Counter()
     for case in range(60):
@@ -242,11 +437,35 @@ def test_scheme_violations_match_referee():
             side = rng.choice([part.A0 + part.A, part.B0 + part.B])
             u, v = rng.sample(side, 2)
             g = Graph(g.n, list(g.edges) + [(u, v)])
-        t = rng.randint(0, part.m)
-        eps = rng.choice([Fraction(t, part.m), Fraction(t, part.m)
+        L = part.L or 1
+        t = rng.randint(0, part.m // L)
+        eps = rng.choice([Fraction(t * L, part.m), Fraction(t * L, part.m)
                           + Fraction(1, 997), Fraction(1, 4)])
         got = scheme_violations(g, part, "1/8", eps)
         assert got == _ref_scheme_violations(g, part, "1/8", eps), case
         kinds.update(t[:2] for t in got)
         kinds["none"] += not got
     assert {"ed", "d(", "none"} <= set(kinds), kinds
+
+
+def test_orientation_layer_matches_referee():
+    # the bucketed orientation gives the referee's arcs in the same order,
+    # and the verifier its problems, on alternating, random and perturbed
+    # orientations
+    rng = random.Random(2024)
+    kinds = Counter()
+    for case in range(24):
+        g, part = _random_scheme(rng)
+        arcs = _alternating_orientation(g, part, case)
+        assert arcs == _ref_alternating_orientation(g, part, case), case
+        flipped = [(y, x) if rng.random() < 0.1 else (x, y) for x, y in arcs]
+        coin = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+        for orientation in (arcs, flipped, coin):
+            gdir = OrientedGraph(g.n, orientation)
+            for eps in ("1/4", "1/2", "1"):
+                got = oriented_scheme_violations(gdir, part, "1/8", eps)
+                assert got == _ref_oriented_scheme_violations(
+                    gdir, part, "1/8", eps), (case, eps)
+                kinds.update(t.split()[0] for t in got)
+                kinds["none"] += not got
+    assert set(kinds) == {"|A0", "arc", "pair", "common", "none"}

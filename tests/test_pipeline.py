@@ -760,6 +760,35 @@ def test_onefact_rejects_odd_degree():
     assert rep.stages[0].status == "failed"
 
 
+def test_onefact_parameter_failure_lands_in_report(tmp_path):
+    # K = 13 clusters cannot split a side of 12: the framework would demote
+    # every vertex, and that must fail its stage rather than escape the
+    # driver
+    g, part, props = generate("complete_bipartite", {"m": 12})
+    consts = PipelineConstants(K=13)
+    rep = run_theorem_1factbip(g, consts, seed=1,
+                               hint_split=(list(part.A), list(part.B)))
+    assert not rep.ok()
+    failed = [st for st in rep.stages if st.status == "failed"]
+    assert [st.name for st in failed] == ["eliminate-exceptional-cut"]
+    assert failed[0].error == ("PreconditionViolated: no weak framework: "
+                               "a+b = 24 > eps*n = 12")
+    assert (rep.stages[-1].name, rep.stages[-1].status) == ("remaining", "skipped")
+
+    inst = tmp_path / "k12.json"
+    cli_main(["generate", "--kind", "complete_bipartite",
+              "--params", '{"m": 12}', "-o", str(inst)])
+    consts_path = tmp_path / "c.json"
+    consts_path.write_text(json.dumps(consts.as_json()))
+    rep_path = tmp_path / "rep.json"
+    rc = cli_main([
+        "decompose", "--theorem", "onefact", "--constants", str(consts_path),
+        "--seed", "1", str(inst), "-o", str(rep_path),
+    ])
+    assert rc == 1
+    assert json.loads(rep_path.read_text()) == rep.as_json()
+
+
 def test_cli_generate_verify_oracle_decompose(tmp_path):
     out = tmp_path / "inst.json"
     rc = cli_main([

@@ -149,10 +149,12 @@ def test_kernel_entry_points_take_one_parameter_list():
 UNCALLED = {
     "check_matching": "referee for the matchings the pipeline builds",
     "naive_regular_pair": "brute-force referee of check_regular_pair",
-    "check_regular_pair":
-        "the superregularity check of the oriented scheme, which went with "
-        "the robust decomposition front; the module and its tests go in a "
-        "change of their own (ROADMAP item 1)",
+    **dict.fromkeys([
+        "OrientedGraph.underlying", "OrientedGraph.minus_arcs",
+        "LabelledPartition.with_refinement",
+    ], "the oriented scheme and its refined clusters, library code that no "
+       "driver runs; its deletion waits for a change of its own (ROADMAP "
+       "item 1)"),
     "verify_eps_bipartite": "referee of the near-bipartite generators",
 }
 
@@ -226,10 +228,12 @@ UNPASSED = {
         "the fallback tests substitute a missing compiler",
     "hamkernel/__init__.py: _load(source)":
         "the fallback tests substitute another kernel source",
-    "regularity.py: check_regular_pair(d)":
-        "the oriented scheme's superregularity density; the scheme went with "
-        "the robust decomposition front, and the module goes in a change of "
-        "its own (ROADMAP item 1)",
+    **dict.fromkeys([
+        "partitioning.py: orient_scheme(seed)",
+        "beps.py: build_bf_family(min_interval)",
+    ], "the oriented scheme and its balanced factors, library code that no "
+       "driver runs; its deletion waits for a change of its own (ROADMAP "
+       "item 1)"),
 }
 
 
@@ -412,13 +416,6 @@ STALE_ENTRY_POINTS = {
         "the robust front sees only empty ones, and its path systems chain "
         "perfect matchings between rows; the benchmark's list still names "
         "it, and imports the now empty module",
-    "bipham.beps.build_bf_family":
-        "deleted with the robust decomposition front, whose absorbers it "
-        "fed: every 1-factorization packs its host around itself; the "
-        "benchmark's list still names it, and imports the now empty module",
-    "bipham.partitioning.orient_scheme":
-        "deleted with the robust decomposition front, whose absorbers were "
-        "built on the oriented scheme; the benchmark's list still names it",
     "bipham.walks.RobustDecomposition.build_chord_absorber":
         "deleted with the robust decomposition front; the benchmark's list "
         "still names it, and imports the now empty module",

@@ -1,13 +1,14 @@
-"""The split-and-switch engine, which closes an approximate
-decomposition whose cycles must take their whole pool."""
+"""The split-and-switch engine (``bipham.switches``), which closes an
+approximate decomposition whose cycles must take their whole pool."""
 
 import random
 
 import pytest
 
 from bipham import switches
-from bipham.errors import BackendFailure
+from bipham.errors import BackendFailure, BadParams
 from bipham.graphs import Graph, complete_bipartite, norm_edge
+from bipham.solvers import SolverBudget
 
 from conftest import level_cycles
 
@@ -36,6 +37,18 @@ def test_closure_failure_names_attempts_and_swaps(monkeypatch):
     assert str(exc.value) == (f"closure: 3 split attempts and {len(moves)} "
                               "swaps left a factor that is not a Hamilton "
                               "cycle")
+
+
+@pytest.mark.parametrize("budget", [{"max_seconds": 0},
+                                    {"max_seconds": float("inf")},
+                                    {"max_seconds": float("nan")}])
+def test_closure_rejects_non_positive_budget(budget):
+    # the closure runs no search, so its one limit is the wall clock of the
+    # budget ``approx_decomposition`` hands it, which must be finite and
+    # positive; a NaN deadline never passes, so the safety net would be
+    # silently off
+    with pytest.raises(BadParams, match="^budget limits must be positive$"):
+        SolverBudget(**budget)
 
 
 def _small_case(rng, m):
