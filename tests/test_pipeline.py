@@ -927,6 +927,22 @@ def test_cli_verify_without_partition_exit_2(tmp_path, capsys, level):
     assert not out
 
 
+def test_cli_verify_scheme_with_empty_cluster_lists(tmp_path, capsys):
+    # a partition whose cluster lists are empty has no cluster size: the
+    # scheme check lists its structure problems and exit 1, not a
+    # traceback
+    path = tmp_path / "empty-clusters.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "partition": {
+        "A0": [0], "A": [], "B0": [1], "B": [],
+        "clusters_A": [], "clusters_B": []}}))
+    rc = cli_main(["verify", "--level", "scheme", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "empty clusters" in out.splitlines(), out
+    assert out.splitlines()[-1] == "2 violations", out
+    assert not err
+
+
 def test_cli_malformed_rationals_exit_2(tmp_path, capsys):
     # a bad --eps or --eps-prime is one error line and exit 2, not a
     # traceback and exit 1 ("violations found")

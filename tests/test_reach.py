@@ -60,13 +60,9 @@ LOADER = "the kernel loader, which runs once at import, before any driver"
 REPR = "a repr, for debugging and test failure messages"
 CONSTANTS = ("constants are built before a run, by the command line, the "
              "benchmark's worker or a test")
-ORIENTED_SCHEME = (
-    "the oriented scheme and the balanced factors built in it, library code "
-    "of the paper's construction that no driver runs since every "
-    "1-factorization packs its host around itself; its deletion waits for a "
-    "change of its own (ROADMAP item 1)")
 REGULARITY = (
-    "the regularity checker, which only the oriented scheme's check runs "
+    "the regularity checker, which nothing in the package calls since the "
+    "oriented scheme went; it and its tests wait for a change of their own "
     "(ROADMAP item 1)")
 SCHEME = "the scheme check of ``bipham verify --level scheme``"
 UNEQUAL_EXCEPTIONAL = (
@@ -122,7 +118,7 @@ UNREACHED = {
     ], LOADER),
     **dict.fromkeys([
         "graphs.py: Graph.__repr__", "graphs.py: LabelledPartition.__repr__",
-        "graphs.py: OrientedGraph.__repr__", "graphs.py: PathSystem.__repr__",
+        "graphs.py: PathSystem.__repr__",
     ], REPR),
     **dict.fromkeys([
         "graphs.py: Graph.__eq__", "graphs.py: Graph.__hash__",
@@ -157,22 +153,6 @@ UNREACHED = {
         "regularity.py: _min_size", "regularity.py: vacuous_regularity",
         "regularity.py: vacuous_window", "graphs.py: Graph.e_between",
     ], REGULARITY),
-    **dict.fromkeys([
-        "beps.py: BEPS.edge_set", "beps.py: BalancedFactor.edge_multiset",
-        "beps.py: _rows", "beps.py: build_bf_family",
-        "beps.py: canonical_intervals", "beps.py: check_beps",
-        "beps.py: check_factor_degrees", "graphs.py: LabelledPartition.L",
-        "graphs.py: LabelledPartition.subcluster_A",
-        "graphs.py: LabelledPartition.subcluster_B",
-        "graphs.py: LabelledPartition.with_refinement",
-        "graphs.py: OrientedGraph.__init__", "graphs.py: OrientedGraph.inn",
-        "graphs.py: OrientedGraph.minus_arcs", "graphs.py: OrientedGraph.out",
-        "graphs.py: OrientedGraph.underlying",
-        "partitioning.py: _alternating_orientation",
-        "partitioning.py: orient_scheme",
-        "schemes.py: oriented_scheme_violations",
-        "schemes.py: oriented_scheme_violations.<locals>.directed_pair",
-    ], ORIENTED_SCHEME),
     **dict.fromkeys([
         "graphs.py: LabelledPartition.swapped", "matchings.py: vizing_balanced",
     ], UNEQUAL_EXCEPTIONAL),

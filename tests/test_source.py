@@ -144,17 +144,16 @@ def test_kernel_entry_points_take_one_parameter_list():
             == "n, edges, items, max_nodes=None, sides=None, excluded=()")
 
 
+REGULARITY = ("regularity.py, which nothing in the package calls since the "
+              "oriented scheme went; it and its tests wait for a change of "
+              "their own (ROADMAP item 1)")
+
 # public names kept although nothing in the package or the benchmark uses
 # them, each with its reason
 UNCALLED = {
     "check_matching": "referee for the matchings the pipeline builds",
     "naive_regular_pair": "brute-force referee of check_regular_pair",
-    **dict.fromkeys([
-        "OrientedGraph.underlying", "OrientedGraph.minus_arcs",
-        "LabelledPartition.with_refinement",
-    ], "the oriented scheme and its refined clusters, library code that no "
-       "driver runs; its deletion waits for a change of its own (ROADMAP "
-       "item 1)"),
+    "check_regular_pair": REGULARITY,
     "verify_eps_bipartite": "referee of the near-bipartite generators",
 }
 
@@ -228,12 +227,7 @@ UNPASSED = {
         "the fallback tests substitute a missing compiler",
     "hamkernel/__init__.py: _load(source)":
         "the fallback tests substitute another kernel source",
-    **dict.fromkeys([
-        "partitioning.py: orient_scheme(seed)",
-        "beps.py: build_bf_family(min_interval)",
-    ], "the oriented scheme and its balanced factors, library code that no "
-       "driver runs; its deletion waits for a change of its own (ROADMAP "
-       "item 1)"),
+    "regularity.py: check_regular_pair(d)": REGULARITY,
 }
 
 
@@ -422,6 +416,12 @@ STALE_ENTRY_POINTS = {
     "bipham.walks.RobustDecomposition.build_parity_switcher":
         "deleted with the robust decomposition front; the benchmark's list "
         "still names it, and imports the now empty module",
+    "bipham.partitioning.orient_scheme":
+        "deleted with the oriented scheme: every 1-factorization packs its "
+        "host around itself; the benchmark's list still names it",
+    "bipham.beps.build_bf_family":
+        "deleted with the balanced factors of the oriented scheme; the "
+        "benchmark's list still names it, and imports the now empty module",
     "bipham.walks.RobustDecomposition.closure":
         "deleted with the robust decomposition front; its split-and-switch "
         "engine moved to switches.split_and_switch, which the approximate "
