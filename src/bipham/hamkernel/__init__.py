@@ -28,13 +28,18 @@ kernel also serves ``graphs.Graph``'s edge arrays: ``minus_ids`` derives a
 subgraph's array from its parent's (None on the pure kernel: the subgraph
 builds its own when it needs one), and ``class_degree_rows`` counts
 degrees into labelled classes over one (the graph counts in Python on
-the pure kernel).
+the pure kernel).  And it runs the split-and-switch engine of
+``bipham.switches``: ``split_and_switch`` here hands an engine call to
+``hk_split_and_switch``, which returns what the Python engine
+(``switches.pure_split_and_switch``, its reference, and what runs on the
+pure kernel) returns.
 """
 
 import contextlib
 import ctypes
 import hashlib
 import os
+import sys
 from array import array
 from itertools import accumulate, chain
 from pathlib import Path
@@ -115,6 +120,12 @@ def _c_kernel(dll):
     dll.hk_minus.restype = c_int
     dll.hk_class_degrees.argtypes = [c_int, ptr, ptr, c_int, ptr]
     dll.hk_class_degrees.restype = None
+    dll.hk_split_and_switch.argtypes = [c_int, c_int, ptr, c_int, ptr, c_int,
+                                        ptr, ptr, ptr, c_int, c_int, c_int,
+                                        ctypes.c_double, ptr, ptr]
+    dll.hk_split_and_switch.restype = c_int
+    dll.hk_shuffle.argtypes = [ptr, c_int, c_int, ptr]
+    dll.hk_shuffle.restype = None
 
     class CGraphEnum:
         """``PureGraphEnum`` on the C kernel: the same arguments, cycles,
@@ -250,3 +261,46 @@ def class_degree_rows(n, ids, label, k):
                           label.buffer_info()[0], k, rows.buffer_info()[0])
     flat = rows.tolist()
     return [flat[i:i + k] for i in range(0, n * k, k)]
+
+
+def seed_words(seed):
+    """``(words, used)``: the 32-bit words of ``abs(seed)``, least
+    significant first, as ``random.seed`` takes an int, in an
+    ``array("I")`` with room for one more word; ``used`` of them count
+    (one for 0)."""
+    mag = abs(seed)
+    used = max(1, -(-mag.bit_length() // 32))
+    return array("I", mag.to_bytes(4 * used + 4, sys.byteorder)), used
+
+
+def split_and_switch(n, A, pool, systems, seed, deadline, attempts):
+    """``switches.split_and_switch`` on the C kernel, which must have
+    loaded, with at most ``attempts`` attempts: ``(status, a, b, cycles)``
+    with ``hk_split_and_switch``'s status and its two details, and the
+    cycles when the status is 0; None for input the C engine does not take
+    (a vertex that is not a C int, a seed that is not an int, an edge that
+    is not a pair), which the Python engine decides."""
+    try:
+        verts = array("i", A)
+        ends = array("i", chain.from_iterable(pool))
+        offsets = array("i", accumulate(map(len, systems), initial=0))
+        paths = array("i", chain.from_iterable(chain.from_iterable(systems)))
+    except (TypeError, OverflowError):
+        return None
+    if not isinstance(seed, int) or len(ends) != 2 * len(pool) or (
+            len(paths) != 2 * offsets[-1]):
+        return None
+    key, used = seed_words(seed)
+    cycles = array("i", bytes(4 * max(n, 0) * len(systems)))
+    info = array("q", [0, 0])
+    status = _DLL.hk_split_and_switch(
+        n, len(verts), verts.buffer_info()[0], len(pool), ends.buffer_info()[0],
+        len(systems), offsets.buffer_info()[0], paths.buffer_info()[0],
+        key.buffer_info()[0], used, seed < 0, attempts, deadline,
+        cycles.buffer_info()[0], info.buffer_info()[0])
+    if status == -1:
+        raise MemoryError("no memory for the split-and-switch engine")
+    if status != 0:
+        return status, info[0], info[1], None
+    flat = cycles.tolist()
+    return status, info[0], info[1], [flat[i:i + n] for i in range(0, len(flat), n)]

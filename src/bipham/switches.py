@@ -19,6 +19,13 @@ Hamilton cycle.  A split with no level left or a repair with no switch
 left is retried: attempt k shuffles the split and the switch orders under
 seed ``seed + k``.
 
+The engine has two implementations, as the Hamilton search has two
+kernels: ``hk_split_and_switch`` in the C kernel (``bipham.hamkernel``),
+which runs when that kernel loaded, and ``pure_split_and_switch`` here,
+which is its reference and runs in its place otherwise.  Both return the
+same cycles, attempts and switches and raise the same errors, so a report
+does not depend on the engine.
+
 Nothing here backtracks, so nothing counts kernel nodes; the wall clock,
 read before each split level, is the one limit.
 """
@@ -27,9 +34,10 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import chain
+from itertools import chain, islice
 
-from .errors import BackendFailure, MatchingFailure, WallClockExceeded
+from . import hamkernel
+from .errors import BackendFailure, BadParams, MatchingFailure, WallClockExceeded
 from .matchings import degree_split
 
 # the split-and-repair attempts: attempt k splits and repairs under seed
@@ -42,12 +50,32 @@ def split_and_switch(n, A, pool, systems, seed, deadline):
     """Hamilton cycles through each of the edge sets ``systems``, together
     taking every edge of ``pool``, whose edges each have one end in the
     vertex list ``A``: (the cycles as vertex lists, the attempts run, the
-    switches made).  ``BackendFailure`` when no such decomposition exists
-    by the degree counts, or once ``CLOSURE_ATTEMPTS`` are stuck;
-    ``WallClockExceeded`` past ``deadline`` (``time.monotonic()``).
-    Without systems the pool must be empty, and no cycle is due."""
+    switches made).  ``BadParams`` when ``n`` is below 1, ``A`` has a
+    vertex outside 0..n-1 or twice, a pool edge is not (u, v), u < v, from
+    A to its complement inside 0..n-1, or a system edge has an end outside
+    0..n-1 or is a pool edge: the first such, A before the pool before the
+    systems, each in its iteration order; ``BackendFailure`` when no such
+    decomposition exists by the degree counts, or once
+    ``CLOSURE_ATTEMPTS`` are stuck; ``WallClockExceeded`` past ``deadline``
+    (``time.monotonic()``).  Without systems the pool must be empty, and
+    no cycle is due.  Runs on the C kernel's engine when it loaded, else
+    on ``pure_split_and_switch``."""
+    if systems and hamkernel.KERNEL == "c":
+        done = hamkernel.split_and_switch(n, A, pool, systems, seed, deadline,
+                                          CLOSURE_ATTEMPTS)
+        if done is not None:
+            status, a, b, cycles = done
+            if status == 0:
+                return cycles, a, b
+            raise _c_failure(status, a, b, n, A, pool, systems)
+    return pure_split_and_switch(n, A, pool, systems, seed, deadline)
+
+
+def pure_split_and_switch(n, A, pool, systems, seed, deadline):
+    """``split_and_switch`` in Python: the reference of the C engine."""
     if not systems:
         return [], 0, 0
+    _check_input(n, A, pool, systems)
     needs = _level_needs(n, pool, systems)
     swaps = 0
     for attempt in range(CLOSURE_ATTEMPTS):
@@ -59,10 +87,85 @@ def split_and_switch(n, A, pool, systems, seed, deadline):
         swaps += done
         if cycles is not None:
             return cycles, attempt + 1, swaps
-    raise BackendFailure(
-        f"closure: {CLOSURE_ATTEMPTS} split attempts and {swaps} swaps left "
-        "a factor that is not a Hamilton cycle"
-    )
+    raise _stuck(CLOSURE_ATTEMPTS, swaps)
+
+
+def _stuck(attempts, swaps):
+    return BackendFailure(
+        f"closure: {attempts} split attempts and {swaps} swaps left a factor "
+        "that is not a Hamilton cycle")
+
+
+def _short(v, have, s):
+    return BackendFailure(
+        f"no full decomposition exists: vertex {v} has {have} of {2 * s} "
+        "edges or a path system of the wrong degree")
+
+
+def _late(level):
+    return WallClockExceeded(
+        f"closure: wall-clock safety net passed at split level {level}; "
+        "the result is not reproducible")
+
+
+def _no_vertices(n):
+    return BadParams(f"split and switch on {n} vertices")
+
+
+def _bad_vertex(n, a):
+    return BadParams(f"vertex {a!r} of A is outside 0..{n - 1} or repeated")
+
+
+def _bad_pool_edge(n, e):
+    return BadParams(f"pool edge {e!r} is not (u, v), u < v, from A to its "
+                     f"complement inside 0..{n - 1}")
+
+
+def _bad_system_edge(n, i, e):
+    return BadParams(f"edge {e!r} of path system {i} has an end outside "
+                     f"0..{n - 1} or is a pool edge")
+
+
+def _c_failure(status, a, b, n, A, pool, systems):
+    """The error of ``hk_split_and_switch``'s status with its details
+    ``a`` and ``b``, worded as ``pure_split_and_switch`` words it."""
+    if status == 1:
+        return _short(a, b, len(systems))
+    if status == 2:
+        return _stuck(a, b)
+    if status == 3:
+        return _late(a)
+    if status == 4:
+        return _no_vertices(n)
+    if status == 5:
+        return _bad_vertex(n, next(islice(A, a, None)))
+    if status == 6:
+        return _bad_pool_edge(n, next(islice(pool, a, None)))
+    if status == 7:
+        return _bad_system_edge(n, a, next(islice(systems[a], b, None)))
+    return RuntimeError(f"split and switch: a factor is not 2-regular ({status})")
+
+
+def _check_input(n, A, pool, systems) -> None:
+    """Raise the ``BadParams`` of ``split_and_switch`` for the first vertex
+    or edge it names."""
+    if n < 1:
+        raise _no_vertices(n)
+    in_a = bytearray(n)
+    for a in A:
+        if not 0 <= a < n or in_a[a]:
+            raise _bad_vertex(n, a)
+        in_a[a] = 1
+    for e in pool:
+        u, v = e
+        if not 0 <= u < v < n or in_a[u] == in_a[v]:
+            raise _bad_pool_edge(n, e)
+    for i, q in enumerate(systems):
+        for e in q:
+            u, v = e
+            if not (0 <= u < n and 0 <= v < n) or (
+                    (u, v) if u < v else (v, u)) in pool:
+                raise _bad_system_edge(n, i, e)
 
 
 def _level_needs(n: int, pool, systems) -> list[dict]:
@@ -86,10 +189,7 @@ def _level_needs(n: int, pool, systems) -> list[dict]:
         have = pool_deg[v] + sum(deg[v] for deg in needs)
         if have != 2 * s or any(
                 deg[v] > 2 or not pool_deg[v] and deg[v] != 2 for deg in needs):
-            raise BackendFailure(
-                f"no full decomposition exists: vertex {v} has {have} of "
-                f"{2 * s} edges or a path system of the wrong degree"
-            )
+            raise _short(v, have, s)
     return [{v: 2 - deg[v] for v in range(n) if pool_deg[v]} for deg in needs]
 
 
@@ -115,9 +215,7 @@ def _split_levels(n, A, pool, systems, needs, rng, deadline):
     factors = []
     for i, q in enumerate(systems):
         if time.monotonic() > deadline:
-            raise WallClockExceeded(
-                f"closure: wall-clock safety net passed at split level {i}; "
-                "the result is not reproducible")
+            raise _late(i)
         if i + 1 < len(systems):
             later = (1 << len(systems)) - (1 << (i + 1))
             # an edge that fewer later levels could take goes first; the

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bipham import errors, hamkernel, pipeline, search
+from bipham import errors, hamkernel, pipeline, search, solvers, switches
 from bipham.generators import (
     babai_instance,
     eps_bipartite_instance,
@@ -50,10 +50,13 @@ TYPED = _typed_errors()
 
 def _on_both_kernels(run):
     """The report of ``run()`` on the kernel that loaded, once the same run
-    on the pure kernel has rendered the same report."""
+    on the pure kernel and the Python split-and-switch engine has rendered
+    the same report."""
     rep = run()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "cycle_enumerator", hamkernel.PureGraphEnum)
+        patch.setattr(solvers, "split_and_switch",
+                      switches.pure_split_and_switch)
         assert render_report(run()) == render_report(rep)
     return rep
 

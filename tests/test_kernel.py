@@ -453,12 +453,15 @@ assert kernel == "c", kernel
 print(_graph_sweep(graph_enum, range(150)))
 print(_graph_sweep(graph_enum, range(50), wide=True))
 print(_graph_sweep(graph_enum, range(150), labelled=True))
+hamkernel._DLL = graph_enum.dll  # the split-and-switch engine of this build
+from test_walks import engine_sweep
+print(engine_sweep())
 """
 
 
 def test_c_kernel_clean_under_sanitizers(tmp_path):
-    # the graph sweeps, with side labels and exclusions too, on a build
-    # with AddressSanitizer and
+    # the graph sweeps, with side labels and exclusions too, and the
+    # split-and-switch agreement sweep on a build with AddressSanitizer and
     # UndefinedBehaviorSanitizer, which stop the process at the first
     # out-of-bounds access or undefined operation in the kernel
     cc = shutil.which("cc")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from bipham import balancer, hamkernel, pipeline, search, solvers
+from bipham import balancer, hamkernel, pipeline, search, solvers, switches
 from bipham.cli import main as cli_main
 from bipham.errors import BadParams, PreconditionViolated, Timeout
 from bipham.generators import generate, regular_spanning_subgraph
@@ -297,6 +297,50 @@ def test_reports_identical_on_both_kernels(monkeypatch, case):
     assert render_report(run()) == on_default
 
 
+def kernel_free_digests():
+    """The report digests of ``run_theorem_1factbip`` on K(28,28) at seeds 1
+    and 2 and of ``run_theorem_NWbip`` on K(12,12) at D = 12, whose
+    approximate decompositions split and switch."""
+    g, part, props = generate("complete_bipartite", {"m": 28})
+    hint = (list(part.A), list(part.B))
+    digests = [_digest(run_theorem_1factbip(g, TOY_1FACT, seed=seed,
+                                            hint_split=hint))
+               for seed in (1, 2)]
+    g, part, props = generate("complete_bipartite", {"m": 12})
+    digests.append(_digest(run_theorem_NWbip(
+        g, g, replace(PipelineConstants(), max_nodes=100_000), seed=1,
+        hint_split=(list(part.A), list(part.B)))))
+    return digests
+
+
+# a fresh interpreter that installs the pure kernel, as the loader picks it
+# when there is no compiler, and with it the Python split-and-switch engine
+PURE_REPORTS = """
+import sys
+from pathlib import Path
+from bipham import hamkernel
+hamkernel.GraphEnum, hamkernel.KERNEL = hamkernel._load(Path(sys.argv[1]),
+                                                        "bipham-no-such-cc")
+hamkernel._DLL = None
+assert hamkernel.KERNEL.startswith("pure: "), hamkernel.KERNEL
+from test_pipeline import kernel_free_digests
+print(*kernel_free_digests())
+"""
+
+
+def test_reports_identical_on_the_pure_kernel_and_engine(tmp_path):
+    # aim 3: a report does not depend on the kernel, nor on the engine that
+    # runs beside it
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-c", PURE_REPORTS, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)])))
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert run.stdout.split() == kernel_free_digests()
+
+
 def test_drivers_do_not_load_networkx():
     # networkx serves only the generators' degree factors and the oracle;
     # a fresh process that runs both drivers never imports it
@@ -484,7 +528,14 @@ def test_closure_outcome_independent_of_clock(monkeypatch):
     expected = approx(host, cells, family, budget, excluded)
     assert expected == rep.cycles[-14:]
     # one reading sets the deadline, one more opens each of the 14 split
-    # levels of the one attempt: 140 s of 300
+    # levels of the one attempt: 140 s of 300.  The slowed clock is
+    # time.monotonic, which the Python engine reads; the C engine reads the
+    # system's monotonic clock (test_walks.py checks it with a deadline
+    # already past), so this runs on the Python engine, which gives the
+    # same cycles
+    monkeypatch.setattr(solvers, "split_and_switch",
+                        switches.pure_split_and_switch)
+    assert approx(host, cells, family, budget, excluded) == expected
     _slow_clock(monkeypatch, 10.0)
     assert approx(host, cells, family, budget, excluded) == expected
     with pytest.raises(Timeout, match="not reproducible") as exc:

@@ -35,20 +35,26 @@ CENSUS = [
     (16, 4, 1, 0, 2, "onefact"),
 ]
 
-# what the kernel that did not load leaves unreached
+# what the kernel that did not load leaves unreached: its search, and the
+# split-and-switch engine that runs beside it (on the pure kernel, the
+# Python engine, the one driver caller of matchings.degree_split here)
 KERNEL_FUNCTIONS = {
     "c": {
         f"hamkernel/__init__.py: _c_kernel.<locals>.CGraphEnum.{name}"
         for name in ("__init__", "set_cap", "__iter__", "__next__",
                      "_release", "__del__")
-    } | {f"hamkernel/__init__.py: {name}" for name in ("_ints",
-                                                         "class_degree_rows")},
+    } | {f"hamkernel/__init__.py: {name}" for name in (
+        "_ints", "class_degree_rows", "seed_words", "split_and_switch")},
     "pure": {
         f"hamkernel/_pure.py: {name}"
         for name in ("GraphEnum.__init__", "GraphEnum.set_cap",
                      "GraphEnum.__iter__", "GraphEnum.__next__", "_instance",
                      "_search", "_short")
-    },
+    } | {f"switches.py: {name}" for name in (
+        "pure_split_and_switch", "_check_input", "_level_needs",
+        "_split_levels", "_cycles_of", "_find_swap", "_switch", "_repair")
+    } | {f"matchings.py: {name}" for name in ("degree_split",
+                                              "_augment_capacitated")},
 }
 
 CLI = "the command line, which calls the drivers"
@@ -173,6 +179,13 @@ UNREACHED = {
         "slots left open; no run here leaves one",
     "errors.py: RetryBudgetExceeded.__init__":
         "a randomized partition that spends its retries; no run here does",
+    **dict.fromkeys([
+        "switches.py: _stuck", "switches.py: _short", "switches.py: _late",
+        "switches.py: _no_vertices", "switches.py: _bad_vertex",
+        "switches.py: _bad_pool_edge", "switches.py: _bad_system_edge",
+        "switches.py: _c_failure",
+    ], "a split-and-switch failure, worded once for both engines; every "
+       "engine call here closes"),
 }
 
 

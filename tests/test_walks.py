@@ -1,12 +1,15 @@
 """The split-and-switch engine (``bipham.switches``), which closes an
-approximate decomposition whose cycles must take their whole pool."""
+approximate decomposition whose cycles must take their whole pool: the
+Python engine, and the C engine against it (also under the address and
+undefined-behaviour sanitizers, from ``test_kernel.py``)."""
 
 import random
+from array import array
 
 import pytest
 
-from bipham import switches
-from bipham.errors import BackendFailure, BadParams
+from bipham import hamkernel, solvers, switches
+from bipham.errors import BackendFailure, BadParams, BiphamError
 from bipham.graphs import Graph, complete_bipartite, norm_edge
 from bipham.solvers import SolverBudget
 
@@ -31,8 +34,8 @@ def test_closure_failure_names_attempts_and_swaps(monkeypatch):
     monkeypatch.setattr(switches, "_find_swap", one_per_repair)
     g = complete_bipartite((28, 28))
     with pytest.raises(BackendFailure) as exc:
-        switches.split_and_switch(g.n, range(28), g.edges, [frozenset()] * 14,
-                                  0, float("inf"))
+        switches.pure_split_and_switch(g.n, range(28), g.edges,
+                                       [frozenset()] * 14, 0, float("inf"))
     assert moves
     assert str(exc.value) == (f"closure: 3 split attempts and {len(moves)} "
                               "swaps left a factor that is not a Hamilton "
@@ -146,10 +149,153 @@ def test_each_switch_joins_two_cycles_and_keeps_the_rest(monkeypatch):
     for trial in range(40):
         n, A, pool, systems = _small_case(rng, rng.choice((6, 8)))
         try:
-            switches.split_and_switch(n, A, pool, systems, trial, float("inf"))
+            switches.pure_split_and_switch(n, A, pool, systems, trial,
+                                           float("inf"))
         except BackendFailure:
             pass
     assert len(made) >= 40
+
+
+def _outcomes(n, A, pool, systems, seed, deadline=float("inf")):
+    """What the engine that runs and the Python engine return on one input,
+    or the type and text of the error each raises."""
+    out = []
+    for engine in (switches.split_and_switch, switches.pure_split_and_switch):
+        try:
+            out.append(engine(n, A, pool, systems, seed, deadline))
+        except BiphamError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _circulant_inputs():
+    """The engine's inputs in the 1-factorizations of the four K(m,m) +
+    circulant hosts of ``test_pipeline.py`` at seed 1."""
+    from bipham.pipeline import run_theorem_1factbip
+
+    from test_pipeline import CIRCULANT_HOSTS, TOY_1FACT, _kmm_with_circulants
+
+    calls = []
+
+    def record(*args):
+        calls.append(args[:4])
+        return switches.split_and_switch(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "split_and_switch", record)
+        for m, steps in [*CIRCULANT_HOSTS, (20, (1, 2, 3, 4))]:
+            g, hint = _kmm_with_circulants(m, steps)
+            assert run_theorem_1factbip(g, TOY_1FACT, seed=1,
+                                        hint_split=hint).ok()
+    return calls
+
+
+SEEDS = (0, -7, 2**32 + 5)
+
+
+def engine_sweep():
+    """Both engines on 240 ``_small_case`` draws, K(m,m) for m = 28, 56,
+    98, K(28,28) less an edge and the circulant hosts' inputs, at the
+    seeds of ``SEEDS``, then with ``CLOSURE_ATTEMPTS`` at 1 and with the
+    deadline past; asserts that they agree every time and returns what the
+    sweep reached."""
+    rng = random.Random(23)
+    cases = [_small_case(rng, (4, 6, 8, 10)[k % 4]) for k in range(240)]
+    for m in (28, 56, 98):
+        g = complete_bipartite((m, m))
+        cases.append((g.n, range(m), g.edges, [frozenset()] * (m // 2)))
+    # one edge short: vertex 0 has 27 of the 28 edges its cycles need
+    short = complete_bipartite((28, 28)).edges - {(0, 28)}
+    cases.append((56, range(28), short, [frozenset()] * 14))
+    cases += _circulant_inputs()
+    seen = dict.fromkeys(["closed", "closed after switches",
+                          "closed at a later attempt", "no decomposition",
+                          "stuck", "stuck after switches", "late"], 0)
+    attempts = switches.CLOSURE_ATTEMPTS
+    try:
+        for k, case in enumerate(cases):
+            big = case[0] > 20
+            for seed in SEEDS if big else SEEDS[k % 3:k % 3 + 1]:
+                c, pure = _outcomes(*case, seed)
+                assert c == pure, (k, seed)
+                if isinstance(c[1], int):
+                    seen["closed"] += 1
+                    seen["closed after switches"] += c[2] > 0
+                    seen["closed at a later attempt"] += c[1] > 1
+                else:
+                    seen["no decomposition"] += "no full" in c[1]
+            switches.CLOSURE_ATTEMPTS = 1
+            c, pure = _outcomes(*case, k)
+            assert c == pure, (k, "one attempt")
+            stuck = "split attempts" in str(c[1])
+            seen["stuck"] += stuck
+            seen["stuck after switches"] += stuck and " 0 swaps" not in c[1]
+            switches.CLOSURE_ATTEMPTS = attempts
+            c, pure = _outcomes(*case, k, float("-inf"))
+            assert c == pure, (k, "late")
+            seen["late"] += c[0] == "WallClockExceeded"
+    finally:
+        switches.CLOSURE_ATTEMPTS = attempts
+    return seen
+
+
+def test_c_engine_agrees_with_pure():
+    # the same cycles, attempts and switches, and the same failures, from
+    # the C engine as from the Python one
+    if hamkernel.KERNEL != "c":
+        pytest.skip("the C kernel did not load")
+    seen = engine_sweep()
+    assert all(seen.values()), seen
+
+
+def test_c_shuffle_is_random_shuffle():
+    # the C engine's stream is Python's: MT19937 seeded as random.seed
+    # seeds it from an int, and shuffle's Fisher-Yates over _randbelow
+    if hamkernel.KERNEL != "c":
+        pytest.skip("the C kernel did not load")
+    for seed in (0, 1, -1, 12345, 2**32 - 1, 2**32, -(2**40) - 3, 2**100 + 7):
+        key, used = hamkernel.seed_words(seed)
+        for length in range(1, 301):
+            out = array("i", bytes(4 * length))
+            hamkernel._DLL.hk_shuffle(key.buffer_info()[0], used, length,
+                                      out.buffer_info()[0])
+            expected = list(range(length))
+            random.Random(seed).shuffle(expected)
+            assert out.tolist() == expected, (seed, length)
+
+
+# inputs the engines reject, each with the vertex or edge the error names
+BAD_INPUTS = [
+    # an A-A edge and a B-B edge
+    (4, [0, 1], frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}), [frozenset()],
+     "first bad"),
+    (4, [0, 1], frozenset({(0, 2), (1, 7)}), [frozenset()], "(1, 7)"),
+    (4, [0, 1], frozenset({(0, 2), (-1, 3)}), [frozenset()], "(-1, 3)"),
+    # past a C int, which the C engine leaves to the Python one
+    (4, [0, 1], frozenset({(0, 2), (1, 2**40)}), [frozenset()],
+     f"(1, {2**40})"),
+    (4, [0, 1], frozenset({(2, 0)}), [frozenset()], "(2, 0)"),
+    (4, [0, 4], frozenset({(0, 2)}), [frozenset()], "vertex 4 of A"),
+    (4, [0, 1, 0], frozenset({(0, 2)}), [frozenset()], "vertex 0 of A"),
+    (4, [0, 1], frozenset({(0, 2)}), [frozenset(), frozenset({(1, 5)})],
+     "edge (1, 5) of path system 1"),
+    (4, [0, 1], frozenset({(0, 2)}), [frozenset({(2, 0)})],
+     "edge (2, 0) of path system 0"),
+    (0, [], frozenset(), [frozenset()], "on 0 vertices"),
+]
+
+
+@pytest.mark.parametrize("n, A, pool, systems, names", BAD_INPUTS,
+                         ids=[case[-1] for case in BAD_INPUTS])
+def test_engines_reject_malformed_input(n, A, pool, systems, names):
+    # checked once, before any attempt, by both engines: the first vertex
+    # or edge that is not where the engine needs it, named, and never a
+    # traceback
+    if names == "first bad":
+        names = repr(next(e for e in pool if (e[0] in A) == (e[1] in A)))
+    c, pure = _outcomes(n, A, pool, systems, 1)
+    assert c == pure
+    assert c[0] == "BadParams" and names in c[1], c
 
 
 def _referee(n, pool, systems):
