@@ -39,7 +39,7 @@ from .errors import (
 )
 from .generators import near_bipartition
 from .graphs import Graph, LabelledPartition, PathSystem, class_labels
-from .matchings import _augment, balanced_matchings, vizing_balanced
+from .matchings import balanced_matchings, unit_matching, vizing_balanced
 from .schemes import rational_ceil
 from .solvers import SolverBudget, peel_through_systems
 from .validate import (
@@ -132,13 +132,12 @@ def extend_to_two_balanced(
         side = set(exceptional)
         avail.sort(key=lambda w: -len(adj[w] & side))
         cands = {slot: [w for w in avail if w in adj[slot[0]]] for slot in slots}
-        match_r: dict[int, tuple] = {}
-        for slot in slots:
-            if not _augment(slot, set(), cands, match_r):
-                raise InsufficientNeighbors(
-                    f"no unused neighbor for exceptional vertex {slot[0]}",
-                    witness=slot[0],
-                )
+        match_r, stuck = unit_matching(slots, cands)
+        if match_r is None:
+            raise InsufficientNeighbors(
+                f"no unused neighbor for exceptional vertex {stuck[0]}",
+                witness=stuck[0],
+            )
         for w, (v, _) in match_r.items():
             edges.add((min(v, w), max(v, w)))
             touched.add(w)

@@ -530,7 +530,7 @@ def _flow_solve(open_slots, cands, touch, covered, chosen, nodes) -> bool:
     """One node of ``_flow_attach``'s search: place the first open slot
     with the fewest candidates, trying them in order, then the rest; every
     list it changes is restored when it backtracks.  Module level for the
-    reason ``matchings._augment`` gives."""
+    reason ``matchings._place_edge`` gives."""
     if not open_slots:
         return True
     nodes[0] += 1

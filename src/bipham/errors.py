@@ -22,10 +22,6 @@ class PartitionMismatch(BiphamError):
     """A vertex partition does not cover the graph's vertex set."""
 
 
-class NotBipartite(BiphamError):
-    """A bipartite operation received overlapping or non-covering classes."""
-
-
 class PreconditionViolated(BiphamError):
     """A stated precondition fails; carries a witness when available."""
 

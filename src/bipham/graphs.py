@@ -179,9 +179,6 @@ class Graph:
     def e_within(self, S: Iterable[int]) -> int:
         return len(self.edges_within(S))
 
-    def e_between(self, S: Iterable[int], T: Iterable[int]) -> int:
-        return len(self.edges_between(S, T))
-
     # -- one-pass counts over labelled vertex classes ----------------------
     def class_degrees(self, label: Sequence[int], k: int) -> list[list[int]]:
         """``rows[v][c]`` = d(v, class c) for every vertex v, where

@@ -21,18 +21,21 @@ Five tools used throughout the pipeline:
   vertices it may take, built once by the caller in the order it wants
   them tried, so the augmenting step only walks lists and the result is a
   fixed function of the left order and the lists.  It is the package's one
-  bipartite matching routine: ``bes`` calls it, and ``balancer`` runs its
-  augmenting step ``_augment`` directly.
+  bipartite matching routine: ``bes`` calls it, and ``balancer`` the
+  ``unit_matching`` it is built on.
 * ``degree_split``: a bipartite subgraph with exact prescribed degrees (a
   greedy pass, then augmenting paths: Kuhn's step with capacities).  It is
   the package's one exact-degree bipartite routine: the generators'
   bipartite degree factor and the 2-factors of ``switches`` run on it.
+  ``kuhn_matching`` runs its augmenting step at unit capacity; the step
+  keeps its own stack, so no path of either meets the recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -408,8 +411,8 @@ def _backtrack_path_split(g: Graph, A0: set, t: int, sizes: list[int]):
 
 
 def _place_edge(idx, edges, sizes, ok, find, count, deg, parent, out) -> bool:
-    """Place ``edges[idx:]`` for ``_backtrack_path_split``, trying the
-    classes in order; module level for the reason ``_augment`` gives."""
+    """Place ``edges[idx:]`` for ``_backtrack_path_split``, classes in order;
+    module level, as a self-calling closure lives until a full collection."""
     t = len(sizes)
     if idx == len(edges):
         return all(count[c] == sizes[c] for c in range(t))
@@ -450,26 +453,27 @@ def kuhn_matching(left, candidates) -> dict | None:
     their order, and the map iterates in the order of ``left``, so the
     result is a fixed function of the two orders.
     """
-    match_r: dict = {}
-    for u in left:
-        if not _augment(u, set(), candidates, match_r):
-            return None
+    match_r, _ = unit_matching(left, candidates)
+    if match_r is None:
+        return None
     match_l = {u: v for v, u in match_r.items()}
     return {u: match_l[u] for u in left}
 
 
-def _augment(u, seen, candidates, match_r) -> bool:
-    """Kuhn's augmenting-path step from left vertex ``u``.  A module-level
-    function, not a closure: a self-referencing closure would keep each
-    call's lists and its graph alive until a full garbage collection."""
-    for v in candidates[u]:
-        if v in seen:
-            continue
-        seen.add(v)
-        if v not in match_r or _augment(match_r[v], seen, candidates, match_r):
-            match_r[v] = u
-            return True
-    return False
+def unit_matching(left, candidates) -> tuple[dict | None, object]:
+    """Kuhn's matching of ``left`` in order, by ``_augment_capacitated`` at
+    unit capacity: ``(match, None)`` with the right->left map, in the
+    order its right vertices were first matched, or ``(None, u)`` with the
+    first left vertex ``u`` that no augmenting path reaches."""
+    chosen = {u: {} for u in left}
+    room = {v: 1 for u in left for v in candidates[u]}
+    # a right vertex enters when first tried, which at unit capacity is
+    # when it is first matched; a matched one stays matched
+    holders: dict = defaultdict(dict)
+    for u in left:
+        if not _augment_capacitated(u, candidates, chosen, holders, room):
+            return None, u
+    return {v: next(iter(h)) for v, h in holders.items()}, None
 
 
 def degree_split(left, candidates, need: dict) -> list[tuple]:

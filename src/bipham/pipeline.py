@@ -47,10 +47,10 @@ from .partitioning import framework_partition, localized_slices
 from .report import DecompositionReport, Stage
 from .solvers import SolverBudget, approx_decomposition
 from .validate import (
-    check_cycle_in_graph,
-    check_decomposition,
     check_edge_disjoint,
+    cover_problems,
     cycle_edges,
+    cycle_in_graph_problems,
 )
 
 NWBIP_ATTEMPTS = 6
@@ -260,8 +260,7 @@ class _Run:
     """One driver run: its constants and seed, the report, opened with the
     instance, the regular degree ``D`` of the subgraph (-1 when it is not
     regular) and the hierarchy warnings, and the host edges its cycles have
-    taken so far, as one edge set per cycle in the order taken and as
-    their union."""
+    taken so far."""
 
     def __init__(self, host: Graph, g: Graph, constants: PipelineConstants,
                  seed: int):
@@ -273,7 +272,6 @@ class _Run:
         self.host = host
         self.total = host.num_edges()
         self.removed: set = set()
-        self.taken: list[frozenset] = []
         self.report = DecompositionReport({
             "n": host.n,
             "host_edges": self.total,
@@ -286,7 +284,6 @@ class _Run:
         """Add ``edge_sets``, the edge sets of the cycles a stage took, to
         the removed edges, and record the edge conservation entry of that
         stage under ``label``."""
-        self.taken += edge_sets
         self.removed.update(*edge_sets)
         left = self.total - len(self.removed)
         self.report.account(label, len(self.removed), left, self.total)
@@ -364,6 +361,8 @@ def run_theorem_NWbip(
     constants: PipelineConstants,
     seed: int = 0,
     hint_split=None,
+    *,
+    exact: bool = False,
 ) -> DecompositionReport:
     """Pack D/2 edge-disjoint Hamilton cycles of the host f around the
     D-regular spanning subgraph g: eliminate the exceptional cut, build
@@ -376,11 +375,13 @@ def run_theorem_NWbip(
     choices (which vertices become exceptional, greedy orders) reshuffled,
     deterministically in the seed, up to ``NWBIP_ATTEMPTS`` runs in all.
     The first clean report is returned, annotated with the retry count; if
-    all attempts fail, the last report is returned as-is.  A failure at the
-    entry gates is returned at once: no reshuffle changes the input.
+    all attempts fail, the last report is returned as-is.  A report with a
+    failed entry gate, a soft check included, is returned at once: no
+    reshuffle changes the input.  With ``exact`` (f = g), a clean run also
+    checks that its cycles partition E(g).
     """
     for i in range(NWBIP_ATTEMPTS):
-        rep = _nwbip_attempt(f, g, constants, seed, hint_split,
+        rep = _nwbip_attempt(f, g, constants, seed, hint_split, exact,
                              demotion_seed=i)
         if rep.ok():
             if i:
@@ -388,7 +389,7 @@ def run_theorem_NWbip(
                     f"succeeded after reshuffling free choices {i} time(s)"
                 )
             return rep
-        if rep.stages[0].status == "failed":
+        if not all(c.ok for c in rep.stages[0].checks):
             break
     return rep
 
@@ -399,6 +400,7 @@ def _nwbip_attempt(
     constants: PipelineConstants,
     seed: int,
     hint_split,
+    exact: bool,
     demotion_seed: int = 0,
 ) -> DecompositionReport:
     # retries re-roll every free choice, not just the demotion: stage seeds
@@ -429,12 +431,15 @@ def _nwbip_attempt(
             len(c1) + len(c2) + len(c3) == D // 2,
             witness=[len(c1), len(c2), len(c3)],
         )
-        for cyc in cycles:
-            for p in check_cycle_in_graph(f, cyc):
+        sets = [cycle_edges(c) for c in cycles]  # once, for every check
+        for cyc, edges in zip(cycles, sets):
+            for p in cycle_in_graph_problems(f, cyc, edges):
                 st.require("cycle-valid", False, witness=p)
-        # the run took each of them, in this order
-        dup = check_edge_disjoint(run.taken)
+        dup = check_edge_disjoint(sets)
         st.require("edge-disjoint", not dup, witness=dup[:1])
+        if exact and report.ok():
+            problems = cover_problems(g, sets)
+            st.check("exact-decomposition", not problems, witness=problems[:1])
     except (BiphamError, AssertionError) as exc:
         return run.fail(exc)
     report.cycles = cycles
@@ -457,9 +462,4 @@ def run_theorem_1factbip(
     an exact budget, every pool edge on some cycle, which
     ``solvers.approx_decomposition`` closes by split and switch with no
     search; at D > n/2 no degree is reduced first."""
-    report = run_theorem_NWbip(g, g, constants, seed, hint_split)
-    if report.ok():
-        problems = check_decomposition(g, [cycle_edges(c) for c in report.cycles])
-        report.stages[-1].check("exact-decomposition", not problems,
-                                witness=problems[:1])
-    return report
+    return run_theorem_NWbip(g, g, constants, seed, hint_split, exact=True)

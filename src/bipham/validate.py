@@ -13,12 +13,13 @@ from typing import Iterable, Sequence
 from .graphs import Graph, LabelledPartition, PathSystem, norm_edge
 
 
-def check_cycle(n: int, cycle: Sequence[int]) -> list[str]:
+def check_cycle(n: int, cycle: Sequence[int], edges=None) -> list[str]:
     """A Hamilton cycle given as a vertex sequence (closing edge implicit).
 
     Returns a list of violation strings; empty means valid.  Checks: correct
     length, no repeats, no loops, every vertex of 0..n-1 visited.
-    Connectivity and 2-regularity follow from the sequence form.
+    Connectivity and 2-regularity follow from the sequence form.  ``edges``
+    is the cycle's ``cycle_edges`` when the caller has built it.
     """
     problems = []
     if len(cycle) < 3:
@@ -31,7 +32,8 @@ def check_cycle(n: int, cycle: Sequence[int]) -> list[str]:
         problems.append(
             f"not spanning: visits {len(set(cycle))} of {n} vertices"
         )
-    edges = cycle_edges(cycle)
+    if edges is None:
+        edges = cycle_edges(cycle)
     if len(edges) != len(cycle):
         problems.append("cycle repeats an edge")
     return problems
@@ -47,8 +49,15 @@ def cycle_edges(cycle: Sequence[int]) -> frozenset:
 
 
 def check_cycle_in_graph(g: Graph, cycle: Sequence[int]) -> list[str]:
-    problems = check_cycle(g.n, cycle)
-    missing = [e for e in cycle_edges(cycle) if e not in g.edges]
+    return cycle_in_graph_problems(g, cycle, cycle_edges(cycle))
+
+
+def cycle_in_graph_problems(g: Graph, cycle: Sequence[int],
+                            edges: frozenset) -> list[str]:
+    """``check_cycle_in_graph`` on the cycle's ``cycle_edges``, built by the
+    caller, which may check more with them."""
+    problems = check_cycle(g.n, cycle, edges)
+    missing = [e for e in edges if e not in g.edges]
     if missing:
         problems.append(f"{len(missing)} cycle edges not in graph: {sorted(missing)[:3]}")
     return problems
@@ -78,7 +87,13 @@ def check_edge_disjoint(edge_sets: Sequence[Iterable]) -> list[str]:
 
 def check_decomposition(g: Graph, edge_sets: Sequence[Iterable]) -> list[str]:
     """The edge sets must partition E(g) exactly."""
-    problems = check_edge_disjoint(edge_sets)
+    return check_edge_disjoint(edge_sets) + cover_problems(g, edge_sets)
+
+
+def cover_problems(g: Graph, edge_sets: Sequence[Iterable]) -> list[str]:
+    """``check_decomposition`` past the disjointness check: the union of
+    the edge sets must be E(g)."""
+    problems = []
     union = set()
     for es in edge_sets:
         union.update(norm_edge(*e) for e in es)

@@ -28,7 +28,7 @@ def test_graph_basics():
     g = Graph(4, [(0, 1), (1, 2), (2, 0)])
     assert g.degree(0) == 2 and g.degree(3) == 0
     assert g.e_within({0, 1, 2}) == 3
-    assert g.e_between({0}, {1, 2}) == 2
+    assert len(g.edges_between({0}, {1, 2})) == 2
     assert g.d(1, {0, 2, 3}) == 2
     with pytest.raises(BadParams):
         Graph(3, [(0, 0)])

@@ -19,6 +19,7 @@ from bipham.matchings import (
     path_system_split,
     sparsify_split,
     split_trick,
+    unit_matching,
     vizing_balanced,
 )
 
@@ -164,7 +165,10 @@ def test_sparsify_impossible_bound(monkeypatch):
 def _predicate_kuhn(left, right, adjacent):
     """Referee: Kuhn's augmenting paths asking ``adjacent(u, v)`` for each
     candidate in the order of ``right`` as the search reaches it, as
-    ``kuhn_matching`` did before it took candidate lists."""
+    ``kuhn_matching`` did before it took candidate lists.  Returns the
+    left->right map or None, and the right->left map in the order its
+    right vertices were first matched or the first left vertex left
+    unmatched."""
     match_r = {}
 
     def augment(u, seen):
@@ -179,16 +183,17 @@ def _predicate_kuhn(left, right, adjacent):
 
     for u in left:
         if not augment(u, set()):
-            return None
+            return None, u
     match_l = {u: v for v, u in match_r.items()}
-    return {u: match_l[u] for u in left}
+    return {u: match_l[u] for u in left}, match_r
 
 
 def test_kuhn_matching_against_hopcroft_karp():
     # random bipartite graphs, as undirected edges and as arcs: a matching is
     # returned exactly when a maximum matching saturates the left side, and
     # it is the map, in the same order, that the predicate-driven search
-    # gives on the same orders
+    # gives on the same orders; unit_matching gives its right->left map, in
+    # the order first matched, or the first left vertex it cannot match
     rng = random.Random(7)
     found = unsaturated = 0
     for _ in range(400):
@@ -213,8 +218,14 @@ def test_kuhn_matching_against_hopcroft_karp():
             cands = {u: [v for v in right if adjacent(u, v)] for u in left}
             match = kuhn_matching(left, cands)
             assert (match is not None) == saturated
-            ref = _predicate_kuhn(left, right, adjacent)
+            ref, ref_r = _predicate_kuhn(left, right, adjacent)
             assert match == ref and list(match or ()) == list(ref or ())
+            got_r, stuck = unit_matching(left, cands)
+            if ref is None:
+                assert (got_r, stuck) == (None, ref_r)
+            else:
+                assert stuck is None
+                assert list(got_r.items()) == list(ref_r.items())
             unsaturated += match is None
             if match is not None:
                 found += 1
@@ -297,3 +308,18 @@ def test_degree_split_walks_paths_past_the_recursion_limit():
     pairs = degree_split(list(range(k + 1)), cands,
                          dict.fromkeys([*range(k + 1), *right], 1))
     assert pairs == [(i, right[i]) for i in range(k + 1)]
+
+
+def test_kuhn_matching_walks_paths_past_the_recursion_limit():
+    # left vertex i takes right vertex i in turn, so the last left vertex,
+    # which sees only right vertex 0, is matched along an augmenting path
+    # through all 3000 others, as degree_split matches it
+    k = 3000
+    right = [k + 1 + i for i in range(k + 1)]
+    cands = {i: [right[i], right[i + 1]] for i in range(k)}
+    cands[k] = [right[0]]
+    match = kuhn_matching(list(range(k + 1)), cands)
+    assert match == {**{i: right[i + 1] for i in range(k)}, k: right[0]}
+    pairs = degree_split(list(range(k + 1)), cands,
+                         dict.fromkeys([*range(k + 1), *right], 1))
+    assert pairs == list(match.items())

@@ -37,9 +37,9 @@ def test_equipartition_dense_clique_bound():
     parts, cert = random_equipartition(
         g, g, range(16), [], 2, "1/10", "1/2", "1/2", seed=2
     )
-    e_between = g.e_between(parts[0], parts[1])
+    cross = len(g.edges_between(parts[0], parts[1]))
     # 2(e(U) +- eps2 max)/K^2 with e(U)=120: window 60 +- 54
-    assert abs(e_between - 60) <= Fraction(1, 2) * 120 / 2
+    assert abs(cross - 60) <= Fraction(1, 2) * 120 / 2
 
 
 def test_equipartition_singleton_parts_slack_dominated():

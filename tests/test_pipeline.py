@@ -397,6 +397,27 @@ def test_nwbip_input_failure_runs_one_attempt(monkeypatch):
         "AssertionError: input: check degree-even failed (3)")
 
 
+@pytest.mark.parametrize("theorem", ["nwbip", "onefact"])
+def test_soft_input_failure_runs_one_attempt(theorem):
+    # the 202-cycle is its own Hamilton cycle, found at every attempt, but
+    # its degree 2 fails the soft check D >= n/100: no report is ok, and
+    # since no reshuffle changes the input the first one is returned
+    n = 202
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    hint = ([v for v in range(n) if v % 2 == 0], [v for v in range(n) if v % 2])
+    if theorem == "nwbip":
+        rep = run_theorem_NWbip(g, g, PipelineConstants(), seed=1,
+                                hint_split=hint)
+    else:
+        rep = run_theorem_1factbip(g, PipelineConstants(), seed=1,
+                                   hint_split=hint)
+    assert rep.seed == 1
+    assert not rep.ok() and len(rep.cycles) == 1
+    assert [c.ident for c in rep.stages[0].checks if not c.ok] == [
+        "degree-at-least-n-over-100"]
+    assert all(st.status == "ok" for st in rep.stages)
+
+
 def test_reports_deterministic_and_round_trip(tmp_path):
     g, part, props = generate("complete_bipartite", {"m": 5})
     sub = regular_spanning_subgraph(g, 4, seed=3)

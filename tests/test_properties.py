@@ -1,7 +1,5 @@
 """Property-based tests over randomly generated structures."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +7,6 @@ from bipham.balance import is_D_balanced
 from bipham.errors import BadParams
 from bipham.graphs import Graph, LabelledPartition, PathSystem
 from bipham.matchings import balanced_matchings, vizing_balanced
-from bipham.regularity import check_regular_pair, naive_regular_pair
 from bipham.search import CycleSearch
 from bipham.validate import cycle_edges
 
@@ -75,21 +72,19 @@ def test_balance_survives_exceptional_repartition(m, data):
 
 
 @st.composite
-def bipartite_pairs(draw):
+def bipartite_graphs(draw):
     p = draw(st.integers(min_value=2, max_value=4))
     q = draw(st.integers(min_value=2, max_value=4))
     pairs = [(i, p + j) for i in range(p) for j in range(q)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, keep in zip(pairs, mask) if keep] or [pairs[0]]
-    eps = Fraction(draw(st.integers(min_value=1, max_value=9)), 10)
-    return Graph(p + q, edges), list(range(p)), list(range(p, p + q)), eps
+    return Graph(p + q, edges)
 
 
-@given(bipartite_pairs(), st.integers(min_value=0, max_value=2))
+@given(bipartite_graphs(), st.integers(min_value=0, max_value=2))
 @settings(max_examples=150, deadline=None)
-def test_balanced_matchings_on_bipartite_graphs(case, extra):
+def test_balanced_matchings_on_bipartite_graphs(g, extra):
     # König: max degree classes suffice on a bipartite graph
-    g = case[0]
     k = g.max_degree() + extra
     _check_balanced_matchings(g, balanced_matchings(g, k), k)
 
@@ -102,15 +97,6 @@ def test_balanced_matchings_needs_vizing_classes_off_bipartite(g, short):
                                          (g.n, g.n + 2)})
     with pytest.raises(BadParams):
         balanced_matchings(triangle, triangle.max_degree() - short)
-
-
-@given(bipartite_pairs())
-@settings(max_examples=30, deadline=None)
-def test_regularity_checker_matches_brute_force(case):
-    g, left, right, eps = case
-    fast = check_regular_pair(g, left, right, eps)
-    slow, _ = naive_regular_pair(g, left, right, eps)
-    assert fast.is_eps_regular == slow
 
 
 @st.composite

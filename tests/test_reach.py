@@ -53,8 +53,7 @@ KERNEL_FUNCTIONS = {
     } | {f"switches.py: {name}" for name in (
         "pure_split_and_switch", "_check_input", "_level_needs",
         "_split_levels", "_cycles_of", "_find_swap", "_switch", "_repair")
-    } | {f"matchings.py: {name}" for name in ("degree_split",
-                                              "_augment_capacitated")},
+    } | {"matchings.py: degree_split"},
 }
 
 CLI = "the command line, which calls the drivers"
@@ -66,10 +65,6 @@ LOADER = "the kernel loader, which runs once at import, before any driver"
 REPR = "a repr, for debugging and test failure messages"
 CONSTANTS = ("constants are built before a run, by the command line, the "
              "benchmark's worker or a test")
-REGULARITY = (
-    "the regularity checker, which nothing in the package calls since the "
-    "oriented scheme went; it and its tests wait for a change of their own "
-    "(ROADMAP item 1)")
 SCHEME = "the scheme check of ``bipham verify --level scheme``"
 UNEQUAL_EXCEPTIONAL = (
     "unequal exceptional sets (a != b): every host here plants its hubs in "
@@ -100,7 +95,6 @@ UNREACHED = {
     ], GENERATOR),
     **dict.fromkeys([
         "generators.py: verify_eps_bipartite",
-        "regularity.py: naive_regular_pair",
         "solvers.py: _MatchingEnum.__init__", "solvers.py: _MatchingEnum._extend",
         "solvers.py: _MatchingEnum.matchings", "solvers.py: _OracleEnum.__init__",
         "solvers.py: _OracleEnum._extend", "solvers.py: _OracleEnum.cycles",
@@ -111,6 +105,9 @@ UNREACHED = {
         "solvers.py: reg_even", "validate.py: check_matching",
         "solvers.py: Peel.rest",
     ], ORACLE),
+    "validate.py: check_cycle_in_graph":
+        "the benchmark's referee (perfbench/worker.py) and the tests'; the "
+        "drivers check each cycle on the edge set they build for it once",
     "generators.py: degree_factor":
         "reg_even's degree-factor reduction (an oracle) and the generators'",
     **dict.fromkeys([
@@ -153,12 +150,6 @@ UNREACHED = {
         "a level search of one item, a prescribed path through every vertex "
         "(CycleSearch.cycles); no run's level has one",
     "graphs.py: Graph.is_regular": "the oracles' precondition",
-    **dict.fromkeys([
-        "regularity.py: check_regular_pair", "regularity.py: _degree_witness",
-        "regularity.py: _deviates", "regularity.py: _exhaustive_check",
-        "regularity.py: _min_size", "regularity.py: vacuous_regularity",
-        "regularity.py: vacuous_window", "graphs.py: Graph.e_between",
-    ], REGULARITY),
     **dict.fromkeys([
         "graphs.py: LabelledPartition.swapped", "matchings.py: vizing_balanced",
     ], UNEQUAL_EXCEPTIONAL),

@@ -58,7 +58,7 @@ def ref_verify_equipartition(g, f, U, R, parts, eps1, eps2, cert=None):
                 problems.append(f"(vi) host degree d({v},part {i}) deviates by {devf}")
     for i in range(K):
         for i2 in range(i + 1, K):
-            dev = abs(Fraction(g.e_between(parts[i], parts[i2])) - Fraction(2 * eU, K * K))
+            dev = abs(Fraction(len(g.edges_between(parts[i], parts[i2]))) - Fraction(2 * eU, K * K))
             worst["iii"] = max(worst["iii"], dev)
             if dev > 2 * slack_edges / (K * K):
                 problems.append(f"(iii) e(part {i},part {i2}) deviates by {dev}")
@@ -67,9 +67,9 @@ def ref_verify_equipartition(g, f, U, R, parts, eps1, eps2, cert=None):
         if dev > slack_edges / (K * K):
             problems.append(f"(iv) e(part {i}) deviates by {dev}")
     for j, Rj in enumerate(R):
-        eUR = g.e_between(U, Rj) if Rj else 0
+        eUR = len(g.edges_between(U, Rj)) if Rj else 0
         for i in range(K):
-            dev = abs(Fraction(g.e_between(parts[i], Rj) if Rj else 0) - Fraction(eUR, K))
+            dev = abs(Fraction(len(g.edges_between(parts[i], Rj)) if Rj else 0) - Fraction(eUR, K))
             worst["v"] = max(worst["v"], dev)
             if dev > eps2 * max(n, eUR) / K:
                 problems.append(f"(v) e(part {i}, R_{j}) deviates by {dev}")
@@ -90,7 +90,7 @@ def ref_verify_cluster_partition(g, part, eps1, eps2, cert=None, host=None):
     def side_checks(side_name, side, clusters, A0):
         e_side = g.e_within(side)
         slack = eps2 * max(n, e_side)
-        e_exc = g.e_between(A0, side) if A0 else 0
+        e_exc = len(g.edges_between(A0, side)) if A0 else 0
         for v in range(n):
             dS = g.d(v, side)
             for i, c in enumerate(clusters):
@@ -102,7 +102,7 @@ def ref_verify_cluster_partition(g, part, eps1, eps2, cert=None, host=None):
         for i in range(K):
             for j in range(i + 1, K):
                 dev = abs(
-                    Fraction(g.e_between(clusters[i], clusters[j]))
+                    Fraction(len(g.edges_between(clusters[i], clusters[j])))
                     - Fraction(2 * e_side, K * K)
                 )
                 if dev > 2 * slack / (K * K):
@@ -113,7 +113,7 @@ def ref_verify_cluster_partition(g, part, eps1, eps2, cert=None, host=None):
             if dev > slack / (K * K):
                 problems.append(f"(P4/{side_name}) e(cluster {i + 1}) deviates by {dev}")
             devx = abs(
-                Fraction(g.e_between(A0, clusters[i]) if A0 else 0)
+                Fraction(len(g.edges_between(A0, clusters[i])) if A0 else 0)
                 - Fraction(e_exc, K)
             )
             if devx > eps2 * max(n, e_exc) / K:
@@ -123,11 +123,11 @@ def ref_verify_cluster_partition(g, part, eps1, eps2, cert=None, host=None):
 
     side_checks("A", part.A, part.clusters_A, part.A0)
     side_checks("B", part.B, part.clusters_B, part.B0)
-    eAB = g.e_between(part.A, part.B)
+    eAB = len(g.edges_between(part.A, part.B))
     for i in range(K):
         for j in range(K):
             dev = abs(
-                Fraction(g.e_between(part.clusters_A[i], part.clusters_B[j]))
+                Fraction(len(g.edges_between(part.clusters_A[i], part.clusters_B[j])))
                 - Fraction(eAB, K * K)
             )
             if dev > 3 * eps2 * eAB / (K * K):
@@ -160,7 +160,7 @@ def ref_verify_slices(g, part, slices, side, eps1, eps2):
     inner = part.A if side == "A" else part.B
     problems = []
     e_prime = g.e_within(side_set)
-    e_exc = g.e_between(A0, inner) if A0 else 0
+    e_exc = len(g.edges_between(A0, inner)) if A0 else 0
     e_inner = g.e_within(inner)
     union = set()
     total = 0
@@ -261,7 +261,7 @@ def ref_check_wf(g, f, part, D, eps, eps_prime, K):
 
     if part.b > part.a:
         add("FR4", f"|B0| = {part.b} > |A0| = {part.a}")
-    e_cross = g.e_between(part.A0, part.B0) if part.A0 and part.B0 else 0
+    e_cross = len(g.edges_between(part.A0, part.B0)) if part.A0 and part.B0 else 0
     if e_cross != 0:
         add("FR6", f"e(A0,B0) = {e_cross} != 0")
     for v in range(n):
@@ -356,7 +356,7 @@ def _outcome_equipartition(seed, uncovered=False):
             R = R[1:]
     n = g.n
     eU = graph.e_within(U)
-    eUR = [graph.e_between(U, Rj) if Rj else 0 for Rj in R]
+    eUR = [len(graph.edges_between(U, Rj)) if Rj else 0 for Rj in R]
     # an uncovered vertex adds its degree to the deviations: wider bounds
     spread = 4 if uncovered else 1
     eps1 = _bound(rng, n, 4 * K * spread)
@@ -375,12 +375,12 @@ def _outcome_cluster_partition(seed):
     K, n = part.K, graph.n
     counts = [
         graph.e_within(part.A), graph.e_within(part.B),
-        graph.e_between(part.A0, part.A) if part.A0 else 0,
-        graph.e_between(part.B0, part.B) if part.B0 else 0,
+        len(graph.edges_between(part.A0, part.A)) if part.A0 else 0,
+        len(graph.edges_between(part.B0, part.B)) if part.B0 else 0,
     ]
     eps1 = _bound(rng, n, 4 * K)
     if rng.random() < 0.25:
-        eps2 = _bound(rng, 3 * graph.e_between(part.A, part.B), K * K)
+        eps2 = _bound(rng, 3 * len(graph.edges_between(part.A, part.B)), K * K)
     else:
         eps2 = _bound(rng, _e_slack_scale(rng, n, counts, [1, 2]), 3 * K * K)
     cert_ref, cert_new = Certificate(), Certificate()
@@ -417,7 +417,7 @@ def _outcome_slices(seed):
     side_set = part.A_prime() if side == "A" else part.B_prime()
     counts = [
         graph.e_within(side_set), graph.e_within(inner),
-        graph.e_between(A0, inner) if A0 else 0,
+        len(graph.edges_between(A0, inner)) if A0 else 0,
     ]
     eps1 = _bound(rng, 4 * n, 3 * K * K)
     eps2 = _bound(rng, _e_slack_scale(rng, n, counts, [2, 9]), 3 * K * K)
